@@ -489,25 +489,27 @@ fn main() {
                 .collect();
             let mut points = Vec::new();
             println!(
-                "{:>6} {:>14} {:>14} {:>14} {:>12} {:>12} {:>12}",
+                "{:>6} {:>14} {:>14} {:>14} {:>12} {:>12} {:>12} {:>12}",
                 "P",
                 "inspector vms",
                 "transfer vms",
                 "redist vms",
                 "insp wall",
                 "xfer wall",
+                "settle wall",
                 "redist wall"
             );
             for &p in &procs {
                 let pt = scaling_point(p, n);
                 println!(
-                    "{:>6} {:>14} {:>14} {:>14} {:>9} ms {:>9} ms {:>9} ms",
+                    "{:>6} {:>14} {:>14} {:>14} {:>9} ms {:>9} ms {:>9} ms {:>9} ms",
                     pt.procs,
                     fmt_ms(pt.inspector_virtual_ms),
                     fmt_ms(pt.transfer_virtual_ms),
                     fmt_ms(pt.redist_virtual_ms),
                     fmt_ms(pt.inspector_wall_ms),
                     fmt_ms(pt.transfer_wall_ms),
+                    fmt_ms(pt.settle_wall_ms),
                     fmt_ms(pt.redist_wall_ms)
                 );
                 points.push(pt);
@@ -535,6 +537,7 @@ fn main() {
                         (format!("p{p}_redist_virtual_ms"), pt.redist_virtual_ms),
                         (format!("p{p}_inspector_wall_ms"), pt.inspector_wall_ms),
                         (format!("p{p}_transfer_wall_ms"), pt.transfer_wall_ms),
+                        (format!("p{p}_settle_wall_ms"), pt.settle_wall_ms),
                         (format!("p{p}_redist_wall_ms"), pt.redist_wall_ms),
                     ]
                 })

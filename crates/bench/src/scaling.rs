@@ -11,8 +11,12 @@
 //! * **transfer settle** — one session-layer `put`/`get` of that vector
 //!   through a bound coupler port, until both sides commit;
 //! * **redistribution** — HPF `REDISTRIBUTE` of a block vector to a
-//!   cyclic layout within one P-rank program (broker-free: every rank
-//!   computes its own slice of the schedule from the closed forms).
+//!   cyclic layout within one P-rank program.  Broker-free: the
+//!   Duplication build needs no messages, and each rank dereferences its
+//!   own side through `HpfDist::owned_section_ranges` — the owned chunk
+//!   ranges `c, c+g, c+2g, …` of the `CYCLIC(4)` dimension intersected
+//!   with the section, O(owned chunks) host work per rank rather than an
+//!   owner test per global element.
 //!
 //! Two times are recorded per workload: **virtual** milliseconds (the
 //! simulated cost — deterministic, so the verify gate can hold it to an
@@ -22,11 +26,16 @@
 //! as P grows, so the simulated inspector and executor costs both grow
 //! **sub-linearly** in P; see [`sublinear`] for why the wall clock
 //! tracks the Θ(P²) simulated message count instead.
+//!
+//! The wall columns time whole worlds (spawn, build, run, join), so
+//! `transfer_wall_ms` is mostly the schedule build it has to repeat;
+//! `settle_wall_ms` is the put/get alone, timed inside that world.
 
 use std::time::Instant;
 
-use mcsim::group::Group;
+use mcsim::group::{Comm, Group};
 use mcsim::model::MachineModel;
+use mcsim::prelude::Endpoint;
 use mcsim::world::World;
 
 use meta_chaos::build::{compute_schedule, BuildMethod};
@@ -53,8 +62,10 @@ pub struct ScalingPoint {
     pub redist_virtual_ms: f64,
     /// Host wall ms of the build-only world.
     pub inspector_wall_ms: f64,
-    /// Host wall ms of the build+settle world.
+    /// Host wall ms of the build+settle world (the build dominates).
     pub transfer_wall_ms: f64,
+    /// Host wall ms of the put/get settle alone, inside that world.
+    pub settle_wall_ms: f64,
     /// Host wall ms of the redistribution world.
     pub redist_wall_ms: f64,
 }
@@ -62,8 +73,9 @@ pub struct ScalingPoint {
 /// The coupled workload: programs of `p/2` ranks each, a Multiblock
 /// vector on A coupled to a block-distributed HPF vector on B over the
 /// whole index space.  Returns per-rank `(build_s, settle_s)` virtual
-/// durations; `settle` runs only when `reps > 0`.
-fn coupled_times(p: usize, n: usize, reps: usize) -> Vec<(f64, f64)> {
+/// durations and the rank's [`settle_wall_ms`]; `settle` runs only when
+/// `reps > 0`.
+fn coupled_times(p: usize, n: usize, reps: usize) -> Vec<(f64, f64, f64)> {
     assert!(
         p >= 4 && p.is_multiple_of(2),
         "coupled workload needs an even P >= 4"
@@ -96,7 +108,10 @@ fn coupled_times(p: usize, n: usize, reps: usize) -> Vec<(f64, f64)> {
                 coupler.put(ep, "boundary", &v).expect("put");
             }
             settle_s = ep.clock() - t1;
-            (build_s, settle_s)
+            let wall_ms = settle_wall_ms(ep, &un, reps, |ep| {
+                coupler.put(ep, "boundary", &v).expect("put");
+            });
+            (build_s, settle_s, wall_ms)
         } else {
             let mut h = HpfArray::<f64>::new(&pb, ep.rank(), HpfDist::block_1d(n, p - pa_size));
             let sched = compute_schedule::<f64, MultiblockArray<f64>, HpfArray<f64>>(
@@ -116,10 +131,35 @@ fn coupled_times(p: usize, n: usize, reps: usize) -> Vec<(f64, f64)> {
                 coupler.get(ep, "boundary", &mut h).expect("get");
             }
             settle_s += ep.clock() - t1;
-            (build_s, settle_s)
+            let wall_ms = settle_wall_ms(ep, &un, reps, |ep| {
+                coupler.get(ep, "boundary", &mut h).expect("get");
+            });
+            (build_s, settle_s, wall_ms)
         }
     });
     out.results
+}
+
+/// Host wall ms of `reps` further settles (`half` is this rank's put or
+/// get), timed between two `sync_clocks` over the union group so that the
+/// span on any one rank covers every rank's half.  It runs after the
+/// virtual measurement, which must not see the synchronization.
+fn settle_wall_ms(
+    ep: &mut Endpoint,
+    un: &Group,
+    reps: usize,
+    mut half: impl FnMut(&mut Endpoint),
+) -> f64 {
+    if reps == 0 {
+        return 0.0;
+    }
+    Comm::borrowed(ep, un).sync_clocks();
+    let w = Instant::now();
+    for _ in 0..reps {
+        half(ep);
+    }
+    Comm::borrowed(ep, un).sync_clocks();
+    w.elapsed().as_secs_f64() * 1e3
 }
 
 /// The redistribution workload: one P-rank program, block vector to
@@ -149,7 +189,8 @@ fn max_ms(vals: impl Iterator<Item = f64>) -> f64 {
 }
 
 /// Measure one curve point.  Three worlds run: build-only (inspector
-/// wall), build+settle (transfer wall), and the redistribution.
+/// wall), build+settle (transfer wall; rank 0's timing of the settle
+/// alone is the settle wall), and the redistribution.
 pub fn scaling_point(procs: usize, elements: usize) -> ScalingPoint {
     let w0 = Instant::now();
     let build_only = coupled_times(procs, elements, 0);
@@ -171,6 +212,7 @@ pub fn scaling_point(procs: usize, elements: usize) -> ScalingPoint {
         redist_virtual_ms: max_ms(redist.iter().copied()),
         inspector_wall_ms,
         transfer_wall_ms,
+        settle_wall_ms: with_settle[0].2,
         redist_wall_ms,
     }
 }
@@ -184,10 +226,11 @@ pub fn scaling_point(procs: usize, elements: usize) -> ScalingPoint {
 ///
 /// Host wall time is recorded but not bounded here: the Cooperation
 /// build exchanges descriptors over an alltoallv in the union group, so
-/// the *simulated message count* is Θ(P²) by construction and the
-/// simulator faithfully pays ~0.5 µs of host time per simulated message.
-/// The M:N scheduler's win is that those P² messages at P=1024 cost
-/// seconds on a worker pool instead of needing 1024 OS threads.
+/// the *simulated message count* is Θ(P²) by construction and the host
+/// pays for every simulated message (allocation, channel and stash costs;
+/// DESIGN §4j has the measured split).  The M:N scheduler's win is that
+/// those P² messages at P=1024 cost seconds on a worker pool instead of
+/// needing 1024 OS threads.
 pub fn sublinear(points: &[ScalingPoint]) -> bool {
     points.windows(2).all(|w| {
         let p_ratio = w[1].procs as f64 / w[0].procs as f64;

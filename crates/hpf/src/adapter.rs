@@ -1,11 +1,15 @@
 //! Meta-Chaos interface functions for [`HpfArray`] (the paper's HPF
 //! runtime-library interface, used in its Figure 9 example).
 //!
-//! The Region type is an HPF array section ([`RegularSection`]).  For
-//! all-contiguous distributions (`BLOCK`/`*`) ownership is resolved by box
-//! intersection over owned elements only; cyclic distributions fall back
-//! to a full scan with closed-form owner checks — still local, just more
-//! arithmetic, exactly like a real HPF runtime's section analysis.
+//! The Region type is an HPF array section ([`RegularSection`]).  The
+//! run-based dereference ([`McObject::deref_owned_runs`]) resolves
+//! ownership in closed form for every directive: box intersection for
+//! all-contiguous distributions (`BLOCK`/`*`), and the per-dimension
+//! owned chunk ranges of [`HpfDist::owned_section_ranges`] once a
+//! `CYCLIC(k)` dimension is involved — host work proportional to what
+//! the rank owns.  The element-wise [`McObject::deref_owned`] keeps the
+//! owner test per section element for cyclic distributions; it is the
+//! reference the run path is tested against.
 
 use mcsim::error::SimError;
 use mcsim::group::Comm;
@@ -20,7 +24,7 @@ use meta_chaos::setof::SetOfRegions;
 use meta_chaos::LocalAddr;
 
 use crate::array::HpfArray;
-use crate::dist::{DistKind, HpfDist};
+use crate::dist::{DistKind, HpfDist, RangeOdometer};
 
 /// Compact descriptor of an HPF distribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,6 +135,76 @@ impl McDescriptor for HpfDesc {
     }
 }
 
+impl<T: Copy + Default> HpfArray<T> {
+    /// [`McObject::deref_owned_runs`] for distributions with a `CYCLIC(k)`
+    /// dimension: the owned section indices of the outer dimensions form a
+    /// row-major odometer, and each owned chunk range of the innermost
+    /// dimension is one arithmetic progression of addresses — O(owned
+    /// rows × inner chunks) host work, no per-element owner test.
+    ///
+    /// The decomposition is part of the contract, not just the expansion:
+    /// the Cooperation build announces one record per run, so the run list
+    /// must equal `coalesce_owned(&self.deref_owned(..))` run for run.
+    /// `RunBuilder::push_run` is not the same as pushing its elements (a
+    /// length-1 last run adopts any stride from `push`, only the run's own
+    /// from `push_run`), hence each range's first element goes through
+    /// `push` and the rest follow as one run.  The virtual-clock charge is
+    /// `deref_owned`'s: the simulated library still inspects the section.
+    fn deref_owned_runs_chunked(
+        &self,
+        comm: &mut Comm<'_>,
+        set: &SetOfRegions<RegularSection>,
+    ) -> Vec<OwnedRun> {
+        let dist = self.dist();
+        let me = self.my_local();
+        let pc = dist.proc_coords(me);
+        let mut builder = RunBuilder::new();
+        let mut region_offset = 0usize;
+        for region in set.regions() {
+            let base = region_offset;
+            region_offset += region.len();
+            let slices = region.dims();
+            let owned: Vec<Vec<(usize, usize)>> = slices
+                .iter()
+                .enumerate()
+                .map(|(d, s)| dist.owned_section_ranges(d, pc[d], s).collect())
+                .collect();
+            let (inner, outer) = owned.split_last().expect("sections have a dimension");
+            if inner.is_empty() {
+                continue;
+            }
+            let (inner_slice, outer_slices) =
+                slices.split_last().expect("sections have a dimension");
+            let row_len = inner_slice.count();
+            let stride = inner_slice.stride;
+            let mut coords = vec![0usize; slices.len()];
+            let mut rows = RangeOdometer::new(outer);
+            while let Some(ks) = rows.advance() {
+                let mut row = 0usize;
+                for (d, (&k, s)) in ks.iter().zip(outer_slices).enumerate() {
+                    row = row * s.count() + k;
+                    coords[d] = s.index(k);
+                }
+                let row_pos = base + row * row_len;
+                for &(k_lo, k_hi) in inner {
+                    coords[slices.len() - 1] = inner_slice.index(k_lo);
+                    let addr = dist.local_addr(me, &coords);
+                    builder.push(row_pos + k_lo, addr);
+                    builder.push_run(
+                        row_pos + k_lo + 1,
+                        k_hi - k_lo - 1,
+                        addr + stride,
+                        stride as isize,
+                    );
+                }
+            }
+        }
+        comm.ep()
+            .charge_owner_calc(set.total_len() + set.num_regions());
+        builder.finish()
+    }
+}
+
 impl<T: Copy + Default> McObject<T> for HpfArray<T> {
     type Region = RegularSection;
     type Descriptor = HpfDesc;
@@ -191,10 +265,7 @@ impl<T: Copy + Default> McObject<T> for HpfArray<T> {
     ) -> Vec<OwnedRun> {
         let dist = self.dist();
         if !dist.is_all_contiguous() {
-            // Cyclic dims break ownership into chunk-sized pieces; keep the
-            // per-element scan and coalesce what it yields.  The charge is
-            // whatever deref_owned charges.
-            return meta_chaos::coalesce_owned(&self.deref_owned(comm, set));
+            return self.deref_owned_runs_chunked(comm, set);
         }
         // Contiguous fast path: ownership is a box, and each row of an
         // intersected sub-section is one run — O(rows) work, same
@@ -335,6 +406,7 @@ mod tests {
     use crate::dist::DistKind;
     use mcsim::group::Group;
     use mcsim::model::MachineModel;
+    use mcsim::rng::Rng;
     use mcsim::world::World;
     use meta_chaos::build::{compute_schedule, BuildMethod};
     use meta_chaos::datamove::data_move;
@@ -366,7 +438,7 @@ mod tests {
 
     #[test]
     fn deref_owned_runs_expand_to_deref_owned() {
-        // Both the contiguous fast path and the cyclic fallback.
+        // Both the contiguous box path and the cyclic chunk path.
         let dists = [
             HpfDist::block_block(9, 8, 2, 2),
             HpfDist::new(
@@ -399,6 +471,105 @@ mod tests {
                 assert_eq!(expanded, owned);
             });
         }
+    }
+
+    /// Seeded random `(distribution, section set)` cases over `procs`
+    /// ranks: 1–3 dims, 1–3 strided regions, empty slices included.
+    fn random_cases(
+        seed: u64,
+        procs: usize,
+        count: usize,
+    ) -> Vec<(HpfDist, SetOfRegions<RegularSection>)> {
+        let mut rng = Rng::seed_from_u64(seed ^ procs as u64);
+        (0..count)
+            .map(|_| {
+                let ndim = 1 + rng.gen_range(3);
+                let shape: Vec<usize> = (0..ndim).map(|_| 1 + rng.gen_range(14)).collect();
+                let regions = (0..1 + rng.gen_range(3))
+                    .map(|_| {
+                        let dims = shape
+                            .iter()
+                            .map(|&n| {
+                                let lo = rng.gen_range(n + 1);
+                                // One slice in eight is empty.
+                                let hi = if rng.gen_range(8) == 0 {
+                                    lo
+                                } else {
+                                    lo + rng.gen_range(n - lo + 1)
+                                };
+                                meta_chaos::DimSlice::strided(lo, hi, 1 + rng.gen_range(4))
+                            })
+                            .collect();
+                        RegularSection::new(dims)
+                    })
+                    .collect();
+                let dist = HpfDist::random(&mut rng, shape, procs);
+                (dist, SetOfRegions::from_regions(regions))
+            })
+            .collect()
+    }
+
+    /// Per rank and case: the run list and the virtual clock (bits) after
+    /// it, through the run path or through the element-wise reference.
+    fn deref_all(
+        cases: &[(HpfDist, SetOfRegions<RegularSection>)],
+        procs: usize,
+        via_runs: bool,
+    ) -> Vec<Vec<(Vec<OwnedRun>, u64)>> {
+        let world = World::with_model(procs, MachineModel::sp2());
+        let out = world.run(|ep| {
+            let g = Group::world(procs);
+            cases
+                .iter()
+                .map(|(dist, set)| {
+                    let a = HpfArray::<f64>::new(&g, ep.rank(), dist.clone());
+                    let mut comm = Comm::borrowed(ep, &g);
+                    let runs = if via_runs {
+                        a.deref_owned_runs(&mut comm, set)
+                    } else {
+                        meta_chaos::coalesce_owned(&a.deref_owned(&mut comm, set))
+                    };
+                    (runs, ep.clock().to_bits())
+                })
+                .collect()
+        });
+        out.results
+    }
+
+    fn expand(runs: &[OwnedRun]) -> Vec<(usize, LocalAddr)> {
+        runs.iter()
+            .flat_map(|r| (0..r.len).map(move |k| (r.pos + k, r.addr_at(k))))
+            .collect()
+    }
+
+    #[test]
+    fn deref_owned_runs_matches_elementwise_reference() {
+        // Differential property: on every rank of random distributions ×
+        // strided multi-region sets, the closed-form run path expands to
+        // the element-wise reference and charges the same virtual time;
+        // where a CYCLIC dimension is involved the decomposition itself is
+        // the reference's, run for run (it sizes the announce records).
+        let seed = mcsim::test_seed();
+        let mut chunked = 0usize;
+        for procs in [1usize, 2, 3, 4, 6, 8] {
+            let cases = random_cases(seed, procs, 60);
+            let fast = deref_all(&cases, procs, true);
+            let reference = deref_all(&cases, procs, false);
+            for rank in 0..procs {
+                for (i, (dist, set)) in cases.iter().enumerate() {
+                    let (runs, clock) = &fast[rank][i];
+                    let (ref_runs, ref_clock) = &reference[rank][i];
+                    let ctx = format!("seed {seed} procs {procs} rank {rank} {dist:?} {set:?}");
+                    assert_eq!(expand(runs), expand(ref_runs), "{ctx}");
+                    assert_eq!(clock, ref_clock, "virtual clock, {ctx}");
+                    if !dist.is_all_contiguous() {
+                        assert_eq!(runs, ref_runs, "{ctx}");
+                        chunked += 1;
+                    }
+                }
+            }
+        }
+        assert!(chunked > 500, "only {chunked} non-contiguous rank-cases");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use mcsim::group::Group;
 
-use crate::dist::HpfDist;
+use crate::dist::{HpfDist, RangeOdometer};
 
 /// One program rank's piece of an HPF-distributed array.
 #[derive(Debug, Clone)]
@@ -90,9 +90,34 @@ impl<T: Copy + Default> HpfArray<T> {
         self.data[a] = v;
     }
 
-    /// Visit every owned element with its global coordinates
-    /// (owner-computes iteration).
+    /// Visit every owned element with its global coordinates, in ascending
+    /// row-major coordinate order (owner-computes iteration).
+    ///
+    /// Closed form: the owned coordinates are the product of the
+    /// per-dimension [`HpfDist::owned_ranges`], and local storage is dense
+    /// in exactly that order, so the walk costs O(owned elements) and the
+    /// `i`-th element visited lives at local address `i`.
     pub fn for_each_owned(&mut self, mut f: impl FnMut(&[usize], &mut T)) {
+        let pc = self.dist.proc_coords(self.my_local);
+        let owned: Vec<Vec<(usize, usize)>> = pc
+            .iter()
+            .enumerate()
+            .map(|(d, &c)| self.dist.owned_ranges(d, c).collect())
+            .collect();
+        let mut odo = RangeOdometer::new(&owned);
+        let mut addr = 0;
+        while let Some(coords) = odo.advance() {
+            debug_assert_eq!(addr, self.dist.local_addr(self.my_local, coords));
+            f(coords, &mut self.data[addr]);
+            addr += 1;
+        }
+        debug_assert_eq!(addr, self.data.len());
+    }
+
+    /// The pre-closed-form [`Self::for_each_owned`]: an owner test on every
+    /// global coordinate.  Kept as the test oracle.
+    #[cfg(test)]
+    pub(crate) fn for_each_owned_scan(&mut self, mut f: impl FnMut(&[usize], &mut T)) {
         let shape = self.dist.shape().to_vec();
         let ndim = shape.len();
         let mut coords = vec![0usize; ndim];
@@ -122,6 +147,7 @@ mod tests {
     use super::*;
     use crate::dist::DistKind;
     use mcsim::model::MachineModel;
+    use mcsim::rng::Rng;
     use mcsim::world::World;
 
     #[test]
@@ -138,6 +164,35 @@ mod tests {
         });
         let total: f64 = out.results.iter().sum();
         assert_eq!(total, (0..64).sum::<usize>() as f64);
+    }
+
+    #[test]
+    fn for_each_owned_visits_what_the_scan_visits() {
+        // Same (coords, addr) sequence as the owner-test scan, on every
+        // rank of random 1–3-dim distributions (all directive kinds).
+        let mut rng = Rng::seed_from_u64(mcsim::test_seed());
+        for procs in [1usize, 2, 3, 4, 6, 8] {
+            for _ in 0..40 {
+                let ndim = 1 + rng.gen_range(3);
+                let shape: Vec<usize> = (0..ndim).map(|_| 1 + rng.gen_range(11)).collect();
+                let dist = HpfDist::random(&mut rng, shape, procs);
+                let g = Group::world(procs);
+                for rank in 0..procs {
+                    let mut a = HpfArray::<u32>::new(&g, rank, dist.clone());
+                    // Tag each cell with its address so the visit order of
+                    // addresses is observable through `&mut T`.
+                    for (i, v) in a.local_mut().iter_mut().enumerate() {
+                        *v = i as u32;
+                    }
+                    let mut fast = Vec::new();
+                    a.for_each_owned(|c, v| fast.push((c.to_vec(), *v)));
+                    let mut scan = Vec::new();
+                    a.for_each_owned_scan(|c, v| scan.push((c.to_vec(), *v)));
+                    assert_eq!(fast, scan, "{dist:?} rank {rank}");
+                    assert_eq!(fast.len(), dist.local_len(rank));
+                }
+            }
+        }
     }
 
     #[test]

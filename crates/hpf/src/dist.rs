@@ -3,7 +3,11 @@
 //! An [`HpfDist`] mirrors `!hpf$ distribute A(BLOCK, CYCLIC(3))`-style
 //! directives: one [`DistKind`] per array dimension, mapped onto a
 //! processor arrangement.  All queries are closed-form, as in a real HPF
-//! runtime's local-addressing formulas.
+//! runtime's local-addressing formulas — including *what a rank owns*:
+//! [`HpfDist::owned_ranges`] enumerates the coordinate ranges of one
+//! arrangement coordinate along one dimension arithmetically (one range
+//! for `BLOCK`/`*`, one per chunk for `CYCLIC(k)`), so per-rank work is
+//! proportional to what the rank owns, never to the global extent.
 //!
 //! Local storage convention: owned elements are stored densely, ordered by
 //! their *global* coordinates (row-major), which for `BLOCK` degenerates to
@@ -13,6 +17,7 @@
 use mcsim::error::SimError;
 use mcsim::rng::Rng;
 use mcsim::wire::{Wire, WireReader};
+use meta_chaos::region::DimSlice;
 
 /// A per-dimension distribution directive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,10 +46,7 @@ impl DistKind {
                     rem + (x - cut) / base
                 }
             }
-            DistKind::Cyclic(k) => {
-                assert!(k >= 1, "CYCLIC chunk must be >= 1");
-                (x / k) % g
-            }
+            DistKind::Cyclic(k) => (x / k) % g,
             DistKind::Collapsed => 0,
         }
     }
@@ -117,6 +119,107 @@ impl Wire for DistKind {
     }
 }
 
+/// The ascending, disjoint coordinate ranges `[lo, hi)` one arrangement
+/// coordinate owns along one dimension, clipped to a window — the
+/// closed-form ownership primitive ([`HpfDist::owned_ranges`]).
+///
+/// Ownership along a dimension is an arithmetic progression of equal
+/// chunks (`BLOCK` and `*` are the one-chunk case), so the iterator holds
+/// four integers and yields each range in O(1): enumerating what a rank
+/// owns costs O(owned chunks), independent of the dimension's extent.
+#[derive(Debug, Clone)]
+pub struct OwnedRanges {
+    /// Start of the next owned chunk (not yet clipped to the window).
+    chunk_lo: usize,
+    /// Chunk length.
+    len: usize,
+    /// Distance between consecutive chunk starts.
+    step: usize,
+    /// Window `[from, to)` the yielded ranges are clipped to.
+    from: usize,
+    to: usize,
+}
+
+impl Iterator for OwnedRanges {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        // At most the first chunk can come out empty (it may end at or
+        // before `from`); every later one starts inside the window.
+        while self.chunk_lo < self.to {
+            let lo = self.chunk_lo.max(self.from);
+            let hi = self.chunk_lo.saturating_add(self.len).min(self.to);
+            self.chunk_lo = self.chunk_lo.saturating_add(self.step);
+            if lo < hi {
+                return Some((lo, hi));
+            }
+        }
+        None
+    }
+}
+
+/// Row-major odometer over the product of per-dimension ascending range
+/// lists: visits every index tuple whose `d`-th entry lies in one of
+/// `dims[d]`'s ranges, last dimension fastest.  Lending-iterator style,
+/// like [`meta_chaos::region::CoordIter`].
+pub(crate) struct RangeOdometer<'a> {
+    dims: &'a [Vec<(usize, usize)>],
+    /// Per dimension, which range the current index sits in.
+    which: Vec<usize>,
+    at: Vec<usize>,
+    started: bool,
+    done: bool,
+}
+
+impl<'a> RangeOdometer<'a> {
+    /// Ranges must be non-empty; a dimension with no range makes the
+    /// product empty.  Zero dimensions give the one empty tuple.
+    pub(crate) fn new(dims: &'a [Vec<(usize, usize)>]) -> Self {
+        RangeOdometer {
+            dims,
+            which: vec![0; dims.len()],
+            at: dims
+                .iter()
+                .map(|r| r.first().map_or(0, |&(lo, _)| lo))
+                .collect(),
+            started: false,
+            done: dims.iter().any(|r| r.is_empty()),
+        }
+    }
+
+    /// Advance and expose the next tuple (valid until the next call).
+    pub(crate) fn advance(&mut self) -> Option<&[usize]> {
+        if self.done {
+            return None;
+        }
+        if !self.started {
+            self.started = true;
+            return Some(&self.at);
+        }
+        let mut d = self.dims.len();
+        loop {
+            if d == 0 {
+                self.done = true;
+                return None;
+            }
+            d -= 1;
+            let ranges = &self.dims[d];
+            self.at[d] += 1;
+            if self.at[d] < ranges[self.which[d]].1 {
+                break;
+            }
+            self.which[d] += 1;
+            if let Some(&(lo, _)) = ranges.get(self.which[d]) {
+                self.at[d] = lo;
+                break;
+            }
+            self.which[d] = 0;
+            self.at[d] = ranges[0].0;
+        }
+        Some(&self.at)
+    }
+}
+
 /// A full distribution: shape, per-dim directives, and the processor
 /// arrangement (row-major over `proc_dims`, product = program size).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,25 +230,48 @@ pub struct HpfDist {
 }
 
 impl HpfDist {
-    /// Build a distribution.  `proc_dims[d]` must be 1 wherever
-    /// `kinds[d]` is `Collapsed`.
+    /// The construction invariants, shared by [`HpfDist::new`] (which
+    /// panics on a violation) and the wire decoder (which reports it).
+    /// Everything downstream relies on them: the owner arithmetic divides
+    /// by extents, proc counts and chunk sizes, and the chunk-stepping
+    /// loops of [`OwnedRanges`] would spin on a zero chunk.
+    fn check(shape: &[usize], kinds: &[DistKind], proc_dims: &[usize]) -> Result<(), String> {
+        if shape.len() != kinds.len() || shape.len() != proc_dims.len() {
+            return Err("dist dimension mismatch".into());
+        }
+        for (d, kind) in kinds.iter().enumerate() {
+            let (n, g) = (shape[d], proc_dims[d]);
+            if n == 0 || g == 0 {
+                return Err(format!(
+                    "dim {d}: extent {n} over {g} procs must be non-zero"
+                ));
+            }
+            match *kind {
+                DistKind::Cyclic(0) => {
+                    return Err(format!("CYCLIC dim {d}: chunk must be >= 1"));
+                }
+                DistKind::Collapsed if g != 1 => {
+                    return Err(format!("collapsed dim {d} must have 1 proc, has {g}"));
+                }
+                DistKind::Block if n < g => {
+                    return Err(format!("BLOCK dim {d}: extent {n} < procs {g}"));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Build a distribution.  Extents and proc counts must be non-zero,
+    /// `proc_dims[d]` must be 1 wherever `kinds[d]` is `Collapsed`, a
+    /// `BLOCK` extent must cover its procs, and a `CYCLIC` chunk must be
+    /// at least 1.
+    ///
+    /// # Panics
+    /// Panics, naming the dimension, when an invariant is violated.
     pub fn new(shape: Vec<usize>, kinds: Vec<DistKind>, proc_dims: Vec<usize>) -> Self {
-        assert_eq!(shape.len(), kinds.len());
-        assert_eq!(shape.len(), proc_dims.len());
-        assert!(shape.iter().all(|&n| n > 0));
-        assert!(proc_dims.iter().all(|&g| g > 0));
-        for (d, k) in kinds.iter().enumerate() {
-            if matches!(k, DistKind::Collapsed) {
-                assert_eq!(proc_dims[d], 1, "collapsed dim {d} must have 1 proc");
-            }
-            if matches!(k, DistKind::Block) {
-                assert!(
-                    shape[d] >= proc_dims[d],
-                    "BLOCK dim {d}: extent {} < procs {}",
-                    shape[d],
-                    proc_dims[d]
-                );
-            }
+        if let Err(why) = HpfDist::check(&shape, &kinds, &proc_dims) {
+            panic!("invalid HPF distribution: {why}");
         }
         HpfDist {
             shape,
@@ -309,6 +435,67 @@ impl HpfDist {
         }
     }
 
+    /// The ascending coordinate ranges `[lo, hi)` arrangement coordinate
+    /// `c` owns along `dim`, in closed form: one range for `BLOCK`/`*`,
+    /// one per owned chunk `c, c+g, c+2g, …` for `CYCLIC(k)` (none when
+    /// the extent ends before `c`'s first chunk).
+    pub fn owned_ranges(&self, dim: usize, c: usize) -> OwnedRanges {
+        self.owned_ranges_within(dim, c, 0, self.shape[dim])
+    }
+
+    /// [`Self::owned_ranges`] clipped to the coordinate window
+    /// `[from, to)`, starting at the first chunk that can reach it.
+    fn owned_ranges_within(&self, dim: usize, c: usize, from: usize, to: usize) -> OwnedRanges {
+        let n = self.shape[dim];
+        debug_assert!(c < self.proc_dims[dim]);
+        let (chunk_lo, len, step) = match self.kinds[dim] {
+            DistKind::Block | DistKind::Collapsed => {
+                let (lo, hi) = self.block_bounds(dim, c);
+                (lo, hi - lo, n)
+            }
+            DistKind::Cyclic(k) => {
+                let period = k.saturating_mul(self.proc_dims[dim]);
+                let first = c.saturating_mul(k);
+                // Skip the courses that lie wholly before the window.
+                let skipped = from.saturating_sub(first) / period;
+                (first.saturating_add(skipped * period), k, period)
+            }
+        };
+        OwnedRanges {
+            chunk_lo,
+            len,
+            step,
+            from,
+            to: to.min(n),
+        }
+    }
+
+    /// The ascending ranges `[k_lo, k_hi)` of *section indices* (positions
+    /// within `slice`) whose coordinates arrangement coordinate `c` owns
+    /// along `dim`: [`Self::owned_ranges`] intersected with the slice.
+    /// Within one yielded range consecutive indices stay inside one owned
+    /// chunk, so their local indices advance by `slice.stride`.
+    pub fn owned_section_ranges(
+        &self,
+        dim: usize,
+        c: usize,
+        slice: &DimSlice,
+    ) -> impl Iterator<Item = (usize, usize)> {
+        let DimSlice {
+            lo: s_lo,
+            hi,
+            stride,
+        } = *slice;
+        self.owned_ranges_within(dim, c, s_lo, hi)
+            .filter_map(move |(lo, hi)| {
+                // lo >= s_lo and hi > lo: first index at or after lo, one
+                // past the last index below hi.
+                let k_lo = (lo - s_lo).div_ceil(stride);
+                let k_hi = (hi - 1 - s_lo) / stride + 1;
+                (k_lo < k_hi).then_some((k_lo, k_hi))
+            })
+    }
+
     /// True when every dimension's ownership is contiguous (enables the
     /// box-intersection fast path in the Meta-Chaos adapter).
     pub fn is_all_contiguous(&self) -> bool {
@@ -326,9 +513,7 @@ impl Wire for HpfDist {
         let shape = Vec::<usize>::read(r)?;
         let kinds = Vec::<DistKind>::read(r)?;
         let proc_dims = Vec::<usize>::read(r)?;
-        if shape.len() != kinds.len() || shape.len() != proc_dims.len() {
-            return Err(SimError::Decode("dist dimension mismatch".into()));
-        }
+        HpfDist::check(&shape, &kinds, &proc_dims).map_err(SimError::Decode)?;
         Ok(HpfDist {
             shape,
             kinds,
@@ -449,6 +634,128 @@ mod tests {
             vec![2, 2],
         );
         assert_eq!(HpfDist::from_bytes(&d.to_bytes()).unwrap(), d);
+    }
+
+    #[test]
+    fn owned_ranges_are_exactly_the_owned_coordinates() {
+        for kind in [
+            DistKind::Block,
+            DistKind::Collapsed,
+            DistKind::Cyclic(1),
+            DistKind::Cyclic(3),
+            DistKind::Cyclic(40),
+        ] {
+            for (n, g) in [(10, 3), (17, 4), (5, 8), (7, 7), (1, 1)] {
+                let g = if kind == DistKind::Collapsed { 1 } else { g };
+                if kind == DistKind::Block && n < g {
+                    continue;
+                }
+                let d = HpfDist::new(vec![n], vec![kind], vec![g]);
+                for c in 0..g {
+                    let ranges: Vec<_> = d.owned_ranges(0, c).collect();
+                    assert!(
+                        ranges.iter().all(|&(lo, hi)| lo < hi),
+                        "{kind:?} {ranges:?}"
+                    );
+                    assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0), "{ranges:?}");
+                    let listed: Vec<usize> = ranges.iter().flat_map(|&(lo, hi)| lo..hi).collect();
+                    let owned: Vec<usize> = (0..n).filter(|&x| kind.owner(n, g, x) == c).collect();
+                    assert_eq!(listed, owned, "{kind:?} n={n} g={g} c={c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn owned_section_ranges_match_a_scan_of_the_slice() {
+        let d = HpfDist::new(
+            vec![23, 20],
+            vec![DistKind::Cyclic(3), DistKind::Block],
+            vec![2, 3],
+        );
+        for (dim, g) in [(0usize, 2usize), (1, 3)] {
+            let n = d.shape()[dim];
+            for lo in 0..=n {
+                for hi in lo..=n {
+                    for stride in 1..=5 {
+                        let s = DimSlice::strided(lo, hi, stride);
+                        for c in 0..g {
+                            let got: Vec<usize> = d
+                                .owned_section_ranges(dim, c, &s)
+                                .flat_map(|(a, b)| a..b)
+                                .collect();
+                            let want: Vec<usize> = (0..s.count())
+                                .filter(|&k| d.kinds()[dim].owner(n, g, s.index(k)) == c)
+                                .collect();
+                            assert_eq!(got, want, "dim {dim} c {c} {s:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn huge_cyclic_dimension_is_enumerated_in_closed_form() {
+        // 2^40 coordinates: only arithmetic on chunk bounds can finish.
+        let (n, k, g) = (1usize << 40, 1usize << 20, 128usize);
+        let d = HpfDist::new(vec![n], vec![DistKind::Cyclic(k)], vec![g]);
+        for c in [0, 1, 77, 127] {
+            let mut chunks = 0usize;
+            let mut coords = 0usize;
+            for (i, (lo, hi)) in d.owned_ranges(0, c).enumerate() {
+                assert_eq!((lo, hi - lo), ((c + i * g) * k, k));
+                chunks += 1;
+                coords += hi - lo;
+            }
+            assert_eq!(chunks, n / (k * g));
+            assert_eq!(coords, DistKind::Cyclic(k).local_count(n, g, c));
+        }
+        // A strided window deep inside it touches only the chunks it spans.
+        let s = DimSlice::strided(n / 2 + 5, n / 2 + 5 + 3 * k * g, 1 << 10);
+        let idx: usize = d.owned_section_ranges(0, 3, &s).map(|(a, b)| b - a).sum();
+        assert_eq!(idx, 3 * k / (1 << 10));
+    }
+
+    #[test]
+    #[should_panic(expected = "CYCLIC dim 0: chunk must be >= 1")]
+    fn cyclic_zero_is_rejected_at_construction() {
+        let _ = HpfDist::new(vec![8], vec![DistKind::Cyclic(0)], vec![2]);
+    }
+
+    #[test]
+    fn decoder_enforces_the_construction_invariants() {
+        // Encode field by field (HpfDist::new would refuse these).
+        let encode = |shape: Vec<usize>, kinds: Vec<DistKind>, procs: Vec<usize>| {
+            let mut out = Vec::new();
+            shape.write(&mut out);
+            kinds.write(&mut out);
+            procs.write(&mut out);
+            out
+        };
+        let bad = [
+            encode(vec![0], vec![DistKind::Block], vec![1]),
+            encode(vec![4], vec![DistKind::Cyclic(1)], vec![0]),
+            encode(vec![4], vec![DistKind::Collapsed], vec![2]),
+            encode(vec![3], vec![DistKind::Block], vec![4]),
+            encode(vec![4, 4], vec![DistKind::Block], vec![2]),
+        ];
+        for bytes in bad {
+            assert!(matches!(
+                HpfDist::from_bytes(&bytes),
+                Err(SimError::Decode(_))
+            ));
+        }
+        // CYCLIC(0) cannot even be written through DistKind; patch the k.
+        let mut bytes = encode(vec![8], vec![DistKind::Cyclic(7)], vec![2]);
+        let at = bytes.iter().position(|&b| b == 7).expect("chunk byte");
+        bytes[at] = 0;
+        assert!(matches!(
+            HpfDist::from_bytes(&bytes),
+            Err(SimError::Decode(_))
+        ));
+        let ok = encode(vec![8], vec![DistKind::Cyclic(7)], vec![2]);
+        assert!(HpfDist::from_bytes(&ok).is_ok());
     }
 
     #[test]

@@ -64,6 +64,7 @@
 //! the fault-free fast path pays just the trailer bytes and the ack
 //! round-trip in virtual time.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use crate::endpoint::Endpoint;
@@ -266,22 +267,138 @@ struct RecvStream {
     dead_at: f64,
 }
 
+/// What an idle [`SendStream`] — nothing unacknowledged, not dead — still
+/// has to remember.
+#[derive(Debug, Clone, Copy)]
+struct IdleSend {
+    next_seq: u64,
+    complete_at: f64,
+}
+
+/// What an idle [`RecvStream`] — nothing buffered, no gap reported, not
+/// dead — still has to remember.
+#[derive(Debug, Clone, Copy)]
+struct IdleRecv {
+    expected: u64,
+    next_unseen: u64,
+}
+
+/// `(peer global rank, data-tag bits)`.
+type StreamKey = (Rank, u64);
+
 /// Per-endpoint reliable-transport state: one stream table per direction,
 /// keyed by `(peer global rank, data-tag bits)`.
+///
+/// A stream's sequence state is never forgotten (a late duplicate must
+/// still read as one), and a fresh schedule means fresh tag bits, so a
+/// program that builds a schedule per step adds a stream per peer and
+/// step.  Hence *parking*: the creation of a stream the endpoint has never
+/// seen — the sign that the program moved on — makes the next stream
+/// lookup reduce every idle stream to the two sequence numbers it must
+/// keep; a parked stream is rebuilt from them on its next frame.  It
+/// answers every protocol question exactly as an absent stream does,
+/// except for those two values, and a program that keeps reusing its
+/// streams never parks any.
 #[derive(Debug, Default)]
 pub(crate) struct ReliableState {
     cfg: ReliableConfig,
-    send: HashMap<(Rank, u64), SendStream>,
-    recv: HashMap<(Rank, u64), RecvStream>,
+    send: HashMap<StreamKey, SendStream>,
+    recv: HashMap<StreamKey, RecvStream>,
+    send_idle: HashMap<StreamKey, IdleSend>,
+    recv_idle: HashMap<StreamKey, IdleRecv>,
+    /// A never-seen stream was created since the idle ones were last
+    /// parked.  (Its creator still held the table entry, so the parking
+    /// waits for the next lookup.)
+    park_due: bool,
 }
 
 impl ReliableState {
     pub(crate) fn new(cfg: ReliableConfig) -> Self {
         ReliableState {
             cfg,
-            send: HashMap::new(),
-            recv: HashMap::new(),
+            ..ReliableState::default()
         }
+    }
+
+    /// The send stream for `key`, unparked or created as needed.
+    fn send_mut(&mut self, key: StreamKey) -> &mut SendStream {
+        self.park_idle_if_due();
+        match self.send.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(match self.send_idle.remove(&key) {
+                Some(idle) => SendStream {
+                    next_seq: idle.next_seq,
+                    complete_at: idle.complete_at,
+                    ..SendStream::default()
+                },
+                None => {
+                    self.park_due = true;
+                    SendStream::default()
+                }
+            }),
+        }
+    }
+
+    /// The receive stream for `key`, unparked or created as needed.
+    fn recv_mut(&mut self, key: StreamKey) -> &mut RecvStream {
+        self.park_idle_if_due();
+        match self.recv.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(match self.recv_idle.remove(&key) {
+                Some(idle) => RecvStream {
+                    expected: idle.expected,
+                    next_unseen: idle.next_unseen,
+                    ..RecvStream::default()
+                },
+                None => {
+                    self.park_due = true;
+                    RecvStream::default()
+                }
+            }),
+        }
+    }
+
+    /// Park every stream that holds nothing but its sequence numbers: a
+    /// send stream with nothing unacknowledged, a receive stream with
+    /// nothing buffered and no gap reported.  Dead streams stay.
+    fn park_idle_if_due(&mut self) {
+        if !self.park_due {
+            return;
+        }
+        self.park_due = false;
+        let idle = &mut self.send_idle;
+        self.send.retain(|&key, s| {
+            let busy = s.dead || !s.pending.is_empty();
+            if !busy {
+                // Acks that retire frames also reset `fast_retx`.
+                debug_assert!(s.in_flight_bytes == 0 && s.fast_retx.is_none());
+                idle.insert(
+                    key,
+                    IdleSend {
+                        next_seq: s.next_seq,
+                        complete_at: s.complete_at,
+                    },
+                );
+            }
+            busy
+        });
+        let idle = &mut self.recv_idle;
+        self.recv.retain(|&key, s| {
+            let busy = s.dead
+                || s.gap_nacked.is_some()
+                || !(s.ready.is_empty() && s.reorder.is_empty() && s.assembly_chunks.is_empty());
+            if !busy {
+                debug_assert!(s.assembly.is_empty());
+                idle.insert(
+                    key,
+                    IdleRecv {
+                        expected: s.expected,
+                        next_unseen: s.next_unseen,
+                    },
+                );
+            }
+            busy
+        });
     }
 
     pub(crate) fn config(&self) -> &ReliableConfig {
@@ -295,6 +412,8 @@ impl ReliableState {
     pub(crate) fn purge_peer(&mut self, peer: Rank) {
         self.send.retain(|k, _| k.0 != peer);
         self.recv.retain(|k, _| k.0 != peer);
+        self.send_idle.retain(|k, _| k.0 != peer);
+        self.recv_idle.retain(|k, _| k.0 != peer);
     }
 
     /// Forget every stream in both directions — the restarting rank's own
@@ -303,6 +422,8 @@ impl ReliableState {
     pub(crate) fn purge_all(&mut self) {
         self.send.clear();
         self.recv.clear();
+        self.send_idle.clear();
+        self.recv_idle.clear();
     }
 
     /// Drop only the *dead* streams keyed to `peer`, so a session-layer
@@ -437,7 +558,7 @@ fn post_frame(
     let faulted = ep.faults_enabled();
     let mut frame = payload;
     let key = (to, st.data.0);
-    let seq = ep.rel.send.entry(key).or_default().next_seq;
+    let seq = ep.rel.send_mut(key).next_seq;
     // Stamp the incarnation we believe the receiver is at into flags bits
     // 1..16 (bit 0 is FLAG_LAST).  A frame that was in flight across the
     // receiver's restart carries the old incarnation and is silently
@@ -539,7 +660,13 @@ pub fn flush_send(ep: &mut Endpoint, to: Rank, st: StreamTag) -> Result<(), SimE
     let mut misses = 0u32;
     loop {
         match ep.rel.send.get(&key) {
-            None => return Ok(()),
+            None => {
+                // Parked: everything was acked before this flush.
+                if let Some(t) = ep.rel.send_idle.get(&key).map(|s| s.complete_at) {
+                    ep.advance_to(t);
+                }
+                return Ok(());
+            }
             Some(s) if s.dead => {
                 let t = s.dead_at;
                 ep.advance_to(t);
@@ -694,7 +821,7 @@ fn intake_data(ep: &mut Endpoint, msg: Message) -> Option<Message> {
         // inference exact for a single loss; a wrong guess (the tombstone
         // was a duplicate) at worst triggers one spurious retransmission,
         // which the dedup below absorbs.
-        let stream = ep.rel.recv.entry(key).or_default();
+        let stream = ep.rel.recv_mut(key);
         let miss = stream.next_unseen.max(stream.expected);
         stream.next_unseen = miss + 1;
         ep.stats.faults.nacks_sent += 1;
@@ -725,7 +852,7 @@ fn intake_data(ep: &mut Endpoint, msg: Message) -> Option<Message> {
     }
     let answer;
     {
-        let stream = ep.rel.recv.entry(key).or_default();
+        let stream = ep.rel.recv_mut(key);
         stream.next_unseen = stream.next_unseen.max(seq + 1);
         if seq < stream.expected {
             // Late duplicate: re-ack the cumulative state so the sender is
@@ -897,7 +1024,7 @@ fn intake_ctrl(ep: &mut Endpoint, msg: Message) {
     match kind {
         K_GIVEUP => {
             // The data sender abandoned the stream we receive on.
-            let stream = ep.rel.recv.entry(key).or_default();
+            let stream = ep.rel.recv_mut(key);
             if !stream.dead {
                 stream.dead = true;
                 stream.dead_at = msg.arrival;
@@ -1145,6 +1272,53 @@ mod tests {
                     let got = reliable_recv(ep, 0, st).unwrap();
                     assert_eq!(got, i.to_le_bytes().to_vec());
                 }
+            }
+        });
+    }
+
+    #[test]
+    fn new_streams_park_idle_ones_which_resume_their_sequence() {
+        let world = World::with_model(2, MachineModel::sp2());
+        world.run(|ep| {
+            // One stream per step, as a schedule-per-step program makes
+            // them, with two messages on the first.
+            let peer = 1 - ep.rank();
+            let key = |step| (peer, StreamTag::new(20, step).data.0);
+            for step in [1u32, 1, 2, 3] {
+                let st = StreamTag::new(20, step);
+                if ep.rank() == 0 {
+                    reliable_send(ep, 1, st, vec![step as u8; 64]).unwrap();
+                    flush_send(ep, 1, st).unwrap();
+                } else {
+                    assert_eq!(reliable_recv(ep, 0, st).unwrap(), vec![step as u8; 64]);
+                }
+            }
+            // Each first frame of a stream parked the idle streams before
+            // it; reuse (the second message of step 1) parked nothing.
+            let (live, parked) = if ep.rank() == 0 {
+                let idle = ep.rel.send_idle[&key(1)];
+                assert_eq!(idle.next_seq, 2);
+                (ep.rel.send.len(), ep.rel.send_idle.len())
+            } else {
+                assert_eq!(ep.rel.recv_idle[&key(1)].expected, 2);
+                (ep.rel.recv.len(), ep.rel.recv_idle.len())
+            };
+            assert_eq!((live, parked), (1, 2));
+            // A third message on the parked stream continues at seq 2.
+            let st = StreamTag::new(20, 1);
+            if ep.rank() == 0 {
+                reliable_send(ep, 1, st, vec![9; 8]).unwrap();
+                flush_send(ep, 1, st).unwrap();
+                assert_eq!(ep.rel.send[&key(1)].next_seq, 3);
+                // Flushing a parked stream still lands on its last ack.
+                let idle = ep.rel.send_idle[&key(2)];
+                assert!(idle.complete_at > 0.0 && idle.complete_at < ep.clock);
+                ep.clock = 0.0;
+                flush_send(ep, 1, StreamTag::new(20, 2)).unwrap();
+                assert_eq!(ep.clock, idle.complete_at);
+            } else {
+                assert_eq!(reliable_recv(ep, 0, st).unwrap(), vec![9; 8]);
+                assert_eq!(ep.rel.recv[&key(1)].expected, 3);
             }
         });
     }

@@ -127,12 +127,13 @@ awk -v s="$current_speedup" 'BEGIN {
 # held against the committed BENCH_scaling.json.  The compared times are
 # *simulated* milliseconds — deterministic, so a clean tree reproduces
 # the baseline exactly and the +25% threshold only trips on a real
-# change to the machine model, the collectives, or the inspector.
+# change to the machine model, the collectives, the inspector, or what
+# the HPF adapter charges and announces for a CYCLIC dereference.
 echo "== scaling smoke (P=256) =="
 scaling_tmp="$(mktemp -t mc_scaling.XXXXXX.json)"
 trap 'rm -f "$trace_tmp" "$baseline_json" "$scaling_tmp"' EXIT
 cargo run --release -p bench --bin repro -- scaling --procs 256 --out "$scaling_tmp"
-for metric in p256_inspector_virtual_ms p256_transfer_virtual_ms; do
+for metric in p256_inspector_virtual_ms p256_transfer_virtual_ms p256_redist_virtual_ms; do
   base="$(extract_field BENCH_scaling.json "$metric")"
   cur="$(extract_field "$scaling_tmp" "$metric")"
   if [ -z "$base" ] || [ -z "$cur" ]; then

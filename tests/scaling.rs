@@ -9,6 +9,11 @@
 //! and must agree with the legacy thread-per-rank runner, whose real-time
 //! races the virtual clock was designed to make irrelevant.
 //!
+//! The same holds one layer up: an `hpf::redistribute` chain through
+//! `CYCLIC(k)` layouts — whose schedules come from the closed-form owned
+//! chunk ranges — lands every element exactly and traces identically for
+//! any pool size.
+//!
 //! Also here: the P=1024 memory budget (a big world must stay cheap until
 //! ranks actually run — lazy coroutine stacks, lazy flight rings, capped
 //! timelines) and the topology model's determinism under contention.
@@ -123,6 +128,52 @@ fn coop_worker_pool_size_is_invisible_at_p64() {
                     "seed {seed}: {workers}-worker run diverged from {w0}-worker run"
                 ),
             }
+        }
+    }
+}
+
+/// A P=64 redistribution chain block → `CYCLIC(4)` → `CYCLIC(3)` → block
+/// over a ragged extent (no chunk size divides it): after every hop each
+/// rank holds exactly its owned elements' values, and the whole execution
+/// — results, clocks, NetStats, traces — is byte-identical for worker
+/// pools 1 and 4.
+#[test]
+fn redistribute_chain_is_exact_and_pool_invariant_at_p64() {
+    use hpf::{DistKind, HpfArray, HpfDist};
+    use mcsim::group::Group;
+
+    const N: usize = 4099;
+    let value = |x: usize| (x * 7 + 3) as f64;
+    let chain = move |ep: &mut Endpoint| {
+        let prog = Group::world(P);
+        let cyclic = |k| HpfDist::new(vec![N], vec![DistKind::Cyclic(k)], vec![P]);
+        let mut a = HpfArray::<f64>::new(&prog, ep.rank(), HpfDist::block_1d(N, P));
+        a.for_each_owned(|c, v| *v = value(c[0]));
+        let hops = [cyclic(4), cyclic(3), HpfDist::block_1d(N, P)];
+        for (hop, dist) in hops.into_iter().enumerate() {
+            a = hpf::redistribute(ep, &prog, &a, dist);
+            let mut held = 0;
+            a.for_each_owned(|c, v| {
+                assert_eq!(*v, value(c[0]), "element {} after hop {hop}", c[0]);
+                held += 1;
+            });
+            assert_eq!(held, a.dist().local_len(a.my_local()));
+        }
+        a.local().to_vec()
+    };
+
+    let mut baseline = None;
+    for workers in [1, 4] {
+        let out = World::with_model(P, MachineModel::sp2())
+            .with_workers(workers)
+            .with_trace()
+            .run(chain);
+        let total: usize = out.results.iter().map(Vec::len).sum();
+        assert_eq!(total, N, "every element has exactly one owner");
+        let fp = (out.results, out.clocks, out.elapsed, out.stats, out.traces);
+        match &baseline {
+            None => baseline = Some(fp),
+            Some(fp0) => assert!(fp0 == &fp, "4-worker chain diverged from 1-worker chain"),
         }
     }
 }
