@@ -55,12 +55,7 @@ impl McDescriptor for HpfDesc {
 
     fn locate(&self, set: &SetOfRegions<RegularSection>, pos: usize) -> Location {
         let (ri, off) = set.locate_position(pos);
-        let coords = set.regions()[ri].coords_of(off);
-        let local = self.dist.owner(&coords);
-        Location {
-            rank: self.members[local],
-            addr: self.dist.local_addr(local, &coords),
-        }
+        set.regions()[ri].with_coords(off, |coords| self.location_of(coords))
     }
 
     fn locate_run(
@@ -72,51 +67,40 @@ impl McDescriptor for HpfDesc {
         debug_assert!(max_len >= 1);
         let (ri, off) = set.locate_position(pos);
         let region = &set.regions()[ri];
-        let nd = region.ndim();
-        let coords = region.coords_of(off);
-        let local = self.dist.owner(&coords);
-        let rank = self.members[local];
-        let addr = self.dist.local_addr(local, &coords);
-        if nd == 0 {
-            return LocatedRun {
+        let d = region.ndim() - 1;
+        region.with_coords(off, |coords| {
+            let Location { rank, addr } = self.location_of(coords);
+            // Consecutive positions step the last (fastest) dimension; the
+            // run ends at the section row, the owner boundary (block edge
+            // or cyclic chunk edge), or max_len — whichever comes first.
+            // Within that span the HPF local-addressing formula advances
+            // by the section stride for every directive kind.
+            let ls = &region.dims()[d];
+            let c = coords[d];
+            let k = ls.position_of(c).expect("coords came from the section");
+            let row_left = ls.count() - k;
+            let steps = match self.dist.kinds()[d] {
+                DistKind::Collapsed => row_left,
+                DistKind::Block => {
+                    let n = self.dist.shape()[d];
+                    let g = self.dist.proc_dims()[d];
+                    let o = DistKind::Block.owner(n, g, c);
+                    let (_, bhi) = self.dist.block_bounds(d, o);
+                    (bhi - c).div_ceil(ls.stride)
+                }
+                DistKind::Cyclic(kk) => {
+                    let chunk_end = (c / kk + 1) * kk;
+                    (chunk_end - c).div_ceil(ls.stride)
+                }
+            };
+            LocatedRun {
                 pos,
-                len: 1,
+                len: row_left.min(steps).min(max_len),
                 rank,
                 addr,
-                stride: 1,
-            };
-        }
-        // Consecutive positions step the last (fastest) dimension; the run
-        // ends at the section row, the owner boundary (block edge or cyclic
-        // chunk edge), or max_len — whichever comes first.  Within that
-        // span the HPF local-addressing formula advances by the section
-        // stride for every directive kind.
-        let ls = &region.dims()[nd - 1];
-        let c = coords[nd - 1];
-        let k = ls.position_of(c).expect("coords came from coords_of");
-        let row_left = ls.count() - k;
-        let d = nd - 1;
-        let steps = match self.dist.kinds()[d] {
-            DistKind::Collapsed => row_left,
-            DistKind::Block => {
-                let n = self.dist.shape()[d];
-                let g = self.dist.proc_dims()[d];
-                let o = DistKind::Block.owner(n, g, c);
-                let (_, bhi) = self.dist.block_bounds(d, o);
-                (bhi - c).div_ceil(ls.stride)
+                stride: ls.stride as isize,
             }
-            DistKind::Cyclic(kk) => {
-                let chunk_end = (c / kk + 1) * kk;
-                (chunk_end - c).div_ceil(ls.stride)
-            }
-        };
-        LocatedRun {
-            pos,
-            len: row_left.min(steps).min(max_len),
-            rank,
-            addr,
-            stride: ls.stride as isize,
-        }
+        })
     }
 
     fn locate_all(&self, set: &SetOfRegions<RegularSection>) -> Vec<Location> {
@@ -124,14 +108,21 @@ impl McDescriptor for HpfDesc {
         for region in set.regions() {
             let mut it = region.iter_coords();
             while let Some(coords) = it.advance() {
-                let local = self.dist.owner(coords);
-                out.push(Location {
-                    rank: self.members[local],
-                    addr: self.dist.local_addr(local, coords),
-                });
+                out.push(self.location_of(coords));
             }
         }
         out
+    }
+}
+
+impl HpfDesc {
+    /// Owner (global rank) and local address of global coordinates.
+    fn location_of(&self, coords: &[usize]) -> Location {
+        let local = self.dist.owner(coords);
+        Location {
+            rank: self.members[local],
+            addr: self.dist.local_addr(local, coords),
+        }
     }
 }
 
@@ -316,12 +307,13 @@ impl<T: Copy + Default> McObject<T> for HpfArray<T> {
             .iter()
             .map(|&pos| {
                 let (ri, off) = set.locate_position(pos);
-                let coords = set.regions()[ri].coords_of(off);
-                let local = dist.owner(&coords);
-                Location {
-                    rank: self.members()[local],
-                    addr: dist.local_addr(local, &coords),
-                }
+                set.regions()[ri].with_coords(off, |coords| {
+                    let local = dist.owner(coords);
+                    Location {
+                        rank: self.members()[local],
+                        addr: dist.local_addr(local, coords),
+                    }
+                })
             })
             .collect()
     }

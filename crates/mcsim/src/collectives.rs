@@ -54,6 +54,12 @@ impl Comm<'_> {
 
     /// Binomial-tree broadcast.  The root passes `Some(value)`, everyone
     /// else `None`; all return the value.
+    ///
+    /// The value is encoded once, at the root: an inner node decodes what
+    /// it received and forwards *those bytes*.  Every child but the last
+    /// gets a pooled copy and the last gets the buffer itself, so each
+    /// rank takes from and returns to its buffer pool exactly what a
+    /// per-child re-encode would.
     pub fn bcast_t<T: Wire>(&mut self, root: usize, value: Option<T>) -> T {
         let p = self.size();
         let me = self.rank();
@@ -63,12 +69,21 @@ impl Comm<'_> {
         }
         let t = coll_tag(self.group().context(), op::BCAST);
         let rel = (me + p - root) % p;
-        let v: T = if rel == 0 {
-            value.expect("checked above")
+        let (v, mut bytes): (T, Vec<u8>) = if rel == 0 {
+            let v = value.expect("checked above");
+            // A one-rank group has nobody to encode for.
+            let mut buf = Vec::new();
+            if p > 1 {
+                buf = self.ep().take_buf();
+                v.write(&mut buf);
+            }
+            (v, buf)
         } else {
             let parent_rel = rel - (1 << highest_bit(rel));
             let parent = self.group().global((parent_rel + root) % p);
-            self.ep().recv_t(parent, t)
+            let bytes = self.ep().recv(parent, t);
+            let v = T::from_bytes(&bytes).expect("bcast decode");
+            (v, bytes)
         };
         let mut k = if rel == 0 { 0 } else { highest_bit(rel) + 1 };
         loop {
@@ -77,9 +92,20 @@ impl Comm<'_> {
                 break;
             }
             let child = self.group().global((child_rel + root) % p);
-            self.ep().send_t(child, t, &v);
+            let last = rel + (1usize << (k + 1)) >= p;
+            let buf = if last {
+                std::mem::take(&mut bytes)
+            } else {
+                let mut copy = self.ep().take_buf();
+                copy.extend_from_slice(&bytes);
+                copy
+            };
+            self.ep().send(child, t, buf);
             k += 1;
         }
+        // A leaf forwarded nothing: its receive buffer feeds the pool, as
+        // `recv_t` would have done.
+        self.ep().recycle_buf(bytes);
         v
     }
 
@@ -451,6 +477,93 @@ mod tests {
         // multiple of that (skew from waiting on slower partners).
         assert!(out.elapsed >= 3.0 * m.transit(0));
         assert!(out.elapsed <= 10.0 * per_round);
+    }
+}
+
+#[cfg(test)]
+mod bcast_parity_tests {
+    use super::{coll_tag, highest_bit, op};
+    use crate::group::Comm;
+    use crate::model::MachineModel;
+    use crate::wire::Wire;
+    use crate::world::{RunOutput, World};
+
+    /// The broadcast as it was before the encode-once change: every node
+    /// decodes with `recv_t` and re-encodes the value for each child.
+    fn bcast_reencode<T: Wire>(c: &mut Comm<'_>, root: usize, value: Option<T>) -> T {
+        let p = c.size();
+        let t = coll_tag(c.group().context(), op::BCAST);
+        let rel = (c.rank() + p - root) % p;
+        let v: T = if rel == 0 {
+            value.expect("root supplies the value")
+        } else {
+            let parent_rel = rel - (1 << highest_bit(rel));
+            let parent = c.group().global((parent_rel + root) % p);
+            c.ep().recv_t(parent, t)
+        };
+        let mut k = if rel == 0 { 0 } else { highest_bit(rel) + 1 };
+        while rel + (1usize << k) < p {
+            let child = c.group().global((rel + (1usize << k) + root) % p);
+            c.ep().send_t(child, t, &v);
+            k += 1;
+        }
+        v
+    }
+
+    type Table = Vec<Vec<(u32, u32)>>;
+
+    /// A payload shaped like the Chaos table allgather: per-rank slices of
+    /// fixed-size records, with an empty and an odd-length one.
+    fn table(root: usize) -> Table {
+        (0..4u32)
+            .map(|s| (0..s * 3 % 7).map(|i| (root as u32 + i, s ^ i)).collect())
+            .collect()
+    }
+
+    fn run<T: Send>(p: usize, f: impl Fn(&mut Comm<'_>) -> T + Send + Sync) -> RunOutput<T> {
+        World::with_model(p, MachineModel::sp2()).run(move |ep| {
+            let mut c = Comm::world(ep);
+            f(&mut c)
+        })
+    }
+
+    fn assert_same<T: PartialEq + std::fmt::Debug>(a: &RunOutput<T>, b: &RunOutput<T>, what: &str) {
+        assert_eq!(a.results, b.results, "{what}: values");
+        assert_eq!(a.clocks, b.clocks, "{what}: per-rank clocks");
+        assert_eq!(a.stats.msgs, b.stats.msgs, "{what}: message matrix");
+        assert_eq!(a.stats.bytes, b.stats.bytes, "{what}: byte matrix");
+    }
+
+    #[test]
+    fn bcast_and_allgather_match_per_child_reencode() {
+        for p in [1, 2, 3, 5, 8, 13] {
+            for root in 0..p {
+                let mine = move |c: &Comm<'_>| (c.rank() == root).then(|| table(root));
+                let new = run(p, |c| c.bcast_t(root, mine(c)));
+                let old = run(p, |c| bcast_reencode(c, root, mine(c)));
+                assert!(new.results.iter().all(|v| *v == table(root)));
+                assert_same(&new, &old, &format!("bcast p={p} root={root}"));
+                if p > 1 {
+                    assert!(new.stats.total_bytes() > 0 && new.elapsed > 0.0);
+                }
+            }
+            // allgather = gather to 0 + bcast from 0; ranks enter skewed.
+            let skewed = |c: &mut Comm<'_>| -> Vec<(u32, u32)> {
+                let me = c.rank();
+                c.ep().charge_flops(1000 * me);
+                (0..me as u32 % 4).map(|i| (me as u32, i)).collect()
+            };
+            let new = run(p, |c| {
+                let v = skewed(c);
+                c.allgather_t(v)
+            });
+            let old = run(p, |c| {
+                let v = skewed(c);
+                let gathered = c.gather_t(0, v);
+                bcast_reencode(c, 0, gathered)
+            });
+            assert_same(&new, &old, &format!("allgather p={p}"));
+        }
     }
 }
 

@@ -60,7 +60,11 @@ pub trait McDescriptor: Wire + Clone + Send {
     /// always correct; regular descriptors override it with closed-form
     /// interval arithmetic so the duplication build walks O(regions) runs
     /// instead of O(elements) locations.  Implementations must return
-    /// `1 <= len <= max_len`.
+    /// `1 <= len <= max_len`, and the answers must nest: if the run from
+    /// `pos` has length `L`, the run from `pos + k` (`k < L`) under a cap
+    /// `m` is its suffix cut to `min(m, L - k)` — same rank, same stride,
+    /// address `k` strides further on.  The duplication build relies on
+    /// that to serve ascending queries from the last maximal answer.
     fn locate_run(
         &self,
         set: &SetOfRegions<Self::Region>,
@@ -118,6 +122,56 @@ pub trait McDescriptor: Wire + Clone + Send {
     /// transfers (Table 5).
     fn charge_locates(&self, ep: &mut mcsim::prelude::Endpoint, n: usize) {
         ep.charge_owner_calc(2 * n);
+    }
+}
+
+/// Answers ascending [`McDescriptor::locate_run`] queries from the last
+/// *maximal* answer: a position inside it is served by arithmetic, so the
+/// descriptor is called once per located run actually touched (a mesh-row
+/// segment on one owner, say) instead of once per query — which is once per
+/// element when the querying side's own runs have length 1.  Relies on the
+/// nesting contract documented on [`McDescriptor::locate_run`]; any query
+/// order is answered correctly, ascending ones cheaply.
+pub struct LocateCursor<'a, Desc: McDescriptor> {
+    desc: &'a Desc,
+    set: &'a SetOfRegions<Desc::Region>,
+    total: usize,
+    last: LocatedRun,
+}
+
+impl<'a, Desc: McDescriptor> LocateCursor<'a, Desc> {
+    /// A cursor over `desc`'s view of `set`, holding no answer yet.
+    pub fn new(desc: &'a Desc, set: &'a SetOfRegions<Desc::Region>) -> Self {
+        LocateCursor {
+            desc,
+            set,
+            total: set.total_len(),
+            // Covers nothing: the first query always asks the descriptor.
+            last: LocatedRun {
+                pos: 0,
+                len: 0,
+                rank: 0,
+                addr: 0,
+                stride: 1,
+            },
+        }
+    }
+
+    /// Same answer as `desc.locate_run(set, pos, max_len)`.
+    #[inline]
+    pub fn locate_run(&mut self, pos: usize, max_len: usize) -> LocatedRun {
+        debug_assert!(max_len >= 1 && pos < self.total);
+        if pos < self.last.pos || pos >= self.last.end() {
+            self.last = self.desc.locate_run(self.set, pos, self.total - pos);
+        }
+        let k = pos - self.last.pos;
+        LocatedRun {
+            pos,
+            len: max_len.min(self.last.len - k),
+            rank: self.last.rank,
+            addr: self.last.addr_at(k),
+            stride: self.last.stride,
+        }
     }
 }
 
@@ -332,6 +386,82 @@ mod tests {
             assert_eq!(*loc, d.locate(&set, pos));
         }
         assert_eq!(all[0], Location { rank: 1, addr: 1 }); // g=4, p=3
+    }
+
+    /// Rows of `width` positions; row `r` lives on rank `r % p` at
+    /// addresses `100 r, 100 r + 3, …` — and counts how often it is asked.
+    #[derive(Clone)]
+    struct RowDesc {
+        width: usize,
+        p: usize,
+        asked: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Wire for RowDesc {
+        fn write(&self, _out: &mut Vec<u8>) {}
+        fn read(_r: &mut WireReader<'_>) -> Result<Self, SimError> {
+            Err(SimError::Decode("test-only descriptor".into()))
+        }
+    }
+
+    impl McDescriptor for RowDesc {
+        type Region = IndexSet;
+        fn locate(&self, set: &SetOfRegions<IndexSet>, pos: usize) -> Location {
+            let r = self.locate_run(set, pos, 1);
+            Location {
+                rank: r.rank,
+                addr: r.addr,
+            }
+        }
+        fn locate_run(
+            &self,
+            _set: &SetOfRegions<IndexSet>,
+            pos: usize,
+            max_len: usize,
+        ) -> LocatedRun {
+            self.asked
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let (row, col) = (pos / self.width, pos % self.width);
+            LocatedRun {
+                pos,
+                len: (self.width - col).min(max_len),
+                rank: row % self.p,
+                addr: 100 * row + 3 * col,
+                stride: 3,
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_asks_once_per_run_and_answers_like_the_descriptor() {
+        let asked = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let d = RowDesc {
+            width: 8,
+            p: 3,
+            asked: asked.clone(),
+        };
+        let set = SetOfRegions::single(IndexSet::new((0..40).collect()));
+        let mut cur = LocateCursor::new(&d, &set);
+        // Length-1 queries over every position, as a Chaos-side pass makes.
+        for pos in 0..40 {
+            let got = cur.locate_run(pos, 1);
+            assert_eq!((got.pos, got.len), (pos, 1));
+            assert_eq!(got.rank, (pos / 8) % 3);
+            assert_eq!(got.addr, 100 * (pos / 8) + 3 * (pos % 8));
+            assert_eq!(got.stride, 3);
+        }
+        let load = std::sync::atomic::Ordering::Relaxed;
+        assert_eq!(asked.load(load), 5, "one descriptor call per row");
+        // Caps: shorter than the cached remainder, equal, longer.
+        let mut cur = LocateCursor::new(&d, &set);
+        for (pos, cap, len) in [(9, 3, 3), (10, 6, 6), (11, 40, 5), (15, 2, 1), (16, 9, 8)] {
+            let before = asked.load(load);
+            let got = cur.locate_run(pos, cap);
+            let cached = asked.load(load) == before;
+            assert_eq!(got, d.locate_run(&set, pos, cap));
+            assert_eq!(got.len, len);
+            assert_eq!(cached, pos != 9 && pos != 16, "pos {pos}");
+        }
     }
 
     #[test]

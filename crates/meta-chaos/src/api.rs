@@ -43,12 +43,32 @@ type SchedCache = HashMap<u64, Schedule>;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a accumulation over `bytes` into `h`.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// FNV-1a-style accumulation over `bytes` into `h`, eight bytes per
+/// multiply (descriptor and region-set encodings run to tens of KiB, and a
+/// cache *hit* pays for hashing all of them).  The shift folds each
+/// step's high half back down, which a bare word-wide multiply never does.
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
+    let mut step = |w: u64| {
+        *h = (*h ^ w).wrapping_mul(FNV_PRIME);
+        *h ^= *h >> 32;
+    };
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        step(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
     }
+    for &b in words.remainder() {
+        step(b as u64);
+    }
+}
+
+/// Fold a value's wire encoding into `h`, encoding into the caller's
+/// scratch buffer instead of a fresh vector per value.
+fn fnv_wire<W: Wire>(h: &mut u64, scratch: &mut Vec<u8>, value: &W) {
+    scratch.clear();
+    value.write(scratch);
+    fnv1a(h, scratch);
 }
 
 /// Fold a group's identity into a fingerprint.
@@ -148,13 +168,14 @@ where
     D: McObject<T>,
 {
     let mut fp = FNV_OFFSET;
+    let mut scratch = Vec::new();
     {
         let mut pcomm = Comm::borrowed(ep, prog);
-        fnv1a(&mut fp, &src_obj.descriptor(&mut pcomm).to_bytes());
-        fnv1a(&mut fp, &dst_obj.descriptor(&mut pcomm).to_bytes());
+        fnv_wire(&mut fp, &mut scratch, &src_obj.descriptor(&mut pcomm));
+        fnv_wire(&mut fp, &mut scratch, &dst_obj.descriptor(&mut pcomm));
     }
-    fnv1a(&mut fp, &src_set.to_bytes());
-    fnv1a(&mut fp, &dst_set.to_bytes());
+    fnv_wire(&mut fp, &mut scratch, src_set);
+    fnv_wire(&mut fp, &mut scratch, dst_set);
     // Distribution epochs participate in the key, so redistributing either
     // object transparently invalidates the cached schedule and forces a
     // rebuild instead of handing back a stale one.
@@ -207,11 +228,12 @@ where
     D: McObject<T>,
 {
     let mut fp = two_program_fp(union, src_prog, dst_prog);
+    let mut scratch = Vec::new();
     {
         let mut pcomm = Comm::borrowed(ep, src_prog);
-        fnv1a(&mut fp, &src_obj.descriptor(&mut pcomm).to_bytes());
+        fnv_wire(&mut fp, &mut scratch, &src_obj.descriptor(&mut pcomm));
     }
-    fnv1a(&mut fp, &src_set.to_bytes());
+    fnv_wire(&mut fp, &mut scratch, src_set);
     fnv1a(&mut fp, &src_obj.epoch().to_le_bytes());
     let (key, hit) = sched_cache_probe(ep, union, fp);
     if let Some(sched) = hit {
@@ -246,11 +268,12 @@ where
     D: McObject<T>,
 {
     let mut fp = two_program_fp(union, src_prog, dst_prog);
+    let mut scratch = Vec::new();
     {
         let mut pcomm = Comm::borrowed(ep, dst_prog);
-        fnv1a(&mut fp, &dst_obj.descriptor(&mut pcomm).to_bytes());
+        fnv_wire(&mut fp, &mut scratch, &dst_obj.descriptor(&mut pcomm));
     }
-    fnv1a(&mut fp, &dst_set.to_bytes());
+    fnv_wire(&mut fp, &mut scratch, dst_set);
     fnv1a(&mut fp, &dst_obj.epoch().to_le_bytes());
     let (key, hit) = sched_cache_probe(ep, union, fp);
     if let Some(sched) = hit {
@@ -338,6 +361,32 @@ mod tests {
         // catch that mismatch at schedule time.
         let a = create_region_hpf(&[1, 10], &[50, 60]);
         assert_eq!(a.len(), 50 * 51);
+    }
+
+    #[test]
+    fn fingerprint_sees_every_byte() {
+        let fp = |bytes: &[u8]| {
+            let mut h = FNV_OFFSET;
+            fnv1a(&mut h, bytes);
+            h
+        };
+        // 19 bytes: two whole words and a three-byte tail.
+        let base: Vec<u8> = (1..20).collect();
+        let mut seen = std::collections::HashSet::from([fp(&base)]);
+        for i in 0..base.len() {
+            for bit in [0, 7] {
+                let mut b = base.clone();
+                b[i] ^= 1 << bit;
+                assert!(seen.insert(fp(&b)), "byte {i} bit {bit} collides");
+            }
+        }
+        for len in 0..base.len() {
+            assert!(seen.insert(fp(&base[..len])), "prefix {len} collides");
+        }
+        // A flip in a word's top bit must reach the low half of the key.
+        let mut top = base.clone();
+        top[7] ^= 0x80;
+        assert_ne!(fp(&top) as u32, fp(&base) as u32);
     }
 
     #[test]

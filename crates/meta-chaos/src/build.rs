@@ -38,7 +38,7 @@ use mcsim::prelude::Endpoint;
 use mcsim::span::Phase;
 use mcsim::wire::Wire;
 
-use crate::adapter::{McDescriptor, McObject, Side};
+use crate::adapter::{LocateCursor, McDescriptor, McObject, Side};
 use crate::error::McError;
 use crate::linear::PosBlocks;
 use crate::runs::{runs_total, OwnedRun};
@@ -393,6 +393,34 @@ fn push_interval(list: &mut Vec<(u32, u32)>, pos: u32, len: u32) {
     list.push((pos, len));
 }
 
+/// `global rank → union-local rank`, inverted once per build: the
+/// duplication builders resolve one owner per located run, and
+/// [`Group::local_of`] is a linear scan of the member list.
+struct UnionLocals(Vec<usize>);
+
+impl UnionLocals {
+    const NONE: usize = usize::MAX;
+
+    fn new(union: &Group) -> Self {
+        let size = union.members().iter().max().map_or(0, |&m| m + 1);
+        let mut table = vec![Self::NONE; size];
+        for (ul, &g) in union.members().iter().enumerate() {
+            table[g] = ul;
+        }
+        UnionLocals(table)
+    }
+
+    /// Union-local rank of global rank `rank`; `side` names the owner in
+    /// the panic when a descriptor points outside the union.
+    #[inline]
+    fn of(&self, rank: usize, side: &str) -> usize {
+        match self.0.get(rank) {
+            Some(&ul) if ul != Self::NONE => ul,
+            _ => panic!("{side} owner outside union"),
+        }
+    }
+}
+
 /// Run-based cooperation build.  The same four communication rounds as the
 /// element-wise pipeline, but every record on the wire is an interval:
 ///
@@ -521,7 +549,8 @@ where
     let collect = |at_coord: Vec<Vec<(u32, u32)>>,
                    dup_flag: &mut usize|
      -> (Vec<(u32, u32, u32)>, usize, usize) {
-        let mut list: Vec<(u32, u32, u32)> = Vec::new();
+        let mut list: Vec<(u32, u32, u32)> =
+            Vec::with_capacity(at_coord.iter().map(Vec::len).sum());
         let mut elems = 0usize;
         let mut recv_missing = 0usize;
         for (from, pieces) in at_coord.into_iter().enumerate() {
@@ -534,7 +563,11 @@ where
             elems += e;
             recv_missing += (4 * e).saturating_sub(8 * records);
         }
-        list.sort_unstable();
+        // Each sender's pieces arrive ascending, so the list is P sorted
+        // runs end to end: the stable sort detects and merges them, where
+        // `sort_unstable` would start from scratch.  Records equal in all
+        // three fields are interchangeable, so the order is the same.
+        list.sort();
         let mut cover_end = 0usize;
         for &(pos, len, _) in &list {
             let (pos, end) = (pos as usize, pos as usize + len as usize);
@@ -906,17 +939,17 @@ where
         let mut pcomm = Comm::borrowed(ep, src_prog);
         src.obj.deref_owned_runs(&mut pcomm, src.set)
     };
+    let locals = UnionLocals::new(union);
     let mut sends: Vec<AddrRuns> = (0..p).map(|_| AddrRuns::new()).collect();
     let mut s_elems = 0usize;
+    let mut dcur = LocateCursor::new(&dd, dst.set);
     for r in &sown {
         s_elems += r.len;
         let mut k = 0usize;
         while k < r.len {
-            let lr = dd.locate_run(dst.set, r.pos + k, r.len - k);
+            let lr = dcur.locate_run(r.pos + k, r.len - k);
             debug_assert!(lr.pos == r.pos + k && lr.len >= 1 && lr.len <= r.len - k);
-            let dl = union
-                .local_of(lr.rank)
-                .expect("destination owner outside union");
+            let dl = locals.of(lr.rank, "destination");
             r.emit_addrs(k, lr.len, &mut sends[dl]);
             k += lr.len;
         }
@@ -932,13 +965,14 @@ where
     };
     let mut recvs: Vec<AddrRuns> = (0..p).map(|_| AddrRuns::new()).collect();
     let mut d_elems = 0usize;
+    let mut scur = LocateCursor::new(&sd, src.set);
     for r in &down {
         d_elems += r.len;
         let mut k = 0usize;
         while k < r.len {
-            let lr = sd.locate_run(src.set, r.pos + k, r.len - k);
+            let lr = scur.locate_run(r.pos + k, r.len - k);
             debug_assert!(lr.pos == r.pos + k && lr.len >= 1 && lr.len <= r.len - k);
-            let sl = union.local_of(lr.rank).expect("source owner outside union");
+            let sl = locals.of(lr.rank, "source");
             r.emit_addrs(k, lr.len, &mut recvs[sl]);
             k += lr.len;
         }
@@ -1086,6 +1120,7 @@ where
     debug_assert_eq!(dst_locs.last().map_or(0, |r| r.end()), n);
 
     let me_global = ep.rank();
+    let locals = UnionLocals::new(union);
     let mut sends: Vec<AddrRuns> = (0..p).map(|_| AddrRuns::new()).collect();
     let mut recvs: Vec<AddrRuns> = (0..p).map(|_| AddrRuns::new()).collect();
     let mut kept = 0usize;
@@ -1098,14 +1133,12 @@ where
         debug_assert!(lo < hi, "descriptor run lists out of step");
         let len = hi - lo;
         if s.rank == me_global {
-            let dl = union
-                .local_of(d.rank)
-                .expect("destination owner outside union");
+            let dl = locals.of(d.rank, "destination");
             s.emit_addrs(lo - s.pos, len, &mut sends[dl]);
             kept += len;
         }
         if d.rank == me_global {
-            let sl = union.local_of(s.rank).expect("source owner outside union");
+            let sl = locals.of(s.rank, "source");
             d.emit_addrs(lo - d.pos, len, &mut recvs[sl]);
             kept += len;
         }

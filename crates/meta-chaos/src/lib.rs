@@ -95,7 +95,7 @@ pub mod validate;
 #[cfg(test)]
 pub(crate) mod testlib;
 
-pub use adapter::{Location, McDescriptor, McObject, Side};
+pub use adapter::{LocateCursor, Location, McDescriptor, McObject, Side};
 pub use build::{compute_schedule, compute_schedule_reference, BuildMethod};
 pub use coupling::Coupler;
 pub use datamove::{data_move, data_move_recv, data_move_send, try_data_move};

@@ -160,6 +160,21 @@ impl RegularSection {
         debug_assert_eq!(k, 0, "coordinate index out of range");
     }
 
+    /// Hand `f` the coordinates of the `k`-th element, resolved on the
+    /// stack (the heap only above eight dimensions) — for callers that
+    /// locate one element per call and cannot keep a buffer.
+    pub fn with_coords<R>(&self, k: usize, f: impl FnOnce(&[usize]) -> R) -> R {
+        const INLINE: usize = 8;
+        let nd = self.ndim();
+        if nd <= INLINE {
+            let mut buf = [0usize; INLINE];
+            self.coords_into(k, &mut buf[..nd]);
+            f(&buf[..nd])
+        } else {
+            f(&self.coords_of(k))
+        }
+    }
+
     /// Position of global coordinates within the section's linearization,
     /// if the coordinates belong to the section.
     pub fn position_of(&self, coords: &[usize]) -> Option<usize> {
@@ -372,6 +387,18 @@ mod tests {
             Some(s) => {
                 let got: Vec<Vec<usize>> = (0..s.len()).map(|k| s.coords_of(k)).collect();
                 assert_eq!(got, expect);
+            }
+        }
+    }
+
+    #[test]
+    fn with_coords_matches_coords_of_on_stack_and_heap() {
+        let small = RegularSection::new(vec![DimSlice::strided(1, 9, 3), DimSlice::new(4, 7)]);
+        let big = RegularSection::whole(&[2; 10]);
+        for sec in [&small, &big] {
+            for k in 0..sec.len() {
+                let want = sec.coords_of(k);
+                assert_eq!(sec.with_coords(k, |c| c.to_vec()), want);
             }
         }
     }

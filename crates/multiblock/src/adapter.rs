@@ -61,12 +61,7 @@ impl McDescriptor for BlockDesc {
 
     fn locate(&self, set: &SetOfRegions<RegularSection>, pos: usize) -> Location {
         let (ri, off) = set.locate_position(pos);
-        let coords = set.regions()[ri].coords_of(off);
-        let local = self.dist.owner(&coords);
-        Location {
-            rank: self.members[local],
-            addr: self.dist.local_addr(local, &coords),
-        }
+        set.regions()[ri].with_coords(off, |coords| self.location_of(coords))
     }
 
     fn locate_run(
@@ -78,36 +73,26 @@ impl McDescriptor for BlockDesc {
         debug_assert!(max_len >= 1);
         let (ri, off) = set.locate_position(pos);
         let region = &set.regions()[ri];
-        let nd = region.ndim();
-        let coords = region.coords_of(off);
-        let local = self.dist.owner(&coords);
-        let rank = self.members[local];
-        let addr = self.dist.local_addr(local, &coords);
-        if nd == 0 {
-            return LocatedRun {
+        let d = region.ndim() - 1;
+        region.with_coords(off, |coords| {
+            let Location { rank, addr } = self.location_of(coords);
+            // Consecutive positions step the last (fastest) dimension: stay
+            // in this section row, on this owner's block, within max_len.
+            let ls = &region.dims()[d];
+            let c = coords[d];
+            let k = ls.position_of(c).expect("coords came from the section");
+            let row_left = ls.count() - k;
+            let bc = self.dist.owner_in_dim(d, c);
+            let (_, bhi) = self.dist.bounds_in_dim(d, bc);
+            let steps = (bhi - c).div_ceil(ls.stride);
+            LocatedRun {
                 pos,
-                len: 1,
+                len: row_left.min(steps).min(max_len),
                 rank,
                 addr,
-                stride: 1,
-            };
-        }
-        // Consecutive positions step the last (fastest) dimension: stay in
-        // this section row, on this owner's block, within max_len.
-        let ls = &region.dims()[nd - 1];
-        let c = coords[nd - 1];
-        let k = ls.position_of(c).expect("coords came from coords_of");
-        let row_left = ls.count() - k;
-        let bc = self.dist.owner_in_dim(nd - 1, c);
-        let (_, bhi) = self.dist.bounds_in_dim(nd - 1, bc);
-        let steps = (bhi - c).div_ceil(ls.stride);
-        LocatedRun {
-            pos,
-            len: row_left.min(steps).min(max_len),
-            rank,
-            addr,
-            stride: ls.stride as isize,
-        }
+                stride: ls.stride as isize,
+            }
+        })
     }
 
     fn locate_all(&self, set: &SetOfRegions<RegularSection>) -> Vec<Location> {
@@ -116,14 +101,21 @@ impl McDescriptor for BlockDesc {
         for region in set.regions() {
             let mut it = region.iter_coords();
             while let Some(coords) = it.advance() {
-                let local = self.dist.owner(coords);
-                out.push(Location {
-                    rank: self.members[local],
-                    addr: self.dist.local_addr(local, coords),
-                });
+                out.push(self.location_of(coords));
             }
         }
         out
+    }
+}
+
+impl BlockDesc {
+    /// Owner (global rank) and local address of global coordinates.
+    fn location_of(&self, coords: &[usize]) -> Location {
+        let local = self.dist.owner(coords);
+        Location {
+            rank: self.members[local],
+            addr: self.dist.local_addr(local, coords),
+        }
     }
 }
 
@@ -217,12 +209,13 @@ impl<T: Copy + Default> McObject<T> for MultiblockArray<T> {
             .iter()
             .map(|&pos| {
                 let (ri, off) = set.locate_position(pos);
-                let coords = set.regions()[ri].coords_of(off);
-                let local = dist.owner(&coords);
-                Location {
-                    rank: self.members()[local],
-                    addr: dist.local_addr(local, &coords),
-                }
+                set.regions()[ri].with_coords(off, |coords| {
+                    let local = dist.owner(coords);
+                    Location {
+                        rank: self.members()[local],
+                        addr: dist.local_addr(local, coords),
+                    }
+                })
             })
             .collect()
     }

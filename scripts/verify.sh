@@ -83,17 +83,29 @@ extract_field() {
   sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p" "$1" | head -n 1
 }
 baseline_rel="$(extract_field "$baseline_json" reliable_mb_per_s)"
+# The length-1 duplication path (cached located runs, bulk wire records):
+# the multiblock->chaos pair's dup_build_ns, nested after its coop_build_ns.
+dup_key='multiblock->chaos": {"coop_build_ns": [0-9.]*, "dup_build_ns'
+baseline_dup="$(extract_field "$baseline_json" "$dup_key")"
 cargo run --release -p bench --bin repro -- micro
 current_ns="$(extract_ns BENCH_executor.json)"
+current_dup="$(extract_field BENCH_executor.json "$dup_key")"
 current_rel="$(extract_field BENCH_executor.json reliable_mb_per_s)"
 current_speedup="$(extract_field BENCH_executor.json window_speedup)"
 cp "$baseline_json" BENCH_executor.json
-awk -v base="$baseline_ns" -v cur="$current_ns" 'BEGIN {
-  limit = base * 1.25
-  printf "inspector build: %.0f ns (baseline %.0f ns, limit %.0f ns)\n", cur, base, limit
-  exit !(cur <= limit)
-}' || {
+hold_ns() { # label baseline current: fail above +25%
+  awk -v what="$1" -v base="$2" -v cur="$3" 'BEGIN {
+    limit = base * 1.25
+    printf "%s: %.0f ns (baseline %.0f ns, limit %.0f ns)\n", what, cur, base, limit
+    exit !(base > 0 && cur > 0 && cur <= limit)
+  }'
+}
+hold_ns "inspector build" "$baseline_ns" "$current_ns" || {
   echo "inspector gate: inspector_build_ns regressed >25% vs baseline" >&2
+  exit 1
+}
+hold_ns "multiblock->chaos dup build" "$baseline_dup" "$current_dup" || {
+  echo "inspector gate: inspector_pairs.multiblock->chaos.dup_build_ns regressed >25% vs baseline" >&2
   exit 1
 }
 
