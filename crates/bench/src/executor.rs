@@ -1,15 +1,14 @@
-//! Executor and inspector micro-benchmarks: the run-compressed `data_move`
-//! against the element-list `data_move_elementwise` ablation, the
-//! run-based inspector against its element-wise reference, and the
-//! reliable transport legs — all on the same schedule in the same run.
+//! Executor and inspector micro-benchmarks: the run-compressed `data_move`,
+//! both inspector builds, and the reliable transport legs — all on the
+//! same schedule in the same run.
 //!
 //! Unlike the table/figure reproductions this measures **real wall time**
 //! (the reproduction's own efficiency, not simulated 1997 hardware): a
 //! regular→regular shifted-section copy where every element crosses ranks,
 //! so the pack → wire-encode → transfer → decode → unpack pipeline is
-//! exercised end to end on both paths.
+//! exercised end to end.
 //!
-//! Every leg goes through one shared harness ([`timed_leg`]): all paths
+//! Every leg goes through one shared harness (`timed_leg`): all paths
 //! are warmed before anything is timed, and every repetition is bracketed
 //! by a clock barrier so no leg can pipeline across repetitions while
 //! another is measured round-trip.  Overheads reported against `fast_ns`
@@ -25,10 +24,9 @@ use mcsim::wire::WireReader;
 use mcsim::world::World;
 use mcsim::{pair_spans, Phase, RecoveryConfig, RunReport};
 
-use meta_chaos::build::{compute_schedule, compute_schedule_reference, BuildMethod};
+use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::datamove::{
-    data_move, data_move_elementwise, data_move_recv, data_move_recv_unverified, data_move_send,
-    data_move_send_unverified,
+    data_move, data_move_recv, data_move_recv_unverified, data_move_send, data_move_send_unverified,
 };
 use meta_chaos::region::{IndexSet, RegularSection};
 use meta_chaos::setof::SetOfRegions;
@@ -73,17 +71,13 @@ fn timed_leg(
 /// receiver).
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseNanos {
-    /// Wall ns for one cold run-based `compute_schedule` with the
-    /// cooperation method (the inspector this PR makes O(runs)).
+    /// Wall ns for one cold `compute_schedule` with the cooperation
+    /// method.
     pub inspector_build_ns: f64,
     /// Wall ns for one cold `compute_schedule` with the duplication
     /// method, same transfer — the paper's other build strategy, so the
     /// Table 4/5 build-cost ratios are checkable from the JSON.
     pub inspector_build_dup_ns: f64,
-    /// Wall ns for one cold *element-wise* cooperation build
-    /// (`compute_schedule_reference`) — the ablation the run-based
-    /// inspector is measured against.
-    pub inspector_build_elementwise_ns: f64,
     /// Wall ns to pack one move's send runs into wire buffers (rank 0).
     pub pack_ns: f64,
     /// Wall ns to unpack one move's receive runs from wire bytes (last
@@ -147,8 +141,6 @@ pub struct ExecutorMicro {
     pub reps: usize,
     /// Wall nanoseconds per run-compressed `data_move`, rank 0.
     pub fast_ns: f64,
-    /// Wall nanoseconds per `data_move_elementwise`, rank 0.
-    pub elementwise_ns: f64,
     /// Wall nanoseconds per reliable cross-program move (fault-free
     /// `data_move_send`/`data_move_recv` of the same payload, including
     /// the transactional session layer: manifest exchange, verdict round,
@@ -172,17 +164,6 @@ pub struct ExecutorMicro {
 }
 
 impl ExecutorMicro {
-    /// Throughput ratio of the fast path over the element-list baseline.
-    pub fn speedup(&self) -> f64 {
-        self.elementwise_ns / self.fast_ns
-    }
-
-    /// Speedup of the run-based inspector over the element-wise reference
-    /// build (same method, same transfer, same harness).
-    pub fn inspector_speedup(&self) -> f64 {
-        self.phases.inspector_build_elementwise_ns / self.phases.inspector_build_ns
-    }
-
     fn mbps(&self, ns_per_move: f64) -> f64 {
         let bytes = (self.elements * 8) as f64;
         bytes / (ns_per_move * 1e-9) / 1e6
@@ -191,11 +172,6 @@ impl ExecutorMicro {
     /// Fast-path throughput, MB/s of moved payload.
     pub fn fast_mbps(&self) -> f64 {
         self.mbps(self.fast_ns)
-    }
-
-    /// Element-list baseline throughput, MB/s of moved payload.
-    pub fn elementwise_mbps(&self) -> f64 {
-        self.mbps(self.elementwise_ns)
     }
 
     /// Reliable-path throughput, MB/s of moved payload.
@@ -223,13 +199,11 @@ impl ExecutorMicro {
 #[derive(Clone, Copy)]
 struct RankLegs {
     fast_ns: f64,
-    elementwise_ns: f64,
     reliable_ns: Option<f64>,
     reliable_raw_ns: Option<f64>,
     sched_runs: usize,
     inspector_build_ns: f64,
     inspector_build_dup_ns: f64,
-    inspector_build_elementwise_ns: f64,
     pack_ns: f64,
     unpack_ns: f64,
 }
@@ -265,7 +239,6 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
         // wire-buffer pool, and run each transport once, so all legs start
         // from the same steady state.
         data_move(ep, &sched, &src, &mut dst);
-        data_move_elementwise(ep, &sched, &src, &mut dst);
         if procs == 2 {
             if ep.rank() == 0 {
                 data_move_send(ep, &sched, &src).expect("warm reliable send");
@@ -278,10 +251,6 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
 
         let fast_ns = timed_leg(ep, &g, BATCHES, reps, |ep| {
             data_move(ep, &sched, &src, &mut dst);
-        });
-
-        let elementwise_ns = timed_leg(ep, &g, BATCHES, reps, |ep| {
-            data_move_elementwise(ep, &sched, &src, &mut dst);
         });
 
         // Reliable legs: at two ranks the shift is a pure producer/consumer
@@ -311,11 +280,9 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
             })
         });
 
-        // Inspector legs: a cold schedule build per method.  The run-based
+        // Inspector legs: a cold schedule build per method.  The
         // cooperation build is the headline number; duplication gives the
-        // other Table 4/5 method; the element-wise reference build is the
-        // ablation the ≥5× claim is measured against (fewer reps — it is
-        // two orders of magnitude slower at paper sizes).
+        // other Table 4/5 method.
         let inspector_build_ns = timed_leg(ep, &g, BATCHES, reps, |ep| {
             compute_schedule(
                 ep,
@@ -339,18 +306,6 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
                 BuildMethod::Duplication,
             )
             .expect("dup rebuild");
-        });
-        let inspector_build_elementwise_ns = timed_leg(ep, &g, 2, 1, |ep| {
-            compute_schedule_reference(
-                ep,
-                &g,
-                &g,
-                Some(Side::new(&src, &sset)),
-                &g,
-                Some(Side::new(&dst, &dset)),
-                BuildMethod::Cooperation,
-            )
-            .expect("element-wise rebuild");
         });
 
         let mut scratch: Vec<u8> = Vec::new();
@@ -381,13 +336,11 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
 
         RankLegs {
             fast_ns,
-            elementwise_ns,
             reliable_ns,
             reliable_raw_ns,
             sched_runs: sched.num_runs(),
             inspector_build_ns,
             inspector_build_dup_ns,
-            inspector_build_elementwise_ns,
             pack_ns,
             unpack_ns,
         }
@@ -397,7 +350,6 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
     let phases = PhaseNanos {
         inspector_build_ns: r0.inspector_build_ns,
         inspector_build_dup_ns: r0.inspector_build_dup_ns,
-        inspector_build_elementwise_ns: r0.inspector_build_elementwise_ns,
         pack_ns: r0.pack_ns,
         unpack_ns,
         wire_ns: (r0.fast_ns - r0.pack_ns - unpack_ns).max(0.0),
@@ -411,7 +363,6 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
         procs,
         reps,
         fast_ns: r0.fast_ns,
-        elementwise_ns: r0.elementwise_ns,
         reliable_ns: r0.reliable_ns,
         reliable_raw_ns: r0.reliable_raw_ns,
         sched_runs: r0.sched_runs,
@@ -833,8 +784,7 @@ mod tests {
     #[test]
     fn micro_runs_and_reports_sane_numbers() {
         let r = executor_micro(4096, 2, 2);
-        assert!(r.fast_ns > 0.0 && r.elementwise_ns > 0.0);
-        assert!(r.fast_mbps() > 0.0 && r.elementwise_mbps() > 0.0);
+        assert!(r.fast_ns > 0.0 && r.fast_mbps() > 0.0);
         // The shifted halves of a 2-rank block array are contiguous on
         // both sides: the schedule must compress to a handful of runs.
         assert!(r.sched_runs <= 4, "expected few runs, got {}", r.sched_runs);
@@ -853,8 +803,6 @@ mod tests {
         let ph = r.phases;
         assert!(ph.inspector_build_ns > 0.0);
         assert!(ph.inspector_build_dup_ns > 0.0);
-        assert!(ph.inspector_build_elementwise_ns > 0.0);
-        assert!(r.inspector_speedup() > 0.0);
         assert!(ph.pack_ns > 0.0, "rank 0 sends, so pack must cost");
         assert!(
             ph.unpack_ns > 0.0,

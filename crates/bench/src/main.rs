@@ -55,8 +55,8 @@ fn usage() -> ! {
            table5   [--procs P] [--side S]            Parti vs Meta-Chaos\n\
            fig10    [--client C] [--servers S] [--n N] [--vectors V]\n\
            fig15    [--client C] [--servers S] [--n N]\n\
-           micro    [--elements N] [--procs P] [--reps R] executor fast path vs\n\
-                    element-list baseline; writes BENCH_executor.json\n\
+           micro    [--elements N] [--procs P] [--reps R] executor, inspector\n\
+                    and transport wall micros; writes BENCH_executor.json\n\
            trace    [--n N] [--reps R] [--trace-out FILE] traced coupled run;\n\
                     FILE ending .jsonl gets JSONL, anything else Chrome JSON\n\
                     (load in chrome://tracing or https://ui.perfetto.dev)\n\
@@ -167,18 +167,13 @@ fn main() {
             );
             println!(
                 "executor micro: {} elements x {} procs, {} reps\n\
-                 run-compressed  {:>10.0} ns/move  {:>8.0} MB/s  ({} schedule runs)\n\
-                 element-list    {:>10.0} ns/move  {:>8.0} MB/s\n\
-                 speedup         {:>10.2}x",
+                 data_move       {:>10.0} ns/move  {:>8.0} MB/s  ({} schedule runs)",
                 r.elements,
                 r.procs,
                 r.reps,
                 r.fast_ns,
                 r.fast_mbps(),
-                r.sched_runs,
-                r.elementwise_ns,
-                r.elementwise_mbps(),
-                r.speedup()
+                r.sched_runs
             );
             if let (Some(rel_ns), Some(rel_mbps)) = (r.reliable_ns, r.reliable_mbps()) {
                 println!("reliable        {rel_ns:>10.0} ns/move  {rel_mbps:>8.0} MB/s");
@@ -191,12 +186,10 @@ fn main() {
             }
             let ph = r.phases;
             println!(
-                "phases: inspector build {:.0} ns (dup {:.0} ns, element-wise {:.0} ns = \
-                 {:.1}x slower), pack {:.0} ns, wire {:.0} ns, unpack {:.0} ns{}",
+                "phases: inspector build {:.0} ns (dup {:.0} ns), pack {:.0} ns, \
+                 wire {:.0} ns, unpack {:.0} ns{}",
                 ph.inspector_build_ns,
                 ph.inspector_build_dup_ns,
-                ph.inspector_build_elementwise_ns,
-                r.inspector_speedup(),
                 ph.pack_ns,
                 ph.wire_ns,
                 ph.unpack_ns,
@@ -254,10 +247,7 @@ fn main() {
                 ("reps", JsonValue::Int(r.reps as u64)),
                 ("sched_runs", JsonValue::Int(r.sched_runs as u64)),
                 ("fast_ns_per_move", JsonValue::Num(r.fast_ns)),
-                ("elementwise_ns_per_move", JsonValue::Num(r.elementwise_ns)),
                 ("fast_mb_per_s", JsonValue::Num(r.fast_mbps())),
-                ("elementwise_mb_per_s", JsonValue::Num(r.elementwise_mbps())),
-                ("speedup", JsonValue::Num(r.speedup())),
             ];
             if let Some(rel_ns) = r.reliable_ns {
                 fields.push(("reliable_ns_per_move", JsonValue::Num(rel_ns)));
@@ -299,14 +289,6 @@ fn main() {
                 (
                     "inspector_build_dup_ns".to_string(),
                     JsonValue::Num(ph.inspector_build_dup_ns),
-                ),
-                (
-                    "inspector_build_elementwise_ns".to_string(),
-                    JsonValue::Num(ph.inspector_build_elementwise_ns),
-                ),
-                (
-                    "inspector_speedup".to_string(),
-                    JsonValue::Num(r.inspector_speedup()),
                 ),
                 ("pack_ns".to_string(), JsonValue::Num(ph.pack_ns)),
                 ("wire_ns".to_string(), JsonValue::Num(ph.wire_ns)),

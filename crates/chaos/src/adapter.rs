@@ -16,7 +16,6 @@ use meta_chaos::adapter::{Location, McDescriptor, McObject};
 use meta_chaos::region::IndexSet;
 use meta_chaos::runs::{OwnedRun, RunBuilder};
 use meta_chaos::setof::SetOfRegions;
-use meta_chaos::LocalAddr;
 
 use crate::array::IrregArray;
 use crate::ttable::Entry;
@@ -62,30 +61,16 @@ impl McDescriptor for IrregDesc {
         }
     }
 
-    fn charge_locates(&self, ep: &mut mcsim::prelude::Endpoint, n: usize) {
+    fn charge_locates(&self, ep: &mut Endpoint, n: usize) {
         // Probing even a *replicated* translation table costs the full
         // table-lookup software path per element.
         ep.charge_deref(n);
     }
-
-    fn locate_all(&self, set: &SetOfRegions<IndexSet>) -> Vec<Location> {
-        let mut out = Vec::with_capacity(set.total_len());
-        for region in set.regions() {
-            for &g in region.indices() {
-                let (owner, addr) = self.table[g];
-                out.push(Location {
-                    rank: self.members[owner as usize],
-                    addr: addr as usize,
-                });
-            }
-        }
-        out
-    }
 }
 
 impl<T: Copy> IrregArray<T> {
-    /// Shared first half of `deref_owned`/`deref_owned_runs`: chunked
-    /// translation-table dereference of the replicated region lists, with
+    /// First half of `deref_owned_runs`: chunked translation-table
+    /// dereference of the replicated region lists, with
     /// the answers forwarded to their owners.  Returns the per-source-rank
     /// `(pos, addr)` lists; each list is ascending and, taken in rank
     /// order, so is their concatenation (sender `r` holds the `r`-th
@@ -136,29 +121,10 @@ impl<T: Copy> McObject<T> for IrregArray<T> {
     type Region = IndexSet;
     type Descriptor = IrregDesc;
 
-    fn deref_owned(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-    ) -> Vec<(usize, LocalAddr)> {
-        let incoming = self.owned_incoming(comm, set);
-        let mut out: Vec<(usize, LocalAddr)> = Vec::new();
-        for list in incoming {
-            comm.ep().charge_schedule_insert(list.len());
-            for (pos, addr) in list {
-                out.push((pos, addr as usize));
-            }
-        }
-        debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-        out
-    }
-
     fn deref_owned_runs(&self, comm: &mut Comm<'_>, set: &SetOfRegions<IndexSet>) -> Vec<OwnedRun> {
-        // Identical communication and virtual-clock charges to
-        // `deref_owned`; only the accumulation differs.  Irregular
-        // placement means runs mostly degrade to length 1 — the paper's
-        // point about Chaos — but whatever locality the translation table
-        // does have is kept.
+        // Irregular placement means runs mostly degrade to length 1 — the
+        // paper's point about Chaos — but whatever locality the
+        // translation table does have is kept.
         let incoming = self.owned_incoming(comm, set);
         let mut builder = RunBuilder::new();
         for list in incoming {
@@ -168,34 +134,6 @@ impl<T: Copy> McObject<T> for IrregArray<T> {
             }
         }
         builder.finish()
-    }
-
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        // Another round trip through the distributed translation table —
-        // this is the "second call to the Chaos dereference function" that
-        // doubles duplication's build cost in the paper's Table 2.
-        let globals: Vec<usize> = positions
-            .iter()
-            .map(|&pos| {
-                let (ri, off) = set.locate_position(pos);
-                set.regions()[ri].index(off)
-            })
-            .collect();
-        comm.ep().charge_schedule_insert(globals.len());
-        let members = self.table().members().to_vec();
-        self.table()
-            .dereference(comm, &globals)
-            .into_iter()
-            .map(|(owner, addr)| Location {
-                rank: members[owner as usize],
-                addr: addr as usize,
-            })
-            .collect()
     }
 
     fn descriptor(&self, comm: &mut Comm<'_>) -> IrregDesc {
@@ -213,19 +151,12 @@ impl<T: Copy> McObject<T> for IrregArray<T> {
         IrregArray::epoch(self)
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<T>) {
-        let data = self.local();
-        out.extend(addrs.iter().map(|&a| data[a]));
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
+    fn local(&self) -> &[T] {
+        IrregArray::local(self)
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], vals: &[T]) {
-        assert_eq!(addrs.len(), vals.len());
-        let data = self.local_mut();
-        for (&a, &v) in addrs.iter().zip(vals) {
-            data[a] = v;
-        }
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
+    fn local_mut(&mut self) -> &mut [T] {
+        IrregArray::local_mut(self)
     }
 }
 
@@ -238,54 +169,28 @@ mod tests {
     use mcsim::world::World;
     use meta_chaos::build::{compute_schedule, BuildMethod};
     use meta_chaos::datamove::data_move;
+    use meta_chaos::testlib::check_deref_runs;
     use meta_chaos::Side;
 
     #[test]
-    fn deref_owned_agrees_with_descriptor() {
-        let world = World::with_model(3, MachineModel::zero());
-        world.run(|ep| {
-            let me = ep.rank();
-            let mut comm = Comm::new(ep, Group::world(3));
-            let x = IrregArray::create(&mut comm, 20, Partition::Random(9), |g| g as f64);
-            let set = SetOfRegions::from_regions(vec![
-                IndexSet::new(vec![3, 19, 0, 7]),
-                IndexSet::new(vec![11, 2]),
-            ]);
-            let owned = x.deref_owned(&mut comm, &set);
-            let desc = x.descriptor(&mut comm);
-            let all = desc.locate_all(&set);
-            for &(pos, addr) in &owned {
-                assert_eq!(all[pos], Location { rank: me, addr });
-            }
-            let mine: Vec<usize> = all
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.rank == me)
-                .map(|(p, _)| p)
-                .collect();
-            assert_eq!(mine, owned.iter().map(|&(p, _)| p).collect::<Vec<_>>());
-        });
-    }
-
-    #[test]
-    fn deref_owned_runs_expand_to_deref_owned() {
+    fn deref_owned_runs_agree_with_descriptor() {
         let world = World::with_model(3, MachineModel::zero());
         world.run(|ep| {
             let mut comm = Comm::new(ep, Group::world(3));
             let x = IrregArray::create(&mut comm, 24, Partition::Random(5), |g| g as f64);
-            let set = SetOfRegions::from_regions(vec![
-                IndexSet::new((0..16).collect()),
-                IndexSet::new(vec![23, 1, 17]),
-            ]);
-            let owned = x.deref_owned(&mut comm, &set);
-            let runs = x.deref_owned_runs(&mut comm, &set);
-            let mut expanded = Vec::new();
-            for r in &runs {
-                for k in 0..r.len {
-                    expanded.push((r.pos + k, r.addr_at(k)));
-                }
+            let sets = [
+                SetOfRegions::from_regions(vec![
+                    IndexSet::new(vec![3, 19, 0, 7]),
+                    IndexSet::new(vec![11, 2]),
+                ]),
+                SetOfRegions::from_regions(vec![
+                    IndexSet::new((0..16).collect()),
+                    IndexSet::new(vec![23, 1, 17]),
+                ]),
+            ];
+            for set in &sets {
+                check_deref_runs(&mut comm, &x, set);
             }
-            assert_eq!(expanded, owned);
         });
     }
 

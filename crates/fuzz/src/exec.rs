@@ -1,13 +1,13 @@
 //! Scenario execution: run a [`Scenario`] through the real
 //! inspector/executor/session stack inside an `mcsim::World` and report
-//! everything the oracles need — per-rank schedule dumps, per-step typed
-//! outcomes, and the destination's final memory as `(global, bits)`.
+//! everything the oracles need — per-rank schedules with the descriptors
+//! they were built against, per-step typed outcomes, and the destination's
+//! final memory as `(global, bits)`.
 //!
-//! The same scenario can be run three ways: fault-free with the run-based
-//! inspector, fault-free with the element-wise reference inspector (the
-//! differential pair), and faulted (the chaos soak).  Every world is armed
-//! with the scenario's virtual-clock deadline, so a hang surfaces as a
-//! typed `DeadlineExceeded` instead of wedging the harness.
+//! The same scenario can be run fault-free (where the serial schedule
+//! oracle checks every build) and faulted (the chaos soak).  Every world
+//! is armed with the scenario's virtual-clock deadline, so a hang surfaces
+//! as a typed `DeadlineExceeded` instead of wedging the harness.
 
 use std::time::Duration;
 
@@ -15,8 +15,9 @@ use mcsim::group::{Comm, Group};
 use mcsim::prelude::Endpoint;
 use mcsim::rng::Rng;
 use mcsim::span::Phase;
+use mcsim::wire::Wire;
 use mcsim::{pair_spans, FaultPlan, FaultRates, MachineModel, RecoveryConfig, World};
-use meta_chaos::build::{compute_schedule, compute_schedule_reference, BuildMethod};
+use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::datamove::{data_move_recv, data_move_send, try_data_move};
 use meta_chaos::region::{DimSlice, IndexSet, RegularSection};
 use meta_chaos::schedule::Schedule;
@@ -28,6 +29,7 @@ use hpf::{redistribute, HpfArray, HpfDist};
 use multiblock::{regrid, BlockDist, MultiblockArray};
 use tulip::DistributedCollection;
 
+use crate::oracle::{serial_schedule, Motion};
 use crate::scenario::{LibKind, LibSpec, RegionsSpec, Scenario, Step};
 
 /// Source fill value for global flat index `g` — shared with the serial
@@ -331,50 +333,20 @@ impl FuzzLib for IrregArray<f64> {
     }
 }
 
-/// Everything observable about one rank's built schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedDump {
-    pub seq: u32,
-    pub total_elems: usize,
-    pub src_epoch: u64,
-    pub dst_epoch: u64,
-    pub elem_tag: u64,
-    pub elem_size: u32,
-    pub sends: Vec<(usize, Vec<(usize, usize)>)>,
-    pub recvs: Vec<(usize, Vec<(usize, usize)>)>,
-    pub local_pairs: Vec<(usize, usize, usize)>,
-}
-
-fn dump(sched: &Schedule) -> SchedDump {
-    SchedDump {
-        seq: sched.seq(),
-        total_elems: sched.total_elems,
-        src_epoch: sched.src_epoch(),
-        dst_epoch: sched.dst_epoch(),
-        elem_tag: sched.elem_tag(),
-        elem_size: sched.elem_size(),
-        sends: sched
-            .sends
-            .iter()
-            .map(|(p, a)| (*p, a.runs().to_vec()))
-            .collect(),
-        recvs: sched
-            .recvs
-            .iter()
-            .map(|(p, a)| (*p, a.runs().to_vec()))
-            .collect(),
-        local_pairs: sched.local_pairs.runs().to_vec(),
-    }
-}
-
 /// One rank's full observation of a scenario run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RankReport {
     /// `Some(error)` when the initial schedule build failed (everything
     /// after is skipped).
     pub build_err: Option<String>,
-    /// One dump per schedule built (initial + one per effective bump).
-    pub scheds: Vec<SchedDump>,
+    /// One entry per schedule built (initial + one per effective bump).
+    pub scheds: Vec<Motion>,
+    /// For oracle-checked runs, on the ranks of the source program and
+    /// parallel to `scheds`: the wire bytes of the source descriptor each
+    /// schedule was built against.
+    pub src_descs: Vec<Vec<u8>>,
+    /// The same for the destination program's ranks and descriptor.
+    pub dst_descs: Vec<Vec<u8>>,
     /// `(step index, result)` for every executed step.
     pub outcomes: Vec<(usize, Result<(), String>)>,
     /// For each effective bump in a same-program run: the error the *old*
@@ -400,24 +372,27 @@ pub struct WorldRun {
     /// against these windows.
     pub windows: Vec<Option<(f64, f64)>>,
     /// One-paragraph critical-path summary of the run's coupled
-    /// transfers ([`mcsim::analyze`]) — `None` when the trace recorded
+    /// transfers ([`mod@mcsim::analyze`]) — `None` when the trace recorded
     /// no transfer spans.  Oracles embed it in failure post-mortems so
     /// a shrunk repro arrives with its own bottleneck analysis.
     pub critical_path: Option<String>,
+    /// `oracle[k][rank]`: what the serial schedule oracle expects of the
+    /// `k`-th schedule every rank built (empty for faulted runs, which
+    /// collect no descriptors).
+    pub oracle: Vec<Vec<Motion>>,
 }
 
 /// Which execution mode a dispatch runs the scenario under.
 #[derive(Clone, Copy)]
 enum Mode<'a> {
-    /// The classic paths: run-based or reference inspector, faults
-    /// attached or not.
-    Plain { reference: bool, faults_on: bool },
+    /// The classic paths, faults attached or not.
+    Plain { faults_on: bool },
     /// Supervised recovery: `RecoverySession` steps under crash scripts
     /// with absolute times already resolved.
     Recovery { crash_times: &'a [(usize, f64)] },
 }
 
-fn world_run(rep: mcsim::RunReport<RankReport>) -> WorldRun {
+fn world_run<S: FuzzLib, D: FuzzLib>(sc: &Scenario, rep: mcsim::RunReport<RankReport>) -> WorldRun {
     let windows = rep
         .traces
         .iter()
@@ -438,15 +413,17 @@ fn world_run(rep: mcsim::RunReport<RankReport>) -> WorldRun {
         .collect();
     let cp = mcsim::analyze::analyze(&rep.traces);
     let critical_path = (!cp.transfers.is_empty()).then(|| cp.render());
+    let reports: Vec<Result<RankReport, String>> = rep
+        .outcomes
+        .into_iter()
+        .map(|r| r.map_err(|e| format!("{e:?}")))
+        .collect();
     WorldRun {
         windows,
         critical_path,
         recovered: rep.stats.recovery.ranks_recovered,
-        reports: rep
-            .outcomes
-            .into_iter()
-            .map(|r| r.map_err(|e| format!("{e:?}")))
-            .collect(),
+        oracle: serial_oracle::<S, D>(sc, &reports),
+        reports,
         trace_tails: rep
             .traces
             .iter()
@@ -456,6 +433,73 @@ fn world_run(rep: mcsim::RunReport<RankReport>) -> WorldRun {
             })
             .collect(),
     }
+}
+
+/// The scenario's `(source program, destination program, union)`.
+fn groups(sc: &Scenario) -> (Group, Group, Group) {
+    if sc.coupled {
+        Group::split_two(sc.procs_src, sc.procs_dst, 32)
+    } else {
+        let g = Group::world(sc.procs_src);
+        (g.clone(), g.clone(), g)
+    }
+}
+
+/// Run the serial schedule oracle over every build some rank reported
+/// descriptors for (the first holder of each side speaks for its program).
+fn serial_oracle<S: FuzzLib, D: FuzzLib>(
+    sc: &Scenario,
+    reports: &[Result<RankReport, String>],
+) -> Vec<Vec<Motion>> {
+    let (_, _, un) = groups(sc);
+    let (sset, dset) = (S::regions(&sc.src_set), D::regions(&sc.dst_set));
+    let ok = || reports.iter().filter_map(|r| r.as_ref().ok());
+    (0..)
+        .map_while(|k| {
+            let sdesc = ok().find_map(|r| r.src_descs.get(k))?;
+            let ddesc = ok().find_map(|r| r.dst_descs.get(k))?;
+            Some(serial_schedule::<S::Descriptor, D::Descriptor>(
+                &un,
+                (sdesc, &sset),
+                (ddesc, &dset),
+            ))
+        })
+        .collect()
+}
+
+/// Build the scenario's schedule; on success record it in `report`,
+/// together with both descriptors when the run is `oracle`-checked.
+#[allow(clippy::too_many_arguments)]
+fn build_recorded<S: FuzzLib, D: FuzzLib>(
+    ep: &mut Endpoint,
+    sc: &Scenario,
+    (src_prog, dst_prog, un): (&Group, &Group, &Group),
+    src_obj: &Option<S>,
+    dst_obj: &Option<D>,
+    oracle: bool,
+    report: &mut RankReport,
+) -> Result<Schedule, McError> {
+    let (sset, dset) = (S::regions(&sc.src_set), D::regions(&sc.dst_set));
+    let method = if sc.method == 0 {
+        BuildMethod::Cooperation
+    } else {
+        BuildMethod::Duplication
+    };
+    let sside = src_obj.as_ref().map(|o| Side::new(o, &sset));
+    let dside = dst_obj.as_ref().map(|o| Side::new(o, &dset));
+    let sched = compute_schedule::<f64, S, D>(ep, un, src_prog, sside, dst_prog, dside, method)?;
+    report.scheds.push(Motion::of(&sched));
+    if oracle {
+        if let Some(o) = src_obj {
+            let desc = o.descriptor(&mut Comm::borrowed(ep, src_prog));
+            report.src_descs.push(desc.to_bytes());
+        }
+        if let Some(o) = dst_obj {
+            let desc = o.descriptor(&mut Comm::borrowed(ep, dst_prog));
+            report.dst_descs.push(desc.to_bytes());
+        }
+    }
+    Ok(sched)
 }
 
 fn fault_plan(f: &crate::scenario::FaultSpec) -> FaultPlan {
@@ -472,51 +516,18 @@ fn fault_plan(f: &crate::scenario::FaultSpec) -> FaultPlan {
     plan
 }
 
-fn run_rank<S: FuzzLib, D: FuzzLib>(
-    ep: &mut Endpoint,
-    sc: &Scenario,
-    reference: bool,
-) -> RankReport {
+fn run_rank<S: FuzzLib, D: FuzzLib>(ep: &mut Endpoint, sc: &Scenario, oracle: bool) -> RankReport {
     let me = ep.rank();
-    let (src_prog, dst_prog, un) = if sc.coupled {
-        Group::split_two(sc.procs_src, sc.procs_dst, 32)
-    } else {
-        let g = Group::world(sc.procs_src);
-        (g.clone(), g.clone(), g)
-    };
+    let (src_prog, dst_prog, un) = groups(sc);
+    let progs = (&src_prog, &dst_prog, &un);
     let on_src = src_prog.contains(me);
     let on_dst = dst_prog.contains(me);
     let mut src_obj = on_src.then(|| S::build(ep, &src_prog, me, &sc.src, src_val));
     let mut dst_obj = on_dst.then(|| D::build(ep, &dst_prog, me, &sc.dst, dst_init));
-    let sset = S::regions(&sc.src_set);
-    let dset = D::regions(&sc.dst_set);
-    let method = if sc.method == 0 {
-        BuildMethod::Cooperation
-    } else {
-        BuildMethod::Duplication
-    };
-
-    let build = |ep: &mut Endpoint,
-                 src_obj: &Option<S>,
-                 dst_obj: &Option<D>|
-     -> Result<Schedule, McError> {
-        let sside = src_obj.as_ref().map(|o| Side::new(o, &sset));
-        let dside = dst_obj.as_ref().map(|o| Side::new(o, &dset));
-        if reference {
-            compute_schedule_reference::<f64, S, D>(
-                ep, &un, &src_prog, sside, &dst_prog, dside, method,
-            )
-        } else {
-            compute_schedule::<f64, S, D>(ep, &un, &src_prog, sside, &dst_prog, dside, method)
-        }
-    };
 
     let mut report = RankReport::default();
-    let mut sched = match build(ep, &src_obj, &dst_obj) {
-        Ok(s) => {
-            report.scheds.push(dump(&s));
-            Some(s)
-        }
+    let mut sched = match build_recorded(ep, sc, progs, &src_obj, &dst_obj, oracle, &mut report) {
+        Ok(s) => Some(s),
         Err(e) => {
             report.build_err = Some(format!("{e:?}"));
             None
@@ -559,14 +570,11 @@ fn run_rank<S: FuzzLib, D: FuzzLib>(
                         .err();
                         report.stale_probes.push(e.map(|e| format!("{e:?}")));
                     }
-                    match build(ep, &src_obj, &dst_obj) {
-                        Ok(s) => {
-                            report.scheds.push(dump(&s));
-                            *live = s;
-                            report.outcomes.push((i, Ok(())));
-                        }
-                        Err(e) => report.outcomes.push((i, Err(format!("{e:?}")))),
-                    }
+                    let rebuilt =
+                        build_recorded(ep, sc, progs, &src_obj, &dst_obj, oracle, &mut report)
+                            .map(|s| *live = s);
+                    let outcome = rebuilt.map_err(|e| format!("{e:?}"));
+                    report.outcomes.push((i, outcome));
                 }
                 Step::BumpDst { dist_seed } => {
                     if !D::CAN_BUMP {
@@ -586,14 +594,11 @@ fn run_rank<S: FuzzLib, D: FuzzLib>(
                         .err();
                         report.stale_probes.push(e.map(|e| format!("{e:?}")));
                     }
-                    match build(ep, &src_obj, &dst_obj) {
-                        Ok(s) => {
-                            report.scheds.push(dump(&s));
-                            *live = s;
-                            report.outcomes.push((i, Ok(())));
-                        }
-                        Err(e) => report.outcomes.push((i, Err(format!("{e:?}")))),
-                    }
+                    let rebuilt =
+                        build_recorded(ep, sc, progs, &src_obj, &dst_obj, oracle, &mut report)
+                            .map(|s| *live = s);
+                    let outcome = rebuilt.map_err(|e| format!("{e:?}"));
+                    report.outcomes.push((i, outcome));
                 }
             }
         }
@@ -605,7 +610,7 @@ fn run_rank<S: FuzzLib, D: FuzzLib>(
     report
 }
 
-fn run_pair<S: FuzzLib, D: FuzzLib>(sc: &Scenario, reference: bool, faults_on: bool) -> WorldRun {
+fn run_pair<S: FuzzLib, D: FuzzLib>(sc: &Scenario, faults_on: bool) -> WorldRun {
     let model = if faults_on {
         MachineModel::sp2()
     } else {
@@ -619,8 +624,11 @@ fn run_pair<S: FuzzLib, D: FuzzLib>(sc: &Scenario, reference: bool, faults_on: b
             world = world.with_faults(fault_plan(f));
         }
     }
-    let sc = sc.clone();
-    world_run(world.run_result(move |ep| run_rank::<S, D>(ep, &sc, reference)))
+    // The faulted leg stays exactly the traffic under test: descriptors
+    // (a table gather, for Chaos) are collected on the fault-free leg only.
+    let rank_sc = sc.clone();
+    let rep = world.run_result(move |ep| run_rank::<S, D>(ep, &rank_sc, !faults_on));
+    world_run::<S, D>(sc, rep)
 }
 
 /// One rank of a supervised recovery run: restore-or-build the objects
@@ -629,7 +637,7 @@ fn run_pair<S: FuzzLib, D: FuzzLib>(sc: &Scenario, reference: bool, faults_on: b
 /// [`RecoverySession`] and close it.
 fn run_recovery_rank<S: FuzzLib, D: FuzzLib>(ep: &mut Endpoint, sc: &Scenario) -> RankReport {
     let me = ep.rank();
-    let (src_prog, dst_prog, un) = Group::split_two(sc.procs_src, sc.procs_dst, 32);
+    let (src_prog, dst_prog, un) = groups(sc);
     let on_src = src_prog.contains(me);
     let mut ses = RecoverySession::new("fuzz");
     let mut report = RankReport::default();
@@ -649,20 +657,14 @@ fn run_recovery_rank<S: FuzzLib, D: FuzzLib>(ep: &mut Endpoint, sc: &Scenario) -
         })
     });
 
-    let sset = S::regions(&sc.src_set);
-    let dset = D::regions(&sc.dst_set);
-    let method = if sc.method == 0 {
-        BuildMethod::Cooperation
-    } else {
-        BuildMethod::Duplication
-    };
     let sched = match ses.restore_schedule(ep) {
-        Some(s) => s,
+        Some(s) => {
+            report.scheds.push(Motion::of(&s));
+            s
+        }
         None => {
-            let sside = src_obj.as_ref().map(|o| Side::new(o, &sset));
-            let dside = dst_obj.as_ref().map(|o| Side::new(o, &dset));
-            match compute_schedule::<f64, S, D>(ep, &un, &src_prog, sside, &dst_prog, dside, method)
-            {
+            let progs = (&src_prog, &dst_prog, &un);
+            match build_recorded(ep, sc, progs, &src_obj, &dst_obj, true, &mut report) {
                 Ok(s) => {
                     ses.checkpoint_schedule(ep, &s);
                     s
@@ -674,7 +676,6 @@ fn run_recovery_rank<S: FuzzLib, D: FuzzLib>(ep: &mut Endpoint, sc: &Scenario) -
             }
         }
     };
-    report.scheds.push(dump(&sched));
 
     let steps = sc.num_moves() as u64;
     for k in 0..steps {
@@ -729,16 +730,14 @@ fn run_recovery_pair<S: FuzzLib, D: FuzzLib>(
         }
         world = world.with_faults(plan);
     }
-    let sc = sc.clone();
-    world_run(world.run_result(move |ep| run_recovery_rank::<S, D>(ep, &sc)))
+    let rank_sc = sc.clone();
+    let rep = world.run_result(move |ep| run_recovery_rank::<S, D>(ep, &rank_sc));
+    world_run::<S, D>(sc, rep)
 }
 
 fn run_mode<S: FuzzLib, D: FuzzLib>(sc: &Scenario, mode: Mode) -> WorldRun {
     match mode {
-        Mode::Plain {
-            reference,
-            faults_on,
-        } => run_pair::<S, D>(sc, reference, faults_on),
+        Mode::Plain { faults_on } => run_pair::<S, D>(sc, faults_on),
         Mode::Recovery { crash_times } => run_recovery_pair::<S, D>(sc, crash_times),
     }
 }
@@ -773,17 +772,10 @@ fn dispatch(sc: &Scenario, mode: Mode) -> WorldRun {
     }
 }
 
-/// Run a scenario: `reference` selects the element-wise inspector,
-/// `faults_on` attaches the scenario's fault plan (ignored when the
-/// scenario has none).
-pub fn run_scenario(sc: &Scenario, reference: bool, faults_on: bool) -> WorldRun {
-    dispatch(
-        sc,
-        Mode::Plain {
-            reference,
-            faults_on,
-        },
-    )
+/// Run a scenario; `faults_on` attaches the scenario's fault plan
+/// (ignored when the scenario has none).
+pub fn run_scenario(sc: &Scenario, faults_on: bool) -> WorldRun {
+    dispatch(sc, Mode::Plain { faults_on })
 }
 
 /// Run a recovery scenario under a supervised world.  `crash_times`

@@ -3,8 +3,8 @@
 //! Random *scenarios* — library pair, shapes, distributions, region
 //! sets, a script of moves and epoch bumps, an optional fault plan —
 //! run through the real inspector/executor/session stack inside
-//! `mcsim::World`, checked by three oracles (schedule parity with the
-//! element-wise reference inspector, a serial-copy memory model, and a
+//! `mcsim::World`, checked by three oracles (schedule parity with a
+//! serial walk of the two descriptors, a serial-copy memory model, and a
 //! virtual-clock no-hang deadline), with greedy shrinking to minimal
 //! JSON repros.
 //!

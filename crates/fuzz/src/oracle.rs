@@ -1,8 +1,9 @@
 //! The three oracles.
 //!
-//! 1. **Schedule parity** — the run-based inspector must produce reports
-//!    (schedule dumps, outcomes, memory) identical to the element-wise
-//!    reference inspector on the same fault-free scenario.
+//! 1. **Schedule parity** — every schedule the inspector builds on a
+//!    fault-free run must equal, rank by rank, what a communication-free
+//!    serial walk of the two descriptors says it should be
+//!    ([`serial_schedule`]).
 //! 2. **Serial memory model** — after a clean run, the union of
 //!    destination memory across ranks must cover every global exactly
 //!    once and bit-match a straight-line serial copy; after a faulted
@@ -13,13 +14,18 @@
 
 use std::collections::BTreeMap;
 
+use mcsim::group::Group;
+use meta_chaos::schedule::{AddrRuns, PairRuns, Schedule};
+use meta_chaos::setof::SetOfRegions;
+use meta_chaos::McDescriptor;
+
 use crate::exec::{dst_init, run_recovery, run_scenario, src_val, WorldRun};
 use crate::scenario::Scenario;
 
 /// A confirmed oracle violation, with enough context to debug it.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// Which run and oracle tripped (e.g. `"fault-free (runs inspector)"`).
+    /// Which run and oracle tripped (e.g. `"fault-free"`).
     pub phase: String,
     /// Human-readable description of the violation.
     pub detail: String,
@@ -125,31 +131,89 @@ fn check_clean(sc: &Scenario, run: &WorldRun, phase: &str) -> Option<Failure> {
     None
 }
 
-/// Differential oracle: the runs-based and reference inspectors must
-/// report byte-identical schedules, outcomes, and final memory.
-fn check_parity(runs: &WorldRun, reference: &WorldRun) -> Option<Failure> {
-    for (rank, (a, b)) in runs.reports.iter().zip(&reference.reports).enumerate() {
-        if a != b {
-            let detail = match (a, b) {
-                (Ok(ra), Ok(rb)) => {
-                    let what = if ra.scheds != rb.scheds {
-                        format!(
-                            "schedules differ:\n  runs: {:?}\n  ref:  {:?}",
-                            ra.scheds, rb.scheds
-                        )
-                    } else if ra.mem != rb.mem {
-                        "final memory differs".to_string()
-                    } else {
-                        format!("reports differ:\n  runs: {ra:?}\n  ref:  {rb:?}")
-                    };
-                    format!("rank {rank}: {what}")
-                }
-                _ => format!("rank {rank}: {a:?} vs {b:?}"),
+/// One rank's share of a transfer, exactly as a [`Schedule`] exposes it.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Motion {
+    /// `(peer, addresses to pack)`, non-empty, ascending by peer.
+    pub sends: Vec<(usize, AddrRuns)>,
+    /// `(peer, addresses to fill)`, non-empty, ascending by peer.
+    pub recvs: Vec<(usize, AddrRuns)>,
+    /// Same-rank `(source, destination)` address pairs.
+    pub local_pairs: PairRuns,
+}
+
+impl Motion {
+    /// What `sched` moves on the rank that holds it.
+    pub fn of(sched: &Schedule) -> Motion {
+        Motion {
+            sends: sched.sends.clone(),
+            recvs: sched.recvs.clone(),
+            local_pairs: sched.local_pairs.clone(),
+        }
+    }
+}
+
+/// The serial schedule oracle.  Each side's descriptor arrives as the wire
+/// bytes a rank of its program produced; position `pos` of the transfer
+/// moves from `sdesc.locate(sset, pos)` to `ddesc.locate(dset, pos)`, and
+/// grouping those pairs by owner, in position order, *is* the schedule —
+/// no runs, no coordinators, no communication.  Returns one [`Motion`] per
+/// rank of `union`, indexed by union-local rank.
+pub fn serial_schedule<SD: McDescriptor, DD: McDescriptor>(
+    union: &Group,
+    (sdesc, sset): (&[u8], &SetOfRegions<SD::Region>),
+    (ddesc, dset): (&[u8], &SetOfRegions<DD::Region>),
+) -> Vec<Motion> {
+    let sdesc = SD::from_bytes(sdesc).expect("source descriptor decodes");
+    let ddesc = DD::from_bytes(ddesc).expect("destination descriptor decodes");
+    let p = union.size();
+    let mut sends = vec![vec![AddrRuns::new(); p]; p];
+    let mut recvs = sends.clone();
+    let mut motions = vec![Motion::default(); p];
+    assert_eq!(sset.total_len(), dset.total_len());
+    for pos in 0..sset.total_len() {
+        let (s, d) = (sdesc.locate(sset, pos), ddesc.locate(dset, pos));
+        let sl = union.local_of(s.rank).expect("source owner in the union");
+        let dl = union
+            .local_of(d.rank)
+            .expect("destination owner in the union");
+        if sl == dl {
+            motions[sl].local_pairs.push(s.addr, d.addr);
+        } else {
+            sends[sl][dl].push(s.addr);
+            recvs[dl][sl].push(d.addr);
+        }
+    }
+    let by_peer = |lists: Vec<AddrRuns>| -> Vec<(usize, AddrRuns)> {
+        let peers = lists.into_iter().enumerate();
+        peers.filter(|(_, a)| !a.is_empty()).collect()
+    };
+    for (m, (s, r)) in motions.iter_mut().zip(sends.into_iter().zip(recvs)) {
+        m.sends = by_peer(s);
+        m.recvs = by_peer(r);
+    }
+    motions
+}
+
+/// Schedule-parity oracle: every schedule every rank built must be the
+/// serial oracle's, send for send, receive for receive, pair for pair.
+fn check_parity(run: &WorldRun, phase: &str) -> Option<Failure> {
+    for (rank, rep) in run.reports.iter().enumerate() {
+        let Ok(rep) = rep else { continue };
+        for (k, got) in rep.scheds.iter().enumerate() {
+            let detail = match run.oracle.get(k) {
+                Some(want) if *got == want[rank] => continue,
+                Some(want) => format!(
+                    "rank {rank} schedule {k} differs from the serial oracle:\n  \
+                     built:  {got:?}\n  oracle: {:?}",
+                    want[rank]
+                ),
+                None => format!("rank {rank} schedule {k}: no descriptors came back"),
             };
             return Some(Failure {
-                phase: "parity (runs vs reference inspector)".to_string(),
+                phase: format!("parity, {phase}"),
                 detail,
-                post_mortem: post_mortem(runs),
+                post_mortem: post_mortem(run),
             });
         }
     }
@@ -232,7 +296,8 @@ fn check_crashed(sc: &Scenario, run: &WorldRun) -> Option<Failure> {
 /// would double-apply and diverge, lost halves would leave initial fill.
 fn check_recovered(sc: &Scenario) -> Option<Failure> {
     let baseline = run_recovery(sc, &[]);
-    if let Some(f) = check_clean(sc, &baseline, "recovery baseline (supervised, fault-free)") {
+    let phase = "recovery baseline (supervised, fault-free)";
+    if let Some(f) = check_clean(sc, &baseline, phase).or_else(|| check_parity(&baseline, phase)) {
         return Some(f);
     }
     if baseline.recovered != 0 {
@@ -266,19 +331,13 @@ pub fn check(sc: &Scenario) -> Option<Failure> {
     if sc.recover {
         return check_recovered(sc);
     }
-    let runs = run_scenario(sc, false, false);
-    if let Some(f) = check_clean(sc, &runs, "fault-free (runs inspector)") {
-        return Some(f);
-    }
-    let reference = run_scenario(sc, true, false);
-    if let Some(f) = check_clean(sc, &reference, "fault-free (reference inspector)") {
-        return Some(f);
-    }
-    if let Some(f) = check_parity(&runs, &reference) {
+    let clean = run_scenario(sc, false);
+    let phase = "fault-free";
+    if let Some(f) = check_clean(sc, &clean, phase).or_else(|| check_parity(&clean, phase)) {
         return Some(f);
     }
     if let Some(fault) = &sc.fault {
-        let faulted = run_scenario(sc, false, true);
+        let faulted = run_scenario(sc, true);
         if fault.crash.is_some() {
             if let Some(f) = check_crashed(sc, &faulted) {
                 return Some(f);

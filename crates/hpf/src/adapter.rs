@@ -7,21 +7,17 @@
 //! all-contiguous distributions (`BLOCK`/`*`), and the per-dimension
 //! owned chunk ranges of [`HpfDist::owned_section_ranges`] once a
 //! `CYCLIC(k)` dimension is involved — host work proportional to what
-//! the rank owns.  The element-wise [`McObject::deref_owned`] keeps the
-//! owner test per section element for cyclic distributions; it is the
-//! reference the run path is tested against.
+//! the rank owns.  The owner test per section element it replaced is kept
+//! as the test oracle (`deref_owned_scan`).
 
 use mcsim::error::SimError;
 use mcsim::group::Comm;
-use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 
 use meta_chaos::adapter::{Location, McDescriptor, McObject};
 use meta_chaos::region::{Region, RegularSection};
 use meta_chaos::runs::{LocatedRun, OwnedRun, RunBuilder};
-use meta_chaos::schedule::AddrRuns;
 use meta_chaos::setof::SetOfRegions;
-use meta_chaos::LocalAddr;
 
 use crate::array::HpfArray;
 use crate::dist::{DistKind, HpfDist, RangeOdometer};
@@ -102,17 +98,6 @@ impl McDescriptor for HpfDesc {
             }
         })
     }
-
-    fn locate_all(&self, set: &SetOfRegions<RegularSection>) -> Vec<Location> {
-        let mut out = Vec::with_capacity(set.total_len());
-        for region in set.regions() {
-            let mut it = region.iter_coords();
-            while let Some(coords) = it.advance() {
-                out.push(self.location_of(coords));
-            }
-        }
-        out
-    }
 }
 
 impl HpfDesc {
@@ -135,12 +120,13 @@ impl<T: Copy + Default> HpfArray<T> {
     ///
     /// The decomposition is part of the contract, not just the expansion:
     /// the Cooperation build announces one record per run, so the run list
-    /// must equal `coalesce_owned(&self.deref_owned(..))` run for run.
+    /// must equal `coalesce_owned(&self.deref_owned_scan(..))` run for run.
     /// `RunBuilder::push_run` is not the same as pushing its elements (a
     /// length-1 last run adopts any stride from `push`, only the run's own
     /// from `push_run`), hence each range's first element goes through
     /// `push` and the rest follow as one run.  The virtual-clock charge is
-    /// `deref_owned`'s: the simulated library still inspects the section.
+    /// per section element: the simulated library still inspects the
+    /// section.
     fn deref_owned_runs_chunked(
         &self,
         comm: &mut Comm<'_>,
@@ -194,17 +180,16 @@ impl<T: Copy + Default> HpfArray<T> {
             .charge_owner_calc(set.total_len() + set.num_regions());
         builder.finish()
     }
-}
 
-impl<T: Copy + Default> McObject<T> for HpfArray<T> {
-    type Region = RegularSection;
-    type Descriptor = HpfDesc;
-
-    fn deref_owned(
+    /// The pre-run-based dereference: `(position, address)` per owned
+    /// element, an owner test on every section element once a `CYCLIC(k)`
+    /// dimension is involved.  Kept as the test oracle.
+    #[cfg(test)]
+    fn deref_owned_scan(
         &self,
         comm: &mut Comm<'_>,
         set: &SetOfRegions<RegularSection>,
-    ) -> Vec<(usize, LocalAddr)> {
+    ) -> Vec<(usize, meta_chaos::LocalAddr)> {
         let me = self.my_local();
         let dist = self.dist();
         let mut out = Vec::new();
@@ -248,6 +233,11 @@ impl<T: Copy + Default> McObject<T> for HpfArray<T> {
         comm.ep().charge_owner_calc(inspected + set.num_regions());
         out
     }
+}
+
+impl<T: Copy + Default> McObject<T> for HpfArray<T> {
+    type Region = RegularSection;
+    type Descriptor = HpfDesc;
 
     fn deref_owned_runs(
         &self,
@@ -259,8 +249,8 @@ impl<T: Copy + Default> McObject<T> for HpfArray<T> {
             return self.deref_owned_runs_chunked(comm, set);
         }
         // Contiguous fast path: ownership is a box, and each row of an
-        // intersected sub-section is one run — O(rows) work, same
-        // virtual-clock charge as deref_owned.
+        // intersected sub-section is one run — O(rows) work, charged per
+        // owned element.
         let me = self.my_local();
         let pc = dist.proc_coords(me);
         let my_box: Vec<(usize, usize)> = (0..dist.shape().len())
@@ -294,30 +284,6 @@ impl<T: Copy + Default> McObject<T> for HpfArray<T> {
         builder.finish()
     }
 
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<RegularSection>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        // Closed-form HPF local-addressing formulas per query.
-        let dist = self.dist();
-        comm.ep().charge_owner_calc(positions.len());
-        positions
-            .iter()
-            .map(|&pos| {
-                let (ri, off) = set.locate_position(pos);
-                set.regions()[ri].with_coords(off, |coords| {
-                    let local = dist.owner(coords);
-                    Location {
-                        rank: self.members()[local],
-                        addr: dist.local_addr(local, coords),
-                    }
-                })
-            })
-            .collect()
-    }
-
     fn descriptor(&self, _comm: &mut Comm<'_>) -> HpfDesc {
         HpfDesc {
             dist: self.dist().clone(),
@@ -329,66 +295,12 @@ impl<T: Copy + Default> McObject<T> for HpfArray<T> {
         HpfArray::epoch(self)
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<T>) {
-        let data = self.local();
-        out.extend(addrs.iter().map(|&a| data[a]));
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
+    fn local(&self) -> &[T] {
+        HpfArray::local(self)
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], vals: &[T]) {
-        assert_eq!(addrs.len(), vals.len());
-        let data = self.local_mut();
-        for (&a, &v) in addrs.iter().zip(vals) {
-            data[a] = v;
-        }
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<T>) {
-        let data = self.local();
-        for &(start, len) in runs.runs() {
-            out.extend_from_slice(&data[start..start + len]);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs(&mut self, ep: &mut Endpoint, runs: &AddrRuns, vals: &[T]) {
-        assert_eq!(runs.len(), vals.len());
-        let data = self.local_mut();
-        let mut off = 0;
-        for &(start, len) in runs.runs() {
-            data[start..start + len].copy_from_slice(&vals[off..off + len]);
-            off += len;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs_wire(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<u8>)
-    where
-        T: Wire,
-    {
-        let data = self.local();
-        for &(start, len) in runs.runs() {
-            T::write_slice(&data[start..start + len], out);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs_wire(
-        &mut self,
-        ep: &mut Endpoint,
-        runs: &AddrRuns,
-        r: &mut WireReader<'_>,
-    ) -> Result<(), SimError>
-    where
-        T: Wire,
-    {
-        let data = self.local_mut();
-        for &(start, len) in runs.runs() {
-            T::read_slice(r, &mut data[start..start + len])?;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-        Ok(())
+    fn local_mut(&mut self) -> &mut [T] {
+        HpfArray::local_mut(self)
     }
 }
 
@@ -402,65 +314,40 @@ mod tests {
     use mcsim::world::World;
     use meta_chaos::build::{compute_schedule, BuildMethod};
     use meta_chaos::datamove::data_move;
+    use meta_chaos::testlib::check_deref_runs;
     use meta_chaos::Side;
 
     #[test]
-    fn deref_owned_matches_descriptor_for_cyclic() {
-        let world = World::with_model(3, MachineModel::zero());
-        world.run(|ep| {
-            let g = Group::world(3);
-            let dist = HpfDist::new(vec![15], vec![DistKind::Cyclic(2)], vec![3]);
-            let a = HpfArray::<f64>::new(&g, ep.rank(), dist);
-            let set =
-                SetOfRegions::single(RegularSection::new(vec![meta_chaos::DimSlice::strided(
-                    1, 15, 2,
-                )]));
-            let mut comm = Comm::new(ep, g);
-            let owned = a.deref_owned(&mut comm, &set);
-            let desc = a.descriptor(&mut comm);
-            let me = comm.ep_ref().rank();
-            let all = desc.locate_all(&set);
-            for &(pos, addr) in &owned {
-                assert_eq!(all[pos], Location { rank: me, addr });
-            }
-            let mine = all.iter().filter(|l| l.rank == me).count();
-            assert_eq!(mine, owned.len());
-        });
-    }
-
-    #[test]
-    fn deref_owned_runs_expand_to_deref_owned() {
-        // Both the contiguous box path and the cyclic chunk path.
-        let dists = [
-            HpfDist::block_block(9, 8, 2, 2),
-            HpfDist::new(
-                vec![9, 8],
-                vec![DistKind::Cyclic(2), DistKind::Block],
-                vec![2, 2],
-            ),
+    fn deref_owned_runs_agree_with_descriptor() {
+        // The contiguous box path and the cyclic chunk path, 1-D and 2-D.
+        let cyclic_1d = HpfDist::new(vec![15], vec![DistKind::Cyclic(2)], vec![3]);
+        let strided_1d =
+            SetOfRegions::single(RegularSection::new(vec![meta_chaos::DimSlice::strided(
+                1, 15, 2,
+            )]));
+        let set_2d = SetOfRegions::from_regions(vec![
+            RegularSection::of_bounds(&[(1, 8), (2, 7)]),
+            RegularSection::new(vec![
+                meta_chaos::DimSlice::strided(0, 9, 2),
+                meta_chaos::DimSlice::strided(1, 8, 3),
+            ]),
+        ]);
+        let cyclic_2d = HpfDist::new(
+            vec![9, 8],
+            vec![DistKind::Cyclic(2), DistKind::Block],
+            vec![2, 2],
+        );
+        let cases = [
+            (3usize, cyclic_1d, strided_1d),
+            (4, HpfDist::block_block(9, 8, 2, 2), set_2d.clone()),
+            (4, cyclic_2d, set_2d),
         ];
-        for dist in dists {
-            let world = World::with_model(4, MachineModel::zero());
+        for (procs, dist, set) in cases {
+            let world = World::with_model(procs, MachineModel::zero());
             world.run(|ep| {
-                let g = Group::world(4);
+                let g = Group::world(procs);
                 let a = HpfArray::<f64>::new(&g, ep.rank(), dist.clone());
-                let set = SetOfRegions::from_regions(vec![
-                    RegularSection::of_bounds(&[(1, 8), (2, 7)]),
-                    RegularSection::new(vec![
-                        meta_chaos::DimSlice::strided(0, 9, 2),
-                        meta_chaos::DimSlice::strided(1, 8, 3),
-                    ]),
-                ]);
-                let mut comm = Comm::new(ep, g);
-                let owned = a.deref_owned(&mut comm, &set);
-                let runs = a.deref_owned_runs(&mut comm, &set);
-                let mut expanded = Vec::new();
-                for r in &runs {
-                    for k in 0..r.len {
-                        expanded.push((r.pos + k, r.addr_at(k)));
-                    }
-                }
-                assert_eq!(expanded, owned);
+                check_deref_runs(&mut Comm::new(ep, g), &a, &set);
             });
         }
     }
@@ -519,7 +406,7 @@ mod tests {
                     let runs = if via_runs {
                         a.deref_owned_runs(&mut comm, set)
                     } else {
-                        meta_chaos::coalesce_owned(&a.deref_owned(&mut comm, set))
+                        meta_chaos::coalesce_owned(&a.deref_owned_scan(&mut comm, set))
                     };
                     (runs, ep.clock().to_bits())
                 })
@@ -528,7 +415,7 @@ mod tests {
         out.results
     }
 
-    fn expand(runs: &[OwnedRun]) -> Vec<(usize, LocalAddr)> {
+    fn expand(runs: &[OwnedRun]) -> Vec<(usize, meta_chaos::LocalAddr)> {
         runs.iter()
             .flat_map(|r| (0..r.len).map(move |k| (r.pos + k, r.addr_at(k))))
             .collect()

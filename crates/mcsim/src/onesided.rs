@@ -10,7 +10,7 @@
 //! * [`expose`] registers a local byte window under a small integer id.
 //! * [`put`] streams bytes into a remote window.  Puts ride the sliding-
 //!   window reliable transport on a *sink stream* — a
-//!   [`StreamTag`](crate::reliable::StreamTag) whose stream id carries the
+//!   [`StreamTag`] whose stream id carries the
 //!   sink bits — so they get chunking, retransmission, and dedup for
 //!   free, and they are applied to the target's window **at intake** (the
 //!   simulated NIC), charging nothing to the target's program clock.

@@ -1,6 +1,6 @@
 //! A reliable delivery layer over the (possibly faulted) simulated network.
 //!
-//! The raw [`Endpoint`](crate::endpoint::Endpoint) channel is physically
+//! The raw [`Endpoint`] channel is physically
 //! FIFO and lossless, but a [`crate::fault::FaultPlan`] makes it lossy:
 //! frames are dropped (delivered as tombstones), duplicated, bit-flipped,
 //! or delayed.  This module implements a **sliding-window** protocol per

@@ -37,8 +37,8 @@
 //! then wakes, deterministically (lowest `(clock, rank)` first):
 //!
 //! 1. if every task finished its program: all service-mode tasks, with
-//!    [`WakeCause::Shutdown`] — the run is complete;
-//! 2. else one silence-capable waiter with [`WakeCause::Silence`] — it
+//!    `WakeCause::Shutdown` — the run is complete;
+//! 2. else one silence-capable waiter with `WakeCause::Silence` — it
 //!    counts a lease miss / get retry / recv timeout exactly where the
 //!    threaded runner counted a real-time window;
 //! 3. else (armed deadline) one blocked waiter with `Silence`, surfacing
@@ -48,12 +48,12 @@
 //!
 //! ## Park/resume protocol
 //!
-//! A parking task writes its request into its [`TaskCell`] and switches
+//! A parking task writes its request into its `TaskCell` and switches
 //! back to the hosting worker; the *worker* publishes the new state under
 //! the scheduler lock only after the context is fully saved, so another
 //! worker can never resume a half-parked continuation.  Wake causes flow
-//! the other way: the worker writes [`TaskCell::wake`] before switching
-//! in, and [`CoopHandle::park`] returns it to the endpoint.
+//! the other way: the worker writes `TaskCell::wake` before switching
+//! in, and `CoopHandle::park` returns it to the endpoint.
 //!
 //! ## Stacks
 //!

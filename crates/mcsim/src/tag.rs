@@ -24,7 +24,7 @@
 //! `0x6`; `0x7` is control-plane and excluded by default).  One-sided PUT
 //! payloads do not get their own class: they ride reliable `0x5` streams
 //! whose *stream id* carries the sink bits (see
-//! [`crate::onesided::is_sink_tag`]).
+//! `crate::onesided::is_sink_tag`).
 
 /// A message tag: `(context, user)`.
 ///

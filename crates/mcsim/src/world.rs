@@ -259,7 +259,7 @@ impl World {
     /// Arm a virtual-clock deadline (seconds) for the whole run: any rank
     /// whose clock passes it — or that blocks in a receive with nothing
     /// arriving while it is armed — fails with
-    /// [`SimError::DeadlineExceeded`](crate::SimError::DeadlineExceeded)
+    /// [`SimError::DeadlineExceeded`]
     /// instead of hanging.  This is the fuzz harness's no-hang oracle;
     /// production-style runs leave it off and rely on the reliable
     /// layer's retry budget.

@@ -4,20 +4,22 @@
 //! of inquiry functions": dereference elements of a SetOfRegions to owning
 //! processor + local address, manipulate its Regions to build a
 //! linearization, and pack/unpack elements to/from communication buffers.
-//! [`McObject`] is that contract; [`McDescriptor`] is the shippable
-//! distribution descriptor that enables the *duplication* schedule-build
-//! strategy.
+//! [`McObject`] is that contract — owned segments, a descriptor, and a view
+//! of the rank's local storage, over which pack/unpack are written once
+//! here; [`McDescriptor`] is the shippable distribution descriptor that
+//! enables the *duplication* schedule-build strategy.
 //!
 //! The four workspace libraries (`multiblock`, `chaos`, `hpf`, `tulip`)
 //! implement these traits; see the `custom_library` example for how little
 //! a fifth library needs.
 
+use mcsim::error::SimError;
 use mcsim::group::Comm;
 use mcsim::prelude::Endpoint;
-use mcsim::wire::Wire;
+use mcsim::wire::{Wire, WireReader};
 
 use crate::region::Region;
-use crate::runs::{coalesce_owned, LocatedRun, OwnedRun};
+use crate::runs::{LocatedRun, OwnedRun};
 use crate::schedule::AddrRuns;
 use crate::setof::SetOfRegions;
 use crate::LocalAddr;
@@ -44,13 +46,6 @@ pub trait McDescriptor: Wire + Clone + Send {
 
     /// Location of element `pos` of the linearization of `set`.
     fn locate(&self, set: &SetOfRegions<Self::Region>, pos: usize) -> Location;
-
-    /// Locate every element of `set`, in linearization order.  The default
-    /// calls [`Self::locate`] per element; libraries may override with a
-    /// faster batch implementation.
-    fn locate_all(&self, set: &SetOfRegions<Self::Region>) -> Vec<Location> {
-        (0..set.total_len()).map(|p| self.locate(set, p)).collect()
-    }
 
     /// Locate the run of consecutive linearization positions starting at
     /// `pos` that live contiguously (in one address progression) on one
@@ -120,7 +115,7 @@ pub trait McDescriptor: Wire + Clone + Send {
     /// duplication build "about twice" cooperation when Chaos is involved
     /// (paper Table 2) yet cheaper than cooperation for regular–regular
     /// transfers (Table 5).
-    fn charge_locates(&self, ep: &mut mcsim::prelude::Endpoint, n: usize) {
+    fn charge_locates(&self, ep: &mut Endpoint, n: usize) {
         ep.charge_owner_calc(2 * n);
     }
 }
@@ -176,7 +171,10 @@ impl<'a, Desc: McDescriptor> LocateCursor<'a, Desc> {
 }
 
 /// The interface functions a distributed data structure exports to
-/// Meta-Chaos (one instance per rank of the owning program, SPMD).
+/// Meta-Chaos (one instance per rank of the owning program, SPMD): which
+/// segments of a transfer this rank owns, a shippable descriptor, and a
+/// view of the rank's local storage.  A [`LocalAddr`] *is* an offset into
+/// that view, so packing and unpacking are written once, here.
 pub trait McObject<T: Copy> {
     /// The library's Region type.
     type Region: Region + Wire;
@@ -185,61 +183,32 @@ pub trait McObject<T: Copy> {
 
     /// Collective over the owning program (`comm`): dereference the
     /// elements of `set` and return, on each rank, the elements *this rank
-    /// owns* as `(linearization position, local address)` pairs, sorted by
-    /// position.
+    /// owns* as sorted, disjoint `(pos_start, len, addr_start, stride)`
+    /// runs of linearization positions.
     ///
-    /// Regular libraries answer from closed-form owner arithmetic with no
-    /// communication; Chaos consults its distributed translation table
-    /// (request–reply with the table owners).
-    fn deref_owned(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<Self::Region>,
-    ) -> Vec<(usize, LocalAddr)>;
-
-    /// Collective over the owning program: as [`McObject::deref_owned`],
-    /// but run-length compressed — sorted, disjoint
-    /// `(pos_start, len, addr_start, stride)` runs covering exactly the
-    /// elements this rank owns.
-    ///
-    /// The default dereferences element-wise and coalesces, which is
-    /// always correct but still O(elements).  Regular libraries override
-    /// it to emit one run per section row straight from owner arithmetic,
-    /// making the inspector O(regions); Chaos coalesces consecutive
-    /// translation-table entries and naturally degrades to length-1 runs.
-    /// The virtual-clock charges must match [`McObject::deref_owned`] —
-    /// the *dereference work* is the same, only its representation shrinks.
+    /// Regular libraries emit one run per section row straight from owner
+    /// arithmetic with no communication, making the inspector O(regions);
+    /// Chaos consults its distributed translation table (request–reply
+    /// with the table owners), coalesces consecutive entries and naturally
+    /// degrades to length-1 runs.  The virtual clock is charged for the
+    /// dereference *work* — per element, whatever the representation.
     fn deref_owned_runs(
         &self,
         comm: &mut Comm<'_>,
         set: &SetOfRegions<Self::Region>,
-    ) -> Vec<OwnedRun> {
-        coalesce_owned(&self.deref_owned(comm, set))
-    }
-
-    /// Collective over the owning program: locate *arbitrary*
-    /// linearization positions of `set` — not just owned ones.  Each
-    /// calling rank passes its own query list and receives `Location`s in
-    /// query order.
-    ///
-    /// Regular libraries answer with closed-form arithmetic (no
-    /// communication); Chaos performs another round trip through its
-    /// distributed translation table.  The duplication build strategy
-    /// calls this once per side, which is what makes it cost "about twice
-    /// as much" as cooperation when a Chaos array is involved (paper
-    /// §5.1) while remaining communication-free for regular–regular
-    /// transfers (§5.3).
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<Self::Region>,
-        positions: &[usize],
-    ) -> Vec<Location>;
+    ) -> Vec<OwnedRun>;
 
     /// Collective over the owning program: produce a descriptor every rank
     /// of the program holds in full (a Chaos implementation gathers its
     /// table pieces here, and charges the clock accordingly).
     fn descriptor(&self, comm: &mut Comm<'_>) -> Self::Descriptor;
+
+    /// This rank's local storage; every [`LocalAddr`] the dereference and
+    /// the descriptor hand out indexes it.
+    fn local(&self) -> &[T];
+
+    /// Mutable view of the same storage.
+    fn local_mut(&mut self) -> &mut [T];
 
     /// Distribution epoch: a counter the library bumps every time this
     /// object is *redistributed* (Chaos `remap`, HPF `REDISTRIBUTE`,
@@ -254,64 +223,39 @@ pub trait McObject<T: Copy> {
         0
     }
 
-    /// Copy the elements at `addrs` (in order) into `out`.
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<T>);
-
-    /// Store `data` (in order) into the elements at `addrs`.
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], data: &[T]);
-
-    /// Copy the elements covered by run-compressed `runs` (in run order)
-    /// into `out`.
-    ///
-    /// The default expands the runs and calls [`McObject::pack`], so
-    /// existing libraries work unchanged.  Libraries whose local storage is
-    /// a dense array (the regular ones: multiblock, hpf, tulip) override
-    /// this with one `extend_from_slice` per run — the executor fast path
-    /// that makes regular-section transfers a handful of `memcpy`s.
-    fn pack_runs(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<T>) {
-        self.pack(ep, &runs.to_vec(), out);
-    }
-
-    /// Store `data` into the elements covered by `runs` (in run order).
-    /// Bulk counterpart of [`McObject::unpack`]; same default/override
-    /// contract as [`McObject::pack_runs`].
-    fn unpack_runs(&mut self, ep: &mut Endpoint, runs: &AddrRuns, data: &[T]) {
-        self.unpack(ep, &runs.to_vec(), data);
-    }
-
-    /// Encode the elements covered by `runs` straight into a wire buffer
-    /// (payload bytes only — the caller writes the element-count header).
-    ///
-    /// The default stages through a scratch vector; dense-array libraries
-    /// override this with one [`Wire::write_slice`] per run, so a send
-    /// packs source storage → wire buffer in a single copy with no
-    /// intermediate typed buffer.
+    /// Encode the elements covered by `runs` (in run order) straight into
+    /// a wire buffer — payload bytes only, the caller writes the
+    /// element-count header.  One [`Wire::write_slice`] per run: source
+    /// storage → wire buffer in a single copy.
     fn pack_runs_wire(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<u8>)
     where
         T: Wire,
     {
-        let mut scratch = Vec::with_capacity(runs.len());
-        self.pack_runs(ep, runs, &mut scratch);
-        T::write_slice(&scratch, out);
+        let data = self.local();
+        for &(start, len) in runs.runs() {
+            T::write_slice(&data[start..start + len], out);
+        }
+        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
     }
 
     /// Decode `runs.len()` elements from a received payload straight into
     /// the elements covered by `runs` (the caller has already consumed the
-    /// count header).  Default stages through a scratch vector; dense-array
-    /// libraries override with one [`Wire::read_slice`] per run, making
-    /// receive-side unpacking wire buffer → library storage in one copy.
+    /// count header).  One [`Wire::read_slice`] per run: wire buffer →
+    /// library storage in a single copy.
     fn unpack_runs_wire(
         &mut self,
         ep: &mut Endpoint,
         runs: &AddrRuns,
-        r: &mut mcsim::wire::WireReader<'_>,
-    ) -> Result<(), mcsim::error::SimError>
+        r: &mut WireReader<'_>,
+    ) -> Result<(), SimError>
     where
         T: Wire,
     {
-        let mut scratch = Vec::with_capacity(runs.len());
-        T::read_extend(r, runs.len(), &mut scratch)?;
-        self.unpack_runs(ep, runs, &scratch);
+        let data = self.local_mut();
+        for &(start, len) in runs.runs() {
+            T::read_slice(r, &mut data[start..start + len])?;
+        }
+        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
         Ok(())
     }
 }
@@ -343,8 +287,10 @@ impl<'a, T: Copy, O: McObject<T>> Side<'a, T, O> {
 mod tests {
     use super::*;
     use crate::region::IndexSet;
-    use mcsim::error::SimError;
-    use mcsim::wire::WireReader;
+    use crate::testlib::BlockVec;
+    use mcsim::group::Group;
+    use mcsim::model::MachineModel;
+    use mcsim::world::World;
 
     /// A toy descriptor: element `g` lives on rank `g % p`, addr `g / p`.
     #[derive(Clone, Debug, PartialEq)]
@@ -371,21 +317,6 @@ mod tests {
                 addr: g / self.p,
             }
         }
-    }
-
-    #[test]
-    fn default_locate_all_matches_locate() {
-        let d = CyclicDesc { p: 3 };
-        let set = SetOfRegions::from_regions(vec![
-            IndexSet::new(vec![4, 7, 9]),
-            IndexSet::new(vec![0, 2]),
-        ]);
-        let all = d.locate_all(&set);
-        assert_eq!(all.len(), 5);
-        for (pos, loc) in all.iter().enumerate() {
-            assert_eq!(*loc, d.locate(&set, pos));
-        }
-        assert_eq!(all[0], Location { rank: 1, addr: 1 }); // g=4, p=3
     }
 
     /// Rows of `width` positions; row `r` lives on rank `r % p` at
@@ -492,5 +423,60 @@ mod tests {
         let tail = d.locate_runs(&set, 3, 2);
         assert_eq!(tail[0].pos, 3);
         assert_eq!(tail.last().unwrap().end(), 5);
+    }
+
+    #[test]
+    fn provided_pack_and_unpack_walk_the_local_view() {
+        let world = World::with_model(1, MachineModel::sp2());
+        world.run(|ep| {
+            let g = Group::world(1);
+            let src = BlockVec::create(&g, 0, 64, |i| i as f64 + 0.5);
+            let cost = ep.model().byte_copy_cost;
+            assert!(cost > 0.0);
+            // One long run, Chaos-shaped length-1 runs at unsorted
+            // addresses, and nothing at all.
+            let long: AddrRuns = (8..40).collect();
+            let ones: AddrRuns = [17usize, 3, 60, 5, 41].into_iter().collect();
+            assert_eq!((long.runs().len(), ones.runs().len()), (1, 5));
+            for runs in [&long, &ones, &AddrRuns::new()] {
+                let charge = (runs.len() * 8) as f64 * cost;
+                let before = ep.clock();
+                let mut bytes = Vec::new();
+                src.pack_runs_wire(ep, runs, &mut bytes);
+                assert_eq!(ep.clock(), before + charge);
+                let gathered: Vec<f64> = runs.iter().map(|a| src.data[a]).collect();
+                let mut want = Vec::new();
+                f64::write_slice(&gathered, &mut want);
+                assert_eq!(bytes, want);
+
+                let mut dst = BlockVec::create(&g, 0, 64, |_| -1.0);
+                let before = ep.clock();
+                let mut r = WireReader::new(&bytes);
+                dst.unpack_runs_wire(ep, runs, &mut r).expect("round trip");
+                assert_eq!(ep.clock(), before + charge);
+                assert_eq!(r.remaining(), 0);
+                let mut expect = vec![-1.0; 64];
+                for a in runs.iter() {
+                    expect[a] = src.data[a];
+                }
+                assert_eq!(dst.data, expect);
+            }
+
+            // A payload one element short of the second run: the first
+            // run lands, the second run's storage is never touched.
+            let mut runs = AddrRuns::new();
+            runs.push_run(2, 3);
+            runs.push_run(10, 4);
+            let mut bytes = Vec::new();
+            f64::write_slice(&[9.0; 6], &mut bytes);
+            let mut dst = BlockVec::create(&g, 0, 64, |_| -1.0);
+            let err = dst
+                .unpack_runs_wire(ep, &runs, &mut WireReader::new(&bytes))
+                .unwrap_err();
+            assert!(matches!(err, SimError::Decode(_)), "{err:?}");
+            let mut expect = vec![-1.0; 64];
+            expect[2..5].fill(9.0);
+            assert_eq!(dst.data, expect);
+        });
     }
 }

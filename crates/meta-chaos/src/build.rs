@@ -28,10 +28,7 @@
 //! the resulting [`AddrRuns`] are emitted straight into the [`Schedule`] —
 //! per-element pair vectors are never materialized, so regular–regular
 //! construction is O(regions) instead of O(elements).  Irregular
-//! (Chaos-style) sets degrade to length-1 runs and do the same per-element
-//! work as before.  The element-wise implementation is retained as
-//! [`compute_schedule_reference`] for parity testing and benchmarking; both
-//! produce byte-identical schedules.
+//! (Chaos-style) sets degrade to length-1 runs and do per-element work.
 
 use mcsim::group::{Comm, Group};
 use mcsim::prelude::Endpoint;
@@ -44,7 +41,6 @@ use crate::linear::PosBlocks;
 use crate::runs::{runs_total, OwnedRun};
 use crate::schedule::{AddrRuns, PairRuns, Schedule};
 use crate::setof::SetOfRegions;
-use crate::LocalAddr;
 
 /// How to build the schedule (paper §5.1 "cooperation" vs "duplication").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,75 +87,6 @@ where
     S: McObject<T>,
     D: McObject<T>,
 {
-    compute_schedule_with(
-        ep,
-        union,
-        src_prog,
-        src,
-        dst_prog,
-        dst,
-        method,
-        BuildImpl::Runs,
-    )
-}
-
-/// The element-wise reference inspector: identical contract and
-/// byte-identical output to [`compute_schedule`], but every phase processes
-/// one `(position, address)` pair per element, as the original
-/// implementation did.  Kept for the schedule-parity property tests and as
-/// the benchmark ablation baseline; production callers want
-/// [`compute_schedule`].
-pub fn compute_schedule_reference<T, S, D>(
-    ep: &mut Endpoint,
-    union: &Group,
-    src_prog: &Group,
-    src: Option<Side<'_, T, S>>,
-    dst_prog: &Group,
-    dst: Option<Side<'_, T, D>>,
-    method: BuildMethod,
-) -> Result<Schedule, McError>
-where
-    T: Copy,
-    S: McObject<T>,
-    D: McObject<T>,
-{
-    compute_schedule_with(
-        ep,
-        union,
-        src_prog,
-        src,
-        dst_prog,
-        dst,
-        method,
-        BuildImpl::Elementwise,
-    )
-}
-
-/// Which inspector implementation to run (same output either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BuildImpl {
-    /// Interval arithmetic over run lists — O(regions) for regular sides.
-    Runs,
-    /// The original per-element pipeline — O(elements) always.
-    Elementwise,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn compute_schedule_with<T, S, D>(
-    ep: &mut Endpoint,
-    union: &Group,
-    src_prog: &Group,
-    src: Option<Side<'_, T, S>>,
-    dst_prog: &Group,
-    dst: Option<Side<'_, T, D>>,
-    method: BuildMethod,
-    imp: BuildImpl,
-) -> Result<Schedule, McError>
-where
-    T: Copy,
-    S: McObject<T>,
-    D: McObject<T>,
-{
     // The whole inspector pass is one `inspect` span: provenance (build
     // strategy, group sizes) goes in the detail, and the resulting
     // schedule's identity is recorded as a mark so a trace ties every
@@ -172,7 +99,7 @@ where
             dst_prog.size()
         )
     });
-    let r = compute_schedule_inner(ep, union, src_prog, src, dst_prog, dst, method, imp);
+    let r = compute_schedule_inner(ep, union, src_prog, src, dst_prog, dst, method);
     if let Ok(s) = &r {
         ep.mark(|| {
             format!(
@@ -199,7 +126,6 @@ fn compute_schedule_inner<T, S, D>(
     dst_prog: &Group,
     dst: Option<Side<'_, T, D>>,
     method: BuildMethod,
-    imp: BuildImpl,
 ) -> Result<Schedule, McError>
 where
     T: Copy,
@@ -272,62 +198,28 @@ where
     }
     let n = n_src;
 
-    let built: Result<Built, McError> = match (method, imp) {
-        (BuildMethod::Cooperation, BuildImpl::Runs) => {
-            build_cooperation_runs(ep, union, me_ul, src_prog, src, dst_prog, dst, n)
-                .map(Built::Runs)
+    let (sends, recvs, local_pairs) = match method {
+        BuildMethod::Cooperation => {
+            build_cooperation_runs(ep, union, me_ul, src_prog, src, dst_prog, dst, n)?
         }
-        (BuildMethod::Cooperation, BuildImpl::Elementwise) => {
-            build_cooperation_elems(ep, union, me_ul, src_prog, src, dst_prog, dst, n)
-                .map(Built::Elems)
+        BuildMethod::Duplication if src_prog.members() == dst_prog.members() => {
+            let s = src.as_ref().expect("one-program rank has src");
+            let d = dst.as_ref().expect("one-program rank has dst");
+            build_duplication_one_program_runs(ep, union, me_ul, src_prog, s, dst_prog, d)
         }
-        (BuildMethod::Duplication, imp) => {
-            if src_prog.members() == dst_prog.members() {
-                let s = src.as_ref().expect("one-program rank has src");
-                let d = dst.as_ref().expect("one-program rank has dst");
-                match imp {
-                    BuildImpl::Runs => build_duplication_one_program_runs(
-                        ep, union, me_ul, src_prog, s, dst_prog, d,
-                    )
-                    .map(Built::Runs),
-                    BuildImpl::Elementwise => build_duplication_one_program_elems(
-                        ep, union, me_ul, src_prog, s, dst_prog, d,
-                    )
-                    .map(Built::Elems),
-                }
-            } else {
-                match imp {
-                    BuildImpl::Runs => build_duplication_two_programs_runs(
-                        ep,
-                        union,
-                        me_ul,
-                        src_prog,
-                        src,
-                        src_root_ul,
-                        dst_prog,
-                        dst,
-                        dst_root_ul,
-                        n,
-                    )
-                    .map(Built::Runs),
-                    BuildImpl::Elementwise => build_duplication_two_programs_elems(
-                        ep,
-                        union,
-                        me_ul,
-                        src_prog,
-                        src,
-                        src_root_ul,
-                        dst_prog,
-                        dst,
-                        dst_root_ul,
-                        n,
-                    )
-                    .map(Built::Elems),
-                }
-            }
-        }
+        BuildMethod::Duplication => build_duplication_two_programs_runs(
+            ep,
+            union,
+            me_ul,
+            src_prog,
+            src,
+            src_root_ul,
+            dst_prog,
+            dst,
+            dst_root_ul,
+            n,
+        ),
     };
-    let built = built?;
 
     // Assign a consistent sequence number for message-stream separation.
     let seq = {
@@ -341,34 +233,16 @@ where
     };
 
     let (elem_tag, elem_size) = crate::schedule::elem_type::<T>();
-    let sched = match built {
-        Built::Elems((sends, recvs, local_pairs)) => {
-            Schedule::new(union.clone(), seq, sends, recvs, local_pairs, n)
-        }
-        Built::Runs((sends, recvs, local_pairs)) => {
-            Schedule::from_runs(union.clone(), seq, sends, recvs, local_pairs, n)
-        }
-    };
+    let sched = Schedule::from_runs(union.clone(), seq, sends, recvs, local_pairs, n);
     Ok(sched.with_integrity(src_epoch, dst_epoch, elem_tag, elem_size))
 }
 
-type BuiltParts = (
-    Vec<(usize, Vec<LocalAddr>)>,
-    Vec<(usize, Vec<LocalAddr>)>,
-    Vec<(LocalAddr, LocalAddr)>,
-);
-
+/// What a builder hands back: per-peer send and receive address runs
+/// (keyed by every union rank, empty ones included) and the local pairs.
 type BuiltRunParts = (Vec<(usize, AddrRuns)>, Vec<(usize, AddrRuns)>, PairRuns);
 
-/// What a builder hands back: already-compressed run lists (the run-based
-/// builders) or per-element address lists (the element-wise reference).
-enum Built {
-    Elems(BuiltParts),
-    Runs(BuiltRunParts),
-}
-
 /// Charge the virtual clock for inspector wire bytes the run encoding did
-/// *not* put on the real wire but the modeled element-wise protocol would
+/// *not* put on the real wire but the modeled per-element protocol would
 /// have: `sent_missing` bytes of send copy + wire serialization, and
 /// `recv_missing` bytes of receive-side copy.  Keeps the simulated machine
 /// running the paper's per-element inspector while the host ships compact
@@ -421,15 +295,14 @@ impl UnionLocals {
     }
 }
 
-/// Run-based cooperation build.  The same four communication rounds as the
-/// element-wise pipeline, but every record on the wire is an interval:
+/// Cooperation build: four communication rounds, every record on the wire
+/// an interval:
 ///
 /// * **A/B** — each side announces its owned runs as `(pos, len)` pieces,
 ///   split only at coordinator block boundaries;
 /// * **coordinator** — both sides' pieces are sorted by position; overlap
 ///   in the sorted sweep is a duplicate announcement, and ownership is
-///   matched by two-pointer interval intersection instead of per-position
-///   `src_of`/`dst_of` tables;
+///   matched by two-pointer interval intersection;
 /// * **C** — `(pos, len, src_rank)` triples are routed to each destination
 ///   owner;
 /// * **D** — sources answer merged `(pos, len)` request intervals with a
@@ -439,8 +312,8 @@ impl UnionLocals {
 /// Addresses are emitted straight into [`AddrRuns`], so no per-element
 /// vector exists at any point.
 ///
-/// **Cost model.**  The *virtual* clock still models the paper's
-/// element-wise inspector — that is what Tables 2 and 5 measured — so each
+/// **Cost model.**  The *virtual* clock models the paper's per-element
+/// inspector — that is what Tables 2 and 5 measured — so each
 /// phase charges the element-equivalent copy/insert cost (derived from run
 /// lengths in O(runs) host work), and [`charge_wire_equiv`] accounts for
 /// the wire bytes a per-element announcement would have carried beyond
@@ -543,9 +416,8 @@ where
 
     // Coordinator: collect one side's announced intervals sorted by
     // position.  With sorted intervals, any start below the running
-    // coverage end is a double announcement — the interval form of the
-    // element-wise "slot refilled" check (dup_flag keeps the max
-    // duplicated position + 1, as before).
+    // coverage end is a double announcement (dup_flag keeps the max
+    // duplicated position + 1).
     let collect = |at_coord: Vec<Vec<(u32, u32)>>,
                    dup_flag: &mut usize|
      -> (Vec<(u32, u32, u32)>, usize, usize) {
@@ -684,8 +556,7 @@ where
     }
     // Assembling the complete schedule on the destination side is the
     // structure-building step that makes cooperation the most expensive
-    // method for regular-regular transfers (Table 5) — charged per element
-    // exactly like the element-wise inspector.
+    // method for regular-regular transfers (Table 5) — charged per element.
     ucomm.ep().charge_schedule_insert(d_mine);
 
     // Phase D: sources receive ordered request intervals and translate
@@ -728,182 +599,18 @@ where
     Ok(finish_run_parts(me_ul, sends, recvs))
 }
 
-/// Element-wise cooperation build — the reference implementation the
-/// run-based [`build_cooperation_runs`] must match byte for byte.
-#[allow(clippy::too_many_arguments)]
-fn build_cooperation_elems<T, S, D>(
-    ep: &mut Endpoint,
-    union: &Group,
-    me_ul: usize,
-    src_prog: &Group,
-    src: Option<Side<'_, T, S>>,
-    dst_prog: &Group,
-    dst: Option<Side<'_, T, D>>,
-    n: usize,
-) -> Result<BuiltParts, McError>
-where
-    T: Copy,
-    S: McObject<T>,
-    D: McObject<T>,
-{
-    let p = union.size();
-
-    // Each side dereferences its own elements (collective per program).
-    let sown: Vec<(usize, LocalAddr)> = match &src {
-        Some(s) => {
-            let mut pcomm = Comm::borrowed(ep, src_prog);
-            s.obj.deref_owned(&mut pcomm, s.set)
-        }
-        None => Vec::new(),
-    };
-    let down: Vec<(usize, LocalAddr)> = match &dst {
-        Some(d) => {
-            let mut pcomm = Comm::borrowed(ep, dst_prog);
-            d.obj.deref_owned(&mut pcomm, d.set)
-        }
-        None => Vec::new(),
-    };
-    debug_assert!(sown.windows(2).all(|w| w[0].0 < w[1].0), "sown sorted");
-    debug_assert!(down.windows(2).all(|w| w[0].0 < w[1].0), "down sorted");
-
-    let mut ucomm = Comm::borrowed(ep, union);
-
-    // Library contract check: each side accounted for every position once.
-    let s_total: usize = ucomm.allreduce_sum(sown.len());
-    let d_total: usize = ucomm.allreduce_sum(down.len());
-    assert_eq!(s_total, n, "source library dereferenced {s_total} of {n}");
-    assert_eq!(
-        d_total, n,
-        "destination library dereferenced {d_total} of {n}"
-    );
-
-    let pb = PosBlocks::new(n, p);
-    let my_block = pb.range(me_ul);
-
-    // Positions travel as packed u32s and the per-element processing in
-    // the phases below is charged at memory-copy rates: the matching is a
-    // streaming scatter/merge over flat arrays, unlike the per-element
-    // *software* cost of a library dereference.
-    let pos32 = |pos: usize| -> u32 {
-        debug_assert!(
-            pos < u32::MAX as usize,
-            "transfer too large for wire format"
-        );
-        pos as u32
-    };
-
-    // Phases A & B: each side announces its owned positions to the
-    // position-block coordinators.
-    let announce = |ucomm: &mut Comm<'_>, owned: &[(usize, LocalAddr)]| {
-        let mut send: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-        for &(pos, _) in owned {
-            send[pb.owner(pos)].push(pos32(pos));
-        }
-        ucomm.ep().charge_copy_bytes(4 * owned.len());
-        ucomm.alltoallv_t(send)
-    };
-    let src_at_coord = announce(&mut ucomm, &sown);
-    let dst_at_coord = announce(&mut ucomm, &down);
-
-    // Coordinator: record which union rank owns each position on each side.
-    const NONE: u32 = u32::MAX;
-    let record = |at_coord: Vec<Vec<u32>>, table: &mut Vec<u32>, dup_flag: &mut usize| {
-        let mut received = 0usize;
-        for (from, list) in at_coord.into_iter().enumerate() {
-            received += list.len();
-            for pos in list {
-                let slot = &mut table[pos as usize - my_block.start];
-                if *slot != NONE {
-                    *dup_flag = (*dup_flag).max(pos as usize + 1);
-                }
-                *slot = from as u32;
-            }
-        }
-        received
-    };
-    let mut src_of = vec![NONE; my_block.len()];
-    let mut dst_of = vec![NONE; my_block.len()];
-    let mut dup_flag: usize = 0; // pos+1 of first duplicate seen, else 0
-    let ra = record(src_at_coord, &mut src_of, &mut dup_flag);
-    let rb = record(dst_at_coord, &mut dst_of, &mut dup_flag);
-    ucomm.ep().charge_copy_bytes(4 * (ra + rb));
-    // Since totals matched n and coverage is exactly-once-or-duplicate, a
-    // duplicate implies some position is missing as well; surface it.
-    let dup = ucomm.allreduce_max_usize(dup_flag);
-    if dup != 0 {
-        return Err(McError::DuplicateDestination { pos: dup - 1 });
-    }
-    debug_assert!(src_of.iter().all(|&s| s != NONE), "positions uncovered");
-    debug_assert!(dst_of.iter().all(|&d| d != NONE), "positions uncovered");
-
-    // Phase C: coordinators tell each destination owner where its elements
-    // come from, in position order.
-    let mut to_dst: Vec<Vec<(u32, u32)>> = (0..p).map(|_| Vec::new()).collect();
-    for (i, pos) in my_block.clone().enumerate() {
-        let s = src_of[i];
-        let d = dst_of[i] as usize;
-        to_dst[d].push((pos32(pos), s));
-    }
-    ucomm.ep().charge_copy_bytes(8 * my_block.len());
-    let from_coord = ucomm.alltoallv_t(to_dst);
-    // Coordinators cover disjoint ascending position blocks, so simple
-    // concatenation in coordinator order is sorted by position.
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(down.len());
-    for list in from_coord {
-        pairs.extend(list);
-    }
-    debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
-    assert_eq!(
-        pairs.len(),
-        down.len(),
-        "coordinator routing lost or duplicated positions"
-    );
-
-    // Destination assembles its receive half and each source rank's
-    // requests (paper: "the complete schedule ... then sent back").
-    let mut recvs: Vec<Vec<LocalAddr>> = (0..p).map(|_| Vec::new()).collect();
-    let mut reqs: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-    for (&(pos, srank), &(dpos, daddr)) in pairs.iter().zip(&down) {
-        assert_eq!(pos as usize, dpos, "destination ownership out of sync");
-        recvs[srank as usize].push(daddr);
-        reqs[srank as usize].push(pos);
-    }
-    // Assembling the complete schedule on the destination side is the
-    // structure-building step that makes cooperation the most expensive
-    // method for regular-regular transfers (Table 5).
-    ucomm.ep().charge_schedule_insert(down.len());
-
-    // Phase D: sources receive the ordered position requests and translate
-    // them to local addresses by merge-join against their (sorted) owned
-    // list — both sides are position-ordered, so no hashing is needed.
-    let req_in = ucomm.alltoallv_t(reqs);
-    let mut sends: Vec<Vec<LocalAddr>> = (0..p).map(|_| Vec::new()).collect();
-    for (d, positions) in req_in.into_iter().enumerate() {
-        ucomm.ep().charge_copy_bytes(12 * positions.len());
-        let mut cursor = 0usize;
-        for pos in positions {
-            // Requests from one destination are ascending; restart only
-            // when a new destination's stream begins.
-            let pos = pos as usize;
-            if cursor < sown.len() && sown[cursor].0 > pos {
-                cursor = 0;
-            }
-            cursor += sown[cursor..]
-                .binary_search_by_key(&pos, |&(p, _)| p)
-                .unwrap_or_else(|_| panic!("requested position {pos} not owned here"));
-            sends[d].push(sown[cursor].1);
-        }
-    }
-
-    Ok(finish_parts(me_ul, sends, recvs))
-}
-
-/// Run-based duplication within one program: same two independent passes
-/// as the element-wise version, but each pass walks its own run list and
-/// advances by whole [`McDescriptor::locate_run`] answers — closed-form
-/// interval arithmetic for regular descriptors, length-1 steps (exactly
-/// the old per-element locate) otherwise.  The locate *charges* stay per
-/// element: the dereference work is unchanged, only its representation.
+/// Duplication within one program (paper §5.1): the sides first exchange
+/// *data descriptors* — for Chaos that replicates the translation table, a
+/// cost independent of the processor count — and then both "sides" (the
+/// same ranks) compute their halves of the schedule *independently*: each
+/// pass walks one array's owned runs and locates the matching positions
+/// through the other's descriptor, advancing by whole
+/// [`McDescriptor::locate_run`] answers — closed-form interval arithmetic
+/// for regular descriptors, length-1 steps otherwise.  The locate
+/// machinery therefore runs twice ("must call the Chaos dereference
+/// function twice") and is charged per element, while for regular–regular
+/// transfers everything is closed-form and **no communication happens at
+/// all** (§5.3, Table 5).
 #[allow(clippy::too_many_arguments)]
 fn build_duplication_one_program_runs<T, S, D>(
     ep: &mut Endpoint,
@@ -913,7 +620,7 @@ fn build_duplication_one_program_runs<T, S, D>(
     src: &Side<'_, T, S>,
     dst_prog: &Group,
     dst: &Side<'_, T, D>,
-) -> Result<BuiltRunParts, McError>
+) -> BuiltRunParts
 where
     T: Copy,
     S: McObject<T>,
@@ -987,98 +694,16 @@ where
         "rank {me_global}: independent passes disagree on local pairs"
     );
 
-    Ok(finish_run_parts(me_ul, sends, recvs))
+    finish_run_parts(me_ul, sends, recvs)
 }
 
-/// Duplication within one program (paper §5.1): the sides first exchange
-/// *data descriptors* — for Chaos that replicates the translation table, a
-/// cost independent of the processor count — and then both "sides" (the
-/// same ranks) compute their halves of the schedule *independently*: each
-/// pass dereferences one array and locates the matching positions through
-/// the other's descriptor.  The locate machinery therefore runs twice
-/// ("must call the Chaos dereference function twice"), while for
-/// regular–regular transfers everything is closed-form and **no
-/// communication happens at all** (§5.3, Table 5).
-#[allow(clippy::too_many_arguments)]
-fn build_duplication_one_program_elems<T, S, D>(
-    ep: &mut Endpoint,
-    union: &Group,
-    me_ul: usize,
-    src_prog: &Group,
-    src: &Side<'_, T, S>,
-    dst_prog: &Group,
-    dst: &Side<'_, T, D>,
-) -> Result<BuiltParts, McError>
-where
-    T: Copy,
-    S: McObject<T>,
-    D: McObject<T>,
-{
-    let p = union.size();
-    let me_global = ep.rank();
-
-    // Descriptor exchange.  Within one program every rank can construct
-    // both descriptors directly; Chaos charges its table replication here.
-    let sd: S::Descriptor = {
-        let mut pcomm = Comm::borrowed(ep, src_prog);
-        src.obj.descriptor(&mut pcomm)
-    };
-    let dd: D::Descriptor = {
-        let mut pcomm = Comm::borrowed(ep, dst_prog);
-        dst.obj.descriptor(&mut pcomm)
-    };
-
-    // Pass 1 — act as the source side: find my source elements, locate
-    // their destinations through the descriptor, build my send half.
-    let sown: Vec<(usize, LocalAddr)> = {
-        let mut pcomm = Comm::borrowed(ep, src_prog);
-        src.obj.deref_owned(&mut pcomm, src.set)
-    };
-    let mut sends: Vec<Vec<LocalAddr>> = (0..p).map(|_| Vec::new()).collect();
-    for &(pos, saddr) in &sown {
-        let loc = dd.locate(dst.set, pos);
-        let dl = union
-            .local_of(loc.rank)
-            .expect("destination owner outside union");
-        sends[dl].push(saddr);
-    }
-    dd.charge_locates(ep, sown.len());
-    // Light per-element bookkeeping only: this pass is a straight scan
-    // (the specialized native builders do the same work).
-    ep.charge_copy_bytes(8 * sown.len());
-
-    // Pass 2 — act as the destination side: find my destination elements,
-    // locate their sources, build my receive half.
-    let down: Vec<(usize, LocalAddr)> = {
-        let mut pcomm = Comm::borrowed(ep, dst_prog);
-        dst.obj.deref_owned(&mut pcomm, dst.set)
-    };
-    let mut recvs: Vec<Vec<LocalAddr>> = (0..p).map(|_| Vec::new()).collect();
-    for &(pos, daddr) in &down {
-        let loc = sd.locate(src.set, pos);
-        let sl = union
-            .local_of(loc.rank)
-            .expect("source owner outside union");
-        recvs[sl].push(daddr);
-    }
-    sd.charge_locates(ep, down.len());
-    ep.charge_copy_bytes(8 * down.len());
-
-    // Consistency: pass 1's view of my self-pairs must match pass 2's.
-    debug_assert_eq!(
-        sends[me_ul].len(),
-        recvs[me_ul].len(),
-        "rank {me_global}: independent passes disagree on local pairs"
-    );
-
-    Ok(finish_parts(me_ul, sends, recvs))
-}
-
-/// Run-based duplication across two programs: after the same descriptor
-/// exchange, both full linearizations are resolved as run lists
-/// ([`McDescriptor::locate_runs`]) and the schedule halves fall out of one
-/// two-pointer interval intersection.  The redundant-dereference charge
-/// (2·n, the paper's cost of this strategy) is unchanged.
+/// Duplication across two programs: descriptors (distribution metadata)
+/// are shipped between the programs, then every rank redundantly resolves
+/// both full linearizations as run lists ([`McDescriptor::locate_runs`])
+/// and the schedule halves fall out of one two-pointer interval
+/// intersection, charged as 2·n dereferences.  For Chaos the descriptor is
+/// the entire translation table — "very expensive", which is why the
+/// paper's two-program experiments use cooperation.
 #[allow(clippy::too_many_arguments)]
 fn build_duplication_two_programs_runs<T, S, D>(
     ep: &mut Endpoint,
@@ -1091,7 +716,7 @@ fn build_duplication_two_programs_runs<T, S, D>(
     dst: Option<Side<'_, T, D>>,
     dst_root_ul: usize,
     n: usize,
-) -> Result<BuiltRunParts, McError>
+) -> BuiltRunParts
 where
     T: Copy,
     S: McObject<T>,
@@ -1099,6 +724,8 @@ where
 {
     let p = union.size();
 
+    // Side-local descriptor construction (collective per program; Chaos
+    // charges its table gather here).
     let src_pack: Option<(S::Descriptor, SetOfRegions<S::Region>)> = src.map(|s| {
         let mut pcomm = Comm::borrowed(ep, src_prog);
         let d = s.obj.descriptor(&mut pcomm);
@@ -1109,6 +736,8 @@ where
         let desc = d.obj.descriptor(&mut pcomm);
         (desc, d.set.clone())
     });
+    // Each side's root ships (descriptor, regions) to the ranks that lack
+    // them.
     let (sd, sset) = share_pack(ep, union, me_ul, src_prog, src_root_ul, src_pack, true);
     let (dd, dset) = share_pack(ep, union, me_ul, dst_prog, dst_root_ul, dst_pack, false);
 
@@ -1151,84 +780,7 @@ where
     }
     ep.charge_schedule_insert(kept);
 
-    Ok(finish_run_parts(me_ul, sends, recvs))
-}
-
-/// Duplication across two programs: descriptors (distribution metadata)
-/// are shipped between the programs, then every rank redundantly
-/// dereferences the whole transfer locally.  For Chaos the descriptor is
-/// the entire translation table — "very expensive", which is why the
-/// paper's two-program experiments use cooperation.
-#[allow(clippy::too_many_arguments)]
-fn build_duplication_two_programs_elems<T, S, D>(
-    ep: &mut Endpoint,
-    union: &Group,
-    me_ul: usize,
-    src_prog: &Group,
-    src: Option<Side<'_, T, S>>,
-    src_root_ul: usize,
-    dst_prog: &Group,
-    dst: Option<Side<'_, T, D>>,
-    dst_root_ul: usize,
-    n: usize,
-) -> Result<BuiltParts, McError>
-where
-    T: Copy,
-    S: McObject<T>,
-    D: McObject<T>,
-{
-    let p = union.size();
-
-    // Side-local descriptor construction (collective per program; Chaos
-    // charges its table gather here).
-    let src_pack: Option<(S::Descriptor, SetOfRegions<S::Region>)> = src.map(|s| {
-        let mut pcomm = Comm::borrowed(ep, src_prog);
-        let d = s.obj.descriptor(&mut pcomm);
-        (d, s.set.clone())
-    });
-    let dst_pack: Option<(D::Descriptor, SetOfRegions<D::Region>)> = dst.map(|d| {
-        let mut pcomm = Comm::borrowed(ep, dst_prog);
-        let desc = d.obj.descriptor(&mut pcomm);
-        (desc, d.set.clone())
-    });
-
-    // Exchange descriptors across programs: each side's root ships
-    // (descriptor, regions) to the ranks that lack them.  Within a single
-    // program nobody lacks anything and no message is sent — matching the
-    // paper's Table 5 observation.
-    let (sd, sset) = share_pack(ep, union, me_ul, src_prog, src_root_ul, src_pack, true);
-    let (dd, dset) = share_pack(ep, union, me_ul, dst_prog, dst_root_ul, dst_pack, false);
-
-    // Redundant full dereference of both linearizations.
-    let src_locs = sd.locate_all(&sset);
-    let dst_locs = dd.locate_all(&dset);
-    ep.charge_deref(2 * n);
-    assert_eq!(src_locs.len(), n);
-    assert_eq!(dst_locs.len(), n);
-
-    let me_global = ep.rank();
-    let mut sends: Vec<Vec<LocalAddr>> = (0..p).map(|_| Vec::new()).collect();
-    let mut recvs: Vec<Vec<LocalAddr>> = (0..p).map(|_| Vec::new()).collect();
-    let mut kept = 0usize;
-    for pos in 0..n {
-        let s = src_locs[pos];
-        let d = dst_locs[pos];
-        if s.rank == me_global {
-            let dl = union
-                .local_of(d.rank)
-                .expect("destination owner outside union");
-            sends[dl].push(s.addr);
-            kept += 1;
-        }
-        if d.rank == me_global {
-            let sl = union.local_of(s.rank).expect("source owner outside union");
-            recvs[sl].push(d.addr);
-            kept += 1;
-        }
-    }
-    ep.charge_schedule_insert(kept);
-
-    Ok(finish_parts(me_ul, sends, recvs))
+    finish_run_parts(me_ul, sends, recvs)
 }
 
 /// Ship `(descriptor, regions)` from the owning side to union ranks outside
@@ -1267,9 +819,8 @@ fn share_pack<Desc: McDescriptor>(
     }
 }
 
-/// Pull the self entry out into local pairs and attach peer ids — the
-/// run-list counterpart of [`finish_parts`], with the local-copy half
-/// formed by zipping the two compressed address lists.
+/// Pull the self entry out into local pairs (zipping the two compressed
+/// address lists) and attach peer ids.
 fn finish_run_parts(
     me_ul: usize,
     mut sends: Vec<AddrRuns>,
@@ -1290,29 +841,9 @@ fn finish_run_parts(
     )
 }
 
-/// Pull the self entry out into local pairs and attach peer ids.
-fn finish_parts(
-    me_ul: usize,
-    mut sends: Vec<Vec<LocalAddr>>,
-    mut recvs: Vec<Vec<LocalAddr>>,
-) -> BuiltParts {
-    let self_send = std::mem::take(&mut sends[me_ul]);
-    let self_recv = std::mem::take(&mut recvs[me_ul]);
-    assert_eq!(
-        self_send.len(),
-        self_recv.len(),
-        "self send/recv halves must pair up"
-    );
-    let local_pairs: Vec<(LocalAddr, LocalAddr)> = self_send.into_iter().zip(self_recv).collect();
-    let sends = sends.into_iter().enumerate().collect();
-    let recvs = recvs.into_iter().enumerate().collect();
-    (sends, recvs, local_pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::Location;
     use crate::datamove::{data_move, data_move_recv, data_move_send};
     use crate::region::IndexSet;
     use crate::testlib::{BlockVec, BlockVecDesc};
@@ -1667,39 +1198,58 @@ mod tests {
         assert_eq!(all[5], 1.0);
     }
 
-    fn sched_reference_one_program(
-        p: usize,
-        n: usize,
-        src_idx: Vec<usize>,
-        dst_idx: Vec<usize>,
-        method: BuildMethod,
-    ) -> mcsim::world::RunOutput<Schedule> {
-        let world = World::with_model(p, MachineModel::zero());
-        world.run(move |ep| {
-            let g = Group::world(ep.world_size());
-            let src = BlockVec::create(&g, ep.rank(), n, |i| i as f64);
-            let dst = BlockVec::create(&g, ep.rank(), n, |_| -1.0);
-            let sset = SetOfRegions::single(IndexSet::new(src_idx.clone()));
-            let dset = SetOfRegions::single(IndexSet::new(dst_idx.clone()));
-            compute_schedule_reference(
-                ep,
-                &g,
-                &g,
-                Some(Side::new(&src, &sset)),
-                &g,
-                Some(Side::new(&dst, &dset)),
-                method,
-            )
-            .expect("schedule")
-        })
+    /// One rank's share of a transfer: `(sends, recvs, local_pairs)`.
+    type Motion = (Vec<(usize, AddrRuns)>, Vec<(usize, AddrRuns)>, PairRuns);
+
+    /// Serial oracle: pair the two descriptors' answers position by
+    /// position and group them by union rank, in position order.
+    fn oracle(
+        un: &Group,
+        (sd, sset): (&BlockVecDesc, &SetOfRegions<IndexSet>),
+        (dd, dset): (&BlockVecDesc, &SetOfRegions<IndexSet>),
+    ) -> Vec<Motion> {
+        let p = un.size();
+        let mut sends = vec![vec![AddrRuns::new(); p]; p];
+        let mut recvs = sends.clone();
+        let mut locals = vec![PairRuns::new(); p];
+        for pos in 0..sset.total_len() {
+            let (s, d) = (sd.locate(sset, pos), dd.locate(dset, pos));
+            let sl = un.local_of(s.rank).expect("source owner in union");
+            let dl = un.local_of(d.rank).expect("destination owner in union");
+            if sl == dl {
+                locals[sl].push(s.addr, d.addr);
+            } else {
+                sends[sl][dl].push(s.addr);
+                recvs[dl][sl].push(d.addr);
+            }
+        }
+        let by_peer = |lists: Vec<AddrRuns>| -> Vec<(usize, AddrRuns)> {
+            let peers = lists.into_iter().enumerate();
+            peers.filter(|(_, a)| !a.is_empty()).collect()
+        };
+        let halves = sends.into_iter().zip(recvs).zip(locals);
+        halves
+            .map(|((s, r), l)| (by_peer(s), by_peer(r), l))
+            .collect()
+    }
+
+    fn desc(prog: &Group, n: usize) -> BlockVecDesc {
+        BlockVecDesc {
+            n,
+            members: prog.members().to_vec(),
+        }
+    }
+
+    fn assert_motion(sched: &Schedule, want: &Motion, ctx: &str) {
+        assert_eq!(sched.sends, want.0, "{ctx} sends");
+        assert_eq!(sched.recvs, want.1, "{ctx} recvs");
+        assert_eq!(sched.local_pairs, want.2, "{ctx} local pairs");
     }
 
     #[test]
     fn run_based_builders_match_reference_byte_for_byte() {
-        // BlockVec uses the *default* deref_owned_runs / locate_run, so
-        // this exercises coalescing of element-wise answers; index sets mix
-        // contiguous stretches (long runs), strided picks, and a reversed
-        // range (negative address stride).
+        // Index sets mix contiguous stretches (long runs), strided picks,
+        // and a reversed range (negative address stride).
         let n = 37;
         let cases: Vec<(Vec<usize>, Vec<usize>)> = vec![
             ((0..20).collect(), (17..37).collect()),
@@ -1707,15 +1257,15 @@ mod tests {
             (vec![5, 1, 29, 14, 7, 22], vec![0, 2, 4, 6, 8, 10]),
         ];
         for (src_idx, dst_idx) in cases {
-            for method in [BuildMethod::Cooperation, BuildMethod::Duplication] {
-                for p in [1, 2, 3, 5] {
-                    let fast = sched_one_program(p, n, src_idx.clone(), dst_idx.clone(), method);
-                    let slow =
-                        sched_reference_one_program(p, n, src_idx.clone(), dst_idx.clone(), method);
-                    for r in 0..p {
-                        let (sa, _) = &fast.results[r];
-                        let sb = &slow.results[r];
-                        assert_eq!(sa, sb, "method {method:?} p {p} rank {r}");
+            let sset = SetOfRegions::single(IndexSet::new(src_idx.clone()));
+            let dset = SetOfRegions::single(IndexSet::new(dst_idx.clone()));
+            for p in [1, 2, 3, 5] {
+                let g = Group::world(p);
+                let want = oracle(&g, (&desc(&g, n), &sset), (&desc(&g, n), &dset));
+                for method in [BuildMethod::Cooperation, BuildMethod::Duplication] {
+                    let got = sched_one_program(p, n, src_idx.clone(), dst_idx.clone(), method);
+                    for (r, (sched, _)) in got.results.iter().enumerate() {
+                        assert_motion(sched, &want[r], &format!("{method:?} p {p} rank {r}"));
                     }
                 }
             }
@@ -1725,43 +1275,33 @@ mod tests {
     #[test]
     fn run_based_two_program_duplication_matches_reference() {
         let n = 16;
-        let build = |reference: bool| {
-            let world = World::with_model(4, MachineModel::zero());
-            world.run(move |ep| {
-                let (pa, pb, un) = Group::split_two(2, 2, 100);
-                let sset = SetOfRegions::single(IndexSet::new(vec![3, 9, 12, 1]));
-                let dset = SetOfRegions::single(IndexSet::new(vec![15, 0, 7, 8]));
-                let (src, dst) = if pa.contains(ep.rank()) {
-                    (
-                        Some(BlockVec::create(&pa, ep.rank(), n, |i| i as f64)),
-                        None,
-                    )
-                } else {
-                    (None, Some(BlockVec::create(&pb, ep.rank(), n, |_| 0.0)))
-                };
-                let src_side = src.as_ref().map(|s| Side::new(s, &sset));
-                let dst_side = dst.as_ref().map(|d| Side::new(d, &dset));
-                let f = if reference {
-                    compute_schedule_reference::<f64, BlockVec, BlockVec>
-                } else {
-                    compute_schedule::<f64, BlockVec, BlockVec>
-                };
-                f(
-                    ep,
-                    &un,
-                    &pa,
-                    src_side,
-                    &pb,
-                    dst_side,
-                    BuildMethod::Duplication,
+        let (pa, pb, un) = Group::split_two(2, 2, 100);
+        let sset = SetOfRegions::single(IndexSet::new(vec![3, 9, 12, 1]));
+        let dset = SetOfRegions::single(IndexSet::new(vec![15, 0, 7, 8]));
+        let want = oracle(&un, (&desc(&pa, n), &sset), (&desc(&pb, n), &dset));
+        let world = World::with_model(4, MachineModel::zero());
+        let got = world.run(move |ep| {
+            let (src, dst) = if pa.contains(ep.rank()) {
+                (
+                    Some(BlockVec::create(&pa, ep.rank(), n, |i| i as f64)),
+                    None,
                 )
-                .unwrap()
-            })
-        };
-        let fast = build(false);
-        let slow = build(true);
-        for r in 0..4 {
-            assert_eq!(fast.results[r], slow.results[r], "rank {r}");
+            } else {
+                (None, Some(BlockVec::create(&pb, ep.rank(), n, |_| 0.0)))
+            };
+            compute_schedule::<f64, BlockVec, BlockVec>(
+                ep,
+                &un,
+                &pa,
+                src.as_ref().map(|s| Side::new(s, &sset)),
+                &pb,
+                dst.as_ref().map(|d| Side::new(d, &dset)),
+                BuildMethod::Duplication,
+            )
+            .unwrap()
+        });
+        for (r, sched) in got.results.iter().enumerate() {
+            assert_motion(sched, &want[r], &format!("rank {r}"));
         }
     }
 
@@ -1775,76 +1315,70 @@ mod tests {
         type Region = IndexSet;
         type Descriptor = BlockVecDesc;
 
-        fn deref_owned(
+        fn deref_owned_runs(
             &self,
             comm: &mut Comm<'_>,
             set: &SetOfRegions<IndexSet>,
-        ) -> Vec<(usize, LocalAddr)> {
-            let mut out = self.0.deref_owned(comm, set);
-            if comm.rank() == 1 && !out.is_empty() && out[0].0 > 0 {
-                out[0] = (0, out[0].1);
+        ) -> Vec<OwnedRun> {
+            let mut out = self.0.deref_owned_runs(comm, set);
+            if comm.rank() == 1 && !out.is_empty() && out[0].pos > 0 {
+                let first = out[0];
+                out[0] = OwnedRun {
+                    pos: 0,
+                    len: 1,
+                    ..first
+                };
+                if first.len > 1 {
+                    let rest = OwnedRun {
+                        pos: first.pos + 1,
+                        len: first.len - 1,
+                        addr: first.addr_at(1),
+                        ..first
+                    };
+                    out.insert(1, rest);
+                }
             }
             out
-        }
-
-        fn locate_positions(
-            &self,
-            comm: &mut Comm<'_>,
-            set: &SetOfRegions<IndexSet>,
-            positions: &[usize],
-        ) -> Vec<Location> {
-            self.0.locate_positions(comm, set, positions)
         }
 
         fn descriptor(&self, comm: &mut Comm<'_>) -> BlockVecDesc {
             self.0.descriptor(comm)
         }
 
-        fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<f64>) {
-            self.0.pack(ep, addrs, out);
+        fn local(&self) -> &[f64] {
+            self.0.local()
         }
 
-        fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], data: &[f64]) {
-            self.0.unpack(ep, addrs, data);
+        fn local_mut(&mut self) -> &mut [f64] {
+            self.0.local_mut()
         }
     }
 
     #[test]
-    fn duplicate_announcement_detected_by_both_inspectors() {
+    fn duplicate_announcement_detected() {
         // Destination positions 0..3 live on rank 0, 3..6 on rank 1; the
-        // faulty destination makes rank 1 claim position 0 as well.  Both
-        // the run-based overlap sweep and the element-wise slot check must
-        // report the same duplicated position on every rank.
-        for reference in [false, true] {
-            let world = World::with_model(2, MachineModel::zero());
-            let out = world.run(move |ep| {
-                let g = Group::world(ep.world_size());
-                let src = BlockVec::create(&g, ep.rank(), 12, |i| i as f64);
-                let dst = DoubleAnnounce(BlockVec::create(&g, ep.rank(), 12, |_| 0.0));
-                let sset = SetOfRegions::single(IndexSet::new((0..6).collect()));
-                let dset = SetOfRegions::single(IndexSet::new(vec![0, 1, 2, 6, 7, 8]));
-                let f = if reference {
-                    compute_schedule_reference::<f64, BlockVec, DoubleAnnounce>
-                } else {
-                    compute_schedule::<f64, BlockVec, DoubleAnnounce>
-                };
-                f(
-                    ep,
-                    &g,
-                    &g,
-                    Some(Side::new(&src, &sset)),
-                    &g,
-                    Some(Side::new(&dst, &dset)),
-                    BuildMethod::Cooperation,
-                )
-            });
-            for r in out.results {
-                assert_eq!(
-                    r.unwrap_err(),
-                    McError::DuplicateDestination { pos: 0 },
-                    "reference={reference}"
-                );
-            }
+        // faulty destination makes rank 1 claim position 0 as well.  The
+        // coordinators' overlap sweep must report the duplicated position
+        // on every rank.
+        let world = World::with_model(2, MachineModel::zero());
+        let out = world.run(move |ep| {
+            let g = Group::world(ep.world_size());
+            let src = BlockVec::create(&g, ep.rank(), 12, |i| i as f64);
+            let dst = DoubleAnnounce(BlockVec::create(&g, ep.rank(), 12, |_| 0.0));
+            let sset = SetOfRegions::single(IndexSet::new((0..6).collect()));
+            let dset = SetOfRegions::single(IndexSet::new(vec![0, 1, 2, 6, 7, 8]));
+            compute_schedule(
+                ep,
+                &g,
+                &g,
+                Some(Side::new(&src, &sset)),
+                &g,
+                Some(Side::new(&dst, &dset)),
+                BuildMethod::Cooperation,
+            )
+        });
+        for r in out.results {
+            assert_eq!(r.unwrap_err(), McError::DuplicateDestination { pos: 0 });
         }
     }
 }

@@ -7,15 +7,13 @@
 //! intermediate buffer.
 //!
 //! The executor rides the schedule's run-length compression end to end:
-//! packing and unpacking go through [`McObject::pack_runs`] /
-//! [`McObject::unpack_runs`] (slice copies for regular libraries), the wire
-//! codec bulk-encodes scalar payloads, the communicator binds the
-//! schedule's group by reference once per half instead of cloning it per
-//! peer, and wire buffers come from the endpoint's reuse pool — so a
-//! steady-state `data_move` loop does no per-element codec work and no
-//! fresh heap allocation.  [`data_move_elementwise`] keeps the
-//! pre-compression executor alive for apples-to-apples benchmarking (same
-//! messages, per-element paths).
+//! packing and unpacking go through [`McObject::pack_runs_wire`] /
+//! [`McObject::unpack_runs_wire`] (one slice copy per run between library
+//! storage and the wire buffer), the wire codec bulk-encodes scalar
+//! payloads, the communicator binds the schedule's group by reference once
+//! per half instead of cloning it per peer, and wire buffers come from the
+//! endpoint's reuse pool — so a steady-state `data_move` loop does no
+//! per-element codec work and no fresh heap allocation.
 //!
 //! [`data_move`] serves single-program transfers; across two programs the
 //! source program calls [`data_move_send`] and the destination calls
@@ -181,7 +179,7 @@ where
 }
 
 /// `Some((object, schedule))` when the epochs disagree.
-fn stale_pair(object: u64, schedule: u64) -> Option<(u64, u64)> {
+pub(crate) fn stale_pair(object: u64, schedule: u64) -> Option<(u64, u64)> {
     (object != schedule).then_some((object, schedule))
 }
 
@@ -359,7 +357,7 @@ where
             }
             let slice = runs.slice_elems(cursor, count);
             dst.unpack_runs_wire(ep, &slice, &mut r).map_err(|e| {
-                McError::Transport(format!("frame from peer {peer} failed to decode: {e}"))
+                McError::Transport(format!("frame from rank {pg} failed to decode: {e}"))
             })?;
             cursor += count;
             ep.recycle_buf(bytes);
@@ -715,12 +713,55 @@ fn part_elems(ep: &Endpoint, elem_size: usize) -> usize {
     (budget / elem_size.max(1)).max(1)
 }
 
-/// Pack and post each pair's half as a stream of parts — every part one
+/// Pack and post ONE pair's half as a stream of parts — every part one
 /// reliable frame carrying `[transfer epoch][last flag][element count]`
-/// plus that slice of the packed payload — then wait for every
-/// acknowledgement.  Posting a part admits it into the sliding window and
-/// returns, so packing the next part overlaps the previous part's wire
-/// time.
+/// plus that slice of the packed payload.  Posting a part admits it into
+/// the sliding window and returns, so packing the next part overlaps the
+/// previous part's wire time.
+fn post_one_half<T, S>(
+    ep: &mut Endpoint,
+    sched: &Schedule,
+    src: &S,
+    te: u64,
+    pg: usize,
+    runs: &AddrRuns,
+) -> Result<(), McError>
+where
+    T: Copy + Wire,
+    S: McObject<T>,
+{
+    let st = move_stream(sched);
+    let per_part = part_elems(ep, sched.elem_size() as usize);
+    let total = runs.len();
+    let pack = ep.span_begin(Phase::Pack, || {
+        format!(
+            "peer={pg} runs={total} te={te} parts={}",
+            total.div_ceil(per_part)
+        )
+    });
+    let mut posted = Ok(());
+    let mut cursor = 0usize;
+    while cursor < total {
+        let cnt = per_part.min(total - cursor);
+        let last = cursor + cnt == total;
+        let mut buf = ep.take_buf();
+        te.write(&mut buf);
+        u8::from(last).write(&mut buf);
+        cnt.write(&mut buf);
+        let part = runs.slice_elems(cursor, cnt);
+        src.pack_runs_wire(ep, &part, &mut buf);
+        cursor += cnt;
+        if let Err(e) = reliable::reliable_send(ep, pg, st, buf) {
+            posted = Err(e.into());
+            break;
+        }
+    }
+    ep.span_end(pack);
+    posted
+}
+
+/// Post every pair's half ([`post_one_half`]), then wait for every
+/// acknowledgement.
 fn send_data_frames<T, S>(
     ep: &mut Endpoint,
     sched: &Schedule,
@@ -733,33 +774,8 @@ where
 {
     let st = move_stream(sched);
     let group = sched.group();
-    let per_part = part_elems(ep, sched.elem_size() as usize);
     for (peer, runs) in &sched.sends {
-        let pg = group.global(*peer);
-        let total = runs.len();
-        let pack = ep.span_begin(Phase::Pack, || {
-            format!(
-                "peer={pg} runs={total} te={te} parts={}",
-                total.div_ceil(per_part)
-            )
-        });
-        let mut cursor = 0usize;
-        while cursor < total {
-            let cnt = per_part.min(total - cursor);
-            let last = cursor + cnt == total;
-            let mut buf = ep.take_buf();
-            te.write(&mut buf);
-            u8::from(last).write(&mut buf);
-            cnt.write(&mut buf);
-            let part = runs.slice_elems(cursor, cnt);
-            src.pack_runs_wire(ep, &part, &mut buf);
-            cursor += cnt;
-            if let Err(e) = reliable::reliable_send(ep, pg, st, buf) {
-                ep.span_end(pack);
-                return Err(e.into());
-            }
-        }
-        ep.span_end(pack);
+        post_one_half(ep, sched, src, te, group.global(*peer), runs)?;
     }
     let wire = ep.span_begin(Phase::Wire, || {
         format!("pairs={} te={te}", sched.sends.len())
@@ -810,30 +826,15 @@ where
     let staged = stage_halves(ep, sched, expected)?;
     // Commit: every half arrived and verified.  Staging holds the received
     // wire buffers themselves, so this is the same single unpack as the
-    // streaming path — deferred, not duplicated.  Each part unpacks into
-    // its slice of the pair's destination runs.
+    // streaming path — deferred, not duplicated.
     let commit = ep.span_begin(Phase::Commit, || {
         format!("seq={} pairs={}", sched.seq(), sched.recvs.len())
     });
-    let mut committed = Ok(());
-    'commit: for ((peer, runs), parts) in sched.recvs.iter().zip(staged) {
-        let mut cursor = 0usize;
-        for bytes in parts {
-            let mut r = WireReader::new(&bytes);
-            let _ = u64::read(&mut r);
-            let _ = u8::read(&mut r);
-            let count = usize::read(&mut r).unwrap_or(0);
-            let slice = runs.slice_elems(cursor, count);
-            if let Err(e) = dst.unpack_runs_wire(ep, &slice, &mut r) {
-                committed = Err(McError::Transport(format!(
-                    "frame from peer {peer} failed to decode: {e}"
-                )));
-                break 'commit;
-            }
-            cursor += count;
-            ep.recycle_buf(bytes);
-        }
-    }
+    let group = sched.group();
+    let mut halves = sched.recvs.iter().zip(staged);
+    let committed = halves.try_for_each(|((peer, runs), parts)| {
+        commit_one_half(ep, dst, group.global(*peer), runs, parts)
+    });
     ep.span_end(commit);
     if committed.is_ok() {
         ep.record_transfer_committed();
@@ -1045,40 +1046,15 @@ where
     T: Copy + Wire,
     S: McObject<T>,
 {
-    let st = move_stream(sched);
-    let per_part = part_elems(ep, sched.elem_size() as usize);
-    let total = runs.len();
-    let pack = ep.span_begin(Phase::Pack, || {
-        format!(
-            "peer={pg} runs={total} te={te} parts={}",
-            total.div_ceil(per_part)
-        )
-    });
-    let mut cursor = 0usize;
-    while cursor < total {
-        let cnt = per_part.min(total - cursor);
-        let last = cursor + cnt == total;
-        let mut buf = ep.take_buf();
-        te.write(&mut buf);
-        u8::from(last).write(&mut buf);
-        cnt.write(&mut buf);
-        let part = runs.slice_elems(cursor, cnt);
-        src.pack_runs_wire(ep, &part, &mut buf);
-        cursor += cnt;
-        if let Err(e) = reliable::reliable_send(ep, pg, st, buf) {
-            ep.span_end(pack);
-            return Err(e.into());
-        }
-    }
-    ep.span_end(pack);
+    post_one_half(ep, sched, src, te, pg, runs)?;
     let wire = ep.span_begin(Phase::Wire, || format!("peer={pg} te={te}"));
-    let r = reliable::flush_send(ep, pg, st).map_err(McError::from);
+    let r = reliable::flush_send(ep, pg, move_stream(sched)).map_err(McError::from);
     ep.span_end(wire);
     r
 }
 
-/// Unpack ONE staged half into `dst` (per-pair counterpart of the commit
-/// loop in [`recv_data_frames`]).  Consumes and recycles the parts.
+/// Unpack ONE staged half into `dst`, each part into its slice of the
+/// pair's destination runs.  Consumes and recycles the parts.
 pub(crate) fn commit_one_half<T, D>(
     ep: &mut Endpoint,
     dst: &mut D,
@@ -1154,50 +1130,14 @@ where
         return;
     }
     ep.mark(|| format!("local_copy pairs={}", sched.local_pairs.len()));
-    let (saddrs, daddrs) = sched.local_pairs.split_sides();
-    let mut buf: Vec<T> = Vec::with_capacity(saddrs.len());
-    src.pack_runs(ep, &saddrs, &mut buf);
-    dst.unpack_runs(ep, &daddrs, &buf);
-    // Direct copy: no extra staging charge beyond pack + unpack — this is
+    let (from, to) = (src.local(), dst.local_mut());
+    for &(s, d, len) in sched.local_pairs.runs() {
+        to[d..d + len].copy_from_slice(&from[s..s + len]);
+    }
+    // Direct copy: one read and one write per element (charged apart, as
+    // the pack and the unpack they are), no extra staging charge — this is
     // the local-copy advantage over Parti's intermediate buffer (§5.3).
-}
-
-/// Ablation baseline: the pre-optimization executor, kept for measuring
-/// the run-compressed fast path against.  Produces byte-identical messages
-/// and identical results, but expands every run back to explicit address
-/// lists, packs element by element, and clones the communicator group per
-/// peer.  Benchmarks only — not part of the Meta-Chaos API surface.
-pub fn data_move_elementwise<T, S, D>(ep: &mut Endpoint, sched: &Schedule, src: &S, dst: &mut D)
-where
-    T: Copy + Wire,
-    S: McObject<T>,
-    D: McObject<T>,
-{
-    let t = move_tag(sched.seq());
-    for (peer, runs) in &sched.sends {
-        let addrs = runs.to_vec();
-        let mut buf: Vec<T> = Vec::with_capacity(addrs.len());
-        src.pack(ep, &addrs, &mut buf);
-        let mut comm = Comm::new(ep, sched.group().clone());
-        comm.send_t(*peer, t, &buf);
-    }
-    if !sched.local_pairs.is_empty() {
-        let (saddrs, daddrs): (Vec<_>, Vec<_>) = sched.local_pairs.iter().unzip();
-        let mut buf: Vec<T> = Vec::with_capacity(saddrs.len());
-        src.pack(ep, &saddrs, &mut buf);
-        dst.unpack(ep, &daddrs, &buf);
-    }
-    for (peer, runs) in &sched.recvs {
-        let addrs = runs.to_vec();
-        let data: Vec<T> = {
-            let mut comm = Comm::new(ep, sched.group().clone());
-            comm.recv_t(*peer, t)
-        };
-        assert_eq!(
-            data.len(),
-            addrs.len(),
-            "message from peer {peer} has wrong element count"
-        );
-        dst.unpack(ep, &addrs, &data);
-    }
+    let bytes = sched.local_pairs.len() * std::mem::size_of::<T>();
+    ep.charge_copy_bytes(bytes);
+    ep.charge_copy_bytes(bytes);
 }

@@ -28,9 +28,10 @@
 //!
 //! Exactly what the paper asks of a library implementor: a Region type, a
 //! way to enumerate/locate the elements of a region in linearization order
-//! ([`McObject::deref_owned`] and [`McDescriptor::locate`]), and
-//! pack/unpack.  The `multiblock`, `chaos`, `hpf` and `tulip` crates in
-//! this workspace are four such libraries.
+//! ([`McObject::deref_owned_runs`] and [`McDescriptor::locate`]), and a
+//! view of its local storage ([`McObject::local`]) over which pack/unpack
+//! are written once.  The `multiblock`, `chaos`, `hpf` and `tulip` crates
+//! in this workspace are four such libraries.
 //!
 //! ## Example
 //!
@@ -92,11 +93,11 @@ pub mod session;
 pub mod setof;
 pub mod validate;
 
-#[cfg(test)]
-pub(crate) mod testlib;
+#[doc(hidden)]
+pub mod testlib;
 
 pub use adapter::{LocateCursor, Location, McDescriptor, McObject, Side};
-pub use build::{compute_schedule, compute_schedule_reference, BuildMethod};
+pub use build::{compute_schedule, BuildMethod};
 pub use coupling::Coupler;
 pub use datamove::{data_move, data_move_recv, data_move_send, try_data_move};
 pub use error::McError;

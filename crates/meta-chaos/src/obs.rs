@@ -65,7 +65,7 @@ impl AbortReport {
 
 /// Critical-path attribution folded up to *library pairs* — the paper's
 /// unit of interoperability (Multiblock↔HPF, …).  A thin layer over
-/// [`mcsim::analyze`]: the simulator only knows ranks, so the caller
+/// [`mod@mcsim::analyze`]: the simulator only knows ranks, so the caller
 /// supplies the rank→library labeling (the bench and fuzz harnesses
 /// know which ranks run which library).
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -1,9 +1,9 @@
-//! Run-length descriptions of dereferenced elements (the run-based
-//! inspector's working currency).
+//! Run-length descriptions of dereferenced elements (the inspector's
+//! working currency).
 //!
-//! The element-wise inspector reasons about one `(position, address)` pair
-//! per element; for regular array sections that is pure overhead, because a
-//! section row is a closed-form arithmetic progression.  An [`OwnedRun`]
+//! Reasoning about one `(position, address)` pair per element is pure
+//! overhead for regular array sections, because a section row is a
+//! closed-form arithmetic progression.  An [`OwnedRun`]
 //! captures such a progression — `len` consecutive linearization positions
 //! starting at `pos`, whose local addresses start at `addr` and advance by
 //! `stride` — so a million-element section collapses to a handful of runs
@@ -11,13 +11,12 @@
 //!
 //! Irregular (Chaos-style) data degrades gracefully: the coalescing
 //! [`RunBuilder`] emits length-1 runs whenever nothing merges, and the
-//! run-based builders then do exactly the per-element work the old
-//! inspector did.
+//! builders then do per-element work.
 //!
-//! Only **stride-1** runs map onto the executor's contiguous
-//! [`AddrRuns`](crate::schedule::AddrRuns) compression; other strides are
-//! expanded element-wise at emission ([`OwnedRun::emit_addrs`]), which
-//! keeps run-built schedules byte-identical to element-built ones.
+//! Only **stride-1** runs map onto the executor's contiguous [`AddrRuns`]
+//! compression; other strides are expanded element by element at emission
+//! ([`OwnedRun::emit_addrs`]), so a schedule lists addresses in position
+//! order whatever the run shapes were.
 
 use crate::schedule::AddrRuns;
 use crate::LocalAddr;
@@ -56,8 +55,7 @@ impl OwnedRun {
 
     /// Append the addresses of covered elements `k0 .. k0 + count` to an
     /// executor address list: one `(start, len)` run for stride 1, one
-    /// address per element otherwise (matching what the element-wise
-    /// inspector would have pushed).
+    /// address per element otherwise.
     pub fn emit_addrs(&self, k0: usize, count: usize, out: &mut AddrRuns) {
         debug_assert!(k0 + count <= self.len);
         if self.stride == 1 {
@@ -221,9 +219,8 @@ impl RunBuilder {
 }
 
 /// Coalesce a position-sorted `(position, address)` list into maximal runs
-/// — the bridge from element-wise
-/// [`deref_owned`](crate::adapter::McObject::deref_owned) to the run-based
-/// inspector.
+/// — what [`McObject::deref_owned_runs`](crate::adapter::McObject::deref_owned_runs)
+/// must return for a library that enumerates its elements one by one.
 pub fn coalesce_owned(pairs: &[(usize, LocalAddr)]) -> Vec<OwnedRun> {
     let mut b = RunBuilder::new();
     for &(pos, addr) in pairs {

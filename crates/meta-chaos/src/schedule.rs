@@ -294,18 +294,6 @@ impl PairRuns {
             total: self.total,
         }
     }
-
-    /// Split into the source-address runs and destination-address runs
-    /// (both in pair order), for bulk pack/unpack of the local copies.
-    pub fn split_sides(&self) -> (AddrRuns, AddrRuns) {
-        let mut srcs = AddrRuns::new();
-        let mut dsts = AddrRuns::new();
-        for &(s, d, l) in &self.runs {
-            srcs.push_run(s, l);
-            dsts.push_run(d, l);
-        }
-        (srcs, dsts)
-    }
 }
 
 impl FromIterator<(LocalAddr, LocalAddr)> for PairRuns {
@@ -823,13 +811,10 @@ mod tests {
     }
 
     #[test]
-    fn pair_runs_split_sides() {
+    fn pair_runs_swapped() {
         let p: PairRuns = vec![(0, 10), (1, 11), (2, 12), (7, 3)]
             .into_iter()
             .collect();
-        let (s, d) = p.split_sides();
-        assert_eq!(s.to_vec(), vec![0, 1, 2, 7]);
-        assert_eq!(d.to_vec(), vec![10, 11, 12, 3]);
         assert_eq!(
             p.swapped().to_vec(),
             vec![(10, 0), (11, 1), (12, 2), (3, 7)]

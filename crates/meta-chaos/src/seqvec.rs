@@ -11,13 +11,12 @@
 
 use mcsim::error::SimError;
 use mcsim::group::Comm;
-use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 
 use crate::adapter::{Location, McDescriptor, McObject};
 use crate::region::IndexSet;
+use crate::runs::{OwnedRun, RunBuilder};
 use crate::setof::SetOfRegions;
-use crate::LocalAddr;
 
 /// Descriptor: everything lives on one global rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,39 +108,22 @@ impl<T: Copy + Default> McObject<T> for SeqVec<T> {
     type Region = IndexSet;
     type Descriptor = SeqDesc;
 
-    fn deref_owned(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-    ) -> Vec<(usize, LocalAddr)> {
+    fn deref_owned_runs(&self, comm: &mut Comm<'_>, set: &SetOfRegions<IndexSet>) -> Vec<OwnedRun> {
         if comm.group().global(comm.rank()) != self.owner_global {
             return Vec::new();
         }
-        let mut out = Vec::with_capacity(set.total_len());
+        // The owner holds every position; its address is the global index.
+        let mut out = RunBuilder::new();
         let mut pos = 0;
         for region in set.regions() {
             for &g in region.indices() {
                 debug_assert!(g < self.n);
-                out.push((pos, g));
+                out.push(pos, g);
                 pos += 1;
             }
         }
-        comm.ep().charge_owner_calc(out.len());
-        out
-    }
-
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        let d = SeqDesc {
-            n: self.n,
-            owner: self.owner_global,
-        };
-        comm.ep().charge_owner_calc(positions.len());
-        positions.iter().map(|&p| d.locate(set, p)).collect()
+        comm.ep().charge_owner_calc(pos);
+        out.finish()
     }
 
     fn descriptor(&self, _comm: &mut Comm<'_>) -> SeqDesc {
@@ -151,59 +133,12 @@ impl<T: Copy + Default> McObject<T> for SeqVec<T> {
         }
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<T>) {
-        out.extend(addrs.iter().map(|&a| self.data[a]));
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
+    fn local(&self) -> &[T] {
+        &self.data
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], vals: &[T]) {
-        for (&a, &v) in addrs.iter().zip(vals) {
-            self.data[a] = v;
-        }
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs(&self, ep: &mut Endpoint, runs: &crate::schedule::AddrRuns, out: &mut Vec<T>) {
-        for &(start, len) in runs.runs() {
-            out.extend_from_slice(&self.data[start..start + len]);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs(&mut self, ep: &mut Endpoint, runs: &crate::schedule::AddrRuns, vals: &[T]) {
-        assert_eq!(runs.len(), vals.len());
-        let mut off = 0;
-        for &(start, len) in runs.runs() {
-            self.data[start..start + len].copy_from_slice(&vals[off..off + len]);
-            off += len;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs_wire(&self, ep: &mut Endpoint, runs: &crate::schedule::AddrRuns, out: &mut Vec<u8>)
-    where
-        T: Wire,
-    {
-        for &(start, len) in runs.runs() {
-            T::write_slice(&self.data[start..start + len], out);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs_wire(
-        &mut self,
-        ep: &mut Endpoint,
-        runs: &crate::schedule::AddrRuns,
-        r: &mut WireReader<'_>,
-    ) -> Result<(), SimError>
-    where
-        T: Wire,
-    {
-        for &(start, len) in runs.runs() {
-            T::read_slice(r, &mut self.data[start..start + len])?;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-        Ok(())
+    fn local_mut(&mut self) -> &mut [T] {
+        &mut self.data
     }
 }
 

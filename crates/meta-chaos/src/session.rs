@@ -55,7 +55,7 @@ use mcsim::span::Phase;
 use mcsim::wire::{Wire, WireReader};
 
 use crate::adapter::McObject;
-use crate::datamove::{commit_one_half, move_stream, next_xfer_epoch, send_one_half};
+use crate::datamove::{commit_one_half, move_stream, next_xfer_epoch, send_one_half, stale_pair};
 use crate::error::McError;
 use crate::schedule::{AddrRuns, Schedule};
 
@@ -151,7 +151,7 @@ impl RecoverySession {
                 peers: sched.recvs.len(),
             });
         }
-        if let Some((o, e)) = stale(src.epoch(), sched.src_epoch()) {
+        if let Some((o, e)) = stale_pair(src.epoch(), sched.src_epoch()) {
             return Err(McError::StaleSchedule {
                 object_epoch: o,
                 schedule_epoch: e,
@@ -233,7 +233,7 @@ impl RecoverySession {
                 peers: sched.sends.len(),
             });
         }
-        if let Some((o, e)) = stale(dst.epoch(), sched.dst_epoch()) {
+        if let Some((o, e)) = stale_pair(dst.epoch(), sched.dst_epoch()) {
             return Err(McError::StaleSchedule {
                 object_epoch: o,
                 schedule_epoch: e,
@@ -537,14 +537,6 @@ where
 /// carries across the respawn.
 fn step_te(ep: &mut Endpoint, k: u64, sched: &Schedule) -> u64 {
     ((k + 1) << 32) | (next_xfer_epoch(ep, sched) & 0xFFFF_FFFF)
-}
-
-fn stale(object: u64, schedule: u64) -> Option<(u64, u64)> {
-    if object != schedule {
-        Some((object, schedule))
-    } else {
-        None
-    }
 }
 
 /// Errors worth another attempt: the peer may be back under a new

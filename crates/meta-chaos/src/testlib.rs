@@ -1,197 +1,50 @@
-//! A deliberately tiny reference "data-parallel library" used only by this
-//! crate's unit tests: a 1-D block-distributed `f64` vector.
-//!
-//! The real libraries live in the `multiblock`, `chaos`, `hpf` and `tulip`
-//! crates; this one exists so schedule construction and data movement can
-//! be tested without a dependency cycle.
+//! Test support shared by this crate's unit tests and the library crates'
+//! adapter tests.  Not part of the Meta-Chaos API.
 
-use mcsim::error::SimError;
-use mcsim::group::{Comm, Group};
-use mcsim::prelude::Endpoint;
-use mcsim::wire::{Wire, WireReader};
+use mcsim::group::Comm;
 
-use crate::adapter::{Location, McDescriptor, McObject};
-use crate::region::{IndexSet, Region};
+use crate::adapter::{McDescriptor, McObject};
+use crate::runs::OwnedRun;
 use crate::setof::SetOfRegions;
 use crate::LocalAddr;
 
-/// Distribution descriptor: block partition of `0..n` over the program.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockVecDesc {
-    pub n: usize,
-    pub members: Vec<usize>,
-}
+#[cfg(test)]
+mod blockvec;
+#[cfg(test)]
+pub(crate) use blockvec::{BlockVec, BlockVecDesc};
 
-impl BlockVecDesc {
-    fn block(&self) -> usize {
-        self.n.div_ceil(self.members.len())
+/// The dereference contract every adapter must meet, checked on the
+/// calling rank (collective over `comm`): the runs `deref_owned_runs`
+/// returns are sorted and disjoint, expand to exactly the
+/// `(position, address)` pairs the object's own descriptor locates on this
+/// rank, and cover `set` exactly once across the program.  Returns the runs
+/// for library-specific assertions on their shape.
+pub fn check_deref_runs<T: Copy, O: McObject<T>>(
+    comm: &mut Comm<'_>,
+    obj: &O,
+    set: &SetOfRegions<O::Region>,
+) -> Vec<OwnedRun> {
+    let runs = obj.deref_owned_runs(comm, set);
+    let desc = obj.descriptor(comm);
+    let me = comm.ep_ref().rank();
+    for w in runs.windows(2) {
+        assert!(
+            w[0].end() <= w[1].pos,
+            "rank {me}: runs out of order or overlapping: {runs:?}"
+        );
     }
-
-    fn owner_local(&self, g: usize) -> usize {
-        (g / self.block()).min(self.members.len() - 1)
-    }
-
-    fn lo(&self, local: usize) -> usize {
-        (local * self.block()).min(self.n)
-    }
-
-    fn hi(&self, local: usize) -> usize {
-        ((local + 1) * self.block()).min(self.n)
-    }
-}
-
-impl Wire for BlockVecDesc {
-    fn write(&self, out: &mut Vec<u8>) {
-        self.n.write(out);
-        self.members.write(out);
-    }
-    fn read(r: &mut WireReader<'_>) -> Result<Self, SimError> {
-        Ok(BlockVecDesc {
-            n: usize::read(r)?,
-            members: Vec::<usize>::read(r)?,
+    let expanded: Vec<(usize, LocalAddr)> = runs
+        .iter()
+        .flat_map(|r| (0..r.len).map(move |k| (r.pos + k, r.addr_at(k))))
+        .collect();
+    let located: Vec<(usize, LocalAddr)> = (0..set.total_len())
+        .filter_map(|pos| {
+            let loc = desc.locate(set, pos);
+            (loc.rank == me).then_some((pos, loc.addr))
         })
-    }
-}
-
-impl McDescriptor for BlockVecDesc {
-    type Region = IndexSet;
-    fn locate(&self, set: &SetOfRegions<IndexSet>, pos: usize) -> Location {
-        let (ri, off) = set.locate_position(pos);
-        let g = set.regions()[ri].index(off);
-        let local = self.owner_local(g);
-        Location {
-            rank: self.members[local],
-            addr: g - self.lo(local),
-        }
-    }
-}
-
-/// The distributed vector itself: each rank of the program stores its block.
-#[derive(Debug, Clone)]
-pub struct BlockVec {
-    pub desc: BlockVecDesc,
-    pub my_local: usize,
-    pub data: Vec<f64>,
-}
-
-impl BlockVec {
-    /// Create on each program rank, filled by `f(global index)`.
-    pub fn create(prog: &Group, me_global: usize, n: usize, f: impl Fn(usize) -> f64) -> Self {
-        let desc = BlockVecDesc {
-            n,
-            members: prog.members().to_vec(),
-        };
-        let my_local = prog.local_of(me_global).expect("member");
-        let lo = desc.lo(my_local);
-        let hi = desc.hi(my_local);
-        BlockVec {
-            my_local,
-            data: (lo..hi).map(f).collect(),
-            desc,
-        }
-    }
-
-    /// Global index of local address `a`.
-    #[allow(dead_code)]
-    pub fn global_of(&self, a: usize) -> usize {
-        self.desc.lo(self.my_local) + a
-    }
-}
-
-impl McObject<f64> for BlockVec {
-    type Region = IndexSet;
-    type Descriptor = BlockVecDesc;
-
-    fn deref_owned(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-    ) -> Vec<(usize, LocalAddr)> {
-        let me = comm.rank();
-        let mut out = Vec::new();
-        let mut pos = 0;
-        for r in set.regions() {
-            for k in 0..r.len() {
-                let g = r.index(k);
-                if self.desc.owner_local(g) == me {
-                    out.push((pos, g - self.desc.lo(me)));
-                }
-                pos += 1;
-            }
-        }
-        comm.ep().charge_owner_calc(pos);
-        out
-    }
-
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        comm.ep().charge_owner_calc(positions.len());
-        positions
-            .iter()
-            .map(|&p| self.desc.locate(set, p))
-            .collect()
-    }
-
-    fn descriptor(&self, _comm: &mut Comm<'_>) -> BlockVecDesc {
-        self.desc.clone()
-    }
-
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<f64>) {
-        out.extend(addrs.iter().map(|&a| self.data[a]));
-        ep.charge_copy_bytes(addrs.len() * 8);
-    }
-
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], data: &[f64]) {
-        assert_eq!(addrs.len(), data.len());
-        for (&a, &v) in addrs.iter().zip(data) {
-            self.data[a] = v;
-        }
-        ep.charge_copy_bytes(addrs.len() * 8);
-    }
-
-    fn pack_runs(&self, ep: &mut Endpoint, runs: &crate::schedule::AddrRuns, out: &mut Vec<f64>) {
-        for &(start, len) in runs.runs() {
-            out.extend_from_slice(&self.data[start..start + len]);
-        }
-        ep.charge_copy_bytes(runs.len() * 8);
-    }
-
-    fn unpack_runs(&mut self, ep: &mut Endpoint, runs: &crate::schedule::AddrRuns, vals: &[f64]) {
-        assert_eq!(runs.len(), vals.len());
-        let mut off = 0;
-        for &(start, len) in runs.runs() {
-            self.data[start..start + len].copy_from_slice(&vals[off..off + len]);
-            off += len;
-        }
-        ep.charge_copy_bytes(runs.len() * 8);
-    }
-
-    fn pack_runs_wire(
-        &self,
-        ep: &mut Endpoint,
-        runs: &crate::schedule::AddrRuns,
-        out: &mut Vec<u8>,
-    ) {
-        for &(start, len) in runs.runs() {
-            f64::write_slice(&self.data[start..start + len], out);
-        }
-        ep.charge_copy_bytes(runs.len() * 8);
-    }
-
-    fn unpack_runs_wire(
-        &mut self,
-        ep: &mut Endpoint,
-        runs: &crate::schedule::AddrRuns,
-        r: &mut WireReader<'_>,
-    ) -> Result<(), SimError> {
-        for &(start, len) in runs.runs() {
-            f64::read_slice(r, &mut self.data[start..start + len])?;
-        }
-        ep.charge_copy_bytes(runs.len() * 8);
-        Ok(())
-    }
+        .collect();
+    assert_eq!(expanded, located, "rank {me}: owned runs vs descriptor");
+    let total: usize = comm.allreduce_sum(expanded.len());
+    assert_eq!(total, set.total_len(), "runs must cover the set once");
+    runs
 }

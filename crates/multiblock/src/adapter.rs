@@ -2,21 +2,18 @@
 //!
 //! The Region type is a [`RegularSection`] in the array's *global* index
 //! space — exactly the paper's choice for Multiblock Parti and HPF.  All
-//! owner queries are closed-form block arithmetic, so `deref_owned`
-//! enumerates only the elements this rank owns (no communication) and the
+//! owner queries are closed-form block arithmetic, so the dereference
+//! enumerates only the rows this rank owns (no communication) and the
 //! descriptor is a handful of integers.
 
 use mcsim::error::SimError;
 use mcsim::group::Comm;
-use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 
 use meta_chaos::adapter::{Location, McDescriptor, McObject};
 use meta_chaos::region::{Region, RegularSection};
 use meta_chaos::runs::{LocatedRun, OwnedRun, RunBuilder};
-use meta_chaos::schedule::AddrRuns;
 use meta_chaos::setof::SetOfRegions;
-use meta_chaos::LocalAddr;
 
 use crate::array::MultiblockArray;
 use crate::dist::BlockDist;
@@ -94,18 +91,6 @@ impl McDescriptor for BlockDesc {
             }
         })
     }
-
-    fn locate_all(&self, set: &SetOfRegions<RegularSection>) -> Vec<Location> {
-        // Batch version: avoid re-resolving the region per element.
-        let mut out = Vec::with_capacity(set.total_len());
-        for region in set.regions() {
-            let mut it = region.iter_coords();
-            while let Some(coords) = it.advance() {
-                out.push(self.location_of(coords));
-            }
-        }
-        out
-    }
 }
 
 impl BlockDesc {
@@ -123,45 +108,14 @@ impl<T: Copy + Default> McObject<T> for MultiblockArray<T> {
     type Region = RegularSection;
     type Descriptor = BlockDesc;
 
-    fn deref_owned(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<RegularSection>,
-    ) -> Vec<(usize, LocalAddr)> {
-        let my_box = self.my_box();
-        let mut out = Vec::new();
-        let mut region_offset = 0;
-        let mut inspected = 0usize;
-        for region in set.regions() {
-            if let Some(sub) = region.intersect_box(&my_box) {
-                let mut it = sub.iter_coords();
-                while let Some(coords) = it.advance() {
-                    let pos = region_offset
-                        + region
-                            .position_of(coords)
-                            .expect("intersection is a subset");
-                    let addr = self.dist().local_addr(self.my_local(), coords);
-                    out.push((pos, addr));
-                }
-                inspected += sub.len();
-            }
-            region_offset += region.len();
-        }
-        // Closed-form arithmetic per owned element, plus a constant per
-        // region for the intersection itself.
-        comm.ep().charge_owner_calc(inspected + set.num_regions());
-        out
-    }
-
     fn deref_owned_runs(
         &self,
         comm: &mut Comm<'_>,
         set: &SetOfRegions<RegularSection>,
     ) -> Vec<OwnedRun> {
-        // Row-at-a-time version of `deref_owned`: each row of an
-        // intersected sub-section is one run of consecutive positions whose
-        // local addresses advance by the section's last-dim stride.  Work is
-        // O(rows), not O(elements); the virtual-clock charge is identical.
+        // Each row of an intersected sub-section is one run of consecutive
+        // positions whose local addresses advance by the section's last-dim
+        // stride.  Work is O(rows), not O(elements).
         let my_box = self.my_box();
         let dist = self.dist();
         let me = self.my_local();
@@ -192,32 +146,10 @@ impl<T: Copy + Default> McObject<T> for MultiblockArray<T> {
             }
             region_offset += region.len();
         }
+        // Closed-form arithmetic per owned element, plus a constant per
+        // region for the intersection itself.
         comm.ep().charge_owner_calc(inspected + set.num_regions());
         builder.finish()
-    }
-
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<RegularSection>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        // Closed-form block arithmetic per query; no communication.
-        let dist = self.dist();
-        comm.ep().charge_owner_calc(positions.len());
-        positions
-            .iter()
-            .map(|&pos| {
-                let (ri, off) = set.locate_position(pos);
-                set.regions()[ri].with_coords(off, |coords| {
-                    let local = dist.owner(coords);
-                    Location {
-                        rank: self.members()[local],
-                        addr: dist.local_addr(local, coords),
-                    }
-                })
-            })
-            .collect()
     }
 
     fn descriptor(&self, _comm: &mut Comm<'_>) -> BlockDesc {
@@ -232,66 +164,12 @@ impl<T: Copy + Default> McObject<T> for MultiblockArray<T> {
         MultiblockArray::epoch(self)
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<T>) {
-        let data = self.local();
-        out.extend(addrs.iter().map(|&a| data[a]));
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
+    fn local(&self) -> &[T] {
+        MultiblockArray::local(self)
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], vals: &[T]) {
-        assert_eq!(addrs.len(), vals.len());
-        let data = self.local_mut();
-        for (&a, &v) in addrs.iter().zip(vals) {
-            data[a] = v;
-        }
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<T>) {
-        let data = self.local();
-        for &(start, len) in runs.runs() {
-            out.extend_from_slice(&data[start..start + len]);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs(&mut self, ep: &mut Endpoint, runs: &AddrRuns, vals: &[T]) {
-        assert_eq!(runs.len(), vals.len());
-        let data = self.local_mut();
-        let mut off = 0;
-        for &(start, len) in runs.runs() {
-            data[start..start + len].copy_from_slice(&vals[off..off + len]);
-            off += len;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs_wire(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<u8>)
-    where
-        T: Wire,
-    {
-        let data = self.local();
-        for &(start, len) in runs.runs() {
-            T::write_slice(&data[start..start + len], out);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs_wire(
-        &mut self,
-        ep: &mut Endpoint,
-        runs: &AddrRuns,
-        r: &mut WireReader<'_>,
-    ) -> Result<(), SimError>
-    where
-        T: Wire,
-    {
-        let data = self.local_mut();
-        for &(start, len) in runs.runs() {
-            T::read_slice(r, &mut data[start..start + len])?;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-        Ok(())
+    fn local_mut(&mut self) -> &mut [T] {
+        MultiblockArray::local_mut(self)
     }
 }
 
@@ -303,6 +181,7 @@ mod tests {
     use mcsim::world::World;
     use meta_chaos::build::{compute_schedule, BuildMethod};
     use meta_chaos::datamove::data_move;
+    use meta_chaos::testlib::check_deref_runs;
     use meta_chaos::Side;
 
     #[test]
@@ -316,62 +195,26 @@ mod tests {
     }
 
     #[test]
-    fn locate_agrees_with_deref_owned() {
+    fn deref_owned_runs_agree_with_descriptor() {
         let world = World::with_model(4, MachineModel::zero());
         world.run(|ep| {
             let g = Group::world(ep.world_size());
             let a = MultiblockArray::<f64>::new(&g, ep.rank(), &[9, 7]);
-            let set = SetOfRegions::from_regions(vec![
-                RegularSection::of_bounds(&[(1, 6), (2, 7)]),
-                RegularSection::of_bounds(&[(7, 9), (0, 3)]),
-            ]);
-            let mut comm = Comm::world(ep);
-            let owned = a.deref_owned(&mut comm, &set);
-            let desc = a.descriptor(&mut comm);
-            let me = comm.ep_ref().rank();
-            let all = desc.locate_all(&set);
-            // Every owned (pos, addr) must agree with the descriptor.
-            for &(pos, addr) in &owned {
-                assert_eq!(all[pos], Location { rank: me, addr });
-            }
-            // And the descriptor claims exactly those positions for me.
-            let mine: Vec<usize> = all
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.rank == me)
-                .map(|(p, _)| p)
-                .collect();
-            assert_eq!(mine, owned.iter().map(|&(p, _)| p).collect::<Vec<_>>());
-        });
-    }
-
-    #[test]
-    fn deref_owned_runs_expand_to_deref_owned() {
-        let world = World::with_model(4, MachineModel::zero());
-        world.run(|ep| {
-            let g = Group::world(ep.world_size());
-            let a = MultiblockArray::<f64>::new(&g, ep.rank(), &[9, 7]);
-            let set = SetOfRegions::from_regions(vec![
-                RegularSection::of_bounds(&[(1, 6), (2, 7)]),
-                RegularSection::new(vec![
-                    meta_chaos::DimSlice::strided(0, 9, 2),
-                    meta_chaos::DimSlice::strided(1, 7, 3),
+            let sets = [
+                SetOfRegions::from_regions(vec![
+                    RegularSection::of_bounds(&[(1, 6), (2, 7)]),
+                    RegularSection::of_bounds(&[(7, 9), (0, 3)]),
                 ]),
-            ]);
-            let mut comm = Comm::world(ep);
-            let owned = a.deref_owned(&mut comm, &set);
-            let runs = a.deref_owned_runs(&mut comm, &set);
-            let mut expanded = Vec::new();
-            for r in &runs {
-                for k in 0..r.len {
-                    expanded.push((r.pos + k, r.addr_at(k)));
-                }
-            }
-            assert_eq!(expanded, owned);
-            // Runs are sorted, disjoint and maximal is implied by equality
-            // with the sorted element list plus the builder invariants.
-            for w in runs.windows(2) {
-                assert!(w[0].end() <= w[1].pos);
+                SetOfRegions::from_regions(vec![
+                    RegularSection::of_bounds(&[(1, 6), (2, 7)]),
+                    RegularSection::new(vec![
+                        meta_chaos::DimSlice::strided(0, 9, 2),
+                        meta_chaos::DimSlice::strided(1, 7, 3),
+                    ]),
+                ]),
+            ];
+            for set in &sets {
+                check_deref_runs(&mut Comm::world(ep), &a, set);
             }
         });
     }
@@ -406,19 +249,6 @@ mod tests {
         assert_eq!(runs.iter().map(|r| r.len).sum::<usize>(), n);
         for w in runs.windows(2) {
             assert_eq!(w[0].end(), w[1].pos);
-        }
-    }
-
-    #[test]
-    fn locate_all_matches_locate() {
-        let d = BlockDesc {
-            dist: BlockDist::new(vec![10, 10], ProcGrid::new(vec![2, 2]), 0),
-            members: vec![5, 6, 7, 8],
-        };
-        let set = SetOfRegions::single(RegularSection::of_bounds(&[(2, 9), (3, 8)]));
-        let all = d.locate_all(&set);
-        for pos in 0..set.total_len() {
-            assert_eq!(all[pos], d.locate(&set, pos));
         }
     }
 

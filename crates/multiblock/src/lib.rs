@@ -16,7 +16,7 @@
 //!   communication of the paper's Table 1 loops);
 //! * [`sweep`] — the regular-mesh stencil sweep of the paper's Figure 1
 //!   (Loop 1);
-//! * [`regrid`] — dynamic re-blocking of an array onto a new processor
+//! * [`mod@regrid`] — dynamic re-blocking of an array onto a new processor
 //!   grid, implemented on top of Meta-Chaos (the structured counterpart of
 //!   HPF `REDISTRIBUTE` and Chaos `remap`);
 //! * [`native_move`] — Parti's own regular-section copy between two

@@ -1,20 +1,17 @@
 //! The complete Meta-Chaos integration of the Tulip collection — all a
 //! library must supply (paper §4.1.3): a Region type (we reuse
 //! [`IndexSet`]), a descriptor with `locate`, an owned-elements
-//! dereference, and pack/unpack.  Everything is closed-form because the
-//! deal distribution is `g % P`.
+//! dereference, and a view of its local storage.  Everything is
+//! closed-form because the deal distribution is `g % P`.
 
 use mcsim::error::SimError;
 use mcsim::group::Comm;
-use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 
 use meta_chaos::adapter::{Location, McDescriptor, McObject};
 use meta_chaos::region::IndexSet;
 use meta_chaos::runs::{OwnedRun, RunBuilder};
-use meta_chaos::schedule::AddrRuns;
 use meta_chaos::setof::SetOfRegions;
-use meta_chaos::LocalAddr;
 
 use crate::collection::DistributedCollection;
 
@@ -58,32 +55,11 @@ impl<T: Copy + Default> McObject<T> for DistributedCollection<T> {
     type Region = IndexSet;
     type Descriptor = TulipDesc;
 
-    fn deref_owned(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-    ) -> Vec<(usize, LocalAddr)> {
-        let me = self.my_local();
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        for region in set.regions() {
-            for &g in region.indices() {
-                if self.owner_of(g) == me {
-                    out.push((pos, self.local_of(g)));
-                }
-                pos += 1;
-            }
-        }
-        comm.ep().charge_owner_calc(pos);
-        out
-    }
-
     fn deref_owned_runs(&self, comm: &mut Comm<'_>, set: &SetOfRegions<IndexSet>) -> Vec<OwnedRun> {
         // The deal distribution (`g % P`) is irregular from a run point of
         // view, so the scan stays O(elements); runs still form wherever the
         // index list walks one owner's elements in order (always for P = 1,
-        // stride-aware for arithmetic index sequences).  Charge matches
-        // deref_owned exactly.
+        // stride-aware for arithmetic index sequences).
         let me = self.my_local();
         let mut builder = RunBuilder::new();
         let mut pos = 0usize;
@@ -99,27 +75,6 @@ impl<T: Copy + Default> McObject<T> for DistributedCollection<T> {
         builder.finish()
     }
 
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        let p = self.num_procs();
-        comm.ep().charge_owner_calc(positions.len());
-        positions
-            .iter()
-            .map(|&pos| {
-                let (ri, off) = set.locate_position(pos);
-                let g = set.regions()[ri].index(off);
-                Location {
-                    rank: self.members()[g % p],
-                    addr: g / p,
-                }
-            })
-            .collect()
-    }
-
     fn descriptor(&self, _comm: &mut Comm<'_>) -> TulipDesc {
         TulipDesc {
             n: self.len(),
@@ -127,66 +82,12 @@ impl<T: Copy + Default> McObject<T> for DistributedCollection<T> {
         }
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<T>) {
-        let data = self.local();
-        out.extend(addrs.iter().map(|&a| data[a]));
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
+    fn local(&self) -> &[T] {
+        DistributedCollection::local(self)
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], vals: &[T]) {
-        assert_eq!(addrs.len(), vals.len());
-        let data = self.local_mut();
-        for (&a, &v) in addrs.iter().zip(vals) {
-            data[a] = v;
-        }
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<T>) {
-        let data = self.local();
-        for &(start, len) in runs.runs() {
-            out.extend_from_slice(&data[start..start + len]);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs(&mut self, ep: &mut Endpoint, runs: &AddrRuns, vals: &[T]) {
-        assert_eq!(runs.len(), vals.len());
-        let data = self.local_mut();
-        let mut off = 0;
-        for &(start, len) in runs.runs() {
-            data[start..start + len].copy_from_slice(&vals[off..off + len]);
-            off += len;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs_wire(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<u8>)
-    where
-        T: Wire,
-    {
-        let data = self.local();
-        for &(start, len) in runs.runs() {
-            T::write_slice(&data[start..start + len], out);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs_wire(
-        &mut self,
-        ep: &mut Endpoint,
-        runs: &AddrRuns,
-        r: &mut WireReader<'_>,
-    ) -> Result<(), SimError>
-    where
-        T: Wire,
-    {
-        let data = self.local_mut();
-        for &(start, len) in runs.runs() {
-            T::read_slice(r, &mut data[start..start + len])?;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-        Ok(())
+    fn local_mut(&mut self) -> &mut [T] {
+        DistributedCollection::local_mut(self)
     }
 }
 
@@ -198,6 +99,7 @@ mod tests {
     use mcsim::world::World;
     use meta_chaos::build::{compute_schedule, BuildMethod};
     use meta_chaos::datamove::data_move;
+    use meta_chaos::testlib::check_deref_runs;
     use meta_chaos::Side;
 
     #[test]
@@ -238,46 +140,25 @@ mod tests {
     }
 
     #[test]
-    fn descriptor_locate_agrees() {
-        let world = World::with_model(2, MachineModel::zero());
-        world.run(|ep| {
-            let g = Group::world(2);
-            let c = DistributedCollection::<f64>::new(&g, ep.rank(), 9);
-            let set = SetOfRegions::single(IndexSet::new(vec![8, 0, 5]));
-            let mut comm = Comm::new(ep, g);
-            let owned = c.deref_owned(&mut comm, &set);
-            let desc = c.descriptor(&mut comm);
-            let me = comm.ep_ref().rank();
-            for &(pos, addr) in &owned {
-                assert_eq!(desc.locate(&set, pos), Location { rank: me, addr });
-            }
-        });
-    }
-
-    #[test]
-    fn deref_owned_runs_expand_to_deref_owned() {
-        for procs in [1usize, 3] {
+    fn deref_owned_runs_agree_with_descriptor() {
+        for procs in [1usize, 2, 3] {
             let world = World::with_model(procs, MachineModel::zero());
             world.run(move |ep| {
                 let g = Group::world(procs);
                 let c = DistributedCollection::<f64>::new(&g, ep.rank(), 20);
-                let set = SetOfRegions::from_regions(vec![
-                    IndexSet::new((0..12).collect()),
-                    IndexSet::new(vec![19, 3, 8, 8]),
-                ]);
-                let mut comm = Comm::new(ep, g);
-                let owned = c.deref_owned(&mut comm, &set);
-                let runs = c.deref_owned_runs(&mut comm, &set);
-                let mut expanded = Vec::new();
-                for r in &runs {
-                    for k in 0..r.len {
-                        expanded.push((r.pos + k, r.addr_at(k)));
+                let sets = [
+                    SetOfRegions::single(IndexSet::new(vec![8, 0, 5])),
+                    SetOfRegions::from_regions(vec![
+                        IndexSet::new((0..12).collect()),
+                        IndexSet::new(vec![19, 3, 8, 8]),
+                    ]),
+                ];
+                for set in &sets {
+                    let runs = check_deref_runs(&mut Comm::new(ep, g.clone()), &c, set);
+                    if procs == 1 && set.total_len() > 12 {
+                        // Single owner: the contiguous prefix collapses.
+                        assert!(runs[0].len >= 12, "runs: {runs:?}");
                     }
-                }
-                assert_eq!(expanded, owned);
-                if procs == 1 {
-                    // Single owner: the contiguous prefix collapses.
-                    assert!(runs[0].len >= 12, "runs: {runs:?}");
                 }
             });
         }

@@ -5,14 +5,13 @@
 //!
 //! This example defines `StripedVector`, a toy library whose elements are
 //! striped backwards across the processors, implements the Meta-Chaos
-//! interface for it in ~80 lines, and immediately exchanges data with
+//! interface for it in ~70 lines, and immediately exchanges data with
 //! Multiblock Parti — no changes to any other crate.
 //!
 //! Run with `cargo run --example custom_library`.
 
 use mcsim::error::SimError;
 use mcsim::group::{Comm, Group};
-use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 use mcsim::{MachineModel, World};
 
@@ -20,8 +19,9 @@ use meta_chaos::adapter::{Location, McDescriptor, McObject};
 use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::datamove::data_move;
 use meta_chaos::region::{IndexSet, RegularSection};
+use meta_chaos::runs::{OwnedRun, RunBuilder};
 use meta_chaos::setof::SetOfRegions;
-use meta_chaos::{LocalAddr, Side};
+use meta_chaos::Side;
 
 use multiblock::MultiblockArray;
 
@@ -31,7 +31,6 @@ use multiblock::MultiblockArray;
 // ---------------------------------------------------------------- //
 
 struct StripedVector {
-    n: usize,
     members: Vec<usize>,
     my_local: usize,
     data: Vec<f64>,
@@ -44,7 +43,6 @@ impl StripedVector {
         let stripe = (p - 1) - my_local;
         let count = n / p + usize::from(stripe < n % p);
         StripedVector {
-            n,
             members: prog.members().to_vec(),
             my_local,
             data: vec![0.0; count],
@@ -58,20 +56,16 @@ impl StripedVector {
 // Step 1: a shippable descriptor with per-position lookup.
 #[derive(Clone)]
 struct StripedDesc {
-    n: usize,
     members: Vec<usize>,
 }
 
 impl Wire for StripedDesc {
     fn write(&self, out: &mut Vec<u8>) {
-        self.n.write(out);
         self.members.write(out);
     }
     fn read(r: &mut WireReader<'_>) -> Result<Self, SimError> {
-        Ok(StripedDesc {
-            n: usize::read(r)?,
-            members: Vec::<usize>::read(r)?,
-        })
+        let members = Vec::<usize>::read(r)?;
+        Ok(StripedDesc { members })
     }
 }
 
@@ -88,61 +82,40 @@ impl McDescriptor for StripedDesc {
     }
 }
 
-// Step 2: the interface functions (this is the *entire* integration).
+// Step 2: the interface functions (this is the *entire* integration):
+// which positions of a transfer this rank owns, the descriptor, and a view
+// of the local storage — Meta-Chaos packs and unpacks through the view.
 impl McObject<f64> for StripedVector {
     type Region = IndexSet;
     type Descriptor = StripedDesc;
 
-    fn deref_owned(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-    ) -> Vec<(usize, LocalAddr)> {
-        let mut out = Vec::new();
+    fn deref_owned_runs(&self, comm: &mut Comm<'_>, set: &SetOfRegions<IndexSet>) -> Vec<OwnedRun> {
+        let mut out = RunBuilder::new();
         let mut pos = 0;
         for r in set.regions() {
             for &g in r.indices() {
                 if self.owner_local(g) == self.my_local {
-                    out.push((pos, g / self.members.len()));
+                    out.push(pos, g / self.members.len());
                 }
                 pos += 1;
             }
         }
         comm.ep().charge_owner_calc(pos);
-        out
-    }
-
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        let d = StripedDesc {
-            n: self.n,
-            members: self.members.clone(),
-        };
-        comm.ep().charge_owner_calc(positions.len());
-        positions.iter().map(|&p| d.locate(set, p)).collect()
+        out.finish()
     }
 
     fn descriptor(&self, _comm: &mut Comm<'_>) -> StripedDesc {
         StripedDesc {
-            n: self.n,
             members: self.members.clone(),
         }
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<f64>) {
-        out.extend(addrs.iter().map(|&a| self.data[a]));
-        ep.charge_copy_bytes(8 * addrs.len());
+    fn local(&self) -> &[f64] {
+        &self.data
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], vals: &[f64]) {
-        for (&a, &v) in addrs.iter().zip(vals) {
-            self.data[a] = v;
-        }
-        ep.charge_copy_bytes(8 * addrs.len());
+    fn local_mut(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 }
 
@@ -198,18 +171,10 @@ fn main() {
             .collect();
         println!("  {}", line.join("  "));
     }
-    let ok = all.iter().all(|&(g, v)| v == (g * g) as f64);
+    assert!(all.iter().all(|&(g, v)| v == (g * g) as f64), "MISMATCH");
+    println!("\nverification: every element correct");
     println!(
-        "\nverification: {}",
-        if ok {
-            "every element correct"
-        } else {
-            "MISMATCH"
-        }
-    );
-    assert!(ok);
-    println!(
-        "the whole integration is the ~100 lines of McObject/McDescriptor\n\
+        "the whole integration is the ~70 lines of McObject/McDescriptor\n\
          impls above — no changes to Meta-Chaos or any other library."
     );
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full offline verification: build, test, lint.  No network access needed —
-# the workspace has zero crates.io dependencies.
+# Full offline verification: build, test, lint, docs.  No network access
+# needed — the workspace has zero crates.io dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -8,6 +8,9 @@ cargo fmt --check
 cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: every intra-doc link must resolve, so a deleted or renamed
+# API cannot leave a dangling reference behind in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Fault-injection gate: the fault matrix drives every injector kind through
 # the coupled transfer, plus the transactional-transfer suite (stale
@@ -22,7 +25,7 @@ done
 
 # Fuzz gate: a bounded differential soak with fixed seeds — ~300 scenarios
 # round-robined across all 16 library pairs, each checked against the
-# reference inspector, a serial memory model, and a virtual-clock deadline.
+# serial schedule oracle, a serial memory model, and a virtual-clock deadline.
 # On a violation the driver shrinks the scenario and leaves a self-contained
 # repro (scenario + failure + flight-recorder post-mortem) in target/fuzz/.
 echo "== fuzz soak (16-pair matrix) =="
@@ -61,7 +64,7 @@ echo "== trace schema =="
 cargo run --release -p bench --bin repro -- trace --n 256 --reps 1 --trace-out "$trace_tmp"
 cargo run --release -p bench --bin repro -- trace-check "$trace_tmp"
 
-# Inspector-regression gate: re-run `repro micro` and compare the run-based
+# Inspector-regression gate: re-run `repro micro` and compare the
 # cooperation build time against the checked-in baseline.  The baseline is
 # saved BEFORE the run because `repro micro` rewrites BENCH_executor.json in
 # place; the baseline file is restored afterwards so verify never dirties

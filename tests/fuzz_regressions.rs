@@ -63,7 +63,7 @@ fn corpus_post_mortem_carries_critical_path_summary() {
     let path = corpus_dir().join("same-prog-bumps-hpf-to-hpf.json");
     let text = std::fs::read_to_string(&path).expect("readable corpus file");
     let sc = fuzz::parse_repro(&text).expect("parseable");
-    let run = fuzz::exec::run_scenario(&sc, false, false);
+    let run = fuzz::exec::run_scenario(&sc, false);
     let cp = run
         .critical_path
         .as_deref()

@@ -8,9 +8,11 @@
 use std::collections::HashMap;
 
 use mcsim::group::{Comm, Group};
+use mcsim::prelude::Endpoint;
 use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::datamove::data_move;
 use meta_chaos::region::{IndexSet, RegularSection};
+use meta_chaos::schedule::Schedule;
 use meta_chaos::setof::SetOfRegions;
 use meta_chaos::Side;
 use meta_chaos_repro::test_world;
@@ -156,12 +158,33 @@ fn local_only_transfer_sends_nothing() {
     assert!(out.results.iter().all(|&m| m == 0));
 }
 
+/// Hand-coded execution of `sched` over the two local views: every
+/// address looked up on its own, each pair's elements shipped as one plain
+/// `Vec<f64>` message.
+fn move_element_list(ep: &mut Endpoint, sched: &Schedule, src: &[f64], dst: &mut [f64]) {
+    const TAG: u32 = 77;
+    let mut comm = Comm::borrowed(ep, sched.group());
+    for (peer, runs) in &sched.sends {
+        let vals: Vec<f64> = runs.iter().map(|a| src[a]).collect();
+        comm.send_t(*peer, TAG, &vals);
+    }
+    for (s, d) in sched.local_pairs.iter() {
+        dst[d] = src[s];
+    }
+    for (peer, runs) in &sched.recvs {
+        let vals: Vec<f64> = comm.recv_t(*peer, TAG);
+        assert_eq!(vals.len(), runs.len(), "message from peer {peer}");
+        for (a, v) in runs.iter().zip(vals) {
+            dst[a] = v;
+        }
+    }
+}
+
 /// The run-compressed executor must be indistinguishable on the wire from
-/// the element-list executor it replaced: same per-pair message counts,
-/// same per-pair byte totals, and byte-identical destination contents.
+/// a hand-coded element-list one: same per-pair message counts, same
+/// per-pair byte totals, and byte-identical destination contents.
 #[test]
 fn run_compressed_executor_matches_elementwise() {
-    use meta_chaos::datamove::data_move_elementwise;
     let n = 48usize;
     let p = 4usize;
     let out = test_world(p).run(move |ep| {
@@ -189,7 +212,7 @@ fn run_compressed_executor_matches_elementwise() {
 
         let mut a_slow = MultiblockArray::<f64>::new(&g, ep.rank(), &[n]);
         let before = ep.stats_snapshot();
-        data_move_elementwise(ep, &sched, &b, &mut a_slow);
+        move_element_list(ep, &sched, b.local(), a_slow.local_mut());
         let slow = ep.stats_snapshot().since(&before);
 
         assert_eq!(fast.msgs_to, slow.msgs_to, "per-pair message counts");
@@ -213,11 +236,10 @@ fn run_compressed_executor_matches_elementwise() {
 }
 
 /// Same parity check for a regular -> irregular transfer, which exercises
-/// the per-element fallback on the chaos side and the run fast path on the
-/// multiblock side within one move.
+/// length-1 runs on the chaos side and long runs on the multiblock side
+/// within one move.
 #[test]
 fn mixed_library_parity_with_elementwise() {
-    use meta_chaos::datamove::data_move_elementwise;
     let n = 36usize;
     test_world(3).run(move |ep| {
         let g = Group::world(3);
@@ -244,7 +266,7 @@ fn mixed_library_parity_with_elementwise() {
         data_move(ep, &sched, &a, &mut x_fast);
         let fast = ep.stats_snapshot().since(&before);
         let before = ep.stats_snapshot();
-        data_move_elementwise(ep, &sched, &a, &mut x_slow);
+        move_element_list(ep, &sched, a.local(), x_slow.local_mut());
         let slow = ep.stats_snapshot().since(&before);
         assert_eq!(fast.msgs_to, slow.msgs_to);
         assert_eq!(fast.bytes_to, slow.bytes_to);

@@ -174,34 +174,3 @@ fn twenty_four_rank_smoke() {
     // Determinism across runs.
     assert_eq!(a.to_bits(), run().to_bits());
 }
-
-/// Direct coverage of the `locate_positions` interface for the two
-/// communication-bearing libraries.
-#[test]
-fn locate_positions_agrees_with_deref() {
-    use meta_chaos::McObject;
-    test_world(3).run(|ep| {
-        let g = Group::world(3);
-        let x = {
-            let mut comm = Comm::new(ep, g.clone());
-            IrregArray::create(&mut comm, 21, Partition::Random(13), |gi| gi as f64)
-        };
-        let set = SetOfRegions::single(IndexSet::new((0..21).rev().collect()));
-        let owned = {
-            let mut comm = Comm::new(ep, g.clone());
-            x.deref_owned(&mut comm, &set)
-        };
-        // Ask for ALL positions from every rank.
-        let all: Vec<usize> = (0..21).collect();
-        let locs = {
-            let mut comm = Comm::new(ep, g.clone());
-            x.locate_positions(&mut comm, &set, &all)
-        };
-        for &(pos, addr) in &owned {
-            assert_eq!(locs[pos].rank, ep.rank());
-            assert_eq!(locs[pos].addr, addr);
-        }
-        // And every position must resolve to SOME member of the program.
-        assert!(locs.iter().all(|l| g.contains(l.rank)));
-    });
-}

@@ -1,21 +1,19 @@
-//! Schedule-parity property test for the run-based inspector: for every
+//! Schedule-parity property test for the inspector: for every
 //! source→destination pair of the four libraries and several seeds, the
-//! interval-arithmetic `compute_schedule` must produce a **byte-identical**
-//! [`Schedule`] — same sends/recvs/local_pairs, same seq/epoch/elem_tag
-//! provenance — as the element-wise `compute_schedule_reference`, and the
-//! executed `data_move` must put exactly the same message counts and sizes
-//! on the wire.
-//!
-//! Each build runs in its own fresh `World` so the per-thread schedule
-//! sequence counters start from the same state and the seq numbers are
-//! comparable across implementations.
+//! schedule `compute_schedule` builds on every rank must equal what the
+//! communication-free serial oracle (`fuzz::oracle::serial_schedule`: pair
+//! the two descriptors' `locate` answers position by position) says it
+//! should be — same sends, recvs and local pairs — and the executed
+//! `data_move` must put exactly one message of `8 + 8·len` bytes on the
+//! wire per non-empty oracle pair.
 
+use fuzz::oracle::{serial_schedule, Motion};
 use mcsim::group::{Comm, Group};
 use mcsim::prelude::Endpoint;
-use meta_chaos::build::{compute_schedule, compute_schedule_reference, BuildMethod};
+use mcsim::wire::Wire;
+use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::datamove::data_move;
 use meta_chaos::region::{IndexSet, RegularSection};
-use meta_chaos::schedule::Schedule;
 use meta_chaos::setof::SetOfRegions;
 use meta_chaos::{McObject, Side};
 use meta_chaos_repro::test_world;
@@ -28,49 +26,6 @@ use tulip::DistributedCollection;
 const N: usize = 48;
 const P: usize = 4;
 const SEEDS: [u64; 3] = [7, 19, 31];
-
-/// Everything observable about one rank's schedule and the wire traffic
-/// of executing it once.
-#[derive(Debug, Clone, PartialEq)]
-struct SchedDump {
-    seq: u32,
-    total_elems: usize,
-    src_epoch: u64,
-    dst_epoch: u64,
-    elem_tag: u64,
-    elem_size: u32,
-    sends: Vec<(usize, Vec<(usize, usize)>)>,
-    recvs: Vec<(usize, Vec<(usize, usize)>)>,
-    local_pairs: Vec<(usize, usize, usize)>,
-    /// `data_move` NetStats delta: messages sent to each peer.
-    move_msgs_to: Vec<u64>,
-    /// `data_move` NetStats delta: bytes sent to each peer.
-    move_bytes_to: Vec<u64>,
-}
-
-fn dump(sched: &Schedule, move_msgs_to: Vec<u64>, move_bytes_to: Vec<u64>) -> SchedDump {
-    SchedDump {
-        seq: sched.seq(),
-        total_elems: sched.total_elems,
-        src_epoch: sched.src_epoch(),
-        dst_epoch: sched.dst_epoch(),
-        elem_tag: sched.elem_tag(),
-        elem_size: sched.elem_size(),
-        sends: sched
-            .sends
-            .iter()
-            .map(|(p, a)| (*p, a.runs().to_vec()))
-            .collect(),
-        recvs: sched
-            .recvs
-            .iter()
-            .map(|(p, a)| (*p, a.runs().to_vec()))
-            .collect(),
-        local_pairs: sched.local_pairs.runs().to_vec(),
-        move_msgs_to,
-        move_bytes_to,
-    }
-}
 
 /// Seeded Fisher–Yates permutation of `0..N` (tiny LCG, no external RNG).
 fn permutation(seed: u64) -> Vec<usize> {
@@ -142,54 +97,55 @@ fn mk_chaos(
     )
 }
 
-/// Build the same transfer through one inspector implementation and run
-/// it once, returning every rank's schedule dump.
-fn one_world<S, D, MS, MD>(
-    mk_src: MS,
-    mk_dst: MD,
-    method: BuildMethod,
-    seed: u64,
-    reference: bool,
-) -> Vec<SchedDump>
+/// Build the transfer and run it once on every rank, then hold each
+/// rank's schedule and `data_move` traffic against the serial oracle,
+/// which sees only the two descriptors (as wire bytes) and region sets.
+fn check_pair<S, D, MS, MD>(name: &str, mk_src: MS, mk_dst: MD, method: BuildMethod, seed: u64)
 where
     S: McObject<f64> + 'static,
     D: McObject<f64> + 'static,
+    S::Region: Send,
+    D::Region: Send,
     MS: Fn(&mut Endpoint, &Group, usize, u64) -> (S, SetOfRegions<S::Region>) + Send + Sync,
     MD: Fn(&mut Endpoint, &Group, usize, u64) -> (D, SetOfRegions<D::Region>) + Send + Sync,
 {
-    test_world(P)
-        .run(move |ep| {
-            let g = Group::world(P);
+    let g = Group::world(P);
+    let results = test_world(P)
+        .run(|ep| {
             let (src, sset) = mk_src(ep, &g, ep.rank(), seed);
             let (mut dst, dset) = mk_dst(ep, &g, ep.rank(), seed.wrapping_add(17));
-            let sched = if reference {
-                compute_schedule_reference(
-                    ep,
-                    &g,
-                    &g,
-                    Some(Side::new(&src, &sset)),
-                    &g,
-                    Some(Side::new(&dst, &dset)),
-                    method,
-                )
-            } else {
-                compute_schedule(
-                    ep,
-                    &g,
-                    &g,
-                    Some(Side::new(&src, &sset)),
-                    &g,
-                    Some(Side::new(&dst, &dset)),
-                    method,
-                )
-            }
+            let sched = compute_schedule(
+                ep,
+                &g,
+                &g,
+                Some(Side::new(&src, &sset)),
+                &g,
+                Some(Side::new(&dst, &dset)),
+                method,
+            )
             .expect("schedule builds");
             let before = ep.stats_snapshot();
             data_move(ep, &sched, &src, &mut dst);
             let delta = ep.stats_snapshot().since(&before);
-            dump(&sched, delta.msgs_to.clone(), delta.bytes_to.clone())
+            let mut comm = Comm::borrowed(ep, &g);
+            let sdesc = src.descriptor(&mut comm).to_bytes();
+            let ddesc = dst.descriptor(&mut comm).to_bytes();
+            (Motion::of(&sched), delta, (sdesc, sset), (ddesc, dset))
         })
-        .results
+        .results;
+    let (_, _, (sdesc, sset), (ddesc, dset)) = &results[0];
+    let oracle = serial_schedule::<S::Descriptor, D::Descriptor>(&g, (sdesc, sset), (ddesc, dset));
+    for (rank, ((got, moved, ..), want)) in results.iter().zip(&oracle).enumerate() {
+        let ctx = format!("{name}: rank {rank} (seed {seed}, {method:?})");
+        assert_eq!(got, want, "{ctx}");
+        let (mut msgs, mut bytes) = (vec![0u64; P], vec![0u64; P]);
+        for (peer, runs) in &want.sends {
+            msgs[*peer] = 1;
+            bytes[*peer] = 8 + 8 * runs.len() as u64;
+        }
+        assert_eq!(moved.msgs_to, msgs, "{ctx}: messages per peer");
+        assert_eq!(moved.bytes_to, bytes, "{ctx}: bytes per peer");
+    }
 }
 
 macro_rules! parity_case {
@@ -198,17 +154,7 @@ macro_rules! parity_case {
         fn $name() {
             for method in [BuildMethod::Cooperation, BuildMethod::Duplication] {
                 for seed in SEEDS {
-                    let runs = one_world($mk_src, $mk_dst, method, seed, false);
-                    let refs = one_world($mk_src, $mk_dst, method, seed, true);
-                    assert_eq!(runs.len(), refs.len());
-                    for (rank, (a, b)) in runs.iter().zip(&refs).enumerate() {
-                        assert_eq!(
-                            a,
-                            b,
-                            "{}: rank {rank} diverges (seed {seed}, {method:?})",
-                            stringify!($name)
-                        );
-                    }
+                    check_pair(stringify!($name), $mk_src, $mk_dst, method, seed);
                 }
             }
         }
