@@ -4,10 +4,9 @@
 //! regression gate needs: per-phase critical-path seconds and shares,
 //! per-transfer latency quantiles, and the end-to-end total.  It
 //! serializes to a single-line flat JSON object (9-digit precision, one
-//! `"key": value` pair per number, so shell `sed` extraction works on it
-//! as on the other `BENCH_*.json` files) and parses back, so
-//! `repro trace-diff` can compare a fresh run against a committed
-//! baseline file.
+//! `"key": value` pair per number) and parses back through the workspace
+//! codec, so `repro trace-diff` can compare a fresh run against a
+//! committed baseline file.
 //!
 //! Diff semantics: a phase **regresses** when its critical-path seconds
 //! grow beyond `baseline × (1 + threshold)` (plus a 1 µs absolute floor
@@ -96,22 +95,13 @@ impl Attribution {
         out
     }
 
-    /// Parse a flat JSON line produced by [`Self::to_json`].
+    /// Parse a flat JSON object produced by [`Self::to_json`].
     pub fn parse(text: &str) -> Result<Self, String> {
+        let doc = mcsim::json::parse(text)?;
         let num = |key: &str| -> Result<f64, String> {
-            let pat = format!("\"{key}\": ");
-            let start = text
-                .find(&pat)
-                .ok_or_else(|| format!("missing field `{key}`"))?
-                + pat.len();
-            let rest = &text[start..];
-            let end = rest
-                .find([',', '}'])
-                .ok_or_else(|| format!("unterminated field `{key}`"))?;
-            rest[..end]
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad number for `{key}`: {e}"))
+            doc.get(key)
+                .and_then(|v| v.as_f64())
+                .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
         };
         let mut a = Attribution {
             transfers: num("transfers")? as u64,

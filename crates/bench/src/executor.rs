@@ -15,7 +15,7 @@
 //! therefore share one denominator — the earlier harness let the reliable
 //! leg stream ahead of the barrier and "cost" −67% of the fast path.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mcsim::group::{Comm, Group};
 use mcsim::model::MachineModel;
@@ -42,9 +42,9 @@ use tulip::DistributedCollection;
 /// starts from a clock barrier; each repetition ends on one, so a leg
 /// whose work drains asynchronously (the reliable send half, say) is
 /// still charged its full round trip.  The best of `batches` batches is
-/// kept — the ranks are OS threads ping-ponging through condvars, so a
-/// single descheduling can add milliseconds to one batch, and the minimum
-/// is the standard scheduler-noise filter for wall-clock micros.
+/// kept — a single descheduling of the host thread can add milliseconds
+/// to one batch, and the minimum is the standard scheduler-noise filter
+/// for wall-clock micros.
 fn timed_leg(
     ep: &mut Endpoint,
     g: &Group,
@@ -628,7 +628,7 @@ impl RecoverySettle {
 /// resumes (step 0 replayed or confirmed, step 1 fresh).
 const SETTLE_STEPS: u64 = 2;
 
-/// Scripted crashes panic inside worker threads *by design*; the world
+/// Scripted crashes panic inside rank tasks *by design*; the world
 /// supervisor catches them and respawns the rank.  Silence just those
 /// expected payloads so bench output stays readable, and leave every
 /// other panic on the default reporter.
@@ -660,9 +660,7 @@ fn settle_world(n: usize, crash: Option<f64>) -> (f64, RunReport<()>) {
         .with_supervisor(1)
         .with_recovery_config(RecoveryConfig {
             heartbeats: true,
-            lease_window: Duration::from_millis(20),
             lease_misses: 3,
-            ..RecoveryConfig::default()
         })
         .with_trace();
     let t = Instant::now();

@@ -20,6 +20,7 @@
 pub mod attr;
 pub mod clientserver;
 pub mod executor;
+pub mod gate;
 pub mod meshes;
 pub mod regular;
 pub mod report;

@@ -17,9 +17,10 @@ use bench::clientserver::{break_even, client_server};
 use bench::executor::{executor_micro, recovery_settle_micro, wire_throughput_micro};
 use bench::meshes::{table1, table2, table34};
 use bench::regular::table5;
-use bench::report::{fmt_ms, write_json_report, JsonValue};
+use bench::report::{fmt_ms, num, write_report};
 use bench::scaling::{scaling_point, sublinear};
 use bench::traced::{traced_coupled_run, traced_coupled_run_scaled};
+use mcsim::json::{self, obj, Value};
 
 fn arg(args: &[String], name: &str, default: usize) -> usize {
     args.iter()
@@ -45,6 +46,10 @@ fn arg_str(args: &[String], name: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment> [options]\n\
@@ -55,8 +60,9 @@ fn usage() -> ! {
            table5   [--procs P] [--side S]            Parti vs Meta-Chaos\n\
            fig10    [--client C] [--servers S] [--n N] [--vectors V]\n\
            fig15    [--client C] [--servers S] [--n N]\n\
-           micro    [--elements N] [--procs P] [--reps R] executor, inspector\n\
-                    and transport wall micros; writes BENCH_executor.json\n\
+           micro    [--elements N] [--procs P] [--reps R] [--out FILE]\n\
+                    executor, inspector and transport wall micros;\n\
+                    writes BENCH_executor.json (or FILE)\n\
            trace    [--n N] [--reps R] [--trace-out FILE] traced coupled run;\n\
                     FILE ending .jsonl gets JSONL, anything else Chrome JSON\n\
                     (load in chrome://tracing or https://ui.perfetto.dev)\n\
@@ -68,9 +74,12 @@ fn usage() -> ! {
                     attribution files; exit 1 when any phase's critical-\n\
                     path seconds grew past T (default 0.25 = +25%)\n\
            scaling  [--n N] [--procs 64,256,1024] [--out FILE]\n\
-                    M:N-runner scaling curve: inspector build, coupled\n\
-                    transfer settle, and HPF redistribution per P;\n\
+                    scaling curve: inspector build, coupled transfer\n\
+                    settle, and HPF redistribution per P;\n\
                     writes BENCH_scaling.json (or FILE)\n\
+           gate     <executor|scaling> BASELINE FRESH  hold a fresh micro /\n\
+                    scaling report to the committed one (bench::gate's\n\
+                    table); exit 1 when a gate trips or a key is missing\n\
            all                                         every table at paper size\n\
            list                                        this message"
     );
@@ -239,97 +248,63 @@ fn main() {
                 rec.ranks_recovered,
                 rec.parts_replayed
             );
-            let path = "BENCH_executor.json";
-            let mut fields = vec![
-                ("bench", JsonValue::Str("executor".into())),
-                ("elements", JsonValue::Int(r.elements as u64)),
-                ("procs", JsonValue::Int(r.procs as u64)),
-                ("reps", JsonValue::Int(r.reps as u64)),
-                ("sched_runs", JsonValue::Int(r.sched_runs as u64)),
-                ("fast_ns_per_move", JsonValue::Num(r.fast_ns)),
-                ("fast_mb_per_s", JsonValue::Num(r.fast_mbps())),
+            let path = arg_str(&args, "--out", "BENCH_executor.json");
+            let mut report = vec![
+                ("bench", Value::Str("executor".into())),
+                ("elements", Value::Int(r.elements as u64)),
+                ("procs", Value::Int(r.procs as u64)),
+                ("reps", Value::Int(r.reps as u64)),
+                ("sched_runs", Value::Int(r.sched_runs as u64)),
+                ("fast_ns_per_move", num(r.fast_ns)),
+                ("fast_mb_per_s", num(r.fast_mbps())),
+                ("recovery_settle_ns", num(rec.settle_ns())),
+                ("recovery_baseline_ns", num(rec.baseline_ns)),
+                ("recovery_crashed_ns", num(rec.crashed_ns)),
+                ("recovery_ranks_recovered", Value::Int(rec.ranks_recovered)),
+                ("recovery_parts_replayed", Value::Int(rec.parts_replayed)),
+                ("wire_bytes", Value::Int(w.bytes as u64)),
+                ("wire_windowed_ns", num(w.windowed_ns)),
+                ("wire_stopwait_ns", num(w.stopwait_ns)),
+                ("window_speedup", num(w.window_speedup())),
+                ("pipeline_overlap_pct", num(w.pipeline_overlap_pct())),
             ];
-            if let Some(rel_ns) = r.reliable_ns {
-                fields.push(("reliable_ns_per_move", JsonValue::Num(rel_ns)));
-                fields.push((
-                    "reliable_mb_per_s",
-                    JsonValue::Num(r.reliable_mbps().unwrap()),
-                ));
+            if let (Some(rel_ns), Some(rel_mbps)) = (r.reliable_ns, r.reliable_mbps()) {
+                report.push(("reliable_ns_per_move", num(rel_ns)));
+                report.push(("reliable_mb_per_s", num(rel_mbps)));
             }
             if let Some(raw_ns) = r.reliable_raw_ns {
-                fields.push(("reliable_raw_ns_per_move", JsonValue::Num(raw_ns)));
+                report.push(("reliable_raw_ns_per_move", num(raw_ns)));
             }
             if let Some(pct) = r.reliable_overhead_pct() {
-                fields.push(("reliable_overhead_pct", JsonValue::Num(pct)));
+                report.push(("reliable_overhead_pct", num(pct)));
             }
-            fields.push(("recovery_settle_ns", JsonValue::Num(rec.settle_ns())));
-            fields.push(("recovery_baseline_ns", JsonValue::Num(rec.baseline_ns)));
-            fields.push(("recovery_crashed_ns", JsonValue::Num(rec.crashed_ns)));
-            fields.push((
-                "recovery_ranks_recovered",
-                JsonValue::Int(rec.ranks_recovered),
-            ));
-            fields.push((
-                "recovery_parts_replayed",
-                JsonValue::Int(rec.parts_replayed),
-            ));
-            fields.push(("wire_bytes", JsonValue::Int(w.bytes as u64)));
-            fields.push(("wire_windowed_ns", JsonValue::Num(w.windowed_ns)));
-            fields.push(("wire_stopwait_ns", JsonValue::Num(w.stopwait_ns)));
-            fields.push(("window_speedup", JsonValue::Num(w.window_speedup())));
-            fields.push((
-                "pipeline_overlap_pct",
-                JsonValue::Num(w.pipeline_overlap_pct()),
-            ));
-            let mut phase_fields = vec![
-                (
-                    "inspector_build_ns".to_string(),
-                    JsonValue::Num(ph.inspector_build_ns),
-                ),
-                (
-                    "inspector_build_dup_ns".to_string(),
-                    JsonValue::Num(ph.inspector_build_dup_ns),
-                ),
-                ("pack_ns".to_string(), JsonValue::Num(ph.pack_ns)),
-                ("wire_ns".to_string(), JsonValue::Num(ph.wire_ns)),
-                ("unpack_ns".to_string(), JsonValue::Num(ph.unpack_ns)),
+            let mut phases = vec![
+                ("inspector_build_ns", num(ph.inspector_build_ns)),
+                ("inspector_build_dup_ns", num(ph.inspector_build_dup_ns)),
+                ("pack_ns", num(ph.pack_ns)),
+                ("wire_ns", num(ph.wire_ns)),
+                ("unpack_ns", num(ph.unpack_ns)),
             ];
             if let Some(s) = ph.session_overhead_ns {
-                phase_fields.push(("session_overhead_ns".to_string(), JsonValue::Num(s)));
+                phases.push(("session_overhead_ns", num(s)));
             }
-            fields.push(("phases", JsonValue::Obj(phase_fields)));
-            fields.push((
-                "inspector_pairs",
-                JsonValue::Obj(
-                    r.pairs
-                        .iter()
-                        .map(|p| {
-                            (
-                                p.pair.to_string(),
-                                JsonValue::Obj(vec![
-                                    ("coop_build_ns".to_string(), JsonValue::Num(p.coop_build_ns)),
-                                    ("dup_build_ns".to_string(), JsonValue::Num(p.dup_build_ns)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ));
-            let a = r.amortization;
-            fields.push((
+            report.push(("phases", obj(phases)));
+            let pairs = r.pairs.iter().map(|p| {
+                let builds = vec![
+                    ("coop_build_ns", num(p.coop_build_ns)),
+                    ("dup_build_ns", num(p.dup_build_ns)),
+                ];
+                (p.pair.to_string(), obj(builds))
+            });
+            report.push(("inspector_pairs", Value::Obj(pairs.collect())));
+            report.push((
                 "amortization",
-                JsonValue::Obj(vec![
-                    ("elements".to_string(), JsonValue::Int(a.elements as u64)),
-                    (
-                        "sched_runs".to_string(),
-                        JsonValue::Int(a.sched_runs as u64),
-                    ),
-                    ("build_ns".to_string(), JsonValue::Num(a.build_ns)),
-                    ("move_ns".to_string(), JsonValue::Num(a.move_ns)),
-                    (
-                        "breakeven_moves".to_string(),
-                        JsonValue::Num(a.breakeven_moves()),
-                    ),
+                obj(vec![
+                    ("elements", Value::Int(a.elements as u64)),
+                    ("sched_runs", Value::Int(a.sched_runs as u64)),
+                    ("build_ns", num(a.build_ns)),
+                    ("move_ns", num(a.move_ns)),
+                    ("breakeven_moves", num(a.breakeven_moves())),
                 ]),
             ));
             // Critical-path attribution of the same-sized coupled
@@ -343,38 +318,21 @@ fn main() {
             let shares = cp.phase_shares();
             let lat = cp.latency_histogram();
             let (dom, dom_share) = cp.dominant().unwrap_or(("other", 0.0));
-            let mut cp_fields = vec![
-                (
-                    "transfers".to_string(),
-                    JsonValue::Int(cp.transfers.len() as u64),
-                ),
-                ("dominant".to_string(), JsonValue::Str(dom.to_string())),
-                (
-                    "dominant_share_pct".to_string(),
-                    JsonValue::Num(dom_share * 100.0),
-                ),
-                (
-                    "latency_p50_ns".to_string(),
-                    JsonValue::Num(lat.p50() * 1e9),
-                ),
-                (
-                    "latency_p95_ns".to_string(),
-                    JsonValue::Num(lat.p95() * 1e9),
-                ),
-                (
-                    "latency_p99_ns".to_string(),
-                    JsonValue::Num(lat.p99() * 1e9),
-                ),
-                ("latency_max_ns".to_string(), JsonValue::Num(lat.max * 1e9)),
+            let mut cp_fields: Vec<(String, Value)> = vec![
+                ("transfers".into(), Value::Int(cp.transfers.len() as u64)),
+                ("dominant".into(), Value::Str(dom.to_string())),
+                ("dominant_share_pct".into(), num(dom_share * 100.0)),
+                ("latency_p50_ns".into(), num(lat.p50() * 1e9)),
+                ("latency_p95_ns".into(), num(lat.p95() * 1e9)),
+                ("latency_p99_ns".into(), num(lat.p99() * 1e9)),
+                ("latency_max_ns".into(), num(lat.max * 1e9)),
             ];
             for name in mcsim::analyze::TAXONOMY {
-                cp_fields.push((
-                    format!("{name}_share_pct"),
-                    JsonValue::Num(shares.get(name).copied().unwrap_or(0.0) * 100.0),
-                ));
+                let share = shares.get(name).copied().unwrap_or(0.0);
+                cp_fields.push((format!("{name}_share_pct"), num(share * 100.0)));
             }
-            fields.push(("critical_path", JsonValue::Obj(cp_fields)));
-            write_json_report(path, &fields).expect("write BENCH_executor.json");
+            report.push(("critical_path", Value::Obj(cp_fields.into_iter().collect())));
+            write_report(&path, &obj(report)).unwrap_or_else(|e| panic!("write {path}: {e}"));
             println!("wrote {path}");
         }
         "trace" => {
@@ -439,8 +397,7 @@ fn main() {
             };
             let threshold = arg_f64(&args, "--threshold", 0.25);
             let read = |p: &str| {
-                let text = std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read {p}: {e}"));
-                Attribution::parse(&text).unwrap_or_else(|e| panic!("parse {p}: {e}"))
+                Attribution::parse(&read_file(p)).unwrap_or_else(|e| panic!("parse {p}: {e}"))
             };
             let d = diff(&read(base_path), &read(cur_path), threshold);
             for line in &d.lines {
@@ -501,42 +458,52 @@ fn main() {
                 "simulated inspector+executor sub-linear in P: {}",
                 if sub { "yes" } else { "NO" }
             );
-            let mut fields = vec![
-                ("bench", JsonValue::Str("scaling".into())),
-                ("elements", JsonValue::Int(n as u64)),
-                ("sublinear", JsonValue::Int(u64::from(sub))),
+            let mut report: Vec<(String, Value)> = vec![
+                ("bench".into(), Value::Str("scaling".into())),
+                ("elements".into(), Value::Int(n as u64)),
+                ("sublinear".into(), Value::Int(u64::from(sub))),
             ];
-            let keyed: Vec<(String, f64)> = points
-                .iter()
-                .flat_map(|pt| {
-                    let p = pt.procs;
-                    vec![
-                        (
-                            format!("p{p}_inspector_virtual_ms"),
-                            pt.inspector_virtual_ms,
-                        ),
-                        (format!("p{p}_transfer_virtual_ms"), pt.transfer_virtual_ms),
-                        (format!("p{p}_redist_virtual_ms"), pt.redist_virtual_ms),
-                        (format!("p{p}_inspector_wall_ms"), pt.inspector_wall_ms),
-                        (format!("p{p}_transfer_wall_ms"), pt.transfer_wall_ms),
-                        (format!("p{p}_settle_wall_ms"), pt.settle_wall_ms),
-                        (format!("p{p}_redist_wall_ms"), pt.redist_wall_ms),
-                    ]
-                })
-                .collect();
-            for (k, v) in &keyed {
-                fields.push((k.as_str(), JsonValue::Num(*v)));
+            for pt in &points {
+                let p = pt.procs;
+                for (what, ms) in [
+                    ("inspector_virtual", pt.inspector_virtual_ms),
+                    ("transfer_virtual", pt.transfer_virtual_ms),
+                    ("redist_virtual", pt.redist_virtual_ms),
+                    ("inspector_wall", pt.inspector_wall_ms),
+                    ("transfer_wall", pt.transfer_wall_ms),
+                    ("settle_wall", pt.settle_wall_ms),
+                    ("redist_wall", pt.redist_wall_ms),
+                ] {
+                    report.push((format!("p{p}_{what}_ms"), num(ms)));
+                }
             }
-            write_json_report(&out_path, &fields).expect("write scaling report");
+            write_report(&out_path, &Value::Obj(report.into_iter().collect()))
+                .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
             println!("wrote {out_path}");
             if !sub {
                 std::process::exit(1);
             }
         }
+        "gate" => {
+            let (Some(suite), Some(base_path), Some(fresh_path)) =
+                (args.get(1), args.get(2), args.get(3))
+            else {
+                usage()
+            };
+            let read =
+                |p: &str| json::parse(&read_file(p)).unwrap_or_else(|e| panic!("parse {p}: {e}"));
+            let outcome = bench::gate::check(suite, &read(base_path), &read(fresh_path));
+            for line in &outcome.lines {
+                println!("{line}");
+            }
+            if !outcome.passed {
+                eprintln!("gate {suite}: {fresh_path} does not hold against {base_path}");
+                std::process::exit(1);
+            }
+        }
         "trace-check" => {
             let path = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-            match mcsim::validate_jsonl(&text) {
+            match mcsim::validate_jsonl(&read_file(path)) {
                 Ok(c) => println!(
                     "{path}: {} lines, {} ranks, {} spans ({} unclosed), phases: {}",
                     c.lines,

@@ -1,4 +1,7 @@
-//! Plain-text table formatting for the reproduction binaries.
+//! Plain-text table formatting and JSON report writing for the
+//! reproduction binaries.
+
+use mcsim::json::Value;
 
 /// Print a titled table: a header row and aligned numeric rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
@@ -25,73 +28,16 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// One field of a JSON report object.
-pub enum JsonValue {
-    /// A finite number (rendered with enough precision to round-trip).
-    Num(f64),
-    /// An integer.
-    Int(u64),
-    /// A string (escaped on render).
-    Str(String),
-    /// A nested object, fields in the given order (e.g. the per-phase
-    /// timing breakdown inside `BENCH_executor.json`).
-    Obj(Vec<(String, JsonValue)>),
+/// A report number, rounded to the three decimals the committed
+/// `BENCH_*.json` files carry (more would only record noise).
+pub fn num(x: f64) -> Value {
+    Value::Num((x * 1e3).round() / 1e3)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn render_value(out: &mut String, key: &str, v: &JsonValue) {
-    match v {
-        JsonValue::Num(n) => {
-            assert!(n.is_finite(), "JSON has no NaN/inf (field {key})");
-            out.push_str(&format!("{n:.3}"));
-        }
-        JsonValue::Int(n) => out.push_str(&n.to_string()),
-        JsonValue::Str(s) => out.push_str(&format!("\"{}\"", json_escape(s))),
-        JsonValue::Obj(fields) => {
-            out.push('{');
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": ", json_escape(k)));
-                render_value(out, k, v);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Render a JSON object, fields in the given order.
-pub fn json_object(fields: &[(&str, JsonValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": ", json_escape(k)));
-        render_value(&mut out, k, v);
-    }
-    out.push('}');
-    out
-}
-
-/// Write a JSON report file (adds a trailing newline).
-pub fn write_json_report(path: &str, fields: &[(&str, JsonValue)]) -> std::io::Result<()> {
-    std::fs::write(path, json_object(fields) + "\n")
+/// Write a JSON report file through the workspace codec (adds a trailing
+/// newline).
+pub fn write_report(path: &str, report: &Value) -> std::io::Result<()> {
+    std::fs::write(path, report.to_json() + "\n")
 }
 
 /// Format a simulated-milliseconds value the way the paper prints times.
@@ -110,34 +56,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_object_renders_flat_fields() {
-        let s = json_object(&[
-            ("bench", JsonValue::Str("exec\"utor".into())),
-            ("speedup", JsonValue::Num(2.5)),
-            ("elements", JsonValue::Int(1 << 20)),
-        ]);
-        assert_eq!(
-            s,
-            "{\"bench\": \"exec\\\"utor\", \"speedup\": 2.500, \"elements\": 1048576}"
-        );
-    }
-
-    #[test]
-    fn json_object_renders_nested_objects() {
-        let s = json_object(&[
-            ("bench", JsonValue::Str("executor".into())),
-            (
-                "phases",
-                JsonValue::Obj(vec![
-                    ("pack_ns".to_string(), JsonValue::Num(1.5)),
-                    ("wire_ns".to_string(), JsonValue::Int(7)),
-                ]),
-            ),
-        ]);
-        assert_eq!(
-            s,
-            "{\"bench\": \"executor\", \"phases\": {\"pack_ns\": 1.500, \"wire_ns\": 7}}"
-        );
+    fn num_keeps_three_decimals() {
+        assert_eq!(num(87.06649).to_json(), "87.066");
+        assert_eq!(num(5.0).to_json(), "5.0");
     }
 
     #[test]

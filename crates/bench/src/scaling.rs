@@ -1,9 +1,9 @@
-//! `repro scaling` — scaling curves for the cooperative M:N runner.
+//! `repro scaling` — scaling curves for the rank runner.
 //!
-//! The tentpole claim behind these numbers: the simulator's rank count is
-//! no longer bounded by OS threads.  Ranks are green tasks multiplexed
-//! over a small worker pool, so a P=1024 world is just more parked
-//! continuations, not 1024 kernel stacks.  Each curve point runs three
+//! The claim behind these numbers: the simulator's rank count is not
+//! bounded by OS threads.  Ranks are tasks of one scheduler on one host
+//! thread, so a P=1024 world is just more parked continuations, not 1024
+//! kernel stacks.  Each curve point runs three
 //! paper workloads at fixed problem size and growing P:
 //!
 //! * **inspector build** — the two-program Cooperation-method schedule
@@ -228,9 +228,9 @@ pub fn scaling_point(procs: usize, elements: usize) -> ScalingPoint {
 /// build exchanges descriptors over an alltoallv in the union group, so
 /// the *simulated message count* is Θ(P²) by construction and the host
 /// pays for every simulated message (allocation, channel and stash costs;
-/// DESIGN §4j has the measured split).  The M:N scheduler's win is that
-/// those P² messages at P=1024 cost seconds on a worker pool instead of
-/// needing 1024 OS threads.
+/// DESIGN §4j has the measured split).  The scheduler's win is that
+/// those P² messages at P=1024 cost seconds on one host thread instead
+/// of needing 1024 OS threads.
 pub fn sublinear(points: &[ScalingPoint]) -> bool {
     points.windows(2).all(|w| {
         let p_ratio = w[1].procs as f64 / w[0].procs as f64;

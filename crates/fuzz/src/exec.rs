@@ -9,8 +9,6 @@
 //! is armed with the scenario's virtual-clock deadline, so a hang surfaces
 //! as a typed `DeadlineExceeded` instead of wedging the harness.
 
-use std::time::Duration;
-
 use mcsim::group::{Comm, Group};
 use mcsim::prelude::Endpoint;
 use mcsim::rng::Rng;
@@ -707,9 +705,7 @@ fn run_recovery_pair<S: FuzzLib, D: FuzzLib>(
         .with_supervisor(2)
         .with_recovery_config(RecoveryConfig {
             heartbeats: true,
-            lease_window: Duration::from_millis(20),
             lease_misses: 3,
-            ..RecoveryConfig::default()
         })
         .with_deadline(sc.deadline)
         .with_trace();

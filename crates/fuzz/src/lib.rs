@@ -14,10 +14,13 @@
 
 pub mod exec;
 pub mod gen;
-pub mod json;
 pub mod oracle;
 pub mod scenario;
 pub mod shrink;
+
+/// The workspace's one JSON codec (it lives in `mcsim` so every crate
+/// can reach it); re-exported under its historical path.
+pub use mcsim::json;
 
 use scenario::Scenario;
 

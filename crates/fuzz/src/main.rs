@@ -136,7 +136,7 @@ fn report_failure(opts: &Opts, sc: &Scenario, failure: Failure) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Scripted-crash scenarios panic inside worker threads *by design*;
+/// Scripted-crash scenarios panic inside rank tasks *by design*;
 /// the world catches them and reports typed errors.  Suppress just
 /// those expected payloads so the driver's stderr stays readable, and
 /// let anything unexpected print the full default report.

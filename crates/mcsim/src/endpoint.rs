@@ -18,16 +18,15 @@
 
 use std::any::{Any, TypeId};
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
 use crate::message::{Body, Message, Rank, DROP_PREFIX};
 use crate::model::{MachineModel, NetState};
 use crate::onesided::OnesidedState;
-use crate::recovery::{CkptStore, RecoveryConfig};
+use crate::recovery::{CkptStore, RecoveryConfig, BEAT_INTERVAL};
 use crate::reliable::{self, ReliableConfig, ReliableState};
 use crate::sched::{CoopHandle, ParkKind, WakeCause};
 use crate::span::{ObsState, Phase, SpanId};
@@ -39,25 +38,6 @@ use crate::wire::Wire;
 /// Most buffers kept in an endpoint's reuse pool; beyond this they are
 /// dropped so a burst of large transfers cannot pin memory forever.
 const BUF_POOL_CAP: usize = 32;
-
-/// Real-time liveness cap used by [`Endpoint::recv_timeout`] under the
-/// *threaded* runner: if no message arrives *physically* for this long,
-/// the virtual deadline is declared expired.  Virtual deadlines cannot
-/// fire on their own — the clock only moves when messages do — so this
-/// bounds the wait when the peer never sends at all (e.g. it already
-/// returned, or is itself blocked).  The cooperative runner replaces this
-/// with the scheduler's deterministic quiescence detection
-/// (see [`crate::sched`]).
-const RECV_TIMEOUT_REAL_CAP: Duration = Duration::from_millis(250);
-
-/// Real-time silence cap for blocking pumps when a world-level deadline is
-/// armed (see [`crate::world::World::with_deadline`]), threaded runner
-/// only.  A rank blocked this long with nothing arriving is declared
-/// wedged: the virtual clock only moves when messages do, so physical
-/// silence is the only way a deadlocked run manifests.  Cooperatively,
-/// quiescence is observed exactly instead of being inferred from wall
-/// time.
-const DEADLINE_REAL_CAP: Duration = Duration::from_millis(400);
 
 /// One rank's handle on the simulated machine.
 pub struct Endpoint {
@@ -94,7 +74,7 @@ pub struct Endpoint {
     /// it and fail with [`SimError::DeadlineExceeded`] instead of waiting
     /// forever.
     deadline: Option<f64>,
-    /// Recovery knobs (heartbeat cadence, lease budget, get retries).
+    /// Recovery knobs (heartbeats on/off, lease budget).
     pub(crate) recovery: RecoveryConfig,
     /// True when the world was built with a supervisor.
     supervised: bool,
@@ -125,10 +105,9 @@ pub struct Endpoint {
     armed_crash: Option<f64>,
     /// Handle on the world-level checkpoint store.
     ckpt: CkptStore,
-    /// Cooperative-scheduler handle when this endpoint's rank runs as a
-    /// green task (see [`crate::sched`]); `None` under the threaded
-    /// runner.  Blocking pumps park on it instead of blocking the OS
-    /// thread, and sends notify the destination's task.
+    /// Handle on this rank's scheduler task (see [`crate::sched`]), set
+    /// before the rank closure runs.  Blocking pumps park on it and sends
+    /// notify the destination's task.
     coop: Option<CoopHandle>,
     /// Per-rank scratch slots for higher layers (see [`Endpoint::scratch`]).
     scratch: HashMap<(TypeId, u32), Box<dyn Any + Send>>,
@@ -197,13 +176,11 @@ impl Endpoint {
     }
 
     /// Per-rank scratch storage for higher layers.  This replaces
-    /// `thread_local!` rank state, which silently breaks under the
-    /// cooperative runner (one OS thread hosts many ranks, so a
-    /// thread-local is shared across ranks and leaks across runs).  Slots
-    /// are keyed by `(type, key)` and default-initialized on first
-    /// access; a slot lives as long as this endpoint — one `World::run` —
-    /// and survives supervisor restarts, exactly the lifetime a
-    /// rank-thread-local had.
+    /// `thread_local!` rank state, which silently breaks when one OS
+    /// thread hosts many ranks (a thread-local is shared across ranks and
+    /// leaks across runs).  Slots are keyed by `(type, key)` and
+    /// default-initialized on first access; a slot lives as long as this
+    /// endpoint — one `World::run` — and survives supervisor restarts.
     pub fn scratch<T: Any + Send + Default>(&mut self, key: u32) -> &mut T {
         self.scratch
             .entry((TypeId::of::<T>(), key))
@@ -222,8 +199,8 @@ impl Endpoint {
         v
     }
 
-    /// Attach the cooperative-scheduler handle for this rank's task.
-    /// Called once by the world before the task body runs.
+    /// Attach the scheduler handle for this rank's task.  Called once by
+    /// the world before the rank closure runs.
     pub(crate) fn set_coop(&mut self, h: CoopHandle) {
         self.coop = Some(h);
     }
@@ -247,14 +224,16 @@ impl Endpoint {
         }
     }
 
-    /// Park the current task (cooperative runner only) and report why it
-    /// was resumed.
-    fn coop_park(&mut self, kind: ParkKind) -> WakeCause {
-        let clock = self.clock;
+    /// This rank's scheduler task.
+    fn task(&self) -> &CoopHandle {
         self.coop
             .as_ref()
-            .expect("coop_park outside cooperative runner")
-            .park(kind, clock)
+            .expect("endpoints communicate only from inside World::run")
+    }
+
+    /// Park the current task and report why it was resumed.
+    fn coop_park(&mut self, kind: ParkKind) -> WakeCause {
+        self.task().park(kind, self.clock)
     }
 
     /// Start recording the full communication timeline (see
@@ -587,7 +566,7 @@ impl Endpoint {
         if !self.recovery.heartbeats || self.world < 2 {
             return;
         }
-        if self.clock < self.last_beat + self.recovery.beat_interval {
+        if self.clock < self.last_beat + BEAT_INTERVAL {
             return;
         }
         self.broadcast_beat();
@@ -643,9 +622,10 @@ impl Endpoint {
     /// enforcing the failure detector.  With heartbeats off this is
     /// exactly [`Endpoint::pump_one`] (plus the incarnation check, which
     /// is inert unless armed).  With heartbeats on, the blocking receive
-    /// becomes lease windows: `misses` (caller-held, one per wait) counts
-    /// consecutive windows in which `from` stayed silent, and crossing
-    /// the configured budget evicts the peer.
+    /// becomes lease windows — one per quiescence of the world: `misses`
+    /// (caller-held, one per wait) counts consecutive windows in which
+    /// `from` stayed silent, and crossing the configured budget evicts
+    /// the peer.
     pub(crate) fn pump_guarded(&mut self, from: Rank, misses: &mut u32) -> Result<(), SimError> {
         self.check_evicted(from)?;
         if !self.recovery.heartbeats {
@@ -660,7 +640,7 @@ impl Endpoint {
             }
         }
         let before = self.peer_seen[from];
-        let got = self.pump_some(self.recovery.lease_window)?;
+        let got = self.pump_some()?;
         self.check_evicted(from)?;
         if self.peer_seen[from] > before {
             *misses = 0;
@@ -668,7 +648,7 @@ impl Endpoint {
             // A rank blocked in a receive wait does not advance its
             // virtual clock, so the virtual-cadence beat goes silent
             // exactly when peers most need liveness (and incarnation)
-            // evidence.  Re-announce once per silent real-time window:
+            // evidence.  Re-announce once per silent window:
             // a recovered life whose only activity is waiting keeps its
             // new incarnation flowing, and peers un-wedge streams still
             // keyed to the old one.
@@ -817,9 +797,7 @@ impl Endpoint {
                 body: Body::Data(payload),
                 arrival,
             });
-            if let Some(coop) = &self.coop {
-                coop.notify(to, arrival);
-            }
+            self.task().notify(to, arrival);
             return;
         };
         let n = draw.copies.len();
@@ -892,9 +870,7 @@ impl Endpoint {
                 body,
                 arrival: copy_arrival,
             });
-            if let Some(coop) = &self.coop {
-                coop.notify(to, copy_arrival);
-            }
+            self.task().notify(to, copy_arrival);
         }
     }
 
@@ -928,8 +904,8 @@ impl Endpoint {
     }
 
     /// Route everything already waiting in the channel, returning how
-    /// many messages were handled.  The cooperative pump primitive: the
-    /// channel never blocks, parking does.
+    /// many messages were handled.  The pump primitive: the channel never
+    /// blocks, parking does.
     fn drain_ready(&mut self) -> Result<usize, SimError> {
         if let Some((rank, reason)) = &self.poisoned {
             return Err(SimError::PeerFailed {
@@ -943,10 +919,10 @@ impl Endpoint {
                 Ok(msg) => match self.route_msg(msg) {
                     Ok(()) => n += 1,
                     // Poison is latched by `route_msg`; messages routed
-                    // ahead of it stay consumable first (FIFO parity with
-                    // the threaded runner, where a message sent before the
-                    // sender died is delivered before its poison).  Only a
-                    // batch *led* by poison fails the drain itself.
+                    // ahead of it stay consumable first (FIFO: a message
+                    // sent before the sender died is delivered before its
+                    // poison).  Only a batch *led* by poison fails the
+                    // drain itself.
                     Err(e) => return if n == 0 { Err(e) } else { Ok(n) },
                 },
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return Ok(n),
@@ -954,107 +930,60 @@ impl Endpoint {
         }
     }
 
-    /// Block for one message from the wire and route it.
+    /// Wait for at least one message from the wire and route what
+    /// arrived: drain what is there, else park until a message (or
+    /// deterministic teardown) wakes this task.
     ///
     /// When a world deadline is armed, both halves of "hung" are bounded:
     /// a virtual clock already past the deadline fails immediately, and
-    /// physical silence past [`DEADLINE_REAL_CAP`] fails too (a peer that
-    /// will never send cannot advance our virtual clock).
+    /// so does a silence wake — the world went quiescent, and a peer that
+    /// will never send cannot advance our virtual clock.
     pub(crate) fn pump_one(&mut self) -> Result<(), SimError> {
-        if let Some((rank, reason)) = &self.poisoned {
-            return Err(SimError::PeerFailed {
-                rank: *rank,
-                reason: reason.clone(),
-            });
-        }
-        if self.coop.is_some() {
-            // Cooperative runner: drain what is there, park until a
-            // message (or deterministic teardown) arrives.  A silence
-            // wake only reaches a plain blocked wait when a world
-            // deadline is armed — the scheduler's quiescence rules
-            // mirror the threaded real-time caps below exactly.
-            loop {
-                if self.drain_ready()? > 0 {
-                    return Ok(());
-                }
-                if let Some(d) = self.deadline {
-                    if self.clock > d {
-                        let clock = self.clock;
-                        self.mark(move || {
-                            format!("deadline exceeded clock={clock:.6} limit={d:.6}")
-                        });
-                        return Err(SimError::DeadlineExceeded);
-                    }
-                }
-                let expiry = self.deadline.unwrap_or(f64::INFINITY);
-                match self.coop_park(ParkKind::Wait { expiry }) {
-                    WakeCause::Message => continue,
-                    WakeCause::Silence => {
-                        let d = self.deadline.unwrap_or(f64::INFINITY);
-                        let clock = self.clock;
-                        self.mark(move || {
-                            format!("deadline silence clock={clock:.6} limit={d:.6}")
-                        });
-                        return Err(SimError::DeadlineExceeded);
-                    }
-                    WakeCause::Shutdown => return Err(SimError::Shutdown),
-                }
+        loop {
+            if self.drain_ready()? > 0 {
+                return Ok(());
             }
-        }
-        if let Some(d) = self.deadline {
-            if self.clock > d {
-                let clock = self.clock;
-                self.mark(move || format!("deadline exceeded clock={clock:.6} limit={d:.6}"));
-                return Err(SimError::DeadlineExceeded);
-            }
-            return match self.rx.recv_timeout(DEADLINE_REAL_CAP) {
-                Ok(msg) => self.route_msg(msg),
-                Err(RecvTimeoutError::Timeout) => {
+            if let Some(d) = self.deadline {
+                if self.clock > d {
                     let clock = self.clock;
-                    self.mark(move || format!("deadline silence clock={clock:.6} limit={d:.6}"));
-                    Err(SimError::DeadlineExceeded)
+                    self.mark(move || format!("deadline exceeded clock={clock:.6} limit={d:.6}"));
+                    return Err(SimError::DeadlineExceeded);
                 }
-                Err(RecvTimeoutError::Disconnected) => Err(SimError::Shutdown),
-            };
+            }
+            let expiry = self.deadline.unwrap_or(f64::INFINITY);
+            match self.coop_park(ParkKind::Wait { expiry }) {
+                WakeCause::Message => continue,
+                WakeCause::Silence => {
+                    let clock = self.clock;
+                    self.mark(move || {
+                        format!("deadline silence clock={clock:.6} limit={expiry:.6}")
+                    });
+                    return Err(SimError::DeadlineExceeded);
+                }
+                WakeCause::Shutdown => return Err(SimError::Shutdown),
+            }
         }
-        let msg = self.rx.recv().map_err(|_| SimError::Shutdown)?;
-        self.route_msg(msg)
     }
 
-    /// Wait up to `cap` of real time for one message and route it.
-    /// `Ok(true)` when a message was handled, `Ok(false)` on silence —
-    /// the caller decides what silence means (e.g. the one-sided get
-    /// retries its unprotected control-plane request).
-    pub(crate) fn pump_some(&mut self, cap: Duration) -> Result<bool, SimError> {
-        if let Some((rank, reason)) = &self.poisoned {
-            return Err(SimError::PeerFailed {
-                rank: *rank,
-                reason: reason.clone(),
-            });
+    /// Route what arrives within one *silence window*: `Ok(true)` when a
+    /// message was handled, `Ok(false)` on silence — the caller decides
+    /// what silence means (the one-sided get retries its unprotected
+    /// control-plane request, the lease detector counts a miss).  Silence
+    /// is observed exactly: the scheduler delivers the wake at global
+    /// quiescence, the only virtual instant at which nothing can arrive
+    /// any more.
+    pub(crate) fn pump_some(&mut self) -> Result<bool, SimError> {
+        if self.drain_ready()? > 0 {
+            return Ok(true);
         }
-        if self.coop.is_some() {
-            // Cooperative runner: `cap` is a *silence window*, and
-            // silence is observed exactly — the scheduler delivers a
-            // Silence wake at global quiescence, which is the only
-            // virtual instant a real-time window could ever have
-            // expired meaningfully.
-            if self.drain_ready()? > 0 {
-                return Ok(true);
+        let now = self.clock;
+        match self.coop_park(ParkKind::Wait { expiry: now }) {
+            WakeCause::Message => {
+                self.drain_ready()?;
+                Ok(true)
             }
-            let now = self.clock;
-            return match self.coop_park(ParkKind::Wait { expiry: now }) {
-                WakeCause::Message => {
-                    self.drain_ready()?;
-                    Ok(true)
-                }
-                WakeCause::Silence => Ok(false),
-                WakeCause::Shutdown => Err(SimError::Shutdown),
-            };
-        }
-        match self.rx.recv_timeout(cap) {
-            Ok(msg) => self.route_msg(msg).map(|()| true),
-            Err(RecvTimeoutError::Timeout) => Ok(false),
-            Err(RecvTimeoutError::Disconnected) => Err(SimError::Shutdown),
+            WakeCause::Silence => Ok(false),
+            WakeCause::Shutdown => Err(SimError::Shutdown),
         }
     }
 
@@ -1102,8 +1031,8 @@ impl Endpoint {
     /// stashed (a later plain `recv` can still take it) and
     /// [`SimError::PeerTimeout`] is returned with the clock advanced to the
     /// deadline.  Because virtual time only moves when messages do, a peer
-    /// that never sends at all is detected by a real-time liveness cap
-    /// (≈250 ms of wall-clock silence) rather than by the virtual deadline.
+    /// that never sends at all is detected by the world going quiescent
+    /// (`kind=silence`) rather than by the virtual deadline passing.
     pub fn recv_timeout(
         &mut self,
         from: Rank,
@@ -1125,27 +1054,15 @@ impl Endpoint {
                 self.mark(|| format!("timeout peer={from} tag={tag:?} kind=late-arrival"));
                 return Err(SimError::PeerTimeout { rank: from });
             }
-            if self.coop.is_some() {
-                match self.coop_park(ParkKind::Wait { expiry: deadline }) {
-                    WakeCause::Message => continue,
-                    WakeCause::Silence => {
-                        self.stats.faults.timeouts += 1;
-                        self.advance_to(deadline);
-                        self.mark(|| format!("timeout peer={from} tag={tag:?} kind=silence"));
-                        return Err(SimError::PeerTimeout { rank: from });
-                    }
-                    WakeCause::Shutdown => return Err(SimError::Shutdown),
-                }
-            }
-            match self.rx.recv_timeout(RECV_TIMEOUT_REAL_CAP) {
-                Ok(msg) => self.route_msg(msg)?,
-                Err(RecvTimeoutError::Timeout) => {
+            match self.coop_park(ParkKind::Wait { expiry: deadline }) {
+                WakeCause::Message => continue,
+                WakeCause::Silence => {
                     self.stats.faults.timeouts += 1;
                     self.advance_to(deadline);
                     self.mark(|| format!("timeout peer={from} tag={tag:?} kind=silence"));
                     return Err(SimError::PeerTimeout { rank: from });
                 }
-                Err(RecvTimeoutError::Disconnected) => return Err(SimError::Shutdown),
+                WakeCause::Shutdown => return Err(SimError::Shutdown),
             }
         }
     }
@@ -1199,8 +1116,7 @@ impl Endpoint {
     /// successful match (a failed probe is free, as with `MPI_Iprobe`).
     pub fn try_recv(&mut self, from: Rank, tag: Tag) -> Option<Vec<u8>> {
         self.check_crash();
-        self.drain_channel(from, tag);
-        if self.coop.is_some() && !self.settle_probe(from, tag) {
+        if !self.probe(from, tag) {
             return None;
         }
         let idx = self.stash_match(from, tag)?;
@@ -1209,21 +1125,13 @@ impl Endpoint {
     }
 
     /// True if a matching message has already arrived (non-blocking).
-    pub fn probe(&mut self, from: Rank, tag: Tag) -> bool {
-        self.drain_channel(from, tag);
-        if self.coop.is_some() {
-            return self.settle_probe(from, tag);
-        }
-        self.stash_match(from, tag).is_some()
-    }
-
-    /// Cooperative runner: resolve a non-blocking poll deterministically.
+    ///
     /// Under the virtual clock, "has a message already arrived" only has
     /// a stable answer at quiescence, so a miss parks until either a
     /// matching message arrives (true) or nothing can ever arrive without
-    /// this rank acting (false).  The threaded runner instead races real
-    /// delivery, which is exactly the nondeterminism this buys back.
-    fn settle_probe(&mut self, from: Rank, tag: Tag) -> bool {
+    /// this rank acting (false) — a poll never races real delivery.
+    pub fn probe(&mut self, from: Rank, tag: Tag) -> bool {
+        self.drain_channel(from, tag);
         loop {
             if self.stash_match(from, tag).is_some() {
                 return true;
@@ -1300,33 +1208,12 @@ impl Endpoint {
         });
     }
 
-    /// Keep answering protocol traffic (acks for late frames, retransmit
-    /// requests) after this rank's program has finished, so peers still
-    /// flushing reliable streams are not orphaned.  Waits up to `wait` for
-    /// one message, then drains whatever else is ready.
-    pub(crate) fn service_protocol(&mut self, wait: Duration) {
-        match self.rx.recv_timeout(wait) {
-            Ok(msg) => {
-                let _ = self.route_msg(msg);
-            }
-            Err(_) => return,
-        }
-        loop {
-            match self.rx.try_recv() {
-                Ok(msg) => {
-                    let _ = self.route_msg(msg);
-                }
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Cooperative analogue of the post-return [`service_protocol`] loop:
-    /// park in service mode and report why the scheduler woke us.  The
-    /// wake is [`WakeCause::Shutdown`] exactly once the whole world has
-    /// completed (or deterministically torn down).
-    ///
-    /// [`service_protocol`]: Endpoint::service_protocol
+    /// Park after this rank's program has finished and report why the
+    /// scheduler woke us: a message means protocol traffic to answer
+    /// (acks for late frames, retransmit requests — peers still flushing
+    /// reliable streams must not be orphaned); the wake is
+    /// [`WakeCause::Shutdown`] exactly once the whole world has completed
+    /// (or deterministically torn down).
     pub(crate) fn coop_service_park(&mut self) -> WakeCause {
         self.coop_park(ParkKind::Service)
     }
@@ -1357,9 +1244,7 @@ impl Endpoint {
                 body: Body::Poison(reason.to_string()),
                 arrival: self.clock,
             });
-            if let Some(coop) = &self.coop {
-                coop.notify(to, self.clock);
-            }
+            self.task().notify(to, self.clock);
         }
     }
 }

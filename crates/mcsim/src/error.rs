@@ -44,7 +44,7 @@ pub enum SimError {
     Shutdown,
     /// The world-level virtual-clock deadline (see
     /// [`crate::world::World::with_deadline`]) elapsed, or the rank sat in
-    /// a blocking receive past the real-time silence cap while a deadline
+    /// a blocking receive when the world went quiescent while a deadline
     /// was armed.  The run is declared wedged rather than allowed to hang.
     DeadlineExceeded,
 }

@@ -15,25 +15,14 @@
 //!   stable `rank`/`type`/`at` core every consumer can rely on —
 //!   validated by [`validate_jsonl`].
 
-use std::fmt::Write as _;
-
+use crate::json::{self, Value};
 use crate::span::pair_spans;
 use crate::trace::TraceEvent;
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+/// `s` as a JSON string literal — quotes included — escaped by the codec.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    json::write_string(s, &mut out);
     out
 }
 
@@ -58,13 +47,13 @@ pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
             let parent = s.parent.map(|p| p.0.to_string()).unwrap_or_default();
             ev.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                 \"pid\":0,\"tid\":{rank},\"args\":{{\"id\":{},\"parent\":\"{}\",\"detail\":\"{}\"}}}}",
+                 \"pid\":0,\"tid\":{rank},\"args\":{{\"id\":{},\"parent\":\"{}\",\"detail\":{}}}}}",
                 s.phase.as_str(),
                 us(s.begin),
                 us(s.duration()),
                 s.id.0,
                 parent,
-                esc(&s.detail),
+                quoted(&s.detail),
             ));
         }
         for e in tl {
@@ -153,7 +142,7 @@ pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
                     format!("\"to\":{to},\"tag\":{},\"frames\":{frames}", tag.0),
                 ),
                 TraceEvent::Mark { label, .. } => {
-                    ("mark".to_string(), format!("\"label\":\"{}\"", esc(label)))
+                    ("mark".to_string(), format!("\"label\":{}", quoted(label)))
                 }
                 TraceEvent::Heartbeat { incarnation, .. } => (
                     "heartbeat".to_string(),
@@ -287,19 +276,19 @@ pub fn jsonl_line(rank: usize, e: &TraceEvent) -> String {
             ..
         } => format!(
             "{head},\"type\":\"span_begin\",\"id\":{},\"parent\":{},\"phase\":\"{}\",\
-             \"detail\":\"{}\"}}",
+             \"detail\":{}}}",
             id.0,
             parent
                 .map(|p| p.0.to_string())
                 .unwrap_or_else(|| "null".into()),
             phase.as_str(),
-            esc(detail)
+            quoted(detail)
         ),
         TraceEvent::SpanEnd { id, .. } => {
             format!("{head},\"type\":\"span_end\",\"id\":{}}}", id.0)
         }
         TraceEvent::Mark { label, .. } => {
-            format!("{head},\"type\":\"mark\",\"label\":\"{}\"}}", esc(label))
+            format!("{head},\"type\":\"mark\",\"label\":{}}}", quoted(label))
         }
         TraceEvent::Heartbeat { incarnation, .. } => {
             format!("{head},\"type\":\"heartbeat\",\"incarnation\":{incarnation}}}")
@@ -351,31 +340,6 @@ pub struct TraceCheck {
     pub phases: Vec<String>,
 }
 
-/// Extract the raw text of `"key":<value>` from a single JSON line
-/// produced by [`jsonl_line`] (flat objects, string values contain no
-/// unescaped quotes).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = if let Some(stripped) = rest.strip_prefix('"') {
-        // String value: scan to the closing unescaped quote.
-        let mut prev_backslash = false;
-        let mut close = None;
-        for (i, c) in stripped.char_indices() {
-            if c == '"' && !prev_backslash {
-                close = Some(i);
-                break;
-            }
-            prev_backslash = c == '\\' && !prev_backslash;
-        }
-        return Some(&stripped[..close?]);
-    } else {
-        rest.find([',', '}'])?
-    };
-    Some(&rest[..end])
-}
-
 const KNOWN_TYPES: [&str; 14] = [
     "send",
     "recv",
@@ -407,19 +371,19 @@ pub fn validate_jsonl(text: &str) -> Result<TraceCheck, String> {
             continue;
         }
         let err = |what: &str| Err(format!("line {}: {what}: {line}", no + 1));
-        if !line.starts_with('{') || !line.ends_with('}') {
+        let Ok(obj @ Value::Obj(_)) = json::parse(line) else {
             return err("not a JSON object");
-        }
-        let Some(rank) = field(line, "rank").and_then(|v| v.parse::<u64>().ok()) else {
+        };
+        let Some(rank) = obj.get("rank").and_then(Value::as_u64) else {
             return err("missing/invalid rank");
         };
-        let Some(at) = field(line, "at").and_then(|v| v.parse::<f64>().ok()) else {
+        let Some(at) = obj.get("at").and_then(Value::as_f64) else {
             return err("missing/invalid at");
         };
         if !at.is_finite() || at < 0.0 {
             return err("non-finite or negative at");
         }
-        let Some(ty) = field(line, "type") else {
+        let Some(ty) = obj.get("type").and_then(Value::as_str) else {
             return err("missing type");
         };
         if !KNOWN_TYPES.contains(&ty) {
@@ -443,27 +407,25 @@ pub fn validate_jsonl(text: &str) -> Result<TraceCheck, String> {
             _ => unreachable!(),
         };
         for key in required {
-            if field(line, key).is_none() {
+            if obj.get(key).is_none() {
                 return err(&format!("missing field `{key}`"));
             }
         }
         match ty {
             "span_begin" => {
                 check.span_begins += 1;
-                let phase = field(line, "phase").unwrap_or_default().to_string();
-                if !check.phases.contains(&phase) {
-                    check.phases.push(phase);
+                let phase = obj.get("phase").and_then(Value::as_str).unwrap_or_default();
+                if !check.phases.iter().any(|p| p == phase) {
+                    check.phases.push(phase.to_string());
                 }
-                let id = field(line, "id").and_then(|v| v.parse::<u64>().ok());
-                let Some(id) = id else {
+                let Some(id) = obj.get("id").and_then(Value::as_u64) else {
                     return err("invalid span id");
                 };
                 opens.insert((rank, id), ());
             }
             "span_end" => {
                 check.span_ends += 1;
-                let id = field(line, "id").and_then(|v| v.parse::<u64>().ok());
-                let Some(id) = id else {
+                let Some(id) = obj.get("id").and_then(Value::as_u64) else {
                     return err("invalid span id");
                 };
                 if opens.remove(&(rank, id)).is_none() {
@@ -564,7 +526,8 @@ mod tests {
         let check = validate_jsonl(&text).expect("all variants validate");
         assert_eq!(check.lines, events.len());
         for (line, e) in text.lines().zip(&events) {
-            assert_eq!(field(line, "type"), Some(e.kind()), "line: {line}");
+            let ty = json::parse(line).expect("line parses");
+            assert_eq!(ty.get("type").and_then(Value::as_str), Some(e.kind()));
         }
 
         // The sample kinds cover the validator's full type registry —

@@ -9,8 +9,7 @@
 //! * The fate of a message is drawn from a small PRNG seeded by
 //!   `(plan seed, src, dst, tag, per-link message counter)` — never from a
 //!   shared sequential stream — so the same program under the same seed
-//!   sees the same faults regardless of how the host scheduler interleaves
-//!   rank threads.
+//!   sees the same faults whatever order ranks reach their sends in.
 //! * A *dropped* message is still physically delivered as a
 //!   [`crate::message::Body::Dropped`] tombstone carrying only its
 //!   envelope.  Loss is therefore an observable event at the receiver,

@@ -151,7 +151,7 @@ fn pad(indent: usize, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

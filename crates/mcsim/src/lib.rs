@@ -4,11 +4,10 @@
 //! Alpha farm connected by ATM (PVM/UDP).  This crate substitutes those
 //! machines with a *simulated* message-passing machine:
 //!
-//! * every logical processor ("rank") is a cooperatively scheduled green
-//!   task, multiplexed M:N over a small worker pool by [`sched`] (a
-//!   legacy one-OS-thread-per-rank runner remains for comparison, but the
-//!   cooperative runner is the default and the only one that scales to
-//!   1024-rank worlds),
+//! * every logical processor ("rank") is a cooperatively scheduled task
+//!   of [`sched`], resumed one at a time in `(virtual_time, rank)` order
+//!   on the thread that called [`World::run`] (1024-rank worlds fit one
+//!   process),
 //! * ranks exchange real byte messages through channels (so data motion is
 //!   bit-exact and testable),
 //! * each rank carries a deterministic **virtual clock**: sends, receives and
@@ -60,6 +59,7 @@ pub mod error;
 pub mod export;
 pub mod fault;
 pub mod group;
+pub mod json;
 pub mod message;
 pub mod metrics;
 pub mod model;
@@ -96,7 +96,7 @@ pub use stats::{FaultStats, NetStats, RecoveryStats, SessionStats, StatsSnapshot
 pub use tag::Tag;
 pub use trace::{summarize, FaultKind, TraceEvent, TraceSummary};
 pub use wire::{Wire, WireReader};
-pub use world::{RunOutput, RunReport, Runner, World};
+pub use world::{RunOutput, RunReport, World};
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
@@ -112,5 +112,5 @@ pub mod prelude {
     pub use crate::span::{Phase, SpanId};
     pub use crate::tag::Tag;
     pub use crate::wire::{Wire, WireReader};
-    pub use crate::world::{RunOutput, RunReport, Runner, World};
+    pub use crate::world::{RunOutput, RunReport, World};
 }

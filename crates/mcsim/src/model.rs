@@ -242,8 +242,8 @@ impl Topology {
 /// Mutable network state of one run: when each directed link next frees.
 ///
 /// Shared by every endpoint of a world (behind a mutex); deterministic
-/// only under the cooperative runner, where exactly one rank executes at
-/// a time and so charges links in a deterministic total order.
+/// because exactly one rank executes at a time (see [`crate::sched`]) and
+/// so charges links in a deterministic total order.
 #[derive(Debug)]
 pub struct NetState {
     topo: Topology,

@@ -40,6 +40,7 @@ use std::collections::HashMap;
 use crate::endpoint::Endpoint;
 use crate::error::SimError;
 use crate::message::{Body, Message, Rank};
+use crate::recovery::GET_ATTEMPTS;
 use crate::reliable::{self, StreamTag};
 use crate::tag::Tag;
 
@@ -284,9 +285,9 @@ pub fn wait_notify(ep: &mut Endpoint, win: u32, n: usize) -> Result<(), SimError
 /// The request and reply ride tag class 0x7 with no sequencing of their
 /// own, so a faulted control plane loses them whole; re-sending under the
 /// same request id is idempotent (a late or duplicated reply just
-/// overwrites the same `get_replies` slot).  The attempt budget and the
-/// real-time silence window separating attempts come from the world's
-/// [`crate::recovery::RecoveryConfig`] (default: 4 × 80 ms).
+/// overwrites the same `get_replies` slot).  An attempt ends when the
+/// world goes quiescent with no reply; after
+/// [`crate::recovery::GET_ATTEMPTS`] of them the get gives up.
 pub fn get(
     ep: &mut Endpoint,
     target: Rank,
@@ -298,9 +299,7 @@ pub fn get(
     let tag = get_tag(ctx, win);
     let req = ep.os.next_req;
     ep.os.next_req += 1;
-    let attempts = ep.recovery.get_attempts;
-    let silence = ep.recovery.get_silence;
-    for attempt in 0..attempts {
+    for attempt in 0..GET_ATTEMPTS {
         let mut frame = ep.take_buf();
         frame.push(K_GET);
         frame.extend_from_slice(&req.to_le_bytes());
@@ -325,7 +324,7 @@ pub fn get(
             ep.check_evicted(target)?;
             // Silence means the request or its reply was lost in flight —
             // fall out to re-send the same request id.
-            if !ep.pump_some(silence)? {
+            if !ep.pump_some()? {
                 ep.mark(|| {
                     format!(
                         "onesided get retry req={req} win={win} attempt={}",

@@ -4,8 +4,9 @@
 //!
 //! * **Leases** — when heartbeats are armed, every rank broadcasts a
 //!   periodic beat (virtual-clock cadence, NIC plane) carrying its
-//!   *incarnation*.  A rank waiting on a peer counts real-time silence
-//!   windows against the peer's lease; when the configured number of
+//!   *incarnation*.  A rank waiting on a peer counts silence windows —
+//!   one per quiescence of the world, observed by the scheduler, never a
+//!   timer — against the peer's lease; when the configured number of
 //!   windows lapse with nothing heard, the wait fails with
 //!   [`SimError::PeerEvicted`](crate::SimError::PeerEvicted) — a
 //!   membership decision, distinct from the transport retry-budget
@@ -25,47 +26,30 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
-/// Tunables for failure detection and bounded control-plane retries.
-///
-/// The default configuration keeps heartbeats **off** and reproduces the
-/// historical one-sided get retry policy (4 attempts × 80 ms silence), so
-/// worlds that never opt in behave exactly as before.
-///
-/// The [`Duration`] fields are *real-time* caps only under the legacy
-/// threaded runner.  The cooperative runner observes silence exactly —
-/// the scheduler wakes a waiter at global quiescence, the only virtual
-/// instant a real-time window could meaningfully have expired — so under
-/// it these durations act as silence *windows* whose length never burns
-/// wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Attempts for an unacknowledged one-sided `get` request before the
+/// caller sees a typed `PeerTimeout`.
+pub const GET_ATTEMPTS: u32 = 4;
+
+/// Virtual seconds between heartbeat broadcasts from one rank.
+pub(crate) const BEAT_INTERVAL: f64 = 1e-3;
+
+/// Tunables for failure detection.  The default keeps heartbeats **off**,
+/// so worlds that never opt in behave exactly as before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Attempts for an unacknowledged one-sided `get` request before the
-    /// caller sees a typed `PeerTimeout`.
-    pub get_attempts: u32,
-    /// Real-time silence allowed per one-sided `get` attempt.
-    pub get_silence: Duration,
     /// Arm the lease-based failure detector: ranks broadcast heartbeats
     /// and waits evict peers whose lease lapses.
     pub heartbeats: bool,
-    /// Virtual seconds between heartbeat broadcasts from one rank.
-    pub beat_interval: f64,
-    /// One lease window: real-time silence a waiting rank tolerates from
-    /// the watched peer before counting a missed lease.
-    pub lease_window: Duration,
-    /// Missed lease windows before the watched peer is evicted.
+    /// Missed lease windows (quiescences of the world with the watched
+    /// peer silent) before it is evicted.
     pub lease_misses: u32,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            get_attempts: 4,
-            get_silence: Duration::from_millis(80),
             heartbeats: false,
-            beat_interval: 1e-3,
-            lease_window: Duration::from_millis(50),
             lease_misses: 4,
         }
     }
@@ -197,8 +181,7 @@ mod tests {
     #[test]
     fn default_config_matches_historical_get_policy() {
         let cfg = RecoveryConfig::default();
-        assert_eq!(cfg.get_attempts, 4);
-        assert_eq!(cfg.get_silence, Duration::from_millis(80));
+        assert_eq!(GET_ATTEMPTS, 4);
         assert!(!cfg.heartbeats);
     }
 }

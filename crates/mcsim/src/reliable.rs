@@ -47,12 +47,12 @@
 //! queueing for a matching `reliable_recv` — that is the put/get data
 //! plane.
 //!
-//! Two modeling choices keep virtual time deterministic regardless of how
-//! rank threads interleave:
+//! Two modeling choices keep virtual time independent of when a rank
+//! happens to pump its mailbox:
 //!
 //! * All protocol sends happen on the **NIC plane**: their timestamps
 //!   derive from the *arrival* of the frame that triggered them, not from
-//!   whenever the receiving thread got around to draining its channel,
+//!   whenever the receiving rank got around to draining its channel,
 //!   and they charge nothing to the app-level clock.
 //! * Loss is **observable**: a dropped frame still delivers a tombstone
 //!   carrying a prefix of the original bytes, so a lost ACK is decoded

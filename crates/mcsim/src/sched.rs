@@ -1,79 +1,77 @@
-//! M:N cooperative rank scheduler: green tasks on a virtual clock.
-//!
-//! The historical runner spawns one OS thread per rank, which tops out at
-//! a few hundred ranks (stack + scheduler pressure) and makes every
-//! real-time wait (lease windows, silence caps) a source of
-//! wall-clock-dependent behavior.  This module replaces threads with
-//! **stackful coroutines**: each rank is a green task with its own call
-//! stack, multiplexed over a small pool of worker threads.
+//! The rank runner: every rank is a task of one deterministic
+//! virtual-clock scheduler, dispatched one at a time on the thread that
+//! called [`crate::world::World::run`].
 //!
 //! ## Determinism by total order
 //!
-//! The scheduler runs **exactly one task at a time**, always the runnable
-//! task with the lowest `(virtual_time, rank)` key:
+//! Exactly one task runs at a time, always the runnable task with the
+//! lowest `(virtual_time, rank)` key:
 //!
 //! * a task runs until it blocks on a communication wait (recv, ack wait,
 //!   lease window, get retry) and *parks*, reporting its virtual clock;
 //! * a send marks the destination runnable with key
 //!   `max(dest_clock, arrival)` — the earliest virtual instant the
 //!   receiver can observe the message;
-//! * the worker pool resumes the lowest-keyed runnable task.
+//! * the dispatch loop (`run`) resumes the lowest-keyed runnable task.
 //!
 //! Because the execution order is a pure function of virtual timestamps,
 //! the same seed and scenario produce the same schedule — and therefore
-//! byte-identical traces and `NetStats` — for *any* worker-pool size,
-//! which is exactly what the parity tests assert.  Workers buy stack
-//! multiplexing and scale (1024 ranks in one process), not parallelism;
-//! parallelism would require relaxing the total order and is explicitly
-//! traded away for reproducibility.
+//! byte-identical traces and `NetStats` — run to run and on either switch
+//! back end below.  Tasks buy one call stack per rank and scale (1024
+//! ranks in one process), not parallelism; parallelism would require
+//! relaxing the total order and is explicitly traded away for
+//! reproducibility.
 //!
-//! ## Silence without wall clocks
+//! ## Silence is quiescence
 //!
-//! The threaded runner bounded "peer never sends" waits with real-time
-//! caps (250 ms recv-timeout silence, 50 ms lease windows, 400 ms
-//! deadline caps).  Cooperatively, silence is *observable*: when no task
-//! is runnable and none is running, the world is **quiescent** — no
-//! message is in flight, so no wait can ever be satisfied.  The scheduler
-//! then wakes, deterministically (lowest `(clock, rank)` first):
+//! Virtual time only moves when messages do, so "the peer never sends"
+//! cannot be detected by a timer.  It does not need one: when no task is
+//! runnable the world is **quiescent** — no message is in flight, so no
+//! wait can ever be satisfied.  The scheduler then wakes,
+//! deterministically (lowest `(clock, rank)` first):
 //!
 //! 1. if every task finished its program: all service-mode tasks, with
 //!    `WakeCause::Shutdown` — the run is complete;
-//! 2. else one silence-capable waiter with `WakeCause::Silence` — it
-//!    counts a lease miss / get retry / recv timeout exactly where the
-//!    threaded runner counted a real-time window;
-//! 3. else (armed deadline) one blocked waiter with `Silence`, surfacing
-//!    `DeadlineExceeded`;
-//! 4. else every waiter with `Shutdown`: the world is deadlocked, and a
+//! 2. else the program waiter with the earliest finite expiry, with
+//!    `WakeCause::Silence` — it counts a lease miss / get retry / recv
+//!    timeout, or (armed world deadline) surfaces `DeadlineExceeded`;
+//! 3. else every waiter with `Shutdown`: the world is deadlocked, and a
 //!    deterministic teardown error beats a hang.
 //!
 //! ## Park/resume protocol
 //!
 //! A parking task writes its request into its `TaskCell` and switches
-//! back to the hosting worker; the *worker* publishes the new state under
-//! the scheduler lock only after the context is fully saved, so another
-//! worker can never resume a half-parked continuation.  Wake causes flow
-//! the other way: the worker writes `TaskCell::wake` before switching
-//! in, and `CoopHandle::park` returns it to the endpoint.
+//! back to the dispatch loop, which publishes the new state under the
+//! scheduler lock.  Wake causes flow the other way: the loop writes
+//! `TaskCell::wake` before switching in, and `CoopHandle::park` returns
+//! it to the endpoint.
 //!
-//! ## Stacks
+//! ## Two switch back ends
 //!
-//! Task stacks are allocated raw (`std::alloc`) and never pre-touched, so
-//! an idle rank costs a few resident pages regardless of
-//! [`COOP_STACK_BYTES`]; 1024 ranks fit comfortably in the documented
-//! budget (see `DESIGN.md` §4j).  A canary word at the base of each stack
-//! is checked on every switch-out; an overwrite aborts the process,
-//! since a silently corrupted frame is not recoverable.
+//! The only platform-specific code is the pair `switch_to_task` /
+//! `switch_to_host`, selected by `cfg(target_arch)`:
 //!
-//! The context switch itself is ~30 instructions of inline assembly
-//! (x86_64 SysV: callee-saved registers + stack pointer).  On other
-//! architectures the world falls back to the thread-per-rank runner.
+//! * **x86_64** — a stackful coroutine: ~30 instructions of SysV assembly
+//!   (callee-saved registers + stack pointer).  Task stacks are allocated
+//!   raw (`std::alloc`) and never pre-touched, so an idle rank costs a few
+//!   resident pages regardless of [`COOP_STACK_BYTES`]; 1024 ranks fit
+//!   comfortably in the documented budget (see `DESIGN.md` §4j).  A canary
+//!   word at the base of each stack is checked on every switch-out; an
+//!   overwrite aborts the process, since a silently corrupted frame is not
+//!   recoverable.
+//! * **everything else** — a *baton*: the task body runs on an OS thread
+//!   of its own ([`COOP_STACK_BYTES`] of stack) and a `Mutex<bool>` +
+//!   `Condvar` lets exactly one of {dispatch loop, task} run.  The
+//!   schedule is the same total order, so every observable is identical;
+//!   only the cost of a switch differs.  It is also compiled into x86_64
+//!   *test* builds, where the unit tests run both back ends against each
+//!   other.
 
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
-/// Default stack size for one cooperative task.  Virtual memory only:
-/// untouched pages are never resident.  Override per world with
-/// [`crate::world::World::with_stack_bytes`].
+/// Stack size of one task, on either switch back end.  Virtual memory
+/// only: untouched pages are never resident.
 pub const COOP_STACK_BYTES: usize = 1 << 20;
 
 /// Why a parked task was resumed.
@@ -82,7 +80,6 @@ pub(crate) enum WakeCause {
     /// At least one message arrived for this rank since it parked.
     Message,
     /// Global quiescence: nothing can ever arrive unless this task acts.
-    /// Stands in for the threaded runner's real-time silence windows.
     Silence,
     /// The world is tearing down (run complete, or deterministic
     /// deadlock teardown).
@@ -102,18 +99,133 @@ pub(crate) enum ParkKind {
     /// The rank's program returned; it keeps answering protocol traffic
     /// until the whole world completes.
     Service,
-    /// Cooperative yield: stay runnable at the current clock so
-    /// lower-keyed ranks can run (used by non-blocking probe loops).
-    Yield,
+}
+
+/// Lifetime-erased task body.  Safety: [`run`] drives every task to
+/// completion (and joins every baton thread) before `World::execute`
+/// returns, so the borrows captured inside never outlive their owners.
+pub(crate) type TaskBody = Box<dyn FnOnce(*mut TaskCell) + Send>;
+
+/// Per-task control block shared between the dispatch loop and the code
+/// running *inside* the task (via [`CoopHandle`]).
+///
+/// Access discipline: a cell is only ever touched by whichever of
+/// {dispatch loop, task} currently runs.  On the baton back end those are
+/// two OS threads; the baton mutex orders every handoff.
+pub(crate) struct TaskCell {
+    switch: Switch,
+    /// Set once the task body has returned.
+    finished: bool,
+    /// Park request, written by the task just before switching out.
+    park: ParkKind,
+    /// The task's virtual clock at park time (the scheduler's key input).
+    clock: f64,
+    /// Wake cause, written by the dispatch loop just before switching in.
+    wake: WakeCause,
+    /// A panic that escaped the task body's own catch (a harness bug);
+    /// re-raised on the host thread so it is not silently lost.
+    escaped: Option<Box<dyn std::any::Any + Send>>,
+    body: Option<TaskBody>,
+}
+
+impl TaskCell {
+    fn new(body: TaskBody) -> Box<TaskCell> {
+        // Allocate first: the switch back end captures the cell's address.
+        let mut cell = Box::<TaskCell>::new_uninit();
+        let switch = Switch::new(cell.as_mut_ptr());
+        cell.write(TaskCell {
+            switch,
+            finished: false,
+            park: ParkKind::Service,
+            clock: 0.0,
+            wake: WakeCause::Message,
+            escaped: None,
+            body: Some(body),
+        });
+        // SAFETY: initialized by the write above.
+        unsafe { cell.assume_init() }
+    }
+}
+
+/// Run a task's body to completion on the task's own stack or thread.
+/// The body contains its own `catch_unwind` (the supervisor loop); this
+/// backstop exists because unwinding must never leave the task — into the
+/// assembly frame below a coroutine, or out of a baton thread.
+///
+/// # Safety
+/// `cell` must point to a live `TaskCell` whose turn it is to run.
+unsafe fn run_body(cell: *mut TaskCell) {
+    let body = (*cell).body.take().expect("task body runs once");
+    if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(cell))) {
+        (*cell).escaped = Some(e);
+    }
+    (*cell).finished = true;
 }
 
 // ---------------------------------------------------------------------------
-// Context switch (x86_64 SysV).
+// The context-switch pair — the only platform-specific code.
 // ---------------------------------------------------------------------------
 
+/// How control passes between the dispatch loop and one task.
+enum Switch {
+    #[cfg(target_arch = "x86_64")]
+    Coro(coro::Coro),
+    #[cfg(any(test, not(target_arch = "x86_64")))]
+    Baton(baton::BatonTask),
+}
+
+impl Switch {
+    /// The target's back end, set up to start `run_body(cell)` on the first
+    /// switch-in.  `cell` need not be initialized yet.
+    fn new(cell: *mut TaskCell) -> Switch {
+        #[cfg(all(test, target_arch = "x86_64"))]
+        if FORCE_BATON.get() {
+            return Switch::Baton(baton::BatonTask::spawn(cell));
+        }
+        #[cfg(target_arch = "x86_64")]
+        return Switch::Coro(coro::Coro::new(cell));
+        #[cfg(not(target_arch = "x86_64"))]
+        return Switch::Baton(baton::BatonTask::spawn(cell));
+    }
+}
+
+/// Switch from the dispatch loop into a (fresh or parked) task; returns
+/// when the task parks or finishes.
+///
+/// # Safety
+/// `cell` must point to a live, unfinished `TaskCell`, and the caller must
+/// be the dispatch loop.
+unsafe fn switch_to_task(cell: *mut TaskCell) {
+    match &(*cell).switch {
+        #[cfg(target_arch = "x86_64")]
+        Switch::Coro(c) => c.to_task(),
+        #[cfg(any(test, not(target_arch = "x86_64")))]
+        Switch::Baton(b) => b.hand_to(true),
+    }
+}
+
+/// Switch from inside a task back to the dispatch loop; returns when the
+/// loop resumes this task.
+///
+/// # Safety
+/// Must only be called from inside the task `cell` belongs to.
+unsafe fn switch_to_host(cell: *mut TaskCell) {
+    match &(*cell).switch {
+        #[cfg(target_arch = "x86_64")]
+        Switch::Coro(c) => c.to_host(),
+        #[cfg(any(test, not(target_arch = "x86_64")))]
+        Switch::Baton(b) => b.hand_to(false),
+    }
+}
+
+/// x86_64 back end: a stackful coroutine switched by SysV assembly.
 #[cfg(target_arch = "x86_64")]
-core::arch::global_asm!(
-    r#"
+mod coro {
+    use super::{run_body, TaskCell, COOP_STACK_BYTES};
+    use std::cell::UnsafeCell;
+
+    core::arch::global_asm!(
+        r#"
     .text
     .globl mcsim_ctx_switch
     .p2align 4
@@ -143,187 +255,208 @@ mcsim_coro_thunk:
     call mcsim_coro_entry
     ud2
 "#
-);
+    );
 
-#[cfg(target_arch = "x86_64")]
-extern "sysv64" {
-    /// Save the current continuation's stack pointer into `*save`, then
-    /// restore `target` as the stack pointer and return into it.  The
-    /// saved continuation resumes right after this call when someone
-    /// switches back.
-    fn mcsim_ctx_switch(save: *mut usize, target: usize);
-}
-
-#[cfg(target_arch = "x86_64")]
-extern "C" {
-    /// Initial `ret` target of a fresh task stack (defined in the
-    /// `global_asm!` block above): moves the cell pointer from `r12`
-    /// into the first argument register and calls [`mcsim_coro_entry`].
-    fn mcsim_coro_thunk();
-}
-
-/// True when the cooperative runner is available on this target.
-pub(crate) const fn coop_supported() -> bool {
-    cfg!(target_arch = "x86_64")
-}
-
-/// Sentinel written at the base (lowest address) of every task stack.
-const STACK_CANARY: u64 = 0x6d63_7369_6d5f_6f6b; // "mcsim_ok"
-
-struct StackMem {
-    ptr: *mut u8,
-    layout: std::alloc::Layout,
-}
-
-impl StackMem {
-    fn new(bytes: usize) -> StackMem {
-        let size = bytes.max(64 * 1024) & !15;
-        let layout = std::alloc::Layout::from_size_align(size, 16).expect("stack layout");
-        // Deliberately uninitialized: pages must stay untouched (and
-        // therefore non-resident) until the task actually grows into
-        // them.
-        let ptr = unsafe { std::alloc::alloc(layout) };
-        assert!(!ptr.is_null(), "task stack allocation failed");
-        StackMem { ptr, layout }
+    extern "sysv64" {
+        /// Save the current continuation's stack pointer into `*save`, then
+        /// restore `target` as the stack pointer and return into it.  The
+        /// saved continuation resumes right after this call when someone
+        /// switches back.
+        fn mcsim_ctx_switch(save: *mut usize, target: usize);
     }
 
-    fn top(&self) -> usize {
-        self.ptr as usize + self.layout.size()
+    extern "C" {
+        /// Initial `ret` target of a fresh task stack (defined in the
+        /// `global_asm!` block above): moves the cell pointer from `r12`
+        /// into the first argument register and calls [`mcsim_coro_entry`].
+        fn mcsim_coro_thunk();
     }
-}
 
-impl Drop for StackMem {
-    fn drop(&mut self) {
-        unsafe { std::alloc::dealloc(self.ptr, self.layout) };
+    /// Sentinel written at the base (lowest address) of every task stack.
+    const STACK_CANARY: u64 = 0x6d63_7369_6d5f_6f6b; // "mcsim_ok"
+
+    struct StackMem {
+        ptr: *mut u8,
+        layout: std::alloc::Layout,
     }
-}
 
-/// Lifetime-erased task body.  Safety: the world drives every task to
-/// completion (or never starts it) before `execute_coop` returns, so the
-/// borrows captured inside never outlive their owners.
-pub(crate) type TaskBody = Box<dyn FnOnce(*mut TaskCell) + Send>;
-
-/// Per-task control block shared between the hosting worker and the code
-/// running *inside* the task (via [`CoopHandle`]).
-///
-/// Concurrency discipline: fields are only ever touched by (a) the worker
-/// currently resuming this task, or (b) the task itself while running on
-/// that worker.  Handoff between workers is ordered by the scheduler
-/// mutex, which provides the necessary happens-before edges.
-pub(crate) struct TaskCell {
-    /// Saved stack pointer of the suspended task.
-    ctx: usize,
-    /// Saved stack pointer of the worker hosting the current slice.
-    host: usize,
-    /// Set once the task body has returned and the stack is dead.
-    finished: bool,
-    /// Park request, written by the task just before switching out.
-    park: ParkKind,
-    /// The task's virtual clock at park time (the scheduler's key input).
-    clock: f64,
-    /// Wake cause, written by the worker just before switching in.
-    wake: WakeCause,
-    /// A panic that escaped the task body's own catch (a harness bug);
-    /// re-raised on the main thread so it is not silently lost.
-    escaped: Option<Box<dyn std::any::Any + Send>>,
-    body: Option<TaskBody>,
-    stack: StackMem,
-}
-
-unsafe impl Send for TaskCell {}
-
-impl TaskCell {
-    fn new(stack_bytes: usize, body: TaskBody) -> Box<TaskCell> {
-        let stack = StackMem::new(stack_bytes);
-        let mut cell = Box::new(TaskCell {
-            ctx: 0,
-            host: 0,
-            finished: false,
-            park: ParkKind::Yield,
-            clock: 0.0,
-            wake: WakeCause::Message,
-            escaped: None,
-            body: Some(body),
-            stack,
-        });
-        unsafe {
-            // Plant the canary at the base (lowest address) of the stack.
-            (cell.stack.ptr as *mut u64).write(STACK_CANARY);
-            cell.init_stack();
+    impl StackMem {
+        fn new() -> StackMem {
+            let layout =
+                std::alloc::Layout::from_size_align(COOP_STACK_BYTES, 16).expect("stack layout");
+            // Deliberately uninitialized: pages must stay untouched (and
+            // therefore non-resident) until the task actually grows into
+            // them.
+            // SAFETY: `layout` has a non-zero size.
+            let ptr = unsafe { std::alloc::alloc(layout) };
+            assert!(!ptr.is_null(), "task stack allocation failed");
+            StackMem { ptr, layout }
         }
-        cell
+
+        fn top(&self) -> usize {
+            self.ptr as usize + self.layout.size()
+        }
     }
 
-    /// Lay out the initial frame so the first switch-in pops zeroed
-    /// callee-saved registers (with `r12` = cell pointer) and `ret`s into
-    /// `mcsim_coro_thunk`, which calls [`mcsim_coro_entry`] with SysV
-    /// stack alignment.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn init_stack(&mut self) {
-        let top = self.stack.top();
-        debug_assert_eq!(top % 16, 0);
-        let slot = |i: usize| (top - 8 * i) as *mut u64;
-        slot(1).write(0); // never-returned-to slot (keeps alignment)
-        slot(2).write(mcsim_coro_thunk as *const () as usize as u64); // ret target
-        slot(3).write(0); // rbp
-        slot(4).write(0); // rbx
-        slot(5).write(self as *mut TaskCell as u64); // r12 -> rdi in thunk
-        slot(6).write(0); // r13
-        slot(7).write(0); // r14
-        slot(8).write(0); // r15
-        self.ctx = top - 64;
+    impl Drop for StackMem {
+        fn drop(&mut self) {
+            // SAFETY: `ptr` came from `alloc(layout)` in `new`.
+            unsafe { std::alloc::dealloc(self.ptr, self.layout) };
+        }
     }
 
-    #[cfg(not(target_arch = "x86_64"))]
-    unsafe fn init_stack(&mut self) {
-        unreachable!("cooperative runner is x86_64-only; world falls back to threads");
+    /// The two saved stack pointers of one task.  `UnsafeCell`: the
+    /// suspended side's frame still holds a `&Coro` while the running side
+    /// writes through its own.
+    pub(super) struct Coro {
+        /// Saved stack pointer of the suspended task.
+        ctx: UnsafeCell<usize>,
+        /// Saved stack pointer of the dispatch loop during a slice.
+        host: UnsafeCell<usize>,
+        stack: StackMem,
     }
 
-    fn canary_ok(&self) -> bool {
-        unsafe { (self.stack.ptr as *const u64).read() == STACK_CANARY }
+    impl Coro {
+        /// Allocate a stack and lay out its initial frame so the first
+        /// switch-in pops zeroed callee-saved registers (with `r12` =
+        /// cell pointer) and `ret`s into `mcsim_coro_thunk`, which calls
+        /// [`mcsim_coro_entry`] with SysV stack alignment.
+        pub(super) fn new(cell: *mut TaskCell) -> Coro {
+            let stack = StackMem::new();
+            let top = stack.top();
+            debug_assert_eq!(top % 16, 0);
+            let slot = |i: usize| (top - 8 * i) as *mut u64;
+            // SAFETY: the canary slot and the eight frame slots lie inside
+            // the fresh allocation `[ptr, top)`, which nothing else uses.
+            unsafe {
+                (stack.ptr as *mut u64).write(STACK_CANARY);
+                slot(1).write(0); // never-returned-to slot (keeps alignment)
+                slot(2).write(mcsim_coro_thunk as *const () as usize as u64); // ret target
+                slot(3).write(0); // rbp
+                slot(4).write(0); // rbx
+                slot(5).write(cell as u64); // r12 -> rdi in thunk
+                slot(6).write(0); // r13
+                slot(7).write(0); // r14
+                slot(8).write(0); // r15
+            }
+            Coro {
+                ctx: UnsafeCell::new(top - 64),
+                host: UnsafeCell::new(0),
+                stack,
+            }
+        }
+
+        /// # Safety
+        /// Caller is the dispatch loop and the task has not finished.
+        pub(super) unsafe fn to_task(&self) {
+            mcsim_ctx_switch(self.host.get(), *self.ctx.get());
+            if (self.stack.ptr as *const u64).read() != STACK_CANARY {
+                // The guard word at the stack base was overwritten: frames
+                // below it are already corrupt, so unwinding is unsafe.
+                eprintln!(
+                    "mcsim: task stack overflow (rank closure needs more than \
+                     COOP_STACK_BYTES); aborting"
+                );
+                std::process::abort();
+            }
+        }
+
+        /// # Safety
+        /// Caller runs on this coroutine's own stack.
+        pub(super) unsafe fn to_host(&self) {
+            mcsim_ctx_switch(self.ctx.get(), *self.host.get());
+        }
+    }
+
+    /// Entry point every fresh task stack starts in (called from the asm
+    /// thunk).  Never returns: on completion it switches back to the
+    /// dispatch loop forever.
+    #[no_mangle]
+    unsafe extern "sysv64" fn mcsim_coro_entry(cell: *mut TaskCell) -> ! {
+        run_body(cell);
+        loop {
+            super::switch_to_host(cell);
+        }
     }
 }
 
-/// Entry point every fresh task stack starts in (called from the asm
-/// thunk).  Never returns: on completion it marks the cell finished and
-/// switches back to the host forever.
-#[cfg(target_arch = "x86_64")]
-#[no_mangle]
-unsafe extern "sysv64" fn mcsim_coro_entry(cell: *mut TaskCell) -> ! {
-    let body = (*cell).body.take().expect("task body runs once");
-    // The body contains its own catch_unwind (the supervisor loop); this
-    // backstop only exists because unwinding must never reach the asm
-    // frame below us.
-    if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(cell))) {
-        (*cell).escaped = Some(e);
-    }
-    (*cell).finished = true;
-    loop {
-        mcsim_ctx_switch(&mut (*cell).ctx, (*cell).host);
-    }
-}
+/// Portable back end: the task body runs on an OS thread of its own and a
+/// baton lets exactly one of {dispatch loop, task} run.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+mod baton {
+    use super::{run_body, TaskCell, COOP_STACK_BYTES};
+    use std::sync::{Arc, Condvar, Mutex};
 
-/// Switch from inside a task back to its hosting worker.  Must only be
-/// called on the task's own stack.
-unsafe fn switch_to_host(cell: *mut TaskCell) {
-    #[cfg(target_arch = "x86_64")]
-    mcsim_ctx_switch(&mut (*cell).ctx, (*cell).host);
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = cell;
-        unreachable!("cooperative runner is x86_64-only");
+    /// Whose turn it is.  The mutex is also what makes every write to the
+    /// `TaskCell` by one side visible to the other.
+    struct Baton {
+        task_turn: Mutex<bool>,
+        cv: Condvar,
     }
-}
 
-/// Switch from a worker into a (fresh or parked) task.  Must only be
-/// called by the worker that owns the `Running` transition.
-unsafe fn switch_to_task(cell: *mut TaskCell) {
-    #[cfg(target_arch = "x86_64")]
-    mcsim_ctx_switch(&mut (*cell).host, (*cell).ctx);
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = cell;
-        unreachable!("cooperative runner is x86_64-only");
+    impl Baton {
+        fn pass(&self, to_task: bool) {
+            *self.task_turn.lock().expect("baton holder panicked") = to_task;
+            self.cv.notify_one();
+        }
+
+        fn wait(&self, for_task: bool) {
+            let mut turn = self.task_turn.lock().expect("baton holder panicked");
+            while *turn != for_task {
+                turn = self.cv.wait(turn).expect("baton holder panicked");
+            }
+        }
+    }
+
+    pub(super) struct BatonTask {
+        baton: Arc<Baton>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    struct CellPtr(*mut TaskCell);
+    // SAFETY: the pointer is only dereferenced while its thread holds the
+    // baton, and `run` joins the thread before the cell is freed.
+    unsafe impl Send for CellPtr {}
+
+    impl BatonTask {
+        /// Start the task's thread; it waits for its first turn.
+        pub(super) fn spawn(cell: *mut TaskCell) -> BatonTask {
+            let baton = Arc::new(Baton {
+                task_turn: Mutex::new(false),
+                cv: Condvar::new(),
+            });
+            let theirs = baton.clone();
+            let cell = CellPtr(cell);
+            let thread = std::thread::Builder::new()
+                .stack_size(COOP_STACK_BYTES)
+                .spawn(move || {
+                    let cell = cell;
+                    theirs.wait(true);
+                    // SAFETY: it is this task's turn, and the cell outlives
+                    // the thread (joined in `run`).
+                    unsafe { run_body(cell.0) };
+                    theirs.pass(false);
+                })
+                .expect("spawn task thread");
+            BatonTask {
+                baton,
+                thread: Some(thread),
+            }
+        }
+
+        /// Hand the turn to the task (`true`) or the dispatch loop
+        /// (`false`) and block until it comes back.
+        pub(super) fn hand_to(&self, task: bool) {
+            self.baton.pass(task);
+            self.baton.wait(!task);
+        }
+
+        /// Join the finished task's thread.
+        pub(super) fn join(&mut self) {
+            if let Some(t) = self.thread.take() {
+                t.join().expect("task thread catches its own panics");
+            }
+        }
     }
 }
 
@@ -358,8 +491,7 @@ impl PartialOrd for HeapEntry {
 }
 
 /// Whether a task is still executing its program or only answering
-/// protocol traffic (the cooperative analogue of the threaded runner's
-/// post-return `service_protocol` loop).
+/// protocol traffic until the rest of the world finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Program,
@@ -370,11 +502,11 @@ enum Mode {
 enum State {
     /// Queued in the heap under `Slot::key`.
     Runnable,
-    /// Currently executing on some worker (at most one world-wide).
+    /// Currently executing (at most one world-wide).
     Running,
     /// Parked in a communication wait.
     Waiting,
-    /// Task body returned; stack is dead.
+    /// Task body returned.
     Done,
 }
 
@@ -401,18 +533,18 @@ struct Slot {
 struct Inner {
     slots: Vec<Slot>,
     heap: BinaryHeap<HeapEntry>,
-    /// A task is currently executing; dispatch is strictly serialized.
-    running: bool,
     /// Tasks still in `Mode::Program`.
     unfinished: usize,
     /// Tasks not yet `Done`.
     live: usize,
 }
 
-/// Shared scheduler state: one per cooperative world run.
+/// Shared scheduler state: one per world run.  Dispatch is strictly
+/// serialized, so the mutex is never contended; it stays because on the
+/// baton back end `notify` runs on the tasks' own threads and needs its
+/// happens-before.
 pub(crate) struct Sched {
     inner: Mutex<Inner>,
-    cv: Condvar,
 }
 
 impl Sched {
@@ -434,11 +566,9 @@ impl Sched {
             inner: Mutex::new(Inner {
                 slots,
                 heap,
-                running: false,
                 unfinished: size,
                 live: size,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -459,8 +589,6 @@ impl Sched {
                 s.key = s.clock.max(s.mail_min);
                 let key = s.key;
                 g.heap.push(HeapEntry { key, rank: to });
-                drop(g);
-                self.cv.notify_one();
             }
             State::Runnable => {
                 // Decrease-key: push a better duplicate, the stale entry
@@ -478,25 +606,30 @@ impl Sched {
         }
     }
 
-    /// Wake reason the dispatcher decided for `rank`; read by the worker
-    /// right before switching in.
-    fn take_dispatch(&self, g: &mut Inner) -> Option<(usize, WakeCause)> {
-        while let Some(e) = g.heap.pop() {
-            let s = &mut g.slots[e.rank];
-            if s.state != State::Runnable || e.key != s.key {
-                continue; // stale duplicate
+    /// The lowest-keyed runnable task and the wake cause to hand it, or
+    /// `None` once every task is done.
+    fn next_dispatch(&self) -> Option<(usize, WakeCause)> {
+        let mut g = self.inner.lock().unwrap();
+        while g.live > 0 {
+            while let Some(e) = g.heap.pop() {
+                let s = &mut g.slots[e.rank];
+                if s.state != State::Runnable || e.key != s.key {
+                    continue; // stale duplicate
+                }
+                s.state = State::Running;
+                s.mail = false;
+                s.mail_min = f64::INFINITY;
+                return Some((e.rank, s.wake));
             }
-            s.state = State::Running;
-            s.mail = false;
-            s.mail_min = f64::INFINITY;
-            return Some((e.rank, s.wake));
+            // Quiescent: manufacture the deterministic wake-up.
+            Self::quiesce(&mut g);
         }
         None
     }
 
-    /// Handle global quiescence: nothing runnable, nothing running, but
-    /// live tasks remain.  Always enqueues at least one wake.
-    fn quiesce(&self, g: &mut Inner) {
+    /// Handle global quiescence: nothing runnable, but live tasks remain.
+    /// Always enqueues at least one wake.
+    fn quiesce(g: &mut Inner) {
         if g.unfinished == 0 {
             // Every program returned; release the service loops.
             for rank in 0..g.slots.len() {
@@ -513,8 +646,7 @@ impl Sched {
         }
         // One silence-capable program waiter: earliest virtual expiry
         // wins (rank breaks ties), so a short recv timeout fires before a
-        // distant world deadline — the same order the threaded runner's
-        // real-time windows would resolve in.
+        // distant world deadline.
         let pick = g
             .slots
             .iter()
@@ -556,11 +688,10 @@ impl Sched {
         }
     }
 
-    /// Process a park (or completion) after the worker regained control.
-    /// Returns true when the whole world is done.
-    fn after_slice(&self, rank: usize, cell: &TaskCell) -> bool {
+    /// Publish a park (or completion) after the dispatch loop regained
+    /// control.
+    fn after_slice(&self, rank: usize, cell: &TaskCell) {
         let mut g = self.inner.lock().unwrap();
-        g.running = false;
         if cell.finished {
             let was_program = {
                 let s = &mut g.slots[rank];
@@ -588,8 +719,6 @@ impl Sched {
             let requeue = {
                 let s = &mut g.slots[rank];
                 match cell.park {
-                    // A yielding task stays runnable at its own clock.
-                    ParkKind::Yield => true,
                     // Mail that raced in during the slice (a self-send or
                     // a protocol echo) wakes the task immediately.
                     ParkKind::Wait { expiry } => {
@@ -625,33 +754,22 @@ impl Sched {
                 g.heap.push(HeapEntry { key, rank });
             }
         }
-        let done = g.live == 0;
-        drop(g);
-        self.cv.notify_all();
-        done
     }
 }
 
-/// The cell table workers index into.  Access discipline: the worker
-/// holding the `running` transition for rank `r` is the only one touching
-/// cell `r`; the scheduler mutex orders handoffs.
+/// One cell per rank, indexed by the dispatch loop.
 pub(crate) struct CellTable {
-    // Boxed on purpose: each cell's coroutine context stores
-    // `self as *mut TaskCell` at construction, so the cell's address
-    // must survive being collected into (or moved with) the Vec.
+    // Boxed on purpose: each cell's switch back end captures the cell's
+    // address at construction, so it must survive being collected into
+    // (or moved with) the Vec.
     #[allow(clippy::vec_box)]
     cells: Vec<Box<TaskCell>>,
 }
 
-unsafe impl Sync for CellTable {}
-
 impl CellTable {
-    pub(crate) fn new(stack_bytes: usize, bodies: Vec<TaskBody>) -> CellTable {
+    pub(crate) fn new(bodies: Vec<TaskBody>) -> CellTable {
         CellTable {
-            cells: bodies
-                .into_iter()
-                .map(|b| TaskCell::new(stack_bytes, b))
-                .collect(),
+            cells: bodies.into_iter().map(TaskCell::new).collect(),
         }
     }
 
@@ -671,45 +789,28 @@ impl CellTable {
     }
 }
 
-/// Worker loop: dispatch the lowest-keyed runnable task, run its slice,
-/// publish its park.  Exits when every task is done.
-pub(crate) fn worker_loop(sched: &Sched, table: &CellTable) {
-    loop {
-        let (rank, wake) = {
-            let mut g = sched.inner.lock().unwrap();
-            loop {
-                if g.live == 0 {
-                    return;
-                }
-                if !g.running {
-                    if let Some((rank, wake)) = sched.take_dispatch(&mut g) {
-                        g.running = true;
-                        break (rank, wake);
-                    }
-                    // Quiescent: manufacture the deterministic wake-up.
-                    sched.quiesce(&mut g);
-                    continue;
-                }
-                g = sched.cv.wait(g).unwrap();
-            }
-        };
+/// The dispatch loop, on the thread that called `World::run`: resume the
+/// lowest-keyed runnable task, run its slice, publish its park.  Returns
+/// when every task is done (and, on the baton back end, its thread
+/// joined).
+pub(crate) fn run(sched: &Sched, table: &mut CellTable) {
+    while let Some((rank, wake)) = sched.next_dispatch() {
         let cell = table.cell_ptr(rank);
+        // SAFETY: `rank` was just moved to `Running`, so its task is
+        // unfinished and suspended; nothing else touches the cell until
+        // the switch returns.
         unsafe {
             (*cell).wake = wake;
             switch_to_task(cell);
-            if !(*cell).canary_ok() {
-                // The guard word at the stack base was overwritten: frames
-                // below it are already corrupt, so unwinding is unsafe.
-                eprintln!(
-                    "mcsim: task stack overflow on rank {rank} \
-                     (raise World::with_stack_bytes); aborting"
-                );
-                std::process::abort();
-            }
+            sched.after_slice(rank, &*cell);
         }
-        let done = sched.after_slice(rank, unsafe { &*cell });
-        if done {
-            return;
+    }
+    for cell in &mut table.cells {
+        match &mut cell.switch {
+            #[cfg(target_arch = "x86_64")]
+            Switch::Coro(_) => {}
+            #[cfg(any(test, not(target_arch = "x86_64")))]
+            Switch::Baton(b) => b.join(),
         }
     }
 }
@@ -721,6 +822,9 @@ pub(crate) struct CoopHandle {
     sched: Arc<Sched>,
 }
 
+// SAFETY: the handle travels with its rank's endpoint into that rank's
+// task (a thread of its own on the baton back end) and `cell` is only
+// dereferenced there, while the task holds the turn; `Sched` is `Sync`.
 unsafe impl Send for CoopHandle {}
 
 impl CoopHandle {
@@ -729,8 +833,10 @@ impl CoopHandle {
     }
 
     /// Park the current task and return why it was resumed.  Must be
-    /// called from inside the task (on its coroutine stack).
+    /// called from inside the task.
     pub(crate) fn park(&self, kind: ParkKind, clock: f64) -> WakeCause {
+        // SAFETY: the cell outlives its task, and while the task runs
+        // nothing else touches it (see `TaskCell`).
         unsafe {
             (*self.cell).park = kind;
             (*self.cell).clock = clock;
@@ -751,116 +857,168 @@ impl std::fmt::Debug for CoopHandle {
     }
 }
 
-#[cfg(all(test, target_arch = "x86_64"))]
+#[cfg(test)]
+thread_local! {
+    /// Test-only override read by `Switch::arm` on x86_64: tasks created
+    /// on this thread use the baton back end instead of the coroutine.
+    static FORCE_BATON: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Run `f` with every world it starts (on this thread) hosted on the baton
+/// back end — how x86_64 test builds reach the code other targets run.
+#[cfg(test)]
+pub(crate) fn with_baton<R>(f: impl FnOnce() -> R) -> R {
+    FORCE_BATON.set(true);
+    let r = f();
+    FORCE_BATON.set(false);
+    r
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Bare coroutine round trip: resume / park / resume-to-completion.
+    /// Run `test` once per switch back end this target compiles (off
+    /// x86_64 both passes use the baton).
+    fn on_each_back_end(test: impl Fn()) {
+        test();
+        with_baton(test);
+    }
+
+    fn run_bodies(sched: &Sched, bodies: Vec<TaskBody>) {
+        run(sched, &mut CellTable::new(bodies));
+    }
+
+    /// The override really selects the baton — its task bodies run on a
+    /// thread of their own — so the parity tests compare two back ends.
+    #[test]
+    fn with_baton_hosts_tasks_on_their_own_threads() {
+        let task_thread = || {
+            let seen = Arc::new(Mutex::new(None));
+            let seen2 = seen.clone();
+            let body: TaskBody = Box::new(move |_cell| {
+                *seen2.lock().unwrap() = Some(std::thread::current().id());
+            });
+            run_bodies(&Sched::new(1), vec![body]);
+            let id = seen.lock().unwrap().expect("body ran");
+            id
+        };
+        let host = std::thread::current().id();
+        assert_ne!(with_baton(task_thread), host);
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(task_thread(), host);
+    }
+
+    /// Bare round trip: resume / park / resume-to-completion.
     #[test]
     fn coroutine_switches_and_finishes() {
-        let sched = Arc::new(Sched::new(1));
-        let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let log2 = log.clone();
-        let sched2 = sched.clone();
-        let body: TaskBody = Box::new(move |cell| {
-            let h = CoopHandle::new(cell, sched2.clone());
-            log2.lock().unwrap().push("first");
-            let w = h.park(ParkKind::Yield, 1.0);
-            assert_eq!(w, WakeCause::Message);
-            log2.lock().unwrap().push("second");
+        on_each_back_end(|| {
+            let sched = Arc::new(Sched::new(1));
+            let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
+            let log2 = log.clone();
+            let sched2 = sched.clone();
+            let body: TaskBody = Box::new(move |cell| {
+                let h = CoopHandle::new(cell, sched2.clone());
+                log2.lock().unwrap().push("first");
+                let w = h.park(ParkKind::Wait { expiry: 1.0 }, 1.0);
+                assert_eq!(w, WakeCause::Silence);
+                log2.lock().unwrap().push("second");
+            });
+            run_bodies(&sched, vec![body]);
+            assert_eq!(*log.lock().unwrap(), vec!["first", "second"]);
         });
-        let table = CellTable::new(COOP_STACK_BYTES, vec![body]);
-        worker_loop(&sched, &table);
-        assert_eq!(*log.lock().unwrap(), vec!["first", "second"]);
     }
 
     /// Two tasks ping-ponging runnability purely through notify: the
     /// scheduler picks the lowest (clock, rank) key every time.
     #[test]
     fn lowest_key_runs_first() {
-        let sched = Arc::new(Sched::new(2));
-        let order: Arc<Mutex<Vec<(usize, u32)>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut bodies: Vec<TaskBody> = Vec::new();
-        for rank in 0..2usize {
-            let order = order.clone();
-            let sched = sched.clone();
-            bodies.push(Box::new(move |cell| {
-                let h = CoopHandle::new(cell, sched.clone());
-                for round in 0..3u32 {
-                    order.lock().unwrap().push((rank, round));
-                    // Wake the peer "now" and wait for it to wake us.
-                    h.notify(1 - rank, (round + 1) as f64);
-                    if round < 2 {
-                        let w = h.park(
-                            ParkKind::Wait {
-                                expiry: f64::INFINITY,
-                            },
-                            (round + 1) as f64,
-                        );
-                        assert_eq!(w, WakeCause::Message);
+        on_each_back_end(|| {
+            let sched = Arc::new(Sched::new(2));
+            let order: Arc<Mutex<Vec<(usize, u32)>>> = Arc::new(Mutex::new(Vec::new()));
+            let mut bodies: Vec<TaskBody> = Vec::new();
+            for rank in 0..2usize {
+                let order = order.clone();
+                let sched = sched.clone();
+                bodies.push(Box::new(move |cell| {
+                    let h = CoopHandle::new(cell, sched.clone());
+                    for round in 0..3u32 {
+                        order.lock().unwrap().push((rank, round));
+                        // Wake the peer "now" and wait for it to wake us.
+                        h.notify(1 - rank, (round + 1) as f64);
+                        if round < 2 {
+                            let w = h.park(
+                                ParkKind::Wait {
+                                    expiry: f64::INFINITY,
+                                },
+                                (round + 1) as f64,
+                            );
+                            assert_eq!(w, WakeCause::Message);
+                        }
                     }
-                }
-                // Completion protocol: park in service mode once.
-                loop {
-                    if h.park(ParkKind::Service, 3.0) == WakeCause::Shutdown {
-                        break;
+                    // Completion protocol: park in service mode once.
+                    loop {
+                        if h.park(ParkKind::Service, 3.0) == WakeCause::Shutdown {
+                            break;
+                        }
                     }
-                }
-            }));
-        }
-        let table = CellTable::new(COOP_STACK_BYTES, bodies);
-        worker_loop(&sched, &table);
-        let got = order.lock().unwrap().clone();
-        // Rank 0 starts (tie on key 0 broken by rank), and rounds
-        // alternate deterministically.
-        assert_eq!(got, vec![(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]);
+                }));
+            }
+            run_bodies(&sched, bodies);
+            let got = order.lock().unwrap().clone();
+            // Rank 0 starts (tie on key 0 broken by rank), and rounds
+            // alternate deterministically.
+            assert_eq!(got, vec![(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]);
+        });
     }
 
     /// With no messages in flight and no silence-capable waiter, the
     /// scheduler tears the world down instead of hanging.
     #[test]
     fn deadlock_becomes_shutdown() {
-        let sched = Arc::new(Sched::new(1));
-        let sched2 = sched.clone();
-        let saw: Arc<Mutex<Option<WakeCause>>> = Arc::new(Mutex::new(None));
-        let saw2 = saw.clone();
-        let body: TaskBody = Box::new(move |cell| {
-            let h = CoopHandle::new(cell, sched2.clone());
-            let w = h.park(
-                ParkKind::Wait {
-                    expiry: f64::INFINITY,
-                },
-                0.0,
-            );
-            *saw2.lock().unwrap() = Some(w);
+        on_each_back_end(|| {
+            let sched = Arc::new(Sched::new(1));
+            let sched2 = sched.clone();
+            let saw: Arc<Mutex<Option<WakeCause>>> = Arc::new(Mutex::new(None));
+            let saw2 = saw.clone();
+            let body: TaskBody = Box::new(move |cell| {
+                let h = CoopHandle::new(cell, sched2.clone());
+                let w = h.park(
+                    ParkKind::Wait {
+                        expiry: f64::INFINITY,
+                    },
+                    0.0,
+                );
+                *saw2.lock().unwrap() = Some(w);
+            });
+            run_bodies(&sched, vec![body]);
+            assert_eq!(*saw.lock().unwrap(), Some(WakeCause::Shutdown));
         });
-        let table = CellTable::new(COOP_STACK_BYTES, vec![body]);
-        worker_loop(&sched, &table);
-        assert_eq!(*saw.lock().unwrap(), Some(WakeCause::Shutdown));
     }
 
     /// Silence-capable waits get a Silence wake at quiescence, earliest
     /// expiry first.
     #[test]
     fn silence_wakes_lowest_clock_first() {
-        let sched = Arc::new(Sched::new(2));
-        let order: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut bodies: Vec<TaskBody> = Vec::new();
-        for rank in 0..2usize {
-            let order = order.clone();
-            let sched = sched.clone();
-            bodies.push(Box::new(move |cell| {
-                let h = CoopHandle::new(cell, sched.clone());
-                // Rank 1 parks at a lower clock than rank 0.
-                let clock = if rank == 0 { 5.0 } else { 2.0 };
-                let w = h.park(ParkKind::Wait { expiry: clock }, clock);
-                assert_eq!(w, WakeCause::Silence);
-                order.lock().unwrap().push(rank);
-            }));
-        }
-        let table = CellTable::new(COOP_STACK_BYTES, bodies);
-        worker_loop(&sched, &table);
-        assert_eq!(*order.lock().unwrap(), vec![1, 0]);
+        on_each_back_end(|| {
+            let sched = Arc::new(Sched::new(2));
+            let order: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+            let mut bodies: Vec<TaskBody> = Vec::new();
+            for rank in 0..2usize {
+                let order = order.clone();
+                let sched = sched.clone();
+                bodies.push(Box::new(move |cell| {
+                    let h = CoopHandle::new(cell, sched.clone());
+                    // Rank 1 parks at a lower clock than rank 0.
+                    let clock = if rank == 0 { 5.0 } else { 2.0 };
+                    let w = h.park(ParkKind::Wait { expiry: clock }, clock);
+                    assert_eq!(w, WakeCause::Silence);
+                    order.lock().unwrap().push(rank);
+                }));
+            }
+            run_bodies(&sched, bodies);
+            assert_eq!(*order.lock().unwrap(), vec![1, 0]);
+        });
     }
 
     /// The deepest stack user: make sure slices survive real frames.
@@ -875,14 +1033,15 @@ mod tests {
                 burn(n - 1, acc + 1) + pad[0]
             }
         }
-        let sched = Arc::new(Sched::new(1));
-        let out: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-        let out2 = out.clone();
-        let body: TaskBody = Box::new(move |_cell| {
-            *out2.lock().unwrap() = burn(2000, 0);
+        on_each_back_end(|| {
+            let sched = Arc::new(Sched::new(1));
+            let out: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
+            let out2 = out.clone();
+            let body: TaskBody = Box::new(move |_cell| {
+                *out2.lock().unwrap() = burn(2000, 0);
+            });
+            run_bodies(&sched, vec![body]);
+            assert!(*out.lock().unwrap() > 0);
         });
-        let table = CellTable::new(COOP_STACK_BYTES, vec![body]);
-        worker_loop(&sched, &table);
-        assert!(*out.lock().unwrap() > 0);
     }
 }

@@ -9,11 +9,11 @@ use crate::message::Rank;
 
 /// Fault-injection and reliable-transport counters for one rank.
 ///
-/// The injection counters (`*_injected`) are charged on the *sender* and
-/// are deterministic per [`crate::fault::FaultPlan`] seed, as are
-/// `retransmits` and `timeouts`.  The receiver-side hygiene counters
-/// (`dup_frames_dropped`, `stale_acks_dropped`) depend on how late traffic
-/// drains during teardown and are best-effort.
+/// The injection counters (`*_injected`) are charged on the *sender*; the
+/// receiver-side hygiene counters (`dup_frames_dropped`,
+/// `stale_acks_dropped`) count what the rank routed before its program
+/// returned — late traffic answered in the service phase is not reported.
+/// Every counter is deterministic per [`crate::fault::FaultPlan`] seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Message copies destroyed in flight by the fault plan.
@@ -37,9 +37,7 @@ pub struct FaultStats {
     pub dup_frames_dropped: u64,
     /// Control frames that matched no pending send (late/duplicate acks).
     pub stale_acks_dropped: u64,
-    /// Sender stalls on a full sliding window (frames or bytes).  Depends
-    /// on wall-clock thread interleaving like the hygiene counters:
-    /// best-effort, not seed-deterministic.
+    /// Sender stalls on a full sliding window (frames or bytes).
     pub window_stalls: u64,
     /// Cumulative acks that retired at least one pending frame and
     /// advanced a send window.

@@ -1,19 +1,14 @@
 //! World construction: run an SPMD closure on every rank.
 //!
-//! Two runners host the ranks:
-//!
-//! * [`Runner::Coop`] (default on x86_64) — ranks are stackful green
-//!   tasks multiplexed M:N over a worker pool by the deterministic
-//!   virtual-clock scheduler in [`crate::sched`].  Scales to 1024+ ranks
-//!   and produces the same schedule for any worker count.
-//! * [`Runner::Threads`] — the historical thread-per-rank runner, kept as
-//!   an ablation baseline (and as the fallback on non-x86_64 targets).
+//! Every rank is a task of the deterministic virtual-clock scheduler in
+//! [`crate::sched`], dispatched one at a time on the thread that called
+//! [`World::run`].  There is one runner and nothing to select: the same
+//! `(virtual_time, rank)` total order — and therefore the same results,
+//! clocks, stats and traces — on every target.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::endpoint::Endpoint;
 use crate::error::SimError;
@@ -23,31 +18,9 @@ use crate::metrics::MetricsRegistry;
 use crate::model::{MachineModel, NetState, Topology};
 use crate::recovery::{CkptStore, RecoveryConfig};
 use crate::reliable::ReliableConfig;
-use crate::sched::{coop_supported, CellTable, CoopHandle, Sched, TaskBody, TaskCell, WakeCause};
+use crate::sched::{CellTable, CoopHandle, Sched, TaskBody, TaskCell, WakeCause};
 use crate::stats::{NetStats, StatsSnapshot};
 use crate::trace::TraceEvent;
-
-/// How ranks are hosted on OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Runner {
-    /// Cooperative M:N scheduling: ranks are green tasks over `workers`
-    /// OS threads, resumed in deterministic `(virtual_time, rank)` order.
-    /// The worker count is a hosting detail — it cannot change the
-    /// schedule, traces, or stats.
-    Coop { workers: usize },
-    /// One OS thread per rank (the legacy runner; ablation baseline).
-    Threads,
-}
-
-impl Runner {
-    fn default_for_target() -> Runner {
-        if coop_supported() {
-            Runner::Coop { workers: 1 }
-        } else {
-            Runner::Threads
-        }
-    }
-}
 
 /// A simulated machine with a fixed number of ranks and a cost model.
 #[derive(Debug, Clone)]
@@ -64,8 +37,6 @@ pub struct World {
     /// World-level checkpoint store; survives rank crashes, and clones of
     /// this world share it (it is the durable half of recovery).
     ckpt: CkptStore,
-    runner: Runner,
-    stack_bytes: usize,
     topology: Topology,
 }
 
@@ -154,8 +125,6 @@ impl World {
             recovery: RecoveryConfig::default(),
             supervisor: None,
             ckpt: CkptStore::default(),
-            runner: Runner::default_for_target(),
-            stack_bytes: crate::sched::COOP_STACK_BYTES,
             topology: Topology::Crossbar,
         }
     }
@@ -164,9 +133,8 @@ impl World {
     ///
     /// Non-crossbar topologies route every message over shared links with
     /// per-link serialization and contention queuing (see
-    /// [`crate::model::Topology`]); they require the cooperative runner,
-    /// whose total order over rank execution makes the shared link state
-    /// deterministic.
+    /// [`crate::model::Topology`]); the scheduler's total order over rank
+    /// execution makes the shared link state deterministic.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         assert!(
             topology.fits(self.size),
@@ -182,57 +150,11 @@ impl World {
         self.topology
     }
 
-    /// Select the runner explicitly.  [`Runner::Coop`] panics on targets
-    /// without coroutine support (currently everything but x86_64).
-    pub fn with_runner(mut self, runner: Runner) -> Self {
-        if let Runner::Coop { workers } = runner {
-            assert!(workers > 0, "worker pool must have at least one thread");
-            assert!(
-                coop_supported(),
-                "cooperative runner is x86_64-only; use Runner::Threads"
-            );
-        }
-        self.runner = runner;
-        self
-    }
-
-    /// Ablation: force the legacy thread-per-rank runner.  Real-time
-    /// silence caps and nondeterministic trace interleavings come back
-    /// with it; parity tests use this to compare against the cooperative
-    /// scheduler.
-    pub fn threaded(self) -> Self {
-        let mut w = self;
-        w.runner = Runner::Threads;
-        w
-    }
-
-    /// Size of the cooperative worker pool (ignored by the threaded
-    /// runner).  Determinism does not depend on this — it only bounds how
-    /// many OS threads host the green tasks.
-    pub fn with_workers(self, workers: usize) -> Self {
-        self.with_runner(Runner::Coop { workers })
-    }
-
-    /// Per-task stack size for the cooperative runner, in bytes (virtual
-    /// memory; untouched pages stay non-resident).  Raise this if a deep
-    /// rank closure trips the stack canary abort.
-    pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
-        self.stack_bytes = bytes;
-        self
-    }
-
-    /// The runner in effect.
-    pub fn runner(&self) -> Runner {
-        self.runner
-    }
-
-    /// Override the recovery configuration: the one-sided get retry
-    /// policy, and (when `heartbeats` is set) the lease-based failure
-    /// detector every endpoint runs.  The default keeps heartbeats off
-    /// and the historical get policy, so behavior is unchanged unless a
-    /// caller opts in.
+    /// Override the recovery configuration: the lease-based failure
+    /// detector every endpoint runs when `heartbeats` is set.  The default
+    /// keeps heartbeats off, so behavior is unchanged unless a caller opts
+    /// in.
     pub fn with_recovery_config(mut self, cfg: RecoveryConfig) -> Self {
-        assert!(cfg.get_attempts > 0, "get retry budget must be positive");
         assert!(cfg.lease_misses > 0, "lease budget must be positive");
         self.recovery = cfg;
         self
@@ -363,36 +285,13 @@ impl World {
         (endpoints, net)
     }
 
-    /// Run the closure everywhere on the selected runner and keep every
-    /// rank answering reliable-protocol traffic until the last rank is
-    /// done — a rank still flushing a reliable stream must never be
-    /// orphaned by a peer that already returned.
+    /// Run the closure everywhere — every rank a task, resumed by the
+    /// scheduler in [`crate::sched`] in `(virtual_time, rank)` order on
+    /// this thread — and keep every rank answering reliable-protocol
+    /// traffic until the last rank is done: a rank still flushing a
+    /// reliable stream must never be orphaned by a peer that already
+    /// returned.  Returns the outcomes and the contended link seconds.
     fn execute<F, R>(&self, f: F) -> (Vec<RankOutcome<R>>, f64)
-    where
-        F: Fn(&mut Endpoint) -> R + Send + Sync,
-        R: Send,
-    {
-        assert!(
-            self.topology == Topology::Crossbar || matches!(self.runner, Runner::Coop { .. }),
-            "non-crossbar topologies need the cooperative runner: link \
-             contention state is only deterministic under its total order"
-        );
-        let (outcomes, net) = match self.runner {
-            Runner::Coop { workers } => self.execute_coop(f, workers),
-            Runner::Threads => self.execute_threaded(f),
-        };
-        let contended = net.map_or(0.0, |n| n.lock().unwrap().queued);
-        (outcomes, contended)
-    }
-
-    /// Cooperative runner: every rank is a green task; the scheduler in
-    /// [`crate::sched`] serializes slices in `(virtual_time, rank)` order
-    /// over `workers` host threads.
-    fn execute_coop<F, R>(
-        &self,
-        f: F,
-        workers: usize,
-    ) -> (Vec<RankOutcome<R>>, Option<Arc<Mutex<NetState>>>)
     where
         F: Fn(&mut Endpoint) -> R + Send + Sync,
         R: Send,
@@ -402,10 +301,12 @@ impl World {
         let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..self.size).map(|_| None).collect();
 
         // Raw pointers into `endpoints` / `outcomes`: each task body is
-        // the exclusive user of its own rank's slots, and the scheduler
-        // mutex orders every cross-worker handoff.  The Vec buffers never
-        // move (no pushes after this point).
+        // the exclusive user of its own rank's slots.  The Vec buffers
+        // never move (no pushes after this point).
         struct SendPtr<T>(*mut T);
+        // SAFETY: only the one task that owns the slot dereferences it, and
+        // on the baton back end (task bodies on their own threads) the
+        // baton mutex orders that against this thread's reads after `run`.
         unsafe impl<T> Send for SendPtr<T> {}
 
         let f = &f;
@@ -419,9 +320,10 @@ impl World {
                 let out_ptr = out_ptr;
                 let ep: &mut Endpoint = unsafe { &mut *ep_ptr.0 };
                 ep.set_coop(CoopHandle::new(cell, sched));
-                // Supervisor loop: identical to the threaded runner — a
-                // scripted crash under a restart budget respawns the
-                // closure on this same task.
+                // Supervisor loop: a scripted crash under a restart
+                // budget respawns the closure on this same task — the
+                // endpoint (reset for recovery) keeps serving peers and
+                // the restarted life rejoins seamlessly.
                 let mut result = catch_unwind(AssertUnwindSafe(|| f(ep)));
                 while let Err(e) = &result {
                     if !ep.try_restart(&panic_message(e.as_ref())) {
@@ -464,122 +366,35 @@ impl World {
                     }
                 }
             });
-            // Erase the scope lifetime: every task runs to completion (or
-            // never starts) before this function returns, so the borrows
-            // inside cannot outlive their owners.
+            // Erase the scope lifetime: `sched::run` below returns only
+            // once every task ran to completion, so the borrows inside
+            // cannot outlive their owners.
             let body: Box<dyn FnOnce(*mut TaskCell) + Send> = body;
             bodies.push(unsafe {
                 std::mem::transmute::<Box<dyn FnOnce(*mut TaskCell) + Send + '_>, TaskBody>(body)
             });
         }
 
-        let mut table = CellTable::new(self.stack_bytes, bodies);
-        if workers <= 1 {
-            crate::sched::worker_loop(&sched, &table);
-        } else {
-            let table = &table;
-            let sched = &sched;
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(move || crate::sched::worker_loop(sched, table));
-                }
-            });
-        }
+        let mut table = CellTable::new(bodies);
+        crate::sched::run(&sched, &mut table);
         if let Some(e) = table.take_escaped() {
             // A panic escaped a task harness (bug in the runner itself):
             // re-raise rather than lose it.
-            drop(table);
-            drop(endpoints);
             resume_unwind(e);
         }
-        drop(table);
-        drop(endpoints);
 
         let outcomes = outcomes
             .into_iter()
             .map(|o| o.expect("every task wrote its outcome"))
             .collect();
-        (outcomes, net)
+        let contended = net.map_or(0.0, |n| n.lock().unwrap().queued);
+        (outcomes, contended)
     }
 
-    /// Legacy runner: spawn one OS thread per rank (ablation baseline).
-    fn execute_threaded<F, R>(&self, f: F) -> (Vec<RankOutcome<R>>, Option<Arc<Mutex<NetState>>>)
-    where
-        F: Fn(&mut Endpoint) -> R + Send + Sync,
-        R: Send,
-    {
-        let (mut endpoints, net) = self.build_endpoints();
-
-        let f = &f;
-        let active = AtomicUsize::new(self.size);
-        let active = &active;
-        let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..self.size).map(|_| None).collect();
-
-        std::thread::scope(|s| {
-            let handles: Vec<_> = endpoints
-                .iter_mut()
-                .map(|ep| {
-                    s.spawn(move || {
-                        // Supervisor loop: a scripted crash under a restart
-                        // budget respawns the closure on this same thread —
-                        // the endpoint (reset for recovery) and the active
-                        // counter are untouched, so peers keep being served
-                        // and the restarted life rejoins seamlessly.
-                        let mut result = catch_unwind(AssertUnwindSafe(|| f(ep)));
-                        while let Err(e) = &result {
-                            if !ep.try_restart(&panic_message(e.as_ref())) {
-                                break;
-                            }
-                            result = catch_unwind(AssertUnwindSafe(|| f(ep)));
-                        }
-                        let reason = match &result {
-                            Ok(_) => None,
-                            Err(e) => {
-                                let reason = panic_message(e.as_ref());
-                                ep.poison_all(&reason);
-                                Some(reason)
-                            }
-                        };
-                        // Snapshot before the teardown service: the service
-                        // loop may still count late protocol traffic, which
-                        // would make receiver-side tail counters depend on
-                        // thread timing.
-                        let clock = ep.clock();
-                        let stats = ep.stats_snapshot();
-                        let trace = ep.take_trace();
-                        active.fetch_sub(1, Ordering::SeqCst);
-                        while active.load(Ordering::SeqCst) > 0 {
-                            ep.service_protocol(Duration::from_millis(1));
-                        }
-                        match result {
-                            Ok(r) => RankOutcome::Done(r, clock, stats, trace),
-                            Err(e) => RankOutcome::Panicked(
-                                e,
-                                reason.unwrap_or_default(),
-                                clock,
-                                stats,
-                                trace,
-                            ),
-                        }
-                    })
-                })
-                .collect();
-            for (rank, h) in handles.into_iter().enumerate() {
-                outcomes[rank] = Some(h.join().expect("rank thread itself must not die"));
-            }
-        });
-
-        let outcomes = outcomes
-            .into_iter()
-            .map(|o| o.expect("every rank joined"))
-            .collect();
-        (outcomes, net)
-    }
-
-    /// Run `f` on every rank (as real threads) and collect the results.
+    /// Run `f` on every rank and collect the results.
     ///
     /// If any rank panics, the panic is re-raised on the caller's thread
-    /// after all ranks have been joined; peers blocked in `recv` are woken
+    /// after all ranks have finished; peers blocked in `recv` are woken
     /// by a poison message so the run always terminates.  Use
     /// [`World::run_result`] to observe panics as values instead.
     pub fn run<F, R>(&self, f: F) -> RunOutput<R>
@@ -764,5 +579,110 @@ mod tests {
     #[should_panic(expected = "at least one rank")]
     fn zero_ranks_rejected() {
         let _ = World::new(0);
+    }
+
+    /// Run `f` on `world` once per switch back end and require the two
+    /// runs to be the same execution: outcomes, clocks, stats and the
+    /// *full* traces (reliable-control events included).  Returns the
+    /// native run for scenario-specific checks.
+    fn assert_back_ends_agree<R, F>(world: &World, f: F) -> RunReport<R>
+    where
+        F: Fn(&mut Endpoint) -> R + Send + Sync,
+        R: Send + PartialEq + std::fmt::Debug,
+    {
+        let native = world.run_result(&f);
+        let baton = crate::sched::with_baton(|| world.run_result(&f));
+        assert_eq!(native.outcomes, baton.outcomes, "outcomes");
+        assert_eq!(native.clocks, baton.clocks, "clocks");
+        assert_eq!(native.stats, baton.stats, "stats");
+        assert_eq!(native.traces, baton.traces, "traces");
+        native
+    }
+
+    /// A 16-rank reliable ring exchange under drop/dup/delay faults, then
+    /// a `recv_timeout` nobody answers: retransmits, dedup, window events
+    /// and the silence wake all land identically on both back ends.
+    #[test]
+    fn back_ends_agree_on_faulted_ring_and_silence() {
+        use crate::fault::FaultRates;
+        use crate::reliable::{reliable_recv, reliable_send, StreamTag};
+
+        let world = World::with_model(16, MachineModel::sp2())
+            .with_faults(FaultPlan::new(42).rates(FaultRates {
+                drop: 0.05,
+                dup: 0.04,
+                delay: 0.05,
+                delay_secs: 2e-4,
+                ..FaultRates::default()
+            }))
+            .with_trace();
+        let rep = assert_back_ends_agree(&world, |ep| {
+            let (p, me) = (ep.world_size(), ep.rank());
+            let mut sum = 0u64;
+            for round in 0..2u32 {
+                let st = StreamTag::new(0xBA70, round);
+                for hop in [1, 5] {
+                    let payload = vec![(me + hop) as u8; 40 + 8 * me];
+                    reliable_send(ep, (me + hop) % p, st, payload).unwrap();
+                }
+                for hop in [1, 5] {
+                    let got = reliable_recv(ep, (me + p - hop) % p, st).unwrap();
+                    sum += got.iter().map(|&b| b as u64).sum::<u64>();
+                }
+            }
+            let silent = ep.recv_timeout((me + 1) % p, Tag::user(77), 1e-3);
+            (sum, silent)
+        });
+        for (rank, o) in rep.outcomes.iter().enumerate() {
+            let (_, silent) = o.as_ref().expect("no rank panics");
+            let peer = (rank + 1) % 16;
+            assert_eq!(*silent, Err(SimError::PeerTimeout { rank: peer }));
+        }
+        assert!(rep.stats.faults.drops_injected > 0, "the plan must bite");
+        assert!(rep.stats.faults.retransmits > 0);
+    }
+
+    /// A scripted crash under a supervisor: the victim's closure unwinds
+    /// and is re-invoked on the same task (its own OS thread, on the baton
+    /// back end) under a bumped incarnation.
+    #[test]
+    fn back_ends_agree_on_supervised_restart() {
+        use crate::reliable::{reliable_recv, reliable_send, StreamTag};
+
+        let world = World::with_model(4, MachineModel::sp2())
+            .with_supervisor(1)
+            .with_faults(FaultPlan::new(7).crash(2, 5e-4))
+            .with_trace();
+        let rep = assert_back_ends_agree(&world, |ep| {
+            let st = StreamTag::new(0xBA71, 0);
+            if ep.rank() == 0 {
+                (1..ep.world_size())
+                    .map(|from| reliable_recv(ep, from, st).unwrap()[0] as u64)
+                    .sum()
+            } else {
+                // Rank 2's first life dies on entry to the send.
+                ep.charge(1e-3);
+                reliable_send(ep, 0, st, vec![ep.rank() as u8; 64]).unwrap();
+                ep.incarnation()
+            }
+        });
+        let results: Vec<u64> = rep.outcomes.into_iter().map(|o| o.unwrap()).collect();
+        assert_eq!(results, vec![1 + 2 + 3, 0, 1, 0]);
+        assert_eq!(rep.stats.recovery.ranks_recovered, 1);
+    }
+
+    /// Two ranks each waiting for the other to speak first: quiescence
+    /// with no silence-capable waiter tears the world down with
+    /// `Shutdown` instead of hanging.
+    #[test]
+    fn back_ends_agree_on_deadlock_teardown() {
+        let world = World::with_model(2, MachineModel::sp2()).with_trace();
+        let rep = assert_back_ends_agree(&world, |ep| {
+            ep.recv_result(1 - ep.rank(), Tag::user(5)).map(|_| ())
+        });
+        assert_eq!(
+            rep.outcomes,
+            vec![Ok(Err(SimError::Shutdown)), Ok(Err(SimError::Shutdown))]
+        );
     }
 }

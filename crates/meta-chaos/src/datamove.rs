@@ -375,7 +375,7 @@ where
     Ok(())
 }
 
-fn send_side_guards(sched: &Schedule) -> Result<(), McError> {
+pub(crate) fn send_side_guards(sched: &Schedule) -> Result<(), McError> {
     if !sched.local_pairs.is_empty() {
         return Err(McError::LocalPairsInCrossProgramMove {
             pairs: sched.local_pairs.len(),
@@ -389,7 +389,7 @@ fn send_side_guards(sched: &Schedule) -> Result<(), McError> {
     Ok(())
 }
 
-fn recv_side_guards(sched: &Schedule) -> Result<(), McError> {
+pub(crate) fn recv_side_guards(sched: &Schedule) -> Result<(), McError> {
     if !sched.local_pairs.is_empty() {
         return Err(McError::LocalPairsInCrossProgramMove {
             pairs: sched.local_pairs.len(),
@@ -842,62 +842,9 @@ where
     committed
 }
 
-/// Absorb-mode receive, for a destination that already committed this
-/// step in a previous life: participate in the transaction exactly like
-/// [`data_move_recv`] — settle the manifest, stage and verify every
-/// peer's half — but discard the staged parts instead of committing them,
-/// so the replaying sender unblocks and exactly-once delivery holds.
-#[doc(hidden)]
-pub fn data_move_recv_absorb<T, D>(
-    ep: &mut Endpoint,
-    sched: &Schedule,
-    dst: &D,
-) -> Result<(), McError>
-where
-    T: Copy + Wire,
-    D: McObject<T>,
-{
-    recv_side_guards(sched)?;
-    if sched.recvs.is_empty() {
-        return Ok(());
-    }
-    let span = ep.span_begin(Phase::Transfer, || {
-        format!(
-            "mode=absorb seq={} pairs={} elems={}",
-            sched.seq(),
-            sched.recvs.len(),
-            sched.total_elems
-        )
-    });
-    let r = settle(
-        ep,
-        sched,
-        &sched.recvs,
-        0,
-        stale_pair(dst.epoch(), sched.dst_epoch()),
-    )
-    .and_then(|expected| {
-        let staged = stage_halves(ep, sched, &expected)?;
-        let group = sched.group();
-        for ((peer, _), parts) in sched.recvs.iter().zip(staged) {
-            ep.record_parts_replayed(group.global(*peer), parts.len());
-            for b in parts {
-                ep.recycle_buf(b);
-            }
-        }
-        Ok(())
-    });
-    if let Err(e) = &r {
-        obs::record_abort(ep, e);
-    }
-    ep.span_end(span);
-    r
-}
-
-/// The staging phase shared by commit and absorb: collect every peer's
-/// data half and verify headers, epochs, and payload sizes.  A failure
-/// anywhere recycles everything staged and aborts the transfer, leaving
-/// the destination bit-identical.
+/// The staging phase: collect every peer's data half and verify headers,
+/// epochs, and payload sizes.  A failure anywhere recycles everything
+/// staged and aborts the transfer, leaving the destination bit-identical.
 fn stage_halves(
     ep: &mut Endpoint,
     sched: &Schedule,

@@ -55,7 +55,10 @@ use mcsim::span::Phase;
 use mcsim::wire::{Wire, WireReader};
 
 use crate::adapter::McObject;
-use crate::datamove::{commit_one_half, move_stream, next_xfer_epoch, send_one_half, stale_pair};
+use crate::datamove::{
+    commit_one_half, move_stream, next_xfer_epoch, recv_side_guards, send_one_half,
+    send_side_guards, stale_pair,
+};
 use crate::error::McError;
 use crate::schedule::{AddrRuns, Schedule};
 
@@ -79,23 +82,18 @@ const DATA_FLOOR: u64 = 1 << 32;
 /// snapshots) brings it back to where the previous life stopped.
 pub struct RecoverySession {
     port: String,
-    attempts: u32,
 }
 
+/// Attempts per step (and per finish handshake) before a session gives
+/// up on peers that keep getting evicted.
+const STEP_ATTEMPTS: u32 = 8;
+
 impl RecoverySession {
-    /// A session for `port` with the default retry budget.
+    /// A session for `port`.
     pub fn new(port: &str) -> Self {
         RecoverySession {
             port: port.to_string(),
-            attempts: 8,
         }
-    }
-
-    /// Override the per-step attempt budget (default 8).
-    pub fn with_attempts(mut self, attempts: u32) -> Self {
-        assert!(attempts > 0, "attempt budget must be positive");
-        self.attempts = attempts;
-        self
     }
 
     fn key(&self, what: &str) -> String {
@@ -143,13 +141,9 @@ impl RecoverySession {
         T: Copy + Wire,
         S: McObject<T>,
     {
+        send_side_guards(sched)?;
         if sched.sends.is_empty() {
             return Ok(());
-        }
-        if !sched.recvs.is_empty() {
-            return Err(McError::SendSideHasReceives {
-                peers: sched.recvs.len(),
-            });
         }
         if let Some((o, e)) = stale_pair(src.epoch(), sched.src_epoch()) {
             return Err(McError::StaleSchedule {
@@ -160,7 +154,7 @@ impl RecoverySession {
         let key_s = self.key("src_s");
         let mut s = load_progress(ep, &key_s, sched.sends.len());
         let mut last_err: Option<McError> = None;
-        for _ in 0..self.attempts {
+        for _ in 0..STEP_ATTEMPTS {
             if s.iter().all(|&v| v > k) {
                 return Ok(());
             }
@@ -178,8 +172,8 @@ impl RecoverySession {
         }
         Err(last_err.unwrap_or_else(|| {
             McError::Transport(format!(
-                "send step {k} on port '{}' did not confirm within {} attempts",
-                self.port, self.attempts
+                "send step {k} on port '{}' did not confirm within {STEP_ATTEMPTS} attempts",
+                self.port
             ))
         }))
     }
@@ -225,13 +219,9 @@ impl RecoverySession {
         T: Copy + Wire,
         D: McObject<T> + Clone + Send + 'static,
     {
+        recv_side_guards(sched)?;
         if sched.recvs.is_empty() {
             return Ok(());
-        }
-        if !sched.sends.is_empty() {
-            return Err(McError::RecvSideHasSends {
-                peers: sched.sends.len(),
-            });
         }
         if let Some((o, e)) = stale_pair(dst.epoch(), sched.dst_epoch()) {
             return Err(McError::StaleSchedule {
@@ -242,7 +232,7 @@ impl RecoverySession {
         let key_c = self.key("dst_c");
         let mut c = load_progress(ep, &key_c, sched.recvs.len());
         let mut last_err: Option<McError> = None;
-        for _ in 0..self.attempts {
+        for _ in 0..STEP_ATTEMPTS {
             if c.iter().all(|&v| v > k) {
                 return Ok(());
             }
@@ -259,8 +249,8 @@ impl RecoverySession {
         }
         Err(last_err.unwrap_or_else(|| {
             McError::Transport(format!(
-                "recv step {k} on port '{}' did not commit within {} attempts",
-                self.port, self.attempts
+                "recv step {k} on port '{}' did not commit within {STEP_ATTEMPTS} attempts",
+                self.port
             ))
         }))
     }
@@ -384,7 +374,7 @@ impl RecoverySession {
         let st = move_stream(sched);
         let mut done = vec![false; sched.sends.len()];
         let mut last_err: Option<McError> = None;
-        for _ in 0..self.attempts {
+        for _ in 0..STEP_ATTEMPTS {
             ep.arm_eviction();
             let mut first_err: Option<McError> = None;
             for (i, (peer, _)) in sched.sends.iter().enumerate() {
@@ -432,7 +422,7 @@ impl RecoverySession {
         let c = load_progress(ep, &self.key("dst_c"), sched.recvs.len());
         let mut fin = vec![false; sched.recvs.len()];
         let mut last_err: Option<McError> = None;
-        for _ in 0..self.attempts {
+        for _ in 0..STEP_ATTEMPTS {
             ep.arm_eviction();
             let mut first_err: Option<McError> = None;
             for (i, (peer, _)) in sched.recvs.iter().enumerate() {

@@ -26,23 +26,18 @@ done
 # Fuzz gate: a bounded differential soak with fixed seeds — ~300 scenarios
 # round-robined across all 16 library pairs, each checked against the
 # serial schedule oracle, a serial memory model, and a virtual-clock deadline.
-# On a violation the driver shrinks the scenario and leaves a self-contained
-# repro (scenario + failure + flight-recorder post-mortem) in target/fuzz/.
+# On a violation the driver shrinks the scenario, leaves a self-contained
+# repro (scenario + failure + flight-recorder post-mortem) in target/fuzz/,
+# prints its path and exits nonzero.
 echo "== fuzz soak (16-pair matrix) =="
-cargo run --release -p fuzz -- --matrix --iters 304 --seed 1 || {
-  echo "fuzz gate: oracle violation — see repro under target/fuzz/" >&2
-  exit 1
-}
+cargo run --release -p fuzz -- --matrix --iters 304 --seed 1
 
 # Wide soak: the same differential oracles, but over 8- and 16-rank worlds
-# so every scenario exercises the cooperative M:N scheduler with real rank
-# multiplexing (the narrow soak's 2–4-rank worlds park at most a handful of
-# green tasks at a time).
+# so every scenario exercises the scheduler with real rank multiplexing
+# (the narrow soak's 2–4-rank worlds park at most a handful of tasks at a
+# time).
 echo "== fuzz soak (wide: 8/16-rank worlds) =="
-cargo run --release -p fuzz -- --matrix --wide --iters 64 --seed 3 || {
-  echo "wide fuzz gate: oracle violation — see repro under target/fuzz/" >&2
-  exit 1
-}
+cargo run --release -p fuzz -- --matrix --wide --iters 64 --seed 3
 
 # Crash-recovery gate: a bounded supervised soak — 1–2 scripted crashes per
 # scenario resolved against a fault-free baseline's transfer windows, the
@@ -51,119 +46,35 @@ cargo run --release -p fuzz -- --matrix --wide --iters 64 --seed 3 || {
 # every rank returning cleanly) on every scenario.  Violations shrink and
 # leave a repro in target/fuzz/ like the differential soak above.
 echo "== recovery soak =="
-cargo run --release -p fuzz -- --recover --iters 48 --seed 7 || {
-  echo "recovery gate: oracle violation — see repro under target/fuzz/" >&2
-  exit 1
-}
+cargo run --release -p fuzz -- --recover --iters 48 --seed 7
+
+# Every gate below runs `repro` and leaves its files in one scratch dir.
+tmp="$(mktemp -d -t mc_verify.XXXXXX)"
+trap 'rm -rf "$tmp"' EXIT
+repro() { cargo run --release -q -p bench --bin repro -- "$@"; }
 
 # Trace-schema gate: a small traced coupled run must export valid JSONL
 # (one self-describing object per event) that the checker accepts.
-trace_tmp="$(mktemp -t mc_trace.XXXXXX.jsonl)"
-trap 'rm -f "$trace_tmp"' EXIT
 echo "== trace schema =="
-cargo run --release -p bench --bin repro -- trace --n 256 --reps 1 --trace-out "$trace_tmp"
-cargo run --release -p bench --bin repro -- trace-check "$trace_tmp"
+repro trace --n 256 --reps 1 --trace-out "$tmp/trace.jsonl"
+repro trace-check "$tmp/trace.jsonl"
 
-# Inspector-regression gate: re-run `repro micro` and compare the
-# cooperation build time against the checked-in baseline.  The baseline is
-# saved BEFORE the run because `repro micro` rewrites BENCH_executor.json in
-# place; the baseline file is restored afterwards so verify never dirties
-# the tree.  Fails on >25% regression; a faster run always passes.
-echo "== inspector regression =="
-extract_ns() {
-  # BENCH_executor.json is one line; grab the first inspector_build_ns value.
-  sed -n 's/.*"inspector_build_ns": \([0-9.]*\).*/\1/p' "$1" | head -n 1
-}
-baseline_json="$(mktemp -t mc_baseline.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$baseline_json"' EXIT
-cp BENCH_executor.json "$baseline_json"
-baseline_ns="$(extract_ns "$baseline_json")"
-if [ -z "$baseline_ns" ]; then
-  echo "inspector gate: no inspector_build_ns in baseline BENCH_executor.json" >&2
-  exit 1
-fi
-extract_field() {
-  sed -n "s/.*\"$2\": \([0-9.]*\).*/\1/p" "$1" | head -n 1
-}
-baseline_rel="$(extract_field "$baseline_json" reliable_mb_per_s)"
-# The length-1 duplication path (cached located runs, bulk wire records):
-# the multiblock->chaos pair's dup_build_ns, nested after its coop_build_ns.
-dup_key='multiblock->chaos": {"coop_build_ns": [0-9.]*, "dup_build_ns'
-baseline_dup="$(extract_field "$baseline_json" "$dup_key")"
-cargo run --release -p bench --bin repro -- micro
-current_ns="$(extract_ns BENCH_executor.json)"
-current_dup="$(extract_field BENCH_executor.json "$dup_key")"
-current_rel="$(extract_field BENCH_executor.json reliable_mb_per_s)"
-current_speedup="$(extract_field BENCH_executor.json window_speedup)"
-cp "$baseline_json" BENCH_executor.json
-hold_ns() { # label baseline current: fail above +25%
-  awk -v what="$1" -v base="$2" -v cur="$3" 'BEGIN {
-    limit = base * 1.25
-    printf "%s: %.0f ns (baseline %.0f ns, limit %.0f ns)\n", what, cur, base, limit
-    exit !(base > 0 && cur > 0 && cur <= limit)
-  }'
-}
-hold_ns "inspector build" "$baseline_ns" "$current_ns" || {
-  echo "inspector gate: inspector_build_ns regressed >25% vs baseline" >&2
-  exit 1
-}
-hold_ns "multiblock->chaos dup build" "$baseline_dup" "$current_dup" || {
-  echo "inspector gate: inspector_pairs.multiblock->chaos.dup_build_ns regressed >25% vs baseline" >&2
-  exit 1
-}
+# Executor gates: a fresh `repro micro` held to the committed
+# BENCH_executor.json by bench::gate's table — inspector build and the
+# multiblock->chaos duplication build within +25%, reliable wire
+# throughput at least 75% of baseline, and the sliding window's >=4x win
+# over the stop-and-wait ablation on the simulated sp2 wire.
+echo "== executor gates =="
+repro micro --out "$tmp/executor.json"
+repro gate executor BENCH_executor.json "$tmp/executor.json"
 
-# Wire-throughput regression gate: the reliable transport leg must hold at
-# least 75% of the committed baseline throughput (higher is always fine),
-# and the sliding window must keep its >=4x win over the stop-and-wait
-# ablation on the simulated sp2 wire.
-echo "== wire throughput regression =="
-if [ -z "$baseline_rel" ] || [ -z "$current_rel" ]; then
-  echo "wire gate: no reliable_mb_per_s in BENCH_executor.json" >&2
-  exit 1
-fi
-awk -v base="$baseline_rel" -v cur="$current_rel" 'BEGIN {
-  floor = base * 0.75
-  printf "reliable wire: %.0f MB/s (baseline %.0f MB/s, floor %.0f MB/s)\n", cur, base, floor
-  exit !(cur >= floor)
-}' || {
-  echo "wire gate: reliable_mb_per_s regressed >25% vs baseline" >&2
-  exit 1
-}
-awk -v s="$current_speedup" 'BEGIN {
-  printf "window speedup: %.2fx (floor 4.00x)\n", s
-  exit !(s >= 4.0)
-}' || {
-  echo "wire gate: windowed transport lost its 4x margin over stop-and-wait" >&2
-  exit 1
-}
-
-# Scaling gate: a P=256 leg of the M:N-runner scaling curve (inspector
-# build, coupled transfer settle, HPF redistribution) re-run fresh and
-# held against the committed BENCH_scaling.json.  The compared times are
-# *simulated* milliseconds — deterministic, so a clean tree reproduces
-# the baseline exactly and the +25% threshold only trips on a real
-# change to the machine model, the collectives, the inspector, or what
-# the HPF adapter charges and announces for a CYCLIC dereference.
-echo "== scaling smoke (P=256) =="
-scaling_tmp="$(mktemp -t mc_scaling.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$baseline_json" "$scaling_tmp"' EXIT
-cargo run --release -p bench --bin repro -- scaling --procs 256 --out "$scaling_tmp"
-for metric in p256_inspector_virtual_ms p256_transfer_virtual_ms p256_redist_virtual_ms; do
-  base="$(extract_field BENCH_scaling.json "$metric")"
-  cur="$(extract_field "$scaling_tmp" "$metric")"
-  if [ -z "$base" ] || [ -z "$cur" ]; then
-    echo "scaling gate: missing $metric in baseline or fresh run" >&2
-    exit 1
-  fi
-  awk -v base="$base" -v cur="$cur" -v m="$metric" 'BEGIN {
-    limit = base * 1.25
-    printf "%s: %.3f ms (baseline %.3f ms, limit %.3f ms)\n", m, cur, base, limit
-    exit !(cur <= limit)
-  }' || {
-    echo "scaling gate: $metric regressed >25% vs BENCH_scaling.json" >&2
-    exit 1
-  }
-done
+# Scaling gate: the P=256 leg of the scaling curve (inspector build,
+# coupled transfer settle, HPF redistribution) held to the committed
+# BENCH_scaling.json.  The compared times are *simulated* milliseconds —
+# deterministic, so a clean tree reproduces the baseline exactly.
+echo "== scaling gate (P=256) =="
+repro scaling --procs 256 --out "$tmp/scaling.json"
+repro gate scaling BENCH_scaling.json "$tmp/scaling.json"
 
 # Critical-path attribution gate: `repro analyze` reconstructs the causal
 # DAG of a traced coupled run, walks the critical path of every transfer,
@@ -174,13 +85,7 @@ done
 # >25% in critical-path seconds fails the build.  The virtual clock makes
 # identical runs bit-identical, so a clean tree diffs to exactly zero.
 echo "== critical-path attribution =="
-attr_tmp="$(mktemp -t mc_attr.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$baseline_json" "$scaling_tmp" "$attr_tmp"' EXIT
-cargo run --release -p bench --bin repro -- analyze --n 4096 --reps 2 --out "$attr_tmp"
-echo "== trace-diff vs baseline =="
-cargo run --release -p bench --bin repro -- trace-diff BENCH_critical_path.json "$attr_tmp" --threshold 0.25 || {
-  echo "trace-diff gate: critical-path attribution regressed vs BENCH_critical_path.json" >&2
-  exit 1
-}
+repro analyze --n 4096 --reps 2 --out "$tmp/attribution.json"
+repro trace-diff BENCH_critical_path.json "$tmp/attribution.json" --threshold 0.25
 
 echo "verify: all checks passed"

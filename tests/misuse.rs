@@ -1,6 +1,6 @@
 //! Misuse must fail loudly and helpfully: wrong-side data moves, ranks
 //! outside the union, inconsistent Side options — plus a larger-world
-//! smoke test exercising thread scaling.
+//! smoke test exercising a larger world.
 
 use mcsim::group::{Comm, Group};
 use meta_chaos::build::{compute_schedule, BuildMethod};
@@ -104,6 +104,19 @@ fn half_move_on_intra_program_schedule_is_rejected() {
             "unexpected error: {err}"
         );
         let err = data_move_recv(ep, &sched, &mut a).unwrap_err();
+        assert!(
+            matches!(err, McError::LocalPairsInCrossProgramMove { pairs: 8 }),
+            "unexpected error: {err}"
+        );
+        // The resumable session's steps are half-moves too: same guard,
+        // same error, before anything is sent or checkpointed.
+        let mut session = meta_chaos::RecoverySession::new("misuse");
+        let err = session.send_step(ep, &sched, &b, 0).unwrap_err();
+        assert!(
+            matches!(err, McError::LocalPairsInCrossProgramMove { pairs: 8 }),
+            "unexpected error: {err}"
+        );
+        let err = session.recv_step(ep, &sched, &mut a, 0).unwrap_err();
         assert!(
             matches!(err, McError::LocalPairsInCrossProgramMove { pairs: 8 }),
             "unexpected error: {err}"

@@ -22,7 +22,6 @@ use multiblock::MultiblockArray;
 use tulip::DistributedCollection;
 
 use mcsim::test_seeds as seeds;
-use std::time::Duration;
 
 /// Phase-matrix problem size (multiblock -> HPF, 2 senders, 2 receivers).
 const N: usize = 256;
@@ -38,10 +37,9 @@ fn value(k: u64, x: usize) -> f64 {
 }
 
 /// A fast failure detector so evictions (and thus the whole suite) fit
-/// in test time: 3 missed 20 ms leases evict.
+/// in test time: 3 missed leases evict.
 fn detector() -> RecoveryConfig {
     RecoveryConfig {
-        lease_window: Duration::from_millis(20),
         lease_misses: 3,
         ..RecoveryConfig::default()
     }

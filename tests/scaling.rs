@@ -1,18 +1,18 @@
-//! Scaling and determinism properties of the cooperative M:N runner.
+//! Scaling and determinism properties of the rank runner.
 //!
 //! The contract under test (DESIGN.md §4j): the virtual clock drives a
 //! **total order** over rank execution — a rank runs until it blocks on a
 //! communication op, parks, and the scheduler resumes the runnable rank
-//! with the lowest `(virtual_time, rank)` key.  The worker-pool size is a
-//! hosting detail, so the same seed must produce byte-identical traces and
-//! `NetStats` whether the pool has 1 worker, 4, or one per logical CPU —
-//! and must agree with the legacy thread-per-rank runner, whose real-time
-//! races the virtual clock was designed to make irrelevant.
+//! with the lowest `(virtual_time, rank)` key.  Nothing about the host
+//! enters that order, so the same seed must produce byte-identical traces
+//! and `NetStats` every time the world runs.  (That the two context-switch
+//! back ends agree on all of it is checked inside `mcsim`, where the
+//! portable one can be selected: `world::tests::back_ends_agree_*`.)
 //!
 //! The same holds one layer up: an `hpf::redistribute` chain through
 //! `CYCLIC(k)` layouts — whose schedules come from the closed-form owned
-//! chunk ranges — lands every element exactly and traces identically for
-//! any pool size.
+//! chunk ranges — lands every element exactly and traces identically
+//! run to run.
 //!
 //! Also here: the P=1024 memory budget (a big world must stay cheap until
 //! ranks actually run — lazy coroutine stacks, lazy flight rings, capped
@@ -28,17 +28,8 @@ use mcsim::world::World;
 
 const P: usize = 64;
 
-/// Worker-pool sizes to cross-check: serial, small, and one per CPU.
-fn worker_pools() -> Vec<usize> {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut pools = vec![1, 4, cpus];
-    pools.dedup();
-    pools.sort_unstable();
-    pools.dedup();
-    pools
-}
+/// How many times each determinism test runs its world.
+const RUNS: usize = 3;
 
 /// Tiny keyed xorshift so every (seed, rank, round, hop) gets its own
 /// payload without any external RNG.
@@ -102,16 +93,15 @@ fn run_fingerprint(world: World, seed: u64) -> Fingerprint {
     }
 }
 
-/// Tentpole determinism claim: the coop scheduler's worker count is pure
-/// hosting.  Same seed ⇒ byte-identical traces, NetStats, clocks across
-/// pools {1, 4, num_cpus} at P=64, for every committed fault seed.
+/// Tentpole determinism claim: the schedule is a pure function of the
+/// virtual clock.  Same seed ⇒ byte-identical traces, NetStats, clocks
+/// across repeated runs at P=64, for every committed fault seed.
 #[test]
-fn coop_worker_pool_size_is_invisible_at_p64() {
+fn coop_schedule_is_repeatable_at_p64() {
     for seed in test_seeds() {
-        let mut baseline: Option<(usize, Fingerprint)> = None;
-        for workers in worker_pools() {
+        let mut baseline: Option<Fingerprint> = None;
+        for run in 0..RUNS {
             let world = World::with_model(P, MachineModel::sp2())
-                .with_workers(workers)
                 .with_faults(FaultPlan::new(seed).rates(FaultRates {
                     drop: 0.04,
                     dup: 0.03,
@@ -122,11 +112,8 @@ fn coop_worker_pool_size_is_invisible_at_p64() {
                 .with_trace();
             let fp = run_fingerprint(world, seed);
             match &baseline {
-                None => baseline = Some((workers, fp)),
-                Some((w0, fp0)) => assert_eq!(
-                    fp0, &fp,
-                    "seed {seed}: {workers}-worker run diverged from {w0}-worker run"
-                ),
+                None => baseline = Some(fp),
+                Some(fp0) => assert_eq!(fp0, &fp, "seed {seed}: run {run} diverged from run 0"),
             }
         }
     }
@@ -135,10 +122,9 @@ fn coop_worker_pool_size_is_invisible_at_p64() {
 /// A P=64 redistribution chain block → `CYCLIC(4)` → `CYCLIC(3)` → block
 /// over a ragged extent (no chunk size divides it): after every hop each
 /// rank holds exactly its owned elements' values, and the whole execution
-/// — results, clocks, NetStats, traces — is byte-identical for worker
-/// pools 1 and 4.
+/// — results, clocks, NetStats, traces — is byte-identical run to run.
 #[test]
-fn redistribute_chain_is_exact_and_pool_invariant_at_p64() {
+fn redistribute_chain_is_exact_and_repeatable_at_p64() {
     use hpf::{DistKind, HpfArray, HpfDist};
     use mcsim::group::Group;
 
@@ -163,9 +149,8 @@ fn redistribute_chain_is_exact_and_pool_invariant_at_p64() {
     };
 
     let mut baseline = None;
-    for workers in [1, 4] {
+    for _ in 0..2 {
         let out = World::with_model(P, MachineModel::sp2())
-            .with_workers(workers)
             .with_trace()
             .run(chain);
         let total: usize = out.results.iter().map(Vec::len).sum();
@@ -173,83 +158,8 @@ fn redistribute_chain_is_exact_and_pool_invariant_at_p64() {
         let fp = (out.results, out.clocks, out.elapsed, out.stats, out.traces);
         match &baseline {
             None => baseline = Some(fp),
-            Some(fp0) => assert!(fp0 == &fp, "4-worker chain diverged from 1-worker chain"),
+            Some(fp0) => assert!(fp0 == &fp, "second chain run diverged from the first"),
         }
-    }
-}
-
-/// Strip a trace down to the events whose order is program-defined: data
-/// sends/recvs, spans, marks.  Protocol-plane bookkeeping (acks, window
-/// advances, retransmit timers) is pumped opportunistically, so under the
-/// threaded runner its interleaving into the timeline depends on
-/// wall-clock races — two identical threaded runs disagree on it.
-fn data_plane(traces: &[Vec<TraceEvent>]) -> Vec<Vec<TraceEvent>> {
-    traces
-        .iter()
-        .map(|t| {
-            t.iter()
-                .filter(|e| match e {
-                    TraceEvent::Send { tag, .. } | TraceEvent::Recv { tag, .. } => {
-                        tag.class() != mcsim::Tag::CLASS_RELIABLE_CTRL
-                    }
-                    TraceEvent::Retransmit { .. }
-                    | TraceEvent::WindowAdvance { .. }
-                    | TraceEvent::WindowStall { .. }
-                    | TraceEvent::RetransmitBurst { .. } => false,
-                    _ => true,
-                })
-                .cloned()
-                .collect()
-        })
-        .collect()
-}
-
-/// Ablation parity: the legacy thread-per-rank runner — real OS threads,
-/// real races — must reproduce the cooperative runner's execution on every
-/// observable the threaded runner can itself reproduce: results, virtual
-/// clocks, traffic matrices, session/recovery counters, ack counts, and
-/// the data-plane trace.  (Protocol tail accounting like
-/// `window_advances` is excluded: it depends on when the pump drains
-/// relative to each rank's exit snapshot, and is not stable even between
-/// two threaded runs — making it deterministic is exactly what the coop
-/// runner adds.)
-#[test]
-fn coop_matches_threaded_runner_at_p64() {
-    for seed in test_seeds() {
-        let coop = run_fingerprint(
-            World::with_model(P, MachineModel::sp2())
-                .with_workers(4)
-                .with_trace(),
-            seed,
-        );
-        let threaded = run_fingerprint(
-            World::with_model(P, MachineModel::sp2())
-                .threaded()
-                .with_trace(),
-            seed,
-        );
-        assert_eq!(coop.results, threaded.results, "seed {seed}: results");
-        assert_eq!(coop.clocks, threaded.clocks, "seed {seed}: clocks");
-        assert_eq!(coop.elapsed, threaded.elapsed, "seed {seed}: elapsed");
-        assert_eq!(coop.stats.msgs, threaded.stats.msgs, "seed {seed}: msgs");
-        assert_eq!(coop.stats.bytes, threaded.stats.bytes, "seed {seed}: bytes");
-        assert_eq!(
-            coop.stats.session, threaded.stats.session,
-            "seed {seed}: session stats"
-        );
-        assert_eq!(
-            coop.stats.recovery, threaded.stats.recovery,
-            "seed {seed}: recovery stats"
-        );
-        assert_eq!(
-            coop.stats.faults.acks_sent, threaded.stats.faults.acks_sent,
-            "seed {seed}: acks (one per data frame, timing-independent)"
-        );
-        assert_eq!(
-            data_plane(&coop.traces),
-            data_plane(&threaded.traces),
-            "seed {seed}: data-plane traces"
-        );
     }
 }
 
@@ -319,8 +229,7 @@ fn big_worlds_shrink_the_flight_ring() {
 
 /// Topology end-to-end: an 8×8 torus under an incast (everyone sends to
 /// rank 0) must charge link contention on the virtual clock, finish later
-/// than the contention-free crossbar, and stay deterministic across
-/// worker-pool sizes.
+/// than the contention-free crossbar, and stay deterministic run to run.
 #[test]
 fn torus_incast_queues_deterministically() {
     fn incast(ep: &mut Endpoint) -> f64 {
@@ -336,10 +245,9 @@ fn torus_incast_queues_deterministically() {
     }
 
     let mut fingerprints = Vec::new();
-    for workers in worker_pools() {
+    for run in 0..RUNS {
         let world = World::with_model(P, MachineModel::sp2())
             .with_topology(Topology::Torus2D { cols: 8, rows: 8 })
-            .with_workers(workers)
             .with_trace();
         let out = world.run(incast);
         assert!(
@@ -347,7 +255,7 @@ fn torus_incast_queues_deterministically() {
             "64-to-1 incast on a torus must contend somewhere"
         );
         fingerprints.push((
-            workers,
+            run,
             out.elapsed,
             out.clocks,
             out.traces,
@@ -359,7 +267,7 @@ fn torus_incast_queues_deterministically() {
         assert_eq!(
             (&pair[0].1, &pair[0].2, &pair[0].3, &pair[0].4, &pair[0].5),
             (&pair[1].1, &pair[1].2, &pair[1].3, &pair[1].4, &pair[1].5),
-            "torus incast diverged between {} and {} workers",
+            "torus incast diverged between runs {} and {}",
             pair[0].0,
             pair[1].0
         );
