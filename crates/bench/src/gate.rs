@@ -21,7 +21,10 @@ pub enum Rule {
 /// path into the report object, and the rule.  Wall-clock metrics get
 /// 25 %; the virtual-clock scaling metrics reproduce exactly on a clean
 /// tree, so their 25 % only trips on a real change to the machine model,
-/// the collectives, the inspector or what an adapter charges.
+/// the collectives, the inspector or what an adapter charges.  The P=256
+/// inspector *wall* (one sample of a 260 k-message world, ±30 % run to
+/// run) gets a generous 2×: it is there to catch the per-message host
+/// path growing back a lock or a channel, not to hold a percentage.
 pub const GATES: &[(&str, &[&str], Rule)] = &[
     (
         "executor",
@@ -42,6 +45,7 @@ pub const GATES: &[(&str, &[&str], Rule)] = &[
     ),
     ("scaling", &["p256_transfer_virtual_ms"], Rule::AtMost(1.25)),
     ("scaling", &["p256_redist_virtual_ms"], Rule::AtMost(1.25)),
+    ("scaling", &["p256_inspector_wall_ms"], Rule::AtMost(2.0)),
 ];
 
 /// What [`check`] found.
@@ -102,10 +106,15 @@ mod tests {
     use mcsim::json::{obj, parse};
 
     fn scaling(inspector: f64) -> Value {
+        scaling_wall(inspector, 100.0)
+    }
+
+    fn scaling_wall(inspector: f64, wall: f64) -> Value {
         obj(vec![
             ("p256_inspector_virtual_ms", Value::Num(inspector)),
             ("p256_transfer_virtual_ms", Value::Num(0.458)),
             ("p256_redist_virtual_ms", Value::Num(13.203)),
+            ("p256_inspector_wall_ms", Value::Num(wall)),
         ])
     }
 
@@ -118,6 +127,17 @@ mod tests {
         assert!(failed[0].starts_with("p256_inspector_virtual_ms:"));
         // Exactly at the limit still holds.
         assert!(check("scaling", &scaling(80.0), &scaling(100.0)).passed);
+    }
+
+    #[test]
+    fn inspector_wall_is_held_to_twice_the_baseline() {
+        let base = scaling_wall(80.0, 100.0);
+        assert!(check("scaling", &base, &scaling_wall(80.0, 200.0)).passed);
+        let o = check("scaling", &base, &scaling_wall(80.0, 200.1));
+        assert!(!o.passed);
+        let failed: Vec<_> = o.lines.iter().filter(|l| l.ends_with("FAILED")).collect();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].starts_with("p256_inspector_wall_ms:"));
     }
 
     #[test]

@@ -227,7 +227,7 @@ pub fn scaling_point(procs: usize, elements: usize) -> ScalingPoint {
 /// Host wall time is recorded but not bounded here: the Cooperation
 /// build exchanges descriptors over an alltoallv in the union group, so
 /// the *simulated message count* is Θ(P²) by construction and the host
-/// pays for every simulated message (allocation, channel and stash costs;
+/// pays for every simulated message (allocation, mailbox and stash costs;
 /// DESIGN §4j has the measured split).  The scheduler's win is that
 /// those P² messages at P=1024 cost seconds on one host thread instead
 /// of needing 1024 OS threads.

@@ -15,20 +15,26 @@
 //! * per-destination traffic counters,
 //! * when the world carries a [`crate::fault::FaultPlan`], deterministic
 //!   fault injection on sends and scripted crashes on communication ops.
+//!
+//! An endpoint owns everything that is its rank's alone (clock, stash,
+//! counters, transport state).  What ranks share — the mailboxes, the
+//! scheduler, the topology's link state — is the world's
+//! `crate::sched::Hub`, handed to the endpoint at construction: a send
+//! is one `Hub::post`, a pump pops this rank's own mailbox, a blocking
+//! wait is `Hub::park`.
 
 use std::any::{Any, TypeId};
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
 use crate::message::{Body, Message, Rank, DROP_PREFIX};
-use crate::model::{MachineModel, NetState};
+use crate::model::MachineModel;
 use crate::onesided::OnesidedState;
 use crate::recovery::{CkptStore, RecoveryConfig, BEAT_INTERVAL};
 use crate::reliable::{self, ReliableConfig, ReliableState};
-use crate::sched::{CoopHandle, ParkKind, WakeCause};
+use crate::sched::{Hub, ParkKind, WakeCause};
 use crate::span::{ObsState, Phase, SpanId};
 use crate::stats::StatsSnapshot;
 use crate::tag::Tag;
@@ -43,12 +49,11 @@ const BUF_POOL_CAP: usize = 32;
 pub struct Endpoint {
     rank: Rank,
     world: usize,
-    /// Shared send side of every rank's mailbox.  One `Arc` per endpoint
-    /// instead of one `Sender` clone per (rank, peer) pair keeps world
-    /// construction O(P) rather than O(P²) in memory.
-    senders: Arc<Vec<Sender<Message>>>,
-    rx: Receiver<Message>,
-    /// Messages received from the channel but not yet matched by a `recv`.
+    /// The world's shared state (see [`crate::sched`]): every rank's
+    /// mailbox, the scheduler this rank's task parks on, and the
+    /// topology's link state.
+    hub: Arc<Hub>,
+    /// Messages popped from the mailbox but not yet matched by a `recv`.
     pub(crate) stash: VecDeque<Message>,
     pub(crate) clock: f64,
     pub(crate) model: MachineModel,
@@ -105,15 +110,8 @@ pub struct Endpoint {
     armed_crash: Option<f64>,
     /// Handle on the world-level checkpoint store.
     ckpt: CkptStore,
-    /// Handle on this rank's scheduler task (see [`crate::sched`]), set
-    /// before the rank closure runs.  Blocking pumps park on it and sends
-    /// notify the destination's task.
-    coop: Option<CoopHandle>,
     /// Per-rank scratch slots for higher layers (see [`Endpoint::scratch`]).
     scratch: HashMap<(TypeId, u32), Box<dyn Any + Send>>,
-    /// Shared per-link network state when the world runs on a non-crossbar
-    /// [`crate::model::Topology`]; `None` keeps the closed-form transit.
-    net: Option<Arc<Mutex<NetState>>>,
 }
 
 impl Endpoint {
@@ -123,8 +121,7 @@ impl Endpoint {
     pub(crate) fn new(
         rank: Rank,
         world: usize,
-        senders: Arc<Vec<Sender<Message>>>,
-        rx: Receiver<Message>,
+        hub: Arc<Hub>,
         model: MachineModel,
         faults: Option<&FaultPlan>,
         rel_cfg: ReliableConfig,
@@ -136,8 +133,7 @@ impl Endpoint {
         Endpoint {
             rank,
             world,
-            senders,
-            rx,
+            hub,
             stash: VecDeque::new(),
             clock: 0.0,
             model,
@@ -169,8 +165,6 @@ impl Endpoint {
             last_beat: f64::NEG_INFINITY,
             armed_crash: None,
             ckpt,
-            coop: None,
-            net: None,
             scratch: HashMap::new(),
         }
     }
@@ -199,41 +193,15 @@ impl Endpoint {
         v
     }
 
-    /// Attach the scheduler handle for this rank's task.  Called once by
-    /// the world before the rank closure runs.
-    pub(crate) fn set_coop(&mut self, h: CoopHandle) {
-        self.coop = Some(h);
-    }
-
-    /// Attach the world's shared link-contention state (non-crossbar
-    /// topologies only; see [`crate::world::World::with_topology`]).
-    pub(crate) fn set_network(&mut self, net: Arc<Mutex<NetState>>) {
-        self.net = Some(net);
-    }
-
-    /// Arrival time of `bytes` departing for `to` at `depart`: routed
-    /// over the topology's links (with contention) when one is attached,
-    /// the closed-form postal transit otherwise.
+    /// Arrival time of `bytes` departing for `to` at `depart`, over the
+    /// world's topology.
     fn arrival_for(&mut self, to: Rank, bytes: usize, depart: f64) -> f64 {
-        match &self.net {
-            Some(net) => {
-                let mut net = net.lock().unwrap();
-                net.transit(&self.model, self.rank, to, bytes, depart)
-            }
-            None => depart + self.model.transit(bytes),
-        }
-    }
-
-    /// This rank's scheduler task.
-    fn task(&self) -> &CoopHandle {
-        self.coop
-            .as_ref()
-            .expect("endpoints communicate only from inside World::run")
+        self.hub.transit(&self.model, self.rank, to, bytes, depart)
     }
 
     /// Park the current task and report why it was resumed.
     fn coop_park(&mut self, kind: ParkKind) -> WakeCause {
-        self.task().park(kind, self.clock)
+        self.hub.park(self.rank, kind, self.clock)
     }
 
     /// Start recording the full communication timeline (see
@@ -695,32 +663,31 @@ impl Endpoint {
         // Drain the mailbox: everything queued was addressed to the dead
         // life.  Poison still latches — a *real* peer failure must not be
         // swallowed by our own restart.
-        loop {
-            match self.rx.try_recv() {
-                Ok(Message {
+        while let Some(msg) = self.hub.pop(self.rank) {
+            match msg {
+                Message {
                     src,
                     body: Body::Poison(reason),
                     ..
-                }) => self.poisoned = Some((src, reason)),
+                } => self.poisoned = Some((src, reason)),
                 // A peer's restart announcement must survive *our*
                 // restart: discarding it with the rest of the dead
                 // life's mail would leave that peer's incarnation
                 // unknown and every reliable stream to it wedged on
                 // old sequence state.
-                Ok(Message {
+                Message {
                     src,
                     tag,
                     body: Body::Data(b),
                     ..
-                }) if tag == crate::onesided::beat_tag()
+                } if tag == crate::onesided::beat_tag()
                     && b.len() >= 17
                     && b[0] == crate::onesided::K_BEAT =>
                 {
                     let inc = u64::from_le_bytes(b[1..9].try_into().unwrap());
                     self.note_peer_incarnation(src, inc);
                 }
-                Ok(_) => {}
-                Err(_) => break,
+                _ => {}
             }
         }
         self.stash.clear();
@@ -789,15 +756,13 @@ impl Endpoint {
                 bytes,
                 arrival,
             });
-            // Unbounded channel: never blocks; a closed peer means it
-            // panicked and will (or did) poison us, so drop silently.
-            let _ = self.senders[to].send(Message {
+            let msg = Message {
                 src: self.rank,
                 tag,
                 body: Body::Data(payload),
                 arrival,
-            });
-            self.task().notify(to, arrival);
+            };
+            self.hub.post(to, msg);
             return;
         };
         let n = draw.copies.len();
@@ -864,13 +829,13 @@ impl Endpoint {
                 bytes,
                 arrival: copy_arrival,
             });
-            let _ = self.senders[to].send(Message {
+            let msg = Message {
                 src: self.rank,
                 tag,
                 body,
                 arrival: copy_arrival,
-            });
-            self.task().notify(to, copy_arrival);
+            };
+            self.hub.post(to, msg);
         }
     }
 
@@ -903,8 +868,8 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Route everything already waiting in the channel, returning how
-    /// many messages were handled.  The pump primitive: the channel never
+    /// Route everything already waiting in this rank's mailbox, returning
+    /// how many messages were handled.  The pump primitive: popping never
     /// blocks, parking does.
     fn drain_ready(&mut self) -> Result<usize, SimError> {
         if let Some((rank, reason)) = &self.poisoned {
@@ -914,20 +879,18 @@ impl Endpoint {
             });
         }
         let mut n = 0;
-        loop {
-            match self.rx.try_recv() {
-                Ok(msg) => match self.route_msg(msg) {
-                    Ok(()) => n += 1,
-                    // Poison is latched by `route_msg`; messages routed
-                    // ahead of it stay consumable first (FIFO: a message
-                    // sent before the sender died is delivered before its
-                    // poison).  Only a batch *led* by poison fails the
-                    // drain itself.
-                    Err(e) => return if n == 0 { Err(e) } else { Ok(n) },
-                },
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return Ok(n),
+        while let Some(msg) = self.hub.pop(self.rank) {
+            match self.route_msg(msg) {
+                Ok(()) => n += 1,
+                // Poison is latched by `route_msg`; messages routed
+                // ahead of it stay consumable first (FIFO: a message
+                // sent before the sender died is delivered before its
+                // poison).  Only a batch *led* by poison fails the
+                // drain itself.
+                Err(e) => return if n == 0 { Err(e) } else { Ok(n) },
             }
         }
+        Ok(n)
     }
 
     /// Wait for at least one message from the wire and route what
@@ -987,7 +950,7 @@ impl Endpoint {
         }
     }
 
-    /// Route everything already waiting in the channel without blocking.
+    /// Route everything already waiting in the mailbox without blocking.
     fn pump_ready(&mut self) -> Result<(), SimError> {
         self.drain_ready().map(|_| ())
     }
@@ -1131,23 +1094,23 @@ impl Endpoint {
     /// matching message arrives (true) or nothing can ever arrive without
     /// this rank acting (false) — a poll never races real delivery.
     pub fn probe(&mut self, from: Rank, tag: Tag) -> bool {
-        self.drain_channel(from, tag);
+        self.drain_mailbox(from, tag);
         loop {
             if self.stash_match(from, tag).is_some() {
                 return true;
             }
             let now = self.clock;
             match self.coop_park(ParkKind::Wait { expiry: now }) {
-                WakeCause::Message => self.drain_channel(from, tag),
+                WakeCause::Message => self.drain_mailbox(from, tag),
                 WakeCause::Silence => return false,
                 WakeCause::Shutdown => self.panic_sim(SimError::Shutdown, from, tag),
             }
         }
     }
 
-    /// Move everything waiting in the channel into the stash, surfacing
+    /// Move everything waiting in the mailbox into the stash, surfacing
     /// poison immediately (panicking path).
-    fn drain_channel(&mut self, from: Rank, tag: Tag) {
+    fn drain_mailbox(&mut self, from: Rank, tag: Tag) {
         if let Err(e) = self.pump_ready() {
             self.panic_sim(e, from, tag);
         }
@@ -1221,13 +1184,8 @@ impl Endpoint {
     /// Route whatever protocol traffic is ready, ignoring errors — the
     /// program is already over, so poison can no longer matter.
     pub(crate) fn coop_service_drain(&mut self) {
-        loop {
-            match self.rx.try_recv() {
-                Ok(msg) => {
-                    let _ = self.route_msg(msg);
-                }
-                Err(_) => return,
-            }
+        while let Some(msg) = self.hub.pop(self.rank) {
+            let _ = self.route_msg(msg);
         }
     }
 
@@ -1238,13 +1196,13 @@ impl Endpoint {
             if to == self.rank {
                 continue;
             }
-            let _ = self.senders[to].send(Message {
+            let msg = Message {
                 src: self.rank,
                 tag: Tag::new(Tag::CONTROL_CTX, 0),
                 body: Body::Poison(reason.to_string()),
                 arrival: self.clock,
-            });
-            self.task().notify(to, self.clock);
+            };
+            self.hub.post(to, msg);
         }
     }
 }
@@ -1402,6 +1360,50 @@ mod tests {
                 assert_eq!(bytes.len(), 4);
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod recovery_tests {
+    use crate::model::MachineModel;
+    use crate::sched::ParkKind;
+    use crate::tag::Tag;
+    use crate::world::World;
+
+    /// A restart discards the dead life's mail, but a queued poison still
+    /// latches and a queued peer-restart beat is still learned.
+    #[test]
+    fn reset_for_recovery_keeps_poison_and_peer_restart_beats() {
+        let world = World::with_model(3, MachineModel::sp2());
+        let run = || {
+            world.run_result(|ep| match ep.rank() {
+                0 => {
+                    // Ranks 1 and 2 (key 0) run before the first arrival
+                    // wakes this task, so all four messages are queued.
+                    ep.coop_park(ParkKind::Wait {
+                        expiry: f64::INFINITY,
+                    });
+                    ep.reset_for_recovery();
+                    assert!(ep.hub.pop(0).is_none(), "the mailbox was drained");
+                    let poison = ep.poisoned.clone().expect("poison latched");
+                    (ep.incarnation(), ep.peer_incarnation(1), poison.0)
+                }
+                1 => {
+                    ep.incarnation = 3;
+                    ep.broadcast_beat();
+                    ep.send(0, Tag::user(1), vec![1; 8]);
+                    (0, 0, 0)
+                }
+                _ => {
+                    ep.send(0, Tag::user(1), vec![2; 8]);
+                    panic!("rank 2 dies for real");
+                }
+            })
+        };
+        let (native, baton) = (run(), crate::sched::with_baton(run));
+        assert_eq!(native.outcomes, baton.outcomes);
+        assert_eq!(native.outcomes[0], Ok((1, 3, 2)));
+        assert!(native.outcomes[2].is_err());
     }
 }
 

@@ -8,8 +8,8 @@
 //!   of [`sched`], resumed one at a time in `(virtual_time, rank)` order
 //!   on the thread that called [`World::run`] (1024-rank worlds fit one
 //!   process),
-//! * ranks exchange real byte messages through channels (so data motion is
-//!   bit-exact and testable),
+//! * ranks exchange real byte messages through per-rank mailboxes (so data
+//!   motion is bit-exact and testable),
 //! * each rank carries a deterministic **virtual clock**: sends, receives and
 //!   modeled computation charge time according to a configurable
 //!   [`MachineModel`] (message latency, per-byte wire cost, per-message CPU
@@ -51,6 +51,8 @@
 // Indexed loops over multiple parallel arrays are the clearest idiom in
 // this numerical code.
 #![allow(clippy::needless_range_loop)]
+// Every `unsafe` block and impl carries its invariant next to it.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod analyze;
 pub mod collectives;

@@ -38,13 +38,22 @@
 //! 3. else every waiter with `Shutdown`: the world is deadlocked, and a
 //!    deterministic teardown error beats a hang.
 //!
-//! ## Park/resume protocol
+//! ## One hub, one invariant
 //!
-//! A parking task writes its request into its `TaskCell` and switches
-//! back to the dispatch loop, which publishes the new state under the
-//! scheduler lock.  Wake causes flow the other way: the loop writes
-//! `TaskCell::wake` before switching in, and `CoopHandle::park` returns
-//! it to the endpoint.
+//! Everything the ranks share lives in one world-owned `Hub`: the
+//! scheduler's slot table and heap, one plain `VecDeque<Message>` mailbox
+//! per rank, the topology's link state and the task control blocks.  It
+//! has no lock.  Exactly one of {dispatch loop, one task} executes at any
+//! instant, and whichever that is reaches the hub through one private,
+//! non-re-entrant accessor (`Hub::with`) that is never held across a
+//! context switch; the invariant is written once, on the hub's
+//! `unsafe impl Sync`.
+//!
+//! A send is one `Hub::post`: push onto the destination's mailbox and
+//! make its task runnable.  A parking task publishes its own park
+//! (`Hub::park`) and switches back to the dispatch loop; the loop picks
+//! the next task, and the wake cause waits in the slot for the resumed
+//! task to read.
 //!
 //! ## Two switch back ends
 //!
@@ -60,15 +69,20 @@
 //!   overwrite aborts the process, since a silently corrupted frame is not
 //!   recoverable.
 //! * **everything else** — a *baton*: the task body runs on an OS thread
-//!   of its own ([`COOP_STACK_BYTES`] of stack) and a `Mutex<bool>` +
-//!   `Condvar` lets exactly one of {dispatch loop, task} run.  The
+//!   of its own ([`COOP_STACK_BYTES`] of stack) and a turn flag under a
+//!   lock, with a condition variable, lets exactly one of {dispatch loop,
+//!   task} run.  The
 //!   schedule is the same total order, so every observable is identical;
 //!   only the cost of a switch differs.  It is also compiled into x86_64
 //!   *test* builds, where the unit tests run both back ends against each
 //!   other.
 
-use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
+use std::any::Any;
+use std::cell::UnsafeCell;
+use std::collections::{BinaryHeap, VecDeque};
+
+use crate::message::{Message, Rank};
+use crate::model::{MachineModel, NetState, Topology};
 
 /// Stack size of one task, on either switch back end.  Virtual memory
 /// only: untouched pages are never resident.
@@ -104,46 +118,40 @@ pub(crate) enum ParkKind {
 /// Lifetime-erased task body.  Safety: [`run`] drives every task to
 /// completion (and joins every baton thread) before `World::execute`
 /// returns, so the borrows captured inside never outlive their owners.
-pub(crate) type TaskBody = Box<dyn FnOnce(*mut TaskCell) + Send>;
+pub(crate) type TaskBody = Box<dyn FnOnce() + Send>;
 
-/// Per-task control block shared between the dispatch loop and the code
-/// running *inside* the task (via [`CoopHandle`]).
-///
-/// Access discipline: a cell is only ever touched by whichever of
-/// {dispatch loop, task} currently runs.  On the baton back end those are
-/// two OS threads; the baton mutex orders every handoff.
-pub(crate) struct TaskCell {
+/// Per-task control block: the switch back end's state and the body's
+/// completion record.  Allocated by [`run`], reached through the raw
+/// pointer in the task's hub slot, and only ever touched by whichever of
+/// {dispatch loop, task} currently runs (the hub's invariant).
+struct TaskCell {
     switch: Switch,
     /// Set once the task body has returned.
     finished: bool,
-    /// Park request, written by the task just before switching out.
-    park: ParkKind,
-    /// The task's virtual clock at park time (the scheduler's key input).
-    clock: f64,
-    /// Wake cause, written by the dispatch loop just before switching in.
-    wake: WakeCause,
     /// A panic that escaped the task body's own catch (a harness bug);
     /// re-raised on the host thread so it is not silently lost.
-    escaped: Option<Box<dyn std::any::Any + Send>>,
+    escaped: Option<Box<dyn Any + Send>>,
     body: Option<TaskBody>,
 }
 
 impl TaskCell {
-    fn new(body: TaskBody) -> Box<TaskCell> {
+    /// A heap cell owned through the returned pointer; [`run`] frees it.
+    fn new(body: TaskBody) -> *mut TaskCell {
         // Allocate first: the switch back end captures the cell's address.
-        let mut cell = Box::<TaskCell>::new_uninit();
-        let switch = Switch::new(cell.as_mut_ptr());
-        cell.write(TaskCell {
-            switch,
-            finished: false,
-            park: ParkKind::Service,
-            clock: 0.0,
-            wake: WakeCause::Message,
-            escaped: None,
-            body: Some(body),
-        });
-        // SAFETY: initialized by the write above.
-        unsafe { cell.assume_init() }
+        let cell: *mut TaskCell = Box::into_raw(Box::<TaskCell>::new_uninit()).cast();
+        let switch = Switch::new(cell);
+        // SAFETY: `cell` is a fresh allocation of `TaskCell`'s layout that
+        // nothing reads before this write (a baton thread spawned by
+        // `Switch::new` first waits for its turn).
+        unsafe {
+            cell.write(TaskCell {
+                switch,
+                finished: false,
+                escaped: None,
+                body: Some(body),
+            });
+        }
+        cell
     }
 }
 
@@ -156,7 +164,7 @@ impl TaskCell {
 /// `cell` must point to a live `TaskCell` whose turn it is to run.
 unsafe fn run_body(cell: *mut TaskCell) {
     let body = (*cell).body.take().expect("task body runs once");
-    if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(cell))) {
+    if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
         (*cell).escaped = Some(e);
     }
     (*cell).finished = true;
@@ -461,7 +469,7 @@ mod baton {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler.
+// The hub: scheduler, mailboxes, link state, task table.
 // ---------------------------------------------------------------------------
 
 /// Heap entry ordering: min (key, rank) first.  `key` is finite by
@@ -510,6 +518,7 @@ enum State {
     Done,
 }
 
+/// Everything the world holds per rank.
 struct Slot {
     mode: Mode,
     state: State,
@@ -526,8 +535,15 @@ struct Slot {
     mail: bool,
     /// Minimum arrival time among those messages.
     mail_min: f64,
-    /// Cause to deliver at the next dispatch.
+    /// Why the task was (or will be) resumed; read by [`Hub::park`] on
+    /// the way out.
     wake: WakeCause,
+    /// Messages posted to this rank and not yet popped by it, in posting
+    /// order.  Holds no buffer while empty: at P = 1024 a retained
+    /// high-water mark would pin 1023 envelopes per rank.
+    mailbox: VecDeque<Message>,
+    /// The rank's control block; null outside [`run`].
+    cell: *mut TaskCell,
 }
 
 struct Inner {
@@ -537,18 +553,36 @@ struct Inner {
     unfinished: usize,
     /// Tasks not yet `Done`.
     live: usize,
+    /// Per-link state of a non-crossbar [`Topology`]; `None` keeps the
+    /// closed-form transit.
+    net: Option<NetState>,
 }
 
-/// Shared scheduler state: one per world run.  Dispatch is strictly
-/// serialized, so the mutex is never contended; it stays because on the
-/// baton back end `notify` runs on the tasks' own threads and needs its
-/// happens-before.
-pub(crate) struct Sched {
-    inner: Mutex<Inner>,
+/// The world's shared state, one per `World::run`: see the module header.
+pub(crate) struct Hub {
+    inner: UnsafeCell<Inner>,
+    /// Debug builds catch an access made while another is in progress.
+    #[cfg(debug_assertions)]
+    busy: std::cell::Cell<bool>,
 }
 
-impl Sched {
-    pub(crate) fn new(size: usize) -> Sched {
+// SAFETY: exactly one of {dispatch loop, one task} executes at any
+// instant, and `with` — the only way to `inner` and `busy` — is entered
+// by that one alone and never spans a context switch.  On the coroutine
+// back end they all share the OS thread that called `run`, so nothing is
+// concurrent.  On the baton back end every task has a thread of its own,
+// but each runs only between a `Baton::wait` and the next `Baton::pass`,
+// which acquire and release `Baton::task_turn`'s mutex: whatever one
+// holder of the turn wrote happens-before whatever the next one reads.
+unsafe impl Sync for Hub {}
+// SAFETY: the only fields that are not `Send` by themselves are the
+// slots' `*mut TaskCell` (and the coroutine stacks behind them); the cells
+// are owned by `run`, which frees them on the thread that made them, and
+// are dereferenced only under the invariant above.
+unsafe impl Send for Hub {}
+
+impl Hub {
+    pub(crate) fn new(size: usize, topology: Topology) -> Hub {
         let slots = (0..size)
             .map(|_| Slot {
                 mode: Mode::Program,
@@ -559,25 +593,116 @@ impl Sched {
                 mail: false,
                 mail_min: f64::INFINITY,
                 wake: WakeCause::Message,
+                mailbox: VecDeque::new(),
+                cell: std::ptr::null_mut(),
             })
             .collect();
         let heap = (0..size).map(|rank| HeapEntry { key: 0.0, rank }).collect();
-        Sched {
-            inner: Mutex::new(Inner {
+        Hub {
+            inner: UnsafeCell::new(Inner {
                 slots,
                 heap,
                 unfinished: size,
                 live: size,
+                net: (topology != Topology::Crossbar).then(|| NetState::new(topology)),
             }),
+            #[cfg(debug_assertions)]
+            busy: std::cell::Cell::new(false),
         }
     }
 
-    /// A message (data, protocol frame, or poison) was enqueued for
-    /// `to` with the given modeled arrival time.  Called from the
-    /// sender's slice; makes the destination runnable if it was parked.
-    pub(crate) fn notify(&self, to: usize, arrival: f64) {
-        let mut g = self.inner.lock().unwrap();
-        let s = &mut g.slots[to];
+    /// The one door to the shared state.  `f` must not re-enter the hub
+    /// and cannot switch context (nothing it can reach does).
+    #[inline]
+    fn with<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
+        #[cfg(debug_assertions)]
+        let _busy = {
+            struct Busy<'a>(&'a std::cell::Cell<bool>);
+            impl Drop for Busy<'_> {
+                fn drop(&mut self) {
+                    self.0.set(false);
+                }
+            }
+            assert!(!self.busy.replace(true), "re-entrant hub access");
+            Busy(&self.busy)
+        };
+        // SAFETY: see `unsafe impl Sync for Hub` — the caller is the only
+        // code executing, and no other `&mut Inner` is live because `with`
+        // is not re-entered (checked above in debug builds).
+        f(unsafe { &mut *self.inner.get() })
+    }
+
+    /// Deliver `msg` (data, protocol frame, or poison) to `to`'s mailbox
+    /// and make its task runnable at the message's arrival time.
+    #[inline]
+    pub(crate) fn post(&self, to: Rank, msg: Message) {
+        self.with(|h| {
+            let arrival = msg.arrival;
+            h.slots[to].mailbox.push_back(msg);
+            h.notify(to, arrival);
+        })
+    }
+
+    /// The oldest message waiting for `rank`, if any.  Called by `rank`'s
+    /// own task only.  The pop that empties the mailbox releases its
+    /// buffer.
+    #[inline]
+    pub(crate) fn pop(&self, rank: Rank) -> Option<Message> {
+        self.with(|h| {
+            let mailbox = &mut h.slots[rank].mailbox;
+            let msg = mailbox.pop_front();
+            if mailbox.is_empty() {
+                *mailbox = VecDeque::new();
+            }
+            msg
+        })
+    }
+
+    /// Arrival time of `bytes` departing `src` for `dst` at `depart`:
+    /// routed over the topology's links (with contention) when the world
+    /// has one, the closed-form postal transit otherwise.
+    #[inline]
+    pub(crate) fn transit(
+        &self,
+        model: &MachineModel,
+        src: Rank,
+        dst: Rank,
+        bytes: usize,
+        depart: f64,
+    ) -> f64 {
+        self.with(|h| match &mut h.net {
+            Some(net) => net.transit(model, src, dst, bytes, depart),
+            None => depart + model.transit(bytes),
+        })
+    }
+
+    /// Total virtual seconds messages spent queued behind busy links.
+    pub(crate) fn contended_secs(&self) -> f64 {
+        self.with(|h| h.net.as_ref().map_or(0.0, |net| net.queued))
+    }
+
+    /// Park `rank`'s task — which must be the caller — reporting its
+    /// virtual clock, and return why it was resumed.
+    pub(crate) fn park(&self, rank: Rank, kind: ParkKind, clock: f64) -> WakeCause {
+        let cell = self.with(|h| {
+            h.parked(rank, kind, clock);
+            h.slots[rank].cell
+        });
+        assert!(!cell.is_null(), "tasks park only inside sched::run");
+        // SAFETY: non-null means `run` made the cell and has not freed it
+        // yet (it does so only after every task finished); the caller is
+        // the cell's task.
+        unsafe { switch_to_host(cell) };
+        self.with(|h| h.slots[rank].wake)
+    }
+}
+
+impl Inner {
+    /// A message with the given modeled arrival time was enqueued for
+    /// `to`; make the destination runnable if it was parked.
+    #[inline]
+    fn notify(&mut self, to: usize, arrival: f64) {
+        let s = &mut self.slots[to];
         s.mail = true;
         if arrival < s.mail_min {
             s.mail_min = arrival;
@@ -588,7 +713,7 @@ impl Sched {
                 s.wake = WakeCause::Message;
                 s.key = s.clock.max(s.mail_min);
                 let key = s.key;
-                g.heap.push(HeapEntry { key, rank: to });
+                self.heap.push(HeapEntry { key, rank: to });
             }
             State::Runnable => {
                 // Decrease-key: push a better duplicate, the stale entry
@@ -596,7 +721,7 @@ impl Sched {
                 let nk = s.clock.max(s.mail_min);
                 if nk < s.key {
                     s.key = nk;
-                    g.heap.push(HeapEntry { key: nk, rank: to });
+                    self.heap.push(HeapEntry { key: nk, rank: to });
                 }
             }
             // Running: its own drain will pick the message up (mail is
@@ -606,255 +731,158 @@ impl Sched {
         }
     }
 
-    /// The lowest-keyed runnable task and the wake cause to hand it, or
-    /// `None` once every task is done.
-    fn next_dispatch(&self) -> Option<(usize, WakeCause)> {
-        let mut g = self.inner.lock().unwrap();
-        while g.live > 0 {
-            while let Some(e) = g.heap.pop() {
-                let s = &mut g.slots[e.rank];
+    /// Mark the lowest-keyed runnable task running and return its rank
+    /// and cell, or `None` once every task is done.
+    fn next_dispatch(&mut self) -> Option<(usize, *mut TaskCell)> {
+        while self.live > 0 {
+            while let Some(e) = self.heap.pop() {
+                let s = &mut self.slots[e.rank];
                 if s.state != State::Runnable || e.key != s.key {
                     continue; // stale duplicate
                 }
                 s.state = State::Running;
                 s.mail = false;
                 s.mail_min = f64::INFINITY;
-                return Some((e.rank, s.wake));
+                return Some((e.rank, s.cell));
             }
             // Quiescent: manufacture the deterministic wake-up.
-            Self::quiesce(&mut g);
+            self.quiesce();
         }
         None
+    }
+
+    /// Make a waiting task runnable at its own clock with `wake`.
+    fn wake_waiter(&mut self, rank: usize, wake: WakeCause) {
+        let s = &mut self.slots[rank];
+        s.state = State::Runnable;
+        s.wake = wake;
+        s.key = s.clock;
+        let key = s.key;
+        self.heap.push(HeapEntry { key, rank });
     }
 
     /// Handle global quiescence: nothing runnable, but live tasks remain.
     /// Always enqueues at least one wake.
-    fn quiesce(g: &mut Inner) {
-        if g.unfinished == 0 {
-            // Every program returned; release the service loops.
-            for rank in 0..g.slots.len() {
-                let s = &mut g.slots[rank];
-                if s.state == State::Waiting {
-                    s.state = State::Runnable;
-                    s.wake = WakeCause::Shutdown;
-                    s.key = s.clock;
-                    let key = s.key;
-                    g.heap.push(HeapEntry { key, rank });
+    fn quiesce(&mut self) {
+        if self.unfinished > 0 {
+            // One silence-capable program waiter: earliest virtual expiry
+            // wins (rank breaks ties), so a short recv timeout fires
+            // before a distant world deadline.
+            let pick = self
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| {
+                    s.mode == Mode::Program && s.state == State::Waiting && s.expiry.is_finite()
+                })
+                .min_by(|(ar, a), (br, b)| a.expiry.total_cmp(&b.expiry).then(ar.cmp(br)))
+                .map(|(r, _)| r);
+            if let Some(rank) = pick {
+                return self.wake_waiter(rank, WakeCause::Silence);
+            }
+            // True deadlock: no message in flight, nobody silence-capable.
+            // Deterministic teardown (SimError::Shutdown at every waiter)
+            // instead of a hang.
+            if std::env::var_os("MCSIM_SCHED_DEBUG").is_some() {
+                for (r, s) in self.slots.iter().enumerate() {
+                    eprintln!(
+                        "mcsim-sched deadlock: rank={r} mode={:?} state={:?} clock={} mail={} expiry={}",
+                        s.mode, s.state, s.clock, s.mail, s.expiry
+                    );
                 }
             }
-            return;
         }
-        // One silence-capable program waiter: earliest virtual expiry
-        // wins (rank breaks ties), so a short recv timeout fires before a
-        // distant world deadline.
-        let pick = g
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.mode == Mode::Program && s.state == State::Waiting && s.expiry.is_finite()
-            })
-            .min_by(|(ar, a), (br, b)| a.expiry.total_cmp(&b.expiry).then(ar.cmp(br)))
-            .map(|(r, _)| r);
-        if let Some(rank) = pick {
-            let s = &mut g.slots[rank];
+        // Every program returned (release the service loops) or the
+        // world is deadlocked: either way every waiter gets `Shutdown`.
+        for rank in 0..self.slots.len() {
+            if self.slots[rank].state == State::Waiting {
+                self.wake_waiter(rank, WakeCause::Shutdown);
+            }
+        }
+    }
+
+    /// Publish the running task's park, just before it switches out.
+    fn parked(&mut self, rank: usize, kind: ParkKind, clock: f64) {
+        let s = &mut self.slots[rank];
+        debug_assert_eq!(s.state, State::Running, "only the running task parks");
+        s.clock = clock;
+        let expiry = match kind {
+            ParkKind::Wait { expiry } => expiry,
+            ParkKind::Service => f64::INFINITY,
+        };
+        if kind == ParkKind::Service && s.mode == Mode::Program {
+            s.mode = Mode::Service;
+            self.unfinished -= 1;
+        }
+        if s.mail {
+            // Mail that raced in during the slice (a self-send or a
+            // protocol echo) wakes the task immediately.
             s.state = State::Runnable;
-            s.wake = WakeCause::Silence;
-            s.key = s.clock;
+            s.wake = WakeCause::Message;
+            s.key = s.clock.max(s.mail_min);
             let key = s.key;
-            g.heap.push(HeapEntry { key, rank });
-            return;
-        }
-        // True deadlock: no message in flight, nobody silence-capable.
-        // Deterministic teardown (SimError::Shutdown at every waiter)
-        // instead of a hang.
-        if std::env::var_os("MCSIM_SCHED_DEBUG").is_some() {
-            for (r, s) in g.slots.iter().enumerate() {
-                eprintln!(
-                    "mcsim-sched deadlock: rank={r} mode={:?} state={:?} clock={} mail={} expiry={}",
-                    s.mode, s.state, s.clock, s.mail, s.expiry
-                );
-            }
-        }
-        for rank in 0..g.slots.len() {
-            let s = &mut g.slots[rank];
-            if s.state == State::Waiting {
-                s.state = State::Runnable;
-                s.wake = WakeCause::Shutdown;
-                s.key = s.clock;
-                let key = s.key;
-                g.heap.push(HeapEntry { key, rank });
-            }
-        }
-    }
-
-    /// Publish a park (or completion) after the dispatch loop regained
-    /// control.
-    fn after_slice(&self, rank: usize, cell: &TaskCell) {
-        let mut g = self.inner.lock().unwrap();
-        if cell.finished {
-            let was_program = {
-                let s = &mut g.slots[rank];
-                s.state = State::Done;
-                let was = s.mode == Mode::Program;
-                // Defensive: bodies park Service before finishing, but a
-                // panic escaping the harness could skip that.
-                s.mode = Mode::Service;
-                was
-            };
-            if was_program {
-                g.unfinished -= 1;
-            }
-            g.live -= 1;
+            self.heap.push(HeapEntry { key, rank });
         } else {
-            let left_program = {
-                let s = &mut g.slots[rank];
-                s.clock = cell.clock;
-                matches!(cell.park, ParkKind::Service) && s.mode == Mode::Program
-            };
-            if left_program {
-                g.slots[rank].mode = Mode::Service;
-                g.unfinished -= 1;
-            }
-            let requeue = {
-                let s = &mut g.slots[rank];
-                match cell.park {
-                    // Mail that raced in during the slice (a self-send or
-                    // a protocol echo) wakes the task immediately.
-                    ParkKind::Wait { expiry } => {
-                        if s.mail {
-                            true
-                        } else {
-                            s.state = State::Waiting;
-                            s.expiry = expiry;
-                            false
-                        }
-                    }
-                    ParkKind::Service => {
-                        if s.mail {
-                            true
-                        } else {
-                            s.state = State::Waiting;
-                            s.expiry = f64::INFINITY;
-                            false
-                        }
-                    }
-                }
-            };
-            if requeue {
-                let s = &mut g.slots[rank];
-                s.state = State::Runnable;
-                s.wake = WakeCause::Message;
-                s.key = if s.mail {
-                    s.clock.max(s.mail_min)
-                } else {
-                    s.clock
-                };
-                let key = s.key;
-                g.heap.push(HeapEntry { key, rank });
-            }
-        }
-    }
-}
-
-/// One cell per rank, indexed by the dispatch loop.
-pub(crate) struct CellTable {
-    // Boxed on purpose: each cell's switch back end captures the cell's
-    // address at construction, so it must survive being collected into
-    // (or moved with) the Vec.
-    #[allow(clippy::vec_box)]
-    cells: Vec<Box<TaskCell>>,
-}
-
-impl CellTable {
-    pub(crate) fn new(bodies: Vec<TaskBody>) -> CellTable {
-        CellTable {
-            cells: bodies.into_iter().map(TaskCell::new).collect(),
+            s.state = State::Waiting;
+            s.expiry = expiry;
         }
     }
 
-    pub(crate) fn cell_ptr(&self, rank: usize) -> *mut TaskCell {
-        let b: &TaskCell = &self.cells[rank];
-        b as *const TaskCell as *mut TaskCell
-    }
-
-    /// Panics that escaped task harnesses (bugs), to re-raise.
-    pub(crate) fn take_escaped(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
-        for c in &mut self.cells {
-            if let Some(e) = c.escaped.take() {
-                return Some(e);
-            }
+    /// Record that `rank`'s task body returned.
+    fn finished(&mut self, rank: usize) {
+        let s = &mut self.slots[rank];
+        s.state = State::Done;
+        // Defensive: bodies park Service before finishing, but a panic
+        // escaping the harness could skip that.
+        if s.mode == Mode::Program {
+            s.mode = Mode::Service;
+            self.unfinished -= 1;
         }
-        None
+        self.live -= 1;
     }
 }
 
-/// The dispatch loop, on the thread that called `World::run`: resume the
-/// lowest-keyed runnable task, run its slice, publish its park.  Returns
-/// when every task is done (and, on the baton back end, its thread
-/// joined).
-pub(crate) fn run(sched: &Sched, table: &mut CellTable) {
-    while let Some((rank, wake)) = sched.next_dispatch() {
-        let cell = table.cell_ptr(rank);
+/// The dispatch loop, on the thread that called `World::run`: one task
+/// per body (rank = index), then resume the lowest-keyed runnable task
+/// until every task is done (and, on the baton back end, its thread
+/// joined).  Returns a panic that escaped a task harness, if any.
+pub(crate) fn run(hub: &Hub, bodies: Vec<TaskBody>) -> Option<Box<dyn Any + Send>> {
+    hub.with(|h| {
+        assert_eq!(bodies.len(), h.slots.len(), "one body per rank");
+        for (slot, body) in h.slots.iter_mut().zip(bodies) {
+            slot.cell = TaskCell::new(body);
+        }
+    });
+    while let Some((rank, cell)) = hub.with(|h| h.next_dispatch()) {
         // SAFETY: `rank` was just moved to `Running`, so its task is
         // unfinished and suspended; nothing else touches the cell until
-        // the switch returns.
-        unsafe {
-            (*cell).wake = wake;
+        // the switch returns, and then only this loop does.
+        let finished = unsafe {
             switch_to_task(cell);
-            sched.after_slice(rank, &*cell);
+            (*cell).finished
+        };
+        if finished {
+            hub.with(|h| h.finished(rank));
         }
     }
-    for cell in &mut table.cells {
+    let cells: Vec<*mut TaskCell> = hub.with(|h| {
+        let take = |s: &mut Slot| std::mem::replace(&mut s.cell, std::ptr::null_mut());
+        h.slots.iter_mut().map(take).collect()
+    });
+    let mut escaped = None;
+    for cell in cells {
+        // SAFETY: the cell came from `Box::into_raw` in `TaskCell::new`,
+        // its task has finished, and no slot points at it any more.
+        let mut cell = unsafe { Box::from_raw(cell) };
         match &mut cell.switch {
             #[cfg(target_arch = "x86_64")]
             Switch::Coro(_) => {}
             #[cfg(any(test, not(target_arch = "x86_64")))]
             Switch::Baton(b) => b.join(),
         }
+        escaped = escaped.or(cell.escaped.take());
     }
-}
-
-/// Handle the endpoint holds on its own task + the scheduler: park and
-/// notify entry points used by the communication layer.
-pub(crate) struct CoopHandle {
-    cell: *mut TaskCell,
-    sched: Arc<Sched>,
-}
-
-// SAFETY: the handle travels with its rank's endpoint into that rank's
-// task (a thread of its own on the baton back end) and `cell` is only
-// dereferenced there, while the task holds the turn; `Sched` is `Sync`.
-unsafe impl Send for CoopHandle {}
-
-impl CoopHandle {
-    pub(crate) fn new(cell: *mut TaskCell, sched: Arc<Sched>) -> CoopHandle {
-        CoopHandle { cell, sched }
-    }
-
-    /// Park the current task and return why it was resumed.  Must be
-    /// called from inside the task.
-    pub(crate) fn park(&self, kind: ParkKind, clock: f64) -> WakeCause {
-        // SAFETY: the cell outlives its task, and while the task runs
-        // nothing else touches it (see `TaskCell`).
-        unsafe {
-            (*self.cell).park = kind;
-            (*self.cell).clock = clock;
-            switch_to_host(self.cell);
-            (*self.cell).wake
-        }
-    }
-
-    /// Mark `to` runnable because a message with `arrival` was enqueued.
-    pub(crate) fn notify(&self, to: usize, arrival: f64) {
-        self.sched.notify(to, arrival);
-    }
-}
-
-impl std::fmt::Debug for CoopHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CoopHandle")
-    }
+    escaped
 }
 
 #[cfg(test)]
@@ -877,6 +905,9 @@ pub(crate) fn with_baton<R>(f: impl FnOnce() -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Body;
+    use crate::tag::Tag;
+    use std::sync::{Arc, Mutex};
 
     /// Run `test` once per switch back end this target compiles (off
     /// x86_64 both passes use the baton).
@@ -885,8 +916,28 @@ mod tests {
         with_baton(test);
     }
 
-    fn run_bodies(sched: &Sched, bodies: Vec<TaskBody>) {
-        run(sched, &mut CellTable::new(bodies));
+    fn hub(size: usize) -> Arc<Hub> {
+        Arc::new(Hub::new(size, Topology::Crossbar))
+    }
+
+    fn run_bodies(hub: &Hub, bodies: Vec<TaskBody>) {
+        if let Some(e) = run(hub, bodies) {
+            std::panic::resume_unwind(e);
+        }
+    }
+
+    fn data(src: Rank, byte: u8, arrival: f64) -> Message {
+        Message {
+            src,
+            tag: Tag::user(0),
+            body: Body::Data(vec![byte]),
+            arrival,
+        }
+    }
+
+    /// Keep parking in service mode until the world completes.
+    fn serve(hub: &Hub, rank: Rank, clock: f64) {
+        while hub.park(rank, ParkKind::Service, clock) != WakeCause::Shutdown {}
     }
 
     /// The override really selects the baton — its task bodies run on a
@@ -896,10 +947,10 @@ mod tests {
         let task_thread = || {
             let seen = Arc::new(Mutex::new(None));
             let seen2 = seen.clone();
-            let body: TaskBody = Box::new(move |_cell| {
+            let body: TaskBody = Box::new(move || {
                 *seen2.lock().unwrap() = Some(std::thread::current().id());
             });
-            run_bodies(&Sched::new(1), vec![body]);
+            run_bodies(&hub(1), vec![body]);
             let id = seen.lock().unwrap().expect("body ran");
             id
         };
@@ -913,58 +964,47 @@ mod tests {
     #[test]
     fn coroutine_switches_and_finishes() {
         on_each_back_end(|| {
-            let sched = Arc::new(Sched::new(1));
+            let hub = hub(1);
             let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-            let log2 = log.clone();
-            let sched2 = sched.clone();
-            let body: TaskBody = Box::new(move |cell| {
-                let h = CoopHandle::new(cell, sched2.clone());
+            let (log2, hub2) = (log.clone(), hub.clone());
+            let body: TaskBody = Box::new(move || {
                 log2.lock().unwrap().push("first");
-                let w = h.park(ParkKind::Wait { expiry: 1.0 }, 1.0);
+                let w = hub2.park(0, ParkKind::Wait { expiry: 1.0 }, 1.0);
                 assert_eq!(w, WakeCause::Silence);
                 log2.lock().unwrap().push("second");
             });
-            run_bodies(&sched, vec![body]);
+            run_bodies(&hub, vec![body]);
             assert_eq!(*log.lock().unwrap(), vec!["first", "second"]);
         });
     }
 
-    /// Two tasks ping-ponging runnability purely through notify: the
+    /// Two tasks ping-ponging runnability purely through posts: the
     /// scheduler picks the lowest (clock, rank) key every time.
     #[test]
     fn lowest_key_runs_first() {
         on_each_back_end(|| {
-            let sched = Arc::new(Sched::new(2));
+            let hub = hub(2);
             let order: Arc<Mutex<Vec<(usize, u32)>>> = Arc::new(Mutex::new(Vec::new()));
             let mut bodies: Vec<TaskBody> = Vec::new();
             for rank in 0..2usize {
-                let order = order.clone();
-                let sched = sched.clone();
-                bodies.push(Box::new(move |cell| {
-                    let h = CoopHandle::new(cell, sched.clone());
+                let (order, hub) = (order.clone(), hub.clone());
+                bodies.push(Box::new(move || {
                     for round in 0..3u32 {
                         order.lock().unwrap().push((rank, round));
                         // Wake the peer "now" and wait for it to wake us.
-                        h.notify(1 - rank, (round + 1) as f64);
+                        let now = (round + 1) as f64;
+                        hub.post(1 - rank, data(rank, 0, now));
                         if round < 2 {
-                            let w = h.park(
-                                ParkKind::Wait {
-                                    expiry: f64::INFINITY,
-                                },
-                                (round + 1) as f64,
-                            );
-                            assert_eq!(w, WakeCause::Message);
+                            let forever = ParkKind::Wait {
+                                expiry: f64::INFINITY,
+                            };
+                            assert_eq!(hub.park(rank, forever, now), WakeCause::Message);
                         }
                     }
-                    // Completion protocol: park in service mode once.
-                    loop {
-                        if h.park(ParkKind::Service, 3.0) == WakeCause::Shutdown {
-                            break;
-                        }
-                    }
+                    serve(&hub, rank, 3.0);
                 }));
             }
-            run_bodies(&sched, bodies);
+            run_bodies(&hub, bodies);
             let got = order.lock().unwrap().clone();
             // Rank 0 starts (tie on key 0 broken by rank), and rounds
             // alternate deterministically.
@@ -977,21 +1017,17 @@ mod tests {
     #[test]
     fn deadlock_becomes_shutdown() {
         on_each_back_end(|| {
-            let sched = Arc::new(Sched::new(1));
-            let sched2 = sched.clone();
+            let hub = hub(1);
+            let hub2 = hub.clone();
             let saw: Arc<Mutex<Option<WakeCause>>> = Arc::new(Mutex::new(None));
             let saw2 = saw.clone();
-            let body: TaskBody = Box::new(move |cell| {
-                let h = CoopHandle::new(cell, sched2.clone());
-                let w = h.park(
-                    ParkKind::Wait {
-                        expiry: f64::INFINITY,
-                    },
-                    0.0,
-                );
-                *saw2.lock().unwrap() = Some(w);
+            let body: TaskBody = Box::new(move || {
+                let forever = ParkKind::Wait {
+                    expiry: f64::INFINITY,
+                };
+                *saw2.lock().unwrap() = Some(hub2.park(0, forever, 0.0));
             });
-            run_bodies(&sched, vec![body]);
+            run_bodies(&hub, vec![body]);
             assert_eq!(*saw.lock().unwrap(), Some(WakeCause::Shutdown));
         });
     }
@@ -1001,22 +1037,20 @@ mod tests {
     #[test]
     fn silence_wakes_lowest_clock_first() {
         on_each_back_end(|| {
-            let sched = Arc::new(Sched::new(2));
+            let hub = hub(2);
             let order: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
             let mut bodies: Vec<TaskBody> = Vec::new();
             for rank in 0..2usize {
-                let order = order.clone();
-                let sched = sched.clone();
-                bodies.push(Box::new(move |cell| {
-                    let h = CoopHandle::new(cell, sched.clone());
+                let (order, hub) = (order.clone(), hub.clone());
+                bodies.push(Box::new(move || {
                     // Rank 1 parks at a lower clock than rank 0.
                     let clock = if rank == 0 { 5.0 } else { 2.0 };
-                    let w = h.park(ParkKind::Wait { expiry: clock }, clock);
+                    let w = hub.park(rank, ParkKind::Wait { expiry: clock }, clock);
                     assert_eq!(w, WakeCause::Silence);
                     order.lock().unwrap().push(rank);
                 }));
             }
-            run_bodies(&sched, bodies);
+            run_bodies(&hub, bodies);
             assert_eq!(*order.lock().unwrap(), vec![1, 0]);
         });
     }
@@ -1034,14 +1068,130 @@ mod tests {
             }
         }
         on_each_back_end(|| {
-            let sched = Arc::new(Sched::new(1));
             let out: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
             let out2 = out.clone();
-            let body: TaskBody = Box::new(move |_cell| {
+            let body: TaskBody = Box::new(move || {
                 *out2.lock().unwrap() = burn(2000, 0);
             });
-            run_bodies(&sched, vec![body]);
+            run_bodies(&hub(1), vec![body]);
             assert!(*out.lock().unwrap() > 0);
         });
+    }
+
+    /// One mailbox is one FIFO: each sender's messages come out in the
+    /// order it posted them, and data a sender posted before it died
+    /// comes out before its poison.
+    #[test]
+    fn mailbox_is_fifo_and_poison_follows_the_dead_senders_data() {
+        on_each_back_end(|| {
+            let hub = hub(3);
+            let got = Arc::new(Mutex::new(Vec::<(Rank, Option<u8>)>::new()));
+            let mut bodies: Vec<TaskBody> = Vec::new();
+            for rank in 0..3usize {
+                let (got, hub) = (got.clone(), hub.clone());
+                bodies.push(Box::new(move || {
+                    if rank == 0 {
+                        // Parks at clock 0; senders run (key 0) before the
+                        // first arrival (key 1.0) wakes it.
+                        let forever = ParkKind::Wait {
+                            expiry: f64::INFINITY,
+                        };
+                        assert_eq!(hub.park(0, forever, 0.0), WakeCause::Message);
+                        while let Some(m) = hub.pop(0) {
+                            let byte = match m.body {
+                                Body::Data(d) => Some(d[0]),
+                                Body::Poison(_) => None,
+                                Body::Dropped { .. } => unreachable!(),
+                            };
+                            got.lock().unwrap().push((m.src, byte));
+                        }
+                    } else {
+                        for i in 0..4u8 {
+                            hub.post(0, data(rank, i, 1.0 + i as f64));
+                        }
+                        if rank == 1 {
+                            // Rank 1 "dies": its poison is stamped earlier
+                            // than its data yet must not overtake it.
+                            hub.post(
+                                0,
+                                Message {
+                                    src: 1,
+                                    tag: Tag::new(Tag::CONTROL_CTX, 0),
+                                    body: Body::Poison("dead".into()),
+                                    arrival: 0.5,
+                                },
+                            );
+                        }
+                    }
+                    serve(&hub, rank, 9.0);
+                }));
+            }
+            run_bodies(&hub, bodies);
+            let got = got.lock().unwrap().clone();
+            let from = |src| -> Vec<Option<u8>> {
+                let of_src = got.iter().filter(|(s, _)| *s == src);
+                of_src.map(|(_, b)| *b).collect()
+            };
+            assert_eq!(from(1), vec![Some(0), Some(1), Some(2), Some(3), None]);
+            assert_eq!(from(2), vec![Some(0), Some(1), Some(2), Some(3)]);
+            assert_eq!(got.len(), 9);
+        });
+    }
+
+    /// A drained mailbox hands its buffer back: a burst must not pin its
+    /// high-water mark for the life of the world.
+    #[test]
+    fn drained_mailbox_holds_no_buffer() {
+        on_each_back_end(|| {
+            let hub = hub(2);
+            let capacity = |hub: &Hub| hub.with(|h| h.slots[0].mailbox.capacity());
+            assert_eq!(capacity(&hub), 0, "mailboxes start unallocated");
+            let hub2 = hub.clone();
+            let sender: TaskBody = Box::new(move || {
+                for i in 0..1000u32 {
+                    hub2.post(0, data(1, i as u8, 1.0));
+                }
+                assert!(capacity(&hub2) >= 1000);
+                serve(&hub2, 1, 1.0);
+            });
+            let hub2 = hub.clone();
+            let receiver: TaskBody = Box::new(move || {
+                let forever = ParkKind::Wait {
+                    expiry: f64::INFINITY,
+                };
+                assert_eq!(hub2.park(0, forever, 0.0), WakeCause::Message);
+                let mut n = 0;
+                while let Some(m) = hub2.pop(0) {
+                    assert_eq!(m.len(), 1);
+                    n += 1;
+                }
+                assert_eq!(n, 1000);
+                assert_eq!(capacity(&hub2), 0, "the emptying pop releases the buffer");
+                serve(&hub2, 0, 1.0);
+            });
+            run_bodies(&hub, vec![receiver, sender]);
+            assert_eq!(capacity(&hub), 0);
+        });
+    }
+
+    /// Debug builds carry a borrow flag in the accessor: a hub access from
+    /// inside a hub access panics instead of aliasing `&mut Inner`.  The
+    /// coroutine pass is caught here; the baton pass is the one the test
+    /// harness sees.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "re-entrant hub access")]
+    fn reentrant_hub_access_is_caught() {
+        let reenter = || {
+            let hub = hub(1);
+            let hub2 = hub.clone();
+            let body: TaskBody = Box::new(move || {
+                hub2.with(|_| hub2.contended_secs());
+            });
+            run_bodies(&hub, vec![body]);
+        };
+        let native = std::panic::catch_unwind(reenter);
+        assert!(native.is_err(), "the coroutine back end must catch it too");
+        with_baton(reenter);
     }
 }

@@ -18,12 +18,10 @@
 //!   zero-cost-when-disabled guard for the executor hot path;
 //! * the **flight recorder**: a bounded ring of the last
 //!   [`FLIGHT_RING_CAP`] events, always on.  Its per-event cost is one
-//!   bounded `VecDeque` push — noise next to any modeled message — and it
+//!   in-place overwrite — noise next to any modeled message — and it
 //!   is what turns an abort (`StaleSchedule`, `ScheduleMismatch`,
 //!   `PeerTimeout`, …) into a post-mortem instead of a bare error code
 //!   (see `meta_chaos::obs`).
-
-use std::collections::VecDeque;
 
 use crate::trace::TraceEvent;
 
@@ -104,14 +102,18 @@ impl std::fmt::Display for Phase {
 /// post-mortem memory O(P · small constant).
 #[derive(Debug)]
 pub struct FlightRing {
-    ring: VecDeque<TraceEvent>,
+    /// Grows to `cap` events, then is overwritten in place.
+    ring: Vec<TraceEvent>,
+    /// Index of the oldest event; non-zero only once the ring is full.
+    head: usize,
     cap: usize,
 }
 
 impl Default for FlightRing {
     fn default() -> Self {
         FlightRing {
-            ring: VecDeque::new(),
+            ring: Vec::new(),
+            head: 0,
             cap: FLIGHT_RING_CAP,
         }
     }
@@ -122,9 +124,10 @@ impl FlightRing {
     /// oldest-first.
     pub fn set_cap(&mut self, cap: usize) {
         assert!(cap > 0, "flight recorder needs at least one slot");
-        while self.ring.len() > cap {
-            self.ring.pop_front();
-        }
+        self.ring.rotate_left(self.head);
+        self.head = 0;
+        let overflow = self.ring.len().saturating_sub(cap);
+        self.ring.drain(..overflow);
         self.cap = cap;
     }
 
@@ -135,19 +138,25 @@ impl FlightRing {
 
     /// Record one event, evicting the oldest when full.
     pub fn push(&mut self, ev: TraceEvent) {
-        if self.ring.capacity() == 0 {
-            // Lazy, exact-size allocation on first use.
-            self.ring.reserve_exact(self.cap);
+        if self.ring.len() < self.cap {
+            if self.ring.capacity() == 0 {
+                // Lazy, exact-size allocation on first use.
+                self.ring.reserve_exact(self.cap);
+            }
+            self.ring.push(ev);
+        } else {
+            self.ring[self.head] = ev;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
         }
-        if self.ring.len() >= self.cap {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(ev);
     }
 
     /// Events currently retained, oldest first (non-destructive).
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.ring.iter().cloned().collect()
+        let (newer, older) = self.ring.split_at(self.head);
+        older.iter().chain(newer).cloned().collect()
     }
 
     /// Number of retained events.
@@ -284,6 +293,25 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap[0].at(), 10.0);
         assert_eq!(snap.last().unwrap().at(), (FLIGHT_RING_CAP + 9) as f64);
+    }
+
+    #[test]
+    fn set_cap_evicts_oldest_from_a_wrapped_ring() {
+        let mark = |at: f64| TraceEvent::Mark {
+            at,
+            label: String::new(),
+        };
+        let mut r = FlightRing::default();
+        for i in 0..(FLIGHT_RING_CAP + 10) {
+            r.push(mark(i as f64));
+        }
+        r.set_cap(4);
+        let ats: Vec<f64> = r.snapshot().iter().map(|e| e.at()).collect();
+        let last = (FLIGHT_RING_CAP + 9) as f64;
+        assert_eq!(ats, vec![last - 3.0, last - 2.0, last - 1.0, last]);
+        r.push(mark(last + 1.0));
+        let ats: Vec<f64> = r.snapshot().iter().map(|e| e.at()).collect();
+        assert_eq!(ats, vec![last - 2.0, last - 1.0, last, last + 1.0]);
     }
 
     #[test]

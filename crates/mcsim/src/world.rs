@@ -5,20 +5,24 @@
 //! [`World::run`].  There is one runner and nothing to select: the same
 //! `(virtual_time, rank)` total order — and therefore the same results,
 //! clocks, stats and traces — on every target.
+//!
+//! A run builds, in this order, the world's `crate::sched::Hub` (the
+//! shared state: mailboxes, scheduler, link state), one [`Endpoint`] per
+//! rank on it, one task body per endpoint, and hands the bodies to
+//! `crate::sched::run`, which makes the tasks and dispatches them to
+//! completion; the contended link seconds are read back from the hub.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::endpoint::Endpoint;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
-use crate::message::Message;
 use crate::metrics::MetricsRegistry;
-use crate::model::{MachineModel, NetState, Topology};
+use crate::model::{MachineModel, Topology};
 use crate::recovery::{CkptStore, RecoveryConfig};
 use crate::reliable::ReliableConfig;
-use crate::sched::{CellTable, CoopHandle, Sched, TaskBody, TaskCell, WakeCause};
+use crate::sched::{Hub, TaskBody, WakeCause};
 use crate::stats::{NetStats, StatsSnapshot};
 use crate::trace::TraceEvent;
 
@@ -244,19 +248,14 @@ impl World {
         &self.ckpt
     }
 
-    /// Wire up one endpoint per rank (channels, model, faults, tracing).
-    fn build_endpoints(&self) -> (Vec<Endpoint>, Option<Arc<Mutex<NetState>>>) {
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..self.size).map(|_| channel::<Message>()).unzip();
-        let txs = Arc::new(txs);
-        let mut endpoints: Vec<Endpoint> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(rank, rx)| {
-                Endpoint::new(
+    /// One endpoint per rank on `hub` (model, faults, tracing).
+    fn build_endpoints(&self, hub: &Arc<Hub>) -> Vec<Endpoint> {
+        (0..self.size)
+            .map(|rank| {
+                let mut ep = Endpoint::new(
                     rank,
                     self.size,
-                    txs.clone(),
-                    rx,
+                    hub.clone(),
                     self.model,
                     self.faults.as_ref(),
                     self.rel_cfg,
@@ -264,25 +263,13 @@ impl World {
                     self.recovery,
                     self.supervisor,
                     self.ckpt.clone(),
-                )
+                );
+                if self.trace {
+                    ep.enable_trace();
+                }
+                ep
             })
-            .collect();
-        drop(txs);
-        if self.trace {
-            for ep in &mut endpoints {
-                ep.enable_trace();
-            }
-        }
-        let net = if self.topology != Topology::Crossbar {
-            let net = Arc::new(Mutex::new(NetState::new(self.topology)));
-            for ep in &mut endpoints {
-                ep.set_network(net.clone());
-            }
-            Some(net)
-        } else {
-            None
-        };
-        (endpoints, net)
+            .collect()
     }
 
     /// Run the closure everywhere — every rank a task, resumed by the
@@ -296,8 +283,8 @@ impl World {
         F: Fn(&mut Endpoint) -> R + Send + Sync,
         R: Send,
     {
-        let (mut endpoints, net) = self.build_endpoints();
-        let sched = Arc::new(Sched::new(self.size));
+        let hub = Arc::new(Hub::new(self.size, self.topology));
+        let mut endpoints = self.build_endpoints(&hub);
         let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..self.size).map(|_| None).collect();
 
         // Raw pointers into `endpoints` / `outcomes`: each task body is
@@ -314,12 +301,13 @@ impl World {
         for rank in 0..self.size {
             let ep_ptr = SendPtr(&mut endpoints[rank] as *mut Endpoint);
             let out_ptr = SendPtr(&mut outcomes[rank] as *mut Option<RankOutcome<R>>);
-            let sched = sched.clone();
-            let body = Box::new(move |cell: *mut TaskCell| {
+            let body = Box::new(move || {
                 let ep_ptr = ep_ptr;
                 let out_ptr = out_ptr;
+                // SAFETY: this body is the only user of `endpoints[rank]`
+                // until `sched::run` returns, and the Vec is not touched
+                // (let alone resized) before then.
                 let ep: &mut Endpoint = unsafe { &mut *ep_ptr.0 };
-                ep.set_coop(CoopHandle::new(cell, sched));
                 // Supervisor loop: a scripted crash under a restart
                 // budget respawns the closure on this same task — the
                 // endpoint (reset for recovery) keeps serving peers and
@@ -344,6 +332,8 @@ impl World {
                 let clock = ep.clock();
                 let stats = ep.stats_snapshot();
                 let trace = ep.take_trace();
+                // SAFETY: as for `ep_ptr` — `outcomes[rank]` is this
+                // body's alone until `sched::run` returns.
                 unsafe {
                     *out_ptr.0 = Some(match result {
                         Ok(r) => RankOutcome::Done(r, clock, stats, trace),
@@ -366,18 +356,17 @@ impl World {
                     }
                 }
             });
-            // Erase the scope lifetime: `sched::run` below returns only
-            // once every task ran to completion, so the borrows inside
-            // cannot outlive their owners.
-            let body: Box<dyn FnOnce(*mut TaskCell) + Send> = body;
+            let body: Box<dyn FnOnce() + Send> = body;
+            // SAFETY: only the scope lifetime is erased (same layout), and
+            // `sched::run` below returns only once every task ran to
+            // completion, so the borrows inside cannot outlive their
+            // owners.
             bodies.push(unsafe {
-                std::mem::transmute::<Box<dyn FnOnce(*mut TaskCell) + Send + '_>, TaskBody>(body)
+                std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, TaskBody>(body)
             });
         }
 
-        let mut table = CellTable::new(bodies);
-        crate::sched::run(&sched, &mut table);
-        if let Some(e) = table.take_escaped() {
+        if let Some(e) = crate::sched::run(&hub, bodies) {
             // A panic escaped a task harness (bug in the runner itself):
             // re-raise rather than lose it.
             resume_unwind(e);
@@ -387,8 +376,7 @@ impl World {
             .into_iter()
             .map(|o| o.expect("every task wrote its outcome"))
             .collect();
-        let contended = net.map_or(0.0, |n| n.lock().unwrap().queued);
-        (outcomes, contended)
+        (outcomes, hub.contended_secs())
     }
 
     /// Run `f` on every rank and collect the results.
@@ -582,9 +570,9 @@ mod tests {
     }
 
     /// Run `f` on `world` once per switch back end and require the two
-    /// runs to be the same execution: outcomes, clocks, stats and the
-    /// *full* traces (reliable-control events included).  Returns the
-    /// native run for scenario-specific checks.
+    /// runs to be the same execution: outcomes, clocks, stats, contended
+    /// link seconds and the *full* traces (reliable-control events
+    /// included).  Returns the native run for scenario-specific checks.
     fn assert_back_ends_agree<R, F>(world: &World, f: F) -> RunReport<R>
     where
         F: Fn(&mut Endpoint) -> R + Send + Sync,
@@ -595,6 +583,7 @@ mod tests {
         assert_eq!(native.outcomes, baton.outcomes, "outcomes");
         assert_eq!(native.clocks, baton.clocks, "clocks");
         assert_eq!(native.stats, baton.stats, "stats");
+        assert_eq!(native.contended_secs, baton.contended_secs, "contended");
         assert_eq!(native.traces, baton.traces, "traces");
         native
     }
@@ -684,5 +673,27 @@ mod tests {
             rep.outcomes,
             vec![Ok(Err(SimError::Shutdown)), Ok(Err(SimError::Shutdown))]
         );
+    }
+
+    /// All-to-one on a 4×4 torus: every send charges the shared link
+    /// state, which has no lock of its own — the scheduler's total order
+    /// is what makes it the same on both back ends.
+    #[test]
+    fn back_ends_agree_on_torus_incast() {
+        let world = World::with_model(16, MachineModel::sp2())
+            .with_topology(Topology::Torus2D { cols: 4, rows: 4 })
+            .with_trace();
+        let rep = assert_back_ends_agree(&world, |ep| {
+            let t = Tag::user(3);
+            if ep.rank() == 0 {
+                for src in 1..ep.world_size() {
+                    assert_eq!(ep.recv(src, t).len(), 4096);
+                }
+            } else {
+                ep.send(0, t, vec![0xA5; 4096]);
+            }
+            ep.clock()
+        });
+        assert!(rep.contended_secs > 0.0, "a 15-to-1 incast must queue");
     }
 }

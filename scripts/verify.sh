@@ -71,7 +71,9 @@ repro gate executor BENCH_executor.json "$tmp/executor.json"
 # Scaling gate: the P=256 leg of the scaling curve (inspector build,
 # coupled transfer settle, HPF redistribution) held to the committed
 # BENCH_scaling.json.  The compared times are *simulated* milliseconds —
-# deterministic, so a clean tree reproduces the baseline exactly.
+# deterministic, so a clean tree reproduces the baseline exactly — plus
+# one generous (2x) hold on the inspector's host wall, which is there to
+# notice the per-message host path growing a lock or a channel back.
 echo "== scaling gate (P=256) =="
 repro scaling --procs 256 --out "$tmp/scaling.json"
 repro gate scaling BENCH_scaling.json "$tmp/scaling.json"
