@@ -42,12 +42,6 @@ fn sync(ep: &mut Endpoint, g: &Group) -> f64 {
 /// One client/server run's breakdown (the stacked bars of Figs. 10–14).
 #[derive(Debug, Clone, Copy)]
 pub struct CsBreakdown {
-    /// Client processes.
-    pub pclient: usize,
-    /// Server processes.
-    pub pserver: usize,
-    /// Vectors multiplied.
-    pub nvec: usize,
     /// "compute schedule": both schedules, ms.
     pub sched_ms: f64,
     /// "send matrix": one-time matrix transfer, ms.
@@ -183,9 +177,6 @@ pub fn client_server(pclient: usize, pserver: usize, n: usize, nvec: usize) -> C
     // the client); the checksum is the client's global result sum.
     let r = out.results[0];
     CsBreakdown {
-        pclient,
-        pserver,
-        nvec,
         sched_ms: ms(r.0),
         matrix_ms: ms(r.1),
         server_ms: ms(r.2),

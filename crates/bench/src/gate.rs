@@ -2,7 +2,10 @@
 //! of `(suite, key path, rule)` that `repro gate` applies to a baseline
 //! report and a fresh one, both read through the workspace JSON codec.
 //! A key missing from either report fails its gate — a renamed metric
-//! must not silently stop being held.
+//! must not silently stop being held.  [`Rule::Exact`] holds a whole
+//! subtree, leaf by leaf, and names every leaf that moved.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use mcsim::json::Value;
 
@@ -15,6 +18,9 @@ pub enum Rule {
     AtLeast(f64),
     /// Higher is better, against an absolute floor (no baseline needed).
     Floor(f64),
+    /// The subtree at the key path is identical, every key present on
+    /// both sides and every leaf equal (numbers bit for bit).
+    Exact,
 }
 
 /// Every gate: the suite it belongs to (`repro gate <suite>`), the key
@@ -24,7 +30,11 @@ pub enum Rule {
 /// the collectives, the inspector or what an adapter charges.  The P=256
 /// inspector *wall* (one sample of a 260 k-message world, ±30 % run to
 /// run) gets a generous 2×: it is there to catch the per-message host
-/// path growing back a lock or a channel, not to hold a percentage.
+/// path growing back a lock or a channel, not to hold a percentage.  The
+/// paper's cells are virtual time too, so they are held exactly: any
+/// drift in the model, the collectives, the inspector or an adapter's
+/// charges fails and is named by its cell key.  Only the paper sweep's
+/// total host wall is held: each section's is 0.1–0.3 s, too short to hold.
 pub const GATES: &[(&str, &[&str], Rule)] = &[
     (
         "executor",
@@ -46,6 +56,8 @@ pub const GATES: &[(&str, &[&str], Rule)] = &[
     ("scaling", &["p256_transfer_virtual_ms"], Rule::AtMost(1.25)),
     ("scaling", &["p256_redist_virtual_ms"], Rule::AtMost(1.25)),
     ("scaling", &["p256_inspector_wall_ms"], Rule::AtMost(2.0)),
+    ("paper", &["cells"], Rule::Exact),
+    ("paper", &["wall_ms", "total"], Rule::AtMost(1.25)),
 ];
 
 /// What [`check`] found.
@@ -57,11 +69,46 @@ pub struct Outcome {
     pub passed: bool,
 }
 
+fn subtree<'a>(report: &'a Value, path: &[&str]) -> Option<&'a Value> {
+    path.iter().try_fold(report, |v, key| v.get(key))
+}
+
 fn lookup(report: &Value, path: &[&str]) -> Option<f64> {
-    path.iter()
-        .try_fold(report, |v, key| v.get(key))?
-        .as_f64()
-        .filter(|x| x.is_finite())
+    subtree(report, path)?.as_f64().filter(|x| x.is_finite())
+}
+
+/// Every leaf under `v` as its JSON text, which tells any two distinct
+/// numbers apart, keyed by its dotted path.
+fn leaves(path: String, v: &Value, out: &mut BTreeMap<String, String>) {
+    if let Value::Obj(m) = v {
+        for (k, v) in m {
+            leaves(format!("{path}.{k}"), v, out);
+        }
+    } else {
+        out.insert(path, v.to_json());
+    }
+}
+
+/// [`Rule::Exact`]: the verdict and summary, plus one line per leaf that
+/// differs or is missing on one side.
+fn exact(name: &str, base: Option<&Value>, cur: Option<&Value>) -> (bool, String, Vec<String>) {
+    let flat = |v: Option<&Value>| {
+        let mut m = BTreeMap::new();
+        if let Some(v) = v {
+            leaves(name.to_string(), v, &mut m);
+        }
+        m
+    };
+    let (base, cur) = (flat(base), flat(cur));
+    let keys: BTreeSet<&String> = base.keys().chain(cur.keys()).collect();
+    let text =
+        |m: &BTreeMap<String, String>, k: &str| m.get(k).cloned().unwrap_or("missing".into());
+    let diffs: Vec<String> = (keys.iter())
+        .filter(|k| base.get(**k) != cur.get(**k))
+        .map(|k| format!("{k}: {} -> {}  FAILED", text(&base, k), text(&cur, k)))
+        .collect();
+    let summary = format!("{} of {} values differ (exact)", diffs.len(), keys.len());
+    (!base.is_empty() && diffs.is_empty(), summary, diffs)
 }
 
 /// Hold `fresh` to `baseline` under every gate of `suite`.
@@ -77,7 +124,13 @@ pub fn check(suite: &str, baseline: &Value, fresh: &Value) -> Outcome {
     for (_, path, rule) in gates {
         let name = path.join(".");
         let (base, cur) = (lookup(baseline, path), lookup(fresh, path));
+        let mut diffs = Vec::new();
         let (held, line) = match (rule, base, cur) {
+            (Rule::Exact, ..) => {
+                let (held, line, d) = exact(&name, subtree(baseline, path), subtree(fresh, path));
+                diffs = d;
+                (held, line)
+            }
             (Rule::Floor(floor), _, Some(cur)) => {
                 (cur >= *floor, format!("{cur:.3} (floor {floor:.3})"))
             }
@@ -96,6 +149,7 @@ pub fn check(suite: &str, baseline: &Value, fresh: &Value) -> Outcome {
             "{name}: {line}{}",
             if held { "" } else { "  FAILED" }
         ));
+        out.lines.extend(diffs);
     }
     out
 }
@@ -174,5 +228,61 @@ mod tests {
         assert!(!check("executor", &base, &report(20000.0, 330000.0, 5000.0, 5.2)).passed);
         // The window floor is absolute: the baseline's value is irrelevant.
         assert!(!check("executor", &base, &report(20000.0, 260000.0, 5000.0, 3.99)).passed);
+    }
+
+    /// A paper report through the codec, as `repro gate` reads it: one
+    /// cell per `(key, ours, paper)`.
+    fn paper(cells: Vec<(&str, Value, Value)>) -> Value {
+        let cell = |(key, ours, paper)| (key, obj(vec![("ours", ours), ("paper", paper)]));
+        let cells = obj(cells.into_iter().map(cell).collect());
+        let wall = obj(vec![("total", Value::Num(1800.0))]);
+        parse(&obj(vec![("cells", cells), ("wall_ms", wall)]).to_json()).unwrap()
+    }
+
+    #[test]
+    fn exact_rule_holds_identical_cells_and_names_every_drift() {
+        let x = 534.0312_f64;
+        let never = || Value::Str("never".into());
+        let cells = |inspector: f64, breaks_even: Value, paper: Value| {
+            vec![
+                (
+                    "table1.p2.inspector",
+                    Value::Num(inspector),
+                    Value::Num(1533.0),
+                ),
+                ("fig15.c2.s2", breaks_even, paper),
+            ]
+        };
+        let base = paper(cells(x, never(), Value::Null));
+        let o = check("paper", &base, &base);
+        assert!(o.passed, "{o:?}");
+        assert_eq!(o.lines[0], "cells: 0 of 4 values differ (exact)");
+        let one_ulp = f64::from_bits(x.to_bits() + 1);
+        let mut added = cells(x, never(), Value::Null);
+        added.push(("table1.p4.inspector", Value::Num(377.0), Value::Num(1340.0)));
+        let missing = cells(x, never(), Value::Null)[..1].to_vec();
+        for (fresh, named) in [
+            (
+                cells(one_ulp, never(), Value::Null),
+                "cells.table1.p2.inspector.ours: 534.0312 -> 534.03",
+            ),
+            (
+                cells(x, Value::Int(7), Value::Null),
+                "cells.fig15.c2.s2.ours: \"never\" -> 7",
+            ),
+            (
+                cells(x, never(), Value::Num(2.0)),
+                "cells.fig15.c2.s2.paper: null -> 2.0",
+            ),
+            (added, "cells.table1.p4.inspector.ours: missing -> 377.0"),
+            (missing, "cells.fig15.c2.s2.ours: \"never\" -> missing"),
+        ] {
+            let o = check("paper", &base, &paper(fresh));
+            let failed: Vec<_> = o.lines.iter().filter(|l| l.ends_with("FAILED")).collect();
+            assert!(
+                !o.passed && failed.iter().any(|l| l.starts_with(named)),
+                "{failed:?}"
+            );
+        }
     }
 }

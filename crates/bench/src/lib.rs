@@ -1,9 +1,11 @@
 //! # bench — the reproduction harness
 //!
 //! One module per experiment family of the paper; each returns structured
-//! results in *simulated milliseconds* so the bench binaries can print the
-//! paper's tables/series and the workspace shape-check tests can assert
-//! the qualitative claims (orderings, ratios, crossovers).
+//! results in *simulated milliseconds*.  [`paper`] runs them all at the
+//! paper's sizes into `BENCH_paper.json` (`repro paper`, held exactly by
+//! `repro gate paper`) and renders EXPERIMENTS.md's tables from that
+//! file; the workspace shape-check tests run them at reduced sizes and
+//! read the committed file for the full-size claims.
 //!
 //! | Paper artifact | Runner |
 //! |---|---|
@@ -13,15 +15,16 @@
 //! | Table 5 — regular↔regular, Parti vs Meta-Chaos     | [`regular::table5`] |
 //! | Figures 10–15 — client/server matrix–vector server | [`clientserver`] |
 //!
-//! Workload sizes default to the paper's (256×256 mesh, 65 536-point
-//! irregular mesh, 1000×1000 arrays, 512×512 matrix); the runners take
-//! explicit sizes so tests can use smaller instances.
+//! The runners take explicit sizes so tests can use smaller instances;
+//! the paper's (256×256 mesh, 65 536-point irregular mesh, 1000×1000
+//! arrays, 512×512 matrix) live in [`paper`].
 
 pub mod attr;
 pub mod clientserver;
 pub mod executor;
 pub mod gate;
 pub mod meshes;
+pub mod paper;
 pub mod regular;
 pub mod report;
 pub mod scaling;

@@ -1,22 +1,20 @@
-//! `repro` — run any of the paper's experiments by name.
+//! `repro` — the reproduction's one command line.
 //!
 //! ```text
 //! repro list
-//! repro table2 [--procs 8] [--side 128]
-//! repro fig10  [--client 1] [--servers 8] [--n 512] [--vectors 1]
-//! repro all
+//! repro paper [--out BENCH_paper.json]
+//! repro gate paper BENCH_paper.json FRESH
 //! ```
 //!
-//! The bench targets (`cargo bench -p bench`) print the full paper-sized
-//! tables; this binary is for quick, parameterized runs.
+//! `repro paper` computes every table and figure of the paper at full
+//! size and prints the markdown tables EXPERIMENTS.md carries; the other
+//! experiments measure the reproduction itself (executor, scaling,
+//! traces).
 
 use std::env;
 
 use bench::attr::{diff, Attribution};
-use bench::clientserver::{break_even, client_server};
 use bench::executor::{executor_micro, recovery_settle_micro, wire_throughput_micro};
-use bench::meshes::{table1, table2, table34};
-use bench::regular::table5;
 use bench::report::{fmt_ms, num, write_report};
 use bench::scaling::{scaling_point, sublinear};
 use bench::traced::{traced_coupled_run, traced_coupled_run_scaled};
@@ -54,12 +52,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment> [options]\n\
          experiments:\n\
-           table1   [--procs P] [--side S]            intra-mesh inspector/executor\n\
-           table2   [--procs P] [--side S]            Chaos vs Meta-Chaos remap\n\
-           table34  [--preg P] [--pirreg Q] [--side S] two-program build/copy\n\
-           table5   [--procs P] [--side S]            Parti vs Meta-Chaos\n\
-           fig10    [--client C] [--servers S] [--n N] [--vectors V]\n\
-           fig15    [--client C] [--servers S] [--n N]\n\
+           paper    [--out FILE]                       every table, figure and\n\
+                    ablation of the paper at full size, three sweeps (exit 1\n\
+                    unless identical); prints EXPERIMENTS.md's tables and\n\
+                    writes BENCH_paper.json (or FILE)\n\
            micro    [--elements N] [--procs P] [--reps R] [--out FILE]\n\
                     executor, inspector and transport wall micros;\n\
                     writes BENCH_executor.json (or FILE)\n\
@@ -77,10 +73,9 @@ fn usage() -> ! {
                     scaling curve: inspector build, coupled transfer\n\
                     settle, and HPF redistribution per P;\n\
                     writes BENCH_scaling.json (or FILE)\n\
-           gate     <executor|scaling> BASELINE FRESH  hold a fresh micro /\n\
-                    scaling report to the committed one (bench::gate's\n\
-                    table); exit 1 when a gate trips or a key is missing\n\
-           all                                         every table at paper size\n\
+           gate     <executor|scaling|paper> BASELINE FRESH  hold a fresh\n\
+                    report to the committed one (bench::gate's table); exit 1\n\
+                    when a gate trips or a key is missing\n\
            list                                        this message"
     );
     std::process::exit(2)
@@ -90,83 +85,25 @@ fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
     match cmd.as_str() {
-        "table1" => {
-            let r = table1(arg(&args, "--procs", 8), arg(&args, "--side", 256), 2, 2);
-            println!(
-                "procs {}: inspector {} ms, executor {} ms/iter",
-                r.procs,
-                fmt_ms(r.inspector_ms),
-                fmt_ms(r.executor_ms)
-            );
-        }
-        "table2" => {
-            let r = table2(arg(&args, "--procs", 8), arg(&args, "--side", 256));
-            println!(
-                "procs {}: sched chaos {} / coop {} / dup {} ms; copy {} / {} / {} ms",
-                r.procs,
-                fmt_ms(r.chaos_sched_ms),
-                fmt_ms(r.coop_sched_ms),
-                fmt_ms(r.dup_sched_ms),
-                fmt_ms(r.chaos_copy_ms),
-                fmt_ms(r.coop_copy_ms),
-                fmt_ms(r.dup_copy_ms)
-            );
-        }
-        "table34" => {
-            let c = table34(
-                arg(&args, "--preg", 4),
-                arg(&args, "--pirreg", 4),
-                arg(&args, "--side", 256),
-            );
-            println!(
-                "P_reg {} x P_irreg {}: sched {} ms, copy {} ms/iter",
-                c.preg,
-                c.pirreg,
-                fmt_ms(c.sched_ms),
-                fmt_ms(c.copy_ms)
-            );
-        }
-        "table5" => {
-            let r = table5(arg(&args, "--procs", 8), arg(&args, "--side", 1000));
-            println!(
-                "procs {}: sched parti {} / coop {} / dup {} ms; copy {} ms",
-                r.procs,
-                fmt_ms(r.parti_sched_ms),
-                fmt_ms(r.coop_sched_ms),
-                fmt_ms(r.dup_sched_ms),
-                fmt_ms(r.parti_copy_ms)
-            );
-        }
-        "fig10" => {
-            let r = client_server(
-                arg(&args, "--client", 1),
-                arg(&args, "--servers", 8),
-                arg(&args, "--n", 512),
-                arg(&args, "--vectors", 1),
-            );
-            println!(
-                "{} client x {} servers, {} vectors: sched {} + matrix {} + \
-                 server {} + vectors {} = {} ms",
-                r.pclient,
-                r.pserver,
-                r.nvec,
-                fmt_ms(r.sched_ms),
-                fmt_ms(r.matrix_ms),
-                fmt_ms(r.server_ms),
-                fmt_ms(r.vector_ms),
-                fmt_ms(r.total_ms())
-            );
-        }
-        "fig15" => {
-            let be = break_even(
-                arg(&args, "--client", 1),
-                arg(&args, "--servers", 8),
-                arg(&args, "--n", 512),
-            );
-            match be {
-                Some(k) => println!("break-even after {k} vectors"),
-                None => println!("never breaks even"),
+        "paper" => {
+            let out = arg_str(&args, "--out", "BENCH_paper.json");
+            let runs: Vec<_> = (0..3).map(|_| bench::paper::sweep()).collect();
+            let report = bench::paper::report(&runs).unwrap_or_else(|e| {
+                eprintln!("paper: {e}");
+                std::process::exit(1)
+            });
+            for (name, table) in bench::paper::render(&report) {
+                println!("[{name}]\n{table}\n");
             }
+            if let Some(Value::Obj(wall)) = report.get("wall_ms") {
+                let wall: Vec<_> = wall
+                    .iter()
+                    .map(|(k, v)| format!("{k} {}", v.to_json()))
+                    .collect();
+                println!("host wall, min of 3 sweeps (ms): {}", wall.join(", "));
+            }
+            write_report(&out, &report).unwrap_or_else(|e| panic!("write {out}: {e}"));
+            println!("wrote {out}");
         }
         "micro" => {
             let r = executor_micro(
@@ -516,30 +453,6 @@ fn main() {
                     eprintln!("{path}: INVALID: {e}");
                     std::process::exit(1);
                 }
-            }
-        }
-        "all" => {
-            for p in [2, 4, 8, 16] {
-                let r = table2(p, 256);
-                println!(
-                    "table2 p={p:2}: chaos {} coop {} dup {}",
-                    fmt_ms(r.chaos_sched_ms),
-                    fmt_ms(r.coop_sched_ms),
-                    fmt_ms(r.dup_sched_ms)
-                );
-            }
-            for p in [2, 4, 8, 16] {
-                let r = table5(p, 1000);
-                println!(
-                    "table5 p={p:2}: parti {} coop {} dup {}",
-                    fmt_ms(r.parti_sched_ms),
-                    fmt_ms(r.coop_sched_ms),
-                    fmt_ms(r.dup_sched_ms)
-                );
-            }
-            for s in [2, 4, 8] {
-                let r = client_server(1, s, 512, 1);
-                println!("fig10 servers={s}: total {} ms", fmt_ms(r.total_ms()));
             }
         }
         "list" | "--help" | "-h" => usage(),

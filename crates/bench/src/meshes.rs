@@ -1,4 +1,5 @@
-//! The structured/unstructured mesh experiments: Tables 1–4.
+//! The structured/unstructured mesh experiments: Tables 1–4, plus the
+//! aggregation and partition-locality ablations.
 //!
 //! Workload (paper §5.1): a `side × side` regular mesh of `f64`
 //! (block,block)-distributed by Multiblock Parti, and an irregular mesh of
@@ -38,12 +39,7 @@ pub fn edge_list(nodes: usize, edges: usize, seed: u64) -> Vec<(usize, usize)> {
 /// Geometric edge list: endpoints are nearby mesh points (distance <=
 /// `radius` in each grid direction), the locality a real unstructured CFD
 /// mesh has.  Used by the partition-locality ablation.
-pub fn geometric_edge_list(
-    side: usize,
-    edges: usize,
-    radius: usize,
-    seed: u64,
-) -> Vec<(usize, usize)> {
+fn geometric_edge_list(side: usize, edges: usize, radius: usize, seed: u64) -> Vec<(usize, usize)> {
     let mut rng = Rng::seed_from_u64(seed);
     (0..edges)
         .map(|_| {
@@ -58,16 +54,14 @@ pub fn geometric_edge_list(
         .collect()
 }
 
-/// Table 1 variant with an explicit node partition and edge list — used by
-/// the partition-locality ablation (RCB vs random partitioning).
-pub fn table1_partitioned(
-    procs: usize,
-    side: usize,
-    edges: Vec<(usize, usize)>,
-    steps: usize,
-    use_rcb: bool,
-) -> (Table1Row, usize) {
+/// The partition-locality ablation: Table 1's sweeps on a 96×96 mesh with
+/// a geometric (CFD-like) edge list on 4 ranks, the irregular mesh
+/// partitioned randomly or by RCB.  Returns the executor time per
+/// iteration (ms) and the gather ghosts summed over ranks.
+pub fn partition_ablation(use_rcb: bool) -> (f64, usize) {
+    let (procs, side, steps) = (4, 96, 2);
     let nodes = side * side;
+    let edges = geometric_edge_list(side, 2 * nodes, 3, 7);
     let world = World::with_model(procs, MachineModel::sp2());
     let out = world.run(move |ep| {
         let g = Group::world(procs);
@@ -99,31 +93,10 @@ pub fn table1_partitioned(
                 .filter(|&(u, _)| set.contains(&u))
                 .collect()
         };
-
-        let t0 = sync(ep, &g);
-        let reg_sweep = RegularSweep::new(ep, &a);
-        let irr_sweep = {
-            let mut comm = Comm::new(ep, g.clone());
-            IrregularSweep::new(&mut comm, x.table(), &my_edges)
-        };
-        let t1 = sync(ep, &g);
-        for _ in 0..steps {
-            reg_sweep.step(ep, &mut a);
-            let mut comm = Comm::new(ep, g.clone());
-            irr_sweep.step(&mut comm, &x, &mut y);
-        }
-        let t2 = sync(ep, &g);
-        (t1 - t0, (t2 - t1) / steps as f64, irr_sweep.num_ghosts())
+        time_sweeps(ep, &g, &mut a, &x, &mut y, &my_edges, steps)
     });
     let ghosts: usize = out.results.iter().map(|r| r.2).sum();
-    (
-        Table1Row {
-            procs,
-            inspector_ms: ms(out.results[0].0),
-            executor_ms: ms(out.results[0].1),
-        },
-        ghosts,
-    )
+    (ms(out.results[0].1), ghosts)
 }
 
 /// Deterministic permutation of `0..n` — the `Reg2Irreg` mapping.
@@ -138,12 +111,37 @@ fn sync(ep: &mut Endpoint, g: &Group) -> f64 {
     Comm::new(ep, g.clone()).sync_clocks()
 }
 
+/// Time Table 1's inspector (both sweeps' set-up, total) and executor
+/// (per iteration over `steps`) in seconds, plus this rank's gather ghosts.
+fn time_sweeps(
+    ep: &mut Endpoint,
+    g: &Group,
+    a: &mut MultiblockArray<f64>,
+    x: &IrregArray<f64>,
+    y: &mut IrregArray<f64>,
+    edges: &[(usize, usize)],
+    steps: usize,
+) -> (f64, f64, usize) {
+    let t0 = sync(ep, g);
+    let reg_sweep = RegularSweep::new(ep, a);
+    let irr_sweep = {
+        let mut comm = Comm::new(ep, g.clone());
+        IrregularSweep::new(&mut comm, x.table(), edges)
+    };
+    let t1 = sync(ep, g);
+    for _ in 0..steps {
+        reg_sweep.step(ep, a);
+        let mut comm = Comm::new(ep, g.clone());
+        irr_sweep.step(&mut comm, x, y);
+    }
+    let t2 = sync(ep, g);
+    (t1 - t0, (t2 - t1) / steps as f64, irr_sweep.num_ghosts())
+}
+
 /// Table 1 result: inspector total and executor per-iteration times for
 /// the regular+irregular sweeps in one program.
 #[derive(Debug, Clone, Copy)]
 pub struct Table1Row {
-    /// Processor count.
-    pub procs: usize,
     /// Inspector time (total), ms.
     pub inspector_ms: f64,
     /// Executor time (per iteration), ms.
@@ -172,27 +170,9 @@ pub fn table1(procs: usize, side: usize, edge_factor: usize, steps: usize) -> Ta
         let chunk = edges.len().div_ceil(procs);
         let lo = (me * chunk).min(edges.len());
         let hi = ((me + 1) * chunk).min(edges.len());
-
-        // Inspector phase.
-        let t0 = sync(ep, &g);
-        let reg_sweep = RegularSweep::new(ep, &a);
-        let irr_sweep = {
-            let mut comm = Comm::new(ep, g.clone());
-            IrregularSweep::new(&mut comm, x.table(), &edges[lo..hi])
-        };
-        let t1 = sync(ep, &g);
-
-        // Executor phase.
-        for _ in 0..steps {
-            reg_sweep.step(ep, &mut a);
-            let mut comm = Comm::new(ep, g.clone());
-            irr_sweep.step(&mut comm, &x, &mut y);
-        }
-        let t2 = sync(ep, &g);
-        (t1 - t0, (t2 - t1) / steps as f64)
+        time_sweeps(ep, &g, &mut a, &x, &mut y, &edges[lo..hi], steps)
     });
     Table1Row {
-        procs,
         inspector_ms: ms(out.results[0].0),
         executor_ms: ms(out.results[0].1),
     }
@@ -202,8 +182,6 @@ pub fn table1(procs: usize, side: usize, edge_factor: usize, steps: usize) -> Ta
 /// regular→irregular and back) times for the three methods.
 #[derive(Debug, Clone, Copy)]
 pub struct Table2Row {
-    /// Processor count.
-    pub procs: usize,
     /// Chaos-native schedule build, ms.
     pub chaos_sched_ms: f64,
     /// Chaos-native round-trip copy per iteration, ms.
@@ -316,7 +294,6 @@ pub fn table2(procs: usize, side: usize) -> Table2Row {
     });
     let r = out.results[0];
     Table2Row {
-        procs,
         chaos_sched_ms: ms(r.0),
         chaos_copy_ms: ms(r.1),
         coop_sched_ms: ms(r.2),
@@ -330,10 +307,6 @@ pub fn table2(procs: usize, side: usize) -> Table2Row {
 /// for the two-program version of the mesh workload.
 #[derive(Debug, Clone, Copy)]
 pub struct Table34Cell {
-    /// Regular-program processes.
-    pub preg: usize,
-    /// Irregular-program processes.
-    pub pirreg: usize,
     /// Cooperation schedule build, ms (Table 3).
     pub sched_ms: f64,
     /// Round-trip copy per iteration, ms (Table 4).
@@ -395,11 +368,71 @@ pub fn table34(preg: usize, pirreg: usize, side: usize) -> Table34Cell {
         }
     });
     Table34Cell {
-        preg,
-        pirreg,
         sched_ms: ms(out.results[0].0),
         copy_ms: ms(out.results[0].1),
     }
+}
+
+/// The aggregation ablation (paper §4.1.4): a 96×96 regular → irregular
+/// remap on 4 ranks, moved once through a duplication-built schedule (one
+/// message per processor pair) and once element by element between the
+/// same pairs.  Returns (aggregated, per-element) times in ms.
+pub fn aggregation_ablation(model: MachineModel) -> (f64, f64) {
+    let side = 96;
+    let nodes = side * side;
+    let world = World::with_model(4, model);
+    let out = world.run(move |ep| {
+        let g = Group::world(4);
+        let mut a = MultiblockArray::<f64>::new(&g, ep.rank(), &[side, side]);
+        a.fill_with(|c| (c[0] + c[1]) as f64);
+        let mut x = {
+            let mut comm = Comm::new(ep, g.clone());
+            IrregArray::create(&mut comm, nodes, Partition::Random(3), |_| 0.0)
+        };
+        let perm = mesh_mapping(nodes, 5);
+        let sset = SetOfRegions::single(RegularSection::whole(&[side, side]));
+        let dset = SetOfRegions::single(IndexSet::new(perm));
+        let sched = compute_schedule(
+            ep,
+            &g,
+            &g,
+            Some(Side::new(&a, &sset)),
+            &g,
+            Some(Side::new(&x, &dset)),
+            BuildMethod::Duplication,
+        )
+        .expect("dup schedule");
+
+        let t0 = sync(ep, &g);
+        data_move(ep, &sched, &a, &mut x);
+        let aggregated = sync(ep, &g) - t0;
+
+        let t1 = sync(ep, &g);
+        {
+            let tag = 9000;
+            let mut comm = Comm::new(ep, g.clone());
+            for (peer, addrs) in &sched.sends {
+                for addr in addrs.iter() {
+                    let v = a.local()[addr];
+                    comm.send_t(*peer, tag, &v);
+                }
+            }
+            for (peer, addrs) in &sched.recvs {
+                for addr in addrs.iter() {
+                    let v: f64 = comm.recv_t(*peer, tag);
+                    x.local_mut()[addr] = v;
+                }
+            }
+            for (s, d) in sched.local_pairs.iter() {
+                let v = a.local()[s];
+                x.local_mut()[d] = v;
+            }
+        }
+        let per_element = sync(ep, &g) - t1;
+        (aggregated, per_element)
+    });
+    let (aggregated, per_element) = out.results[0];
+    (ms(aggregated), ms(per_element))
 }
 
 #[cfg(test)]

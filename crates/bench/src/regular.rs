@@ -4,6 +4,8 @@
 //! time step copies half of one into half of the other (the multiblock
 //! inter-block boundary update scenario of §5.3).  Three methods: native
 //! Multiblock Parti, Meta-Chaos/cooperation, Meta-Chaos/duplication.
+//! Also the local-copy ablation, which stages the same kind of copy
+//! through Parti's intermediate buffer.
 
 use mcsim::group::{Comm, Group};
 use mcsim::model::MachineModel;
@@ -27,8 +29,6 @@ fn sync(ep: &mut Endpoint, g: &Group) -> f64 {
 /// Table 5 result: schedule-build (total) and copy (per iteration) times.
 #[derive(Debug, Clone, Copy)]
 pub struct Table5Row {
-    /// Processor count.
-    pub procs: usize,
     /// Native Multiblock Parti schedule build, ms.
     pub parti_sched_ms: f64,
     /// Native Multiblock Parti copy, ms.
@@ -100,7 +100,6 @@ pub fn table5(procs: usize, side: usize) -> Table5Row {
     });
     let r = out.results[0];
     Table5Row {
-        procs,
         parti_sched_ms: ms(r.0),
         parti_copy_ms: ms(r.1),
         coop_sched_ms: ms(r.2),
@@ -108,6 +107,32 @@ pub fn table5(procs: usize, side: usize) -> Table5Row {
         dup_sched_ms: ms(r.5),
         dup_copy_ms: ms(r.4),
     }
+}
+
+/// The local-copy ablation (paper §5.3): an all-local 512×512 copy on one
+/// rank, staged through Parti's intermediate buffer and then direct by
+/// Meta-Chaos over the same schedule.  Returns (staged, direct) in ms.
+pub fn local_copy_ablation() -> (f64, f64) {
+    let world = World::with_model(1, MachineModel::sp2());
+    let out = world.run(|ep| {
+        let g = Group::world(1);
+        let mut b = MultiblockArray::<f64>::new(&g, ep.rank(), &[512, 512]);
+        b.fill_with(|c| c[0] as f64);
+        let mut a = MultiblockArray::<f64>::new(&g, ep.rank(), &[512, 512]);
+        let sec = RegularSection::whole(&[512, 512]);
+        let sched = build_copy_schedule(ep, &g, &b, &sec, &a, &sec);
+
+        let t0 = ep.clock();
+        parti_copy(ep, &sched, &b, &mut a);
+        let staged = ep.clock() - t0;
+
+        let t1 = ep.clock();
+        data_move(ep, &sched, &b, &mut a);
+        let direct = ep.clock() - t1;
+        (staged, direct)
+    });
+    let (staged, direct) = out.results[0];
+    (ms(staged), ms(direct))
 }
 
 #[cfg(test)]

@@ -78,6 +78,15 @@ echo "== scaling gate (P=256) =="
 repro scaling --procs 256 --out "$tmp/scaling.json"
 repro gate scaling BENCH_scaling.json "$tmp/scaling.json"
 
+# Paper gate: every cell of Tables 1-5, Figures 10-15 and the ablations,
+# swept three times (exit 1 unless identical) and held to the committed
+# BENCH_paper.json with exact equality — virtual time is deterministic,
+# so any drift names the cells it moved.  The sweep's host wall is held
+# to 1.25x the committed one.
+echo "== paper gate (exact) =="
+repro paper --out "$tmp/paper.json"
+repro gate paper BENCH_paper.json "$tmp/paper.json"
+
 # Critical-path attribution gate: `repro analyze` reconstructs the causal
 # DAG of a traced coupled run, walks the critical path of every transfer,
 # and self-checks that the per-phase attribution tiles the end-to-end
