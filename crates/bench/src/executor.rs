@@ -658,10 +658,7 @@ fn quiet_crash_panics() {
 fn settle_world(n: usize, crash: Option<f64>) -> (f64, RunReport<()>) {
     let world = World::with_model(2, MachineModel::sp2())
         .with_supervisor(1)
-        .with_recovery_config(RecoveryConfig {
-            heartbeats: true,
-            lease_misses: 3,
-        })
+        .with_recovery_config(RecoveryConfig { lease_misses: 3 })
         .with_trace();
     let t = Instant::now();
     let rep = world.run_result(move |ep| {

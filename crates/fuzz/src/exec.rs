@@ -703,10 +703,7 @@ fn run_recovery_pair<S: FuzzLib, D: FuzzLib>(
 ) -> WorldRun {
     let mut world = World::with_model(sc.total_procs(), MachineModel::sp2())
         .with_supervisor(2)
-        .with_recovery_config(RecoveryConfig {
-            heartbeats: true,
-            lease_misses: 3,
-        })
+        .with_recovery_config(RecoveryConfig { lease_misses: 3 })
         .with_deadline(sc.deadline)
         .with_trace();
     if !crash_times.is_empty() {

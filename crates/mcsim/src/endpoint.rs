@@ -79,9 +79,10 @@ pub struct Endpoint {
     /// it and fail with [`SimError::DeadlineExceeded`] instead of waiting
     /// forever.
     deadline: Option<f64>,
-    /// Recovery knobs (heartbeats on/off, lease budget).
+    /// Recovery knobs (the lease budget).
     pub(crate) recovery: RecoveryConfig,
-    /// True when the world was built with a supervisor.
+    /// True when the world was built with a supervisor; also the one
+    /// switch that arms heartbeats and the lease detector.
     supervised: bool,
     /// Scripted-crash restarts this rank may still consume.
     restarts_left: u32,
@@ -529,9 +530,9 @@ impl Endpoint {
     }
 
     /// Broadcast a heartbeat if the configured virtual-clock cadence says
-    /// one is due.  No-op unless heartbeats are armed.
+    /// one is due.  No-op unless the world is supervised.
     pub(crate) fn maybe_beat(&mut self) {
-        if !self.recovery.heartbeats || self.world < 2 {
+        if !self.supervised || self.world < 2 {
             return;
         }
         if self.clock < self.last_beat + BEAT_INTERVAL {
@@ -587,16 +588,16 @@ impl Endpoint {
     }
 
     /// Pump one message on behalf of a wait against peer `from`,
-    /// enforcing the failure detector.  With heartbeats off this is
-    /// exactly [`Endpoint::pump_one`] (plus the incarnation check, which
-    /// is inert unless armed).  With heartbeats on, the blocking receive
+    /// enforcing the failure detector.  Unsupervised this is exactly
+    /// [`Endpoint::pump_one`] (plus the incarnation check, which is inert
+    /// unless armed).  Supervised, the blocking receive
     /// becomes lease windows — one per quiescence of the world: `misses`
     /// (caller-held, one per wait) counts consecutive windows in which
     /// `from` stayed silent, and crossing the configured budget evicts
     /// the peer.
     pub(crate) fn pump_guarded(&mut self, from: Rank, misses: &mut u32) -> Result<(), SimError> {
         self.check_evicted(from)?;
-        if !self.recovery.heartbeats {
+        if !self.supervised {
             return self.pump_one();
         }
         self.maybe_beat();

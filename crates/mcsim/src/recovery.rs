@@ -2,7 +2,7 @@
 //!
 //! Recovery has three moving parts, all configured here:
 //!
-//! * **Leases** — when heartbeats are armed, every rank broadcasts a
+//! * **Leases** — in a supervised world, every rank broadcasts a
 //!   periodic beat (virtual-clock cadence, NIC plane) carrying its
 //!   *incarnation*.  A rank waiting on a peer counts silence windows —
 //!   one per quiescence of the world, observed by the scheduler, never a
@@ -34,13 +34,11 @@ pub const GET_ATTEMPTS: u32 = 4;
 /// Virtual seconds between heartbeat broadcasts from one rank.
 pub(crate) const BEAT_INTERVAL: f64 = 1e-3;
 
-/// Tunables for failure detection.  The default keeps heartbeats **off**,
-/// so worlds that never opt in behave exactly as before.
+/// Tunables for failure detection.  Whether the detector runs at all is
+/// not one of them: heartbeats arm exactly when the world has a
+/// supervisor ([`crate::World::with_supervisor`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Arm the lease-based failure detector: ranks broadcast heartbeats
-    /// and waits evict peers whose lease lapses.
-    pub heartbeats: bool,
     /// Missed lease windows (quiescences of the world with the watched
     /// peer silent) before it is evicted.
     pub lease_misses: u32,
@@ -48,10 +46,7 @@ pub struct RecoveryConfig {
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        RecoveryConfig {
-            heartbeats: false,
-            lease_misses: 4,
-        }
+        RecoveryConfig { lease_misses: 4 }
     }
 }
 
@@ -180,8 +175,7 @@ mod tests {
 
     #[test]
     fn default_config_matches_historical_get_policy() {
-        let cfg = RecoveryConfig::default();
         assert_eq!(GET_ATTEMPTS, 4);
-        assert!(!cfg.heartbeats);
+        assert_eq!(RecoveryConfig::default().lease_misses, 4);
     }
 }

@@ -154,10 +154,10 @@ impl World {
         self.topology
     }
 
-    /// Override the recovery configuration: the lease-based failure
-    /// detector every endpoint runs when `heartbeats` is set.  The default
-    /// keeps heartbeats off, so behavior is unchanged unless a caller opts
-    /// in.
+    /// Override the recovery configuration: the lease budget of the
+    /// failure detector every endpoint of a supervised world runs.  It
+    /// does not arm anything; [`World::with_supervisor`] does, in either
+    /// builder order.
     pub fn with_recovery_config(mut self, cfg: RecoveryConfig) -> Self {
         assert!(cfg.lease_misses > 0, "lease budget must be positive");
         self.recovery = cfg;
@@ -171,14 +171,12 @@ impl World {
     /// checkpoint store intact.  Panics that are not scripted crashes
     /// (real bugs) still poison the world.
     ///
-    /// Arms heartbeats as a side effect: a supervisor restart sends no
-    /// poison, so lease eviction is the only thing that wakes survivors
-    /// blocked on the crashed rank.  Call
-    /// [`World::with_recovery_config`] *after* this to tune (or disarm)
-    /// the detector.
+    /// Arms heartbeats and the lease detector — the only switch that
+    /// does: a supervisor restart sends no poison, so lease eviction is
+    /// the only thing that wakes survivors blocked on the crashed rank.
+    /// [`World::with_recovery_config`] tunes the detector's budget.
     pub fn with_supervisor(mut self, max_restarts: u32) -> Self {
         self.supervisor = Some(max_restarts);
-        self.recovery.heartbeats = true;
         self
     }
 
@@ -658,6 +656,27 @@ mod tests {
         let results: Vec<u64> = rep.outcomes.into_iter().map(|o| o.unwrap()).collect();
         assert_eq!(results, vec![1 + 2 + 3, 0, 1, 0]);
         assert_eq!(rep.stats.recovery.ranks_recovered, 1);
+    }
+
+    /// Heartbeats arm exactly when a supervisor is attached, whichever
+    /// order the builders run in.
+    #[test]
+    fn supervisor_arms_heartbeats_in_either_builder_order() {
+        let cfg = RecoveryConfig { lease_misses: 3 };
+        let sp2 = || World::with_model(2, MachineModel::sp2());
+        let beats = |world: World| {
+            let rep = world.run_result(|ep| {
+                if ep.rank() == 0 {
+                    ep.send(1, Tag::user(4), vec![1]);
+                } else {
+                    ep.recv(0, Tag::user(4));
+                }
+            });
+            rep.stats.recovery.heartbeats_sent
+        };
+        assert!(beats(sp2().with_supervisor(1).with_recovery_config(cfg)) > 0);
+        assert!(beats(sp2().with_recovery_config(cfg).with_supervisor(1)) > 0);
+        assert_eq!(beats(sp2().with_recovery_config(cfg)), 0);
     }
 
     /// Two ranks each waiting for the other to speak first: quiescence

@@ -39,10 +39,7 @@ fn value(k: u64, x: usize) -> f64 {
 /// A fast failure detector so evictions (and thus the whole suite) fit
 /// in test time: 3 missed leases evict.
 fn detector() -> RecoveryConfig {
-    RecoveryConfig {
-        lease_misses: 3,
-        ..RecoveryConfig::default()
-    }
+    RecoveryConfig { lease_misses: 3 }
 }
 
 /// Arm a scripted crash once per rank: the flag rides the checkpoint
@@ -60,8 +57,9 @@ fn arm_once(ep: &mut Endpoint, crashes: &[(usize, f64)]) {
 /// (HPF destination) coupled over the whole index space, driven through
 /// `STEPS` resumable steps with step-dependent data.  Every rank
 /// checkpoints its schedule and object so a restarted life rejoins
-/// without re-running the collective build.
-fn phase_world(crashes: Vec<(usize, f64)>) -> RunOutput<Vec<(usize, f64)>> {
+/// without re-running the collective build.  A `quitter` sender returns
+/// after its last step without `finish`, falling silent for good.
+fn phase_world(crashes: Vec<(usize, f64)>, quitter: Option<usize>) -> RunOutput<Vec<(usize, f64)>> {
     World::with_model(4, MachineModel::sp2())
         .with_supervisor(2)
         .with_recovery_config(detector())
@@ -102,7 +100,9 @@ fn phase_world(crashes: Vec<(usize, f64)>) -> RunOutput<Vec<(usize, f64)>> {
                     v.fill_with(|c| value(k, c[0]));
                     ses.send_step(ep, &sched, &v, k).unwrap();
                 }
-                ses.finish(ep, &sched, STEPS).unwrap();
+                if quitter != Some(ep.rank()) {
+                    ses.finish(ep, &sched, STEPS).unwrap();
+                }
                 Vec::new()
             } else {
                 let mut h: HpfArray<f64> = match ses.restore_object(ep) {
@@ -186,7 +186,7 @@ fn crash_time(spans: &[(f64, f64)], which: usize, of: usize, frac: f64) -> f64 {
 /// (exactly-once), plus the final-step values in every destination.
 #[test]
 fn crash_in_every_phase_converges_bit_identical() {
-    let baseline = phase_world(Vec::new());
+    let baseline = phase_world(Vec::new(), None);
     // The fault-free run itself must deliver the last step's values.
     for vals in &baseline.results[2..] {
         for &(x, v) in vals {
@@ -209,7 +209,7 @@ fn crash_in_every_phase_converges_bit_identical() {
         for (phase, victim, label) in &cases {
             let spans = phase_spans(&baseline, *victim, *phase);
             let at = crash_time(&spans, si, seeds().len(), frac);
-            let out = phase_world(vec![(*victim, at)]);
+            let out = phase_world(vec![(*victim, at)], None);
             let tag = format!("{label} crash rank {victim} at t={at:.6}");
             assert_byte_identical(&out.results, &baseline.results, &tag);
             assert!(
@@ -228,14 +228,14 @@ fn crash_in_every_phase_converges_bit_identical() {
 /// different phases) and both recover; the run still converges.
 #[test]
 fn double_fault_converges() {
-    let baseline = phase_world(Vec::new());
+    let baseline = phase_world(Vec::new(), None);
     let pack = phase_spans(&baseline, 0, Phase::Pack);
     let stage = phase_spans(&baseline, 3, Phase::Stage);
     let crashes = vec![
         (0, crash_time(&pack, 1, 3, 0.5)),
         (3, crash_time(&stage, 2, 3, 0.5)),
     ];
-    let out = phase_world(crashes);
+    let out = phase_world(crashes, None);
     assert_byte_identical(&out.results, &baseline.results, "double fault");
     assert!(
         out.stats.recovery.ranks_recovered >= 2,
@@ -253,12 +253,15 @@ fn double_fault_converges() {
 /// and the chrome-trace view must tell the same story.
 #[test]
 fn recovery_trace_counters_match_stats() {
-    let baseline = phase_world(Vec::new());
-    // A commit-phase crash exercises the absorb path, so all four
-    // counters (heartbeats, leases, recoveries, replays) are non-zero.
+    let baseline = phase_world(Vec::new(), None);
+    // A commit-phase crash exercises the absorb path, and a sender that
+    // skips `finish` leaves its receivers waiting on a silent peer until
+    // its lease lapses, so all four counters (heartbeats, leases,
+    // recoveries, replays) are non-zero.
     let spans = phase_spans(&baseline, 3, Phase::Commit);
     let at = crash_time(&spans, 1, 3, 0.5);
-    let out = phase_world(vec![(3, at)]);
+    let out = phase_world(vec![(3, at)], Some(1));
+    assert_byte_identical(&out.results, &baseline.results, "quitter");
 
     let mut heartbeats = 0usize;
     let mut leases = 0usize;
@@ -277,6 +280,7 @@ fn recovery_trace_counters_match_stats() {
     assert_eq!(r.ranks_recovered, recoveries as u64, "recovery parity");
     assert_eq!(r.parts_replayed, replays as u64, "part-replay parity");
     assert!(r.heartbeats_sent > 0, "supervised run must heartbeat");
+    assert!(r.leases_expired > 0, "a silent peer must be evicted");
     assert!(r.ranks_recovered >= 1, "the scripted crash must recover");
     assert!(
         r.parts_replayed >= 1,
