@@ -58,8 +58,8 @@ const SCHED_SEQ_KEY: u32 = 0x4d43_5351; // "MCSQ"
 
 /// Tags used inside schedule building, in the union group's context.
 mod tag {
-    pub const DESC_SRC: u32 = 1001;
-    pub const DESC_DST: u32 = 1002;
+    pub(super) const DESC_SRC: u32 = 1001;
+    pub(super) const DESC_DST: u32 = 1002;
 }
 
 /// Compute a communication schedule for copying the source SetOfRegions

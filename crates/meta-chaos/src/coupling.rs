@@ -107,43 +107,6 @@ impl Coupler {
         ep.mark(|| format!("coupler op=get port={name} seq={}", sched.seq()));
         data_move_recv(ep, sched, dst)
     }
-
-    /// Send in the *reverse* direction of port `name` (uses the schedule's
-    /// symmetry, §4.3).  Unbound ports report [`McError::UnboundPort`].
-    pub fn put_reverse<T, S>(&self, ep: &mut Endpoint, name: &str, src: &S) -> Result<(), McError>
-    where
-        T: Copy + Wire,
-        S: McObject<T>,
-    {
-        let Some(sched) = self.ports.get(name) else {
-            return Err(McError::UnboundPort {
-                port: name.to_string(),
-            });
-        };
-        ep.mark(|| format!("coupler op=put_reverse port={name} seq={}", sched.seq()));
-        data_move_send(ep, &sched.reversed(), src)
-    }
-
-    /// Receive in the *reverse* direction of port `name`.  Unbound ports
-    /// report [`McError::UnboundPort`].
-    pub fn get_reverse<T, D>(
-        &self,
-        ep: &mut Endpoint,
-        name: &str,
-        dst: &mut D,
-    ) -> Result<(), McError>
-    where
-        T: Copy + Wire,
-        D: McObject<T>,
-    {
-        let Some(sched) = self.ports.get(name) else {
-            return Err(McError::UnboundPort {
-                port: name.to_string(),
-            });
-        };
-        ep.mark(|| format!("coupler op=get_reverse port={name} seq={}", sched.seq()));
-        data_move_recv(ep, &sched.reversed(), dst)
-    }
 }
 
 #[cfg(test)]

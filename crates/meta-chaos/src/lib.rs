@@ -75,12 +75,15 @@
 // Indexed loops over multiple parallel arrays are the clearest idiom in
 // this numerical code.
 #![allow(clippy::needless_range_loop)]
+// Crate-internal helpers stay `pub(crate)`; nothing unreachable is `pub`.
+#![warn(unreachable_pub)]
 
 pub mod adapter;
 pub mod api;
 pub mod build;
 pub mod coupling;
 pub mod datamove;
+mod engine;
 pub mod error;
 pub mod linear;
 pub mod obs;

@@ -16,7 +16,7 @@ use crate::setof::SetOfRegions;
 
 /// Distribution descriptor: block partition of `0..n` over the program.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BlockVecDesc {
+pub(crate) struct BlockVecDesc {
     pub n: usize,
     pub members: Vec<usize>,
 }
@@ -67,7 +67,7 @@ impl McDescriptor for BlockVecDesc {
 
 /// The distributed vector itself: each rank of the program stores its block.
 #[derive(Debug, Clone)]
-pub struct BlockVec {
+pub(crate) struct BlockVec {
     pub desc: BlockVecDesc,
     pub my_local: usize,
     pub data: Vec<f64>,
@@ -75,7 +75,12 @@ pub struct BlockVec {
 
 impl BlockVec {
     /// Create on each program rank, filled by `f(global index)`.
-    pub fn create(prog: &Group, me_global: usize, n: usize, f: impl Fn(usize) -> f64) -> Self {
+    pub(crate) fn create(
+        prog: &Group,
+        me_global: usize,
+        n: usize,
+        f: impl Fn(usize) -> f64,
+    ) -> Self {
         let desc = BlockVecDesc {
             n,
             members: prog.members().to_vec(),
@@ -92,7 +97,7 @@ impl BlockVec {
 
     /// Global index of local address `a`.
     #[allow(dead_code)]
-    pub fn global_of(&self, a: usize) -> usize {
+    pub(crate) fn global_of(&self, a: usize) -> usize {
         self.desc.lo(self.my_local) + a
     }
 }

@@ -50,13 +50,15 @@ fn main() {
                 BuildMethod::Cooperation,
             )
             .expect("coupling schedule");
+            // The return flow reuses the schedule through its symmetry.
             let mut ports = Coupler::new();
+            ports.bind("temperature-back", sched.reversed());
             ports.bind("temperature", sched);
 
             let mut maxima = Vec::new();
             for _ in 0..STEPS {
                 ports.put(ep, "temperature", &field).unwrap();
-                ports.get_reverse(ep, "temperature", &mut field).unwrap();
+                ports.get(ep, "temperature-back", &mut field).unwrap();
                 let local_max = field
                     .local()
                     .iter()
@@ -83,6 +85,7 @@ fn main() {
             )
             .expect("coupling schedule");
             let mut ports = Coupler::new();
+            ports.bind("temperature-back", sched.reversed());
             ports.bind("temperature", sched);
 
             for _ in 0..STEPS {
@@ -96,7 +99,7 @@ fn main() {
                 for v in mirror.local_mut() {
                     *v += 0.25 * (mean - *v);
                 }
-                ports.put_reverse(ep, "temperature", &mirror).unwrap();
+                ports.put(ep, "temperature-back", &mirror).unwrap();
             }
             Vec::new()
         }

@@ -490,12 +490,10 @@ fn unbound_ports_are_reported_not_panicked() {
         let mut v = MultiblockArray::<f64>::new(&mcsim::group::Group::world(2), ep.rank(), &[8]);
         let a = ports.put(ep, "nope", &v).unwrap_err();
         let b = ports.get(ep, "nope", &mut v).unwrap_err();
-        let c = ports.put_reverse(ep, "nope", &v).unwrap_err();
-        let d = ports.get_reverse(ep, "nope", &mut v).unwrap_err();
-        (a, b, c, d)
+        (a, b)
     });
-    for (a, b, c, d) in out.results {
-        for e in [a, b, c, d] {
+    for (a, b) in out.results {
+        for e in [a, b] {
             assert_eq!(
                 e,
                 McError::UnboundPort {
@@ -680,65 +678,92 @@ fn mismatched_ports_abort_both_sides_then_rebind_retries() {
 fn mid_transfer_crash_leaves_destinations_untouched() {
     use chaos::{IrregArray, Partition};
     use mcsim::group::{Comm, Group};
-    use meta_chaos::datamove::data_move_send_verify_only;
+    use mcsim::{pair_spans, Phase, TraceEvent};
     use meta_chaos::region::IndexSet;
 
     const SENTINEL: f64 = -7.5;
-    let report = World::with_model(4, MachineModel::sp2()).run_result(move |ep| {
-        let (pa, pb, un) = Group::split_two(2, 2, 32);
-        let sset: SetOfRegions<RegularSection> = SetOfRegions::single(RegularSection::whole(&[N]));
-        // Random partition on the receive side: every receiver pairs with
-        // BOTH senders, so a receiver that staged rank 0's half still has
-        // to roll it back when rank 1 dies.
-        let dset = SetOfRegions::single(IndexSet::new((0..N).collect()));
-        if pa.contains(ep.rank()) {
-            let mut v = MultiblockArray::<f64>::new(&pa, ep.rank(), &[N]);
-            v.fill_with(|c| (c[0] * 3 + 1) as f64);
-            let sched = compute_schedule::<f64, MultiblockArray<f64>, IrregArray<f64>>(
-                ep,
-                &un,
-                &pa,
-                Some(Side::new(&v, &sset)),
-                &pb,
-                None,
-                BuildMethod::Cooperation,
-            )
-            .unwrap();
-            if ep.rank() == 1 {
-                // Settle the transaction (manifests + verdicts), then die
-                // in the window all-or-nothing delivery exists for: after
-                // "agreed", before any data.  The handshake pins the order:
-                // rank 0's full send already completed, so its halves are
-                // staged (or in flight and acked) at the receivers.
-                data_move_send_verify_only(ep, &sched, &v).unwrap();
-                let _ = ep.recv(0, mcsim::Tag::user(91));
-                panic!("boom: sender dies mid-transfer");
-            }
-            let r = data_move_send(ep, &sched, &v);
-            ep.send(1, mcsim::Tag::user(91), Vec::new());
-            r.map(|()| Vec::new())
-        } else {
-            let mut x = {
-                let mut comm = Comm::new(ep, pb.clone());
-                IrregArray::create(&mut comm, N, Partition::Random(11), |_| SENTINEL)
-            };
-            let sched = compute_schedule::<f64, MultiblockArray<f64>, IrregArray<f64>>(
-                ep,
-                &un,
-                &pa,
-                None,
-                &pb,
-                Some(Side::new(&x, &dset)),
-                BuildMethod::Cooperation,
-            )
-            .unwrap();
-            let r = data_move_recv(ep, &sched, &mut x);
-            let vals: Vec<f64> = x.local().to_vec();
-            r.map(|()| vals)
-        }
-    });
-    // The healthy sender finished; the crasher's own panic is captured.
-    assert!(matches!(&report.outcomes[0], Ok(Ok(_))), "rank 0 failed");
+    let world = |crash: Option<f64>| {
+        World::with_model(4, MachineModel::sp2())
+            .with_trace()
+            .run_result(move |ep| {
+                let (pa, pb, un) = Group::split_two(2, 2, 32);
+                let sset: SetOfRegions<RegularSection> =
+                    SetOfRegions::single(RegularSection::whole(&[N]));
+                // Random partition on the receive side: every receiver pairs
+                // with BOTH senders, so a receiver that staged rank 0's half
+                // still has to roll it back when rank 1 dies.
+                let dset = SetOfRegions::single(IndexSet::new((0..N).collect()));
+                if pa.contains(ep.rank()) {
+                    let mut v = MultiblockArray::<f64>::new(&pa, ep.rank(), &[N]);
+                    v.fill_with(|c| (c[0] * 3 + 1) as f64);
+                    let sched = compute_schedule::<f64, MultiblockArray<f64>, IrregArray<f64>>(
+                        ep,
+                        &un,
+                        &pa,
+                        Some(Side::new(&v, &sset)),
+                        &pb,
+                        None,
+                        BuildMethod::Cooperation,
+                    )
+                    .unwrap();
+                    if let (1, Some(at)) = (ep.rank(), crash) {
+                        ep.arm_crash(at);
+                    }
+                    (data_move_send(ep, &sched, &v), Vec::new())
+                } else {
+                    let mut x = {
+                        let mut comm = Comm::new(ep, pb.clone());
+                        IrregArray::create(&mut comm, N, Partition::Random(11), |_| SENTINEL)
+                    };
+                    let sched = compute_schedule::<f64, MultiblockArray<f64>, IrregArray<f64>>(
+                        ep,
+                        &un,
+                        &pa,
+                        None,
+                        &pb,
+                        Some(Side::new(&x, &dset)),
+                        BuildMethod::Cooperation,
+                    )
+                    .unwrap();
+                    (data_move_recv(ep, &sched, &mut x), x.local().to_vec())
+                }
+            })
+    };
+    // Crash rank 1 in the window all-or-nothing delivery exists for: after
+    // its Manifest span ("agreed") ends, before its first data part.
+    let baseline = world(None);
+    let agreed = pair_spans(&baseline.traces[1])
+        .into_iter()
+        .find(|s| s.phase == Phase::Manifest)
+        .expect("the sender settles a manifest")
+        .end;
+    let first_part = baseline.traces[1]
+        .iter()
+        .find_map(|e| match e {
+            TraceEvent::Send { at, .. } if *at > agreed => Some(*at),
+            _ => None,
+        })
+        .expect("the sender posts data");
+    // The part's `Send` is stamped after its pack and send charges; a
+    // quarter of the gap lands inside the pack, before the post.
+    let report = world(Some(agreed + (first_part - agreed) / 4.0));
+    assert!(
+        !report.traces[1]
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Send { at, .. } if *at > agreed)),
+        "rank 1 must die before posting any data"
+    );
+    // The healthy sender posted all its data (the counters below show it
+    // staged), but its flush still learns of the crash — a failed peer
+    // fails every later receive; the crasher's own panic is captured.
+    assert!(
+        matches!(
+            &report.outcomes[0],
+            Ok((Err(McError::PeerFailed { rank: 1, .. }), _))
+        ),
+        "rank 0: {:?}",
+        report.outcomes[0]
+    );
     assert!(matches!(
         &report.outcomes[1],
         Err(mcsim::SimError::PeerFailed { rank: 1, .. })
@@ -747,7 +772,9 @@ fn mid_transfer_crash_leaves_destinations_untouched() {
     // bit-identical to its pre-transfer state.
     for rank in [2, 3] {
         match &report.outcomes[rank] {
-            Ok(Err(McError::PeerFailed { rank: 1, .. })) => {}
+            Ok((Err(McError::PeerFailed { rank: 1, .. }), vals)) => {
+                assert!(vals.iter().all(|&v| v == SENTINEL), "rank {rank} touched");
+            }
             other => panic!("rank {rank}: expected PeerFailed {{rank: 1}}, got {other:?}"),
         }
     }
@@ -760,6 +787,84 @@ fn mid_transfer_crash_leaves_destinations_untouched() {
     assert!(
         report.stats.session.transfers_aborted >= 2,
         "both receivers aborted: {:?}",
+        report.stats.session
+    );
+}
+
+/// All-or-nothing without the handshake too: a sender that dies after
+/// posting the first part of a multi-part half leaves the unverified
+/// receiver's destination bit-identical to its pre-transfer state.
+#[test]
+fn unverified_recv_is_all_or_nothing() {
+    use mcsim::group::Group;
+    use mcsim::TraceEvent;
+    use meta_chaos::datamove::{data_move_recv_unverified, data_move_send_unverified};
+
+    const BIG: usize = 1 << 17; // 1 MiB of f64: several 256 KiB parts
+    const SENTINEL: f64 = -1.0;
+    let world = |crash: Option<f64>| {
+        World::with_model(2, MachineModel::sp2())
+            .with_trace()
+            .run_result(move |ep| {
+                let (pa, pb, un) = Group::split_two(1, 1, 32);
+                let set: SetOfRegions<RegularSection> =
+                    SetOfRegions::single(RegularSection::whole(&[BIG]));
+                if pa.contains(ep.rank()) {
+                    let mut v = MultiblockArray::<f64>::new(&pa, ep.rank(), &[BIG]);
+                    v.fill_with(|c| c[0] as f64);
+                    let sched = compute_schedule::<f64, MultiblockArray<f64>, HpfArray<f64>>(
+                        ep,
+                        &un,
+                        &pa,
+                        Some(Side::new(&v, &set)),
+                        &pb,
+                        None,
+                        BuildMethod::Cooperation,
+                    )
+                    .unwrap();
+                    if let Some(at) = crash {
+                        ep.arm_crash(at);
+                    }
+                    (data_move_send_unverified(ep, &sched, &v), Vec::new())
+                } else {
+                    let mut h = HpfArray::<f64>::new(&pb, ep.rank(), HpfDist::block_1d(BIG, 1));
+                    h.for_each_owned(|_, v| *v = SENTINEL);
+                    let sched = compute_schedule::<f64, MultiblockArray<f64>, HpfArray<f64>>(
+                        ep,
+                        &un,
+                        &pa,
+                        None,
+                        &pb,
+                        Some(Side::new(&h, &set)),
+                        BuildMethod::Cooperation,
+                    )
+                    .unwrap();
+                    let r = data_move_recv_unverified(ep, &sched, &mut h);
+                    (r, (0..BIG).map(|x| h.get(&[x])).collect())
+                }
+            })
+    };
+    // Crash the sender after its first part is posted, inside the pack of
+    // the second (each part's `Send` is stamped after its send charge).
+    let baseline = world(None);
+    let parts: Vec<f64> = baseline.traces[0]
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Send { at, bytes, .. } if *bytes > BIG => Some(*at),
+            _ => None,
+        })
+        .collect();
+    assert!(parts.len() >= 2, "the half must span several parts");
+    let report = world(Some(parts[0] + (parts[1] - parts[0]) / 4.0));
+    match &report.outcomes[1] {
+        Ok((Err(McError::PeerFailed { rank: 0, .. }), vals)) => {
+            assert!(vals.iter().all(|&v| v == SENTINEL), "destination touched");
+        }
+        other => panic!("expected PeerFailed {{rank: 0}}, got {other:?}"),
+    }
+    assert!(
+        report.stats.session.frames_staged >= 1,
+        "the first part arrived before the crash: {:?}",
         report.stats.session
     );
 }

@@ -102,11 +102,12 @@ fn coupler_ports_and_reverse_flow() {
             )
             .unwrap();
             let mut ports = Coupler::new();
+            ports.bind("field-back", sched.reversed());
             ports.bind("field", sched);
             for _ in 0..steps {
                 // Send the field over, receive the updated field back.
                 ports.put(ep, "field", &v).unwrap();
-                ports.get_reverse(ep, "field", &mut v).unwrap();
+                ports.get(ep, "field-back", &mut v).unwrap();
             }
             let boxx = v.my_box();
             (boxx[0].0..boxx[0].1).map(|x| (x, v.get(&[x]))).collect()
@@ -127,6 +128,7 @@ fn coupler_ports_and_reverse_flow() {
             )
             .unwrap();
             let mut ports = Coupler::new();
+            ports.bind("field-back", sched.reversed());
             ports.bind("field", sched);
             for _ in 0..steps {
                 ports.get(ep, "field", &mut w).unwrap();
@@ -134,7 +136,7 @@ fn coupler_ports_and_reverse_flow() {
                 for v in w.local_mut() {
                     *v += 1.0;
                 }
-                ports.put_reverse(ep, "field", &w).unwrap();
+                ports.put(ep, "field-back", &w).unwrap();
             }
             Vec::new()
         }
