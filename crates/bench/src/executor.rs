@@ -87,9 +87,8 @@ pub struct PhaseNanos {
     /// encode/decode, channel transfer and synchronization.  Derived
     /// (`fast_ns - pack_ns - unpack_ns`, floored at zero), not measured.
     pub wire_ns: f64,
-    /// Extra wall ns per move for the transactional session layer
-    /// (manifests, verdicts, staged delivery): `reliable_ns -
-    /// reliable_raw_ns`.  Only measured where the reliable legs run
+    /// Extra wall ns per move for the manifest handshake (manifests and
+    /// verdicts): `reliable_ns - reliable_raw_ns`.  Only measured where the reliable legs run
     /// (`procs == 2`).
     pub session_overhead_ns: Option<f64>,
 }
@@ -147,9 +146,9 @@ pub struct ExecutorMicro {
     /// staged all-or-nothing delivery); measured only at `procs == 2`,
     /// where the shift makes rank 0 pure-send and rank 1 pure-recv.
     pub reliable_ns: Option<f64>,
-    /// Wall nanoseconds per *unverified* reliable move — the bare link
-    /// layer without manifests or staging (the pre-transactional
-    /// behaviour), isolating the session layer's fault-free overhead.
+    /// Wall nanoseconds per *unverified* reliable move — staged and
+    /// committed like the verified one but without the manifest
+    /// handshake, isolating the handshake's fault-free overhead.
     pub reliable_raw_ns: Option<f64>,
     /// Total `(start, len)` runs in rank 0's schedule (compression check).
     pub sched_runs: usize,
@@ -179,11 +178,11 @@ impl ExecutorMicro {
         self.reliable_ns.map(|ns| self.mbps(ns))
     }
 
-    /// Fault-free overhead of the transactional session layer (manifest
-    /// exchange, verdict round, staged delivery) over the bare reliable
-    /// link layer, in percent.  Both legs drive the identical split
-    /// pipeline through the same barriered harness, so numerator and
-    /// denominator share transport machinery and measurement shape.  The
+    /// Fault-free overhead of the manifest handshake (manifest exchange
+    /// and verdict round) over the unverified halves, in percent.  Both
+    /// legs drive the identical split pipeline through the same barriered
+    /// harness, so numerator and denominator share transport machinery
+    /// and measurement shape.  The
     /// earlier definition divided the reliable leg by `fast_ns` — a
     /// different transport (the pooled coupling link vs the simulator
     /// channel `data_move`) — and reported a meaningless −67%.
@@ -267,9 +266,9 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
             })
         });
 
-        // Ablation: the same payload through the bare link layer (no
-        // manifests, no verdicts, no staging) prices the transactional
-        // session layer's fault-free overhead.
+        // Ablation: the same payload through the unverified halves (no
+        // manifests, no verdicts) prices the handshake's fault-free
+        // overhead.
         let reliable_raw_ns = (procs == 2).then(|| {
             timed_leg(ep, &g, BATCHES, reps, |ep| {
                 if ep.rank() == 0 {
@@ -788,8 +787,8 @@ mod tests {
         let rel = r.reliable_ns.expect("reliable leg at procs == 2");
         assert!(rel > 0.0);
         assert!(r.reliable_mbps().unwrap() > 0.0);
-        // The ablation leg prices the session layer against the bare link
-        // (no threshold here — that belongs to the bench gate).
+        // The ablation leg prices the manifest handshake (no threshold
+        // here — that belongs to the bench gate).
         let raw = r.reliable_raw_ns.expect("raw leg at procs == 2");
         assert!(raw > 0.0);
         assert!(r.reliable_overhead_pct().is_some());

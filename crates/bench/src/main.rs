@@ -126,8 +126,8 @@ fn main() {
             }
             if let (Some(raw_ns), Some(pct)) = (r.reliable_raw_ns, r.reliable_overhead_pct()) {
                 println!(
-                    "reliable (raw)  {raw_ns:>10.0} ns/move  — transactional session layer \
-                     costs {pct:+.1}% fault-free (manifests + verdicts + staging)"
+                    "reliable (raw)  {raw_ns:>10.0} ns/move  — the manifest handshake \
+                     costs {pct:+.1}% fault-free (manifests + verdicts)"
                 );
             }
             let ph = r.phases;
