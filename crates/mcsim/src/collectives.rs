@@ -11,16 +11,17 @@
 //! guarantees matching.
 
 use crate::group::Comm;
+use crate::message::Body;
 use crate::tag::Tag;
 use crate::wire::Wire;
 
 /// Opcodes distinguishing collective message streams.
 mod op {
-    pub const BARRIER: u32 = 1;
-    pub const BCAST: u32 = 2;
-    pub const GATHER: u32 = 3;
-    pub const ALLTOALLV: u32 = 5;
-    pub const SCATTER: u32 = 6;
+    pub(super) const BARRIER: u32 = 1;
+    pub(super) const BCAST: u32 = 2;
+    pub(super) const GATHER: u32 = 3;
+    pub(super) const ALLTOALLV: u32 = 5;
+    pub(super) const SCATTER: u32 = 6;
 }
 
 fn coll_tag(group_ctx: u32, opcode: u32) -> Tag {
@@ -47,7 +48,7 @@ impl Comm<'_> {
             let to = self.group().global((me + k) % p);
             let from = self.group().global((me + p - k) % p);
             self.ep().send(to, t, Vec::new());
-            let _ = self.ep().recv(from, t);
+            self.ep().recv_body(from, t);
             k <<= 1;
         }
     }
@@ -56,10 +57,9 @@ impl Comm<'_> {
     /// else `None`; all return the value.
     ///
     /// The value is encoded once, at the root: an inner node decodes what
-    /// it received and forwards *those bytes*.  Every child but the last
-    /// gets a pooled copy and the last gets the buffer itself, so each
-    /// rank takes from and returns to its buffer pool exactly what a
-    /// per-child re-encode would.
+    /// it received and forwards *that body*.  A value that fits inline is
+    /// copied envelope to envelope; otherwise every child but the last
+    /// gets a pooled copy and the last gets the buffer itself.
     pub fn bcast_t<T: Wire>(&mut self, root: usize, value: Option<T>) -> T {
         let p = self.size();
         let me = self.rank();
@@ -69,21 +69,21 @@ impl Comm<'_> {
         }
         let t = coll_tag(self.group().context(), op::BCAST);
         let rel = (me + p - root) % p;
-        let (v, mut bytes): (T, Vec<u8>) = if rel == 0 {
+        let (v, mut body): (T, Body) = if rel == 0 {
             let v = value.expect("checked above");
             // A one-rank group has nobody to encode for.
-            let mut buf = Vec::new();
-            if p > 1 {
-                buf = self.ep().take_buf();
-                v.write(&mut buf);
-            }
-            (v, buf)
+            let body = if p > 1 {
+                self.ep().encode(&v)
+            } else {
+                Body::Data(Vec::new())
+            };
+            (v, body)
         } else {
             let parent_rel = rel - (1 << highest_bit(rel));
             let parent = self.group().global((parent_rel + root) % p);
-            let bytes = self.ep().recv(parent, t);
-            let v = T::from_bytes(&bytes).expect("bcast decode");
-            (v, bytes)
+            let body = self.ep().recv_body(parent, t);
+            let v = T::from_bytes(body.bytes().expect("a data body")).expect("bcast decode");
+            (v, body)
         };
         let mut k = if rel == 0 { 0 } else { highest_bit(rel) + 1 };
         loop {
@@ -93,19 +93,21 @@ impl Comm<'_> {
             }
             let child = self.group().global((child_rel + root) % p);
             let last = rel + (1usize << (k + 1)) >= p;
-            let buf = if last {
-                std::mem::take(&mut bytes)
-            } else {
+            let copy = if last {
+                std::mem::replace(&mut body, Body::Data(Vec::new()))
+            } else if let Body::Data(bytes) = &body {
                 let mut copy = self.ep().take_buf();
-                copy.extend_from_slice(&bytes);
-                copy
+                copy.extend_from_slice(bytes);
+                Body::Data(copy)
+            } else {
+                body.clone()
             };
-            self.ep().send(child, t, buf);
+            self.ep().send_body(child, t, copy);
             k += 1;
         }
         // A leaf forwarded nothing: its receive buffer feeds the pool, as
         // `recv_t` would have done.
-        self.ep().recycle_buf(bytes);
+        self.ep().recycle_body(body);
         v
     }
 
@@ -244,12 +246,31 @@ impl Comm<'_> {
     }
 
     /// Typed alltoallv: one `Vec<T>` per destination, returns one per source.
-    pub fn alltoallv_t<T: Wire>(&mut self, send: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        let bytes: Vec<Vec<u8>> = send.iter().map(|v| v.to_bytes()).collect();
-        self.alltoallv_bytes(bytes)
-            .into_iter()
-            .map(|b| Vec::<T>::from_bytes(&b).expect("alltoallv decode"))
-            .collect()
+    /// The messages, order and charges of [`Comm::alltoallv_bytes`] over the
+    /// encoded parts, each encoded by `send_t` and decoded by `recv_t`; the
+    /// self part moves, charged at its encoded size.
+    pub fn alltoallv_t<T: Wire>(&mut self, mut send: Vec<Vec<T>>) -> Vec<Vec<T>> {
+        let p = self.size();
+        let me = self.rank();
+        assert_eq!(send.len(), p, "alltoallv needs one buffer per rank");
+        let t = coll_tag(self.group().context(), op::ALLTOALLV);
+        for off in 1..p {
+            let to = (me + off) % p;
+            let g = self.group().global(to);
+            self.ep().send_t(g, t, &send[to]);
+        }
+        let mut recv: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+        let mut buf = self.ep().take_buf();
+        send[me].write(&mut buf);
+        self.ep().charge_copy_bytes(buf.len());
+        self.ep().recycle_buf(buf);
+        recv[me] = std::mem::take(&mut send[me]);
+        for off in 1..p {
+            let from = (me + p - off) % p;
+            let g = self.group().global(from);
+            recv[from] = self.ep().recv_t(g, t);
+        }
+        recv
     }
 
     /// Scatter per-rank byte buffers from the root.
@@ -637,5 +658,58 @@ mod property_tests {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod inline_parity_tests {
+    use crate::export::jsonl_events;
+    use crate::group::Comm;
+    use crate::message::INLINE_MAX;
+    use crate::model::MachineModel;
+    use crate::wire::Wire;
+    use crate::world::World;
+
+    /// Part lengths whose encodings (an 8-byte length prefix, then one
+    /// byte per element) are the empty vector's, under, exactly at and one
+    /// past the inline limit, and large.
+    const LENS: [usize; 5] = [0, 3, INLINE_MAX - 8, INLINE_MAX - 7, 300];
+
+    fn part(src: usize, dst: usize) -> Vec<u8> {
+        let n = LENS[(src + 2 * dst) % LENS.len()];
+        (0..n).map(|i| (src * 31 + dst * 7 + i) as u8).collect()
+    }
+
+    /// `alltoallv_t` encodes each part into its envelope and decodes it
+    /// from there; the wire must not notice.  Every rank's self part takes
+    /// a different length, so the charged self copy is covered too.
+    #[test]
+    fn alltoallv_t_matches_alltoallv_bytes_across_the_inline_limit() {
+        let p = LENS.len();
+        let run = |typed: bool| {
+            World::with_model(p, MachineModel::sp2())
+                .with_trace()
+                .run(move |ep| {
+                    let mut c = Comm::world(ep);
+                    let send: Vec<Vec<u8>> = (0..p).map(|d| part(c.rank(), d)).collect();
+                    if typed {
+                        return c.alltoallv_t(send);
+                    }
+                    let bytes = send.iter().map(Wire::to_bytes).collect();
+                    let recv = c.alltoallv_bytes(bytes);
+                    recv.iter().map(|b| Vec::from_bytes(b).unwrap()).collect()
+                })
+        };
+        let (typed, bytes) = (run(true), run(false));
+        for (me, got) in typed.results.iter().enumerate() {
+            assert!((0..p).all(|s| got[s] == part(s, me)), "rank {me}");
+        }
+        assert_eq!(typed.results, bytes.results);
+        assert_eq!(typed.clocks, bytes.clocks);
+        assert_eq!(typed.stats.msgs, bytes.stats.msgs);
+        assert_eq!(typed.stats.bytes, bytes.stats.bytes);
+        assert_eq!(jsonl_events(&typed.traces), jsonl_events(&bytes.traces));
+        let sizes: Vec<u64> = typed.stats.bytes.iter().flatten().copied().collect();
+        assert!(sizes.contains(&(INLINE_MAX as u64)) && sizes.contains(&(INLINE_MAX as u64 + 1)));
     }
 }

@@ -18,18 +18,18 @@
 //!
 //! An endpoint owns everything that is its rank's alone (clock, stash,
 //! counters, transport state).  What ranks share — the mailboxes, the
-//! scheduler, the topology's link state — is the world's
+//! scheduler, the topology's link state, the buffer pool — is the world's
 //! `crate::sched::Hub`, handed to the endpoint at construction: a send
 //! is one `Hub::post`, a pump pops this rank's own mailbox, a blocking
 //! wait is `Hub::park`.
 
 use std::any::{Any, TypeId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
-use crate::message::{Body, Message, Rank, DROP_PREFIX};
+use crate::message::{Body, Message, Rank, DROP_PREFIX, INLINE_MAX};
 use crate::model::MachineModel;
 use crate::onesided::OnesidedState;
 use crate::recovery::{CkptStore, RecoveryConfig, BEAT_INTERVAL};
@@ -41,30 +41,123 @@ use crate::tag::Tag;
 use crate::trace::{FaultKind, TraceEvent};
 use crate::wire::Wire;
 
-/// Most buffers kept in an endpoint's reuse pool; beyond this they are
-/// dropped so a burst of large transfers cannot pin memory forever.
+/// Most buffers the world's reuse pool keeps (one pool for all ranks);
+/// beyond this they are dropped so a burst of large transfers cannot pin
+/// memory forever.
 const BUF_POOL_CAP: usize = 32;
+
+/// End of a stash chain or of its free list.
+const NIL: u32 = u32::MAX;
+
+/// Messages routed off the mailbox but not yet matched by a receive.
+///
+/// One slab per endpoint.  Each occupied slot sits on its source's FIFO
+/// chain (head and tail per source rank, links in `next`); a freed slot
+/// goes on a free list and is reused, so a warm stash allocates nothing.
+/// Every receive names its source, and matching is first-in-arrival-order
+/// by `(src, tag)` over data bodies, so walking `src`'s chain alone finds
+/// exactly the message a scan of the whole stash in arrival order would.
+struct Stash {
+    msgs: Vec<Option<Message>>,
+    /// Per slot: the next slot on the same chain, or on the free list.
+    next: Vec<u32>,
+    free: u32,
+    /// Per source rank: the `[head, tail]` slots of its chain.
+    chains: Vec<[u32; 2]>,
+}
+
+impl Stash {
+    fn new(world: usize) -> Stash {
+        Stash {
+            msgs: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            chains: vec![[NIL; 2]; world],
+        }
+    }
+
+    /// Append `msg` to the tail of its source's chain.
+    fn push(&mut self, msg: Message) {
+        let [head, tail] = &mut self.chains[msg.src];
+        let at = if self.free == NIL {
+            self.msgs.push(Some(msg));
+            self.next.push(NIL);
+            (self.msgs.len() - 1) as u32
+        } else {
+            let at = self.free;
+            self.free = std::mem::replace(&mut self.next[at as usize], NIL);
+            self.msgs[at as usize] = Some(msg);
+            at
+        };
+        match *tail {
+            NIL => *head = at,
+            last => self.next[last as usize] = at,
+        }
+        *tail = at;
+    }
+
+    /// `(predecessor, slot)` of the oldest data message from `src` with
+    /// `tag`.  Raw receives only ever match real data; drop tombstones and
+    /// reliable frames are the transport's business.
+    fn find(&self, src: Rank, tag: Tag) -> Option<(u32, u32)> {
+        let (mut prev, mut at) = (NIL, self.chains[src][0]);
+        while at != NIL {
+            let m = self.get(at);
+            if m.tag == tag && m.body.bytes().is_some() {
+                return Some((prev, at));
+            }
+            (prev, at) = (at, self.next[at as usize]);
+        }
+        None
+    }
+
+    fn get(&self, at: u32) -> &Message {
+        self.msgs[at as usize]
+            .as_ref()
+            .expect("chained slots are occupied")
+    }
+
+    /// Unlink the message `find` located and free its slot.
+    fn remove(&mut self, (prev, at): (u32, u32)) -> Message {
+        let msg = self.msgs[at as usize].take().expect("found slot");
+        let next = std::mem::replace(&mut self.next[at as usize], self.free);
+        self.free = at;
+        let [head, tail] = &mut self.chains[msg.src];
+        match prev {
+            NIL => *head = next,
+            prev => self.next[prev as usize] = next,
+        }
+        if *tail == at {
+            *tail = prev;
+        }
+        msg
+    }
+
+    fn len(&self) -> usize {
+        self.msgs.iter().flatten().count()
+    }
+}
 
 /// One rank's handle on the simulated machine.
 pub struct Endpoint {
     rank: Rank,
     world: usize,
     /// The world's shared state (see [`crate::sched`]): every rank's
-    /// mailbox, the scheduler this rank's task parks on, and the
-    /// topology's link state.
+    /// mailbox, the scheduler this rank's task parks on, the topology's
+    /// link state and the buffer pool.
     hub: Arc<Hub>,
     /// Messages popped from the mailbox but not yet matched by a `recv`.
-    pub(crate) stash: VecDeque<Message>,
+    stash: Stash,
+    /// Encoding scratch for typed sends: kept while what it encoded fit
+    /// inline, handed over with the message otherwise.  Not a pooled
+    /// buffer, so a small message never carries off a large one.
+    enc: Vec<u8>,
     pub(crate) clock: f64,
     pub(crate) model: MachineModel,
     pub(crate) stats: StatsSnapshot,
     /// Observability state: the always-on bounded flight recorder, span
     /// bookkeeping, and (when tracing is enabled) the full timeline.
     obs: ObsState,
-    /// Reusable byte buffers.  Sends take from here; receives recycle
-    /// decoded payloads back, so a steady-state exchange loop (the
-    /// executor's `data_move`) allocates no fresh wire buffers.
-    buf_pool: Vec<Vec<u8>>,
     /// Fault-injection state, present when the world has a `FaultPlan`.
     faults: Option<FaultState>,
     /// Latched peer failure: once a poison message is seen, every
@@ -135,7 +228,8 @@ impl Endpoint {
             rank,
             world,
             hub,
-            stash: VecDeque::new(),
+            stash: Stash::new(world),
+            enc: Vec::new(),
             clock: 0.0,
             model,
             stats: StatsSnapshot::new(world),
@@ -149,7 +243,6 @@ impl Endpoint {
                 }
                 obs
             },
-            buf_pool: Vec::new(),
             faults: faults.map(|p| FaultState::new(p.clone(), rank)),
             poisoned: None,
             rel: ReliableState::new(rel_cfg),
@@ -411,17 +504,44 @@ impl Endpoint {
         self.trace_push(TraceEvent::PartReplayed { at, from, parts });
     }
 
-    /// Take an empty byte buffer, reusing pooled capacity when available.
+    /// Take an empty byte buffer, reusing capacity from the world's pool
+    /// when it holds any.  The pool is shared by every rank, so buffers a
+    /// one-way stream's receiver recycles feed its sender's next takes.
     pub fn take_buf(&mut self) -> Vec<u8> {
-        self.buf_pool.pop().unwrap_or_default()
+        self.hub.pool(Vec::pop).unwrap_or_default()
     }
 
-    /// Return a buffer to the pool for reuse (cleared, capacity kept).
+    /// Return a buffer to the world's pool for reuse (cleared, capacity
+    /// kept), unless the pool already holds `BUF_POOL_CAP` buffers.
     pub fn recycle_buf(&mut self, mut buf: Vec<u8>) {
-        if self.buf_pool.len() < BUF_POOL_CAP && buf.capacity() > 0 {
+        if buf.capacity() > 0 {
             buf.clear();
-            self.buf_pool.push(buf);
+            self.hub.pool(|pool| {
+                if pool.len() < BUF_POOL_CAP {
+                    pool.push(buf);
+                }
+            });
         }
+    }
+
+    /// Hand a received body's heap buffer, if it has one, to the pool.
+    pub(crate) fn recycle_body(&mut self, body: Body) {
+        if let Body::Data(buf) = body {
+            self.recycle_buf(buf);
+        }
+    }
+
+    /// `value`'s [`Wire`] encoding as a data body: inline when it fits.
+    pub(crate) fn encode<T: Wire>(&mut self, value: &T) -> Body {
+        let mut buf = std::mem::take(&mut self.enc);
+        buf.clear();
+        value.write(&mut buf);
+        if buf.len() > INLINE_MAX {
+            return Body::Data(buf);
+        }
+        let body = Body::copy_of(&buf);
+        self.enc = buf;
+        body
     }
 
     /// Fire a scripted crash if the fault plan (or a runtime-armed crash)
@@ -550,15 +670,13 @@ impl Endpoint {
         self.stats.recovery.heartbeats_sent += 1;
         self.trace_push(TraceEvent::Heartbeat { at, incarnation });
         let tag = crate::onesided::beat_tag();
+        let mut beat = [crate::onesided::K_BEAT; 17];
+        beat[1..9].copy_from_slice(&incarnation.to_le_bytes());
+        beat[9..].copy_from_slice(&at.to_le_bytes());
         for to in 0..self.world {
-            if to == self.rank {
-                continue;
+            if to != self.rank {
+                self.nic_send(to, tag, Body::copy_of(&beat), at);
             }
-            let mut buf = Vec::with_capacity(17);
-            buf.push(crate::onesided::K_BEAT);
-            buf.extend_from_slice(&incarnation.to_le_bytes());
-            buf.extend_from_slice(&at.to_le_bytes());
-            self.nic_send(to, tag, buf, at);
         }
         self.last_beat = at;
     }
@@ -676,22 +794,17 @@ impl Endpoint {
                 // life's mail would leave that peer's incarnation
                 // unknown and every reliable stream to it wedged on
                 // old sequence state.
-                Message {
-                    src,
-                    tag,
-                    body: Body::Data(b),
-                    ..
-                } if tag == crate::onesided::beat_tag()
-                    && b.len() >= 17
-                    && b[0] == crate::onesided::K_BEAT =>
-                {
-                    let inc = u64::from_le_bytes(b[1..9].try_into().unwrap());
-                    self.note_peer_incarnation(src, inc);
+                Message { src, tag, body, .. } if tag == crate::onesided::beat_tag() => {
+                    let beat = |b: &&[u8]| b.len() >= 17 && b[0] == crate::onesided::K_BEAT;
+                    if let Some(b) = body.bytes().filter(beat) {
+                        let inc = u64::from_le_bytes(b[1..9].try_into().unwrap());
+                        self.note_peer_incarnation(src, inc);
+                    }
                 }
                 _ => {}
             }
         }
-        self.stash.clear();
+        self.stash = Stash::new(self.world);
         self.rel.purge_all();
         self.os.reset_keep_reqs();
         self.armed_crash = None;
@@ -718,15 +831,21 @@ impl Endpoint {
     ///
     /// Charges the sender's clock and stamps the message with its arrival
     /// time at the receiver.  Sending to self is allowed (the message loops
-    /// through this rank's own mailbox).
+    /// through this rank's own mailbox).  The buffer travels as given;
+    /// [`Endpoint::send_t`] is the path that packs small values inline.
     pub fn send(&mut self, to: Rank, tag: Tag, payload: Vec<u8>) {
+        self.send_body(to, tag, Body::Data(payload));
+    }
+
+    /// [`Endpoint::send`] of a data body already built.
+    pub(crate) fn send_body(&mut self, to: Rank, tag: Tag, body: Body) {
         assert!(to < self.world, "send to rank {to} of {}", self.world);
         self.check_crash();
-        let bytes = payload.len();
+        let bytes = body.len();
         self.clock += self.model.send_cost(bytes);
         let at = self.clock;
         let arrival = self.arrival_for(to, bytes, at);
-        self.send_at(to, tag, payload, at, arrival);
+        self.send_at(to, tag, body, at, arrival);
     }
 
     /// NIC-plane send used by the reliable protocol: timestamps are derived
@@ -734,15 +853,16 @@ impl Endpoint {
     /// this rank's program-order clock — acks and retransmits happen "in
     /// the network", so virtual time stays deterministic no matter when the
     /// protocol pump actually drains the triggering event.
-    pub(crate) fn nic_send(&mut self, to: Rank, tag: Tag, payload: Vec<u8>, at: f64) {
-        let arrival = self.arrival_for(to, payload.len(), at);
-        self.send_at(to, tag, payload, at, arrival);
+    pub(crate) fn nic_send(&mut self, to: Rank, tag: Tag, body: Body, at: f64) {
+        let arrival = self.arrival_for(to, body.len(), at);
+        self.send_at(to, tag, body, at, arrival);
     }
 
     /// The physical sender: applies fault injection, records stats/trace,
     /// and posts one or two message copies with the given timestamps.
-    fn send_at(&mut self, to: Rank, tag: Tag, mut payload: Vec<u8>, at: f64, arrival: f64) {
-        let bytes = payload.len();
+    /// Faults act on the payload bytes, whichever form carries them.
+    fn send_at(&mut self, to: Rank, tag: Tag, mut body: Body, at: f64, arrival: f64) {
+        let bytes = body.len();
         let draw = self
             .faults
             .as_mut()
@@ -760,7 +880,7 @@ impl Endpoint {
             let msg = Message {
                 src: self.rank,
                 tag,
-                body: Body::Data(payload),
+                body,
                 arrival,
             };
             self.hub.post(to, msg);
@@ -769,9 +889,9 @@ impl Endpoint {
         let n = draw.copies.len();
         for (i, fate) in draw.copies.iter().enumerate() {
             let mut copy = if i + 1 == n {
-                std::mem::take(&mut payload)
+                std::mem::replace(&mut body, Body::Data(Vec::new()))
             } else {
-                payload.clone()
+                body.clone()
             };
             if i > 0 {
                 self.stats.faults.dups_injected += 1;
@@ -795,7 +915,7 @@ impl Endpoint {
                     bytes,
                 });
             }
-            let body = if fate.drop {
+            let copy = if fate.drop {
                 self.stats.faults.drops_injected += 1;
                 self.trace_push(TraceEvent::Fault {
                     at,
@@ -806,11 +926,11 @@ impl Endpoint {
                 });
                 Body::Dropped {
                     orig_len: bytes,
-                    prefix: copy[..bytes.min(DROP_PREFIX)].to_vec(),
+                    prefix: copy.bytes().expect("a data body")[..bytes.min(DROP_PREFIX)].to_vec(),
                 }
             } else {
                 if let Some(bit) = fate.corrupt_bit {
-                    copy[bit / 8] ^= 1 << (bit % 8);
+                    copy.bytes_mut().expect("a data body")[bit / 8] ^= 1 << (bit % 8);
                     self.stats.faults.corrupts_injected += 1;
                     self.trace_push(TraceEvent::Fault {
                         at,
@@ -820,7 +940,7 @@ impl Endpoint {
                         bytes,
                     });
                 }
-                Body::Data(copy)
+                copy
             };
             self.stats.record(to, bytes);
             self.trace_push(TraceEvent::Send {
@@ -833,19 +953,18 @@ impl Endpoint {
             let msg = Message {
                 src: self.rank,
                 tag,
-                body,
+                body: copy,
                 arrival: copy_arrival,
             };
             self.hub.post(to, msg);
         }
     }
 
-    /// Typed send: encodes `value` with the [`Wire`] codec into a pooled
-    /// buffer.
+    /// Typed send: encodes `value` with the [`Wire`] codec, into the
+    /// envelope itself when it fits.
     pub fn send_t<T: Wire>(&mut self, to: Rank, tag: Tag, value: &T) {
-        let mut buf = self.take_buf();
-        value.write(&mut buf);
-        self.send(to, tag, buf);
+        let body = self.encode(value);
+        self.send_body(to, tag, body);
     }
 
     /// Route one message that just came off the wire: latch poison, feed
@@ -863,8 +982,10 @@ impl Endpoint {
         // Any frame is liveness evidence for its sender's lease.
         self.route_epoch += 1;
         self.peer_seen[msg.src] = self.route_epoch;
-        if let Some(m) = reliable::intake(self, msg) {
-            self.stash.push_back(m);
+        if reliable::intercepts(msg.tag) {
+            reliable::intake(self, msg);
+        } else {
+            self.stash.push(msg);
         }
         Ok(())
     }
@@ -956,12 +1077,18 @@ impl Endpoint {
         self.drain_ready().map(|_| ())
     }
 
-    fn stash_match(&self, from: Rank, tag: Tag) -> Option<usize> {
-        // Raw receives only ever match real data; drop tombstones and
-        // reliable frames are the transport's business.
-        self.stash
-            .iter()
-            .position(|m| m.src == from && m.tag == tag && matches!(m.body, Body::Data(_)))
+    /// The blocking receive every variant shares: the matched message's
+    /// data body, already accepted.
+    fn recv_data(&mut self, from: Rank, tag: Tag) -> Result<Body, SimError> {
+        assert!(from < self.world, "recv from rank {from} of {}", self.world);
+        self.check_crash();
+        loop {
+            if let Some(pos) = self.stash.find(from, tag) {
+                let msg = self.stash.remove(pos);
+                return Ok(self.accept(msg));
+            }
+            self.pump_one()?;
+        }
     }
 
     /// Receive the next message from `from` with `tag`, surfacing peer
@@ -970,23 +1097,24 @@ impl Endpoint {
     /// Advances the virtual clock to `max(now, arrival) + recv cost` on
     /// success.
     pub fn recv_result(&mut self, from: Rank, tag: Tag) -> Result<Vec<u8>, SimError> {
-        assert!(from < self.world, "recv from rank {from} of {}", self.world);
-        self.check_crash();
-        loop {
-            if let Some(idx) = self.stash_match(from, tag) {
-                let msg = self.stash.remove(idx).expect("index valid");
-                return Ok(self.accept(msg));
-            }
-            self.pump_one()?;
+        self.recv_data(from, tag).map(Body::into_vec)
+    }
+
+    /// [`Endpoint::recv`] that keeps the payload in its envelope form, for
+    /// collectives that decode or forward it without a buffer of their own.
+    pub(crate) fn recv_body(&mut self, from: Rank, tag: Tag) -> Body {
+        match self.recv_data(from, tag) {
+            Ok(body) => body,
+            Err(e) => self.panic_sim(e, from, tag),
         }
     }
 
-    /// Typed variant of [`Endpoint::recv_result`]; decode failures surface
-    /// as [`SimError::Decode`].
+    /// Typed variant of [`Endpoint::recv_result`], decoded straight from
+    /// the envelope; decode failures surface as [`SimError::Decode`].
     pub fn recv_t_result<T: Wire>(&mut self, from: Rank, tag: Tag) -> Result<T, SimError> {
-        let bytes = self.recv_result(from, tag)?;
-        let decoded = T::from_bytes(&bytes);
-        self.recycle_buf(bytes);
+        let body = self.recv_data(from, tag)?;
+        let decoded = T::from_bytes(body.bytes().expect("a data body"));
+        self.recycle_body(body);
         decoded
     }
 
@@ -1008,10 +1136,10 @@ impl Endpoint {
         let deadline = self.clock + timeout;
         loop {
             self.pump_ready()?;
-            if let Some(idx) = self.stash_match(from, tag) {
-                if self.stash[idx].arrival <= deadline {
-                    let msg = self.stash.remove(idx).expect("index valid");
-                    return Ok(self.accept(msg));
+            if let Some(pos) = self.stash.find(from, tag) {
+                if self.stash.get(pos.1).arrival <= deadline {
+                    let msg = self.stash.remove(pos);
+                    return Ok(self.accept(msg).into_vec());
                 }
                 self.stats.faults.timeouts += 1;
                 self.advance_to(deadline);
@@ -1083,9 +1211,9 @@ impl Endpoint {
         if !self.probe(from, tag) {
             return None;
         }
-        let idx = self.stash_match(from, tag)?;
-        let msg = self.stash.remove(idx).expect("index valid");
-        Some(self.accept(msg))
+        let pos = self.stash.find(from, tag)?;
+        let msg = self.stash.remove(pos);
+        Some(self.accept(msg).into_vec())
     }
 
     /// True if a matching message has already arrived (non-blocking).
@@ -1097,7 +1225,7 @@ impl Endpoint {
     pub fn probe(&mut self, from: Rank, tag: Tag) -> bool {
         self.drain_mailbox(from, tag);
         loop {
-            if self.stash_match(from, tag).is_some() {
+            if self.stash.find(from, tag).is_some() {
                 return true;
             }
             let now = self.clock;
@@ -1117,9 +1245,9 @@ impl Endpoint {
         }
     }
 
-    /// Typed receive.  The decoded payload's byte buffer is recycled into
-    /// this endpoint's pool, which is what feeds [`Endpoint::take_buf`] in
-    /// steady state.
+    /// Typed receive.  The decoded payload's byte buffer, if it had one, is
+    /// recycled into the world's pool, which is what feeds
+    /// [`Endpoint::take_buf`] in steady state.
     ///
     /// # Panics
     /// Panics on peer failure or decode errors (see [`Endpoint::recv`] and
@@ -1131,8 +1259,9 @@ impl Endpoint {
         }
     }
 
-    pub(crate) fn accept(&mut self, msg: Message) -> Vec<u8> {
-        let bytes = msg.len();
+    /// Charge a matched message's receive and record it; returns its body.
+    pub(crate) fn accept(&mut self, msg: Message) -> Body {
+        let bytes = msg.body.len();
         let waited = (msg.arrival - self.clock).max(0.0);
         if msg.arrival > self.clock {
             self.clock = msg.arrival;
@@ -1145,11 +1274,7 @@ impl Endpoint {
             bytes,
             waited,
         });
-        match msg.body {
-            Body::Data(d) => d,
-            Body::Dropped { .. } => unreachable!("tombstones never match a receive"),
-            Body::Poison(_) => unreachable!("poison filtered in pump loop"),
-        }
+        msg.body
     }
 
     /// Charge the receive-side cost of one already-validated transport
@@ -1217,11 +1342,6 @@ impl std::fmt::Debug for Endpoint {
             .field("stashed", &self.stash.len())
             .finish()
     }
-}
-
-/// Result of decoding a received message without panicking; used by tests.
-pub fn try_decode<T: Wire>(bytes: &[u8]) -> Result<T, SimError> {
-    T::from_bytes(bytes)
 }
 
 #[cfg(test)]
@@ -1405,6 +1525,228 @@ mod recovery_tests {
         assert_eq!(native.outcomes, baton.outcomes);
         assert_eq!(native.outcomes[0], Ok((1, 3, 2)));
         assert!(native.outcomes[2].is_err());
+    }
+}
+
+#[cfg(test)]
+mod stash_tests {
+    use std::collections::VecDeque;
+
+    use crate::error::SimError;
+    use crate::message::{Body, Message, Rank};
+    use crate::model::MachineModel;
+    use crate::rng::Rng;
+    use crate::tag::Tag;
+    use crate::world::World;
+
+    const SOURCES: usize = 16;
+    const TAGS: usize = 4;
+
+    /// The linear first-match scan the slab replaced, over every message
+    /// posted and not yet received (`None` payload: a drop tombstone), with
+    /// the clock arithmetic of `accept` and `advance_to`.
+    struct Model {
+        queue: VecDeque<(Rank, Tag, Option<Vec<u8>>, f64)>,
+        clock: f64,
+    }
+
+    impl Model {
+        fn first(&self, from: Rank, tag: Tag) -> Option<usize> {
+            (self.queue.iter()).position(|(s, t, p, _)| (*s, *t) == (from, tag) && p.is_some())
+        }
+
+        fn take(&mut self, i: usize) -> Vec<u8> {
+            let (_, _, payload, arrival) = self.queue.remove(i).expect("index valid");
+            let payload = payload.expect("matches are data");
+            self.clock = self.clock.max(arrival) + MachineModel::sp2().recv_cost(payload.len());
+            payload
+        }
+
+        fn recv_timeout(
+            &mut self,
+            from: Rank,
+            tag: Tag,
+            timeout: f64,
+        ) -> Result<Vec<u8>, SimError> {
+            let deadline = self.clock + timeout;
+            match self.first(from, tag) {
+                Some(i) if self.queue[i].3 <= deadline => Ok(self.take(i)),
+                _ => {
+                    self.clock = self.clock.max(deadline);
+                    Err(SimError::PeerTimeout { rank: from })
+                }
+            }
+        }
+    }
+
+    /// Rank 0 posts a seeded interleaving of data and tombstones from 16
+    /// sources over 4 tags into its own mailbox and receives them in a
+    /// random named order through every matching entry point; each call
+    /// must return exactly what the linear scan returns, at the same
+    /// clock.  Returns how many receives matched.
+    fn drive(ep: &mut super::Endpoint, seed: u64) -> usize {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut model = Model {
+            queue: VecDeque::new(),
+            clock: ep.clock(),
+        };
+        let mut matched = 0;
+        for id in 0..1500u64 {
+            if rng.gen_range(5) < 2 {
+                let (src, tag) = (
+                    rng.gen_range(SOURCES),
+                    Tag::user(rng.gen_range(TAGS) as u32),
+                );
+                let mut payload = id.to_le_bytes().to_vec();
+                payload.resize(8 + rng.gen_range(24), id as u8);
+                let arrival = model.clock + rng.gen_f64() * 1e-3;
+                let body = if rng.gen_range(8) == 0 {
+                    model.queue.push_back((src, tag, None, arrival));
+                    Body::Dropped {
+                        orig_len: payload.len(),
+                        prefix: payload[..8].to_vec(),
+                    }
+                } else {
+                    model
+                        .queue
+                        .push_back((src, tag, Some(payload.clone()), arrival));
+                    Body::copy_of(&payload)
+                };
+                let msg = Message {
+                    src,
+                    tag,
+                    body,
+                    arrival,
+                };
+                ep.hub.post(0, msg);
+                continue;
+            }
+            // Half the receives name a stashed message's key (possibly a
+            // tombstone's), half any key.
+            let (from, tag) = match model.queue.len() {
+                n if n > 0 && rng.gen_range(2) == 0 => {
+                    let (s, t, _, _) = &model.queue[rng.gen_range(n)];
+                    (*s, *t)
+                }
+                _ => (
+                    rng.gen_range(SOURCES),
+                    Tag::user(rng.gen_range(TAGS) as u32),
+                ),
+            };
+            let want = model.first(from, tag);
+            let before = model.queue.len();
+            match rng.gen_range(4) {
+                0 if want.is_some() => {
+                    let got = ep.recv_result(from, tag);
+                    assert_eq!(got, Ok(model.take(want.unwrap())));
+                }
+                1 => {
+                    let got = ep.try_recv(from, tag);
+                    assert_eq!(got, want.map(|i| model.take(i)));
+                }
+                2 => {
+                    // Timeouts straddle the arrival spread: late and
+                    // in-time matches, and silence on a miss.
+                    let timeout = rng.gen_f64() * 1e-3;
+                    let got = ep.recv_timeout(from, tag, timeout);
+                    assert_eq!(got, model.recv_timeout(from, tag, timeout));
+                }
+                _ => assert_eq!(ep.probe(from, tag), want.is_some()),
+            }
+            matched += before - model.queue.len();
+            assert_eq!(ep.clock(), model.clock, "op {id}");
+            ep.pump_ready().expect("no poison");
+            assert_eq!(ep.stash.len(), model.queue.len(), "op {id}");
+        }
+        matched
+    }
+
+    #[test]
+    fn slab_stash_matches_linear_scan() {
+        let run = || {
+            World::with_model(SOURCES, MachineModel::sp2()).run(|ep| {
+                if ep.rank() != 0 {
+                    return (0, 0);
+                }
+                let first = drive(ep, 0x57a5);
+                assert!(ep.stash.len() > 0, "tombstones and unread data remain");
+                ep.reset_for_recovery();
+                assert_eq!(ep.stash.len(), 0);
+                assert!(ep.stash.chains.iter().all(|c| *c == [super::NIL; 2]));
+                // The cleared slab serves a second life the same way.
+                (first, drive(ep, 0xa11ce))
+            })
+        };
+        let (native, baton) = (run(), crate::sched::with_baton(run));
+        assert_eq!(native.results, baton.results);
+        assert_eq!(native.clocks, baton.clocks);
+        let (first, second) = native.results[0];
+        assert!(first > 200 && second > 200, "{first} and {second} matches");
+    }
+}
+
+#[cfg(test)]
+mod inline_fault_tests {
+    use crate::export::jsonl_events;
+    use crate::fault::{FaultPlan, FaultRates};
+    use crate::message::{Body, INLINE_MAX};
+    use crate::model::MachineModel;
+    use crate::tag::Tag;
+    use crate::world::World;
+
+    /// Faults act on an inline body exactly as on a heap body: the same
+    /// payloads sent in either form under one plan draw the same fates,
+    /// leave the same trace, and reach the receiver as the same tombstone
+    /// prefixes, duplicates and flipped bits.
+    #[test]
+    fn faults_treat_inline_and_heap_bodies_alike() {
+        let plan = FaultPlan::new(7).classes(1).rates(FaultRates {
+            drop: 0.3,
+            dup: 0.5,
+            corrupt: 0.6,
+            ..FaultRates::default()
+        });
+        let tag = Tag::new(Tag::FIRST_USER_CTX, 1);
+        let payloads: Vec<Vec<u8>> = (0..12u8)
+            .map(|i| (0..INLINE_MAX as u8 - i % 4).map(|b| b ^ i).collect())
+            .collect();
+        let run = |inline: bool| {
+            let world = World::with_model(2, MachineModel::sp2()).with_faults(plan.clone());
+            world.with_trace().run(|ep| {
+                if ep.rank() == 0 {
+                    for p in &payloads {
+                        let body = if inline {
+                            Body::copy_of(p)
+                        } else {
+                            Body::Data(p.clone())
+                        };
+                        assert_eq!(matches!(body, Body::Inline { .. }), inline);
+                        ep.send_body(1, tag, body);
+                    }
+                    return Vec::new();
+                }
+                // A miss parks until quiescence: everything has arrived.
+                assert!(!ep.probe(0, Tag::user(9)));
+                let mut got = Vec::new();
+                let mut at = ep.stash.chains[0][0];
+                while at != super::NIL {
+                    got.push(match &ep.stash.msgs[at as usize].as_ref().unwrap().body {
+                        Body::Dropped { orig_len, prefix } => (Some(*orig_len), prefix.clone()),
+                        data => (None, data.bytes().unwrap().to_vec()),
+                    });
+                    at = ep.stash.next[at as usize];
+                }
+                got
+            })
+        };
+        let (inline, heap) = (run(true), run(false));
+        assert_eq!(jsonl_events(&inline.traces), jsonl_events(&heap.traces));
+        assert_eq!(inline.results, heap.results);
+        let got = &inline.results[1];
+        assert!(got.len() > payloads.len(), "a duplicate arrived");
+        assert!(got.iter().any(|(dropped, _)| dropped.is_some()), "a drop");
+        let flipped = |(d, b): &(Option<usize>, Vec<u8>)| d.is_none() && !payloads.contains(b);
+        assert!(got.iter().any(flipped), "a corrupted copy");
     }
 }
 

@@ -53,6 +53,8 @@
 #![allow(clippy::needless_range_loop)]
 // Every `unsafe` block and impl carries its invariant next to it.
 #![deny(clippy::undocumented_unsafe_blocks)]
+// Crate-internal helpers stay `pub(crate)`; nothing unreachable is `pub`.
+#![warn(unreachable_pub)]
 
 pub mod analyze;
 pub mod collectives;

@@ -9,11 +9,24 @@ pub type Rank = usize;
 /// the reliable layer to recognize which control frame was lost.
 pub(crate) const DROP_PREFIX: usize = 16;
 
+/// Largest [`Body::Inline`] payload: what fits in a 56-byte envelope.
+pub const INLINE_MAX: usize = 23;
+
 /// What a message carries.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Body {
     /// Ordinary data payload.
     Data(Vec<u8>),
+    /// Data payload of at most [`INLINE_MAX`] bytes, held in the envelope
+    /// so neither side touches the allocator: what typed sends, control
+    /// frames and heartbeats build when their encoding fits.  Readers see
+    /// both forms through [`Body::bytes`].
+    Inline {
+        /// Payload length.
+        len: u8,
+        /// Payload in the first `len` bytes.
+        bytes: [u8; INLINE_MAX],
+    },
     /// Tombstone left where a [`crate::fault::FaultPlan`] destroyed a
     /// message in flight.  The payload is gone; the envelope (and a short
     /// prefix of the original bytes) still arrives so loss detection can be
@@ -30,6 +43,58 @@ pub enum Body {
     Poison(String),
 }
 
+impl Body {
+    /// A data body holding a copy of `payload`: inline when it fits.
+    pub(crate) fn copy_of(payload: &[u8]) -> Body {
+        if payload.len() > INLINE_MAX {
+            return Body::Data(payload.to_vec());
+        }
+        let mut bytes = [0; INLINE_MAX];
+        bytes[..payload.len()].copy_from_slice(payload);
+        Body::Inline {
+            len: payload.len() as u8,
+            bytes,
+        }
+    }
+
+    /// The payload of a data body (either form); `None` for tombstones
+    /// and poison.
+    #[inline]
+    pub fn bytes(&self) -> Option<&[u8]> {
+        match self {
+            Body::Data(d) => Some(d),
+            Body::Inline { len, bytes } => Some(&bytes[..*len as usize]),
+            Body::Dropped { .. } | Body::Poison(_) => None,
+        }
+    }
+
+    /// Payload length in bytes (0 for poison and drop tombstones).
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.bytes().map_or(0, <[u8]>::len)
+    }
+
+    /// Mutable view of a data body's payload (fault injection flips bits
+    /// through it).
+    pub(crate) fn bytes_mut(&mut self) -> Option<&mut [u8]> {
+        match self {
+            Body::Data(d) => Some(d),
+            Body::Inline { len, bytes } => Some(&mut bytes[..*len as usize]),
+            Body::Dropped { .. } | Body::Poison(_) => None,
+        }
+    }
+
+    /// The payload of a data body as an owned buffer: the heap form hands
+    /// its buffer over, the inline form is copied out.
+    #[inline]
+    pub(crate) fn into_vec(self) -> Vec<u8> {
+        match self {
+            Body::Data(d) => d,
+            other => other.bytes().expect("a data body").to_vec(),
+        }
+    }
+}
+
 /// A message in flight between two ranks.
 #[derive(Debug)]
 pub struct Message {
@@ -44,20 +109,9 @@ pub struct Message {
     pub arrival: f64,
 }
 
-impl Message {
-    /// Payload length in bytes (0 for poison and drop tombstones).
-    pub fn len(&self) -> usize {
-        match &self.body {
-            Body::Data(d) => d.len(),
-            Body::Dropped { .. } | Body::Poison(_) => 0,
-        }
-    }
-
-    /// True if the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+// Mailboxes and stashes hold envelopes by value: the inline form must not
+// grow them.
+const _: () = assert!(std::mem::size_of::<Message>() == 56);
 
 #[cfg(test)]
 mod tests {
@@ -71,15 +125,28 @@ mod tests {
             body: Body::Data(vec![1, 2, 3]),
             arrival: 0.0,
         };
-        assert_eq!(m.len(), 3);
-        assert!(!m.is_empty());
+        assert_eq!(m.body.len(), 3);
         let p = Message {
             src: 0,
             tag: Tag::user(0),
             body: Body::Poison("x".into()),
             arrival: 0.0,
         };
-        assert_eq!(p.len(), 0);
-        assert!(p.is_empty());
+        assert_eq!(p.body.len(), 0);
+    }
+
+    #[test]
+    fn copy_of_inlines_exactly_what_fits() {
+        for n in [0, 1, INLINE_MAX, INLINE_MAX + 1, 100] {
+            let payload: Vec<u8> = (0..n as u8).collect();
+            let body = Body::copy_of(&payload);
+            assert_eq!(
+                matches!(body, Body::Inline { .. }),
+                n <= INLINE_MAX,
+                "n={n}"
+            );
+            assert_eq!(body.bytes(), Some(&payload[..]));
+            assert_eq!(body.into_vec(), payload);
+        }
     }
 }

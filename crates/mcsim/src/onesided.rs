@@ -395,7 +395,7 @@ pub(crate) fn apply_put(ep: &mut Endpoint, src: Rank, tag: Tag, payload: Vec<u8>
 /// duplicate service is idempotent) and surface as
 /// [`SimError::PeerTimeout`] once the attempt budget is spent.
 pub(crate) fn intake_ctrl(ep: &mut Endpoint, msg: Message) {
-    let Body::Data(bytes) = &msg.body else {
+    let Some(bytes) = msg.body.bytes() else {
         // Tombstones and poison never carry a usable control frame;
         // poison is filtered before intake, dropped requests are lost.
         return;
@@ -427,7 +427,7 @@ pub(crate) fn intake_ctrl(ep: &mut Endpoint, msg: Message) {
                 None => reply.push(0),
             }
             let at = reliable::turnaround(ep, arrival);
-            ep.nic_send(src, tag, reply, at);
+            ep.nic_send(src, tag, Body::Data(reply), at);
         }
         K_GET_REPLY if bytes.len() >= 10 => {
             let req = u64::from_le_bytes(bytes[1..9].try_into().unwrap());

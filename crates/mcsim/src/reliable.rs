@@ -499,11 +499,10 @@ fn patch_attempt(frame: &mut [u8], attempt: u16) {
     frame[n - 8..].copy_from_slice(&ck.to_le_bytes());
 }
 
-fn ctrl_frame(kind: u8, seq: u64) -> Vec<u8> {
-    let mut v = Vec::with_capacity(CTRL_LEN);
-    v.push(kind);
-    v.extend_from_slice(&seq.to_le_bytes());
-    v
+fn ctrl_frame(kind: u8, seq: u64) -> Body {
+    let mut frame = [kind; CTRL_LEN];
+    frame[1..].copy_from_slice(&seq.to_le_bytes());
+    Body::copy_of(&frame)
 }
 
 fn decode_ctrl(bytes: &[u8]) -> Option<(u8, u64)> {
@@ -698,7 +697,7 @@ pub fn reliable_recv(ep: &mut Endpoint, from: Rank, st: StreamTag) -> Result<Vec
         if let Some(ready) = popped {
             match ready {
                 ReadyFrame::Whole(msg) => {
-                    let mut frame = ep.accept(msg);
+                    let mut frame = ep.accept(msg).into_vec();
                     frame.truncate(frame.len() - TRAILER_LEN);
                     return Ok(frame);
                 }
@@ -726,27 +725,28 @@ pub fn reliable_recv(ep: &mut Endpoint, from: Rank, st: StreamTag) -> Result<Vec
     }
 }
 
+/// True for the traffic the protocol [`intake`] consumes: user-context
+/// tags of the reliable DATA, reliable control and one-sided control
+/// classes.  Everything else is stashed for a later raw receive.
+#[inline]
+pub(crate) fn intercepts(tag: Tag) -> bool {
+    tag.ctx() >= Tag::FIRST_USER_CTX
+        && matches!(
+            tag.class(),
+            Tag::CLASS_RELIABLE_DATA | Tag::CLASS_RELIABLE_CTRL | Tag::CLASS_ONESIDED_CTRL
+        )
+}
+
 /// Protocol intake, called by the endpoint on every message drained from
-/// the wire.  Reliable DATA frames are verified, deduped, reordered, and
-/// acked *at drain time* — even while the draining rank is blocked on an
-/// unrelated receive — which is what lets symmetric exchanges make
-/// progress.  Returns the message if it should be stashed for a later raw
-/// receive.
-pub(crate) fn intake(ep: &mut Endpoint, msg: Message) -> Option<Message> {
-    if msg.tag.ctx() < Tag::FIRST_USER_CTX {
-        return Some(msg);
-    }
+/// the wire that it [`intercepts`].  Reliable DATA frames are verified,
+/// deduped, reordered, and acked *at drain time* — even while the draining
+/// rank is blocked on an unrelated receive — which is what lets symmetric
+/// exchanges make progress.
+pub(crate) fn intake(ep: &mut Endpoint, msg: Message) {
     match msg.tag.class() {
         Tag::CLASS_RELIABLE_DATA => intake_data(ep, msg),
-        Tag::CLASS_RELIABLE_CTRL => {
-            intake_ctrl(ep, msg);
-            None
-        }
-        Tag::CLASS_ONESIDED_CTRL => {
-            crate::onesided::intake_ctrl(ep, msg);
-            None
-        }
-        _ => Some(msg),
+        Tag::CLASS_RELIABLE_CTRL => intake_ctrl(ep, msg),
+        _ => crate::onesided::intake_ctrl(ep, msg),
     }
 }
 
@@ -767,16 +767,15 @@ fn deliver_frame(
     sink: bool,
     completions: &mut Vec<(Tag, Vec<u8>, f64)>,
 ) {
-    let Body::Data(frame) = &msg.body else {
-        unreachable!("only validated data frames are delivered");
-    };
+    let frame = msg
+        .body
+        .bytes()
+        .expect("only validated data frames are delivered");
     let last = frame_flags(frame) & FLAG_LAST != 0;
     if sink {
         let arrival = msg.arrival;
         let tag = msg.tag;
-        let Body::Data(mut frame) = msg.body else {
-            unreachable!();
-        };
+        let mut frame = msg.body.into_vec();
         if last && st.assembly_chunks.is_empty() {
             frame.truncate(frame.len() - TRAILER_LEN);
             completions.push((tag, frame, arrival));
@@ -805,16 +804,16 @@ fn deliver_frame(
     }
 }
 
-fn intake_data(ep: &mut Endpoint, msg: Message) -> Option<Message> {
+fn intake_data(ep: &mut Endpoint, msg: Message) {
     let ctrl = ctrl_tag_of_data(msg.tag);
     let at = turnaround(ep, msg.arrival);
     let src = msg.src;
     let key = (src, msg.tag.0);
-    let valid = match &msg.body {
-        Body::Dropped { .. } => false,
-        Body::Data(frame) => frame_ok(frame, ep.faults_enabled()),
-        Body::Poison(_) => unreachable!("poison filtered before intake"),
-    };
+    let verify = ep.faults_enabled();
+    let valid = msg
+        .body
+        .bytes()
+        .is_some_and(|frame| frame_ok(frame, verify));
     if !valid {
         // The frame was destroyed or corrupted in flight: ask for the
         // first sequence number we have not seen.  FIFO channels make the
@@ -826,18 +825,16 @@ fn intake_data(ep: &mut Endpoint, msg: Message) -> Option<Message> {
         stream.next_unseen = miss + 1;
         ep.stats.faults.nacks_sent += 1;
         ep.nic_send(src, ctrl, ctrl_frame(K_NACK, miss), at);
-        return None;
+        return;
     }
-    let Body::Data(frame) = &msg.body else {
-        unreachable!();
-    };
+    let frame = msg.body.bytes().expect("validated above");
     // A frame stamped with an incarnation other than ours was sent toward
     // a previous (or not-yet-seen) life of this rank: drop it silently.
     // No NACK — the sender's stream for the old life is void, and its new
     // stream will start from seq 0 once it observes our recovery beat.
     let inc_bits = (frame_flags(frame) >> 1) & 0x7FFF;
     if inc_bits != (ep.incarnation() & 0x7FFF) as u16 {
-        return None;
+        return;
     }
     let seq = frame_seq(frame);
     let sink = crate::onesided::is_sink_tag(msg.tag);
@@ -910,7 +907,6 @@ fn intake_data(ep: &mut Endpoint, msg: Message) -> Option<Message> {
     for (tag, payload, arrival) in completions {
         crate::onesided::apply_put(ep, src, tag, payload, arrival);
     }
-    None
 }
 
 /// Retransmit the pending frame at `idx` on the stream toward `to`,
@@ -969,7 +965,7 @@ fn retransmit_pending(
         seq,
         attempt,
     });
-    ep.nic_send(to, data_tag, frame, t_retx);
+    ep.nic_send(to, data_tag, Body::Data(frame), t_retx);
     true
 }
 
@@ -1013,9 +1009,9 @@ fn intake_ctrl(ep: &mut Endpoint, msg: Message) {
     // prefix covers the whole 9-byte frame.  A lost ACK therefore still
     // confirms delivery, and a lost NACK/GIVEUP still drives the protocol.
     let decoded = match &msg.body {
-        Body::Data(b) => decode_ctrl(b),
         Body::Dropped { prefix, .. } => decode_ctrl(prefix),
         Body::Poison(_) => unreachable!("poison filtered before intake"),
+        data => decode_ctrl(data.bytes().expect("a data body")),
     };
     let Some((kind, seq)) = decoded else { return };
     let data_tag = data_tag_of_ctrl(msg.tag);
@@ -1158,10 +1154,15 @@ mod tests {
 
     #[test]
     fn ctrl_frames_roundtrip_and_fit_tombstone_prefix() {
-        let f = ctrl_frame(K_NACK, 7);
+        let body = ctrl_frame(K_NACK, 7);
+        assert!(
+            matches!(body, Body::Inline { .. }),
+            "control frames travel inline"
+        );
+        let f = body.bytes().unwrap();
         assert_eq!(f.len(), CTRL_LEN);
         const { assert!(CTRL_LEN <= crate::message::DROP_PREFIX) };
-        assert_eq!(decode_ctrl(&f), Some((K_NACK, 7)));
+        assert_eq!(decode_ctrl(f), Some((K_NACK, 7)));
         assert_eq!(decode_ctrl(&f[..5]), None);
         assert_eq!(decode_ctrl(&[9u8; 9]), None);
     }

@@ -42,7 +42,8 @@
 //!
 //! Everything the ranks share lives in one world-owned `Hub`: the
 //! scheduler's slot table and heap, one plain `VecDeque<Message>` mailbox
-//! per rank, the topology's link state and the task control blocks.  It
+//! per rank, the topology's link state, the byte-buffer pool and the task
+//! control blocks.  It
 //! has no lock.  Exactly one of {dispatch loop, one task} executes at any
 //! instant, and whichever that is reaches the hub through one private,
 //! non-re-entrant accessor (`Hub::with`) that is never held across a
@@ -556,6 +557,8 @@ struct Inner {
     /// Per-link state of a non-crossbar [`Topology`]; `None` keeps the
     /// closed-form transit.
     net: Option<NetState>,
+    /// The world's byte-buffer reuse pool (`Endpoint::take_buf`).
+    pool: Vec<Vec<u8>>,
 }
 
 /// The world's shared state, one per `World::run`: see the module header.
@@ -605,6 +608,7 @@ impl Hub {
                 unfinished: size,
                 live: size,
                 net: (topology != Topology::Crossbar).then(|| NetState::new(topology)),
+                pool: Vec::new(),
             }),
             #[cfg(debug_assertions)]
             busy: std::cell::Cell::new(false),
@@ -656,6 +660,12 @@ impl Hub {
             }
             msg
         })
+    }
+
+    /// Run `f` on the world's byte-buffer reuse pool.
+    #[inline]
+    pub(crate) fn pool<R>(&self, f: impl FnOnce(&mut Vec<Vec<u8>>) -> R) -> R {
+        self.with(|h| f(&mut h.pool))
     }
 
     /// Arrival time of `bytes` departing `src` for `dst` at `depart`:
@@ -1098,11 +1108,7 @@ mod tests {
                         };
                         assert_eq!(hub.park(0, forever, 0.0), WakeCause::Message);
                         while let Some(m) = hub.pop(0) {
-                            let byte = match m.body {
-                                Body::Data(d) => Some(d[0]),
-                                Body::Poison(_) => None,
-                                Body::Dropped { .. } => unreachable!(),
-                            };
+                            let byte = m.body.bytes().map(|d| d[0]);
                             got.lock().unwrap().push((m.src, byte));
                         }
                     } else {
@@ -1162,7 +1168,7 @@ mod tests {
                 assert_eq!(hub2.park(0, forever, 0.0), WakeCause::Message);
                 let mut n = 0;
                 while let Some(m) = hub2.pop(0) {
-                    assert_eq!(m.len(), 1);
+                    assert_eq!(m.body.len(), 1);
                     n += 1;
                 }
                 assert_eq!(n, 1000);

@@ -9,6 +9,9 @@
 //! [`adapter`] module (~100 lines).  The `custom_library` example walks
 //! through it.
 
+// Crate-internal helpers stay `pub(crate)`; nothing unreachable is `pub`.
+#![warn(unreachable_pub)]
+
 pub mod adapter;
 pub mod collection;
 

@@ -970,6 +970,78 @@ fn raw_stream(
     out.stats.faults
 }
 
+/// Faults act on a payload the same way whether it travels inline in the
+/// envelope (a typed send encoding to at most `INLINE_MAX` bytes) or in a
+/// heap buffer: messages of both sizes on one link, tag and seed draw the
+/// same fates — the same `Fault` events in the same order, the same
+/// originals delivered, dropped and duplicated — and every corrupted copy
+/// differs from its original encoding in exactly one bit.  (Reliable ACK/NACK frames are 9 bytes, so the matrix
+/// above already drops and duplicates inline frames and decodes the lost
+/// ones from their tombstone prefix.)
+#[test]
+fn inline_and_heap_payloads_draw_the_same_fates() {
+    use mcsim::message::INLINE_MAX;
+    use mcsim::{Tag, TraceEvent, Wire};
+    const MSGS: usize = 16;
+    let tag = Tag::new(Tag::FIRST_USER_CTX, 3);
+    let rates = FaultRates {
+        drop: 0.3,
+        dup: 0.5,
+        corrupt: 0.6,
+        ..FaultRates::default()
+    };
+    for seed in seeds() {
+        // Per delivered copy: which original it is and how many bits differ.
+        let run = |len: usize| {
+            let plan = FaultPlan::new(seed).classes(1).rates(rates);
+            let world = World::with_model(2, MachineModel::sp2()).with_faults(plan);
+            let out = world.with_trace().run(move |ep| {
+                let original =
+                    |k: usize| -> Vec<u8> { (0..len).map(|i| (k * 37 + i) as u8).collect() };
+                if ep.rank() == 0 {
+                    (0..MSGS).for_each(|k| ep.send_t(1, tag, &original(k)));
+                    return Vec::new();
+                }
+                let mut got = Vec::new();
+                while let Some(b) = ep.try_recv(0, tag) {
+                    let dist = |k: &usize| {
+                        let o = original(*k).to_bytes();
+                        (o.iter().zip(&b))
+                            .map(|(x, y)| (x ^ y).count_ones())
+                            .sum::<u32>()
+                    };
+                    let k = (0..MSGS).min_by_key(dist).unwrap();
+                    got.push((k, dist(&k)));
+                }
+                got
+            });
+            let faults: Vec<_> = (out.traces[0].iter())
+                .filter_map(|e| match e {
+                    TraceEvent::Fault { kind, .. } => Some(*kind),
+                    _ => None,
+                })
+                .collect();
+            (faults, out.results[1].clone())
+        };
+        // Encodings of 16 and 72 bytes: an 8-byte length, then the bytes.
+        let (inline, heap) = (run(INLINE_MAX - 15), run(INLINE_MAX + 41));
+        assert_eq!(inline, heap, "seed {seed}");
+        let (faults, got) = inline;
+        assert!(
+            faults.contains(&mcsim::FaultKind::Drop),
+            "seed {seed}: a drop"
+        );
+        let mut originals: Vec<usize> = got.iter().map(|&(k, _)| k).collect();
+        originals.dedup();
+        assert!(originals.len() < got.len(), "seed {seed}: a duplicate");
+        assert!(got.iter().all(|&(_, bits)| bits <= 1), "seed {seed}");
+        assert!(
+            got.iter().any(|&(_, bits)| bits == 1),
+            "seed {seed}: a flip"
+        );
+    }
+}
+
 /// Window edge: duplicated frames and duplicated acks.  A replayed data
 /// frame must be re-acked (not redelivered) and a replayed cumulative ack
 /// retires nothing — both sides absorb the duplicates and the stream stays
