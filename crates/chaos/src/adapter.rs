@@ -91,20 +91,17 @@ impl<T: Copy> IrregArray<T> {
         let lo = (me * chunk).min(n);
         let hi = ((me + 1) * chunk).min(n);
         let mut queries = Vec::with_capacity(hi - lo);
-        {
-            let mut pos = 0usize;
-            for region in set.regions() {
-                let len = region.indices().len();
-                if pos + len > lo && pos < hi {
-                    for (k, &g) in region.indices().iter().enumerate() {
-                        let pp = pos + k;
-                        if pp >= lo && pp < hi {
-                            queries.push(g);
-                        }
-                    }
-                }
-                pos += len;
+        let mut pos = 0usize;
+        for region in set.regions() {
+            if pos >= hi {
+                break;
             }
+            // This region's share of [lo, hi), in its own offsets.
+            let idx = region.indices();
+            let from = lo.saturating_sub(pos).min(idx.len());
+            let to = hi.saturating_sub(pos).min(idx.len());
+            queries.extend_from_slice(&idx[from..to]);
+            pos += idx.len();
         }
         let locs = self.table().dereference(comm, &queries);
 

@@ -376,7 +376,7 @@ fn attribute_local(
 /// Critical path of one coupled transfer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferPath {
-    /// Schedule sequence number parsed from the transfer span detail
+    /// Schedule sequence number: the transfer span detail's `seq` field
     /// (`u64::MAX` when the span carried none).
     pub seq: u64,
     /// Which repetition of this sequence number (0-based) — repeated
@@ -556,15 +556,6 @@ impl CriticalPathReport {
     }
 }
 
-/// Parse `seq=N` out of a span detail string.
-fn parse_seq(detail: &str) -> Option<u64> {
-    let rest = detail.split("seq=").nth(1)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// One participant's transfer span.
 struct Participant {
     rank: usize,
@@ -601,7 +592,7 @@ pub fn analyze(traces: &[Vec<TraceEvent>]) -> CriticalPathReport {
             if s.phase != Phase::Transfer {
                 continue;
             }
-            let seq = parse_seq(&s.detail).unwrap_or(u64::MAX);
+            let seq = s.detail.field("seq").unwrap_or(u64::MAX);
             let k = occ.entry(seq).or_insert(0);
             groups.entry((seq, *k)).or_default().push(Participant {
                 rank,
@@ -759,18 +750,21 @@ mod tests {
     use crate::span::SpanId;
     use crate::tag::Tag;
 
-    fn begin(at: f64, id: u64, parent: Option<u64>, phase: Phase, detail: &str) -> TraceEvent {
+    fn begin(at: f64, id: u64, parent: Option<u64>, phase: Phase, seq: Option<u64>) -> TraceEvent {
         TraceEvent::SpanBegin {
             at,
-            id: SpanId(id),
-            parent: parent.map(SpanId),
+            id: SpanId::new(id),
+            parent: parent.map(SpanId::new),
             phase,
-            detail: detail.to_string(),
+            detail: seq.map_or("".into(), |seq| crate::note!("mode=test", seq = seq)),
         }
     }
 
     fn end(at: f64, id: u64) -> TraceEvent {
-        TraceEvent::SpanEnd { at, id: SpanId(id) }
+        TraceEvent::SpanEnd {
+            at,
+            id: SpanId::new(id),
+        }
     }
 
     /// Two ranks: sender packs then sends at t=3 (arrival 5); receiver
@@ -778,8 +772,8 @@ mod tests {
     fn two_rank_traces() -> Vec<Vec<TraceEvent>> {
         let tag = Tag::user(9);
         let sender = vec![
-            begin(0.0, 1, None, Phase::Transfer, "mode=send seq=1"),
-            begin(0.0, 2, Some(1), Phase::Pack, ""),
+            begin(0.0, 1, None, Phase::Transfer, Some(1)),
+            begin(0.0, 2, Some(1), Phase::Pack, None),
             end(3.0, 2),
             TraceEvent::Send {
                 at: 3.0,
@@ -791,7 +785,7 @@ mod tests {
             end(3.0, 1),
         ];
         let receiver = vec![
-            begin(1.0, 1, None, Phase::Transfer, "mode=recv seq=1"),
+            begin(1.0, 1, None, Phase::Transfer, Some(1)),
             TraceEvent::Recv {
                 at: 5.0,
                 from: 0,
@@ -799,7 +793,7 @@ mod tests {
                 bytes: 64,
                 waited: 4.0,
             },
-            begin(5.0, 2, Some(1), Phase::Commit, ""),
+            begin(5.0, 2, Some(1), Phase::Commit, None),
             end(6.0, 2),
             end(6.0, 1),
         ];
@@ -833,7 +827,7 @@ mod tests {
         let tag = Tag::user(9);
         let traces = vec![
             vec![
-                begin(0.0, 1, None, Phase::Transfer, "mode=send seq=2"),
+                begin(0.0, 1, None, Phase::Transfer, Some(2)),
                 TraceEvent::Send {
                     at: 0.0,
                     to: 1,
@@ -844,8 +838,8 @@ mod tests {
                 end(0.5, 1),
             ],
             vec![
-                begin(0.0, 1, None, Phase::Transfer, "mode=recv seq=2"),
-                begin(0.0, 2, Some(1), Phase::Stage, ""),
+                begin(0.0, 1, None, Phase::Transfer, Some(2)),
+                begin(0.0, 2, Some(1), Phase::Stage, None),
                 end(3.0, 2),
                 TraceEvent::Recv {
                     at: 3.0,
@@ -854,7 +848,7 @@ mod tests {
                     bytes: 8,
                     waited: 0.0,
                 },
-                begin(3.0, 3, Some(1), Phase::Commit, ""),
+                begin(3.0, 3, Some(1), Phase::Commit, None),
                 end(4.0, 3),
                 end(4.0, 1),
             ],
@@ -865,6 +859,37 @@ mod tests {
         assert!((t.phases["stage"] - 3.0).abs() < 1e-12);
         assert!((t.phases["commit"] - 1.0).abs() < 1e-12);
         assert!(!t.phases.contains_key("wire"));
+        report.self_check().expect("tiling holds");
+    }
+
+    #[test]
+    fn transfers_whose_notes_overflow_to_text_keep_their_seq() {
+        // Values too large for the inline buffer turn both notes to text;
+        // the two transfers must still group by their own seq.
+        let big = u64::MAX;
+        let transfer = |at: f64, id: u64, seq: u64| {
+            let detail = crate::note!(
+                "mode=send",
+                seq = seq,
+                te = big,
+                elems = big,
+                src_epoch = big
+            );
+            vec![
+                TraceEvent::SpanBegin {
+                    at,
+                    id: SpanId::new(id),
+                    parent: None,
+                    phase: Phase::Transfer,
+                    detail,
+                },
+                end(at + 1.0, id),
+            ]
+        };
+        let traces = vec![[transfer(0.0, 1, 4), transfer(2.0, 2, 5)].concat()];
+        let report = analyze(&traces);
+        let seqs: Vec<u64> = report.transfers.iter().map(|t| t.seq).collect();
+        assert_eq!(seqs, vec![4, 5]);
         report.self_check().expect("tiling holds");
     }
 
@@ -999,8 +1024,8 @@ mod tests {
     fn window_stall_overlay_relabels_wire_time() {
         let tag = Tag::user(5);
         let traces = vec![vec![
-            begin(0.0, 1, None, Phase::Transfer, "mode=send seq=4"),
-            begin(0.0, 2, Some(1), Phase::Wire, ""),
+            begin(0.0, 1, None, Phase::Transfer, Some(4)),
+            begin(0.0, 2, Some(1), Phase::Wire, None),
             TraceEvent::WindowStall {
                 at: 1.0,
                 to: 1,
@@ -1032,12 +1057,5 @@ mod tests {
         assert!(report.self_check().is_ok());
         assert!(report.render().contains("no transfer spans"));
         assert!(report.dominant().is_none());
-    }
-
-    #[test]
-    fn seq_parses_from_detail() {
-        assert_eq!(parse_seq("mode=send seq=12 te=3"), Some(12));
-        assert_eq!(parse_seq("seq=7"), Some(7));
-        assert_eq!(parse_seq("pairs=3"), None);
     }
 }

@@ -35,7 +35,7 @@ use crate::onesided::OnesidedState;
 use crate::recovery::{CkptStore, RecoveryConfig, BEAT_INTERVAL};
 use crate::reliable::{self, ReliableConfig, ReliableState};
 use crate::sched::{Hub, ParkKind, WakeCause};
-use crate::span::{ObsState, Phase, SpanId};
+use crate::span::{Note, ObsState, Phase, SpanId};
 use crate::stats::StatsSnapshot;
 use crate::tag::Tag;
 use crate::trace::{FaultKind, TraceEvent};
@@ -320,10 +320,10 @@ impl Endpoint {
     }
 
     /// Open a phase span at the current virtual time (see [`crate::span`]).
-    /// `detail` supplies free-form provenance (`seq=… strategy=…`).
-    /// Close it with [`Endpoint::span_end`] — including on error paths,
-    /// or the span is left with zero duration in exports.
-    pub fn span_begin<F: FnOnce() -> String>(&mut self, phase: Phase, detail: F) -> SpanId {
+    /// `detail` carries its provenance (`seq=… peer=…`).  Close it with
+    /// [`Endpoint::span_end`] — including on error paths, or the span is
+    /// left with zero duration in exports.
+    pub fn span_begin(&mut self, phase: Phase, detail: Note) -> SpanId {
         let id = self.obs.alloc_id();
         let parent = self.obs.parent();
         let ev = TraceEvent::SpanBegin {
@@ -331,7 +331,7 @@ impl Endpoint {
             id,
             parent,
             phase,
-            detail: detail(),
+            detail,
         };
         self.obs.push(ev);
         self.obs.stack.push(id);
@@ -350,10 +350,10 @@ impl Endpoint {
 
     /// Record a point annotation at the current virtual time (cache
     /// hit/miss, verdicts, timeouts, port bindings).
-    pub fn mark<F: FnOnce() -> String>(&mut self, label: F) {
+    pub fn mark(&mut self, label: Note) {
         let ev = TraceEvent::Mark {
             at: self.clock,
-            label: label(),
+            label,
         };
         self.obs.push(ev);
     }
@@ -722,7 +722,7 @@ impl Endpoint {
         if let Some(d) = self.deadline {
             if self.clock > d {
                 let clock = self.clock;
-                self.mark(move || format!("deadline exceeded clock={clock:.6} limit={d:.6}"));
+                self.mark(format!("deadline exceeded clock={clock:.6} limit={d:.6}").into());
                 return Err(SimError::DeadlineExceeded);
             }
         }
@@ -1031,7 +1031,7 @@ impl Endpoint {
             if let Some(d) = self.deadline {
                 if self.clock > d {
                     let clock = self.clock;
-                    self.mark(move || format!("deadline exceeded clock={clock:.6} limit={d:.6}"));
+                    self.mark(format!("deadline exceeded clock={clock:.6} limit={d:.6}").into());
                     return Err(SimError::DeadlineExceeded);
                 }
             }
@@ -1040,9 +1040,9 @@ impl Endpoint {
                 WakeCause::Message => continue,
                 WakeCause::Silence => {
                     let clock = self.clock;
-                    self.mark(move || {
-                        format!("deadline silence clock={clock:.6} limit={expiry:.6}")
-                    });
+                    self.mark(
+                        format!("deadline silence clock={clock:.6} limit={expiry:.6}").into(),
+                    );
                     return Err(SimError::DeadlineExceeded);
                 }
                 WakeCause::Shutdown => return Err(SimError::Shutdown),
@@ -1143,7 +1143,7 @@ impl Endpoint {
                 }
                 self.stats.faults.timeouts += 1;
                 self.advance_to(deadline);
-                self.mark(|| format!("timeout peer={from} tag={tag:?} kind=late-arrival"));
+                self.mark(format!("timeout peer={from} tag={tag:?} kind=late-arrival").into());
                 return Err(SimError::PeerTimeout { rank: from });
             }
             match self.coop_park(ParkKind::Wait { expiry: deadline }) {
@@ -1151,7 +1151,7 @@ impl Endpoint {
                 WakeCause::Silence => {
                     self.stats.faults.timeouts += 1;
                     self.advance_to(deadline);
-                    self.mark(|| format!("timeout peer={from} tag={tag:?} kind=silence"));
+                    self.mark(format!("timeout peer={from} tag={tag:?} kind=silence").into());
                     return Err(SimError::PeerTimeout { rank: from });
                 }
                 WakeCause::Shutdown => return Err(SimError::Shutdown),

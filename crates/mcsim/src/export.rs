@@ -44,16 +44,16 @@ pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
              \"args\":{{\"name\":\"rank {rank}\"}}}}"
         ));
         for s in pair_spans(tl) {
-            let parent = s.parent.map(|p| p.0.to_string()).unwrap_or_default();
+            let parent = s.parent.map(|p| p.get().to_string()).unwrap_or_default();
             ev.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
                  \"pid\":0,\"tid\":{rank},\"args\":{{\"id\":{},\"parent\":\"{}\",\"detail\":{}}}}}",
                 s.phase.as_str(),
                 us(s.begin),
                 us(s.duration()),
-                s.id.0,
+                s.id.get(),
                 parent,
-                quoted(&s.detail),
+                quoted(&s.detail.to_string()),
             ));
         }
         for e in tl {
@@ -141,9 +141,10 @@ pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
                     "retransmit_burst".to_string(),
                     format!("\"to\":{to},\"tag\":{},\"frames\":{frames}", tag.0),
                 ),
-                TraceEvent::Mark { label, .. } => {
-                    ("mark".to_string(), format!("\"label\":{}", quoted(label)))
-                }
+                TraceEvent::Mark { label, .. } => (
+                    "mark".to_string(),
+                    format!("\"label\":{}", quoted(&label.to_string())),
+                ),
                 TraceEvent::Heartbeat { incarnation, .. } => (
                     "heartbeat".to_string(),
                     format!("\"incarnation\":{incarnation}"),
@@ -277,18 +278,21 @@ pub fn jsonl_line(rank: usize, e: &TraceEvent) -> String {
         } => format!(
             "{head},\"type\":\"span_begin\",\"id\":{},\"parent\":{},\"phase\":\"{}\",\
              \"detail\":{}}}",
-            id.0,
+            id.get(),
             parent
-                .map(|p| p.0.to_string())
+                .map(|p| p.get().to_string())
                 .unwrap_or_else(|| "null".into()),
             phase.as_str(),
-            quoted(detail)
+            quoted(&detail.to_string())
         ),
         TraceEvent::SpanEnd { id, .. } => {
-            format!("{head},\"type\":\"span_end\",\"id\":{}}}", id.0)
+            format!("{head},\"type\":\"span_end\",\"id\":{}}}", id.get())
         }
         TraceEvent::Mark { label, .. } => {
-            format!("{head},\"type\":\"mark\",\"label\":{}}}", quoted(label))
+            format!(
+                "{head},\"type\":\"mark\",\"label\":{}}}",
+                quoted(&label.to_string())
+            )
         }
         TraceEvent::Heartbeat { incarnation, .. } => {
             format!("{head},\"type\":\"heartbeat\",\"incarnation\":{incarnation}}}")
@@ -459,7 +463,7 @@ mod tests {
         vec![vec![
             TraceEvent::SpanBegin {
                 at: 0.0,
-                id: SpanId(1),
+                id: SpanId::new(1),
                 parent: None,
                 phase: Phase::Transfer,
                 detail: "seq=1".into(),
@@ -473,7 +477,7 @@ mod tests {
             },
             TraceEvent::SpanEnd {
                 at: 0.3,
-                id: SpanId(1),
+                id: SpanId::new(1),
             },
             TraceEvent::Mark {
                 at: 0.4,

@@ -95,7 +95,7 @@ pub use onesided::{expose, get, put, put_flush, put_notify, wait_notify, window_
 pub use recovery::{CkptStore, RecoveryConfig};
 pub use reliable::{ReliableConfig, StreamTag};
 pub use rng::Rng;
-pub use span::{pair_spans, FlightRing, PairedSpan, Phase, SpanId, FLIGHT_RING_CAP};
+pub use span::{pair_spans, FlightRing, Note, PairedSpan, Phase, SpanId, FLIGHT_RING_CAP};
 pub use stats::{FaultStats, NetStats, RecoveryStats, SessionStats, StatsSnapshot};
 pub use tag::Tag;
 pub use trace::{summarize, FaultKind, TraceEvent, TraceSummary};

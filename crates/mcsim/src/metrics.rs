@@ -377,14 +377,14 @@ mod tests {
         let traces = vec![vec![
             TraceEvent::SpanBegin {
                 at: 0.0,
-                id: SpanId(1),
+                id: SpanId::new(1),
                 parent: None,
                 phase: Phase::Inspect,
-                detail: String::new(),
+                detail: "".into(),
             },
             TraceEvent::SpanEnd {
                 at: 1.0,
-                id: SpanId(1),
+                id: SpanId::new(1),
             },
             TraceEvent::Send {
                 at: 1.0,
@@ -402,14 +402,14 @@ mod tests {
             },
             TraceEvent::SpanBegin {
                 at: 2.0,
-                id: SpanId(2),
+                id: SpanId::new(2),
                 parent: None,
                 phase: Phase::Transfer,
-                detail: String::new(),
+                detail: "".into(),
             },
             TraceEvent::SpanEnd {
                 at: 5.0,
-                id: SpanId(2),
+                id: SpanId::new(2),
             },
         ]];
         let m = MetricsRegistry::from_run(&stats, &traces);

@@ -325,12 +325,13 @@ pub fn get(
             // Silence means the request or its reply was lost in flight —
             // fall out to re-send the same request id.
             if !ep.pump_some()? {
-                ep.mark(|| {
+                ep.mark(
                     format!(
                         "onesided get retry req={req} win={win} attempt={}",
                         attempt + 1
                     )
-                });
+                    .into(),
+                );
                 break;
             }
         }
@@ -353,9 +354,10 @@ fn apply_op(ep: &mut Endpoint, win: u32, op: PutOp) {
         }
         _ => {
             let (off, len, wlen) = (op.offset, op.data.len(), w.data.len());
-            ep.mark(|| {
+            ep.mark(
                 format!("onesided put out of range win={win} off={off} len={len} window={wlen}")
-            });
+                    .into(),
+            );
         }
     }
 }
@@ -366,12 +368,12 @@ fn apply_op(ep: &mut Endpoint, win: u32, op: PutOp) {
 pub(crate) fn apply_put(ep: &mut Endpoint, src: Rank, tag: Tag, payload: Vec<u8>, arrival: f64) {
     let win = win_of_tag(tag);
     if payload.len() < PUT_HDR {
-        ep.mark(|| format!("onesided put truncated from rank {src} win={win}"));
+        ep.mark(format!("onesided put truncated from rank {src} win={win}").into());
         return;
     }
     let op = payload[0];
     if op != OP_PUT && op != OP_PUT_NOTIFY {
-        ep.mark(|| format!("onesided put bad op {op} from rank {src} win={win}"));
+        ep.mark(format!("onesided put bad op {op} from rank {src} win={win}").into());
         return;
     }
     let offset = u64::from_le_bytes(payload[1..9].try_into().unwrap()) as usize;

@@ -618,7 +618,7 @@ fn wait_for_window(ep: &mut Endpoint, to: Rank, st: StreamTag) -> Result<(), Sim
         match gate {
             Gate::Dead(t) => {
                 ep.advance_to(t);
-                ep.mark(|| format!("reliable give-up peer={to} tag={:?} side=send", st.data));
+                ep.mark(format!("reliable give-up peer={to} tag={:?} side=send", st.data).into());
                 return Err(SimError::PeerTimeout { rank: to });
             }
             Gate::Open(complete_at) => {
@@ -669,7 +669,7 @@ pub fn flush_send(ep: &mut Endpoint, to: Rank, st: StreamTag) -> Result<(), SimE
             Some(s) if s.dead => {
                 let t = s.dead_at;
                 ep.advance_to(t);
-                ep.mark(|| format!("reliable give-up peer={to} tag={:?} side=send", st.data));
+                ep.mark(format!("reliable give-up peer={to} tag={:?} side=send", st.data).into());
                 return Err(SimError::PeerTimeout { rank: to });
             }
             Some(s) if s.pending.is_empty() => {
@@ -718,7 +718,7 @@ pub fn reliable_recv(ep: &mut Endpoint, from: Rank, st: StreamTag) -> Result<Vec
             .and_then(|s| s.dead.then_some(s.dead_at));
         if let Some(t) = dead_at {
             ep.advance_to(t);
-            ep.mark(|| format!("reliable give-up peer={from} tag={:?} side=recv", st.data));
+            ep.mark(format!("reliable give-up peer={from} tag={:?} side=recv", st.data).into());
             return Err(SimError::PeerTimeout { rank: from });
         }
         ep.pump_guarded(from, &mut misses)?;

@@ -17,11 +17,18 @@
 //!   [`World::with_trace`](crate::world::World::with_trace)) — the
 //!   zero-cost-when-disabled guard for the executor hot path;
 //! * the **flight recorder**: a bounded ring of the last
-//!   [`FLIGHT_RING_CAP`] events, always on.  Its per-event cost is one
-//!   in-place overwrite — noise next to any modeled message — and it
-//!   is what turns an abort (`StaleSchedule`, `ScheduleMismatch`,
-//!   `PeerTimeout`, …) into a post-mortem instead of a bare error code
-//!   (see `meta_chaos::obs`).
+//!   [`FLIGHT_RING_CAP`] events, always on.  It is what turns an abort
+//!   (`StaleSchedule`, `ScheduleMismatch`, `PeerTimeout`, …) into a
+//!   post-mortem instead of a bare error code (see `meta_chaos::obs`).
+//!   Untraced runs pay for it too: every send, receive, span and mark
+//!   overwrites one 64-byte slot, and spans and marks come once per peer
+//!   and phase of every transfer.  When their details were formatted
+//!   strings that was 18–20 % of the host time of small transfers, so
+//!   details and labels are [`Note`]s, typed values rendered to text only
+//!   when an exporter, analyzer or post-mortem reads them.
+
+use std::fmt;
+use std::num::NonZeroU64;
 
 use crate::trace::TraceEvent;
 
@@ -30,9 +37,208 @@ use crate::trace::TraceEvent;
 /// post-mortem memory stays bounded as P grows.
 pub const FLIGHT_RING_CAP: usize = 64;
 
-/// Identifier of one span, unique within its rank's timeline.
+/// Identifier of one span, unique within its rank's timeline.  Ids start
+/// at 1, so `Option<SpanId>` (a span's parent) is one word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SpanId(pub u64);
+pub struct SpanId(NonZeroU64);
+
+impl SpanId {
+    /// The span id `id`.  Panics on 0, which no rank ever allocates.
+    pub const fn new(id: u64) -> SpanId {
+        match NonZeroU64::new(id) {
+            Some(id) => SpanId(id),
+            None => panic!("span ids start at 1"),
+        }
+    }
+
+    /// The id as a number (what the exporters write).
+    pub const fn get(self) -> u64 {
+        self.0.get()
+    }
+}
+
+/// Bytes of a typed [`Note`]'s value buffer: with the shape pointer a note
+/// is 32 bytes, which keeps [`TraceEvent`] at 64.
+const NOTE_BYTES: usize = 24;
+
+/// The fixed part of a typed [`Note`]: a head and the keys of its integer
+/// fields.  It renders as `head key=v key=v …` — one space between parts,
+/// none before the first.  [`note!`](crate::note) declares one `static`
+/// shape per call site.
+pub struct NoteShape {
+    head: &'static str,
+    keys: &'static [&'static str],
+}
+
+impl NoteShape {
+    /// A shape with head `head` and one field per key.
+    pub const fn new(head: &'static str, keys: &'static [&'static str]) -> NoteShape {
+        NoteShape { head, keys }
+    }
+
+    /// Write `head key=v …` for `vals` (one per key) to `out`.
+    fn render(&self, out: &mut impl fmt::Write, vals: impl Iterator<Item = u64>) -> fmt::Result {
+        out.write_str(self.head)?;
+        for (i, (key, v)) in self.keys.iter().zip(vals).enumerate() {
+            if i > 0 || !self.head.is_empty() {
+                out.write_char(' ')?;
+            }
+            write!(out, "{key}={v}")?;
+        }
+        Ok(())
+    }
+}
+
+/// An unsigned integer a [`Note`] field holds, widened without loss.
+pub trait NoteValue {
+    /// The value as a `u64`.
+    fn to_u64(self) -> u64;
+}
+
+impl NoteValue for u64 {
+    fn to_u64(self) -> u64 {
+        self
+    }
+}
+
+impl NoteValue for u32 {
+    fn to_u64(self) -> u64 {
+        self.into()
+    }
+}
+
+impl NoteValue for usize {
+    fn to_u64(self) -> u64 {
+        // usize is at most 64 bits wide on every target this crate builds.
+        self as u64
+    }
+}
+
+/// A span detail or mark label: provenance such as `seq=3 peer=1 runs=4`.
+///
+/// A typed note holds a static [`NoteShape`] and its values, packed as
+/// LEB128 varints into an inline buffer, so recording one formats and
+/// allocates nothing; it renders to text ([`fmt::Display`]) only when an
+/// exporter, [`pair_spans`] reader, analyzer or post-mortem reads it.
+/// Values that do not fit the buffer are rendered to text at once, as are
+/// the cold paths' notes (errors, timeouts, port names), which are built
+/// from a `String`.  Two notes are equal when they render the same text.
+#[derive(Clone)]
+pub struct Note(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Fields(&'static NoteShape, [u8; NOTE_BYTES]),
+    Text(Box<str>),
+}
+
+impl Note {
+    /// A typed note of `shape` with one value per key (see
+    /// [`note!`](crate::note)).
+    pub fn new(shape: &'static NoteShape, vals: &[u64]) -> Note {
+        assert_eq!(vals.len(), shape.keys.len(), "one value per note key");
+        let mut buf = [0u8; NOTE_BYTES];
+        let mut at = 0;
+        for &v in vals {
+            let mut v = v;
+            loop {
+                let Some(byte) = buf.get_mut(at) else {
+                    let mut text = String::new();
+                    shape
+                        .render(&mut text, vals.iter().copied())
+                        .expect("writing to a String cannot fail");
+                    return Note(Repr::Text(text.into()));
+                };
+                *byte = (v & 0x7f) as u8 | if v > 0x7f { 0x80 } else { 0 };
+                at += 1;
+                v >>= 7;
+                if v == 0 {
+                    break;
+                }
+            }
+        }
+        Note(Repr::Fields(shape, buf))
+    }
+
+    /// The value of field `key`, if the note has one.  A typed note reads
+    /// it from its buffer; a text note parses the first `key=<integer>`
+    /// word, so the answer does not depend on how the note is stored.
+    pub fn field(&self, key: &str) -> Option<u64> {
+        match &self.0 {
+            Repr::Fields(shape, buf) => {
+                let mut fields = shape.keys.iter().zip(varints(buf));
+                fields.find(|(k, _)| **k == key).map(|(_, v)| v)
+            }
+            Repr::Text(text) => text.split_whitespace().find_map(|word| {
+                let v = word.strip_prefix(key)?.strip_prefix('=')?;
+                v.parse().ok()
+            }),
+        }
+    }
+}
+
+/// The LEB128 varints packed into `buf`, in order.
+fn varints(buf: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let mut bytes = buf.iter();
+    std::iter::from_fn(move || {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = bytes.next()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
+    })
+}
+
+impl fmt::Display for Note {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Repr::Fields(shape, buf) => shape.render(f, varints(buf)),
+            Repr::Text(text) => f.write_str(text),
+        }
+    }
+}
+
+/// Debug-prints as the rendered text, quoted like a `String`.
+impl fmt::Debug for Note {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_string(), f)
+    }
+}
+
+impl PartialEq for Note {
+    fn eq(&self, other: &Note) -> bool {
+        self.to_string() == other.to_string()
+    }
+}
+
+impl From<String> for Note {
+    fn from(text: String) -> Note {
+        Note(Repr::Text(text.into()))
+    }
+}
+
+impl From<&str> for Note {
+    fn from(text: &str) -> Note {
+        Note(Repr::Text(text.into()))
+    }
+}
+
+/// A typed [`Note`](crate::span::Note) from a literal head and
+/// `key = value` fields, each value an unsigned integer:
+/// `note!("mode=raw", seq = s, elems = n)` renders as
+/// `mode=raw seq=… elems=…`, and `note!("", peer = p)` as `peer=…`.
+#[macro_export]
+macro_rules! note {
+    ($head:literal $(, $key:ident = $val:expr)* $(,)?) => {{
+        static SHAPE: $crate::span::NoteShape =
+            $crate::span::NoteShape::new($head, &[$(stringify!($key)),*]);
+        $crate::span::Note::new(&SHAPE, &[$($crate::span::NoteValue::to_u64($val)),*])
+    }};
+}
 
 /// The phase of work a span brackets.  The hierarchy the instrumentation
 /// produces is `Transfer > {Inspect, Manifest, Pack, Wire, Stage,
@@ -194,7 +400,7 @@ impl ObsState {
     /// Allocate the next span id (unique within the rank).
     pub(crate) fn alloc_id(&mut self) -> SpanId {
         self.next_id += 1;
-        SpanId(self.next_id)
+        SpanId::new(self.next_id)
     }
 
     /// The innermost open span, if any.
@@ -213,8 +419,8 @@ pub struct PairedSpan {
     pub parent: Option<SpanId>,
     /// The phase it bracketed.
     pub phase: Phase,
-    /// Free-form provenance (`seq=3 strategy=coop cache=miss …`).
-    pub detail: String,
+    /// Provenance (`seq=3 peer=1 runs=4 …`).
+    pub detail: Note,
     /// Virtual begin time.
     pub begin: f64,
     /// Virtual end time (`begin` for a span never closed, e.g. after a
@@ -273,11 +479,176 @@ mod tests {
     fn begin(at: f64, id: u64, parent: Option<u64>, phase: Phase) -> TraceEvent {
         TraceEvent::SpanBegin {
             at,
-            id: SpanId(id),
-            parent: parent.map(SpanId),
+            id: SpanId::new(id),
+            parent: parent.map(SpanId::new),
             phase,
-            detail: String::new(),
+            detail: "".into(),
         }
+    }
+
+    /// Every note shape the transfer path records (datamove, engine,
+    /// session, build), with values it sees in practice, renders exactly
+    /// the text its `format!` used to build.
+    #[test]
+    fn notes_render_what_format_built() {
+        let (seq, te, pairs, elems, epoch) = (3u32, 7u64, 2usize, 1usize << 20, 0u64);
+        let (peer, runs, parts, k, total) = (65usize, 4096usize, 17usize, 9u64, 34usize);
+        let (union, sp, dp) = (128usize, 64usize, 64usize);
+        let elem_tag = 15_957_463_049_929_925_035u64; // a 20-digit type hash
+        let cases: Vec<(Note, String)> = vec![
+            (
+                crate::note!("mode=raw", seq = seq, elems = elems, elem_size = 8u32),
+                format!("mode=raw seq={seq} elems={elems} elem_size=8"),
+            ),
+            (
+                crate::note!(
+                    "mode=send",
+                    seq = seq,
+                    te = te,
+                    pairs = pairs,
+                    elems = elems,
+                    src_epoch = epoch
+                ),
+                format!(
+                    "mode=send seq={seq} te={te} pairs={pairs} elems={elems} src_epoch={epoch}"
+                ),
+            ),
+            (
+                crate::note!(
+                    "mode=recv",
+                    seq = seq,
+                    pairs = pairs,
+                    elems = elems,
+                    dst_epoch = epoch
+                ),
+                format!("mode=recv seq={seq} pairs={pairs} elems={elems} dst_epoch={epoch}"),
+            ),
+            (
+                crate::note!("", pairs = pairs, te = te),
+                format!("pairs={pairs} te={te}"),
+            ),
+            (
+                crate::note!("", seq = seq, pairs = pairs),
+                format!("seq={seq} pairs={pairs}"),
+            ),
+            (
+                crate::note!("", seq = seq, staged = total),
+                format!("seq={seq} staged={total}"),
+            ),
+            (
+                crate::note!("", seq = seq, peer = peer, runs = runs),
+                format!("seq={seq} peer={peer} runs={runs}"),
+            ),
+            (
+                crate::note!("", seq = seq, peer = peer),
+                format!("seq={seq} peer={peer}"),
+            ),
+            (
+                crate::note!("", peer = peer, runs = runs),
+                format!("peer={peer} runs={runs}"),
+            ),
+            (crate::note!("", peer = peer), format!("peer={peer}")),
+            (
+                crate::note!("local_copy", pairs = runs),
+                format!("local_copy pairs={runs}"),
+            ),
+            (
+                crate::note!("", seq = seq, pairs = pairs, te = te),
+                format!("seq={seq} pairs={pairs} te={te}"),
+            ),
+            (
+                crate::note!("", peer = peer, runs = runs, te = te, parts = parts),
+                format!("peer={peer} runs={runs} te={te} parts={parts}"),
+            ),
+            (
+                crate::note!("", peer = peer, te = te),
+                format!("peer={peer} te={te}"),
+            ),
+            (
+                crate::note!("confirm", seq = seq, peer = peer, step = k),
+                format!("confirm seq={seq} peer={peer} step={k}"),
+            ),
+            (
+                crate::note!("", seq = seq, peer = peer, step = k),
+                format!("seq={seq} peer={peer} step={k}"),
+            ),
+            (
+                crate::note!(
+                    "method=Cooperation",
+                    union = union,
+                    src_prog = sp,
+                    dst_prog = dp
+                ),
+                format!("method=Cooperation union={union} src_prog={sp} dst_prog={dp}"),
+            ),
+            (
+                crate::note!(
+                    "method=Duplication",
+                    union = union,
+                    src_prog = sp,
+                    dst_prog = dp
+                ),
+                format!("method=Duplication union={union} src_prog={sp} dst_prog={dp}"),
+            ),
+            (
+                crate::note!(
+                    "schedule built",
+                    seq = seq,
+                    sends = 64usize,
+                    recvs = 0usize,
+                    local = 0usize,
+                    elems = elems,
+                    elem_tag = elem_tag
+                ),
+                format!(
+                    "schedule built seq={seq} sends=64 recvs=0 local=0 elems={elems} \
+                     elem_tag={elem_tag}"
+                ),
+            ),
+        ];
+        for (note, text) in cases {
+            assert_eq!(note.to_string(), text);
+            assert!(matches!(note.0, Repr::Fields(..)), "`{text}` fits inline");
+            assert_eq!(note, Note::from(text.as_str()));
+        }
+    }
+
+    #[test]
+    fn a_note_that_does_not_fit_is_rendered_as_text() {
+        let big = u64::MAX;
+        let note = crate::note!(
+            "mode=send",
+            seq = 1u32,
+            te = big,
+            elems = big,
+            src_epoch = big
+        );
+        assert!(matches!(note.0, Repr::Text(_)));
+        assert_eq!(
+            note.to_string(),
+            format!("mode=send seq=1 te={big} elems={big} src_epoch={big}")
+        );
+        assert_eq!(note.field("seq"), Some(1));
+        assert_eq!(note.field("te"), Some(big));
+    }
+
+    #[test]
+    fn typed_fields_read_back_without_rendering() {
+        let note = crate::note!("mode=send", seq = 12u32, te = 300u64, pairs = 0usize);
+        assert_eq!(note.field("seq"), Some(12));
+        assert_eq!(note.field("te"), Some(300));
+        assert_eq!(note.field("pairs"), Some(0));
+        assert_eq!(note.field("elems"), None);
+    }
+
+    #[test]
+    fn text_notes_read_fields_from_their_words() {
+        let note = Note::from("mode=send seq=12 subseq=4 te=x");
+        assert_eq!(note.field("seq"), Some(12));
+        assert_eq!(note.field("subseq"), Some(4));
+        assert_eq!(note.field("te"), None);
+        assert_eq!(note.field("elems"), None);
+        assert_eq!(Note::from("").field("seq"), None);
     }
 
     #[test]
@@ -286,7 +657,7 @@ mod tests {
         for i in 0..(FLIGHT_RING_CAP + 10) {
             r.push(TraceEvent::Mark {
                 at: i as f64,
-                label: format!("m{i}"),
+                label: format!("m{i}").into(),
             });
         }
         assert_eq!(r.len(), FLIGHT_RING_CAP);
@@ -299,7 +670,7 @@ mod tests {
     fn set_cap_evicts_oldest_from_a_wrapped_ring() {
         let mark = |at: f64| TraceEvent::Mark {
             at,
-            label: String::new(),
+            label: "".into(),
         };
         let mut r = FlightRing::default();
         for i in 0..(FLIGHT_RING_CAP + 10) {
@@ -321,23 +692,23 @@ mod tests {
             begin(1.5, 2, Some(1), Phase::Pack),
             TraceEvent::SpanEnd {
                 at: 2.0,
-                id: SpanId(2),
+                id: SpanId::new(2),
             },
             begin(2.0, 3, Some(1), Phase::Wire),
             TraceEvent::SpanEnd {
                 at: 3.5,
-                id: SpanId(3),
+                id: SpanId::new(3),
             },
             TraceEvent::SpanEnd {
                 at: 4.0,
-                id: SpanId(1),
+                id: SpanId::new(1),
             },
         ];
         let spans = pair_spans(&events);
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].phase, Phase::Transfer);
         assert_eq!(spans[0].duration(), 3.0);
-        assert_eq!(spans[1].parent, Some(SpanId(1)));
+        assert_eq!(spans[1].parent, Some(SpanId::new(1)));
         assert_eq!(spans[1].duration(), 0.5);
         assert_eq!(spans[2].phase, Phase::Wire);
     }

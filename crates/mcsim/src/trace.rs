@@ -7,7 +7,7 @@
 //! the simulation (recording costs no virtual time).
 
 use crate::message::Rank;
-use crate::span::{Phase, SpanId};
+use crate::span::{Note, Phase, SpanId};
 use crate::tag::Tag;
 
 /// The kind of fault a [`crate::fault::FaultPlan`] injected into a message.
@@ -128,8 +128,8 @@ pub enum TraceEvent {
         parent: Option<SpanId>,
         /// The phase of work the span brackets.
         phase: Phase,
-        /// Free-form provenance attributes (`seq=… strategy=… cache=…`).
-        detail: String,
+        /// Provenance attributes (`seq=… peer=… runs=…`).
+        detail: Note,
     },
     /// The matching close of a [`TraceEvent::SpanBegin`].
     SpanEnd {
@@ -143,8 +143,8 @@ pub enum TraceEvent {
     Mark {
         /// Virtual time of the annotation.
         at: f64,
-        /// What happened (`cache=hit seq=4`, `timeout peer=2`, …).
-        label: String,
+        /// What happened (`local_copy pairs=4`, `timeout peer=2 …`, …).
+        label: Note,
     },
     /// This rank broadcast a liveness heartbeat to every peer.
     Heartbeat {
@@ -182,6 +182,10 @@ pub enum TraceEvent {
         parts: usize,
     },
 }
+
+// Every event is pushed into the always-on flight ring, so its size is
+// per-transfer host cost; a typed `Note` must not grow it.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 64);
 
 impl TraceEvent {
     /// The event's virtual timestamp.
@@ -288,18 +292,18 @@ impl TraceEvent {
             },
             TraceEvent::SpanBegin {
                 at: 0.8,
-                id: SpanId(1),
+                id: SpanId::new(1),
                 parent: None,
                 phase: Phase::Transfer,
-                detail: "seq=1".to_string(),
+                detail: crate::note!("", seq = 1u64),
             },
             TraceEvent::SpanEnd {
                 at: 0.9,
-                id: SpanId(1),
+                id: SpanId::new(1),
             },
             TraceEvent::Mark {
                 at: 1.0,
-                label: "cache=hit".to_string(),
+                label: "cache=hit".into(),
             },
             TraceEvent::Heartbeat {
                 at: 1.1,

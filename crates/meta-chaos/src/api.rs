@@ -92,10 +92,11 @@ fn sched_cache_probe(ep: &mut Endpoint, union: &Group, local_fp: u64) -> (u64, O
     }
     let hit = ep.scratch::<SchedCache>(SCHED_CACHE_KEY).get(&key).cloned();
     ep.record_sched_cache(hit.is_some());
-    ep.mark(|| match &hit {
+    let label = match &hit {
         Some(s) => format!("sched_cache hit key={key:#018x} seq={}", s.seq()),
         None => format!("sched_cache miss key={key:#018x}"),
-    });
+    };
+    ep.mark(label.into());
     (key, hit)
 }
 

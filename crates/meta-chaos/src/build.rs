@@ -31,8 +31,9 @@
 //! (Chaos-style) sets degrade to length-1 runs and do per-element work.
 
 use mcsim::group::{Comm, Group};
+use mcsim::note;
 use mcsim::prelude::Endpoint;
-use mcsim::span::Phase;
+use mcsim::span::{Note, NoteShape, NoteValue, Phase};
 use mcsim::wire::Wire;
 
 use crate::adapter::{LocateCursor, McDescriptor, McObject, Side};
@@ -49,6 +50,20 @@ pub enum BuildMethod {
     Cooperation,
     /// Exchange descriptors; every rank dereferences everything locally.
     Duplication,
+}
+
+impl BuildMethod {
+    /// Shape of the `inspect` span's detail,
+    /// `method=<name> union=… src_prog=… dst_prog=…`.
+    fn inspect_shape(self) -> &'static NoteShape {
+        const KEYS: &[&str] = &["union", "src_prog", "dst_prog"];
+        static COOPERATION: NoteShape = NoteShape::new("method=Cooperation", KEYS);
+        static DUPLICATION: NoteShape = NoteShape::new("method=Duplication", KEYS);
+        match self {
+            BuildMethod::Cooperation => &COOPERATION,
+            BuildMethod::Duplication => &DUPLICATION,
+        }
+    }
 }
 
 /// Scratch key of the per-rank schedule sequence counter.  All ranks of a
@@ -91,27 +106,19 @@ where
     // strategy, group sizes) goes in the detail, and the resulting
     // schedule's identity is recorded as a mark so a trace ties every
     // later `transfer` span back to how its schedule was built.
-    let span = ep.span_begin(Phase::Inspect, || {
-        format!(
-            "method={method:?} union={} src_prog={} dst_prog={}",
-            union.size(),
-            src_prog.size(),
-            dst_prog.size()
-        )
-    });
+    let sizes = [union.size(), src_prog.size(), dst_prog.size()].map(NoteValue::to_u64);
+    let span = ep.span_begin(Phase::Inspect, Note::new(method.inspect_shape(), &sizes));
     let r = compute_schedule_inner(ep, union, src_prog, src, dst_prog, dst, method);
     if let Ok(s) = &r {
-        ep.mark(|| {
-            format!(
-                "schedule built seq={} sends={} recvs={} local={} elems={} elem_tag={}",
-                s.seq(),
-                s.sends.len(),
-                s.recvs.len(),
-                s.local_pairs.len(),
-                s.total_elems,
-                s.elem_tag()
-            )
-        });
+        ep.mark(note!(
+            "schedule built",
+            seq = s.seq(),
+            sends = s.sends.len(),
+            recvs = s.recvs.len(),
+            local = s.local_pairs.len(),
+            elems = s.total_elems,
+            elem_tag = s.elem_tag()
+        ));
     }
     ep.span_end(span);
     r

@@ -85,7 +85,7 @@ impl Coupler {
                 port: name.to_string(),
             });
         };
-        ep.mark(|| format!("coupler op=put port={name} seq={}", sched.seq()));
+        ep.mark(format!("coupler op=put port={name} seq={}", sched.seq()).into());
         data_move_send(ep, sched, src)
     }
 
@@ -104,7 +104,7 @@ impl Coupler {
                 port: name.to_string(),
             });
         };
-        ep.mark(|| format!("coupler op=get port={name} seq={}", sched.seq()));
+        ep.mark(format!("coupler op=get port={name} seq={}", sched.seq()).into());
         data_move_recv(ep, sched, dst)
     }
 }

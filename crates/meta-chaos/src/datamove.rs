@@ -31,8 +31,9 @@
 //! against.
 
 use mcsim::group::Comm;
+use mcsim::note;
 use mcsim::prelude::Endpoint;
-use mcsim::span::Phase;
+use mcsim::span::{Note, Phase};
 use mcsim::wire::{Wire, WireReader};
 
 use crate::adapter::McObject;
@@ -77,7 +78,7 @@ where
     D: McObject<T>,
 {
     let (seq, elems, size) = (sched.seq(), sched.total_elems, sched.elem_size());
-    let detail = || format!("mode=raw seq={seq} elems={elems} elem_size={size}");
+    let detail = note!("mode=raw", seq = seq, elems = elems, elem_size = size);
     transaction(ep, detail, |ep| {
         let stale = engine::check_epoch(src.epoch(), sched.src_epoch())
             .and(engine::check_epoch(dst.epoch(), sched.dst_epoch()));
@@ -97,7 +98,7 @@ where
 /// Run one transfer under its `Transfer` span, recording an abort.
 fn transaction(
     ep: &mut Endpoint,
-    detail: impl FnOnce() -> String,
+    detail: Note,
     body: impl FnOnce(&mut Endpoint) -> Result<(), McError>,
 ) -> Result<(), McError> {
     spanned(ep, Phase::Transfer, detail, |ep| {
@@ -195,17 +196,22 @@ where
             engine::post_one_half(ep, sched, src, te, group.global(*peer), runs)?;
         }
         let pgs = pairs.iter().map(|(peer, _)| group.global(*peer));
-        let detail = || format!("pairs={} te={te}", pairs.len());
+        let detail = note!("", pairs = pairs.len(), te = te);
         engine::flush_halves(ep, engine::move_stream(sched), pgs, detail)
     };
     if !verify {
         return send(ep);
     }
     let (seq, elems, epoch) = (sched.seq(), sched.total_elems, sched.src_epoch());
-    let detail = || {
-        let n = pairs.len();
-        format!("mode=send seq={seq} te={te} pairs={n} elems={elems} src_epoch={epoch}")
-    };
+    let n = pairs.len();
+    let detail = note!(
+        "mode=send",
+        seq = seq,
+        te = te,
+        pairs = n,
+        elems = elems,
+        src_epoch = epoch
+    );
     transaction(ep, detail, |ep| {
         engine::settle(ep, sched, pairs, te, (src.epoch(), epoch))?;
         send(ep)
@@ -233,10 +239,14 @@ where
         return recv_halves(ep, sched, pairs, dst, |_| Expect::Any);
     }
     let (seq, elems, epoch) = (sched.seq(), sched.total_elems, sched.dst_epoch());
-    let detail = || {
-        let n = pairs.len();
-        format!("mode=recv seq={seq} pairs={n} elems={elems} dst_epoch={epoch}")
-    };
+    let n = pairs.len();
+    let detail = note!(
+        "mode=recv",
+        seq = seq,
+        pairs = n,
+        elems = elems,
+        dst_epoch = epoch
+    );
     let epochs = (dst.epoch(), epoch);
     transaction(ep, detail, |ep| {
         let te = engine::settle(ep, sched, pairs, 0, epochs)?;
@@ -260,9 +270,9 @@ where
     D: McObject<T>,
 {
     let (seq, group) = (sched.seq(), sched.group());
-    let detail = || format!("seq={seq} pairs={}", pairs.len());
+    let detail = note!("", seq = seq, pairs = pairs.len());
     let mut staged = Vec::with_capacity(pairs.len());
-    let all = spanned(ep, Phase::Stage, detail, |ep| {
+    let all = spanned(ep, Phase::Stage, detail.clone(), |ep| {
         let mut halves = pairs.iter().enumerate();
         halves.try_for_each(|(i, (peer, runs))| {
             let pg = group.global(*peer);
@@ -272,7 +282,7 @@ where
     });
     if let Err(e) = all {
         let total: usize = staged.iter().map(Vec::len).sum();
-        let detail = || format!("seq={seq} staged={total}");
+        let detail = note!("", seq = seq, staged = total);
         return spanned(ep, Phase::Abort, detail, |ep| {
             staged.into_iter().flatten().for_each(|b| ep.recycle_buf(b));
             ep.record_transfer_aborted();
@@ -305,16 +315,14 @@ where
         // Encode the `Vec<T>` wire layout directly: count header, then the
         // source elements packed straight into a pooled wire buffer — one
         // copy, no intermediate typed buffer.
-        let pack = comm.ep().span_begin(Phase::Pack, || {
-            format!("seq={} peer={peer} runs={}", sched.seq(), runs.len())
-        });
+        let detail = note!("", seq = sched.seq(), peer = *peer, runs = runs.len());
+        let pack = comm.ep().span_begin(Phase::Pack, detail);
         let mut buf = comm.ep().take_buf();
         runs.len().write(&mut buf);
         src.pack_runs_wire(comm.ep(), runs, &mut buf);
         comm.ep().span_end(pack);
-        let wire = comm
-            .ep()
-            .span_begin(Phase::Wire, || format!("seq={} peer={peer}", sched.seq()));
+        let detail = note!("", seq = sched.seq(), peer = *peer);
+        let wire = comm.ep().span_begin(Phase::Wire, detail);
         comm.send(*peer, t, buf);
         comm.ep().span_end(wire);
     }
@@ -331,9 +339,8 @@ where
     let t = move_tag(sched.seq());
     let mut comm = Comm::borrowed(ep, sched.group());
     for (peer, runs) in &sched.recvs {
-        let stage = comm
-            .ep()
-            .span_begin(Phase::Stage, || format!("peer={peer} runs={}", runs.len()));
+        let detail = note!("", peer = *peer, runs = runs.len());
+        let stage = comm.ep().span_begin(Phase::Stage, detail);
         let bytes = comm.recv(*peer, t);
         comm.ep().span_end(stage);
         let mut r = WireReader::new(&bytes);
@@ -346,9 +353,7 @@ where
         );
         // Unpack wire bytes straight into library storage, then recycle
         // the buffer so steady-state loops allocate nothing.
-        let commit = comm
-            .ep()
-            .span_begin(Phase::Commit, || format!("peer={peer}"));
+        let commit = comm.ep().span_begin(Phase::Commit, note!("", peer = *peer));
         dst.unpack_runs_wire(comm.ep(), runs, &mut r)
             .unwrap_or_else(|e| panic!("message from peer {peer} failed to decode: {e}"));
         comm.ep().span_end(commit);
@@ -365,7 +370,7 @@ where
     if sched.local_pairs.is_empty() {
         return;
     }
-    ep.mark(|| format!("local_copy pairs={}", sched.local_pairs.len()));
+    ep.mark(note!("local_copy", pairs = sched.local_pairs.len()));
     let (from, to) = (src.local(), dst.local_mut());
     for &(s, d, len) in sched.local_pairs.runs() {
         to[d..d + len].copy_from_slice(&from[s..s + len]);

@@ -24,9 +24,10 @@
 
 use std::collections::HashMap;
 
+use mcsim::note;
 use mcsim::prelude::Endpoint;
 use mcsim::reliable::{self, StreamTag};
-use mcsim::span::Phase;
+use mcsim::span::{Note, Phase};
 use mcsim::wire::{Wire, WireReader};
 
 use crate::adapter::McObject;
@@ -134,7 +135,7 @@ pub(crate) fn peers(sched: &Schedule, pairs: &[(usize, AddrRuns)]) -> Vec<usize>
 pub(crate) fn spanned<R>(
     ep: &mut Endpoint,
     phase: Phase,
-    detail: impl FnOnce() -> String,
+    detail: Note,
     body: impl FnOnce(&mut Endpoint) -> R,
 ) -> R {
     let span = ep.span_begin(phase, detail);
@@ -252,7 +253,7 @@ pub(crate) fn settle(
     my_te: u64,
     (object_epoch, schedule_epoch): (u64, u64),
 ) -> Result<Vec<u64>, McError> {
-    let detail = || format!("seq={} pairs={} te={}", sched.seq(), pairs.len(), my_te);
+    let detail = note!("", seq = sched.seq(), pairs = pairs.len(), te = my_te);
     spanned(ep, Phase::Manifest, detail, |ep| {
         let mut round = Round {
             st: StreamTag::new(sched.group().context(), MANIFEST_STREAM),
@@ -291,7 +292,7 @@ pub(crate) fn settle(
             let why =
                 ["", "manifest-mismatch", "stale-schedule", "peer-failed"][verdict.0 as usize];
             let seq = sched.seq();
-            ep.mark(|| format!("verdict abort cause={why} seq={seq}"));
+            ep.mark(format!("verdict abort cause={why} seq={seq}").into());
         }
         let mut peer_abort: Option<(usize, McError)> = None;
         let frame = |_, buf: &mut Vec<u8>| (K_VERDICT, verdict).write(buf);
@@ -319,7 +320,7 @@ pub(crate) fn settle(
 
         if let Some((pg, _)) = &peer_abort {
             let seq = sched.seq();
-            ep.mark(|| format!("verdict abort cause=peer-verdict peer={pg} seq={seq}"));
+            ep.mark(format!("verdict abort cause=peer-verdict peer={pg} seq={seq}").into());
         }
         if round.failed.is_none() && verdict.0 == V_OK && peer_abort.is_none() {
             return Ok(peer_te);
@@ -372,7 +373,7 @@ where
     let per_part = part_elems(ep, sched.elem_size() as usize);
     let total = runs.len();
     let parts = total.div_ceil(per_part);
-    let detail = || format!("peer={pg} runs={total} te={te} parts={parts}");
+    let detail = note!("", peer = pg, runs = total, te = te, parts = parts);
     spanned(ep, Phase::Pack, detail, |ep| {
         (0..total).step_by(per_part).try_for_each(|cursor| {
             let cnt = per_part.min(total - cursor);
@@ -390,7 +391,7 @@ pub(crate) fn flush_halves(
     ep: &mut Endpoint,
     st: StreamTag,
     pgs: impl IntoIterator<Item = usize>,
-    detail: impl FnOnce() -> String,
+    detail: Note,
 ) -> Result<(), McError> {
     spanned(ep, Phase::Wire, detail, |ep| {
         let mut pgs = pgs.into_iter();

@@ -128,7 +128,7 @@ const LAST_ABORT_KEY: u32 = 0x4142_5254; // "ABRT"
 /// by every abort site in the data-move path; also records an `abort`
 /// mark so the dump itself ends with the failure.
 pub fn record_abort(ep: &mut Endpoint, err: &McError) {
-    ep.mark(|| format!("abort error={err}"));
+    ep.mark(format!("abort error={err}").into());
     let report = AbortReport {
         rank: ep.rank(),
         at: ep.clock(),
@@ -167,7 +167,7 @@ mod tests {
             events: vec![
                 TraceEvent::SpanEnd {
                     at: 1.0,
-                    id: SpanId(7),
+                    id: SpanId::new(7),
                 },
                 TraceEvent::Mark {
                     at: 1.5,

@@ -15,6 +15,7 @@
 
 use std::any::Any;
 
+use mcsim::note;
 use mcsim::prelude::Endpoint;
 use mcsim::span::Phase;
 use mcsim::wire::Wire;
@@ -34,30 +35,37 @@ use crate::schedule::Schedule;
 /// snapshots) brings it back to where the previous life stopped.
 pub struct RecoverySession {
     port: String,
+    /// Checkpoint keys `{port}:sched`, `{port}:obj`, `{port}:src_s` and
+    /// `{port}:dst_c`, built once because every step writes one.
+    sched_key: String,
+    obj_key: String,
+    src_key: String,
+    dst_key: String,
 }
 
 impl RecoverySession {
     /// A session for `port`.
     pub fn new(port: &str) -> Self {
+        let key = |what: &str| format!("{port}:{what}");
         RecoverySession {
             port: port.to_string(),
+            sched_key: key("sched"),
+            obj_key: key("obj"),
+            src_key: key("src_s"),
+            dst_key: key("dst_c"),
         }
-    }
-
-    fn key(&self, what: &str) -> String {
-        format!("{}:{what}", self.port)
     }
 
     /// Checkpoint the port's schedule so a restarted rank can restore it
     /// instead of re-running the (collective) build its peers will not
     /// repeat.
     pub fn checkpoint_schedule(&self, ep: &mut Endpoint, sched: &Schedule) {
-        ep.ckpt_put_state(&self.key("sched"), Vec::new(), sched.clone());
+        ep.ckpt_put_state(&self.sched_key, Vec::new(), sched.clone());
     }
 
     /// The schedule checkpointed by a previous life, if any.
     pub fn restore_schedule(&self, ep: &Endpoint) -> Option<Schedule> {
-        ep.ckpt_state::<Schedule>(&self.key("sched"))
+        ep.ckpt_state::<Schedule>(&self.sched_key)
     }
 
     /// Checkpoint an object.  [`RecoverySession::recv_step`]
@@ -66,12 +74,12 @@ impl RecoverySession {
     /// commit restores a well-defined state (and so collectively built
     /// objects are never rebuilt by a lone restarted rank).
     pub fn checkpoint_object<O: Any + Clone + Send>(&self, ep: &mut Endpoint, obj: &O) {
-        ep.ckpt_put_state(&self.key("obj"), Vec::new(), obj.clone());
+        ep.ckpt_put_state(&self.obj_key, Vec::new(), obj.clone());
     }
 
     /// The object snapshot checkpointed by a previous life, if any.
     pub fn restore_object<O: Any + Clone>(&self, ep: &Endpoint) -> Option<O> {
-        ep.ckpt_state::<O>(&self.key("obj"))
+        ep.ckpt_state::<O>(&self.obj_key)
     }
 
     /// Source-side step `k`: send every unconfirmed pair's half and wait
@@ -94,8 +102,8 @@ impl RecoverySession {
             return Ok(());
         }
         engine::check_epoch(src.epoch(), sched.src_epoch())?;
-        let key = self.key("src_s");
-        let mut s = load_progress(ep, &key, pairs.len());
+        let key = &self.src_key;
+        let mut s = load_progress(ep, key, pairs.len());
         let pgs = engine::peers(sched, pairs);
         let st = engine::move_stream(sched);
         engine::with_retries(ep, &pgs, &mut s, k + 1, |ep, s| {
@@ -107,7 +115,7 @@ impl RecoverySession {
             let posted = engine::for_pending(s, k + 1, |i, _| {
                 let pg = pgs[i];
                 engine::post_one_half(ep, sched, src, te, pg, &pairs[i].1)?;
-                engine::flush_halves(ep, st, [pg], || format!("peer={pg} te={te}"))?;
+                engine::flush_halves(ep, st, [pg], note!("", peer = pg, te = te))?;
                 sent[i] = true;
                 Ok(())
             });
@@ -116,12 +124,12 @@ impl RecoverySession {
                     return Ok(());
                 }
                 let (pg, seq) = (pgs[i], sched.seq());
-                let detail = || format!("confirm seq={seq} peer={pg} step={k}");
+                let detail = note!("confirm", seq = seq, peer = pg, step = k);
                 spanned(ep, Phase::Manifest, detail, |ep| {
                     engine::await_pos(ep, pg, st, k, &mut s[i])
                 })
             });
-            store_progress(ep, &key, s);
+            store_progress(ep, key, s);
             posted.and(confirmed)
         })
     }
@@ -148,16 +156,16 @@ impl RecoverySession {
             return Ok(());
         }
         engine::check_epoch(dst.epoch(), sched.dst_epoch())?;
-        let key = self.key("dst_c");
-        let mut c = load_progress(ep, &key, pairs.len());
+        let key = &self.dst_key;
+        let mut c = load_progress(ep, key, pairs.len());
         let pgs = engine::peers(sched, pairs);
         let st = engine::move_stream(sched);
         engine::with_retries(ep, &pgs, &mut c, k + 1, |ep, c| {
             engine::for_pending(c, k + 1, |i, c| {
                 let (pg, runs, seq) = (pgs[i], &pairs[i].1, sched.seq());
-                let detail = || format!("seq={seq} peer={pg} step={k}");
+                let detail = note!("", seq = seq, peer = pg, step = k);
                 let expect = Expect::Step { k, pos: c[i] };
-                let staged = spanned(ep, Phase::Stage, detail, |ep| {
+                let staged = spanned(ep, Phase::Stage, detail.clone(), |ep| {
                     engine::stage_half(ep, sched, pg, runs, expect)
                 });
                 let committed = staged.and_then(|parts| {
@@ -175,7 +183,7 @@ impl RecoverySession {
                 // atomic with respect to scripted crashes.
                 self.checkpoint_object(ep, dst);
                 c[i] = k + 1;
-                store_progress(ep, &key, c);
+                store_progress(ep, key, c);
                 engine::post_ctrl(ep, pg, st, M_POS, k + 1)
             })
         })
@@ -198,7 +206,7 @@ impl RecoverySession {
         if pairs.is_empty() {
             return Ok(());
         }
-        let c = load_progress(ep, &self.key("dst_c"), pairs.len());
+        let c = load_progress(ep, &self.dst_key, pairs.len());
         let pgs = engine::peers(sched, pairs);
         let st = engine::move_stream(sched);
         let mut closed = vec![0u64; pairs.len()];
@@ -226,7 +234,7 @@ impl RecoverySession {
                     "never arrived"
                 };
                 let port = &self.port;
-                ep.mark(|| format!("session '{port}' finish: FIN {why} ({e})"));
+                ep.mark(format!("session '{port}' finish: FIN {why} ({e})").into());
                 Ok(())
             }
             r => r,

@@ -470,7 +470,7 @@ fn permanent_partition_times_out_both_sides() {
         assert!(
             matches!(
                 report.events.last(),
-                Some(mcsim::trace::TraceEvent::Mark { label, .. }) if label.starts_with("abort error=")
+                Some(mcsim::trace::TraceEvent::Mark { label, .. }) if label.to_string().starts_with("abort error=")
             ),
             "rank {rank}: last flight event must be the abort mark"
         );
