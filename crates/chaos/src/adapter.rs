@@ -7,6 +7,7 @@
 //! table — the paper's example of a library without a compact descriptor,
 //! making duplication impractical between separate programs.
 
+use mcsim::collectives::per_peer;
 use mcsim::error::SimError;
 use mcsim::group::Comm;
 use mcsim::prelude::Endpoint;
@@ -105,10 +106,12 @@ impl<T: Copy> IrregArray<T> {
         }
         let locs = self.table().dereference(comm, &queries);
 
-        let mut outgoing: Vec<Vec<(usize, u32)>> = (0..p).map(|_| Vec::new()).collect();
-        for (k, &(owner, addr)) in locs.iter().enumerate() {
-            outgoing[owner as usize].push((lo + k, addr));
-        }
+        let outgoing = per_peer(
+            p,
+            (lo..)
+                .zip(&locs)
+                .map(|(pos, &(owner, addr))| (owner as usize, (pos, addr))),
+        );
         comm.ep().charge_schedule_insert(hi - lo);
         comm.alltoallv_t(outgoing)
     }
@@ -123,7 +126,7 @@ impl<T: Copy> McObject<T> for IrregArray<T> {
         // paper's point about Chaos — but whatever locality the
         // translation table does have is kept.
         let incoming = self.owned_incoming(comm, set);
-        let mut builder = RunBuilder::new();
+        let mut builder = RunBuilder::with_capacity(incoming.iter().map(Vec::len).sum());
         for list in incoming {
             comm.ep().charge_schedule_insert(list.len());
             for (pos, addr) in list {

@@ -9,10 +9,38 @@
 //! schedule building, and the reason the duplication strategy (which needs
 //! the *whole* table on every rank) is expensive.
 
+use mcsim::collectives::per_peer;
+use mcsim::error::SimError;
 use mcsim::group::Comm;
+use mcsim::wire::{Wire, WireReader};
 
 /// One table entry: `(owner program-local rank, local address)`.
 pub type Entry = (u32, u32);
+
+/// The replicated table as [`TranslationTable::gather_full`] broadcasts
+/// it: sent as the `Vec<Vec<Entry>>` of every rank's slice (held only by
+/// the root), decoded straight into one table.
+struct TablePieces {
+    slices: Vec<Vec<Entry>>,
+    table: Vec<Entry>,
+}
+
+impl Wire for TablePieces {
+    fn write(&self, out: &mut Vec<u8>) {
+        self.slices.write(out);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self, SimError> {
+        let pieces = usize::read(r)?;
+        // The remaining bytes bound the entry count, so one allocation.
+        let mut table = Vec::with_capacity(r.remaining() / 8);
+        for _ in 0..pieces {
+            let len = usize::read(r)?;
+            Entry::read_extend(r, len, &mut table)?;
+        }
+        let slices = Vec::new();
+        Ok(TablePieces { slices, table })
+    }
+}
 
 /// A block-distributed global-index → (owner, address) directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,12 +65,13 @@ impl TranslationTable {
         let block = n.div_ceil(p).max(1);
 
         // Route (g, my_local, addr) to the rank owning table entry g.
-        let mut outgoing: Vec<Vec<(usize, u32)>> = (0..p).map(|_| Vec::new()).collect();
-        for (addr, &g) in my_indices.iter().enumerate() {
-            assert!(g < n, "global index {g} out of range {n}");
-            let owner = (g / block).min(p - 1);
-            outgoing[owner].push((g, addr as u32));
-        }
+        let outgoing = per_peer(
+            p,
+            my_indices.iter().enumerate().map(|(addr, &g)| {
+                assert!(g < n, "global index {g} out of range {n}");
+                ((g / block).min(p - 1), (g, addr as u32))
+            }),
+        );
         comm.ep().charge_schedule_insert(my_indices.len());
         let incoming = comm.alltoallv_t(outgoing);
 
@@ -128,14 +157,22 @@ impl TranslationTable {
         let lo = (me * block).min(self.n);
 
         // Bucket queries by table-entry owner, remembering where each
-        // answer must go in the output.
-        let mut requests: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-        let mut slot: Vec<(usize, usize)> = Vec::with_capacity(queries.len());
-        for &g in queries {
-            assert!(g < self.n, "global index {g} out of range {}", self.n);
-            let owner = (g / block).min(p - 1);
-            slot.push((owner, requests[owner].len()));
-            requests[owner].push(g);
+        // answer will be: query `i` is request `k` to its owner.  Counted
+        // first, so each bucket is allocated at its size and filled, and
+        // the answers read, by index.
+        let mut counts = vec![0usize; p];
+        let slot: Vec<(usize, usize)> = queries
+            .iter()
+            .map(|&g| {
+                assert!(g < self.n, "global index {g} out of range {}", self.n);
+                let owner = (g / block).min(p - 1);
+                counts[owner] += 1;
+                (owner, counts[owner] - 1)
+            })
+            .collect();
+        let mut requests: Vec<Vec<usize>> = counts.iter().map(|&c| vec![0; c]).collect();
+        for (&(owner, k), &g) in slot.iter().zip(queries) {
+            requests[owner][k] = g;
         }
         let incoming = comm.alltoallv_t(requests);
 
@@ -155,12 +192,17 @@ impl TranslationTable {
     /// Collective: replicate the full table on every rank (the descriptor
     /// the duplication build strategy needs).  Expensive: every rank
     /// receives all `n` entries.
+    ///
+    /// The messages of `allgather_t` over the slices; the pieces are
+    /// concatenated once, at the gathering root, and every other rank
+    /// decodes the broadcast straight into one table.
     pub fn gather_full(&self, comm: &mut Comm<'_>) -> Vec<Entry> {
-        let slices: Vec<Vec<Entry>> = comm.allgather_t(self.slice.clone());
-        let mut full = Vec::with_capacity(self.n);
-        for s in slices {
-            full.extend(s);
-        }
+        let gathered = comm.gather_t(0, self.slice.clone());
+        let pieces = gathered.map(|slices| TablePieces {
+            table: slices.concat(),
+            slices,
+        });
+        let full = comm.bcast_t(0, pieces).table;
         assert_eq!(full.len(), self.n);
         // Assembling the replicated directory structure costs per entry,
         // on top of the allgather traffic itself.
@@ -236,6 +278,23 @@ mod tests {
                 assert_eq!(owners_list[addr as usize], g);
             }
         });
+    }
+
+    #[test]
+    fn table_pieces_encode_like_nested_slices() {
+        let nested: Vec<Vec<Entry>> = vec![vec![(0, 1), (2, 3)], vec![], vec![(4, 5)], vec![]];
+        let flat = TablePieces {
+            table: nested.concat(),
+            slices: nested.clone(),
+        };
+        let bytes = nested.to_bytes();
+        assert_eq!(flat.to_bytes(), bytes);
+        let back = TablePieces::from_bytes(&bytes).unwrap();
+        assert_eq!(back.table, flat.table);
+        assert!(back.slices.is_empty());
+        let empty = TablePieces::from_bytes(&Vec::<Vec<Entry>>::new().to_bytes()).unwrap();
+        assert!(empty.table.is_empty());
+        assert!(TablePieces::from_bytes(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

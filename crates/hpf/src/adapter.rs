@@ -120,7 +120,8 @@ impl<T: Copy + Default> HpfArray<T> {
     ///
     /// The decomposition is part of the contract, not just the expansion:
     /// the Cooperation build announces one record per run, so the run list
-    /// must equal `coalesce_owned(&self.deref_owned_scan(..))` run for run.
+    /// must equal, run for run, what [`RunBuilder::push`] makes of
+    /// `self.deref_owned_scan(..)`'s elements.
     /// `RunBuilder::push_run` is not the same as pushing its elements (a
     /// length-1 last run adopts any stride from `push`, only the run's own
     /// from `push_run`), hence each range's first element goes through
@@ -406,7 +407,11 @@ mod tests {
                     let runs = if via_runs {
                         a.deref_owned_runs(&mut comm, set)
                     } else {
-                        meta_chaos::coalesce_owned(&a.deref_owned_scan(&mut comm, set))
+                        let mut b = RunBuilder::new();
+                        for (pos, addr) in a.deref_owned_scan(&mut comm, set) {
+                            b.push(pos, addr);
+                        }
+                        b.finish()
                     };
                     (runs, ep.clock().to_bits())
                 })

@@ -309,6 +309,25 @@ impl Comm<'_> {
     }
 }
 
+/// Per-destination buckets for [`Comm::alltoallv_t`] from `(destination,
+/// record)` items.  `items` is walked twice: once to count each
+/// destination's records, once to fill buckets allocated at exactly that
+/// size — so no bucket ever grows, however the records are spread.
+pub fn per_peer<T, I>(p: usize, items: I) -> Vec<Vec<T>>
+where
+    I: Iterator<Item = (usize, T)> + Clone,
+{
+    let mut counts = vec![0usize; p];
+    for (to, _) in items.clone() {
+        counts[to] += 1;
+    }
+    let mut out: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (to, v) in items {
+        out[to].push(v);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use crate::group::Comm;
@@ -429,6 +448,14 @@ mod tests {
                 assert_eq!(buf, &vec![s as u64, me as u64]);
             }
         });
+    }
+
+    #[test]
+    fn per_peer_buckets_are_exact_and_ordered() {
+        let items = [(2usize, 'a'), (0, 'b'), (2, 'c'), (2, 'd')];
+        let b = super::per_peer(4, items.iter().copied());
+        assert_eq!(b, vec![vec!['b'], vec![], vec!['a', 'c', 'd'], vec![]]);
+        assert!(b.iter().all(|v| v.capacity() == v.len()));
     }
 
     #[test]

@@ -5,7 +5,38 @@
 //! framework.  Everything is fixed-layout little-endian, with lengths for
 //! variable-size values, so encode/decode round-trips are exact and cheap.
 
+use std::marker::PhantomData;
+use std::mem::{offset_of, size_of, size_of_val};
+
 use crate::error::SimError;
+
+/// Whether `T`'s in-memory bytes *are* its [`Wire::FIXED`] encoding, so a
+/// slice of `T` crosses the wire as one byte copy.
+///
+/// Only this module says yes, and only for little-endian scalars, 64-bit
+/// `usize` and tuples of such types whose fields sit in field order with
+/// no padding (`size_of` / `offset_of!`, at compile time): every byte is
+/// initialized and every bit pattern is a value, as the `unsafe` slice
+/// casts in [`Wire`]'s provided methods need.  No impl elsewhere can claim
+/// it: the flag is private, and an `AsBytes<U>` is not an `AsBytes<Self>`.
+pub struct AsBytes<T>(bool, PhantomData<fn() -> T>);
+
+impl<T> AsBytes<T> {
+    const NO: Self = AsBytes(false, PhantomData);
+}
+
+/// Fields laid out back to back in field order, filling the whole record.
+const fn packed(offsets: &[usize], sizes: &[usize], total: usize) -> bool {
+    let (mut at, mut i) = (0, 0);
+    while i < offsets.len() {
+        if offsets[i] != at {
+            return false;
+        }
+        at += sizes[i];
+        i += 1;
+    }
+    at == total
+}
 
 /// Types that can be written to and read from a message payload.
 pub trait Wire: Sized {
@@ -18,6 +49,10 @@ pub trait Wire: Sized {
     /// (`Vec`, `String`, `Option`) or validating what it decodes stays
     /// `None`.
     const FIXED: Option<usize> = None;
+
+    /// Whether a slice of this type is its own encoding (see [`AsBytes`]);
+    /// set by this module's impls only.
+    const AS_BYTES: AsBytes<Self> = AsBytes::NO;
 
     /// Append this value's encoding to `out`.
     fn write(&self, out: &mut Vec<u8>);
@@ -55,13 +90,22 @@ pub trait Wire: Sized {
 
     /// Append the encoding of every element of `slice` to `out`.
     ///
-    /// The byte layout is identical to writing each element in turn.
-    /// Fixed-size records are written into one pre-sized tail (no
-    /// per-field capacity check); scalar types override this with a single
-    /// bulk byte copy, which is what makes `Vec<f64>`-style payloads (the
-    /// executor's data messages) encode in one `memcpy` instead of N codec
-    /// calls.
+    /// The byte layout is identical to writing each element in turn.  A
+    /// type whose bytes are its encoding ([`AsBytes`]: `f64` data payloads,
+    /// `(u32, u32)` inspector records) is one `memcpy`; other fixed-size
+    /// records are written into one pre-sized tail (no per-field capacity
+    /// check).
     fn write_slice(slice: &[Self], out: &mut Vec<u8>) {
+        if Self::AS_BYTES.0 {
+            // SAFETY: `AS_BYTES` holds only for types with no padding, so
+            // all `size_of_val(slice)` bytes behind the pointer are
+            // initialized and borrowed for the lifetime of `slice`.
+            let bytes = unsafe {
+                std::slice::from_raw_parts(slice.as_ptr().cast::<u8>(), size_of_val(slice))
+            };
+            out.extend_from_slice(bytes);
+            return;
+        }
         match Self::FIXED {
             Some(size) => {
                 let start = out.len();
@@ -86,7 +130,21 @@ pub trait Wire: Sized {
                 // Taking all bytes up front also guards allocation against
                 // hostile lengths: the bytes must actually be present.
                 let b = r.take_records(n, size)?;
-                out.extend(b.chunks_exact(size).map(Self::read_fixed));
+                if Self::AS_BYTES.0 {
+                    out.reserve(n);
+                    // SAFETY: the reserved tail holds `n` records of
+                    // `size == size_of::<Self>()` bytes, i.e. `b.len()`
+                    // bytes; `b` is a different allocation; every bit
+                    // pattern is a value of an `AS_BYTES` type, so the `n`
+                    // new elements are initialized before `set_len`.
+                    unsafe {
+                        let tail = out.as_mut_ptr().add(out.len()).cast::<u8>();
+                        std::ptr::copy_nonoverlapping(b.as_ptr(), tail, b.len());
+                        out.set_len(out.len() + n);
+                    }
+                } else {
+                    out.extend(b.chunks_exact(size).map(Self::read_fixed));
+                }
             }
             None => {
                 for _ in 0..n {
@@ -104,8 +162,19 @@ pub trait Wire: Sized {
         match Self::FIXED {
             Some(size) => {
                 let b = r.take_records(out.len(), size)?;
-                for (slot, chunk) in out.iter_mut().zip(b.chunks_exact(size)) {
-                    *slot = Self::read_fixed(chunk);
+                if Self::AS_BYTES.0 {
+                    // SAFETY: `out` spans `out.len() * size == b.len()`
+                    // bytes (`size == size_of::<Self>()`), borrowed
+                    // exclusively, and any bytes written are a valid value
+                    // of an `AS_BYTES` type.
+                    let dst = unsafe {
+                        std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), b.len())
+                    };
+                    dst.copy_from_slice(b);
+                } else {
+                    for (slot, chunk) in out.iter_mut().zip(b.chunks_exact(size)) {
+                        *slot = Self::read_fixed(chunk);
+                    }
                 }
             }
             None => {
@@ -121,29 +190,28 @@ pub trait Wire: Sized {
 /// Cursor over a received payload.
 #[derive(Debug)]
 pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
 }
 
 impl<'a> WireReader<'a> {
     /// Start reading `buf` from the beginning.
     pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
+        WireReader { rest: buf }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     /// Take `n` raw bytes.
     #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], SimError> {
-        if self.remaining() < n {
+        let Some((s, rest)) = self.rest.split_at_checked(n) else {
             return Err(self.short(n));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        };
+        self.rest = rest;
         Ok(s)
     }
 
@@ -180,7 +248,9 @@ impl<'a> WireReader<'a> {
 macro_rules! impl_wire_numeric {
     ($($t:ty),*) => {$(
         impl Wire for $t {
-            const FIXED: Option<usize> = Some(std::mem::size_of::<$t>());
+            const FIXED: Option<usize> = Some(size_of::<$t>());
+            // The wire format is the little-endian in-memory layout.
+            const AS_BYTES: AsBytes<Self> = AsBytes(cfg!(target_endian = "little"), PhantomData);
 
             #[inline]
             fn write(&self, out: &mut Vec<u8>) {
@@ -188,8 +258,7 @@ macro_rules! impl_wire_numeric {
             }
             #[inline]
             fn read(r: &mut WireReader<'_>) -> Result<Self, SimError> {
-                let n = std::mem::size_of::<$t>();
-                Ok(Self::read_fixed(r.take(n)?))
+                Ok(Self::read_fixed(r.take(size_of::<$t>())?))
             }
             #[inline]
             fn write_fixed(&self, out: &mut [u8]) {
@@ -199,78 +268,6 @@ macro_rules! impl_wire_numeric {
             fn read_fixed(bytes: &[u8]) -> Self {
                 <$t>::from_le_bytes(bytes.try_into().expect("sized record"))
             }
-
-            fn write_slice(slice: &[Self], out: &mut Vec<u8>) {
-                if cfg!(target_endian = "little") {
-                    // The wire format *is* the little-endian in-memory
-                    // layout, so the whole slice is one byte copy.
-                    // SAFETY: any initialized scalar slice is valid as bytes.
-                    let bytes = unsafe {
-                        std::slice::from_raw_parts(
-                            slice.as_ptr().cast::<u8>(),
-                            std::mem::size_of_val(slice),
-                        )
-                    };
-                    out.extend_from_slice(bytes);
-                } else {
-                    for v in slice {
-                        v.write(out);
-                    }
-                }
-            }
-
-            fn read_extend(
-                r: &mut WireReader<'_>,
-                n: usize,
-                out: &mut Vec<Self>,
-            ) -> Result<(), SimError> {
-                let size = std::mem::size_of::<$t>();
-                let b = r.take_records(n, size)?;
-                let total = b.len();
-                if cfg!(target_endian = "little") {
-                    out.reserve(n);
-                    // SAFETY: the reserved tail is writable for `total`
-                    // bytes, scalars have no invalid bit patterns, and the
-                    // source/destination cannot overlap.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            b.as_ptr(),
-                            out.as_mut_ptr().add(out.len()).cast::<u8>(),
-                            total,
-                        );
-                        out.set_len(out.len() + n);
-                    }
-                } else {
-                    out.reserve(n);
-                    for chunk in b.chunks_exact(size) {
-                        out.push(<$t>::from_le_bytes(chunk.try_into().expect("sized chunk")));
-                    }
-                }
-                Ok(())
-            }
-
-            fn read_slice(r: &mut WireReader<'_>, out: &mut [Self]) -> Result<(), SimError> {
-                let size = std::mem::size_of::<$t>();
-                let b = r.take_records(out.len(), size)?;
-                let total = b.len();
-                if cfg!(target_endian = "little") {
-                    // SAFETY: `out` is an initialized scalar slice of
-                    // exactly `total` bytes; source and destination are
-                    // distinct allocations.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            b.as_ptr(),
-                            out.as_mut_ptr().cast::<u8>(),
-                            total,
-                        );
-                    }
-                } else {
-                    for (slot, chunk) in out.iter_mut().zip(b.chunks_exact(size)) {
-                        *slot = <$t>::from_le_bytes(chunk.try_into().expect("sized chunk"));
-                    }
-                }
-                Ok(())
-            }
         }
     )*};
 }
@@ -279,6 +276,9 @@ impl_wire_numeric!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 
 impl Wire for usize {
     const FIXED: Option<usize> = u64::FIXED;
+    // Encoded as a `u64`: its own bytes only where it is one.
+    const AS_BYTES: AsBytes<Self> =
+        AsBytes(u64::AS_BYTES.0 && size_of::<usize>() == 8, PhantomData);
 
     #[inline]
     fn write(&self, out: &mut Vec<u8>) {
@@ -340,6 +340,9 @@ impl Wire for String {
 
 impl<T: Wire> Wire for Vec<T> {
     fn write(&self, out: &mut Vec<u8>) {
+        if let Some(size) = T::FIXED {
+            out.reserve(8 + self.len() * size);
+        }
         self.len().write(out);
         T::write_slice(self, out);
     }
@@ -390,6 +393,16 @@ macro_rules! impl_wire_tuple {
     ($(($($name:ident . $idx:tt),+))*) => {$(
         impl<$($name: Wire),+> Wire for ($($name,)+) {
             const FIXED: Option<usize> = fixed_sum(&[$($name::FIXED),+]);
+            // Fields that are their own bytes, back to back in field
+            // order with no padding: the record is its own bytes too.
+            const AS_BYTES: AsBytes<Self> = AsBytes(
+                $($name::AS_BYTES.0 &&)+ packed(
+                    &[$(offset_of!(Self, $idx)),+],
+                    &[$(size_of::<$name>()),+],
+                    size_of::<Self>(),
+                ),
+                PhantomData,
+            );
 
             #[inline]
             fn write(&self, out: &mut Vec<u8>) {
@@ -577,6 +590,43 @@ mod tests {
         assert_eq!(<(usize, u32)>::FIXED, Some(12));
         assert_eq!(<(u32, u32, u32)>::FIXED, Some(12));
         assert_eq!(<(u8, u16, f64, bool)>::FIXED, Some(12));
+
+        // Which shapes are their own encoding (one copy per slice): the
+        // little-endian scalars, `usize`, and padding-free tuples of them.
+        fn one_copy<T: Wire>() -> bool {
+            T::AS_BYTES.0
+        }
+        let le = cfg!(target_endian = "little");
+        for scalar in [one_copy::<u8>(), one_copy::<i64>(), one_copy::<f64>()] {
+            assert_eq!(scalar, le);
+        }
+        assert_eq!(one_copy::<usize>(), le && size_of::<usize>() == 8);
+        assert_eq!(one_copy::<(u32, u32)>(), le);
+        assert_eq!(one_copy::<(u32, u32, u32)>(), le);
+        assert_eq!(one_copy::<(usize, usize)>(), one_copy::<usize>());
+        // Padding (inside or at the end), invalid bit patterns, lengths.
+        for per_record in [
+            one_copy::<(usize, u32)>(),
+            one_copy::<(u64, u32)>(),
+            one_copy::<((u8, u32), u64)>(),
+            one_copy::<(u8, u16, f64, bool)>(),
+            one_copy::<bool>(),
+            one_copy::<(u32, bool)>(),
+            one_copy::<Vec<u32>>(),
+            one_copy::<Option<u64>>(),
+        ] {
+            assert!(!per_record);
+        }
+        // Both paths give the per-field codec's bytes (checked above for
+        // every shape); a padded tuple whose padding bytes happen to hold
+        // garbage still encodes only its fields.
+        let padded = vec![(u64::MAX - 1, 7u32); 3];
+        let mut per_field = Vec::new();
+        for (a, b) in &padded {
+            a.write(&mut per_field);
+            b.write(&mut per_field);
+        }
+        assert_eq!(padded.to_bytes()[8..], per_field[..]);
     }
 
     #[test]

@@ -226,14 +226,20 @@ pub trait McObject<T: Copy> {
     /// Encode the elements covered by `runs` (in run order) straight into
     /// a wire buffer — payload bytes only, the caller writes the
     /// element-count header.  One [`Wire::write_slice`] per run: source
-    /// storage → wire buffer in a single copy.
+    /// storage → wire buffer in a single copy; a length-1 run (Chaos data)
+    /// is one scalar [`Wire::write`] into the space reserved up front.
     fn pack_runs_wire(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<u8>)
     where
         T: Wire,
     {
         let data = self.local();
+        out.reserve(runs.len() * T::FIXED.unwrap_or(0));
         for &(start, len) in runs.runs() {
-            T::write_slice(&data[start..start + len], out);
+            if len == 1 {
+                data[start].write(out);
+            } else {
+                T::write_slice(&data[start..start + len], out);
+            }
         }
         ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
     }
@@ -241,7 +247,8 @@ pub trait McObject<T: Copy> {
     /// Decode `runs.len()` elements from a received payload straight into
     /// the elements covered by `runs` (the caller has already consumed the
     /// count header).  One [`Wire::read_slice`] per run: wire buffer →
-    /// library storage in a single copy.
+    /// library storage in a single copy; a length-1 run is one scalar
+    /// [`Wire::read`].
     fn unpack_runs_wire(
         &mut self,
         ep: &mut Endpoint,
@@ -253,7 +260,11 @@ pub trait McObject<T: Copy> {
     {
         let data = self.local_mut();
         for &(start, len) in runs.runs() {
-            T::read_slice(r, &mut data[start..start + len])?;
+            if len == 1 {
+                data[start] = T::read(r)?;
+            } else {
+                T::read_slice(r, &mut data[start..start + len])?;
+            }
         }
         ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
         Ok(())
@@ -476,6 +487,34 @@ mod tests {
             assert!(matches!(err, SimError::Decode(_)), "{err:?}");
             let mut expect = vec![-1.0; 64];
             expect[2..5].fill(9.0);
+            assert_eq!(dst.data, expect);
+
+            // A payload ending inside a stretch of length-1 runs: the runs
+            // before the short one land, later storage is untouched.
+            let mut runs: AddrRuns = [30usize, 7, 50].into_iter().collect();
+            runs.push_run(40, 3);
+            runs.push(12);
+            runs.push(60);
+            let mut bytes = Vec::new();
+            f64::write_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], &mut bytes);
+            bytes.extend_from_slice(&[0xee; 4]);
+            let mut dst = BlockVec::create(&g, 0, 64, |_| -1.0);
+            let err = dst
+                .unpack_runs_wire(ep, &runs, &mut WireReader::new(&bytes))
+                .unwrap_err();
+            assert!(matches!(err, SimError::Decode(_)), "{err:?}");
+            let mut expect = vec![-1.0; 64];
+            for (a, v) in [
+                (30, 1.0),
+                (7, 2.0),
+                (50, 3.0),
+                (40, 4.0),
+                (41, 5.0),
+                (42, 6.0),
+            ] {
+                expect[a] = v;
+            }
+            expect[12] = 7.0;
             assert_eq!(dst.data, expect);
         });
     }

@@ -274,6 +274,53 @@ fn push_interval(list: &mut Vec<(u32, u32)>, pos: u32, len: u32) {
     list.push((pos, len));
 }
 
+/// Each overlap of routed `(pos, len, src_rank)` segments (ascending) with
+/// my sorted runs, in position order: `f(src_rank, run, first element of
+/// the run, count)`.
+fn segment_overlaps(
+    pairs: &[(u32, u32, u32)],
+    down: &[OwnedRun],
+    mut f: impl FnMut(usize, &OwnedRun, usize, usize),
+) {
+    let mut ri = 0usize; // monotone cursor: segments ascend in position
+    for &(pos, len, s_ul) in pairs {
+        let mut pos = pos as usize;
+        let mut rem = len as usize;
+        while rem > 0 {
+            while down[ri].end() <= pos {
+                ri += 1;
+            }
+            let r = &down[ri];
+            debug_assert!(r.pos <= pos, "destination ownership out of sync");
+            let take = rem.min(r.end() - pos);
+            f(s_ul as usize, r, pos - r.pos, take);
+            pos += take;
+            rem -= take;
+        }
+    }
+}
+
+/// Index of the first run of the sorted, disjoint `runs` ending after
+/// `pos`.  Requests ascend, so the search gallops forward from `from`
+/// (where the previous request ended); a position that went back behind
+/// `from` falls back to a binary search of the whole list.
+fn seek(runs: &[OwnedRun], from: usize, pos: usize) -> usize {
+    if from > 0 && runs.get(from - 1).is_none_or(|r| r.end() > pos) {
+        return runs.partition_point(|r| r.end() <= pos);
+    }
+    // Every run before `lo` ends at or before `pos`.
+    let (mut lo, mut step) = (from, 1);
+    while let Some(r) = runs.get(lo + step - 1) {
+        if r.end() > pos {
+            break;
+        }
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step - 1).min(runs.len());
+    lo + runs[lo..hi].partition_point(|r| r.end() <= pos)
+}
+
 /// `global rank → union-local rank`, inverted once per build: the
 /// duplication builders resolve one owner per located run, and
 /// [`Group::local_of`] is a linear scan of the member list.
@@ -400,21 +447,14 @@ where
     // is the element announcement's: 4 bytes copied per owned element,
     // plus the wire volume a u32-per-position message would have had.
     let announce = |ucomm: &mut Comm<'_>, owned: &[OwnedRun]| {
-        let mut send: Vec<Vec<(u32, u32)>> = (0..p).map(|_| Vec::new()).collect();
-        let mut elems_to = vec![0usize; p];
-        for r in owned {
-            for (part, start, len) in pb.split_run(r.pos, r.len) {
-                send[part].push((pos32(start), len as u32));
-                elems_to[part] += len;
-            }
-        }
-        let elems: usize = elems_to.iter().sum();
+        let send = pb.split_runs(owned, |start, len| (pos32(start), len as u32));
         let missing: usize = send
             .iter()
-            .zip(&elems_to)
-            .map(|(s, &e)| (4 * e).saturating_sub(8 * s.len()))
+            .map(|s| {
+                (4 * s.iter().map(|r| r.1 as usize).sum::<usize>()).saturating_sub(8 * s.len())
+            })
             .sum();
-        ucomm.ep().charge_copy_bytes(4 * elems);
+        ucomm.ep().charge_copy_bytes(4 * runs_total(owned));
         charge_wire_equiv(ucomm.ep(), missing, 0);
         ucomm.alltoallv_t(send)
     };
@@ -444,9 +484,11 @@ where
         }
         // Each sender's pieces arrive ascending, so the list is P sorted
         // runs end to end: the stable sort detects and merges them, where
-        // `sort_unstable` would start from scratch.  Records equal in all
-        // three fields are interchangeable, so the order is the same.
-        list.sort();
+        // `sort_unstable` would start from scratch.  The position alone is
+        // the key: two pieces at one position are a double announcement,
+        // which fails the build below whatever their order, and the
+        // duplicate flag is the same for either order.
+        list.sort_by_key(|r| r.0);
         let mut cover_end = 0usize;
         for &(pos, len, _) in &list {
             let (pos, end) = (pos as usize, pos as usize + len as usize);
@@ -482,9 +524,18 @@ where
 
     // Phase C: interval intersection of the two tilings; each overlap
     // becomes one (pos, len, src_rank) triple routed to the destination
-    // owner, in position order.
-    let mut to_dst: Vec<Vec<(u32, u32, u32)>> = (0..p).map(|_| Vec::new()).collect();
-    let mut elems_to = vec![0usize; p];
+    // owner, in position order.  Each triple starts a destination piece or
+    // a source piece inside it and covers an element: that sizes the lists.
+    let mut pieces_to = vec![(0usize, 0usize); p];
+    for &(_, len, dfrom) in &dst_list {
+        let (pieces, elems) = &mut pieces_to[dfrom as usize];
+        *pieces += 1;
+        *elems += len as usize;
+    }
+    let mut to_dst: Vec<Vec<(u32, u32, u32)>> = pieces_to
+        .iter()
+        .map(|&(pieces, elems)| Vec::with_capacity(elems.min(pieces + src_list.len())))
+        .collect();
     {
         let (mut si, mut di) = (0usize, 0usize);
         while si < src_list.len() && di < dst_list.len() {
@@ -495,7 +546,6 @@ where
             let hi = s_end.min(d_end);
             debug_assert!(lo < hi, "coordinator interval lists out of step");
             to_dst[dfrom as usize].push((pos32(lo), (hi - lo) as u32, sfrom));
-            elems_to[dfrom as usize] += hi - lo;
             if s_end == hi {
                 si += 1;
             }
@@ -508,8 +558,8 @@ where
     // Element equivalent: an 8-byte (pos, src) record per block position.
     let missing_c: usize = to_dst
         .iter()
-        .zip(&elems_to)
-        .map(|(t, &e)| (8 * e).saturating_sub(12 * t.len()))
+        .zip(&pieces_to)
+        .map(|(t, &(_, e))| (8 * e).saturating_sub(12 * t.len()))
         .sum();
     ucomm.ep().charge_copy_bytes(8 * my_block.len());
     charge_wire_equiv(ucomm.ep(), missing_c, 0);
@@ -517,7 +567,7 @@ where
 
     // Coordinators cover disjoint ascending position blocks, so simple
     // concatenation in coordinator order is sorted by position.
-    let mut pairs: Vec<(u32, u32, u32)> = Vec::new();
+    let mut pairs: Vec<(u32, u32, u32)> = Vec::with_capacity(from_coord.iter().map(Vec::len).sum());
     let mut miss_recv_c = 0usize;
     for list in from_coord {
         let e: usize = list.iter().map(|&(_, l, _)| l as usize).sum();
@@ -536,31 +586,27 @@ where
 
     // Destination assembles its receive half by merge-joining the routed
     // segments against its own (sorted) runs, and batches per-source
-    // request intervals (merged when contiguous) for phase D.
-    let mut recvs: Vec<AddrRuns> = (0..p).map(|_| AddrRuns::new()).collect();
-    let mut reqs: Vec<Vec<(u32, u32)>> = (0..p).map(|_| Vec::new()).collect();
+    // request intervals (merged when contiguous) for phase D.  Both are
+    // counted per source before they fill.
+    let mut segs = vec![0usize; p];
     let mut req_elems = vec![0usize; p];
-    {
-        let mut ri = 0usize; // monotone cursor: segments ascend in position
-        for &(pos, len, s_ul) in &pairs {
-            let s_ul = s_ul as usize;
-            push_interval(&mut reqs[s_ul], pos, len);
-            req_elems[s_ul] += len as usize;
-            let mut pos = pos as usize;
-            let mut rem = len as usize;
-            while rem > 0 {
-                while down[ri].end() <= pos {
-                    ri += 1;
-                }
-                let r = &down[ri];
-                debug_assert!(r.pos <= pos, "destination ownership out of sync");
-                let take = rem.min(r.end() - pos);
-                r.emit_addrs(pos - r.pos, take, &mut recvs[s_ul]);
-                pos += take;
-                rem -= take;
-            }
-        }
+    for &(_, len, s_ul) in &pairs {
+        segs[s_ul as usize] += 1;
+        req_elems[s_ul as usize] += len as usize;
     }
+    let mut reqs: Vec<Vec<(u32, u32)>> = segs.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for &(pos, len, s_ul) in &pairs {
+        push_interval(&mut reqs[s_ul as usize], pos, len);
+    }
+    let mut runs_from = vec![0usize; p];
+    // `emit_addrs` adds at most one run for stride 1, one per element else.
+    segment_overlaps(&pairs, &down, |s, r, _, take| {
+        runs_from[s] += if r.stride == 1 { 1 } else { take }
+    });
+    let mut recvs: Vec<AddrRuns> = runs_from.into_iter().map(AddrRuns::with_capacity).collect();
+    segment_overlaps(&pairs, &down, |s, r, k, take| {
+        r.emit_addrs(k, take, &mut recvs[s])
+    });
     // Assembling the complete schedule on the destination side is the
     // structure-building step that makes cooperation the most expensive
     // method for regular-regular transfers (Table 5) — charged per element.
@@ -568,9 +614,9 @@ where
 
     // Phase D: sources receive ordered request intervals and translate
     // them to address runs by merge-join against their own sorted runs —
-    // one binary search per interval, then a linear walk.  Virtual cost:
-    // a u32 request per element on the wire, 12 bytes of translation copy
-    // per requested element.
+    // a galloping seek per interval from where the last one ended, then a
+    // linear walk.  Virtual cost: a u32 request per element on the wire,
+    // 12 bytes of translation copy per requested element.
     let missing_d: usize = reqs
         .iter()
         .zip(&req_elems)
@@ -578,22 +624,25 @@ where
         .sum();
     charge_wire_equiv(ucomm.ep(), missing_d, 0);
     let req_in = ucomm.alltoallv_t(reqs);
-    let mut sends: Vec<AddrRuns> = (0..p).map(|_| AddrRuns::new()).collect();
-    for (d, intervals) in req_in.into_iter().enumerate() {
+    let mut sends: Vec<AddrRuns> = Vec::with_capacity(p);
+    let mut out = AddrRuns::new();
+    for intervals in req_in {
         let e: usize = intervals.iter().map(|&(_, l)| l as usize).sum();
         ucomm.ep().charge_copy_bytes(12 * e);
         charge_wire_equiv(ucomm.ep(), 0, (4 * e).saturating_sub(8 * intervals.len()));
+        out.clear();
+        let mut ri = 0usize;
         for (pos, len) in intervals {
             let mut pos = pos as usize;
             let mut rem = len as usize;
-            let mut ri = sown.partition_point(|r| r.end() <= pos);
+            ri = seek(&sown, ri, pos);
             while rem > 0 {
                 let r = sown
                     .get(ri)
                     .unwrap_or_else(|| panic!("requested position {pos} not owned here"));
                 assert!(r.pos <= pos, "requested position {pos} not owned here");
                 let take = rem.min(r.end() - pos);
-                r.emit_addrs(pos - r.pos, take, &mut sends[d]);
+                r.emit_addrs(pos - r.pos, take, &mut out);
                 pos += take;
                 rem -= take;
                 if rem > 0 {
@@ -601,6 +650,8 @@ where
                 }
             }
         }
+        // An exact-size copy; the scratch list keeps its room.
+        sends.push(out.clone());
     }
 
     Ok(finish_run_parts(me_ul, sends, recvs))
@@ -654,20 +705,8 @@ where
         src.obj.deref_owned_runs(&mut pcomm, src.set)
     };
     let locals = UnionLocals::new(union);
-    let mut sends: Vec<AddrRuns> = (0..p).map(|_| AddrRuns::new()).collect();
-    let mut s_elems = 0usize;
-    let mut dcur = LocateCursor::new(&dd, dst.set);
-    for r in &sown {
-        s_elems += r.len;
-        let mut k = 0usize;
-        while k < r.len {
-            let lr = dcur.locate_run(r.pos + k, r.len - k);
-            debug_assert!(lr.pos == r.pos + k && lr.len >= 1 && lr.len <= r.len - k);
-            let dl = locals.of(lr.rank, "destination");
-            r.emit_addrs(k, lr.len, &mut sends[dl]);
-            k += lr.len;
-        }
-    }
+    let sends = locate_pass(&sown, &dd, dst.set, &locals, p, "destination");
+    let s_elems = runs_total(&sown);
     dd.charge_locates(ep, s_elems);
     ep.charge_copy_bytes(8 * s_elems);
 
@@ -677,20 +716,8 @@ where
         let mut pcomm = Comm::borrowed(ep, dst_prog);
         dst.obj.deref_owned_runs(&mut pcomm, dst.set)
     };
-    let mut recvs: Vec<AddrRuns> = (0..p).map(|_| AddrRuns::new()).collect();
-    let mut d_elems = 0usize;
-    let mut scur = LocateCursor::new(&sd, src.set);
-    for r in &down {
-        d_elems += r.len;
-        let mut k = 0usize;
-        while k < r.len {
-            let lr = scur.locate_run(r.pos + k, r.len - k);
-            debug_assert!(lr.pos == r.pos + k && lr.len >= 1 && lr.len <= r.len - k);
-            let sl = locals.of(lr.rank, "source");
-            r.emit_addrs(k, lr.len, &mut recvs[sl]);
-            k += lr.len;
-        }
-    }
+    let recvs = locate_pass(&down, &sd, src.set, &locals, p, "source");
+    let d_elems = runs_total(&down);
     sd.charge_locates(ep, d_elems);
     ep.charge_copy_bytes(8 * d_elems);
 
@@ -702,6 +729,32 @@ where
     );
 
     finish_run_parts(me_ul, sends, recvs)
+}
+
+/// One pass of the one-program duplication build: walk my owned runs,
+/// locate each stretch through the other side's descriptor, and emit my
+/// addresses per union peer (`side` names the other side in panics).
+/// The lists grow as they fill (sizing them first read slower, DESIGN §4e).
+fn locate_pass<Desc: McDescriptor>(
+    own: &[OwnedRun],
+    desc: &Desc,
+    set: &SetOfRegions<Desc::Region>,
+    locals: &UnionLocals,
+    p: usize,
+    side: &str,
+) -> Vec<AddrRuns> {
+    let mut cur = LocateCursor::new(desc, set);
+    let mut out: Vec<AddrRuns> = (0..p).map(|_| AddrRuns::new()).collect();
+    for r in own {
+        let mut k = 0usize;
+        while k < r.len {
+            let lr = cur.locate_run(r.pos + k, r.len - k);
+            debug_assert!(lr.pos == r.pos + k && lr.len >= 1 && lr.len <= r.len - k);
+            r.emit_addrs(k, lr.len, &mut out[locals.of(lr.rank, side)]);
+            k += lr.len;
+        }
+    }
+    out
 }
 
 /// Duplication across two programs: descriptors (distribution metadata)
@@ -1203,6 +1256,36 @@ mod tests {
         let all: Vec<f64> = out.results.into_iter().flatten().collect();
         // Position order: dst element 5 receives src[0] then src[1].
         assert_eq!(all[5], 1.0);
+    }
+
+    #[test]
+    fn seek_agrees_with_a_binary_search_from_any_start() {
+        let mut rng = mcsim::rng::Rng::seed_from_u64(0x5eec);
+        for _ in 0..50 {
+            // Sorted, disjoint runs with gaps.
+            let mut runs = Vec::new();
+            let mut pos = rng.gen_range(3);
+            for _ in 0..rng.gen_range(40) {
+                let len = 1 + rng.gen_range(4);
+                runs.push(OwnedRun {
+                    pos,
+                    len,
+                    addr: 0,
+                    stride: 1,
+                });
+                pos += len + rng.gen_range(3);
+            }
+            // Ascending queries carry the cursor; some jump back.
+            let mut from = 0;
+            for _ in 0..60 {
+                let q = rng.gen_range(pos + 2);
+                let want = runs.partition_point(|r| r.end() <= q);
+                for start in [from, 0, runs.len(), want] {
+                    assert_eq!(seek(&runs, start, q), want, "from {start} pos {q}");
+                }
+                from = want;
+            }
+        }
     }
 
     /// One rank's share of a transfer: `(sends, recvs, local_pairs)`.

@@ -106,7 +106,7 @@ pub use datamove::{data_move, data_move_recv, data_move_send, try_data_move};
 pub use error::McError;
 pub use obs::{record_abort, take_last_abort, AbortReport};
 pub use region::{DimSlice, IndexSet, Region, RegularSection};
-pub use runs::{coalesce_owned, LocatedRun, OwnedRun, RunBuilder};
+pub use runs::{LocatedRun, OwnedRun, RunBuilder};
 pub use schedule::{elem_type, Schedule};
 pub use seqvec::SeqVec;
 pub use session::RecoverySession;

@@ -7,6 +7,8 @@
 //! construction — the block partition below assigns position `p` of a
 //! length-`n` linearization to coordinator `p / ceil(n/P)`.
 
+use crate::runs::OwnedRun;
+
 /// Block partition of `0..total` positions over `parts` coordinators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PosBlocks {
@@ -52,32 +54,36 @@ impl PosBlocks {
         self.total
     }
 
-    /// Split the position interval `pos .. pos + len` at coordinator block
-    /// boundaries, yielding `(part, piece_start, piece_len)` in ascending
-    /// position order.  This is the only fragmentation the run-based
-    /// inspector introduces on the announce wire: a run crossing `k` block
-    /// boundaries becomes `k + 1` pieces, and a run inside one block stays
-    /// whole.
-    pub fn split_run(
+    /// Split a sorted, disjoint run list at coordinator block boundaries:
+    /// entry `part` of the result holds `piece(start, len)` for each piece
+    /// of a run inside block `part`, in position order.  This is the only
+    /// fragmentation the run-based inspector introduces on the announce
+    /// wire: a run crossing `k` block boundaries becomes `k + 1` pieces,
+    /// and a run inside one block stays whole.  Blocks are consecutive, so
+    /// each block's pieces come from one stretch of the list: every bucket
+    /// is allocated once, at its final size, with no per-run division.
+    pub(crate) fn split_runs<T>(
         &self,
-        pos: usize,
-        len: usize,
-    ) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        debug_assert!(pos + len <= self.total, "run {pos}+{len} of {}", self.total);
-        let end = pos + len;
-        let mut cur = pos;
-        std::iter::from_fn(move || {
-            if cur >= end {
-                return None;
-            }
-            let part = self.owner(cur);
-            // `range(part).end` strictly exceeds `cur` (owner() guarantees
-            // membership), so every piece makes progress.
-            let piece_end = self.range(part).end.min(end);
-            let piece = (part, cur, piece_end - cur);
-            cur = piece_end;
-            Some(piece)
-        })
+        runs: &[OwnedRun],
+        piece: impl Fn(usize, usize) -> T,
+    ) -> Vec<Vec<T>> {
+        debug_assert!(runs.last().is_none_or(|r| r.end() <= self.total));
+        let mut rest = runs;
+        (0..self.parts)
+            .map(|part| {
+                let block = self.range(part);
+                let n = rest.partition_point(|r| r.pos < block.end);
+                let pieces = rest[..n].iter().map(|r| {
+                    let lo = r.pos.max(block.start);
+                    piece(lo, r.end().min(block.end) - lo)
+                });
+                let pieces = pieces.collect();
+                // A run reaching past this block continues into the next.
+                let straddles = n > 0 && rest[n - 1].end() > block.end;
+                rest = &rest[n - usize::from(straddles)..];
+                pieces
+            })
+            .collect()
     }
 }
 
@@ -123,56 +129,88 @@ mod tests {
         assert_eq!(pb.owner(1), 1);
     }
 
-    #[test]
-    fn split_run_empty_linearization() {
-        // n = 0: no positions, so only the empty run is legal — and it
-        // yields nothing.
-        let pb = PosBlocks::new(0, 4);
-        assert_eq!(pb.split_run(0, 0).count(), 0);
+    /// Runs at `(pos, len)` with addresses of no interest here.
+    fn runs(spans: &[(usize, usize)]) -> Vec<OwnedRun> {
+        let run = |&(pos, len): &(usize, usize)| OwnedRun {
+            pos,
+            len,
+            addr: 0,
+            stride: 1,
+        };
+        spans.iter().map(run).collect()
+    }
+
+    fn split(pb: &PosBlocks, spans: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
+        pb.split_runs(&runs(spans), |start, len| (start, len))
     }
 
     #[test]
-    fn split_run_zero_length_anywhere() {
-        let pb = PosBlocks::new(10, 3);
-        assert_eq!(pb.split_run(7, 0).count(), 0);
+    fn split_runs_empty_linearization() {
+        // n = 0: no positions, so no runs — and every block is empty.
+        assert_eq!(split(&PosBlocks::new(0, 4), &[]), vec![vec![]; 4]);
     }
 
     #[test]
-    fn split_run_more_parts_than_positions() {
+    fn split_runs_more_parts_than_positions() {
         // p > n: blocks are single positions, so every element of the run
         // lands on its own coordinator.
-        let pb = PosBlocks::new(3, 8);
-        let pieces: Vec<_> = pb.split_run(0, 3).collect();
-        assert_eq!(pieces, vec![(0, 0, 1), (1, 1, 1), (2, 2, 1)]);
+        let got = split(&PosBlocks::new(3, 8), &[(0, 3)]);
+        let mut want = vec![vec![]; 8];
+        for pos in 0..3 {
+            want[pos] = vec![(pos, 1)];
+        }
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn split_run_spanning_many_blocks() {
+    fn split_runs_spanning_many_blocks() {
         // A run crossing 3+ coordinator blocks splits exactly at block
         // boundaries (blocks of 4: [0,4) [4,8) [8,12) [12,16)).
-        let pb = PosBlocks::new(16, 4);
-        let pieces: Vec<_> = pb.split_run(2, 13).collect();
-        assert_eq!(pieces, vec![(0, 2, 2), (1, 4, 4), (2, 8, 4), (3, 12, 3)]);
-        // Pieces tile the run.
-        let total: usize = pieces.iter().map(|&(_, _, l)| l).sum();
-        assert_eq!(total, 13);
+        let got = split(&PosBlocks::new(16, 4), &[(2, 13)]);
+        assert_eq!(
+            got,
+            vec![vec![(2, 2)], vec![(4, 4)], vec![(8, 4)], vec![(12, 3)]]
+        );
     }
 
     #[test]
-    fn split_run_single_element_runs() {
-        // Stride-degenerate (length-1) runs: one piece, owned correctly,
-        // including in the ragged last block.
+    fn split_runs_single_element_runs() {
+        // Stride-degenerate (length-1) runs: one piece each, owned
+        // correctly, including in the ragged last block.
         let pb = PosBlocks::new(10, 4); // blocks of 3: last block is {9}
+        let spans: Vec<(usize, usize)> = (0..10).map(|pos| (pos, 1)).collect();
+        let got = split(&pb, &spans);
         for pos in 0..10 {
-            let pieces: Vec<_> = pb.split_run(pos, 1).collect();
-            assert_eq!(pieces, vec![(pb.owner(pos), pos, 1)]);
+            assert!(got[pb.owner(pos)].contains(&(pos, 1)), "pos {pos}");
         }
+        assert_eq!(got.iter().map(Vec::len).sum::<usize>(), 10);
     }
 
     #[test]
-    fn split_run_within_one_block_stays_whole() {
-        let pb = PosBlocks::new(100, 4); // blocks of 25
-        let pieces: Vec<_> = pb.split_run(26, 20).collect();
-        assert_eq!(pieces, vec![(1, 26, 20)]);
+    fn split_runs_within_one_block_stays_whole() {
+        let got = split(&PosBlocks::new(100, 4), &[(26, 20)]); // blocks of 25
+        assert_eq!(got, vec![vec![], vec![(26, 20)], vec![], vec![]]);
+    }
+
+    #[test]
+    fn split_runs_matches_per_position_owners() {
+        // Gaps, straddling runs and runs ending on a boundary, against the
+        // owner of every covered position.
+        let spans = [(0, 2), (3, 9), (12, 1), (13, 3), (20, 7), (29, 1)];
+        for parts in [1, 2, 3, 7, 30, 40] {
+            let pb = PosBlocks::new(30, parts);
+            let got = split(&pb, &spans);
+            assert_eq!(got.len(), parts);
+            for (part, pieces) in got.iter().enumerate() {
+                let covered: Vec<usize> = pieces.iter().flat_map(|&(s, l)| s..s + l).collect();
+                let want: Vec<usize> = spans
+                    .iter()
+                    .flat_map(|&(s, l)| s..s + l)
+                    .filter(|&pos| pb.owner(pos) == part)
+                    .collect();
+                assert_eq!(covered, want, "parts {parts} part {part}");
+                assert!(pieces.iter().all(|&(_, l)| l > 0));
+            }
+        }
     }
 }

@@ -150,6 +150,14 @@ impl RunBuilder {
         RunBuilder::default()
     }
 
+    /// An empty builder with room for `runs` runs — at most one per
+    /// element pushed, so an element count never lets it grow.
+    pub fn with_capacity(runs: usize) -> Self {
+        RunBuilder {
+            runs: Vec::with_capacity(runs),
+        }
+    }
+
     /// Append one element, extending the last run when it continues it.
     pub fn push(&mut self, pos: usize, addr: LocalAddr) {
         if let Some(last) = self.runs.last_mut() {
@@ -218,17 +226,6 @@ impl RunBuilder {
     }
 }
 
-/// Coalesce a position-sorted `(position, address)` list into maximal runs
-/// — what [`McObject::deref_owned_runs`](crate::adapter::McObject::deref_owned_runs)
-/// must return for a library that enumerates its elements one by one.
-pub fn coalesce_owned(pairs: &[(usize, LocalAddr)]) -> Vec<OwnedRun> {
-    let mut b = RunBuilder::new();
-    for &(pos, addr) in pairs {
-        b.push(pos, addr);
-    }
-    b.finish()
-}
-
 /// Total elements covered by a run list.
 pub fn runs_total(runs: &[OwnedRun]) -> usize {
     runs.iter().map(|r| r.len).sum()
@@ -237,6 +234,14 @@ pub fn runs_total(runs: &[OwnedRun]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn coalesce_owned(pairs: &[(usize, LocalAddr)]) -> Vec<OwnedRun> {
+        let mut b = RunBuilder::new();
+        for &(pos, addr) in pairs {
+            b.push(pos, addr);
+        }
+        b.finish()
+    }
 
     #[test]
     fn coalesce_contiguous_and_strided() {

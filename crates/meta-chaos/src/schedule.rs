@@ -40,6 +40,20 @@ impl AddrRuns {
         AddrRuns::default()
     }
 
+    /// An empty list with room for `runs` runs.
+    pub(crate) fn with_capacity(runs: usize) -> Self {
+        AddrRuns {
+            runs: Vec::with_capacity(runs),
+            total: 0,
+        }
+    }
+
+    /// Remove every address, keeping the room.
+    pub(crate) fn clear(&mut self) {
+        self.runs.clear();
+        self.total = 0;
+    }
+
     /// Append one address, merging into the last run when consecutive.
     #[inline]
     pub fn push(&mut self, addr: LocalAddr) {
@@ -232,26 +246,18 @@ impl PairRuns {
     /// per-element `push(src, dst)` over the zipped lists would produce.
     pub fn from_zip(srcs: &AddrRuns, dsts: &AddrRuns) -> PairRuns {
         assert_eq!(srcs.len(), dsts.len(), "zipped address lists must pair up");
-        let mut out = PairRuns::new();
-        let (sruns, druns) = (srcs.runs(), dsts.runs());
-        let (mut si, mut di) = (0usize, 0usize);
-        let (mut soff, mut doff) = (0usize, 0usize);
-        while si < sruns.len() {
-            let (ss, sl) = sruns[si];
-            let (ds, dl) = druns[di];
-            let take = (sl - soff).min(dl - doff);
-            out.push_run(ss + soff, ds + doff, take);
-            soff += take;
-            doff += take;
-            if soff == sl {
-                si += 1;
-                soff = 0;
-            }
-            if doff == dl {
-                di += 1;
-                doff = 0;
-            }
-        }
+        // Counted first, so the list is allocated at its final size.
+        let mut runs = 0usize;
+        let mut end = None;
+        zip_chunks(srcs, dsts, |s, d, len| {
+            runs += usize::from(end != Some((s, d)));
+            end = Some((s + len, d + len));
+        });
+        let mut out = PairRuns {
+            runs: Vec::with_capacity(runs),
+            total: 0,
+        };
+        zip_chunks(srcs, dsts, |s, d, len| out.push_run(s, d, len));
         out
     }
 
@@ -292,6 +298,30 @@ impl PairRuns {
         PairRuns {
             runs: self.runs.iter().map(|&(s, d, l)| (d, s, l)).collect(),
             total: self.total,
+        }
+    }
+}
+
+/// The overlaps of two equal-length address lists' `(start, len)` runs,
+/// in order: `f(src_start, dst_start, len)`.
+fn zip_chunks(srcs: &AddrRuns, dsts: &AddrRuns, mut f: impl FnMut(LocalAddr, LocalAddr, usize)) {
+    let (sruns, druns) = (srcs.runs(), dsts.runs());
+    let (mut si, mut di) = (0usize, 0usize);
+    let (mut soff, mut doff) = (0usize, 0usize);
+    while si < sruns.len() {
+        let (ss, sl) = sruns[si];
+        let (ds, dl) = druns[di];
+        let take = (sl - soff).min(dl - doff);
+        f(ss + soff, ds + doff, take);
+        soff += take;
+        doff += take;
+        if soff == sl {
+            si += 1;
+            soff = 0;
+        }
+        if doff == dl {
+            di += 1;
+            doff = 0;
         }
     }
 }
