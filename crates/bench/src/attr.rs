@@ -52,7 +52,6 @@ impl Attribution {
     pub fn from_report(report: &CriticalPathReport) -> Self {
         let totals = report.phase_totals();
         let shares = report.phase_shares();
-        let h = report.latency_histogram();
         let mut phase_s = BTreeMap::new();
         let mut phase_share = BTreeMap::new();
         for name in TAXONOMY {
@@ -64,10 +63,10 @@ impl Attribution {
             end_to_end_s: report.transfers.iter().map(|t| t.duration()).sum(),
             phase_s,
             phase_share,
-            latency_p50_s: h.p50(),
-            latency_p95_s: h.p95(),
-            latency_p99_s: h.p99(),
-            latency_max_s: h.max,
+            latency_p50_s: report.latency_quantile(0.50),
+            latency_p95_s: report.latency_quantile(0.95),
+            latency_p99_s: report.latency_quantile(0.99),
+            latency_max_s: report.latency_quantile(1.0),
         }
     }
 

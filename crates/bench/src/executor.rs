@@ -83,10 +83,6 @@ pub struct PhaseNanos {
     /// Wall ns to unpack one move's receive runs from wire bytes (last
     /// rank).
     pub unpack_ns: f64,
-    /// Residual of the fast-path move after pack and unpack: wire
-    /// encode/decode, channel transfer and synchronization.  Derived
-    /// (`fast_ns - pack_ns - unpack_ns`, floored at zero), not measured.
-    pub wire_ns: f64,
     /// Extra wall ns per move for the manifest handshake (manifests and
     /// verdicts): `reliable_ns - reliable_raw_ns`.  Only measured where the reliable legs run
     /// (`procs == 2`).
@@ -351,7 +347,6 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
         inspector_build_dup_ns: r0.inspector_build_dup_ns,
         pack_ns: r0.pack_ns,
         unpack_ns,
-        wire_ns: (r0.fast_ns - r0.pack_ns - unpack_ns).max(0.0),
         session_overhead_ns: match (r0.reliable_ns, r0.reliable_raw_ns) {
             (Some(txn), Some(raw)) => Some((txn - raw).max(0.0)),
             _ => None,
@@ -610,8 +605,6 @@ pub struct RecoverySettle {
     pub crashed_ns: f64,
     /// Ranks the supervisor respawned in the crashed run (>= 1).
     pub ranks_recovered: u64,
-    /// Transfer halves replayed while the recovered pair re-settled.
-    pub parts_replayed: u64,
 }
 
 impl RecoverySettle {
@@ -767,7 +760,6 @@ pub fn recovery_settle_micro(n: usize) -> RecoverySettle {
         baseline_ns,
         crashed_ns,
         ranks_recovered: rec.ranks_recovered,
-        parts_replayed: rec.parts_replayed,
     }
 }
 
@@ -792,8 +784,7 @@ mod tests {
         let raw = r.reliable_raw_ns.expect("raw leg at procs == 2");
         assert!(raw > 0.0);
         assert!(r.reliable_overhead_pct().is_some());
-        // Phase breakdown: every measured stage is positive and the wire
-        // residual stays within the whole move.
+        // Phase breakdown: every measured stage is positive.
         let ph = r.phases;
         assert!(ph.inspector_build_ns > 0.0);
         assert!(ph.inspector_build_dup_ns > 0.0);
@@ -802,7 +793,6 @@ mod tests {
             ph.unpack_ns > 0.0,
             "last rank receives, so unpack must cost"
         );
-        assert!(ph.wire_ns >= 0.0 && ph.wire_ns <= r.fast_ns);
         assert!(ph.session_overhead_ns.is_some());
         // All 16 library pairs report both methods.
         assert_eq!(r.pairs.len(), 16);

@@ -133,11 +133,10 @@ fn main() {
             let ph = r.phases;
             println!(
                 "phases: inspector build {:.0} ns (dup {:.0} ns), pack {:.0} ns, \
-                 wire {:.0} ns, unpack {:.0} ns{}",
+                 unpack {:.0} ns{}",
                 ph.inspector_build_ns,
                 ph.inspector_build_dup_ns,
                 ph.pack_ns,
-                ph.wire_ns,
                 ph.unpack_ns,
                 match ph.session_overhead_ns {
                     Some(s) => format!(", session overhead {s:.0} ns"),
@@ -178,12 +177,11 @@ fn main() {
             println!(
                 "recovery (simulated sp2, supervised): baseline {:.0} ns wall, \
                  crashed+recovered {:.0} ns wall — settle {:.0} ns ({} rank(s) \
-                 respawned, {} part(s) replayed)",
+                 respawned)",
                 rec.baseline_ns,
                 rec.crashed_ns,
                 rec.settle_ns(),
-                rec.ranks_recovered,
-                rec.parts_replayed
+                rec.ranks_recovered
             );
             let path = arg_str(&args, "--out", "BENCH_executor.json");
             let mut report = vec![
@@ -198,7 +196,6 @@ fn main() {
                 ("recovery_baseline_ns", num(rec.baseline_ns)),
                 ("recovery_crashed_ns", num(rec.crashed_ns)),
                 ("recovery_ranks_recovered", Value::Int(rec.ranks_recovered)),
-                ("recovery_parts_replayed", Value::Int(rec.parts_replayed)),
                 ("wire_bytes", Value::Int(w.bytes as u64)),
                 ("wire_windowed_ns", num(w.windowed_ns)),
                 ("wire_stopwait_ns", num(w.stopwait_ns)),
@@ -219,7 +216,6 @@ fn main() {
                 ("inspector_build_ns", num(ph.inspector_build_ns)),
                 ("inspector_build_dup_ns", num(ph.inspector_build_dup_ns)),
                 ("pack_ns", num(ph.pack_ns)),
-                ("wire_ns", num(ph.wire_ns)),
                 ("unpack_ns", num(ph.unpack_ns)),
             ];
             if let Some(s) = ph.session_overhead_ns {
@@ -253,16 +249,11 @@ fn main() {
             cp.self_check().expect("critical-path attribution tiles");
             println!("{}", cp.render());
             let shares = cp.phase_shares();
-            let lat = cp.latency_histogram();
             let (dom, dom_share) = cp.dominant().unwrap_or(("other", 0.0));
             let mut cp_fields: Vec<(String, Value)> = vec![
                 ("transfers".into(), Value::Int(cp.transfers.len() as u64)),
                 ("dominant".into(), Value::Str(dom.to_string())),
                 ("dominant_share_pct".into(), num(dom_share * 100.0)),
-                ("latency_p50_ns".into(), num(lat.p50() * 1e9)),
-                ("latency_p95_ns".into(), num(lat.p95() * 1e9)),
-                ("latency_p99_ns".into(), num(lat.p99() * 1e9)),
-                ("latency_max_ns".into(), num(lat.max * 1e9)),
             ];
             for name in mcsim::analyze::TAXONOMY {
                 let share = shares.get(name).copied().unwrap_or(0.0);
@@ -283,17 +274,6 @@ fn main() {
                 mcsim::chrome_trace_json(&run.traces)
             };
             std::fs::write(&path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            let metrics = mcsim::MetricsRegistry::from_run(&run.stats, &run.traces);
-            for line in metrics.lines() {
-                println!("{line}");
-            }
-            if let Some((insp, exec)) = metrics.inspector_executor_share() {
-                println!(
-                    "virtual-time share: inspector {:.1}%, executor {:.1}%",
-                    insp * 100.0,
-                    exec * 100.0
-                );
-            }
             println!("wrote {path}");
         }
         "analyze" => {
@@ -365,26 +345,24 @@ fn main() {
                 .collect();
             let mut points = Vec::new();
             println!(
-                "{:>6} {:>14} {:>14} {:>14} {:>12} {:>12} {:>12} {:>12}",
+                "{:>6} {:>14} {:>14} {:>14} {:>12} {:>12} {:>12}",
                 "P",
                 "inspector vms",
                 "transfer vms",
                 "redist vms",
                 "insp wall",
-                "xfer wall",
                 "settle wall",
                 "redist wall"
             );
             for &p in &procs {
                 let pt = scaling_point(p, n);
                 println!(
-                    "{:>6} {:>14} {:>14} {:>14} {:>9} ms {:>9} ms {:>9} ms {:>9} ms",
+                    "{:>6} {:>14} {:>14} {:>14} {:>9} ms {:>9} ms {:>9} ms",
                     pt.procs,
                     fmt_ms(pt.inspector_virtual_ms),
                     fmt_ms(pt.transfer_virtual_ms),
                     fmt_ms(pt.redist_virtual_ms),
                     fmt_ms(pt.inspector_wall_ms),
-                    fmt_ms(pt.transfer_wall_ms),
                     fmt_ms(pt.settle_wall_ms),
                     fmt_ms(pt.redist_wall_ms)
                 );
@@ -407,7 +385,6 @@ fn main() {
                     ("transfer_virtual", pt.transfer_virtual_ms),
                     ("redist_virtual", pt.redist_virtual_ms),
                     ("inspector_wall", pt.inspector_wall_ms),
-                    ("transfer_wall", pt.transfer_wall_ms),
                     ("settle_wall", pt.settle_wall_ms),
                     ("redist_wall", pt.redist_wall_ms),
                 ] {

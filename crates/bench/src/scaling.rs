@@ -27,9 +27,10 @@
 //! **sub-linearly** in P; see [`sublinear`] for why the wall clock
 //! tracks the Θ(P²) simulated message count instead.
 //!
-//! The wall columns time whole worlds (spawn, build, run, join), so
-//! `transfer_wall_ms` is mostly the schedule build it has to repeat;
-//! `settle_wall_ms` is the put/get alone, timed inside that world.
+//! `inspector_wall_ms` and `redist_wall_ms` time whole worlds (spawn,
+//! build, run, join).  The transfer's world has to repeat the schedule
+//! build, so its wall column is `settle_wall_ms`: the put/get alone,
+//! timed inside that world.
 
 use std::time::Instant;
 
@@ -62,8 +63,6 @@ pub struct ScalingPoint {
     pub redist_virtual_ms: f64,
     /// Host wall ms of the build-only world.
     pub inspector_wall_ms: f64,
-    /// Host wall ms of the build+settle world (the build dominates).
-    pub transfer_wall_ms: f64,
     /// Host wall ms of the put/get settle alone, inside that world.
     pub settle_wall_ms: f64,
     /// Host wall ms of the redistribution world.
@@ -189,20 +188,18 @@ fn max_ms(vals: impl Iterator<Item = f64>) -> f64 {
 }
 
 /// Measure one curve point.  Three worlds run: build-only (inspector
-/// wall), build+settle (transfer wall; rank 0's timing of the settle
-/// alone is the settle wall), and the redistribution.
+/// wall), build+settle (rank 0's timing of the settle alone is the
+/// settle wall), and the redistribution.
 pub fn scaling_point(procs: usize, elements: usize) -> ScalingPoint {
     let w0 = Instant::now();
     let build_only = coupled_times(procs, elements, 0);
     let inspector_wall_ms = w0.elapsed().as_secs_f64() * 1e3;
 
-    let w1 = Instant::now();
     let with_settle = coupled_times(procs, elements, 1);
-    let transfer_wall_ms = w1.elapsed().as_secs_f64() * 1e3;
 
-    let w2 = Instant::now();
+    let w1 = Instant::now();
     let redist = redist_times(procs, elements);
-    let redist_wall_ms = w2.elapsed().as_secs_f64() * 1e3;
+    let redist_wall_ms = w1.elapsed().as_secs_f64() * 1e3;
 
     ScalingPoint {
         procs,
@@ -211,7 +208,6 @@ pub fn scaling_point(procs: usize, elements: usize) -> ScalingPoint {
         transfer_virtual_ms: max_ms(with_settle.iter().map(|r| r.1)),
         redist_virtual_ms: max_ms(redist.iter().copied()),
         inspector_wall_ms,
-        transfer_wall_ms,
         settle_wall_ms: with_settle[0].2,
         redist_wall_ms,
     }

@@ -41,7 +41,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::metrics::Histogram;
 use crate::model::{LinkId, MachineModel, Topology};
 use crate::span::{pair_spans, PairedSpan, Phase};
 use crate::trace::{FaultKind, TraceEvent};
@@ -473,14 +472,18 @@ impl CriticalPathReport {
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
     }
 
-    /// Histogram of per-transfer end-to-end latency (virtual seconds);
-    /// quantiles come from [`Histogram::quantile`].
-    pub fn latency_histogram(&self) -> Histogram {
-        let mut h = Histogram::default();
-        for t in &self.transfers {
-            h.record(t.duration());
+    /// Per-transfer end-to-end latency at quantile `q` in `[0, 1]`
+    /// (virtual seconds): the nearest-rank order statistic, i.e. the
+    /// `ceil(q·n)`-th smallest duration, so `q = 1` is the slowest
+    /// transfer.  0 when there are no transfers.
+    pub fn latency_quantile(&self, q: f64) -> f64 {
+        let mut d: Vec<f64> = self.transfers.iter().map(|t| t.duration()).collect();
+        if d.is_empty() {
+            return 0.0;
         }
-        h
+        d.sort_by(f64::total_cmp);
+        let rank = (q * d.len() as f64).ceil() as usize;
+        d[rank.clamp(1, d.len()) - 1]
     }
 
     /// Verify the tiling invariants: every transfer's per-phase
@@ -525,7 +528,6 @@ impl CriticalPathReport {
         }
         let total: f64 = self.transfers.iter().map(|t| t.duration()).sum();
         let (dom, dom_share) = self.dominant().unwrap_or(("other", 0.0));
-        let h = self.latency_histogram();
         let shares = self.phase_shares();
         let mut parts = Vec::new();
         for name in TAXONOMY {
@@ -546,10 +548,10 @@ impl CriticalPathReport {
             total,
             dom_share * 100.0,
             parts.join(", "),
-            h.quantile(0.50),
-            h.quantile(0.95),
-            h.quantile(0.99),
-            h.max,
+            self.latency_quantile(0.50),
+            self.latency_quantile(0.95),
+            self.latency_quantile(0.99),
+            self.latency_quantile(1.0),
             self.recvs - self.unmatched_recvs,
             self.recvs,
         )
@@ -1057,5 +1059,30 @@ mod tests {
         assert!(report.self_check().is_ok());
         assert!(report.render().contains("no transfer spans"));
         assert!(report.dominant().is_none());
+    }
+
+    #[test]
+    fn latency_quantiles_are_exact_order_statistics() {
+        let path = |secs: f64| TransferPath {
+            seq: 0,
+            occurrence: 0,
+            span_begin: 0.0,
+            start: 0.0,
+            end: secs,
+            end_rank: 0,
+            start_rank: 0,
+            hops: 0,
+            segments: 0,
+            phases: BTreeMap::new(),
+        };
+        let report = CriticalPathReport {
+            transfers: [3e-3, 10e-3, 1e-3, 2e-3].into_iter().map(path).collect(),
+            ..CriticalPathReport::default()
+        };
+        assert_eq!(report.latency_quantile(0.50), 2e-3);
+        assert_eq!(report.latency_quantile(0.99), 10e-3);
+        assert_eq!(report.latency_quantile(1.0), 10e-3);
+        assert_eq!(report.latency_quantile(0.0), 1e-3);
+        assert_eq!(CriticalPathReport::default().latency_quantile(0.5), 0.0);
     }
 }

@@ -65,7 +65,6 @@ pub mod fault;
 pub mod group;
 pub mod json;
 pub mod message;
-pub mod metrics;
 pub mod model;
 pub mod onesided;
 pub mod recovery;
@@ -89,7 +88,6 @@ pub use export::{chrome_trace_json, jsonl_events, validate_jsonl, TraceCheck};
 pub use fault::{test_seed, test_seeds, FaultPlan, FaultRates};
 pub use group::{Comm, Group};
 pub use message::Rank;
-pub use metrics::{Histogram, MetricsRegistry};
 pub use model::{MachineModel, NetState, Topology};
 pub use onesided::{expose, get, put, put_flush, put_notify, wait_notify, window_bytes};
 pub use recovery::{CkptStore, RecoveryConfig};
@@ -108,7 +106,6 @@ pub mod prelude {
     pub use crate::fault::{test_seed, test_seeds, FaultPlan, FaultRates};
     pub use crate::group::{Comm, Group};
     pub use crate::message::Rank;
-    pub use crate::metrics::MetricsRegistry;
     pub use crate::model::{MachineModel, Topology};
     pub use crate::onesided::{expose, get, put, put_flush, put_notify, wait_notify, window_bytes};
     pub use crate::recovery::{CkptStore, RecoveryConfig};

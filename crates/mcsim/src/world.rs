@@ -18,7 +18,6 @@ use std::sync::Arc;
 use crate::endpoint::Endpoint;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
-use crate::metrics::MetricsRegistry;
 use crate::model::{MachineModel, Topology};
 use crate::recovery::{CkptStore, RecoveryConfig};
 use crate::reliable::ReliableConfig;
@@ -83,20 +82,6 @@ pub struct RunReport<R> {
     /// Total virtual seconds messages spent queued behind busy links —
     /// always `0.0` on the contention-free [`Topology::Crossbar`].
     pub contended_secs: f64,
-}
-
-impl<R> RunOutput<R> {
-    /// Named metrics (counters + virtual-time histograms) for this run.
-    pub fn metrics(&self) -> MetricsRegistry {
-        MetricsRegistry::from_run(&self.stats, &self.traces)
-    }
-}
-
-impl<R> RunReport<R> {
-    /// Named metrics (counters + virtual-time histograms) for this run.
-    pub fn metrics(&self) -> MetricsRegistry {
-        MetricsRegistry::from_run(&self.stats, &self.traces)
-    }
 }
 
 enum RankOutcome<R> {

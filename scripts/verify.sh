@@ -48,25 +48,30 @@ cargo run --release -p fuzz -- --matrix --wide --iters 64 --seed 3
 echo "== recovery soak =="
 cargo run --release -p fuzz -- --recover --iters 48 --seed 7
 
-# Every gate below runs `repro` and leaves its files in one scratch dir.
+# Every step below leaves its outputs in one scratch dir; the gates run `repro`.
 tmp="$(mktemp -d -t mc_verify.XXXXXX)"
 trap 'rm -rf "$tmp"' EXIT
 repro() { cargo run --release -q -p bench --bin repro -- "$@"; }
+
+# Fuzz canary: the soaks above only count if they can fail.  A build with
+# `--cfg fuzz_canary` (its own target dir) re-breaks run coalescing in
+# meta-chaos/src/runs.rs; the differential soak must catch it, exit 1 and
+# leave a shrunk repro.  Exit 0 means the canary went unnoticed, and any
+# other code (a build failure exits 101) is no verdict; both fail here.
+echo "== fuzz canary =="
+canary=0
+RUSTFLAGS="--cfg fuzz_canary" CARGO_TARGET_DIR=target/canary \
+  cargo run --release -q -p fuzz -- --iters 200 --seed 1 --out "$tmp/canary" || canary=$?
+if [ "$canary" -ne 1 ] || ! compgen -G "$tmp/canary/repro-*.json" >/dev/null; then
+  echo "verify: fuzz canary not caught (exit $canary, no repro in $tmp/canary)" >&2
+  exit 1
+fi
 
 # Trace-schema gate: a small traced coupled run must export valid JSONL
 # (one self-describing object per event) that the checker accepts.
 echo "== trace schema =="
 repro trace --n 256 --reps 1 --trace-out "$tmp/trace.jsonl"
 repro trace-check "$tmp/trace.jsonl"
-
-# Executor gates: a fresh `repro micro` held to the committed
-# BENCH_executor.json by bench::gate's table — inspector build and the
-# multiblock->chaos duplication build within +25%, reliable wire
-# throughput at least 75% of baseline, and the sliding window's >=4x win
-# over the stop-and-wait ablation on the simulated sp2 wire.
-echo "== executor gates =="
-repro micro --out "$tmp/executor.json"
-repro gate executor BENCH_executor.json "$tmp/executor.json"
 
 # Scaling gate: the P=256 leg of the scaling curve (inspector build,
 # coupled transfer settle, HPF redistribution) held to the committed
@@ -98,5 +103,16 @@ repro gate paper BENCH_paper.json "$tmp/paper.json"
 echo "== critical-path attribution =="
 repro analyze --n 4096 --reps 2 --out "$tmp/attribution.json"
 repro trace-diff BENCH_critical_path.json "$tmp/attribution.json" --threshold 0.25
+
+# Executor gates, last because they hold host wall time: a fresh
+# `repro micro` held to the committed BENCH_executor.json by bench::gate's
+# table — inspector build and the multiblock->chaos duplication build
+# within +25%, reliable wire throughput at least 75% of baseline, and the
+# sliding window's >=4x win over the stop-and-wait ablation on the
+# simulated sp2 wire.  The two build timings are bimodal on a 2-vCPU host,
+# so a trip here must not skip the exact gates above.
+echo "== executor gates =="
+repro micro --out "$tmp/executor.json"
+repro gate executor BENCH_executor.json "$tmp/executor.json"
 
 echo "verify: all checks passed"

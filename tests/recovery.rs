@@ -248,9 +248,9 @@ fn double_fault_converges() {
     );
 }
 
-/// Satellite 2 parity oracle: every recovery counter must equal the
-/// count of its trace events, summed over ranks — the metrics registry
-/// and the chrome-trace view must tell the same story.
+/// Parity oracle: every recovery counter must equal the count of its
+/// trace events, summed over ranks — `NetStats` and the chrome-trace
+/// view must tell the same story.
 #[test]
 fn recovery_trace_counters_match_stats() {
     let baseline = phase_world(Vec::new(), None);
