@@ -115,16 +115,6 @@ impl<T: Copy> IrregArray<T> {
             f(self.my_globals[a], v);
         }
     }
-
-    /// Read a locally stored global index (panics if not local).
-    pub fn get_global(&self, g: usize) -> T {
-        let a = self
-            .my_globals
-            .iter()
-            .position(|&x| x == g)
-            .unwrap_or_else(|| panic!("global index {g} not stored on this rank"));
-        self.data[a]
-    }
 }
 
 impl IrregArray<f64> {
@@ -162,7 +152,6 @@ mod tests {
             assert_eq!(x.local().len(), y.local().len());
             for (a, &g) in x.my_globals().iter().enumerate() {
                 assert_eq!(x.local()[a], g as f64);
-                assert_eq!(x.get_global(g), g as f64);
             }
         });
     }

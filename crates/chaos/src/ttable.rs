@@ -133,17 +133,6 @@ impl TranslationTable {
         self.n.div_ceil(self.members.len()).max(1)
     }
 
-    /// Program-local rank holding the table entry for `g`.
-    pub fn entry_owner(&self, g: usize) -> usize {
-        (g / self.block()).min(self.members.len() - 1)
-    }
-
-    /// This rank's slice of entries (for indices `[lo, lo + len)` of its
-    /// table block).
-    pub fn my_slice(&self) -> &[Entry] {
-        &self.slice
-    }
-
     /// Collective: translate `queries` (global indices) to
     /// `(owner program-local rank, local address)` pairs, in query order.
     ///

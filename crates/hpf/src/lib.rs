@@ -9,8 +9,6 @@
 //!   directives with closed-form owner/local-address arithmetic (including
 //!   block-cyclic);
 //! * [`array::HpfArray`] — the distributed array;
-//! * [`forall`] — owner-computes elementwise operations and reductions
-//!   (the `forall` constructs of the paper's Figure 1);
 //! * [`matvec`] — the distributed matrix–vector multiply used by the HPF
 //!   computational server in the paper's client/server experiments
 //!   (Figures 10–15): row-block matrix, allgathered operand vector — the
@@ -31,15 +29,12 @@
 pub mod adapter;
 pub mod array;
 pub mod dist;
-pub mod forall;
 pub mod matvec;
 pub mod redistribute;
 pub mod shift;
-pub mod transpose;
 
 pub use adapter::HpfDesc;
 pub use array::HpfArray;
 pub use dist::{DistKind, HpfDist};
 pub use redistribute::redistribute;
 pub use shift::{cshift, eoshift};
-pub use transpose::transpose;

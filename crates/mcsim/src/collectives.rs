@@ -21,7 +21,6 @@ mod op {
     pub(super) const BCAST: u32 = 2;
     pub(super) const GATHER: u32 = 3;
     pub(super) const ALLTOALLV: u32 = 5;
-    pub(super) const SCATTER: u32 = 6;
 }
 
 fn coll_tag(group_ctx: u32, opcode: u32) -> Tag {
@@ -153,57 +152,12 @@ impl Comm<'_> {
         self.bcast_t(0, folded)
     }
 
-    /// Reduce with a binary fold; only the root gets `Some(result)`.
-    pub fn reduce_t<T: Wire, F: Fn(T, T) -> T>(
-        &mut self,
-        root: usize,
-        value: T,
-        fold: F,
-    ) -> Option<T> {
-        self.gather_t(root, value).map(|vs| {
-            let mut it = vs.into_iter();
-            let first = it.next().expect("non-empty group");
-            it.fold(first, &fold)
-        })
-    }
-
-    /// Inclusive prefix fold: rank `i` receives `fold(v_0, ..., v_i)`.
-    ///
-    /// Implemented as a gather + per-rank scatter of running prefixes from
-    /// rank 0 (simple and cost-honest for the small group sizes here).
-    pub fn scan_t<T: Wire + Clone, F: Fn(T, T) -> T>(&mut self, value: T, fold: F) -> T {
-        let p = self.size();
-        let me = self.rank();
-        let gathered = self.gather_t(0, value);
-        let prefixes: Option<Vec<Vec<u8>>> = gathered.map(|vs| {
-            let mut out = Vec::with_capacity(p);
-            let mut acc: Option<T> = None;
-            for v in vs {
-                let next = match acc.take() {
-                    None => v,
-                    Some(a) => fold(a, v),
-                };
-                out.push(next.to_bytes());
-                acc = Some(next);
-            }
-            out
-        });
-        let mine = self.scatterv_bytes(0, prefixes);
-        let _ = me;
-        T::from_bytes(&mine).expect("scan decode")
-    }
-
     /// Sum across ranks.
     pub fn allreduce_sum<T>(&mut self, value: T) -> T
     where
         T: Wire + std::ops::Add<Output = T>,
     {
         self.allreduce_t(value, |a, b| a + b)
-    }
-
-    /// Minimum of an `f64` across ranks.
-    pub fn allreduce_min_f64(&mut self, value: f64) -> f64 {
-        self.allreduce_t(value, f64::min)
     }
 
     /// Maximum of an `f64` across ranks.
@@ -271,31 +225,6 @@ impl Comm<'_> {
             recv[from] = self.ep().recv_t(g, t);
         }
         recv
-    }
-
-    /// Scatter per-rank byte buffers from the root.
-    pub fn scatterv_bytes(&mut self, root: usize, send: Option<Vec<Vec<u8>>>) -> Vec<u8> {
-        let p = self.size();
-        let me = self.rank();
-        assert!(root < p, "scatter root out of range");
-        let t = coll_tag(self.group().context(), op::SCATTER);
-        if me == root {
-            let mut send = send.expect("root must supply scatter buffers");
-            assert_eq!(send.len(), p, "scatter needs one buffer per rank");
-            let mine = std::mem::take(&mut send[root]);
-            for (to, buf) in send.into_iter().enumerate() {
-                if to == root {
-                    continue;
-                }
-                let g = self.group().global(to);
-                self.ep().send(g, t, buf);
-            }
-            self.ep().charge_copy_bytes(mine.len());
-            mine
-        } else {
-            let g = self.group().global(root);
-            self.ep().recv(g, t)
-        }
     }
 
     /// Synchronize virtual clocks: every rank's clock becomes the maximum
@@ -390,40 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_only_root_gets_result() {
-        zero_world(4).run(|ep| {
-            let mut c = Comm::world(ep);
-            let r = c.reduce_t(1, c.rank() as u64 + 1, |a, b| a * b);
-            if c.rank() == 1 {
-                assert_eq!(r, Some(24));
-            } else {
-                assert!(r.is_none());
-            }
-        });
-    }
-
-    #[test]
-    fn scan_inclusive_prefix_sum() {
-        zero_world(5).run(|ep| {
-            let mut c = Comm::world(ep);
-            let me = c.rank() as u64;
-            let got = c.scan_t(me + 1, |a, b| a + b);
-            // rank i gets 1 + 2 + ... + (i+1)
-            let want: u64 = (1..=me + 1).sum();
-            assert_eq!(got, want);
-        });
-    }
-
-    #[test]
-    fn allreduce_min() {
-        zero_world(3).run(|ep| {
-            let mut c = Comm::world(ep);
-            let m = c.allreduce_min_f64(10.0 - c.rank() as f64);
-            assert_eq!(m, 8.0);
-        });
-    }
-
-    #[test]
     fn allreduce_sum_and_max() {
         zero_world(6).run(|ep| {
             let mut c = Comm::world(ep);
@@ -481,20 +376,6 @@ mod tests {
                 .iter()
                 .enumerate()
                 .all(|(s, b)| { (me == 2 && s == 0) || b.is_empty() }));
-        });
-    }
-
-    #[test]
-    fn scatterv_delivers_per_rank() {
-        zero_world(4).run(|ep| {
-            let mut c = Comm::world(ep);
-            let send = if c.rank() == 1 {
-                Some((0..4).map(|d| vec![d as u8; d + 1]).collect())
-            } else {
-                None
-            };
-            let mine = c.scatterv_bytes(1, send);
-            assert_eq!(mine, vec![c.rank() as u8; c.rank() + 1]);
         });
     }
 
@@ -641,16 +522,14 @@ mod property_tests {
                 let gathered = c.gather_t(root, mine);
                 let bcast = c.bcast_t(root, if c.rank() == root { Some(mine) } else { None });
                 let all = c.allgather_t(mine);
-                let scan = c.scan_t(mine, |a, b| a + b);
-                (sum, gathered, bcast, all, scan)
+                (sum, gathered, bcast, all)
             });
             let want: Vec<i64> = vals.iter().take(p).copied().collect();
             let want_sum: i64 = want.iter().sum();
-            for (r, (sum, gathered, bcast, all, scan)) in out.results.into_iter().enumerate() {
+            for (r, (sum, gathered, bcast, all)) in out.results.into_iter().enumerate() {
                 assert_eq!(sum, want_sum);
                 assert_eq!(bcast, want[root]);
                 assert_eq!(&all, &want);
-                assert_eq!(scan, want[..=r].iter().sum::<i64>());
                 if r == root {
                     assert_eq!(gathered, Some(want.clone()));
                 } else {

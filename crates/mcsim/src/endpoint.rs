@@ -593,12 +593,6 @@ impl Endpoint {
         self.supervised
     }
 
-    /// The recovery configuration this world runs with.
-    #[inline]
-    pub fn recovery_config(&self) -> &RecoveryConfig {
-        &self.recovery
-    }
-
     /// Snapshot the current peer-incarnation vector as an eviction
     /// baseline: until [`Endpoint::disarm_eviction`], any wait that
     /// observes a peer restarting past this baseline fails with
@@ -632,11 +626,6 @@ impl Endpoint {
     /// [`Endpoint::ckpt_state`] can restore by clone.
     pub fn ckpt_put_state<T: Any + Send>(&mut self, key: &str, bytes: Vec<u8>, state: T) {
         self.ckpt.put_with_state(self.rank, key, bytes, state);
-    }
-
-    /// This rank's checkpointed bytes under `key`, if any.
-    pub fn ckpt_bytes(&self, key: &str) -> Option<Vec<u8>> {
-        self.ckpt.bytes(self.rank, key)
     }
 
     /// A clone of this rank's typed checkpoint snapshot under `key`.

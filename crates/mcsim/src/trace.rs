@@ -208,11 +208,6 @@ impl TraceEvent {
         }
     }
 
-    /// True for send events.
-    pub fn is_send(&self) -> bool {
-        matches!(self, TraceEvent::Send { .. })
-    }
-
     /// The event's wire-format type name — the `"type"` field the JSONL
     /// exporter writes.  Exhaustive by construction: adding a variant
     /// without extending the exporters fails to compile here first.

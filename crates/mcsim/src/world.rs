@@ -134,11 +134,6 @@ impl World {
         self
     }
 
-    /// The interconnect topology in effect.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
     /// Override the recovery configuration: the lease budget of the
     /// failure detector every endpoint of a supervised world runs.  It
     /// does not arm anything; [`World::with_supervisor`] does, in either
@@ -214,21 +209,6 @@ impl World {
     /// The cost model in effect.
     pub fn model(&self) -> &MachineModel {
         &self.model
-    }
-
-    /// The attached fault plan, if any.
-    pub fn faults(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    /// The recovery configuration in effect.
-    pub fn recovery_config(&self) -> &RecoveryConfig {
-        &self.recovery
-    }
-
-    /// The world-level checkpoint store (shared with every endpoint).
-    pub fn checkpoints(&self) -> &CkptStore {
-        &self.ckpt
     }
 
     /// One endpoint per rank on `hub` (model, faults, tracing).

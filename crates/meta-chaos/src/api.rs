@@ -110,13 +110,6 @@ pub fn mc_sched_cache_len(ep: &mut Endpoint) -> usize {
     ep.scratch::<SchedCache>(SCHED_CACHE_KEY).len()
 }
 
-/// Drop every memoized schedule on this rank.  Collective discipline is the
-/// caller's problem: clear on all ranks or on none (benchmarks use this to
-/// re-measure cold builds).
-pub fn mc_sched_cache_clear(ep: &mut Endpoint) {
-    ep.scratch::<SchedCache>(SCHED_CACHE_KEY).clear();
-}
-
 /// `CreateRegion_HPF(ndim, left, right)`: an HPF array-section region from
 /// Fortran-style **inclusive** 1-based bounds, as in the paper's example
 /// (`Rleft(1)=50 ... Rright(1)=100` describes `B(50:100, ...)`).

@@ -87,7 +87,6 @@ mod engine;
 pub mod error;
 pub mod linear;
 pub mod obs;
-pub mod posmap;
 pub mod region;
 pub mod runs;
 pub mod schedule;

@@ -143,16 +143,6 @@ pub fn take_last_abort(ep: &mut Endpoint) -> Option<AbortReport> {
     ep.scratch::<Option<AbortReport>>(LAST_ABORT_KEY).take()
 }
 
-/// Render `err` together with this rank's most recent abort report (if
-/// one was captured), consuming the report.  The one-stop "error report
-/// with the dump attached" for callers that just want text.
-pub fn report_with_post_mortem(ep: &mut Endpoint, err: &McError) -> String {
-    match take_last_abort(ep) {
-        Some(r) => format!("{err}\n{}", r.render()),
-        None => err.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,10 +47,9 @@ impl GhostSchedule {
         self.transfers.iter().map(|t| t.send_addrs.len()).sum()
     }
 
-    fn tag(&self, from_global: usize) -> Tag {
+    fn tag(&self) -> Tag {
         // Ghost traffic lives in the world context with a high user-tag
         // base; `seq` separates schedules, the sender disambiguates peers.
-        let _ = from_global;
         Tag::user(0x2000_0000 | self.seq)
     }
 }
@@ -140,10 +139,10 @@ where
     for t in &sched.transfers {
         let buf: Vec<T> = t.send_addrs.iter().map(|&a| arr.local()[a]).collect();
         ep.charge_copy_bytes(buf.len() * std::mem::size_of::<T>());
-        ep.send_t(t.peer, sched.tag(ep.rank()), &buf);
+        ep.send_t(t.peer, sched.tag(), &buf);
     }
     for t in &sched.transfers {
-        let buf: Vec<T> = ep.recv_t(t.peer, sched.tag(t.peer));
+        let buf: Vec<T> = ep.recv_t(t.peer, sched.tag());
         assert_eq!(buf.len(), t.recv_addrs.len(), "halo slab size mismatch");
         ep.charge_copy_bytes(buf.len() * std::mem::size_of::<T>());
         let data = arr.local_mut();
@@ -161,36 +160,52 @@ mod tests {
     use mcsim::world::World;
 
     #[test]
-    fn halo_receives_neighbor_boundary_2d() {
-        let world = World::with_model(4, MachineModel::zero());
-        world.run(|ep| {
-            let g = Group::world(ep.world_size());
-            let mut a = MultiblockArray::<f64>::with_halo(&g, ep.rank(), &[8, 8], 1);
-            a.fill_with(|c| (c[0] * 100 + c[1]) as f64);
-            let sched = build_ghost_schedule(ep, &a);
-            exchange_halo(ep, &mut a, &sched);
-            // After exchange, every interior-global neighbour coordinate of
-            // an owned cell is readable and correct.
-            let boxx = a.my_box();
-            for i in boxx[0].0..boxx[0].1 {
-                for j in boxx[1].0..boxx[1].1 {
-                    for (di, dj) in [(0i64, 1i64), (0, -1), (1, 0), (-1, 0)] {
-                        let ni = i as i64 + di;
-                        let nj = j as i64 + dj;
-                        if ni < 0 || nj < 0 || ni >= 8 || nj >= 8 {
-                            continue;
-                        }
-                        let (ni, nj) = (ni as usize, nj as usize);
+    fn halo_receives_neighbor_boundary() {
+        // (procs, shape, halo): 1-D; 2-D; a two-cell halo on a 3x1 grid;
+        // 3-D on a 2x2x2 grid, so every axis exchanges.
+        let cases: [(usize, &[usize], usize); 4] = [
+            (2, &[8], 1),
+            (4, &[8, 8], 1),
+            (3, &[12, 12], 2),
+            (8, &[6, 6, 6], 1),
+        ];
+        for (p, shape, halo) in cases {
+            let world = World::with_model(p, MachineModel::zero());
+            world.run(move |ep| {
+                let g = Group::world(p);
+                let mut a = MultiblockArray::<f64>::with_halo(&g, ep.rank(), shape, halo);
+                // Each cell holds its row-major global index.
+                a.fill_with(|c| c.iter().zip(shape).fold(0, |acc, (&x, &n)| acc * n + x) as f64);
+                let sched = build_ghost_schedule(ep, &a);
+                exchange_halo(ep, &mut a, &sched);
+                // After one exchange, every cell up to `halo` steps outside
+                // the owned box along exactly one axis reads its global
+                // value.
+                let boxx = a.my_box();
+                for i in 0..shape.iter().product::<usize>() {
+                    let mut n = vec![0; shape.len()];
+                    let mut r = i;
+                    for d in (0..shape.len()).rev() {
+                        n[d] = r % shape[d];
+                        r /= shape[d];
+                    }
+                    let outside: Vec<usize> = n
+                        .iter()
+                        .zip(&boxx)
+                        .map(|(&x, &(lo, hi))| lo.saturating_sub(x) + (x + 1).saturating_sub(hi))
+                        .filter(|&o| o > 0)
+                        .collect();
+                    if outside.len() == 1 && outside[0] <= halo {
                         assert_eq!(
-                            a.get(&[ni, nj]),
-                            (ni * 100 + nj) as f64,
-                            "rank {} reading ({ni},{nj})",
+                            a.get(&n),
+                            i as f64,
+                            "P={p} halo={halo}: rank {} reading {n:?}",
                             ep.rank()
                         );
                     }
                 }
-            }
-        });
+            });
+        }
     }
 
     #[test]

@@ -23,8 +23,6 @@
 //!   block-distributed arrays: the specialized baseline Meta-Chaos is
 //!   compared against in Table 5 (note its intermediate staging buffer for
 //!   local copies, which Meta-Chaos avoids);
-//! * [`blockset`] — multi-block domains: several blocks plus reusable
-//!   inter-block interface schedules (the library's namesake feature);
 //! * [`adapter`] — the Meta-Chaos interface functions
 //!   ([`meta_chaos::McObject`]) for `MultiblockArray`, with
 //!   [`RegularSection`](meta_chaos::RegularSection) as the Region type.
@@ -37,22 +35,18 @@
 
 pub mod adapter;
 pub mod array;
-pub mod blockset;
 pub mod dist;
 pub mod ghost;
 pub mod grid;
 pub mod multigrid;
 pub mod native_move;
 pub mod regrid;
-pub mod stencil;
 pub mod sweep;
 
 pub use adapter::BlockDesc;
 pub use array::MultiblockArray;
-pub use blockset::{BlockSet, Interface};
 pub use dist::BlockDist;
 pub use ghost::GhostSchedule;
 pub use grid::ProcGrid;
 pub use multigrid::Multigrid;
 pub use regrid::regrid;
-pub use stencil::{Stencil, StencilOp, Tap};

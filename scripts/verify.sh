@@ -12,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # API cannot leave a dangling reference behind in the docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# Benchmark lint: the benchmark is a workspace of its own that builds
+# against the libraries' public API, so an item it uses that is deleted or
+# renamed fails here, not only in the benchmark pipeline.  Its run.sh is
+# its only entry point: fmt, clippy, unit tests, BENCHMARK.json up to date.
+bash benchmark/run.sh --lint
+
 # Fault-injection gate: the fault matrix drives every injector kind through
 # the coupled transfer, plus the transactional-transfer suite (stale
 # schedules, manifest mismatches, mid-transfer crashes, idempotent retries).

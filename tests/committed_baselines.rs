@@ -1,11 +1,12 @@
 //! The committed `BENCH_*.json` baselines stay readable by the gates that
-//! hold fresh runs to them: every key `repro gate executor|scaling` reads
-//! is present and numeric, and `repro trace-diff`'s baseline parses and
+//! hold fresh runs to them: every key `repro gate` reads, in every gated
+//! suite, is present (a non-empty object for an exact subtree, a finite
+//! number otherwise), and `repro trace-diff`'s baseline parses and
 //! compares clean against itself.
 
 use bench::attr::{diff, Attribution};
-use bench::gate::GATES;
-use mcsim::json;
+use bench::gate::{Rule, GATES};
+use mcsim::json::{self, Value};
 
 fn committed(file: &str) -> String {
     let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -14,24 +15,19 @@ fn committed(file: &str) -> String {
 
 #[test]
 fn every_gated_key_resolves_to_a_finite_number() {
-    for (suite, file) in [
-        ("executor", "BENCH_executor.json"),
-        ("scaling", "BENCH_scaling.json"),
-    ] {
-        let report = json::parse(&committed(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let gates: Vec<_> = GATES.iter().filter(|(s, _, _)| *s == suite).collect();
-        assert!(!gates.is_empty(), "suite {suite} has gates");
-        for (_, path, _) in gates {
-            let v = path
-                .iter()
-                .try_fold(&report, |v, key| v.get(key))
-                .and_then(|v| v.as_f64());
-            assert!(
-                v.is_some_and(f64::is_finite),
-                "{file}: gated key {} is {v:?}",
-                path.join(".")
-            );
-        }
+    for (suite, path, rule) in GATES {
+        let file = format!("BENCH_{suite}.json");
+        let report = json::parse(&committed(&file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let v = path.iter().try_fold(&report, |v, key| v.get(key));
+        let ok = match rule {
+            Rule::Exact => matches!(v, Some(Value::Obj(m)) if !m.is_empty()),
+            _ => v.and_then(Value::as_f64).is_some_and(f64::is_finite),
+        };
+        assert!(
+            ok,
+            "{file}: gated key {} ({rule:?}) is {v:?}",
+            path.join(".")
+        );
     }
 }
 
