@@ -14,7 +14,7 @@
 use std::env;
 
 use bench::attr::{diff, Attribution};
-use bench::executor::{executor_micro, recovery_settle_micro, wire_throughput_micro};
+use bench::executor::{executor_micro, wire_throughput_micro};
 use bench::report::{fmt_ms, num, write_report};
 use bench::scaling::{scaling_point, sublinear};
 use bench::traced::{traced_coupled_run, traced_coupled_run_scaled};
@@ -57,7 +57,8 @@ fn usage() -> ! {
                     unless identical); prints EXPERIMENTS.md's tables and\n\
                     writes BENCH_paper.json (or FILE)\n\
            micro    [--elements N] [--procs P] [--reps R] [--out FILE]\n\
-                    executor, inspector and transport wall micros;\n\
+                    the executor gate's numbers: inspector builds, reliable\n\
+                    move wall, windowed vs stop-and-wait wire;\n\
                     writes BENCH_executor.json (or FILE)\n\
            trace    [--n N] [--reps R] [--trace-out FILE] traced coupled run;\n\
                     FILE ending .jsonl gets JSONL, anything else Chrome JSON\n\
@@ -113,36 +114,12 @@ fn main() {
             );
             println!(
                 "executor micro: {} elements x {} procs, {} reps\n\
-                 data_move       {:>10.0} ns/move  {:>8.0} MB/s  ({} schedule runs)",
-                r.elements,
-                r.procs,
-                r.reps,
-                r.fast_ns,
-                r.fast_mbps(),
-                r.sched_runs
+                 inspector build {:.0} ns",
+                r.elements, r.procs, r.reps, r.inspector_build_ns
             );
             if let (Some(rel_ns), Some(rel_mbps)) = (r.reliable_ns, r.reliable_mbps()) {
                 println!("reliable        {rel_ns:>10.0} ns/move  {rel_mbps:>8.0} MB/s");
             }
-            if let (Some(raw_ns), Some(pct)) = (r.reliable_raw_ns, r.reliable_overhead_pct()) {
-                println!(
-                    "reliable (raw)  {raw_ns:>10.0} ns/move  — the manifest handshake \
-                     costs {pct:+.1}% fault-free (manifests + verdicts)"
-                );
-            }
-            let ph = r.phases;
-            println!(
-                "phases: inspector build {:.0} ns (dup {:.0} ns), pack {:.0} ns, \
-                 unpack {:.0} ns{}",
-                ph.inspector_build_ns,
-                ph.inspector_build_dup_ns,
-                ph.pack_ns,
-                ph.unpack_ns,
-                match ph.session_overhead_ns {
-                    Some(s) => format!(", session overhead {s:.0} ns"),
-                    None => String::new(),
-                }
-            );
             println!("inspector per library pair (coop / dup build ns):");
             for p in &r.pairs {
                 println!(
@@ -150,38 +127,14 @@ fn main() {
                     p.pair, p.coop_build_ns, p.dup_build_ns
                 );
             }
-            let a = r.amortization;
-            println!(
-                "amortization: {} elements in {} runs — build {:.0} ns, move {:.0} ns, \
-                 break-even after {:.1} moves",
-                a.elements,
-                a.sched_runs,
-                a.build_ns,
-                a.move_ns,
-                a.breakeven_moves()
-            );
             let w = wire_throughput_micro(8 << 20);
             println!(
-                "wire (simulated sp2, {} MB): windowed {:.0} ns ({:.0} MB/s), \
-                 stop-and-wait {:.0} ns ({:.0} MB/s) — {:.2}x, pipeline hides {:.1}% \
-                 of serial latency",
+                "wire (simulated sp2, {} MB): windowed {:.0} ns, stop-and-wait {:.0} ns \
+                 — {:.2}x",
                 w.bytes >> 20,
                 w.windowed_ns,
-                w.windowed_mbps(),
                 w.stopwait_ns,
-                w.stopwait_mbps(),
-                w.window_speedup(),
-                w.pipeline_overlap_pct()
-            );
-            let rec = recovery_settle_micro(4096);
-            println!(
-                "recovery (simulated sp2, supervised): baseline {:.0} ns wall, \
-                 crashed+recovered {:.0} ns wall — settle {:.0} ns ({} rank(s) \
-                 respawned)",
-                rec.baseline_ns,
-                rec.crashed_ns,
-                rec.settle_ns(),
-                rec.ranks_recovered
+                w.window_speedup()
             );
             let path = arg_str(&args, "--out", "BENCH_executor.json");
             let mut report = vec![
@@ -189,39 +142,19 @@ fn main() {
                 ("elements", Value::Int(r.elements as u64)),
                 ("procs", Value::Int(r.procs as u64)),
                 ("reps", Value::Int(r.reps as u64)),
-                ("sched_runs", Value::Int(r.sched_runs as u64)),
-                ("fast_ns_per_move", num(r.fast_ns)),
-                ("fast_mb_per_s", num(r.fast_mbps())),
-                ("recovery_settle_ns", num(rec.settle_ns())),
-                ("recovery_baseline_ns", num(rec.baseline_ns)),
-                ("recovery_crashed_ns", num(rec.crashed_ns)),
-                ("recovery_ranks_recovered", Value::Int(rec.ranks_recovered)),
                 ("wire_bytes", Value::Int(w.bytes as u64)),
                 ("wire_windowed_ns", num(w.windowed_ns)),
                 ("wire_stopwait_ns", num(w.stopwait_ns)),
                 ("window_speedup", num(w.window_speedup())),
-                ("pipeline_overlap_pct", num(w.pipeline_overlap_pct())),
+                (
+                    "phases",
+                    obj(vec![("inspector_build_ns", num(r.inspector_build_ns))]),
+                ),
             ];
             if let (Some(rel_ns), Some(rel_mbps)) = (r.reliable_ns, r.reliable_mbps()) {
                 report.push(("reliable_ns_per_move", num(rel_ns)));
                 report.push(("reliable_mb_per_s", num(rel_mbps)));
             }
-            if let Some(raw_ns) = r.reliable_raw_ns {
-                report.push(("reliable_raw_ns_per_move", num(raw_ns)));
-            }
-            if let Some(pct) = r.reliable_overhead_pct() {
-                report.push(("reliable_overhead_pct", num(pct)));
-            }
-            let mut phases = vec![
-                ("inspector_build_ns", num(ph.inspector_build_ns)),
-                ("inspector_build_dup_ns", num(ph.inspector_build_dup_ns)),
-                ("pack_ns", num(ph.pack_ns)),
-                ("unpack_ns", num(ph.unpack_ns)),
-            ];
-            if let Some(s) = ph.session_overhead_ns {
-                phases.push(("session_overhead_ns", num(s)));
-            }
-            report.push(("phases", obj(phases)));
             let pairs = r.pairs.iter().map(|p| {
                 let builds = vec![
                     ("coop_build_ns", num(p.coop_build_ns)),
@@ -230,36 +163,6 @@ fn main() {
                 (p.pair.to_string(), obj(builds))
             });
             report.push(("inspector_pairs", Value::Obj(pairs.collect())));
-            report.push((
-                "amortization",
-                obj(vec![
-                    ("elements", Value::Int(a.elements as u64)),
-                    ("sched_runs", Value::Int(a.sched_runs as u64)),
-                    ("build_ns", num(a.build_ns)),
-                    ("move_ns", num(a.move_ns)),
-                    ("breakeven_moves", num(a.breakeven_moves())),
-                ]),
-            ));
-            // Critical-path attribution of the same-sized coupled
-            // transfer: where the end-to-end nanoseconds went.  The
-            // tiling invariant (per-phase sum == end-to-end virtual
-            // time) is asserted on every bench run.
-            let tr = traced_coupled_run(r.elements, 3.min(r.reps.max(1)));
-            let cp = mcsim::analyze(&tr.traces);
-            cp.self_check().expect("critical-path attribution tiles");
-            println!("{}", cp.render());
-            let shares = cp.phase_shares();
-            let (dom, dom_share) = cp.dominant().unwrap_or(("other", 0.0));
-            let mut cp_fields: Vec<(String, Value)> = vec![
-                ("transfers".into(), Value::Int(cp.transfers.len() as u64)),
-                ("dominant".into(), Value::Str(dom.to_string())),
-                ("dominant_share_pct".into(), num(dom_share * 100.0)),
-            ];
-            for name in mcsim::analyze::TAXONOMY {
-                let share = shares.get(name).copied().unwrap_or(0.0);
-                cp_fields.push((format!("{name}_share_pct"), num(share * 100.0)));
-            }
-            report.push(("critical_path", Value::Obj(cp_fields.into_iter().collect())));
             write_report(&path, &obj(report)).unwrap_or_else(|e| panic!("write {path}: {e}"));
             println!("wrote {path}");
         }

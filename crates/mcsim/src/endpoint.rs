@@ -32,7 +32,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::message::{Body, Message, Rank, DROP_PREFIX, INLINE_MAX};
 use crate::model::MachineModel;
 use crate::onesided::OnesidedState;
-use crate::recovery::{CkptStore, RecoveryConfig, BEAT_INTERVAL};
+use crate::recovery::{RecoveryConfig, BEAT_INTERVAL};
 use crate::reliable::{self, ReliableConfig, ReliableState};
 use crate::sched::{Hub, ParkKind, WakeCause};
 use crate::span::{Note, ObsState, Phase, SpanId};
@@ -202,8 +202,10 @@ pub struct Endpoint {
     /// Crash armed at runtime (see [`Endpoint::arm_crash`]); fires like a
     /// fault-plan crash.
     armed_crash: Option<f64>,
-    /// Handle on the world-level checkpoint store.
-    ckpt: CkptStore,
+    /// This rank's checkpoints by key (see [`Endpoint::ckpt_put_state`]).
+    /// A supervisor restart re-runs the closure on this endpoint, so
+    /// they outlive the crashed life.
+    ckpt: HashMap<String, Box<dyn Any + Send>>,
     /// Per-rank scratch slots for higher layers (see [`Endpoint::scratch`]).
     scratch: HashMap<(TypeId, u32), Box<dyn Any + Send>>,
 }
@@ -222,7 +224,6 @@ impl Endpoint {
         deadline: Option<f64>,
         recovery: RecoveryConfig,
         supervisor: Option<u32>,
-        ckpt: CkptStore,
     ) -> Self {
         Endpoint {
             rank,
@@ -258,7 +259,7 @@ impl Endpoint {
             evict_base: None,
             last_beat: f64::NEG_INFINITY,
             armed_crash: None,
-            ckpt,
+            ckpt: HashMap::new(),
             scratch: HashMap::new(),
         }
     }
@@ -617,25 +618,27 @@ impl Endpoint {
         self.rel.clear_dead(peer);
     }
 
-    /// Checkpoint serialized bytes under `key` for this rank.
+    /// Checkpoint `bytes` under `key` for this rank (a flag or a packed
+    /// payload); [`Endpoint::ckpt_state`] reads it back as `Vec<u8>`.
     pub fn ckpt_put(&mut self, key: &str, bytes: Vec<u8>) {
-        self.ckpt.put(self.rank, key, bytes);
+        self.ckpt_put_state(key, bytes);
     }
 
-    /// Checkpoint serialized bytes plus a typed in-memory snapshot that
-    /// [`Endpoint::ckpt_state`] can restore by clone.
-    pub fn ckpt_put_state<T: Any + Send>(&mut self, key: &str, bytes: Vec<u8>, state: T) {
-        self.ckpt.put_with_state(self.rank, key, bytes, state);
+    /// Checkpoint a typed snapshot under `key`, replacing any earlier
+    /// one; [`Endpoint::ckpt_state`] restores it by clone.
+    pub fn ckpt_put_state<T: Any + Send>(&mut self, key: &str, state: T) {
+        self.ckpt.insert(key.to_string(), Box::new(state));
     }
 
-    /// A clone of this rank's typed checkpoint snapshot under `key`.
+    /// A clone of this rank's checkpoint under `key`; `None` when there
+    /// is none or it holds another type.
     pub fn ckpt_state<T: Any + Clone>(&self, key: &str) -> Option<T> {
-        self.ckpt.state(self.rank, key)
+        self.ckpt.get(key)?.downcast_ref::<T>().cloned()
     }
 
     /// True when this rank has a checkpoint under `key`.
     pub fn ckpt_has(&self, key: &str) -> bool {
-        self.ckpt.has(self.rank, key)
+        self.ckpt.contains_key(key)
     }
 
     /// Broadcast a heartbeat if the configured virtual-clock cadence says
@@ -1493,8 +1496,11 @@ mod recovery_tests {
                     ep.coop_park(ParkKind::Wait {
                         expiry: f64::INFINITY,
                     });
+                    ep.ckpt_put("armed", vec![1]);
                     ep.reset_for_recovery();
                     assert!(ep.hub.pop(0).is_none(), "the mailbox was drained");
+                    let kept = ep.ckpt_state::<Vec<u8>>("armed");
+                    assert_eq!(kept, Some(vec![1]), "checkpoints outlive the old life");
                     let poison = ep.poisoned.clone().expect("poison latched");
                     (ep.incarnation(), ep.peer_incarnation(1), poison.0)
                 }
@@ -1514,6 +1520,36 @@ mod recovery_tests {
         assert_eq!(native.outcomes, baton.outcomes);
         assert_eq!(native.outcomes[0], Ok((1, 3, 2)));
         assert!(native.outcomes[2].is_err());
+    }
+
+    /// Checkpoints are per rank: a put replaces in place, a snapshot
+    /// restores by clone as often as asked (a double fault restores
+    /// twice), a wrong type reads `None`, and no other rank sees the key.
+    #[test]
+    fn checkpoints_replace_restore_by_clone_and_stay_per_rank() {
+        let out = World::new(2).run(|ep| {
+            if ep.rank() == 0 {
+                assert!(!ep.ckpt_has("obj"));
+                ep.ckpt_put("obj", vec![1, 2, 3]);
+                assert!(ep.ckpt_has("obj"));
+                ep.ckpt_put("obj", vec![9]);
+                assert_eq!(ep.ckpt_state::<Vec<u8>>("obj"), Some(vec![9]));
+                ep.ckpt_put_state("sched", vec![7u64, 8, 9]);
+                let a = ep.ckpt_state::<Vec<u64>>("sched");
+                assert_eq!(a, Some(vec![7, 8, 9]));
+                assert_eq!(ep.ckpt_state::<Vec<u64>>("sched"), a);
+                assert!(ep.ckpt_state::<String>("sched").is_none());
+                ep.ckpt_put_state("sched", String::from("replaced"));
+                assert!(ep.ckpt_state::<Vec<u64>>("sched").is_none());
+                assert_eq!(ep.ckpt_state("sched"), Some(String::from("replaced")));
+                ep.send(1, Tag::user(1), Vec::new());
+            } else {
+                // Rank 0 has checkpointed both keys by the time this arrives.
+                ep.recv(0, Tag::user(1));
+            }
+            (ep.ckpt_has("obj"), ep.ckpt_has("sched"))
+        });
+        assert_eq!(out.results, vec![(true, true), (false, false)]);
     }
 }
 

@@ -90,7 +90,7 @@ pub use group::{Comm, Group};
 pub use message::Rank;
 pub use model::{MachineModel, NetState, Topology};
 pub use onesided::{expose, get, put, put_flush, put_notify, wait_notify, window_bytes};
-pub use recovery::{CkptStore, RecoveryConfig};
+pub use recovery::RecoveryConfig;
 pub use reliable::{ReliableConfig, StreamTag};
 pub use rng::Rng;
 pub use span::{pair_spans, FlightRing, Note, PairedSpan, Phase, SpanId, FLIGHT_RING_CAP};
@@ -108,7 +108,7 @@ pub mod prelude {
     pub use crate::message::Rank;
     pub use crate::model::{MachineModel, Topology};
     pub use crate::onesided::{expose, get, put, put_flush, put_notify, wait_notify, window_bytes};
-    pub use crate::recovery::{CkptStore, RecoveryConfig};
+    pub use crate::recovery::RecoveryConfig;
     pub use crate::reliable::{ReliableConfig, StreamTag};
     pub use crate::span::{Phase, SpanId};
     pub use crate::tag::Tag;

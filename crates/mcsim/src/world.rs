@@ -19,7 +19,7 @@ use crate::endpoint::Endpoint;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::model::{MachineModel, Topology};
-use crate::recovery::{CkptStore, RecoveryConfig};
+use crate::recovery::RecoveryConfig;
 use crate::reliable::ReliableConfig;
 use crate::sched::{Hub, TaskBody, WakeCause};
 use crate::stats::{NetStats, StatsSnapshot};
@@ -37,9 +37,6 @@ pub struct World {
     recovery: RecoveryConfig,
     /// Restart budget per rank when a supervisor is attached.
     supervisor: Option<u32>,
-    /// World-level checkpoint store; survives rank crashes, and clones of
-    /// this world share it (it is the durable half of recovery).
-    ckpt: CkptStore,
     topology: Topology,
 }
 
@@ -113,7 +110,6 @@ impl World {
             deadline: None,
             recovery: RecoveryConfig::default(),
             supervisor: None,
-            ckpt: CkptStore::default(),
             topology: Topology::Crossbar,
         }
     }
@@ -225,7 +221,6 @@ impl World {
                     self.deadline,
                     self.recovery,
                     self.supervisor,
-                    self.ckpt.clone(),
                 );
                 if self.trace {
                     ep.enable_trace();

@@ -974,6 +974,15 @@ mod tests {
                     "method {method:?} p {p}"
                 );
             }
+            // Lower half onto upper half on two ranks: one contiguous
+            // block leaves rank 0 and lands on rank 1, one run each.
+            let (lo, hi): (Vec<usize>, Vec<usize>) = ((0..n / 2).collect(), (n / 2..n).collect());
+            let out = sched_one_program(2, n, lo.clone(), hi.clone(), method);
+            let pieces: Vec<Vec<f64>> = out.results.iter().map(|(_, d)| d.clone()).collect();
+            assert_eq!(gather_global(2, n, &pieces), reference(n, &lo, &hi));
+            for (r, (sched, _)) in out.results.iter().enumerate() {
+                assert_eq!(sched.num_runs(), 1, "method {method:?} rank {r}");
+            }
         }
     }
 

@@ -6,9 +6,9 @@
 //! [`crate::datamove`] halves with a checkpointed floor instead of a
 //! manifest handshake, so a crashed rank — restarted by the world
 //! supervisor ([`mcsim::World::with_supervisor`], which also arms the
-//! heartbeats whose evictions drive the retries) from its
-//! [`mcsim::CkptStore`] checkpoint — re-joins and the pair replays only
-//! what was never committed.  Do not mix plain
+//! heartbeats whose evictions drive the retries) from its endpoint's
+//! checkpoints ([`Endpoint::ckpt_state`]) — re-joins and the pair
+//! replays only what was never committed.  Do not mix plain
 //! [`crate::data_move_send`]/[`crate::data_move_recv`] calls with a
 //! session on the same schedule: the session owns the stream's epoch
 //! space.
@@ -60,7 +60,7 @@ impl RecoverySession {
     /// instead of re-running the (collective) build its peers will not
     /// repeat.
     pub fn checkpoint_schedule(&self, ep: &mut Endpoint, sched: &Schedule) {
-        ep.ckpt_put_state(&self.sched_key, Vec::new(), sched.clone());
+        ep.ckpt_put_state(&self.sched_key, sched.clone());
     }
 
     /// The schedule checkpointed by a previous life, if any.
@@ -74,7 +74,7 @@ impl RecoverySession {
     /// commit restores a well-defined state (and so collectively built
     /// objects are never rebuilt by a lone restarted rank).
     pub fn checkpoint_object<O: Any + Clone + Send>(&self, ep: &mut Endpoint, obj: &O) {
-        ep.ckpt_put_state(&self.obj_key, Vec::new(), obj.clone());
+        ep.ckpt_put_state(&self.obj_key, obj.clone());
     }
 
     /// The object snapshot checkpointed by a previous life, if any.
@@ -249,5 +249,5 @@ fn load_progress(ep: &Endpoint, key: &str, n: usize) -> Vec<u64> {
 }
 
 fn store_progress(ep: &mut Endpoint, key: &str, v: &[u64]) {
-    ep.ckpt_put_state(key, Vec::new(), v.to_vec());
+    ep.ckpt_put_state(key, v.to_vec());
 }

@@ -112,10 +112,11 @@ repro trace-diff BENCH_critical_path.json "$tmp/attribution.json" --threshold 0.
 
 # Executor gates, last because they hold host wall time: a fresh
 # `repro micro` held to the committed BENCH_executor.json by bench::gate's
-# table — inspector build and the multiblock->chaos duplication build
-# within +25%, reliable wire throughput at least 75% of baseline, and the
-# sliding window's >=4x win over the stop-and-wait ablation on the
-# simulated sp2 wire.  The two build timings are bimodal on a 2-vCPU host,
+# table on exactly four numbers — phases.inspector_build_ns and
+# inspector_pairs.multiblock->chaos.dup_build_ns within +25%,
+# reliable_mb_per_s at least 75% of baseline, and window_speedup (the
+# sliding window over the stop-and-wait ablation on the simulated sp2
+# wire) at least 4.  The two build timings are bimodal on a 2-vCPU host,
 # so a trip here must not skip the exact gates above.
 echo "== executor gates =="
 repro micro --out "$tmp/executor.json"

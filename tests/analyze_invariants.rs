@@ -160,8 +160,12 @@ fn assert_invariants(traces: &[Vec<TraceEvent>], label: &str) {
 
 #[test]
 fn clean_run_attribution_tiles_and_matches() {
-    let traces = traced_run(256, 2, None);
-    assert_invariants(&traces, "clean");
+    // At 1 << 17 each pair half is 65 536 f64: three reliable parts at
+    // the default 256 KiB chunk, so multi-part transfers must tile too.
+    for n in [256, 1 << 17] {
+        let traces = traced_run(n, 2, None);
+        assert_invariants(&traces, &format!("clean n={n}"));
+    }
 }
 
 #[test]
