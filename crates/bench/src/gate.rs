@@ -2,8 +2,8 @@
 //! of `(suite, key path, rule)` that `repro gate` applies to a baseline
 //! report and a fresh one, both read through the workspace JSON codec.
 //! A key missing from either report fails its gate — a renamed metric
-//! must not silently stop being held.  [`Rule::Exact`] holds a whole
-//! subtree, leaf by leaf, and names every leaf that moved.
+//! must not silently stop being held.  [`Rule::Exact`] holds a number or
+//! a whole subtree, leaf by leaf, and names every leaf that moved.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -14,50 +14,27 @@ use mcsim::json::Value;
 pub enum Rule {
     /// Lower is better: fresh ≤ baseline × factor.
     AtMost(f64),
-    /// Higher is better: fresh ≥ baseline × factor.
-    AtLeast(f64),
-    /// Higher is better, against an absolute floor (no baseline needed).
-    Floor(f64),
-    /// The subtree at the key path is identical, every key present on
-    /// both sides and every leaf equal (numbers bit for bit).
+    /// The value or subtree at the key path is identical, every key
+    /// present on both sides and every leaf equal (numbers bit for bit).
     Exact,
 }
 
 /// Every gate: the suite it belongs to (`repro gate <suite>`), the key
-/// path into the report object, and the rule.  Wall-clock metrics get
-/// 25 %; the virtual-clock scaling metrics reproduce exactly on a clean
-/// tree, so their 25 % only trips on a real change to the machine model,
-/// the collectives, the inspector or what an adapter charges.  The P=256
-/// inspector *wall* (one sample of a 260 k-message world, ±30 % run to
-/// run) gets a generous 2×: it is there to catch the per-message host
-/// path growing back a lock or a channel, not to hold a percentage.  The
-/// paper's cells are virtual time too, so they are held exactly: any
-/// drift in the model, the collectives, the inspector or an adapter's
-/// charges fails and is named by its cell key.  Only the paper sweep's
-/// total host wall is held: each section's is 0.1–0.3 s, too short to hold.
+/// path into the report object, and the rule.  Every deterministic number
+/// is held exactly, so any move fails and is named: the P=256 virtual
+/// times and the sliding window's speed-up on the simulated wire, the
+/// paper's cells, and the paper sweep's host work (allocations and bytes
+/// requested per section).  The one host wall left, the P=256 inspector
+/// (±30 % run to run), gets 2×: it catches the per-message host path
+/// growing back a lock or a channel, not a percentage.
 pub const GATES: &[(&str, &[&str], Rule)] = &[
-    (
-        "executor",
-        &["phases", "inspector_build_ns"],
-        Rule::AtMost(1.25),
-    ),
-    (
-        "executor",
-        &["inspector_pairs", "multiblock->chaos", "dup_build_ns"],
-        Rule::AtMost(1.25),
-    ),
-    ("executor", &["reliable_mb_per_s"], Rule::AtLeast(0.75)),
-    ("executor", &["window_speedup"], Rule::Floor(4.0)),
-    (
-        "scaling",
-        &["p256_inspector_virtual_ms"],
-        Rule::AtMost(1.25),
-    ),
-    ("scaling", &["p256_transfer_virtual_ms"], Rule::AtMost(1.25)),
-    ("scaling", &["p256_redist_virtual_ms"], Rule::AtMost(1.25)),
+    ("scaling", &["p256_inspector_virtual_ms"], Rule::Exact),
+    ("scaling", &["p256_transfer_virtual_ms"], Rule::Exact),
+    ("scaling", &["p256_redist_virtual_ms"], Rule::Exact),
+    ("scaling", &["window_speedup"], Rule::Exact),
     ("scaling", &["p256_inspector_wall_ms"], Rule::AtMost(2.0)),
     ("paper", &["cells"], Rule::Exact),
-    ("paper", &["wall_ms", "total"], Rule::AtMost(1.25)),
+    ("paper", &["work"], Rule::Exact),
 ];
 
 /// What [`check`] found.
@@ -71,10 +48,6 @@ pub struct Outcome {
 
 fn subtree<'a>(report: &'a Value, path: &[&str]) -> Option<&'a Value> {
     path.iter().try_fold(report, |v, key| v.get(key))
-}
-
-fn lookup(report: &Value, path: &[&str]) -> Option<f64> {
-    subtree(report, path)?.as_f64().filter(|x| x.is_finite())
 }
 
 /// Every leaf under `v` as its JSON text, which tells any two distinct
@@ -123,26 +96,20 @@ pub fn check(suite: &str, baseline: &Value, fresh: &Value) -> Outcome {
     }
     for (_, path, rule) in gates {
         let name = path.join(".");
-        let (base, cur) = (lookup(baseline, path), lookup(fresh, path));
-        let mut diffs = Vec::new();
-        let (held, line) = match (rule, base, cur) {
-            (Rule::Exact, ..) => {
-                let (held, line, d) = exact(&name, subtree(baseline, path), subtree(fresh, path));
-                diffs = d;
-                (held, line)
-            }
-            (Rule::Floor(floor), _, Some(cur)) => {
-                (cur >= *floor, format!("{cur:.3} (floor {floor:.3})"))
-            }
+        let (base, cur) = (subtree(baseline, path), subtree(fresh, path));
+        let number = |v: Option<&Value>| v?.as_f64().filter(|x| x.is_finite());
+        let (held, line, diffs) = match (rule, number(base), number(cur)) {
+            (Rule::Exact, ..) => exact(&name, base, cur),
             (Rule::AtMost(f), Some(base), Some(cur)) => (
                 base > 0.0 && cur > 0.0 && cur <= base * f,
                 format!("{cur:.3} (baseline {base:.3}, limit {:.3})", base * f),
+                Vec::new(),
             ),
-            (Rule::AtLeast(f), Some(base), Some(cur)) => (
-                cur >= base * f,
-                format!("{cur:.3} (baseline {base:.3}, floor {:.3})", base * f),
+            _ => (
+                false,
+                "missing from baseline or fresh report".into(),
+                Vec::new(),
             ),
-            _ => (false, "missing from baseline or fresh report".to_string()),
         };
         out.passed &= held;
         out.lines.push(format!(
@@ -159,86 +126,69 @@ mod tests {
     use super::*;
     use mcsim::json::{obj, parse};
 
-    fn scaling(inspector: f64) -> Value {
-        scaling_wall(inspector, 100.0)
-    }
-
-    fn scaling_wall(inspector: f64, wall: f64) -> Value {
-        obj(vec![
+    /// A scaling report as `repro gate` reads it, with the committed
+    /// virtual values except the inspector's, and the given host wall.
+    fn scaling(inspector: f64, wall: f64) -> Value {
+        let report = obj(vec![
             ("p256_inspector_virtual_ms", Value::Num(inspector)),
             ("p256_transfer_virtual_ms", Value::Num(0.458)),
             ("p256_redist_virtual_ms", Value::Num(13.203)),
+            ("window_speedup", Value::Num(5.268)),
             ("p256_inspector_wall_ms", Value::Num(wall)),
-        ])
+        ]);
+        parse(&report.to_json()).unwrap()
+    }
+
+    fn failed(o: &Outcome) -> Vec<&String> {
+        o.lines.iter().filter(|l| l.ends_with("FAILED")).collect()
     }
 
     #[test]
-    fn regression_past_tolerance_fails_and_names_the_key() {
-        let o = check("scaling", &scaling(80.0), &scaling(100.1));
-        assert!(!o.passed);
-        let failed: Vec<_> = o.lines.iter().filter(|l| l.ends_with("FAILED")).collect();
-        assert_eq!(failed.len(), 1);
-        assert!(failed[0].starts_with("p256_inspector_virtual_ms:"));
-        // Exactly at the limit still holds.
-        assert!(check("scaling", &scaling(80.0), &scaling(100.0)).passed);
+    fn one_ulp_move_of_a_virtual_key_fails_and_names_the_key() {
+        let x = 87.066_f64;
+        let base = scaling(x, 100.0);
+        for ulp in [x.to_bits() + 1, x.to_bits() - 1] {
+            let o = check("scaling", &base, &scaling(f64::from_bits(ulp), 100.0));
+            let failed = failed(&o);
+            assert!(!o.passed && failed.len() == 2, "{:?}", o.lines);
+            assert!(failed[0].starts_with("p256_inspector_virtual_ms: 1 of 1 values differ"));
+            assert!(failed[1].starts_with("p256_inspector_virtual_ms: 87.066 -> 87.06"));
+        }
     }
 
     #[test]
     fn inspector_wall_is_held_to_twice_the_baseline() {
-        let base = scaling_wall(80.0, 100.0);
-        assert!(check("scaling", &base, &scaling_wall(80.0, 200.0)).passed);
-        let o = check("scaling", &base, &scaling_wall(80.0, 200.1));
-        assert!(!o.passed);
-        let failed: Vec<_> = o.lines.iter().filter(|l| l.ends_with("FAILED")).collect();
-        assert_eq!(failed.len(), 1);
+        let base = scaling(87.066, 100.0);
+        for wall in [100.0, 10.0, 200.0] {
+            assert!(check("scaling", &base, &scaling(87.066, wall)).passed);
+        }
+        let o = check("scaling", &base, &scaling(87.066, 200.1));
+        let failed = failed(&o);
+        assert!(!o.passed && failed.len() == 1);
         assert!(failed[0].starts_with("p256_inspector_wall_ms:"));
     }
 
     #[test]
-    fn improvement_and_identity_pass() {
-        assert!(check("scaling", &scaling(80.0), &scaling(80.0)).passed);
-        assert!(check("scaling", &scaling(80.0), &scaling(8.0)).passed);
-    }
-
-    #[test]
     fn missing_key_fails_on_either_side() {
-        let partial = obj(vec![("p256_inspector_virtual_ms", Value::Num(80.0))]);
-        assert!(!check("scaling", &scaling(80.0), &partial).passed);
-        assert!(!check("scaling", &partial, &scaling(80.0)).passed);
-        assert!(!check("nonsense", &scaling(80.0), &scaling(80.0)).passed);
-    }
-
-    #[test]
-    fn executor_suite_reads_nested_paths_floors_and_higher_is_better() {
-        let report = |build: f64, dup: f64, mbps: f64, speedup: f64| {
-            parse(&format!(
-                r#"{{"phases": {{"inspector_build_ns": {build}}},
-                    "inspector_pairs": {{"multiblock->chaos": {{"dup_build_ns": {dup}}}}},
-                    "reliable_mb_per_s": {mbps}, "window_speedup": {speedup}}}"#
-            ))
-            .unwrap()
-        };
-        let base = report(20000.0, 260000.0, 5000.0, 5.2);
-        assert!(check("executor", &base, &base).passed);
-        // Throughput may rise freely and fall to 75 %, not further.
-        assert!(check("executor", &base, &report(20000.0, 260000.0, 9000.0, 5.2)).passed);
-        assert!(check("executor", &base, &report(20000.0, 260000.0, 3750.0, 5.2)).passed);
-        assert!(!check("executor", &base, &report(20000.0, 260000.0, 3700.0, 5.2)).passed);
-        // The nested dup-build path is held like the flat ones.
-        assert!(!check("executor", &base, &report(20000.0, 330000.0, 5000.0, 5.2)).passed);
-        // The window floor is absolute: the baseline's value is irrelevant.
-        assert!(!check("executor", &base, &report(20000.0, 260000.0, 5000.0, 3.99)).passed);
+        let partial = obj(vec![("p256_inspector_virtual_ms", Value::Num(87.066))]);
+        let full = scaling(87.066, 100.0);
+        assert!(!check("scaling", &full, &partial).passed);
+        assert!(!check("scaling", &partial, &full).passed);
+        assert!(!check("nonsense", &full, &full).passed);
     }
 
     /// A paper report through the codec, as `repro gate` reads it: one
-    /// cell per `(key, ours, paper)`.
-    fn paper(cells: Vec<(&str, Value, Value)>) -> Value {
+    /// cell per `(key, ours, paper)`, and one section's work.
+    fn paper(cells: Vec<(&str, Value, Value)>, allocs: u64) -> Value {
         let cell = |(key, ours, paper)| (key, obj(vec![("ours", ours), ("paper", paper)]));
         let cells = obj(cells.into_iter().map(cell).collect());
-        let wall = obj(vec![("total", Value::Num(1800.0))]);
-        parse(&obj(vec![("cells", cells), ("wall_ms", wall)]).to_json()).unwrap()
+        let counts = vec![
+            ("allocs", Value::Int(allocs)),
+            ("alloc_bytes", Value::Int(64 * allocs)),
+        ];
+        let work = obj(vec![("tables_1_2", obj(counts))]);
+        parse(&obj(vec![("cells", cells), ("work", work)]).to_json()).unwrap()
     }
-
     #[test]
     fn exact_rule_holds_identical_cells_and_names_every_drift() {
         let x = 534.0312_f64;
@@ -253,7 +203,7 @@ mod tests {
                 ("fig15.c2.s2", breaks_even, paper),
             ]
         };
-        let base = paper(cells(x, never(), Value::Null));
+        let base = paper(cells(x, never(), Value::Null), 1000);
         let o = check("paper", &base, &base);
         assert!(o.passed, "{o:?}");
         assert_eq!(o.lines[0], "cells: 0 of 4 values differ (exact)");
@@ -277,12 +227,23 @@ mod tests {
             (added, "cells.table1.p4.inspector.ours: missing -> 377.0"),
             (missing, "cells.fig15.c2.s2.ours: \"never\" -> missing"),
         ] {
-            let o = check("paper", &base, &paper(fresh));
-            let failed: Vec<_> = o.lines.iter().filter(|l| l.ends_with("FAILED")).collect();
+            let o = check("paper", &base, &paper(fresh, 1000));
+            let failed = failed(&o);
             assert!(
                 !o.passed && failed.iter().any(|l| l.starts_with(named)),
                 "{failed:?}"
             );
         }
+    }
+
+    #[test]
+    fn one_more_allocation_fails_the_paper_and_names_the_section() {
+        let cells = || vec![("table1.p2.inspector", Value::Num(534.0), Value::Num(1533.0))];
+        let o = check("paper", &paper(cells(), 1000), &paper(cells(), 1001));
+        let failed = failed(&o);
+        assert!(!o.passed && failed.len() == 3, "{:?}", o.lines);
+        assert!(failed[0].starts_with("work: 2 of 2 values differ"));
+        assert!(failed[1].starts_with("work.tables_1_2.alloc_bytes: 64000 -> 64064"));
+        assert!(failed[2].starts_with("work.tables_1_2.allocs: 1000 -> 1001"));
     }
 }

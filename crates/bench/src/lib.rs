@@ -19,9 +19,10 @@
 //! the paper's (256×256 mesh, 65 536-point irregular mesh, 1000×1000
 //! arrays, 512×512 matrix) live in [`paper`].
 
+#![forbid(unsafe_code)]
+
 pub mod attr;
 pub mod clientserver;
-pub mod executor;
 pub mod gate;
 pub mod meshes;
 pub mod paper;

@@ -8,40 +8,81 @@
 //!
 //! `repro paper` computes every table and figure of the paper at full
 //! size and prints the markdown tables EXPERIMENTS.md carries; the other
-//! experiments measure the reproduction itself (executor, scaling,
-//! traces).
+//! experiments measure the reproduction itself (scaling, traces).
+//!
+//! This binary's allocator counts every allocation it makes, so that
+//! `repro paper` can report the host work of each part of the sweep.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::env;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::time::Instant;
 
 use bench::attr::{diff, Attribution};
-use bench::executor::{executor_micro, wire_throughput_micro};
+use bench::paper::Work;
 use bench::report::{fmt_ms, num, write_report};
-use bench::scaling::{scaling_point, sublinear};
+use bench::scaling::{scaling_point, sublinear, wire_throughput_micro};
 use bench::traced::{traced_coupled_run, traced_coupled_run_scaled};
-use mcsim::json::{self, obj, Value};
+use mcsim::json::{self, Value};
 
-fn arg(args: &[String], name: &str, default: usize) -> usize {
+/// [`System`], counting the allocation calls and the bytes they request.
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Relaxed);
+}
+
+// SAFETY: every method passes its arguments unchanged to `System`, which
+// meets `GlobalAlloc`'s contract; counting touches two atomics only and
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: the caller upholds `realloc`'s contract for `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System`, through this allocator, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The running totals of [`Counting`].
+fn counted() -> Work {
+    Work {
+        allocs: ALLOCS.load(Relaxed),
+        alloc_bytes: ALLOC_BYTES.load(Relaxed),
+    }
+}
+
+/// The value after flag `name`, or `default`; a value that does not
+/// parse panics.
+fn arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().unwrap_or_else(|_| panic!("bad value for {name}")))
         .unwrap_or(default)
-}
-
-fn arg_f64(args: &[String], name: &str, default: f64) -> f64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("bad value for {name}")))
-        .unwrap_or(default)
-}
-
-fn arg_str(args: &[String], name: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
 }
 
 fn read_file(path: &str) -> String {
@@ -54,12 +95,8 @@ fn usage() -> ! {
          experiments:\n\
            paper    [--out FILE]                       every table, figure and\n\
                     ablation of the paper at full size, three sweeps (exit 1\n\
-                    unless identical); prints EXPERIMENTS.md's tables and\n\
-                    writes BENCH_paper.json (or FILE)\n\
-           micro    [--elements N] [--procs P] [--reps R] [--out FILE]\n\
-                    the executor gate's numbers: inspector builds, reliable\n\
-                    move wall, windowed vs stop-and-wait wire;\n\
-                    writes BENCH_executor.json (or FILE)\n\
+                    unless their cells or allocation counts differ); prints\n\
+                    EXPERIMENTS.md's tables and writes BENCH_paper.json (or FILE)\n\
            trace    [--n N] [--reps R] [--trace-out FILE] traced coupled run;\n\
                     FILE ending .jsonl gets JSONL, anything else Chrome JSON\n\
                     (load in chrome://tracing or https://ui.perfetto.dev)\n\
@@ -72,9 +109,9 @@ fn usage() -> ! {
                     path seconds grew past T (default 0.25 = +25%)\n\
            scaling  [--n N] [--procs 64,256,1024] [--out FILE]\n\
                     scaling curve: inspector build, coupled transfer\n\
-                    settle, and HPF redistribution per P;\n\
-                    writes BENCH_scaling.json (or FILE)\n\
-           gate     <executor|scaling|paper> BASELINE FRESH  hold a fresh\n\
+                    settle, and HPF redistribution per P, plus windowed vs\n\
+                    stop-and-wait wire; writes BENCH_scaling.json (or FILE)\n\
+           gate     <scaling|paper> BASELINE FRESH  hold a fresh\n\
                     report to the committed one (bench::gate's table); exit 1\n\
                     when a gate trips or a key is missing\n\
            list                                        this message"
@@ -87,8 +124,10 @@ fn main() {
     let Some(cmd) = args.first() else { usage() };
     match cmd.as_str() {
         "paper" => {
-            let out = arg_str(&args, "--out", "BENCH_paper.json");
-            let runs: Vec<_> = (0..3).map(|_| bench::paper::sweep()).collect();
+            let out = arg(&args, "--out", "BENCH_paper.json".to_string());
+            let t = Instant::now();
+            let runs: Vec<_> = (0..3).map(|_| bench::paper::sweep(counted)).collect();
+            let wall_ms = t.elapsed().as_secs_f64() * 1e3;
             let report = bench::paper::report(&runs).unwrap_or_else(|e| {
                 eprintln!("paper: {e}");
                 std::process::exit(1)
@@ -96,80 +135,14 @@ fn main() {
             for (name, table) in bench::paper::render(&report) {
                 println!("[{name}]\n{table}\n");
             }
-            if let Some(Value::Obj(wall)) = report.get("wall_ms") {
-                let wall: Vec<_> = wall
-                    .iter()
-                    .map(|(k, v)| format!("{k} {}", v.to_json()))
-                    .collect();
-                println!("host wall, min of 3 sweeps (ms): {}", wall.join(", "));
-            }
+            println!("host wall of the 3 sweeps: {} ms", fmt_ms(wall_ms));
             write_report(&out, &report).unwrap_or_else(|e| panic!("write {out}: {e}"));
             println!("wrote {out}");
-        }
-        "micro" => {
-            let r = executor_micro(
-                arg(&args, "--elements", 1 << 20),
-                arg(&args, "--procs", 2),
-                arg(&args, "--reps", 5),
-            );
-            println!(
-                "executor micro: {} elements x {} procs, {} reps\n\
-                 inspector build {:.0} ns",
-                r.elements, r.procs, r.reps, r.inspector_build_ns
-            );
-            if let (Some(rel_ns), Some(rel_mbps)) = (r.reliable_ns, r.reliable_mbps()) {
-                println!("reliable        {rel_ns:>10.0} ns/move  {rel_mbps:>8.0} MB/s");
-            }
-            println!("inspector per library pair (coop / dup build ns):");
-            for p in &r.pairs {
-                println!(
-                    "  {:<24} {:>10.0} / {:>10.0}",
-                    p.pair, p.coop_build_ns, p.dup_build_ns
-                );
-            }
-            let w = wire_throughput_micro(8 << 20);
-            println!(
-                "wire (simulated sp2, {} MB): windowed {:.0} ns, stop-and-wait {:.0} ns \
-                 — {:.2}x",
-                w.bytes >> 20,
-                w.windowed_ns,
-                w.stopwait_ns,
-                w.window_speedup()
-            );
-            let path = arg_str(&args, "--out", "BENCH_executor.json");
-            let mut report = vec![
-                ("bench", Value::Str("executor".into())),
-                ("elements", Value::Int(r.elements as u64)),
-                ("procs", Value::Int(r.procs as u64)),
-                ("reps", Value::Int(r.reps as u64)),
-                ("wire_bytes", Value::Int(w.bytes as u64)),
-                ("wire_windowed_ns", num(w.windowed_ns)),
-                ("wire_stopwait_ns", num(w.stopwait_ns)),
-                ("window_speedup", num(w.window_speedup())),
-                (
-                    "phases",
-                    obj(vec![("inspector_build_ns", num(r.inspector_build_ns))]),
-                ),
-            ];
-            if let (Some(rel_ns), Some(rel_mbps)) = (r.reliable_ns, r.reliable_mbps()) {
-                report.push(("reliable_ns_per_move", num(rel_ns)));
-                report.push(("reliable_mb_per_s", num(rel_mbps)));
-            }
-            let pairs = r.pairs.iter().map(|p| {
-                let builds = vec![
-                    ("coop_build_ns", num(p.coop_build_ns)),
-                    ("dup_build_ns", num(p.dup_build_ns)),
-                ];
-                (p.pair.to_string(), obj(builds))
-            });
-            report.push(("inspector_pairs", Value::Obj(pairs.collect())));
-            write_report(&path, &obj(report)).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
         }
         "trace" => {
             let n = arg(&args, "--n", 4096);
             let reps = arg(&args, "--reps", 2);
-            let path = arg_str(&args, "--trace-out", "trace.json");
+            let path = arg(&args, "--trace-out", "trace.json".to_string());
             let run = traced_coupled_run(n, reps);
             let text = if path.ends_with(".jsonl") {
                 mcsim::jsonl_events(&run.traces)
@@ -182,8 +155,8 @@ fn main() {
         "analyze" => {
             let n = arg(&args, "--n", 4096);
             let reps = arg(&args, "--reps", 2);
-            let wire_scale = arg_f64(&args, "--wire-scale", 1.0);
-            let out = arg_str(&args, "--out", "attribution.json");
+            let wire_scale = arg(&args, "--wire-scale", 1.0);
+            let out = arg(&args, "--out", "attribution.json".to_string());
             let run = traced_coupled_run_scaled(n, reps, wire_scale);
             let report = mcsim::analyze(&run.traces);
             if let Err(e) = report.self_check() {
@@ -191,13 +164,7 @@ fn main() {
                 std::process::exit(1);
             }
             println!("{}", report.render());
-            let lib_of = |r: usize| {
-                if r < 2 {
-                    "multiblock".to_string()
-                } else {
-                    "hpf".to_string()
-                }
-            };
+            let lib_of = |r: usize| if r < 2 { "multiblock" } else { "hpf" }.to_string();
             for line in meta_chaos::obs::attribute_pairs(&report, lib_of).lines() {
                 println!("  {line}");
             }
@@ -215,7 +182,7 @@ fn main() {
             let (Some(base_path), Some(cur_path)) = (args.get(1), args.get(2)) else {
                 usage()
             };
-            let threshold = arg_f64(&args, "--threshold", 0.25);
+            let threshold = arg(&args, "--threshold", 0.25);
             let read = |p: &str| {
                 Attribution::parse(&read_file(p)).unwrap_or_else(|e| panic!("parse {p}: {e}"))
             };
@@ -223,77 +190,67 @@ fn main() {
             for line in &d.lines {
                 println!("{line}");
             }
+            let pct = threshold * 100.0;
             if d.clean() {
-                println!(
-                    "trace-diff: zero regression (threshold +{:.0}%)",
-                    threshold * 100.0
-                );
+                println!("trace-diff: zero regression (threshold +{pct:.0}%)");
             } else {
-                eprintln!(
-                    "trace-diff: {} quantit{} regressed past +{:.0}%",
-                    d.regressions.len(),
-                    if d.regressions.len() == 1 { "y" } else { "ies" },
-                    threshold * 100.0
-                );
+                let n = d.regressions.len();
+                let what = if n == 1 { "quantity" } else { "quantities" };
+                eprintln!("trace-diff: {n} {what} regressed past +{pct:.0}%");
                 std::process::exit(1);
             }
         }
         "scaling" => {
             let n = arg(&args, "--n", 1 << 15);
-            let procs_spec = arg_str(&args, "--procs", "64,256,1024");
-            let out_path = arg_str(&args, "--out", "BENCH_scaling.json");
-            let procs: Vec<usize> = procs_spec
+            let out_path = arg(&args, "--out", "BENCH_scaling.json".to_string());
+            let procs: Vec<usize> = arg(&args, "--procs", "64,256,1024".to_string())
                 .split(',')
                 .map(|p| p.trim().parse().unwrap_or_else(|_| panic!("bad --procs")))
                 .collect();
-            let mut points = Vec::new();
-            println!(
-                "{:>6} {:>14} {:>14} {:>14} {:>12} {:>12} {:>12}",
-                "P",
-                "inspector vms",
-                "transfer vms",
-                "redist vms",
-                "insp wall",
-                "settle wall",
-                "redist wall"
-            );
+            let cols = [
+                "inspector_virtual",
+                "transfer_virtual",
+                "redist_virtual",
+                "inspector_wall",
+                "settle_wall",
+                "redist_wall",
+            ];
+            let header = cols.map(|c| format!("{c:>17}"));
+            println!("{:>6} {} (ms)", "P", header.join(" "));
+            let (mut points, mut report) = (Vec::new(), Vec::new());
             for &p in &procs {
                 let pt = scaling_point(p, n);
-                println!(
-                    "{:>6} {:>14} {:>14} {:>14} {:>9} ms {:>9} ms {:>9} ms",
-                    pt.procs,
-                    fmt_ms(pt.inspector_virtual_ms),
-                    fmt_ms(pt.transfer_virtual_ms),
-                    fmt_ms(pt.redist_virtual_ms),
-                    fmt_ms(pt.inspector_wall_ms),
-                    fmt_ms(pt.settle_wall_ms),
-                    fmt_ms(pt.redist_wall_ms)
-                );
+                let ms = [
+                    pt.inspector_virtual_ms,
+                    pt.transfer_virtual_ms,
+                    pt.redist_virtual_ms,
+                    pt.inspector_wall_ms,
+                    pt.settle_wall_ms,
+                    pt.redist_wall_ms,
+                ];
+                let row = ms.map(|x| format!("{:>17}", fmt_ms(x)));
+                println!("{p:>6} {}", row.join(" "));
+                for (what, x) in cols.into_iter().zip(ms) {
+                    report.push((format!("p{p}_{what}_ms"), num(x)));
+                }
                 points.push(pt);
             }
             let sub = sublinear(&points);
+            let verdict = if sub { "yes" } else { "NO" };
+            println!("simulated inspector+executor sub-linear in P: {verdict}");
+            let w = wire_throughput_micro(8 << 20);
+            let (win, stop, speedup) = (w.windowed_ns, w.stopwait_ns, w.window_speedup());
             println!(
-                "simulated inspector+executor sub-linear in P: {}",
-                if sub { "yes" } else { "NO" }
+                "wire (sp2, 8 MB): windowed {win:.0} ns, stop-and-wait {stop:.0} ns, {speedup:.3}x"
             );
-            let mut report: Vec<(String, Value)> = vec![
+            report.extend([
                 ("bench".into(), Value::Str("scaling".into())),
                 ("elements".into(), Value::Int(n as u64)),
                 ("sublinear".into(), Value::Int(u64::from(sub))),
-            ];
-            for pt in &points {
-                let p = pt.procs;
-                for (what, ms) in [
-                    ("inspector_virtual", pt.inspector_virtual_ms),
-                    ("transfer_virtual", pt.transfer_virtual_ms),
-                    ("redist_virtual", pt.redist_virtual_ms),
-                    ("inspector_wall", pt.inspector_wall_ms),
-                    ("settle_wall", pt.settle_wall_ms),
-                    ("redist_wall", pt.redist_wall_ms),
-                ] {
-                    report.push((format!("p{p}_{what}_ms"), num(ms)));
-                }
-            }
+                ("wire_windowed_ns".into(), num(win)),
+                ("wire_stopwait_ns".into(), num(stop)),
+                ("window_speedup".into(), num(speedup)),
+            ]);
             write_report(&out_path, &Value::Obj(report.into_iter().collect()))
                 .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
             println!("wrote {out_path}");

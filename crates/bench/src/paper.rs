@@ -2,17 +2,16 @@
 //! computes every cell of Tables 1–5, Figures 10–15 and the ablations, and
 //! the markdown renderer EXPERIMENTS.md's tables come from.
 //!
-//! `repro paper` runs [`sweep`] three times, insists the three `cells`
-//! maps are identical, and writes [`report`] to `BENCH_paper.json`;
-//! `repro gate paper` holds the committed `cells` to exact equality
-//! ([`crate::gate::Rule::Exact`]).  A cell is keyed
+//! `repro paper` runs [`sweep`] three times, insists the three sweeps'
+//! `cells` and `work` are identical, and writes [`report`] to
+//! `BENCH_paper.json`; `repro gate paper` holds the committed `cells` and
+//! `work` to exact equality ([`crate::gate::Rule::Exact`]).  A cell is keyed
 //! `<table>.<row>.<column>` and holds `{"ours": v, "paper": v}`, `paper`
 //! null where the paper prints no number.  Values are simulated
 //! milliseconds, except ratios (`ratio`, `speedup`), `ghosts`, and
 //! Figure 15's break-even vector counts (a count, or `"never"`).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 use mcsim::json::{obj, Value};
 use mcsim::model::MachineModel;
@@ -20,7 +19,7 @@ use mcsim::model::MachineModel;
 use crate::clientserver::{break_even, client_local_matvec_ms, client_server};
 use crate::meshes::{aggregation_ablation, partition_ablation, table1, table2, table34};
 use crate::regular::{local_copy_ablation, table5};
-use crate::report::{fmt_ms, num};
+use crate::report::fmt_ms;
 
 /// Processor counts of Tables 1, 2 and 5; the paper's rows follow it.
 const PROCS: [usize; 4] = [2, 4, 8, 16];
@@ -188,10 +187,10 @@ fn ablations(c: &mut Cells) {
     }
 }
 
-/// One timed part of the sweep: it adds its cells.
+/// One part of the sweep: it adds its cells.
 type Section = fn(&mut Cells);
 
-/// The sweep's sections, each timed on its own as `wall_ms.<name>`.
+/// The sweep's sections, each counted on its own as `work.<name>`.
 const SECTIONS: [(&str, Section); 6] = [
     ("tables_1_2", tables_1_2),
     ("tables_3_4", tables_3_4),
@@ -201,50 +200,69 @@ const SECTIONS: [(&str, Section); 6] = [
     ("ablations", ablations),
 ];
 
-/// One sweep: every cell, and the host wall each section took.
+/// Host work as the process's allocator counts it: allocation calls
+/// (`alloc`, `alloc_zeroed`, `realloc`) and the bytes they requested.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Work {
+    /// Allocation calls.
+    pub allocs: u64,
+    /// Bytes those calls requested.
+    pub alloc_bytes: u64,
+}
+
+/// One sweep: every cell, and the host work each section did.
 pub struct Sweep {
     /// The `cells` object of `BENCH_paper.json`.
     pub cells: BTreeMap<String, Value>,
-    /// Host milliseconds per section, in sweep order.
-    pub wall_ms: Vec<(&'static str, f64)>,
+    /// Host work per section, in sweep order.
+    pub work: Vec<(&'static str, Work)>,
 }
 
 /// Run every experiment of the paper once, at the paper's sizes.
-pub fn sweep() -> Sweep {
+/// `counted` reads the allocator's running totals (`repro` passes its
+/// counting allocator's); each section's work is the difference across it.
+pub fn sweep(counted: fn() -> Work) -> Sweep {
     let mut cells = Cells::new();
-    let mut wall_ms = Vec::new();
+    let mut work = Vec::new();
     for (name, section) in SECTIONS {
-        let t = Instant::now();
+        let before = counted();
         section(&mut cells);
-        wall_ms.push((name, t.elapsed().as_secs_f64() * 1e3));
+        let after = counted();
+        work.push((
+            name,
+            Work {
+                allocs: after.allocs - before.allocs,
+                alloc_bytes: after.alloc_bytes - before.alloc_bytes,
+            },
+        ));
     }
-    Sweep { cells, wall_ms }
+    Sweep { cells, work }
 }
 
 /// The `BENCH_paper.json` document for repeated sweeps of one tree: their
-/// cells, the fidelity block, and the fastest host wall of each section
-/// and of a whole sweep.  Errs unless every sweep computed the same cells:
-/// virtual time must not depend on the run.
+/// cells, the fidelity block, and each section's host work.  Errs unless
+/// every sweep computed the same cells and did the same work: neither
+/// virtual time nor the allocations behind it may depend on the run.
 pub fn report(runs: &[Sweep]) -> Result<Value, String> {
     let first = runs.first().ok_or("no sweeps")?;
     if runs.iter().any(|r| r.cells != first.cells) {
         return Err(format!("the cells of {} sweeps differ", runs.len()));
     }
-    let fastest = |ms: Vec<f64>| num(ms.into_iter().fold(f64::MAX, f64::min));
-    let mut wall = Cells::new();
-    for (i, (name, _)) in first.wall_ms.iter().enumerate() {
-        wall.insert(
-            name.to_string(),
-            fastest(runs.iter().map(|r| r.wall_ms[i].1).collect()),
-        );
+    if runs.iter().any(|r| r.work != first.work) {
+        return Err(format!("the work of {} sweeps differs", runs.len()));
     }
-    let totals = runs.iter().map(|r| r.wall_ms.iter().map(|w| w.1).sum());
-    wall.insert("total".into(), fastest(totals.collect()));
+    let work = first.work.iter().map(|&(name, w)| {
+        let counts = vec![
+            ("allocs", Value::Int(w.allocs)),
+            ("alloc_bytes", Value::Int(w.alloc_bytes)),
+        ];
+        (name.to_string(), obj(counts))
+    });
     Ok(obj(vec![
         ("bench", Value::Str("paper".into())),
         ("cells", Value::Obj(first.cells.clone())),
         ("fidelity", fidelity(&first.cells)),
-        ("wall_ms", Value::Obj(wall)),
+        ("work", Value::Obj(work.collect())),
     ]))
 }
 
@@ -352,4 +370,35 @@ pub fn render(report: &Value) -> Vec<(String, String)> {
         (name, lines.join("\n"))
     };
     tables.into_iter().map(render_one).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn one_cell_sweep(ours: f64, allocs: u64) -> Sweep {
+        let mut cells = Cells::new();
+        put(&mut cells, "table1.p2", &["inspector"], &[ours], &[1533.0]);
+        let work = Work {
+            allocs,
+            alloc_bytes: 64 * allocs,
+        };
+        let work = vec![("tables_1_2", work)];
+        Sweep { cells, work }
+    }
+
+    #[test]
+    fn report_errs_unless_cells_and_work_agree() {
+        let same = report(&[one_cell_sweep(1.0, 3), one_cell_sweep(1.0, 3)]).unwrap();
+        let section = same.get("work").and_then(|w| w.get("tables_1_2"));
+        let count = |k| section.and_then(|s| s.get(k)).and_then(Value::as_u64);
+        assert_eq!(
+            [count("allocs"), count("alloc_bytes")],
+            [Some(3), Some(192)]
+        );
+        let cells = report(&[one_cell_sweep(1.0, 3), one_cell_sweep(2.0, 3)]);
+        assert_eq!(cells.unwrap_err(), "the cells of 2 sweeps differ");
+        let work = report(&[one_cell_sweep(1.0, 3), one_cell_sweep(1.0, 4)]);
+        assert_eq!(work.unwrap_err(), "the work of 2 sweeps differs");
+    }
 }

@@ -31,6 +31,9 @@
 //! build, run, join).  The transfer's world has to repeat the schedule
 //! build, so its wall column is `settle_wall_ms`: the put/get alone,
 //! timed inside that world.
+//!
+//! Beside the curve, [`wire_throughput_micro`] reads the sliding window's
+//! speed-up off the virtual clock: a protocol property of the modeled wire.
 
 use std::time::Instant;
 
@@ -53,8 +56,6 @@ use multiblock::MultiblockArray;
 pub struct ScalingPoint {
     /// World size (total ranks across both programs).
     pub procs: usize,
-    /// Elements in the transferred / redistributed vector.
-    pub elements: usize,
     /// Max-over-ranks virtual ms of the coupled schedule build.
     pub inspector_virtual_ms: f64,
     /// Max-over-ranks virtual ms of one coupled put/get settle.
@@ -203,7 +204,6 @@ pub fn scaling_point(procs: usize, elements: usize) -> ScalingPoint {
 
     ScalingPoint {
         procs,
-        elements,
         inspector_virtual_ms: max_ms(build_only.iter().map(|r| r.0)),
         transfer_virtual_ms: max_ms(with_settle.iter().map(|r| r.1)),
         redist_virtual_ms: max_ms(redist.iter().copied()),
@@ -236,6 +236,50 @@ pub fn sublinear(points: &[ScalingPoint]) -> bool {
     })
 }
 
+/// The sliding window against its stop-and-wait ablation (window = 1
+/// frame): **simulated** ns to stream one payload rank 0 → rank 1 on the
+/// SP2 model, send through last ack, under each transport config.
+#[derive(Debug, Clone, Copy)]
+pub struct WireThroughput {
+    /// Simulated ns of the windowed transfer.
+    pub windowed_ns: f64,
+    /// Simulated ns of the stop-and-wait transfer.
+    pub stopwait_ns: f64,
+}
+
+impl WireThroughput {
+    /// Wire-throughput ratio of the windowed protocol over stop-and-wait.
+    pub fn window_speedup(&self) -> f64 {
+        self.stopwait_ns / self.windowed_ns
+    }
+}
+
+/// Stream `bytes` through both transport configs on the SP2 model.
+pub fn wire_throughput_micro(bytes: usize) -> WireThroughput {
+    use mcsim::reliable::{flush_send, reliable_recv, reliable_send, StreamTag};
+    let leg_ns = |cfg| {
+        let world = World::with_model(2, MachineModel::sp2()).with_reliable_config(cfg);
+        let out = world.run(move |ep| {
+            let st = StreamTag::new(40, 1);
+            if ep.rank() == 0 {
+                let mut b = ep.take_buf();
+                b.resize(bytes, 0x5A);
+                reliable_send(ep, 1, st, b).expect("wire leg send");
+                flush_send(ep, 1, st).expect("wire leg flush");
+            } else {
+                let b = reliable_recv(ep, 0, st).expect("wire leg recv");
+                assert_eq!(b.len(), bytes, "wire leg must deliver the payload");
+                ep.recycle_buf(b);
+            }
+        });
+        out.elapsed * 1e9
+    };
+    WireThroughput {
+        windowed_ns: leg_ns(mcsim::ReliableConfig::default()),
+        stopwait_ns: leg_ns(mcsim::ReliableConfig::stop_and_wait()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,5 +301,23 @@ mod tests {
         assert_eq!(a.inspector_virtual_ms, b.inspector_virtual_ms);
         assert_eq!(a.transfer_virtual_ms, b.transfer_virtual_ms);
         assert_eq!(a.redist_virtual_ms, b.redist_virtual_ms);
+    }
+
+    #[test]
+    fn wire_legs_show_pipelining_win_on_sp2() {
+        // 8 MB on the SP2 wire model: the windowed stream keeps the link
+        // busy while acks are in flight, so it must beat stop-and-wait by
+        // a wide margin — the ≥4× acceptance bar, asserted here so a
+        // protocol regression fails in `cargo test`, not only in the gate.
+        let w = wire_throughput_micro(8 << 20);
+        assert!(w.windowed_ns > 0.0 && w.stopwait_ns > 0.0);
+        assert!(
+            w.window_speedup() >= 4.0,
+            "windowed transport must be >=4x stop-and-wait on sp2/8MB, got {:.2}x \
+             (windowed {:.0} ns, stopwait {:.0} ns)",
+            w.window_speedup(),
+            w.windowed_ns,
+            w.stopwait_ns
+        );
     }
 }

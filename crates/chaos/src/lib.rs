@@ -30,6 +30,7 @@
 // Indexed loops over multiple parallel arrays are the clearest idiom in
 // this numerical code.
 #![allow(clippy::needless_range_loop)]
+#![forbid(unsafe_code)]
 // Crate-internal helpers stay `pub(crate)`; nothing unreachable is `pub`.
 #![warn(unreachable_pub)]
 

@@ -12,6 +12,8 @@
 //! library side is consumed by `tests/fuzz_regressions.rs` to replay
 //! the committed corpus.
 
+#![forbid(unsafe_code)]
+
 pub mod exec;
 pub mod gen;
 pub mod oracle;

@@ -14,6 +14,8 @@
 //! failure + flight-recorder post-mortem) to `target/fuzz/`, then
 //! exits non-zero.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -64,8 +64,9 @@
 //! the fault-free fast path pays just the trailer bytes and the ack
 //! round-trip in virtual time.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 
 use crate::endpoint::Endpoint;
 use crate::error::SimError;
@@ -286,6 +287,12 @@ struct IdleRecv {
 /// `(peer global rank, data-tag bits)`.
 type StreamKey = (Rank, u64);
 
+/// The stream tables' map.  A fixed hasher makes growth and rehashing, and
+/// so what the process allocates, repeat from run to run; the keys are the
+/// simulator's own ranks and tags, never outside input, and the tables are
+/// only iterated by `retain`, which does not depend on their order.
+type Streams<V> = HashMap<StreamKey, V, BuildHasherDefault<DefaultHasher>>;
+
 /// Per-endpoint reliable-transport state: one stream table per direction,
 /// keyed by `(peer global rank, data-tag bits)`.
 ///
@@ -302,10 +309,10 @@ type StreamKey = (Rank, u64);
 #[derive(Debug, Default)]
 pub(crate) struct ReliableState {
     cfg: ReliableConfig,
-    send: HashMap<StreamKey, SendStream>,
-    recv: HashMap<StreamKey, RecvStream>,
-    send_idle: HashMap<StreamKey, IdleSend>,
-    recv_idle: HashMap<StreamKey, IdleRecv>,
+    send: Streams<SendStream>,
+    recv: Streams<RecvStream>,
+    send_idle: Streams<IdleSend>,
+    recv_idle: Streams<IdleRecv>,
     /// A never-seen stream was created since the idle ones were last
     /// parked.  (Its creator still held the table entry, so the parking
     /// waits for the next lookup.)

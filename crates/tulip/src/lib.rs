@@ -9,6 +9,7 @@
 //! [`adapter`] module (~100 lines).  The `custom_library` example walks
 //! through it.
 
+#![forbid(unsafe_code)]
 // Crate-internal helpers stay `pub(crate)`; nothing unreachable is `pub`.
 #![warn(unreachable_pub)]
 
