@@ -13,9 +13,9 @@ use mcsim::group::Comm;
 use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 
-use meta_chaos::adapter::{Location, McDescriptor, McObject};
+use meta_chaos::adapter::{McDescriptor, McObject};
 use meta_chaos::region::IndexSet;
-use meta_chaos::runs::{OwnedRun, RunBuilder};
+use meta_chaos::runs::{LocatedRun, OwnedRun, RunBuilder};
 use meta_chaos::setof::SetOfRegions;
 
 use crate::array::IrregArray;
@@ -52,14 +52,10 @@ impl Wire for IrregDesc {
 impl McDescriptor for IrregDesc {
     type Region = IndexSet;
 
-    fn locate(&self, set: &SetOfRegions<IndexSet>, pos: usize) -> Location {
+    fn locate_run(&self, set: &SetOfRegions<IndexSet>, pos: usize, _: usize) -> LocatedRun {
         let (ri, off) = set.locate_position(pos);
-        let g = set.regions()[ri].index(off);
-        let (owner, addr) = self.table[g];
-        Location {
-            rank: self.members[owner as usize],
-            addr: addr as usize,
-        }
+        let (owner, addr) = self.table[set.regions()[ri].index(off)];
+        LocatedRun::single(pos, self.members[owner as usize], addr as usize)
     }
 
     fn charge_locates(&self, ep: &mut Endpoint, n: usize) {

@@ -615,6 +615,7 @@ fn run_pair<S: FuzzLib, D: FuzzLib>(sc: &Scenario, faults_on: bool) -> WorldRun 
         MachineModel::zero()
     };
     let mut world = World::with_model(sc.total_procs(), model)
+        .with_perturb_seed(sc.perturb_seed)
         .with_deadline(sc.deadline)
         .with_trace();
     if faults_on {
@@ -702,6 +703,7 @@ fn run_recovery_pair<S: FuzzLib, D: FuzzLib>(
     crash_times: &[(usize, f64)],
 ) -> WorldRun {
     let mut world = World::with_model(sc.total_procs(), MachineModel::sp2())
+        .with_perturb_seed(sc.perturb_seed)
         .with_supervisor(2)
         .with_recovery_config(RecoveryConfig { lease_misses: 3 })
         .with_deadline(sc.deadline)

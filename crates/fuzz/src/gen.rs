@@ -115,6 +115,7 @@ pub fn gen_recovery(seed: u64) -> Scenario {
         }),
         deadline: DEADLINE_SECS,
         recover: true,
+        perturb_seed: None,
     }
 }
 
@@ -334,6 +335,7 @@ fn gen_with(
         seed,
         coupled,
         recover: false,
+        perturb_seed: None,
         procs_src,
         procs_dst,
         method: rng.gen_range(2) as u8,

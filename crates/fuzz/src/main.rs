@@ -3,16 +3,20 @@
 //! ```text
 //! cargo run --release -p fuzz -- --iters 500 --seed 1
 //! cargo run --release -p fuzz -- --matrix --iters 304 --seed 1
+//! cargo run --release -p fuzz -- --matrix --iters 304 --seed 1 --perturb 1
 //! cargo run --release -p fuzz -- --replay tests/corpus/some-repro.json
 //! ```
 //!
 //! Random mode draws one scenario per iteration from a SplitMix64
 //! sequence; `--matrix` forces every one of the 16 library pairs in
 //! round-robin so a bounded budget still covers the whole
-//! interoperability matrix.  On the first oracle violation the driver
-//! shrinks the scenario and writes a self-contained repro (scenario +
-//! failure + flight-recorder post-mortem) to `target/fuzz/`, then
-//! exits non-zero.
+//! interoperability matrix.  `--perturb P` runs every scenario's worlds
+//! with the scheduler's equal-time ties in the order seed `P` hashes
+//! (`World::with_perturb_seed`): the same scenarios, another interleaving;
+//! `--seed S --perturb P` regenerates the run, and a repro records `P`.
+//! On the first oracle violation the driver shrinks the scenario and
+//! writes a self-contained repro (scenario + failure + flight-recorder
+//! post-mortem) to `target/fuzz/`, then exits non-zero.
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +36,7 @@ struct Opts {
     matrix: bool,
     recover: bool,
     wide: bool,
+    perturb: Option<u64>,
     replay: Option<String>,
     dump: Option<u64>,
     budget: usize,
@@ -40,7 +45,7 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fuzz [--iters N] [--seed S] [--matrix] [--recover] [--wide] [--budget N] [--out DIR]\n       fuzz --replay FILE\n       fuzz --dump SEED   (print the generated scenario as JSON)\n\n--recover soaks crash-recovery scenarios: supervised worlds, scripted\nmid-transfer crashes, and the bit-identical convergence oracle.\n--wide soaks 8- and 16-rank worlds through the cooperative scheduler."
+        "usage: fuzz [--iters N] [--seed S] [--matrix] [--recover] [--wide] [--perturb P] [--budget N] [--out DIR]\n       fuzz --replay FILE\n       fuzz --dump SEED   (print the generated scenario as JSON)\n\n--recover soaks crash-recovery scenarios: supervised worlds, scripted\nmid-transfer crashes, and the bit-identical convergence oracle.\n--wide soaks 8- and 16-rank worlds through the cooperative scheduler.\n--perturb runs equal virtual times in the order seed P hashes, not rank order."
     );
     std::process::exit(2);
 }
@@ -52,6 +57,7 @@ fn parse_opts() -> Opts {
         matrix: false,
         recover: false,
         wide: false,
+        perturb: None,
         replay: None,
         dump: None,
         budget: DEFAULT_BUDGET,
@@ -67,6 +73,9 @@ fn parse_opts() -> Opts {
             "--matrix" => opts.matrix = true,
             "--recover" => opts.recover = true,
             "--wide" => opts.wide = true,
+            "--perturb" => {
+                opts.perturb = Some(val("--perturb").parse().unwrap_or_else(|_| usage()))
+            }
             "--replay" => opts.replay = Some(val("--replay")),
             "--dump" => opts.dump = Some(val("--dump").parse().unwrap_or_else(|_| usage())),
             "--out" => opts.out_dir = PathBuf::from(val("--out")),
@@ -165,7 +174,8 @@ fn main() -> ExitCode {
     install_quiet_panic_hook();
 
     if let Some(s) = opts.dump {
-        let sc = generate_sized(s, opts.wide);
+        let mut sc = generate_sized(s, opts.wide);
+        sc.perturb_seed = opts.perturb;
         eprintln!("{}", sc.label());
         println!("{}", sc.to_json());
         return ExitCode::SUCCESS;
@@ -215,8 +225,10 @@ fn main() -> ExitCode {
         opts.iters
     };
     println!(
-        "fuzz: {total} scenarios, seed {}, {}",
+        "fuzz: {total} scenarios, seed {}{}, {}",
         opts.seed,
+        opts.perturb
+            .map_or(String::new(), |p| format!(", perturb {p}")),
         if opts.recover {
             "crash-recovery soak"
         } else if opts.matrix {
@@ -228,7 +240,7 @@ fn main() -> ExitCode {
 
     for i in 0..total {
         let s = seq.next_u64();
-        let sc = if opts.recover {
+        let mut sc = if opts.recover {
             gen_recovery(s)
         } else if opts.matrix {
             let (src, dst) = pairs[i % pairs.len()];
@@ -236,6 +248,7 @@ fn main() -> ExitCode {
         } else {
             generate_sized(s, opts.wide)
         };
+        sc.perturb_seed = opts.perturb;
         if let Some(failure) = check(&sc) {
             return report_failure(&opts, &sc, failure);
         }

@@ -224,6 +224,10 @@ pub struct Scenario {
     /// ranks restart from checkpoint and the convergence oracle applies
     /// (destination bit-identical to the fault-free run).
     pub recover: bool,
+    /// Scheduler tie-break seed (`World::with_perturb_seed`) of every
+    /// world the scenario runs; `None` runs equal virtual times in rank
+    /// order.
+    pub perturb_seed: Option<u64>,
 }
 
 impl Scenario {
@@ -246,7 +250,7 @@ impl Scenario {
     /// A short one-line label for progress output.
     pub fn label(&self) -> String {
         format!(
-            "{}->{} {} {}{} procs={}+{} regions={}+{} elems={} steps={} fault={}",
+            "{}->{} {} {}{} procs={}+{} regions={}+{} elems={} steps={} fault={}{}",
             self.src.kind.name(),
             self.dst.kind.name(),
             if self.method == 0 { "coop" } else { "dup" },
@@ -266,6 +270,8 @@ impl Scenario {
                     if f.crash.is_some() { "+crash" } else { "" }
                 ),
             },
+            self.perturb_seed
+                .map_or(String::new(), |p| format!(" perturb={p}")),
         )
     }
 
@@ -384,6 +390,10 @@ impl Scenario {
             ("fault", fault),
             ("deadline", Value::Num(self.deadline)),
             ("recover", Value::Bool(self.recover)),
+            (
+                "perturb_seed",
+                self.perturb_seed.map_or(Value::Null, Value::Int),
+            ),
         ])
     }
 
@@ -554,6 +564,7 @@ impl Scenario {
                 .and_then(Value::as_f64)
                 .ok_or("missing 'deadline'")?,
             recover: v.get("recover").and_then(Value::as_bool).unwrap_or(false),
+            perturb_seed: v.get("perturb_seed").and_then(Value::as_u64),
         })
     }
 
@@ -599,6 +610,7 @@ mod tests {
             }),
             deadline: 60.0,
             recover: true,
+            perturb_seed: Some(3),
         };
         let text = sc.to_json();
         assert_eq!(Scenario::from_json(&text).unwrap(), sc);

@@ -33,7 +33,7 @@ use crate::message::{Body, Message, Rank, DROP_PREFIX, INLINE_MAX};
 use crate::model::MachineModel;
 use crate::onesided::OnesidedState;
 use crate::recovery::{RecoveryConfig, BEAT_INTERVAL};
-use crate::reliable::{self, ReliableConfig, ReliableState};
+use crate::reliable::{self, Payload, ReliableConfig, ReliableState};
 use crate::sched::{Hub, ParkKind, WakeCause};
 use crate::span::{Note, ObsState, Phase, SpanId};
 use crate::stats::StatsSnapshot;
@@ -145,7 +145,7 @@ pub struct Endpoint {
     /// The world's shared state (see [`crate::sched`]): every rank's
     /// mailbox, the scheduler this rank's task parks on, the topology's
     /// link state and the buffer pool.
-    hub: Arc<Hub>,
+    pub(crate) hub: Arc<Hub>,
     /// Messages popped from the mailbox but not yet matched by a `recv`.
     stash: Stash,
     /// Encoding scratch for typed sends: kept while what it encoded fit
@@ -513,15 +513,19 @@ impl Endpoint {
     }
 
     /// Return a buffer to the world's pool for reuse (cleared, capacity
-    /// kept), unless the pool already holds `BUF_POOL_CAP` buffers.
-    pub fn recycle_buf(&mut self, mut buf: Vec<u8>) {
-        if buf.capacity() > 0 {
-            buf.clear();
-            self.hub.pool(|pool| {
-                if pool.len() < BUF_POOL_CAP {
-                    pool.push(buf);
-                }
-            });
+    /// kept), unless the pool already holds `BUF_POOL_CAP` buffers.  A
+    /// [`Payload::Shared`] frame is dropped, so its last holder frees it.
+    pub fn recycle_buf(&mut self, buf: impl Into<Payload>) {
+        match buf.into() {
+            Payload::Owned(mut buf) if buf.capacity() > 0 => {
+                buf.clear();
+                self.hub.pool(|pool| {
+                    if pool.len() < BUF_POOL_CAP {
+                        pool.push(buf);
+                    }
+                });
+            }
+            _ => {}
         }
     }
 

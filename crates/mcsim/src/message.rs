@@ -17,6 +17,9 @@ pub const INLINE_MAX: usize = 23;
 pub enum Body {
     /// Ordinary data payload.
     Data(Vec<u8>),
+    /// Data payload with other holders: a reliable DATA frame sent under a
+    /// fault plan, also kept by the sender's retransmission window.
+    Shared(std::sync::Arc<Vec<u8>>),
     /// Data payload of at most [`INLINE_MAX`] bytes, held in the envelope
     /// so neither side touches the allocator: what typed sends, control
     /// frames and heartbeats build when their encoding fits.  Readers see
@@ -63,6 +66,7 @@ impl Body {
     pub fn bytes(&self) -> Option<&[u8]> {
         match self {
             Body::Data(d) => Some(d),
+            Body::Shared(d) => Some(d),
             Body::Inline { len, bytes } => Some(&bytes[..*len as usize]),
             Body::Dropped { .. } | Body::Poison(_) => None,
         }
@@ -75,21 +79,23 @@ impl Body {
     }
 
     /// Mutable view of a data body's payload (fault injection flips bits
-    /// through it).
+    /// through it; a shared payload is copied first, unless unshared).
     pub(crate) fn bytes_mut(&mut self) -> Option<&mut [u8]> {
         match self {
             Body::Data(d) => Some(d),
+            Body::Shared(d) => Some(std::sync::Arc::make_mut(d).as_mut_slice()),
             Body::Inline { len, bytes } => Some(&mut bytes[..*len as usize]),
             Body::Dropped { .. } | Body::Poison(_) => None,
         }
     }
 
-    /// The payload of a data body as an owned buffer: the heap form hands
-    /// its buffer over, the inline form is copied out.
+    /// The payload of a data body as an owned buffer: a heap buffer is
+    /// handed over (a shared one if unshared), anything else copied out.
     #[inline]
     pub(crate) fn into_vec(self) -> Vec<u8> {
         match self {
             Body::Data(d) => d,
+            Body::Shared(d) => std::sync::Arc::unwrap_or_clone(d),
             other => other.bytes().expect("a data body").to_vec(),
         }
     }
@@ -112,6 +118,8 @@ pub struct Message {
 // Mailboxes and stashes hold envelopes by value: the inline form must not
 // grow them.
 const _: () = assert!(std::mem::size_of::<Message>() == 56);
+// Staged halves hold delivered payloads: no bigger than a `Vec`.
+const _: () = assert!(std::mem::size_of::<crate::reliable::Payload>() == 24);
 
 #[cfg(test)]
 mod tests {

@@ -67,6 +67,8 @@
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::endpoint::Endpoint;
 use crate::error::SimError;
@@ -205,9 +207,9 @@ impl ReliableConfig {
 struct PendingSend {
     seq: u64,
     attempt: u32,
-    /// Retransmission copy — kept only when faults are enabled, so the
-    /// fault-free fast path never clones the payload.
-    frame: Option<Vec<u8>>,
+    /// The sent frame, shared with the copy in flight — kept only when
+    /// faults are enabled, so the fault-free fast path holds no frame.
+    frame: Option<Arc<Vec<u8>>>,
     bytes: usize,
     deadline: f64,
 }
@@ -574,8 +576,13 @@ fn post_frame(
     let flags = flags | (((ep.peer_incarnation(to) & 0x7FFF) as u16) << 1);
     append_trailer(&mut frame, seq, 0, flags, faulted);
     let bytes = frame.len();
-    let retx = faulted.then(|| frame.clone());
-    ep.send(to, st.data, frame);
+    // Under faults the window keeps the frame to retransmit: one buffer,
+    // shared with the copy in flight.
+    let retx = faulted.then(|| Arc::new(std::mem::take(&mut frame)));
+    let body = retx
+        .as_ref()
+        .map_or(Body::Data(frame), |f| Body::Shared(Arc::clone(f)));
+    ep.send_body(to, st.data, body);
     let stream = ep.rel.send.get_mut(&key).expect("just created");
     stream.next_seq += 1;
     stream.in_flight_bytes += bytes;
@@ -689,12 +696,41 @@ pub fn flush_send(ep: &mut Endpoint, to: Rank, st: StreamTag) -> Result<(), SimE
     }
 }
 
+/// A message [`reliable_recv`] delivered, read as `[u8]`: a buffer of its
+/// own, or the frame as sent under a fault plan (shared with the sender's
+/// window) and the payload's length in it.  [`Endpoint::recycle_buf`]
+/// takes either back.
+#[derive(Debug)]
+pub enum Payload {
+    /// A buffer holding exactly the payload.
+    Owned(Vec<u8>),
+    /// A frame with other holders, and the payload's length in it.
+    Shared(Arc<Vec<u8>>, usize),
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared(frame, len) => &frame[..*len],
+        }
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(buf: Vec<u8>) -> Self {
+        Payload::Owned(buf)
+    }
+}
+
 /// Receive the next in-order logical message on the stream from `from`.
 /// The transport trailer is already verified and stripped; duplicates and
 /// reordering never surface.  Returns [`SimError::PeerTimeout`] if the
 /// sender gave the stream up (or a partition exhausted its budget), and
 /// [`SimError::PeerFailed`] if the peer crashed.
-pub fn reliable_recv(ep: &mut Endpoint, from: Rank, st: StreamTag) -> Result<Vec<u8>, SimError> {
+pub fn reliable_recv(ep: &mut Endpoint, from: Rank, st: StreamTag) -> Result<Payload, SimError> {
     ep.check_crash();
     ep.check_evicted(from)?;
     let key = (from, st.data.0);
@@ -704,15 +740,20 @@ pub fn reliable_recv(ep: &mut Endpoint, from: Rank, st: StreamTag) -> Result<Vec
         if let Some(ready) = popped {
             match ready {
                 ReadyFrame::Whole(msg) => {
-                    let mut frame = ep.accept(msg).into_vec();
-                    frame.truncate(frame.len() - TRAILER_LEN);
-                    return Ok(frame);
+                    let body = ep.accept(msg);
+                    let len = body.len() - TRAILER_LEN;
+                    if let Body::Shared(frame) = body {
+                        return Ok(Payload::Shared(frame, len));
+                    }
+                    let mut frame = body.into_vec();
+                    frame.truncate(len);
+                    return Ok(Payload::Owned(frame));
                 }
                 ReadyFrame::Assembled { payload, chunks } => {
                     for (arrival, bytes) in chunks {
                         ep.accept_chunk(from, st.data, arrival, bytes);
                     }
-                    return Ok(payload);
+                    return Ok(Payload::Owned(payload));
                 }
             }
         }
@@ -779,31 +820,23 @@ fn deliver_frame(
         .bytes()
         .expect("only validated data frames are delivered");
     let last = frame_flags(frame) & FLAG_LAST != 0;
-    if sink {
-        let arrival = msg.arrival;
-        let tag = msg.tag;
-        let mut frame = msg.body.into_vec();
-        if last && st.assembly_chunks.is_empty() {
-            frame.truncate(frame.len() - TRAILER_LEN);
-            completions.push((tag, frame, arrival));
-        } else {
-            st.assembly_chunks.push((arrival, frame.len()));
-            st.assembly
-                .extend_from_slice(&frame[..frame.len() - TRAILER_LEN]);
-            if last {
-                let payload = std::mem::take(&mut st.assembly);
-                st.assembly_chunks.clear();
-                completions.push((tag, payload, arrival));
-            }
+    if last && st.assembly_chunks.is_empty() {
+        if !sink {
+            return st.ready.push_back(ReadyFrame::Whole(msg));
         }
-    } else if last && st.assembly_chunks.is_empty() {
-        st.ready.push_back(ReadyFrame::Whole(msg));
-    } else {
-        st.assembly_chunks.push((msg.arrival, frame.len()));
-        st.assembly
-            .extend_from_slice(&frame[..frame.len() - TRAILER_LEN]);
-        if last {
-            let payload = std::mem::take(&mut st.assembly);
+        let mut frame = msg.body.into_vec();
+        frame.truncate(frame.len() - TRAILER_LEN);
+        return completions.push((msg.tag, frame, msg.arrival));
+    }
+    st.assembly_chunks.push((msg.arrival, frame.len()));
+    st.assembly
+        .extend_from_slice(&frame[..frame.len() - TRAILER_LEN]);
+    if last {
+        let payload = std::mem::take(&mut st.assembly);
+        if sink {
+            st.assembly_chunks.clear();
+            completions.push((msg.tag, payload, msg.arrival));
+        } else {
             let chunks = std::mem::take(&mut st.assembly_chunks);
             st.ready
                 .push_back(ReadyFrame::Assembled { payload, chunks });
@@ -950,10 +983,7 @@ fn retransmit_pending(
     }
     let attempt = p.attempt;
     let seq = p.seq;
-    let mut frame = p
-        .frame
-        .clone()
-        .expect("retransmission copy kept while faults are enabled");
+    let mut frame = p.frame.as_deref().expect("kept under faults").to_vec();
     patch_attempt(&mut frame, attempt as u16);
     // The retransmit timer fires at the later of the loss report and the
     // previous attempt's deadline.
@@ -1116,7 +1146,9 @@ fn intake_ctrl(ep: &mut Endpoint, msg: Message) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultRates};
     use crate::model::MachineModel;
+    use crate::stats::FaultStats;
     use crate::world::World;
 
     #[test]
@@ -1227,7 +1259,7 @@ mod tests {
                 flush_send(ep, 1, st).unwrap();
                 Vec::new()
             } else {
-                reliable_recv(ep, 0, st).unwrap()
+                reliable_recv(ep, 0, st).unwrap().to_vec()
             }
         });
         assert_eq!(out.results[1], payload);
@@ -1255,7 +1287,7 @@ mod tests {
                 flush_send(ep, 1, st).unwrap();
                 Vec::new()
             } else {
-                reliable_recv(ep, 0, st).unwrap()
+                reliable_recv(ep, 0, st).unwrap().to_vec()
             }
         });
         assert_eq!(out.results[1], expect);
@@ -1278,7 +1310,7 @@ mod tests {
             } else {
                 for i in 0..5u64 {
                     let got = reliable_recv(ep, 0, st).unwrap();
-                    assert_eq!(got, i.to_le_bytes().to_vec());
+                    assert_eq!(got.to_vec(), i.to_le_bytes());
                 }
             }
         });
@@ -1298,7 +1330,7 @@ mod tests {
                     reliable_send(ep, 1, st, vec![step as u8; 64]).unwrap();
                     flush_send(ep, 1, st).unwrap();
                 } else {
-                    assert_eq!(reliable_recv(ep, 0, st).unwrap(), vec![step as u8; 64]);
+                    assert_eq!(reliable_recv(ep, 0, st).unwrap().to_vec(), [step as u8; 64]);
                 }
             }
             // Each first frame of a stream parked the idle streams before
@@ -1325,10 +1357,71 @@ mod tests {
                 flush_send(ep, 1, StreamTag::new(20, 2)).unwrap();
                 assert_eq!(ep.clock, idle.complete_at);
             } else {
-                assert_eq!(reliable_recv(ep, 0, st).unwrap(), vec![9; 8]);
+                assert_eq!(reliable_recv(ep, 0, st).unwrap().to_vec(), [9; 8]);
                 assert_eq!(ep.rel.recv[&key(1)].expected, 3);
             }
         });
+    }
+
+    /// What a one-rank world, faulted as `rates` sets, makes of 200 bytes
+    /// sent to itself: the frames of the envelopes, straight from the
+    /// mailbox; the frame the window kept; whether intake then delivered
+    /// the payload intact; and the fault counters.
+    fn self_send_under(seed: u64, rates: fn(&mut FaultRates)) -> SelfSend {
+        let mut r = FaultRates::default();
+        rates(&mut r);
+        let plan = FaultPlan::new(seed).rates(r);
+        let world = World::with_model(1, MachineModel::sp2()).with_faults(plan);
+        let mut out = world.run(|ep| {
+            let (st, payload): (_, Vec<u8>) = (StreamTag::new(20, 1), (0..200).collect());
+            reliable_send(ep, 0, st, payload.clone()).unwrap();
+            let sent: Vec<Message> = std::iter::from_fn(|| ep.hub.pop(0)).collect();
+            let kept = ep.rel.send[&(0, st.data.0)].pending[0].frame.clone();
+            let frames = sent.iter().map(|m| match &m.body {
+                Body::Shared(frame) => Arc::clone(frame),
+                _ => panic!("a frame with a kept copy travels shared"),
+            });
+            let frames = frames.collect();
+            sent.into_iter().for_each(|m| ep.hub.post(0, m));
+            let intact = *reliable_recv(ep, 0, st).unwrap() == payload[..];
+            flush_send(ep, 0, st).unwrap();
+            (frames, kept.unwrap(), intact, ep.stats.faults)
+        });
+        out.results.pop().unwrap()
+    }
+
+    type SelfSend = (Vec<Arc<Vec<u8>>>, Arc<Vec<u8>>, bool, FaultStats);
+
+    #[test]
+    fn duplicates_share_the_kept_frame_and_deliver_once() {
+        let (sent, kept, intact, f) = self_send_under(1, |r| r.dup = 1.0);
+        assert_eq!(sent.len(), 2, "a dup-only plan sends two copies");
+        assert!(
+            sent.iter().all(|frame| Arc::ptr_eq(frame, &kept)),
+            "one allocation"
+        );
+        assert!(intact);
+        assert_eq!(
+            (f.dup_frames_dropped, f.retransmits),
+            (1, 0),
+            "delivered once"
+        );
+    }
+
+    #[test]
+    fn corruption_copies_on_write_and_the_kept_frame_heals_it() {
+        // Seed 1 corrupts the first attempt, not the retransmission.
+        let (sent, kept, intact, f) = self_send_under(1, |r| r.corrupt = 0.5);
+        assert!(
+            !Arc::ptr_eq(&sent[0], &kept) && !frame_ok(&sent[0], true),
+            "a flipped copy"
+        );
+        assert!(frame_ok(&kept, true), "the kept frame is untouched");
+        assert!(intact, "the retransmission comes from the kept frame");
+        assert_eq!(
+            (f.corrupts_injected, f.nacks_sent, f.retransmits),
+            (1, 1, 1)
+        );
     }
 
     #[test]

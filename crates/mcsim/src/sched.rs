@@ -84,6 +84,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::message::{Message, Rank};
 use crate::model::{MachineModel, NetState, Topology};
+use crate::rng::Rng;
 
 /// Stack size of one task, on either switch back end.  Virtual memory
 /// only: untouched pages are never resident.
@@ -473,12 +474,26 @@ mod baton {
 // The hub: scheduler, mailboxes, link state, task table.
 // ---------------------------------------------------------------------------
 
-/// Heap entry ordering: min (key, rank) first.  `key` is finite by
+/// Heap entry ordering: min (key, tie, rank) first.  `key` is finite by
 /// construction (virtual clocks and arrivals are finite).
 #[derive(PartialEq)]
 struct HeapEntry {
     key: f64,
-    rank: usize,
+    tie: u32,
+    rank: u32,
+}
+
+impl HeapEntry {
+    /// `rank`'s entry at `key` for its `slice`-th dispatch.  Equal keys
+    /// run in rank order, unless the world is perturbed (`salt != 0`):
+    /// then `tie` is a hash of `(salt, rank, slice)`, so each perturbation
+    /// seed runs the ties in another order and replays it exactly.
+    fn new(key: f64, rank: Rank, salt: u64, slice: u32) -> Self {
+        let at = ((rank as u64) << 32) | u64::from(slice);
+        let tie = (salt != 0).then(|| Rng::seed_from_u64(salt ^ at).next_u64() >> 32);
+        let (tie, rank) = (tie.unwrap_or(0) as u32, rank as u32);
+        HeapEntry { key, tie, rank }
+    }
 }
 
 impl Eq for HeapEntry {}
@@ -489,6 +504,7 @@ impl Ord for HeapEntry {
         other
             .key
             .total_cmp(&self.key)
+            .then_with(|| other.tie.cmp(&self.tie))
             .then_with(|| other.rank.cmp(&self.rank))
     }
 }
@@ -545,20 +561,26 @@ struct Slot {
     mailbox: VecDeque<Message>,
     /// The rank's control block; null outside [`run`].
     cell: *mut TaskCell,
+    /// Times the task was dispatched: the perturbed tie-break's slice.
+    slices: u32,
 }
 
 struct Inner {
     slots: Vec<Slot>,
     heap: BinaryHeap<HeapEntry>,
     /// Tasks still in `Mode::Program`.
-    unfinished: usize,
+    unfinished: u32,
     /// Tasks not yet `Done`.
-    live: usize,
+    live: u32,
     /// Per-link state of a non-crossbar [`Topology`]; `None` keeps the
     /// closed-form transit.
     net: Option<NetState>,
     /// The world's byte-buffer reuse pool (`Endpoint::take_buf`).
     pool: Vec<Vec<u8>>,
+    /// Nonzero in a perturbed world (`World::with_perturb_seed`): the
+    /// tie-break hash's key.  (Kept in one word, and the counters above in
+    /// 32 bits, so a hub allocates what it did before perturbation.)
+    salt: u64,
 }
 
 /// The world's shared state, one per `World::run`: see the module header.
@@ -585,7 +607,7 @@ unsafe impl Sync for Hub {}
 unsafe impl Send for Hub {}
 
 impl Hub {
-    pub(crate) fn new(size: usize, topology: Topology) -> Hub {
+    pub(crate) fn new(size: usize, topology: Topology, perturb: Option<u64>) -> Hub {
         let slots = (0..size)
             .map(|_| Slot {
                 mode: Mode::Program,
@@ -598,17 +620,22 @@ impl Hub {
                 wake: WakeCause::Message,
                 mailbox: VecDeque::new(),
                 cell: std::ptr::null_mut(),
+                slices: 0,
             })
             .collect();
-        let heap = (0..size).map(|rank| HeapEntry { key: 0.0, rank }).collect();
+        let salt = perturb.map_or(0, |seed| Rng::seed_from_u64(seed).next_u64() | 1);
+        let heap = (0..size)
+            .map(|rank| HeapEntry::new(0.0, rank, salt, 0))
+            .collect();
         Hub {
             inner: UnsafeCell::new(Inner {
                 slots,
                 heap,
-                unfinished: size,
-                live: size,
+                unfinished: size as u32,
+                live: size as u32,
                 net: (topology != Topology::Crossbar).then(|| NetState::new(topology)),
                 pool: Vec::new(),
+                salt,
             }),
             #[cfg(debug_assertions)]
             busy: std::cell::Cell::new(false),
@@ -723,7 +750,7 @@ impl Inner {
                 s.wake = WakeCause::Message;
                 s.key = s.clock.max(s.mail_min);
                 let key = s.key;
-                self.heap.push(HeapEntry { key, rank: to });
+                self.push(key, to);
             }
             State::Runnable => {
                 // Decrease-key: push a better duplicate, the stale entry
@@ -731,7 +758,7 @@ impl Inner {
                 let nk = s.clock.max(s.mail_min);
                 if nk < s.key {
                     s.key = nk;
-                    self.heap.push(HeapEntry { key: nk, rank: to });
+                    self.push(nk, to);
                 }
             }
             // Running: its own drain will pick the message up (mail is
@@ -741,19 +768,27 @@ impl Inner {
         }
     }
 
+    /// Queue `rank` to run at `key`.
+    fn push(&mut self, key: f64, rank: Rank) {
+        let e = HeapEntry::new(key, rank, self.salt, self.slots[rank].slices);
+        self.heap.push(e);
+    }
+
     /// Mark the lowest-keyed runnable task running and return its rank
     /// and cell, or `None` once every task is done.
     fn next_dispatch(&mut self) -> Option<(usize, *mut TaskCell)> {
         while self.live > 0 {
             while let Some(e) = self.heap.pop() {
-                let s = &mut self.slots[e.rank];
+                let rank = e.rank as usize;
+                let s = &mut self.slots[rank];
                 if s.state != State::Runnable || e.key != s.key {
                     continue; // stale duplicate
                 }
                 s.state = State::Running;
                 s.mail = false;
                 s.mail_min = f64::INFINITY;
-                return Some((e.rank, s.cell));
+                s.slices += 1;
+                return Some((rank, s.cell));
             }
             // Quiescent: manufacture the deterministic wake-up.
             self.quiesce();
@@ -768,7 +803,7 @@ impl Inner {
         s.wake = wake;
         s.key = s.clock;
         let key = s.key;
-        self.heap.push(HeapEntry { key, rank });
+        self.push(key, rank);
     }
 
     /// Handle global quiescence: nothing runnable, but live tasks remain.
@@ -831,7 +866,7 @@ impl Inner {
             s.wake = WakeCause::Message;
             s.key = s.clock.max(s.mail_min);
             let key = s.key;
-            self.heap.push(HeapEntry { key, rank });
+            self.push(key, rank);
         } else {
             s.state = State::Waiting;
             s.expiry = expiry;
@@ -927,7 +962,7 @@ mod tests {
     }
 
     fn hub(size: usize) -> Arc<Hub> {
-        Arc::new(Hub::new(size, Topology::Crossbar))
+        Arc::new(Hub::new(size, Topology::Crossbar, None))
     }
 
     fn run_bodies(hub: &Hub, bodies: Vec<TaskBody>) {

@@ -44,36 +44,34 @@ pub trait McDescriptor: Wire + Clone + Send {
     /// The Region type this descriptor understands.
     type Region: Region + Wire;
 
-    /// Location of element `pos` of the linearization of `set`.
-    fn locate(&self, set: &SetOfRegions<Self::Region>, pos: usize) -> Location;
-
     /// Locate the run of consecutive linearization positions starting at
     /// `pos` that live contiguously (in one address progression) on one
-    /// rank — at most `max_len` positions.
+    /// rank — at most `max_len` positions.  The one location query a
+    /// library implements; every other is derived from it.
     ///
-    /// The default answers a length-1 run from [`Self::locate`], which is
-    /// always correct; regular descriptors override it with closed-form
-    /// interval arithmetic so the duplication build walks O(regions) runs
-    /// instead of O(elements) locations.  Implementations must return
-    /// `1 <= len <= max_len`, and the answers must nest: if the run from
-    /// `pos` has length `L`, the run from `pos + k` (`k < L`) under a cap
-    /// `m` is its suffix cut to `min(m, L - k)` — same rank, same stride,
-    /// address `k` strides further on.  The duplication build relies on
-    /// that to serve ascending queries from the last maximal answer.
+    /// A length-1 run ([`LocatedRun::single`]) is always correct, and is
+    /// what irregular descriptors answer; regular descriptors answer with
+    /// closed-form interval arithmetic so the duplication build walks
+    /// O(regions) runs instead of O(elements) locations.  Implementations
+    /// must return `1 <= len <= max_len`, and the answers must nest: if the
+    /// run from `pos` has length `L`, the run from `pos + k` (`k < L`)
+    /// under a cap `m` is its suffix cut to `min(m, L - k)` — same rank,
+    /// same stride, address `k` strides further on.  The duplication build
+    /// relies on that to serve ascending queries from the last maximal
+    /// answer.
     fn locate_run(
         &self,
         set: &SetOfRegions<Self::Region>,
         pos: usize,
         max_len: usize,
-    ) -> LocatedRun {
-        debug_assert!(max_len >= 1);
-        let loc = self.locate(set, pos);
-        LocatedRun {
-            pos,
-            len: 1,
-            rank: loc.rank,
-            addr: loc.addr,
-            stride: 1,
+    ) -> LocatedRun;
+
+    /// Location of element `pos` of the linearization of `set`.
+    fn locate(&self, set: &SetOfRegions<Self::Region>, pos: usize) -> Location {
+        let run = self.locate_run(set, pos, 1);
+        Location {
+            rank: run.rank,
+            addr: run.addr,
         }
     }
 
@@ -143,11 +141,8 @@ impl<'a, Desc: McDescriptor> LocateCursor<'a, Desc> {
             total: set.total_len(),
             // Covers nothing: the first query always asks the descriptor.
             last: LocatedRun {
-                pos: 0,
                 len: 0,
-                rank: 0,
-                addr: 0,
-                stride: 1,
+                ..LocatedRun::single(0, 0, 0)
             },
         }
     }
@@ -320,13 +315,10 @@ mod tests {
 
     impl McDescriptor for CyclicDesc {
         type Region = IndexSet;
-        fn locate(&self, set: &SetOfRegions<IndexSet>, pos: usize) -> Location {
+        fn locate_run(&self, set: &SetOfRegions<IndexSet>, pos: usize, _: usize) -> LocatedRun {
             let (ri, off) = set.locate_position(pos);
             let g = set.regions()[ri].index(off);
-            Location {
-                rank: g % self.p,
-                addr: g / self.p,
-            }
+            LocatedRun::single(pos, g % self.p, g / self.p)
         }
     }
 
@@ -348,13 +340,6 @@ mod tests {
 
     impl McDescriptor for RowDesc {
         type Region = IndexSet;
-        fn locate(&self, set: &SetOfRegions<IndexSet>, pos: usize) -> Location {
-            let r = self.locate_run(set, pos, 1);
-            Location {
-                rank: r.rank,
-                addr: r.addr,
-            }
-        }
         fn locate_run(
             &self,
             _set: &SetOfRegions<IndexSet>,

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 
 use mcsim::note;
 use mcsim::prelude::Endpoint;
-use mcsim::reliable::{self, StreamTag};
+use mcsim::reliable::{self, Payload, StreamTag};
 use mcsim::span::{Note, Phase};
 use mcsim::wire::{Wire, WireReader};
 
@@ -521,9 +521,9 @@ pub(crate) fn stage_half(
     pg: usize,
     runs: &AddrRuns,
     expect: Expect,
-) -> Result<Vec<Vec<u8>>, McError> {
+) -> Result<Vec<Payload>, McError> {
     let (st, esz) = (move_stream(sched), sched.elem_size() as usize);
-    let mut parts: Vec<Vec<u8>> = Vec::new();
+    let mut parts: Vec<Payload> = Vec::new();
     let (mut got, mut attempt, mut replayed) = (0usize, 0u64, 0usize);
     let mut staged = || -> Result<(), McError> {
         loop {
@@ -597,7 +597,7 @@ pub(crate) fn commit_one_half<T, D>(
     dst: &mut D,
     pg: usize,
     runs: &AddrRuns,
-    parts: Vec<Vec<u8>>,
+    parts: Vec<Payload>,
 ) -> Result<(), McError>
 where
     T: Copy + Wire,

@@ -86,6 +86,19 @@ pub struct LocatedRun {
 }
 
 impl LocatedRun {
+    /// The length-1 run of the element at `pos`, which lives on `rank` at
+    /// `addr`.
+    pub fn single(pos: usize, rank: usize, addr: LocalAddr) -> Self {
+        let stride = 1;
+        LocatedRun {
+            pos,
+            len: 1,
+            rank,
+            addr,
+            stride,
+        }
+    }
+
     /// One past the last position covered.
     #[inline]
     pub fn end(&self) -> usize {

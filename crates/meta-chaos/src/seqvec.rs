@@ -13,9 +13,9 @@ use mcsim::error::SimError;
 use mcsim::group::Comm;
 use mcsim::wire::{Wire, WireReader};
 
-use crate::adapter::{Location, McDescriptor, McObject};
+use crate::adapter::{McDescriptor, McObject};
 use crate::region::IndexSet;
-use crate::runs::{OwnedRun, RunBuilder};
+use crate::runs::{LocatedRun, OwnedRun, RunBuilder};
 use crate::setof::SetOfRegions;
 
 /// Descriptor: everything lives on one global rank.
@@ -43,12 +43,9 @@ impl Wire for SeqDesc {
 impl McDescriptor for SeqDesc {
     type Region = IndexSet;
 
-    fn locate(&self, set: &SetOfRegions<IndexSet>, pos: usize) -> Location {
+    fn locate_run(&self, set: &SetOfRegions<IndexSet>, pos: usize, _: usize) -> LocatedRun {
         let (ri, off) = set.locate_position(pos);
-        Location {
-            rank: self.owner,
-            addr: set.regions()[ri].index(off),
-        }
+        LocatedRun::single(pos, self.owner, set.regions()[ri].index(off))
     }
 }
 

@@ -9,9 +9,9 @@ use mcsim::error::SimError;
 use mcsim::group::{Comm, Group};
 use mcsim::wire::{Wire, WireReader};
 
-use crate::adapter::{Location, McDescriptor, McObject};
+use crate::adapter::{McDescriptor, McObject};
 use crate::region::{IndexSet, Region};
-use crate::runs::{OwnedRun, RunBuilder};
+use crate::runs::{LocatedRun, OwnedRun, RunBuilder};
 use crate::setof::SetOfRegions;
 
 /// Distribution descriptor: block partition of `0..n` over the program.
@@ -54,14 +54,11 @@ impl Wire for BlockVecDesc {
 
 impl McDescriptor for BlockVecDesc {
     type Region = IndexSet;
-    fn locate(&self, set: &SetOfRegions<IndexSet>, pos: usize) -> Location {
+    fn locate_run(&self, set: &SetOfRegions<IndexSet>, pos: usize, _: usize) -> LocatedRun {
         let (ri, off) = set.locate_position(pos);
         let g = set.regions()[ri].index(off);
         let local = self.owner_local(g);
-        Location {
-            rank: self.members[local],
-            addr: g - self.lo(local),
-        }
+        LocatedRun::single(pos, self.members[local], g - self.lo(local))
     }
 }
 

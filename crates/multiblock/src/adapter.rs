@@ -56,11 +56,6 @@ impl Wire for BlockDesc {
 impl McDescriptor for BlockDesc {
     type Region = RegularSection;
 
-    fn locate(&self, set: &SetOfRegions<RegularSection>, pos: usize) -> Location {
-        let (ri, off) = set.locate_position(pos);
-        set.regions()[ri].with_coords(off, |coords| self.location_of(coords))
-    }
-
     fn locate_run(
         &self,
         set: &SetOfRegions<RegularSection>,

@@ -8,9 +8,9 @@ use mcsim::error::SimError;
 use mcsim::group::Comm;
 use mcsim::wire::{Wire, WireReader};
 
-use meta_chaos::adapter::{Location, McDescriptor, McObject};
+use meta_chaos::adapter::{McDescriptor, McObject};
 use meta_chaos::region::IndexSet;
-use meta_chaos::runs::{OwnedRun, RunBuilder};
+use meta_chaos::runs::{LocatedRun, OwnedRun, RunBuilder};
 use meta_chaos::setof::SetOfRegions;
 
 use crate::collection::DistributedCollection;
@@ -40,14 +40,11 @@ impl Wire for TulipDesc {
 impl McDescriptor for TulipDesc {
     type Region = IndexSet;
 
-    fn locate(&self, set: &SetOfRegions<IndexSet>, pos: usize) -> Location {
+    fn locate_run(&self, set: &SetOfRegions<IndexSet>, pos: usize, _: usize) -> LocatedRun {
         let (ri, off) = set.locate_position(pos);
         let g = set.regions()[ri].index(off);
         let p = self.members.len();
-        Location {
-            rank: self.members[g % p],
-            addr: g / p,
-        }
+        LocatedRun::single(pos, self.members[g % p], g / p)
     }
 }
 

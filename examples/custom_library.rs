@@ -15,11 +15,11 @@ use mcsim::group::{Comm, Group};
 use mcsim::wire::{Wire, WireReader};
 use mcsim::{MachineModel, World};
 
-use meta_chaos::adapter::{Location, McDescriptor, McObject};
+use meta_chaos::adapter::{McDescriptor, McObject};
 use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::datamove::data_move;
 use meta_chaos::region::{IndexSet, RegularSection};
-use meta_chaos::runs::{OwnedRun, RunBuilder};
+use meta_chaos::runs::{LocatedRun, OwnedRun, RunBuilder};
 use meta_chaos::setof::SetOfRegions;
 use meta_chaos::Side;
 
@@ -71,14 +71,11 @@ impl Wire for StripedDesc {
 
 impl McDescriptor for StripedDesc {
     type Region = IndexSet;
-    fn locate(&self, set: &SetOfRegions<IndexSet>, pos: usize) -> Location {
+    fn locate_run(&self, set: &SetOfRegions<IndexSet>, pos: usize, _: usize) -> LocatedRun {
         let (ri, off) = set.locate_position(pos);
         let g = set.regions()[ri].index(off);
         let p = self.members.len();
-        Location {
-            rank: self.members[(p - 1) - (g % p)],
-            addr: g / p,
-        }
+        LocatedRun::single(pos, self.members[(p - 1) - (g % p)], g / p)
     }
 }
 

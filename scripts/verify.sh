@@ -38,6 +38,15 @@ done
 echo "== fuzz soak (16-pair matrix) =="
 cargo run --release -p fuzz -- --matrix --iters 304 --seed 1
 
+# Perturbed leg: the same 304 scenarios, every world run with the
+# scheduler's equal-time ties in the order perturbation seed 1 hashes
+# (World::with_perturb_seed) instead of rank order — a second interleaving
+# under the same oracles, none of which reads the clock.  A failure prints
+# and records its perturbation seed, so `--seed 1 --perturb 1` or the
+# repro file replays it.
+echo "== fuzz soak (16-pair matrix, perturbed schedule) =="
+cargo run --release -p fuzz -- --matrix --iters 304 --seed 1 --perturb 1
+
 # Wide soak: the same differential oracles, but over 8- and 16-rank worlds
 # so every scenario exercises the scheduler with real rank multiplexing
 # (the narrow soak's 2–4-rank worlds park at most a handful of tasks at a
