@@ -588,4 +588,51 @@ mod tests {
         // Escaped quote in the mark label survived.
         assert!(json.contains("cache=hit \\\"quoted\\\""));
     }
+
+    /// The exact text both exporters write for one event of each variant.
+    #[test]
+    fn sample_events_export_exactly() {
+        let traces = vec![TraceEvent::sample_events()];
+        let jsonl = [
+            r#"{"rank":0,"at":0.100000000,"type":"send","to":1,"tag":3,"bytes":64,"arrival":0.200000000}"#,
+            r#"{"rank":0,"at":0.200000000,"type":"recv","from":0,"tag":3,"bytes":64,"waited":0.050000000}"#,
+            r#"{"rank":0,"at":0.300000000,"type":"fault","kind":"drop","to":1,"tag":3,"bytes":64}"#,
+            r#"{"rank":0,"at":0.400000000,"type":"retransmit","to":1,"tag":3,"seq":7,"attempt":1}"#,
+            r#"{"rank":0,"at":0.500000000,"type":"window_advance","to":1,"tag":3,"acked":7,"inflight":3}"#,
+            r#"{"rank":0,"at":0.600000000,"type":"window_stall","to":1,"tag":3,"inflight":64,"bytes":1048576}"#,
+            r#"{"rank":0,"at":0.700000000,"type":"retransmit_burst","to":1,"tag":3,"frames":5}"#,
+            r#"{"rank":0,"at":0.800000000,"type":"span_begin","id":1,"parent":null,"phase":"transfer","detail":"seq=1"}"#,
+            r#"{"rank":0,"at":0.900000000,"type":"span_end","id":1}"#,
+            r#"{"rank":0,"at":1.000000000,"type":"mark","label":"cache=hit"}"#,
+            r#"{"rank":0,"at":1.100000000,"type":"heartbeat","incarnation":2}"#,
+            r#"{"rank":0,"at":1.200000000,"type":"lease_expired","peer":1,"incarnation":2}"#,
+            r#"{"rank":0,"at":1.300000000,"type":"recovered","peer":0,"incarnation":3}"#,
+            r#"{"rank":0,"at":1.400000000,"type":"part_replayed","from":1,"parts":4}"#,
+        ];
+        assert_eq!(
+            jsonl_events(&traces),
+            jsonl.map(|l| l.to_string() + "\n").concat()
+        );
+        let chrome = [
+            r#"{"displayTimeUnit":"ms","traceEvents":["#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"rank 0"}},"#,
+            r#"{"name":"transfer","cat":"span","ph":"X","ts":800000.000,"dur":100000.000,"pid":0,"tid":0,"args":{"id":1,"parent":"","detail":"seq=1"}},"#,
+            r#"{"name":"send","cat":"event","ph":"i","s":"t","ts":100000.000,"pid":0,"tid":0,"args":{"to":1,"tag":3,"bytes":64,"arrival_us":200000.000}},"#,
+            r#"{"name":"recv","cat":"event","ph":"i","s":"t","ts":200000.000,"pid":0,"tid":0,"args":{"from":0,"tag":3,"bytes":64,"waited_us":50000.000}},"#,
+            r#"{"name":"fault:drop","cat":"event","ph":"i","s":"t","ts":300000.000,"pid":0,"tid":0,"args":{"to":1,"tag":3,"bytes":64}},"#,
+            r#"{"name":"retransmit","cat":"event","ph":"i","s":"t","ts":400000.000,"pid":0,"tid":0,"args":{"to":1,"tag":3,"seq":7,"attempt":1}},"#,
+            r#"{"name":"window_advance","cat":"event","ph":"i","s":"t","ts":500000.000,"pid":0,"tid":0,"args":{"to":1,"tag":3,"acked":7,"inflight":3}},"#,
+            r#"{"name":"window_stall","cat":"event","ph":"i","s":"t","ts":600000.000,"pid":0,"tid":0,"args":{"to":1,"tag":3,"inflight":64,"bytes":1048576}},"#,
+            r#"{"name":"retransmit_burst","cat":"event","ph":"i","s":"t","ts":700000.000,"pid":0,"tid":0,"args":{"to":1,"tag":3,"frames":5}},"#,
+            r#"{"name":"mark","cat":"event","ph":"i","s":"t","ts":1000000.000,"pid":0,"tid":0,"args":{"label":"cache=hit"}},"#,
+            r#"{"name":"heartbeat","cat":"event","ph":"i","s":"t","ts":1100000.000,"pid":0,"tid":0,"args":{"incarnation":2}},"#,
+            r#"{"name":"lease_expired","cat":"event","ph":"i","s":"t","ts":1200000.000,"pid":0,"tid":0,"args":{"peer":1,"incarnation":2}},"#,
+            r#"{"name":"recovered","cat":"event","ph":"i","s":"t","ts":1300000.000,"pid":0,"tid":0,"args":{"peer":0,"incarnation":3}},"#,
+            r#"{"name":"part_replayed","cat":"event","ph":"i","s":"t","ts":1400000.000,"pid":0,"tid":0,"args":{"from":1,"parts":4}}"#,
+            r#"]}"#,
+        ];
+        let got = chrome_trace_json(&traces);
+        assert_eq!(got, chrome.map(|l| l.to_string() + "\n").concat());
+        assert!(matches!(json::parse(&got), Ok(Value::Obj(_))));
+    }
 }

@@ -11,11 +11,18 @@
 //!   builds over a Chaos translation table) and the length-1 moves.  A
 //!   deliberate change regenerates `tests/golden/irregular_remap_p4.jsonl`
 //!   by writing [`irregular_remap_jsonl`]'s output to it.
+//! * A faulted ring locks the reliable layer under a fault plan: drops,
+//!   duplicates and bit flips, retransmissions, window advances and the
+//!   supervisor's heartbeats.  A deliberate change regenerates
+//!   `tests/golden/faulted_ring_p4.jsonl` by writing
+//!   [`faulted_ring_jsonl`]'s output to it.
 
 use bench::traced::traced_coupled_run;
 use chaos::{IrregArray, Partition};
+use mcsim::fault::{FaultPlan, FaultRates};
 use mcsim::group::{Comm, Group};
 use mcsim::model::MachineModel;
+use mcsim::reliable::{flush_send, reliable_recv, reliable_send, StreamTag};
 use mcsim::rng::Rng;
 use mcsim::world::World;
 use meta_chaos::build::{compute_schedule, BuildMethod};
@@ -87,4 +94,53 @@ fn irregular_remap_exports_the_golden_jsonl() {
     let golden = include_str!("golden/irregular_remap_p4.jsonl");
     let got = irregular_remap_jsonl();
     assert_golden(&got, golden, "tests/golden/irregular_remap_p4.jsonl");
+}
+
+/// P = 4 supervised ranks on the SP2 model under a fault plan that drops,
+/// duplicates and corrupts one reliable frame in five: each rank sends
+/// three 300 000-byte messages (two chunks each) to its right neighbour
+/// and receives three from its left.
+fn faulted_ring_jsonl() -> String {
+    const P: usize = 4;
+    const BYTES: usize = 300_000;
+    let plan = FaultPlan::new(3).rates(FaultRates {
+        drop: 0.2,
+        dup: 0.2,
+        corrupt: 0.2,
+        ..FaultRates::default()
+    });
+    let run = World::with_model(P, MachineModel::sp2())
+        .with_faults(plan)
+        .with_supervisor(1)
+        .with_trace()
+        .run(|ep| {
+            let me = ep.rank();
+            let st = StreamTag::new(61, 1);
+            for m in 0..3 {
+                let payload = (0..BYTES).map(|i| (me * 31 + m * 7 + i) as u8).collect();
+                reliable_send(ep, (me + 1) % P, st, payload).expect("ring send");
+            }
+            let left = (me + P - 1) % P;
+            for m in 0..3 {
+                let got = reliable_recv(ep, left, st).expect("ring recv");
+                assert_eq!(got.len(), BYTES);
+                assert!(got
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &b)| b == (left * 31 + m * 7 + i) as u8));
+            }
+            flush_send(ep, (me + 1) % P, st).expect("ring flush");
+        });
+    mcsim::jsonl_events(&run.traces)
+}
+
+#[test]
+fn faulted_ring_exports_the_golden_jsonl() {
+    let golden = include_str!("golden/faulted_ring_p4.jsonl");
+    let got = faulted_ring_jsonl();
+    for ty in ["fault", "retransmit", "window_advance", "heartbeat"] {
+        let needle = format!("\"type\":\"{ty}\"");
+        assert!(got.contains(&needle), "faulted ring has no {ty} line");
+    }
+    assert_golden(&got, golden, "tests/golden/faulted_ring_p4.jsonl");
 }
