@@ -117,22 +117,6 @@ impl<T: Copy> IrregArray<T> {
     }
 }
 
-impl IrregArray<f64> {
-    /// Global sum over every element (collective over the program).
-    pub fn global_sum(&self, comm: &mut Comm<'_>) -> f64 {
-        let local: f64 = self.data.iter().sum();
-        comm.ep().charge_flops(self.data.len());
-        comm.allreduce_sum(local)
-    }
-
-    /// Global maximum of |x| (collective).
-    pub fn global_max_abs(&self, comm: &mut Comm<'_>) -> f64 {
-        let local = self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        comm.ep().charge_flops(self.data.len());
-        comm.allreduce_max_f64(local)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,17 +141,15 @@ mod tests {
     }
 
     #[test]
-    fn reductions_and_for_each() {
+    fn for_each_owned_visits_global_indices() {
         let world = World::with_model(3, MachineModel::zero());
         world.run(|ep| {
             let mut comm = Comm::new(ep, Group::world(3));
             let mut x = IrregArray::create(&mut comm, 12, Partition::Random(2), |_| 0.0);
             x.for_each_owned(|g, v| *v = g as f64 - 5.0);
-            assert_eq!(
-                x.global_sum(&mut comm),
-                (0..12).map(|g| g as f64 - 5.0).sum()
-            );
-            assert_eq!(x.global_max_abs(&mut comm), 6.0);
+            for (a, &g) in x.my_globals().iter().enumerate() {
+                assert_eq!(x.local()[a], g as f64 - 5.0);
+            }
         });
     }
 

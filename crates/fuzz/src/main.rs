@@ -38,14 +38,13 @@ struct Opts {
     wide: bool,
     perturb: Option<u64>,
     replay: Option<String>,
-    dump: Option<u64>,
     budget: usize,
     out_dir: PathBuf,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fuzz [--iters N] [--seed S] [--matrix] [--recover] [--wide] [--perturb P] [--budget N] [--out DIR]\n       fuzz --replay FILE\n       fuzz --dump SEED   (print the generated scenario as JSON)\n\n--recover soaks crash-recovery scenarios: supervised worlds, scripted\nmid-transfer crashes, and the bit-identical convergence oracle.\n--wide soaks 8- and 16-rank worlds through the cooperative scheduler.\n--perturb runs equal virtual times in the order seed P hashes, not rank order."
+        "usage: fuzz [--iters N] [--seed S] [--matrix] [--recover] [--wide] [--perturb P] [--budget N] [--out DIR]\n       fuzz --replay FILE\n\n--recover soaks crash-recovery scenarios: supervised worlds, scripted\nmid-transfer crashes, and the bit-identical convergence oracle.\n--wide soaks 8- and 16-rank worlds through the cooperative scheduler.\n--perturb runs equal virtual times in the order seed P hashes, not rank order."
     );
     std::process::exit(2);
 }
@@ -59,7 +58,6 @@ fn parse_opts() -> Opts {
         wide: false,
         perturb: None,
         replay: None,
-        dump: None,
         budget: DEFAULT_BUDGET,
         out_dir: PathBuf::from("target/fuzz"),
     };
@@ -77,7 +75,6 @@ fn parse_opts() -> Opts {
                 opts.perturb = Some(val("--perturb").parse().unwrap_or_else(|_| usage()))
             }
             "--replay" => opts.replay = Some(val("--replay")),
-            "--dump" => opts.dump = Some(val("--dump").parse().unwrap_or_else(|_| usage())),
             "--out" => opts.out_dir = PathBuf::from(val("--out")),
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -172,14 +169,6 @@ fn install_quiet_panic_hook() {
 fn main() -> ExitCode {
     let opts = parse_opts();
     install_quiet_panic_hook();
-
-    if let Some(s) = opts.dump {
-        let mut sc = generate_sized(s, opts.wide);
-        sc.perturb_seed = opts.perturb;
-        eprintln!("{}", sc.label());
-        println!("{}", sc.to_json());
-        return ExitCode::SUCCESS;
-    }
 
     if let Some(path) = &opts.replay {
         let text = match std::fs::read_to_string(path) {

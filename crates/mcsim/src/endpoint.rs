@@ -395,13 +395,6 @@ impl Endpoint {
         self.faults.is_some()
     }
 
-    /// The reliable-transport configuration this world runs with (window,
-    /// chunking, retry policy).
-    #[inline]
-    pub fn reliable_config(&self) -> &ReliableConfig {
-        self.rel.config()
-    }
-
     /// Charge `seconds` of modeled computation to this rank.
     #[inline]
     pub fn charge(&mut self, seconds: f64) {

@@ -15,9 +15,11 @@
 //!   stable `rank`/`type`/`at` core every consumer can rely on —
 //!   validated by [`validate_jsonl`].
 
+use std::fmt::Write;
+
 use crate::json::{self, Value};
 use crate::span::pair_spans;
-use crate::trace::TraceEvent;
+use crate::trace::{FaultKind, TraceEvent};
 
 /// `s` as a JSON string literal — quotes included — escaped by the codec.
 fn quoted(s: &str) -> String {
@@ -29,6 +31,175 @@ fn quoted(s: &str) -> String {
 /// Seconds of virtual time → Chrome-trace microseconds.
 fn us(at: f64) -> f64 {
     at * 1e6
+}
+
+/// One exported field value.
+enum Val {
+    Int(u64),
+    /// Virtual seconds: `{:.9}` s in JSONL, `<key>_us` at `{:.3}` µs in
+    /// Chrome.
+    Secs(f64),
+    Text(String),
+    Null,
+}
+
+/// An event's type name and its fields in export order — the one
+/// description both exporters render, and the match a new variant must
+/// extend before it can ship.
+fn fields(e: &TraceEvent) -> (&'static str, Vec<(&'static str, Val)>) {
+    use Val::{Int, Secs, Text};
+    let n = |v: usize| Int(v as u64);
+    match e {
+        TraceEvent::Send {
+            to,
+            tag,
+            bytes,
+            arrival,
+            ..
+        } => (
+            "send",
+            vec![
+                ("to", n(*to)),
+                ("tag", Int(tag.0)),
+                ("bytes", n(*bytes)),
+                ("arrival", Secs(*arrival)),
+            ],
+        ),
+        TraceEvent::Recv {
+            from,
+            tag,
+            bytes,
+            waited,
+            ..
+        } => (
+            "recv",
+            vec![
+                ("from", n(*from)),
+                ("tag", Int(tag.0)),
+                ("bytes", n(*bytes)),
+                ("waited", Secs(*waited)),
+            ],
+        ),
+        TraceEvent::Fault {
+            kind,
+            to,
+            tag,
+            bytes,
+            ..
+        } => (
+            "fault",
+            vec![
+                ("kind", Text(fault_kind_str(*kind).into())),
+                ("to", n(*to)),
+                ("tag", Int(tag.0)),
+                ("bytes", n(*bytes)),
+            ],
+        ),
+        TraceEvent::Retransmit {
+            to,
+            tag,
+            seq,
+            attempt,
+            ..
+        } => (
+            "retransmit",
+            vec![
+                ("to", n(*to)),
+                ("tag", Int(tag.0)),
+                ("seq", Int(*seq)),
+                ("attempt", Int((*attempt).into())),
+            ],
+        ),
+        TraceEvent::WindowAdvance {
+            to,
+            tag,
+            acked,
+            inflight,
+            ..
+        } => (
+            "window_advance",
+            vec![
+                ("to", n(*to)),
+                ("tag", Int(tag.0)),
+                ("acked", Int(*acked)),
+                ("inflight", n(*inflight)),
+            ],
+        ),
+        TraceEvent::WindowStall {
+            to,
+            tag,
+            inflight,
+            bytes,
+            ..
+        } => (
+            "window_stall",
+            vec![
+                ("to", n(*to)),
+                ("tag", Int(tag.0)),
+                ("inflight", n(*inflight)),
+                ("bytes", n(*bytes)),
+            ],
+        ),
+        TraceEvent::RetransmitBurst {
+            to, tag, frames, ..
+        } => (
+            "retransmit_burst",
+            vec![("to", n(*to)), ("tag", Int(tag.0)), ("frames", n(*frames))],
+        ),
+        TraceEvent::SpanBegin {
+            id,
+            parent,
+            phase,
+            detail,
+            ..
+        } => (
+            "span_begin",
+            vec![
+                ("id", Int(id.get())),
+                ("parent", parent.map_or(Val::Null, |p| Int(p.get()))),
+                ("phase", Text(phase.as_str().into())),
+                ("detail", Text(detail.to_string())),
+            ],
+        ),
+        TraceEvent::SpanEnd { id, .. } => ("span_end", vec![("id", Int(id.get()))]),
+        TraceEvent::Mark { label, .. } => ("mark", vec![("label", Text(label.to_string()))]),
+        TraceEvent::Heartbeat { incarnation, .. } => {
+            ("heartbeat", vec![("incarnation", Int(*incarnation))])
+        }
+        TraceEvent::LeaseExpired {
+            rank, incarnation, ..
+        } => (
+            "lease_expired",
+            vec![("peer", n(*rank)), ("incarnation", Int(*incarnation))],
+        ),
+        TraceEvent::Recovered {
+            rank, incarnation, ..
+        } => (
+            "recovered",
+            vec![("peer", n(*rank)), ("incarnation", Int(*incarnation))],
+        ),
+        TraceEvent::PartReplayed { from, parts, .. } => (
+            "part_replayed",
+            vec![("from", n(*from)), ("parts", n(*parts))],
+        ),
+    }
+}
+
+/// Append `fields` to `out` as comma-separated `"key":value` pairs, in
+/// Chrome's units when `chrome` is set.
+fn write_fields(out: &mut String, fields: &[(&str, Val)], chrome: bool) {
+    for (i, (key, val)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = match val {
+            Val::Int(v) => write!(out, "\"{key}\":{v}"),
+            Val::Secs(s) if chrome => write!(out, "\"{key}_us\":{:.3}", us(*s)),
+            Val::Secs(s) => write!(out, "\"{key}\":{s:.9}"),
+            Val::Text(t) => write!(out, "\"{key}\":{}", quoted(t)),
+            Val::Null => write!(out, "\"{key}\":null"),
+        };
+    }
 }
 
 /// Render per-rank timelines as a Chrome trace (JSON object format).
@@ -57,125 +228,25 @@ pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
             ));
         }
         for e in tl {
-            let (name, args) = match e {
-                TraceEvent::Send {
-                    to,
-                    tag,
-                    bytes,
-                    arrival,
-                    ..
-                } => (
-                    "send".to_string(),
-                    format!(
-                        "\"to\":{to},\"tag\":{},\"bytes\":{bytes},\"arrival_us\":{:.3}",
-                        tag.0,
-                        us(*arrival)
-                    ),
-                ),
-                TraceEvent::Recv {
-                    from,
-                    tag,
-                    bytes,
-                    waited,
-                    ..
-                } => (
-                    "recv".to_string(),
-                    format!(
-                        "\"from\":{from},\"tag\":{},\"bytes\":{bytes},\"waited_us\":{:.3}",
-                        tag.0,
-                        us(*waited)
-                    ),
-                ),
-                TraceEvent::Fault {
-                    kind,
-                    to,
-                    tag,
-                    bytes,
-                    ..
-                } => (
-                    format!("fault:{}", fault_kind_str(*kind)),
-                    format!("\"to\":{to},\"tag\":{},\"bytes\":{bytes}", tag.0),
-                ),
-                TraceEvent::Retransmit {
-                    to,
-                    tag,
-                    seq,
-                    attempt,
-                    ..
-                } => (
-                    "retransmit".to_string(),
-                    format!(
-                        "\"to\":{to},\"tag\":{},\"seq\":{seq},\"attempt\":{attempt}",
-                        tag.0
-                    ),
-                ),
-                TraceEvent::WindowAdvance {
-                    to,
-                    tag,
-                    acked,
-                    inflight,
-                    ..
-                } => (
-                    "window_advance".to_string(),
-                    format!(
-                        "\"to\":{to},\"tag\":{},\"acked\":{acked},\"inflight\":{inflight}",
-                        tag.0
-                    ),
-                ),
-                TraceEvent::WindowStall {
-                    to,
-                    tag,
-                    inflight,
-                    bytes,
-                    ..
-                } => (
-                    "window_stall".to_string(),
-                    format!(
-                        "\"to\":{to},\"tag\":{},\"inflight\":{inflight},\"bytes\":{bytes}",
-                        tag.0
-                    ),
-                ),
-                TraceEvent::RetransmitBurst {
-                    to, tag, frames, ..
-                } => (
-                    "retransmit_burst".to_string(),
-                    format!("\"to\":{to},\"tag\":{},\"frames\":{frames}", tag.0),
-                ),
-                TraceEvent::Mark { label, .. } => (
-                    "mark".to_string(),
-                    format!("\"label\":{}", quoted(&label.to_string())),
-                ),
-                TraceEvent::Heartbeat { incarnation, .. } => (
-                    "heartbeat".to_string(),
-                    format!("\"incarnation\":{incarnation}"),
-                ),
-                TraceEvent::LeaseExpired {
-                    rank: peer,
-                    incarnation,
-                    ..
-                } => (
-                    "lease_expired".to_string(),
-                    format!("\"peer\":{peer},\"incarnation\":{incarnation}"),
-                ),
-                TraceEvent::Recovered {
-                    rank: peer,
-                    incarnation,
-                    ..
-                } => (
-                    "recovered".to_string(),
-                    format!("\"peer\":{peer},\"incarnation\":{incarnation}"),
-                ),
-                TraceEvent::PartReplayed { from, parts, .. } => (
-                    "part_replayed".to_string(),
-                    format!("\"from\":{from},\"parts\":{parts}"),
-                ),
-                TraceEvent::SpanBegin { .. } | TraceEvent::SpanEnd { .. } => continue,
+            if matches!(e, TraceEvent::SpanBegin { .. } | TraceEvent::SpanEnd { .. }) {
+                continue;
+            }
+            let (ty, mut fs) = fields(e);
+            let name = match e {
+                TraceEvent::Fault { kind, .. } => {
+                    fs.retain(|(key, _)| *key != "kind");
+                    format!("fault:{}", fault_kind_str(*kind))
+                }
+                _ => ty.to_string(),
             };
-            ev.push(format!(
+            let mut line = format!(
                 "{{\"name\":\"{name}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\
-                 \"ts\":{:.3},\"pid\":0,\"tid\":{rank},\"args\":{{{args}}}}}",
+                 \"ts\":{:.3},\"pid\":0,\"tid\":{rank},\"args\":{{",
                 us(e.at())
-            ));
+            );
+            write_fields(&mut line, &fs, true);
+            line.push_str("}}");
+            ev.push(line);
         }
     }
     format!(
@@ -184,137 +255,22 @@ pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
     )
 }
 
-fn fault_kind_str(k: crate::trace::FaultKind) -> &'static str {
+fn fault_kind_str(k: FaultKind) -> &'static str {
     match k {
-        crate::trace::FaultKind::Drop => "drop",
-        crate::trace::FaultKind::Duplicate => "duplicate",
-        crate::trace::FaultKind::Corrupt => "corrupt",
-        crate::trace::FaultKind::Delay => "delay",
+        FaultKind::Drop => "drop",
+        FaultKind::Duplicate => "duplicate",
+        FaultKind::Corrupt => "corrupt",
+        FaultKind::Delay => "delay",
     }
 }
 
 /// Render one event as its JSONL line (no trailing newline).
 pub fn jsonl_line(rank: usize, e: &TraceEvent) -> String {
-    let head = format!("{{\"rank\":{rank},\"at\":{:.9}", e.at());
-    match e {
-        TraceEvent::Send {
-            to,
-            tag,
-            bytes,
-            arrival,
-            ..
-        } => format!(
-            "{head},\"type\":\"send\",\"to\":{to},\"tag\":{},\"bytes\":{bytes},\
-             \"arrival\":{arrival:.9}}}",
-            tag.0
-        ),
-        TraceEvent::Recv {
-            from,
-            tag,
-            bytes,
-            waited,
-            ..
-        } => format!(
-            "{head},\"type\":\"recv\",\"from\":{from},\"tag\":{},\"bytes\":{bytes},\
-             \"waited\":{waited:.9}}}",
-            tag.0
-        ),
-        TraceEvent::Fault {
-            kind,
-            to,
-            tag,
-            bytes,
-            ..
-        } => format!(
-            "{head},\"type\":\"fault\",\"kind\":\"{}\",\"to\":{to},\"tag\":{},\"bytes\":{bytes}}}",
-            fault_kind_str(*kind),
-            tag.0
-        ),
-        TraceEvent::Retransmit {
-            to,
-            tag,
-            seq,
-            attempt,
-            ..
-        } => format!(
-            "{head},\"type\":\"retransmit\",\"to\":{to},\"tag\":{},\"seq\":{seq},\
-             \"attempt\":{attempt}}}",
-            tag.0
-        ),
-        TraceEvent::WindowAdvance {
-            to,
-            tag,
-            acked,
-            inflight,
-            ..
-        } => format!(
-            "{head},\"type\":\"window_advance\",\"to\":{to},\"tag\":{},\"acked\":{acked},\
-             \"inflight\":{inflight}}}",
-            tag.0
-        ),
-        TraceEvent::WindowStall {
-            to,
-            tag,
-            inflight,
-            bytes,
-            ..
-        } => format!(
-            "{head},\"type\":\"window_stall\",\"to\":{to},\"tag\":{},\"inflight\":{inflight},\
-             \"bytes\":{bytes}}}",
-            tag.0
-        ),
-        TraceEvent::RetransmitBurst {
-            to, tag, frames, ..
-        } => format!(
-            "{head},\"type\":\"retransmit_burst\",\"to\":{to},\"tag\":{},\"frames\":{frames}}}",
-            tag.0
-        ),
-        TraceEvent::SpanBegin {
-            id,
-            parent,
-            phase,
-            detail,
-            ..
-        } => format!(
-            "{head},\"type\":\"span_begin\",\"id\":{},\"parent\":{},\"phase\":\"{}\",\
-             \"detail\":{}}}",
-            id.get(),
-            parent
-                .map(|p| p.get().to_string())
-                .unwrap_or_else(|| "null".into()),
-            phase.as_str(),
-            quoted(&detail.to_string())
-        ),
-        TraceEvent::SpanEnd { id, .. } => {
-            format!("{head},\"type\":\"span_end\",\"id\":{}}}", id.get())
-        }
-        TraceEvent::Mark { label, .. } => {
-            format!(
-                "{head},\"type\":\"mark\",\"label\":{}}}",
-                quoted(&label.to_string())
-            )
-        }
-        TraceEvent::Heartbeat { incarnation, .. } => {
-            format!("{head},\"type\":\"heartbeat\",\"incarnation\":{incarnation}}}")
-        }
-        TraceEvent::LeaseExpired {
-            rank: peer,
-            incarnation,
-            ..
-        } => format!(
-            "{head},\"type\":\"lease_expired\",\"peer\":{peer},\"incarnation\":{incarnation}}}"
-        ),
-        TraceEvent::Recovered {
-            rank: peer,
-            incarnation,
-            ..
-        } => {
-            format!("{head},\"type\":\"recovered\",\"peer\":{peer},\"incarnation\":{incarnation}}}")
-        }
-        TraceEvent::PartReplayed { from, parts, .. } => {
-            format!("{head},\"type\":\"part_replayed\",\"from\":{from},\"parts\":{parts}}}")
-        }
-    }
+    let (ty, fs) = fields(e);
+    let mut line = format!("{{\"rank\":{rank},\"at\":{:.9},\"type\":\"{ty}\",", e.at());
+    write_fields(&mut line, &fs, false);
+    line.push('}');
+    line
 }
 
 /// Render per-rank timelines as a JSONL stream (one event per line).
@@ -344,21 +300,24 @@ pub struct TraceCheck {
     pub phases: Vec<String>,
 }
 
-const KNOWN_TYPES: [&str; 14] = [
-    "send",
-    "recv",
-    "fault",
-    "retransmit",
-    "window_advance",
-    "window_stall",
-    "retransmit_burst",
-    "span_begin",
-    "span_end",
-    "mark",
-    "heartbeat",
-    "lease_expired",
-    "recovered",
-    "part_replayed",
+/// Every event type a JSONL stream may carry, with the fields its lines
+/// must have.  Written out apart from [`fields`], because it is the check
+/// on what the writer emits.
+const SCHEMA: [(&str, &[&str]); 14] = [
+    ("send", &["to", "tag", "bytes", "arrival"]),
+    ("recv", &["from", "tag", "bytes", "waited"]),
+    ("fault", &["kind", "to", "tag", "bytes"]),
+    ("retransmit", &["to", "tag", "seq", "attempt"]),
+    ("window_advance", &["to", "tag", "acked", "inflight"]),
+    ("window_stall", &["to", "tag", "inflight", "bytes"]),
+    ("retransmit_burst", &["to", "tag", "frames"]),
+    ("span_begin", &["id", "parent", "phase", "detail"]),
+    ("span_end", &["id"]),
+    ("mark", &["label"]),
+    ("heartbeat", &["incarnation"]),
+    ("lease_expired", &["peer", "incarnation"]),
+    ("recovered", &["peer", "incarnation"]),
+    ("part_replayed", &["from", "parts"]),
 ];
 
 /// Validate a JSONL trace stream: every line must carry the
@@ -390,25 +349,8 @@ pub fn validate_jsonl(text: &str) -> Result<TraceCheck, String> {
         let Some(ty) = obj.get("type").and_then(Value::as_str) else {
             return err("missing type");
         };
-        if !KNOWN_TYPES.contains(&ty) {
+        let Some(&(_, required)) = SCHEMA.iter().find(|(t, _)| *t == ty) else {
             return err("unknown type");
-        }
-        let required: &[&str] = match ty {
-            "send" => &["to", "tag", "bytes", "arrival"],
-            "recv" => &["from", "tag", "bytes", "waited"],
-            "fault" => &["kind", "to", "tag", "bytes"],
-            "retransmit" => &["to", "tag", "seq", "attempt"],
-            "window_advance" => &["to", "tag", "acked", "inflight"],
-            "window_stall" => &["to", "tag", "inflight", "bytes"],
-            "retransmit_burst" => &["to", "tag", "frames"],
-            "span_begin" => &["id", "parent", "phase", "detail"],
-            "span_end" => &["id"],
-            "mark" => &["label"],
-            "heartbeat" => &["incarnation"],
-            "lease_expired" => &["peer", "incarnation"],
-            "recovered" => &["peer", "incarnation"],
-            "part_replayed" => &["from", "parts"],
-            _ => unreachable!(),
         };
         for key in required {
             if obj.get(key).is_none() {
@@ -519,45 +461,28 @@ mod tests {
 
     #[test]
     fn every_variant_round_trips_through_exporters() {
-        // One representative event per variant (sample_events' match in
-        // TraceEvent::kind is exhaustive, so a new variant breaks the
-        // build before it can ship without exporter coverage here).
+        // One representative event per variant (`fields` matches
+        // exhaustively, so a new variant breaks the build before it can
+        // ship without a sample here).
         let events = TraceEvent::sample_events();
-        let traces = vec![events.clone()];
-
-        // JSONL: every line validates and carries its variant's wire name.
-        let text = jsonl_events(&traces);
+        let text = jsonl_events(std::slice::from_ref(&events));
         let check = validate_jsonl(&text).expect("all variants validate");
         assert_eq!(check.lines, events.len());
-        for (line, e) in text.lines().zip(&events) {
-            let ty = json::parse(line).expect("line parses");
-            assert_eq!(ty.get("type").and_then(Value::as_str), Some(e.kind()));
-        }
 
-        // The sample kinds cover the validator's full type registry —
-        // no known type without a sample, no sample the checker rejects.
-        let mut kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        let mut known = KNOWN_TYPES.to_vec();
-        known.sort_unstable();
-        assert_eq!(kinds, known);
-
-        // Chrome trace: spans appear as complete events, every other
-        // variant as a named instant.
-        let json = chrome_trace_json(&traces);
+        // Each sample writes exactly the keys the schema requires, and the
+        // samples cover the schema: no known type without a sample, no
+        // sample the checker rejects.
+        let mut types = Vec::new();
         for e in &events {
-            match e {
-                TraceEvent::SpanBegin { .. } => assert!(json.contains("\"ph\":\"X\"")),
-                TraceEvent::SpanEnd { .. } => {}
-                TraceEvent::Fault { .. } => assert!(json.contains("\"name\":\"fault:drop\"")),
-                other => assert!(
-                    json.contains(&format!("\"name\":\"{}\"", other.kind())),
-                    "chrome trace missing instant for {}",
-                    other.kind()
-                ),
-            }
+            let (ty, fs) = fields(e);
+            let keys: Vec<&str> = fs.iter().map(|(key, _)| *key).collect();
+            let want = SCHEMA.iter().find(|(t, _)| *t == ty).expect("known type");
+            assert_eq!(keys, want.1, "{ty}");
+            types.push(ty);
         }
+        types.sort_unstable();
+        types.dedup();
+        assert_eq!(types.len(), SCHEMA.len());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] attached to a [`crate::world::World`] makes the machine
 //! imperfect: messages on selected tag classes are dropped, duplicated,
-//! bit-flipped, or extra-delayed with configurable per-link rates, and
-//! ranks can be scripted to crash at a virtual time.  Everything is a pure
-//! function of the plan's seed:
+//! bit-flipped, or extra-delayed at the plan's rates, and ranks can be
+//! scripted to crash at a virtual time.  Everything is a pure function of
+//! the plan's seed:
 //!
 //! * The fate of a message is drawn from a small PRNG seeded by
 //!   `(plan seed, src, dst, tag, per-link message counter)` — never from a
@@ -31,7 +31,8 @@ use crate::message::Rank;
 use crate::rng::Rng;
 use crate::tag::Tag;
 
-/// Per-link fault probabilities. All rates are in `[0, 1]`.
+/// Fault probabilities, applied to every faulted message. All rates are in
+/// `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultRates {
     /// Probability a message copy is destroyed in flight.
@@ -50,23 +51,9 @@ pub struct FaultRates {
 }
 
 impl FaultRates {
-    /// True when every rate is zero (the link is clean).
+    /// True when every rate is zero (the plan injects nothing).
     pub fn is_quiet(&self) -> bool {
         self.drop == 0.0 && self.dup == 0.0 && self.corrupt == 0.0 && self.delay == 0.0
-    }
-
-    /// Random rates drawn from `rng`, each in `[0, cap]`, for generated
-    /// fault plans (the fuzz harness).  Delay is kept small relative to
-    /// the retry budget so delayed copies stress reordering, not liveness.
-    pub fn random(rng: &mut Rng, cap: f64) -> Self {
-        let r = |rng: &mut Rng| rng.gen_f64() * cap;
-        FaultRates {
-            drop: r(rng),
-            dup: r(rng),
-            corrupt: r(rng),
-            delay: r(rng),
-            delay_secs: 1e-4 + rng.gen_f64() * 1e-3,
-        }
     }
 }
 
@@ -95,9 +82,6 @@ pub fn test_seed() -> u64 {
 pub struct FaultPlan {
     seed: u64,
     rates: FaultRates,
-    /// `(src filter, dst filter, rates)` — first match wins; `None`
-    /// matches any rank.
-    links: Vec<(Option<Rank>, Option<Rank>, FaultRates)>,
     class_mask: u32,
     crashes: Vec<(Rank, f64)>,
 }
@@ -109,22 +93,14 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rates: FaultRates::default(),
-            links: Vec::new(),
             class_mask: (1 << Tag::CLASS_RELIABLE_DATA) | (1 << Tag::CLASS_RELIABLE_CTRL),
             crashes: Vec::new(),
         }
     }
 
-    /// Set the default rates applied to every faulted link.
+    /// Set the rates applied to every faulted message.
     pub fn rates(mut self, rates: FaultRates) -> Self {
         self.rates = rates;
-        self
-    }
-
-    /// Override rates for messages from `src` to `dst` (`None` = any).
-    /// Earlier overrides win.
-    pub fn link(mut self, src: Option<Rank>, dst: Option<Rank>, rates: FaultRates) -> Self {
-        self.links.push((src, dst, rates));
         self
     }
 
@@ -155,16 +131,6 @@ impl FaultPlan {
             .filter(|(r, _)| *r == rank)
             .map(|(_, t)| *t)
             .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
-    }
-
-    /// Effective rates on the `src → dst` link.
-    pub fn rates_for(&self, src: Rank, dst: Rank) -> FaultRates {
-        for (s, d, r) in &self.links {
-            if s.is_none_or(|s| s == src) && d.is_none_or(|d| d == dst) {
-                return *r;
-            }
-        }
-        self.rates
     }
 
     /// Whether messages on `tag` are subject to this plan at all.
@@ -226,7 +192,7 @@ impl FaultState {
         if !self.plan.applies_to(tag) {
             return None;
         }
-        let rates = self.plan.rates_for(src, dst);
+        let rates = self.plan.rates;
         if rates.is_quiet() {
             return None;
         }
@@ -297,15 +263,6 @@ mod tests {
         assert!(!p.applies_to(Tag::user(5)));
         assert!(!p.applies_to(Tag::new(Tag::COLL_CTX, 0x5000_0000)));
         assert!(!p.applies_to(Tag::new(20, 0x4000_0001))); // raw data-move
-    }
-
-    #[test]
-    fn link_overrides_beat_defaults() {
-        let quiet = FaultRates::default();
-        let noisy = FaultRates { drop: 0.5, ..quiet };
-        let p = FaultPlan::new(1).rates(noisy).link(Some(0), Some(1), quiet);
-        assert!(p.rates_for(0, 1).is_quiet());
-        assert_eq!(p.rates_for(1, 0).drop, 0.5);
     }
 
     #[test]

@@ -186,14 +186,6 @@ pub fn window_bytes(ep: &mut Endpoint, win: u32) -> Option<Vec<u8>> {
     ep.os.windows.remove(&(win & WIN_MASK)).map(|w| w.data)
 }
 
-/// Notifications observed so far on local window `win`.
-pub fn notify_count(ep: &Endpoint, win: u32) -> usize {
-    ep.os
-        .windows
-        .get(&(win & WIN_MASK))
-        .map_or(0, |w| w.notify_times.len())
-}
-
 fn post_put(
     ep: &mut Endpoint,
     target: Rank,
@@ -451,7 +443,7 @@ pub(crate) fn intake_ctrl(ep: &mut Endpoint, msg: Message) {
 mod tests {
     use super::*;
     use crate::model::MachineModel;
-    use crate::reliable::ReliableConfig;
+    use crate::reliable::CHUNK_BYTES;
     use crate::world::World;
 
     const CTX: u32 = Tag::FIRST_USER_CTX;
@@ -498,7 +490,6 @@ mod tests {
             put_notify(ep, 0, CTX, 2, 4, &[0xABu8; 8]).unwrap();
             put_flush(ep, 0, CTX, 2).unwrap();
             expose(ep, 2, vec![0u8; 16]);
-            assert_eq!(notify_count(ep, 2), 1);
             wait_notify(ep, 2, 1).unwrap();
             window_bytes(ep, 2).unwrap()
         });
@@ -507,12 +498,8 @@ mod tests {
 
     #[test]
     fn large_put_streams_in_chunks() {
-        let cfg = ReliableConfig {
-            chunk_bytes: 1024,
-            ..ReliableConfig::default()
-        };
-        let n = 10 * 1024;
-        let world = World::with_model(2, MachineModel::zero()).with_reliable_config(cfg);
+        let n = 4 * CHUNK_BYTES;
+        let world = World::with_model(2, MachineModel::zero());
         let out = world.run(move |ep| {
             if ep.rank() == 0 {
                 expose(ep, 3, vec![0u8; n]);
@@ -526,9 +513,9 @@ mod tests {
             }
         });
         assert_eq!(out.results[0], out.results[1]);
-        // The put went out as multiple reliable frames (header + 10 KiB
-        // over 1 KiB chunks), not one giant frame.
-        assert!(out.stats.msgs[1][0] > 9);
+        // The put went out as multiple reliable frames (header + four
+        // chunks' worth of data), not one giant frame.
+        assert!(out.stats.msgs[1][0] > 4);
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //!   trailer at the end so the payload is recovered by a zero-copy
 //!   truncate.  The `FLAG_LAST` bit marks the final frame of a logical
 //!   message; [`reliable_send`] chunks large payloads into
-//!   [`ReliableConfig::chunk_bytes`]-sized frames so a multi-megabyte move
-//!   streams as many moderate frames instead of one giant frame.
+//!   [`CHUNK_BYTES`]-sized frames so a multi-megabyte move streams as
+//!   many moderate frames instead of one giant frame.
 //! * **Control frames** are 9 bytes, `[kind u8][seq u64]`, with kinds
 //!   ACK / NACK / GIVEUP, and are never bit-flipped by the injector (a
 //!   few bytes against multi-megabyte payloads).
-//! * The sender admits up to [`ReliableConfig::window_frames`] frames (or
-//!   [`ReliableConfig::window_bytes`] bytes) before stalling; a stall
-//!   pumps the protocol until acks open the window again.
+//! * The sender admits up to [`ReliableConfig::window_frames`] frames
+//!   before stalling; a stall pumps the protocol until acks open the
+//!   window again.
 //! * **ACKs are cumulative**: `ACK(n)` retires every pending frame with
 //!   `seq <= n`.  The receiver acks on every in-order delivery, so one ack
 //!   can advance the window over several frames at once.
@@ -36,11 +36,10 @@
 //! * Every frame carries an exponential-backoff virtual-clock deadline.
 //!   When an ack arrives after a pending frame's deadline has passed, the
 //!   sweep retransmits every such frame in one **retransmit burst** (the
-//!   windowed analogue of a timeout firing).  After
-//!   [`ReliableConfig::max_retries`] attempts on any frame the sender
-//!   sends GIVEUP and the stream turns into [`SimError::PeerTimeout`] on
-//!   both sides — a permanent partition degrades into an error, not a
-//!   hang.
+//!   windowed analogue of a timeout firing).  After 24 retransmissions
+//!   of any frame the sender sends GIVEUP and the stream turns into
+//!   [`SimError::PeerTimeout`] on both sides — a permanent partition
+//!   degrades into an error, not a hang.
 //!
 //! Streams whose id carries the one-sided sink bits (see
 //! [`crate::onesided`]) deliver into exposed windows at intake instead of
@@ -136,71 +135,59 @@ fn ctrl_tag_of_data(data: Tag) -> Tag {
     )
 }
 
-/// Window, chunking, and retry/backoff policy for reliable streams.
+/// Payloads longer than this are split into frames of at most this many
+/// bytes, so packing/unpacking can overlap wire time.
+pub const CHUNK_BYTES: usize = 256 << 10;
+/// Slack added to the modeled round trip before an ack counts as late.
+const BASE_TIMEOUT: f64 = 200e-6;
+/// Deadline multiplier per retransmission attempt.
+const BACKOFF: f64 = 2.0;
+/// Retransmissions before the sender gives up on the peer.
+const MAX_RETRIES: u32 = 24;
+
+/// Sliding-window size for reliable streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliableConfig {
-    /// Slack added to the modeled round trip before an ack counts as late.
-    pub base_timeout: f64,
-    /// Deadline multiplier per retransmission attempt.
-    pub backoff: f64,
-    /// Retransmissions before the sender gives up on the peer.
-    pub max_retries: u32,
     /// Maximum unacknowledged frames in flight per `(peer, stream)`.
     /// `1` degenerates to stop-and-wait.
     pub window_frames: usize,
-    /// Maximum unacknowledged bytes in flight per `(peer, stream)`.
-    pub window_bytes: usize,
-    /// Payloads longer than this are split into frames of at most this
-    /// many bytes, so packing/unpacking can overlap wire time.
-    pub chunk_bytes: usize,
 }
 
 impl Default for ReliableConfig {
     fn default() -> Self {
-        ReliableConfig {
-            base_timeout: 200e-6,
-            backoff: 2.0,
-            max_retries: 24,
-            window_frames: 64,
-            window_bytes: 32 << 20,
-            chunk_bytes: 256 << 10,
-        }
+        ReliableConfig { window_frames: 64 }
     }
 }
 
 /// Backoff exponents above this are clamped: `2^20` already multiplies the
 /// deadline by a million, and larger exponents only invite `inf`.
 const MAX_BACKOFF_EXP: u32 = 20;
-/// Hard cap on any single ack deadline, in virtual seconds.  A hostile
-/// backoff factor cannot push a deadline past this (let alone to `inf`,
-/// which would make a stream unretirable).
+/// Hard cap on any single ack deadline, in virtual seconds.  No attempt
+/// count can push a deadline past this (let alone to `inf`, which would
+/// make a stream unretirable).
 const MAX_TIMEOUT: f64 = 600.0;
 
 impl ReliableConfig {
-    /// The stop-and-wait ablation: one frame in flight, same chunking and
-    /// retry policy as the default.  Used by benches to measure what the
-    /// sliding window buys.
+    /// The stop-and-wait ablation: one frame in flight.  Used by benches
+    /// to measure what the sliding window buys.
     pub fn stop_and_wait() -> Self {
-        ReliableConfig {
-            window_frames: 1,
-            ..ReliableConfig::default()
-        }
+        ReliableConfig { window_frames: 1 }
     }
+}
 
-    /// Ack deadline for a frame of `bytes` on its `attempt`-th try.
-    ///
-    /// The exponent is clamped and the result capped so a hostile fault
-    /// plan driving `attempt` high (or a huge `backoff`) cannot overflow
-    /// the deadline to `inf` — an infinite deadline would never expire.
-    pub fn timeout_for(&self, model: &MachineModel, bytes: usize, attempt: u32) -> f64 {
-        let rtt = model.transit(bytes)
-            + model.transit(CTRL_LEN)
-            + model.send_overhead
-            + model.recv_overhead
-            + self.base_timeout;
-        let exp = attempt.min(MAX_BACKOFF_EXP) as i32;
-        (rtt * self.backoff.powi(exp)).min(MAX_TIMEOUT)
-    }
+/// Ack deadline for a frame of `bytes` on its `attempt`-th try.
+///
+/// The exponent is clamped and the result capped so a hostile fault plan
+/// driving `attempt` high cannot overflow the deadline to `inf` — an
+/// infinite deadline would never expire.
+fn timeout_for(model: &MachineModel, bytes: usize, attempt: u32) -> f64 {
+    let rtt = model.transit(bytes)
+        + model.transit(CTRL_LEN)
+        + model.send_overhead
+        + model.recv_overhead
+        + BASE_TIMEOUT;
+    let exp = attempt.min(MAX_BACKOFF_EXP) as i32;
+    (rtt * BACKOFF.powi(exp)).min(MAX_TIMEOUT)
 }
 
 #[derive(Debug)]
@@ -410,10 +397,6 @@ impl ReliableState {
         });
     }
 
-    pub(crate) fn config(&self) -> &ReliableConfig {
-        &self.cfg
-    }
-
     /// Forget every stream keyed to `peer`, both directions.  Called when
     /// a heartbeat reveals the peer restarted under a new incarnation:
     /// the old life's sequence space is void, and the new life's streams
@@ -526,24 +509,23 @@ fn decode_ctrl(bytes: &[u8]) -> Option<(u8, u64)> {
 }
 
 /// Post one logical message on the stream toward `to`.  Payloads larger
-/// than [`ReliableConfig::chunk_bytes`] are split into frames; each frame
-/// is admitted as soon as the sliding window has room, so the wire carries
-/// chunk `k` while chunk `k+1` is being posted.  Call [`flush_send`]
-/// afterwards to wait for acknowledgement of everything posted.
+/// than [`CHUNK_BYTES`] are split into frames; each frame is admitted as
+/// soon as the sliding window has room, so the wire carries chunk `k`
+/// while chunk `k+1` is being posted.  Call [`flush_send`] afterwards to
+/// wait for acknowledgement of everything posted.
 pub fn reliable_send(
     ep: &mut Endpoint,
     to: Rank,
     st: StreamTag,
     payload: Vec<u8>,
 ) -> Result<(), SimError> {
-    let chunk = ep.rel.cfg.chunk_bytes.max(1);
-    if payload.len() <= chunk {
+    if payload.len() <= CHUNK_BYTES {
         return post_frame(ep, to, st, payload, FLAG_LAST);
     }
     let total = payload.len();
     let mut off = 0;
     while off < total {
-        let hi = (off + chunk).min(total);
+        let hi = (off + CHUNK_BYTES).min(total);
         let mut buf = ep.take_buf();
         buf.extend_from_slice(&payload[off..hi]);
         let flags = if hi == total { FLAG_LAST } else { 0 };
@@ -590,7 +572,7 @@ fn post_frame(
     // frame's ack cannot arrive before every in-flight byte ahead of it
     // has cleared the wire.  Sizing the timeout on the whole backlog keeps
     // a full window from reading as loss.
-    let deadline = ep.clock + ep.rel.cfg.timeout_for(&ep.model, stream.in_flight_bytes, 0);
+    let deadline = ep.clock + timeout_for(&ep.model, stream.in_flight_bytes, 0);
     stream.pending.push_back(PendingSend {
         seq,
         attempt: 0,
@@ -612,7 +594,6 @@ fn wait_for_window(ep: &mut Endpoint, to: Rank, st: StreamTag) -> Result<(), Sim
     ep.check_evicted(to)?;
     let key = (to, st.data.0);
     let max_frames = ep.rel.cfg.window_frames.max(1);
-    let max_bytes = ep.rel.cfg.window_bytes.max(1);
     let mut stalled = false;
     let mut misses = 0u32;
     loop {
@@ -624,7 +605,7 @@ fn wait_for_window(ep: &mut Endpoint, to: Rank, st: StreamTag) -> Result<(), Sim
         let gate = match ep.rel.send.get(&key) {
             None => Gate::Open(0.0),
             Some(s) if s.dead => Gate::Dead(s.dead_at),
-            Some(s) if s.pending.len() >= max_frames || s.in_flight_bytes >= max_bytes => {
+            Some(s) if s.pending.len() >= max_frames => {
                 Gate::Full(s.pending.len(), s.in_flight_bytes)
             }
             Some(s) => Gate::Open(s.complete_at),
@@ -960,12 +941,11 @@ fn retransmit_pending(
     trigger_at: f64,
 ) -> bool {
     let send_ov = ep.model.send_overhead;
-    let max_retries = ep.rel.cfg.max_retries;
     let key = (to, data_tag.0);
     let stream = ep.rel.send.get_mut(&key).expect("caller checked");
     let p = &mut stream.pending[idx];
     p.attempt += 1;
-    if p.attempt > max_retries {
+    if p.attempt > MAX_RETRIES {
         // Budget exhausted: declare the peer unreachable, tell it so
         // (best effort), and surface PeerTimeout at the flush.
         let seq = p.seq;
@@ -991,7 +971,7 @@ fn retransmit_pending(
     // Same queue-aware sizing as the original post: the retry drains
     // behind everything still in flight.
     let backlog = stream.in_flight_bytes;
-    let deadline = t_retx + ep.rel.cfg.timeout_for(&ep.model, backlog, attempt);
+    let deadline = t_retx + timeout_for(&ep.model, backlog, attempt);
     stream.pending[idx].deadline = deadline;
     ep.stats.faults.timeouts += 1;
     ep.stats.faults.retransmits += 1;
@@ -1208,13 +1188,12 @@ mod tests {
 
     #[test]
     fn backoff_grows_deadlines() {
-        let cfg = ReliableConfig::default();
         let m = MachineModel::sp2();
-        let t0 = cfg.timeout_for(&m, 1024, 0);
-        let t1 = cfg.timeout_for(&m, 1024, 1);
-        let t3 = cfg.timeout_for(&m, 1024, 3);
+        let t0 = timeout_for(&m, 1024, 0);
+        let t1 = timeout_for(&m, 1024, 1);
+        let t3 = timeout_for(&m, 1024, 3);
         assert!(t0 > 0.0);
-        assert!((t1 / t0 - cfg.backoff).abs() < 1e-9);
+        assert!((t1 / t0 - BACKOFF).abs() < 1e-9);
         assert!(t3 > t1);
     }
 
@@ -1222,34 +1201,39 @@ mod tests {
     fn backoff_overflow_is_clamped() {
         // A hostile attempt count must not overflow the deadline to inf:
         // the exponent clamps and the result caps.
-        let cfg = ReliableConfig {
-            backoff: 10.0,
-            ..ReliableConfig::default()
-        };
         let m = MachineModel::sp2();
-        let t_huge = cfg.timeout_for(&m, 1 << 20, u32::MAX);
-        assert!(t_huge.is_finite());
-        assert!(t_huge <= MAX_TIMEOUT);
+        let t_huge = timeout_for(&m, 1 << 20, u32::MAX);
+        assert_eq!(t_huge, MAX_TIMEOUT);
         // Clamped region is flat: more attempts never shrink or blow it.
-        assert_eq!(t_huge, cfg.timeout_for(&m, 1 << 20, 1_000_000));
-        assert_eq!(t_huge, cfg.timeout_for(&m, 1 << 20, MAX_BACKOFF_EXP + 1));
+        assert_eq!(t_huge, timeout_for(&m, 1 << 20, 1_000_000));
+        assert_eq!(t_huge, timeout_for(&m, 1 << 20, MAX_BACKOFF_EXP + 1));
     }
 
     #[test]
     fn stop_and_wait_is_one_frame_window() {
         let cfg = ReliableConfig::stop_and_wait();
         assert_eq!(cfg.window_frames, 1);
-        assert_eq!(cfg.chunk_bytes, ReliableConfig::default().chunk_bytes);
+        // Three chunks: the second and third each wait for the ack of the
+        // frame before them.
+        let world = World::with_model(2, MachineModel::sp2()).with_reliable_config(cfg);
+        let out = world.run(|ep| {
+            let st = StreamTag::new(20, 1);
+            if ep.rank() == 0 {
+                reliable_send(ep, 1, st, vec![0x3Cu8; 3 * CHUNK_BYTES]).unwrap();
+                flush_send(ep, 1, st).unwrap();
+            } else {
+                assert_eq!(reliable_recv(ep, 0, st).unwrap().len(), 3 * CHUNK_BYTES);
+            }
+        });
+        assert_eq!(out.stats.msgs[0][1], 3);
+        assert_eq!(out.stats.faults.window_stalls, 2);
     }
 
     #[test]
     fn chunked_payload_streams_and_reassembles() {
-        let cfg = ReliableConfig {
-            chunk_bytes: 1024,
-            window_frames: 8,
-            ..ReliableConfig::default()
-        };
-        let payload: Vec<u8> = (0..10_240u32).map(|i| (i % 251) as u8).collect();
+        let cfg = ReliableConfig { window_frames: 8 };
+        let len = 9 * CHUNK_BYTES + CHUNK_BYTES / 2;
+        let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         let sent = payload.clone();
         let world = World::with_model(2, MachineModel::zero()).with_reliable_config(cfg);
         let out = world.run(move |ep| {
@@ -1263,7 +1247,7 @@ mod tests {
             }
         });
         assert_eq!(out.results[1], payload);
-        // 10240 bytes at 1 KiB per chunk = 10 data frames.
+        // Nine and a half chunks = 10 data frames.
         assert_eq!(out.stats.msgs[0][1], 10);
         // Cumulative acks advanced the window at least once.
         assert!(out.stats.faults.window_advances >= 1);
@@ -1272,12 +1256,8 @@ mod tests {
 
     #[test]
     fn tight_window_stalls_sender() {
-        let cfg = ReliableConfig {
-            chunk_bytes: 512,
-            window_frames: 2,
-            ..ReliableConfig::default()
-        };
-        let payload = vec![0xA5u8; 8 * 512];
+        let cfg = ReliableConfig { window_frames: 2 };
+        let payload = vec![0xA5u8; 8 * CHUNK_BYTES];
         let expect = payload.clone();
         let world = World::with_model(2, MachineModel::sp2()).with_reliable_config(cfg);
         let out = world.run(move |ep| {

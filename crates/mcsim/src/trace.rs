@@ -208,32 +208,10 @@ impl TraceEvent {
         }
     }
 
-    /// The event's wire-format type name — the `"type"` field the JSONL
-    /// exporter writes.  Exhaustive by construction: adding a variant
-    /// without extending the exporters fails to compile here first.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Send { .. } => "send",
-            TraceEvent::Recv { .. } => "recv",
-            TraceEvent::Fault { .. } => "fault",
-            TraceEvent::Retransmit { .. } => "retransmit",
-            TraceEvent::WindowAdvance { .. } => "window_advance",
-            TraceEvent::WindowStall { .. } => "window_stall",
-            TraceEvent::RetransmitBurst { .. } => "retransmit_burst",
-            TraceEvent::SpanBegin { .. } => "span_begin",
-            TraceEvent::SpanEnd { .. } => "span_end",
-            TraceEvent::Mark { .. } => "mark",
-            TraceEvent::Heartbeat { .. } => "heartbeat",
-            TraceEvent::LeaseExpired { .. } => "lease_expired",
-            TraceEvent::Recovered { .. } => "recovered",
-            TraceEvent::PartReplayed { .. } => "part_replayed",
-        }
-    }
-
     /// One representative event per variant, in declaration order — the
     /// exporter-coverage tests iterate this so a new variant cannot ship
-    /// without JSONL and chrome-trace coverage (this function's `match`
-    /// in [`Self::kind`] breaks first, then the round-trip test).
+    /// without JSONL and chrome-trace coverage (the exporters' exhaustive
+    /// `match` breaks first, then the round-trip test).
     pub fn sample_events() -> Vec<TraceEvent> {
         let tag = Tag::user(3);
         vec![

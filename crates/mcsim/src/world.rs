@@ -173,8 +173,8 @@ impl World {
         self
     }
 
-    /// Override the reliable-transport configuration (window size,
-    /// chunking, retry policy) every endpoint in this world runs with.
+    /// Override the reliable-transport window every endpoint in this
+    /// world runs with.
     /// `ReliableConfig::stop_and_wait()` gives the one-frame-in-flight
     /// ablation the benches compare against.
     pub fn with_reliable_config(mut self, cfg: ReliableConfig) -> Self {

@@ -348,10 +348,8 @@ const PART_HDR_SLACK: usize = 32;
 /// Elements per streamed part: as many as fit one transport chunk, so the
 /// pack of part `k+1` overlaps the wire time of part `k` inside the
 /// sliding window instead of serializing pack → wire → unpack.
-fn part_elems(ep: &Endpoint, elem_size: usize) -> usize {
-    let chunk = ep.reliable_config().chunk_bytes;
-    let budget = chunk.saturating_sub(PART_HDR_SLACK).max(1);
-    (budget / elem_size.max(1)).max(1)
+fn part_elems(elem_size: usize) -> usize {
+    ((mcsim::reliable::CHUNK_BYTES - PART_HDR_SLACK) / elem_size.max(1)).max(1)
 }
 
 /// Pack and post ONE pair's half as a stream of parts, each one reliable
@@ -370,7 +368,7 @@ where
     S: McObject<T>,
 {
     let st = move_stream(sched);
-    let per_part = part_elems(ep, sched.elem_size() as usize);
+    let per_part = part_elems(sched.elem_size() as usize);
     let total = runs.len();
     let parts = total.div_ceil(per_part);
     let detail = note!("", peer = pg, runs = total, te = te, parts = parts);

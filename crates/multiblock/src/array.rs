@@ -158,16 +158,6 @@ impl<T: Copy + Default> MultiblockArray<T> {
     }
 }
 
-impl MultiblockArray<f64> {
-    /// Global sum over every owned element (collective over the program).
-    pub fn global_sum(&self, comm: &mut mcsim::group::Comm<'_>) -> f64 {
-        let local = self.local_sum();
-        comm.ep()
-            .charge_flops(self.dist.local_alloc_len(self.my_local));
-        comm.allreduce_sum(local)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,21 +194,6 @@ mod tests {
         });
         let total: f64 = out.results.iter().sum();
         assert_eq!(total, 36.0);
-    }
-
-    #[test]
-    fn global_sum_collective() {
-        let world = World::with_model(4, MachineModel::zero());
-        world.run(|ep| {
-            let g = Group::world(4);
-            let mut a = MultiblockArray::<f64>::new(&g, ep.rank(), &[8, 8]);
-            a.fill_with(|c| (c[0] + c[1]) as f64);
-            let mut comm = mcsim::group::Comm::new(ep, g);
-            let want: f64 = (0..8)
-                .flat_map(|i| (0..8).map(move |j| (i + j) as f64))
-                .sum();
-            assert_eq!(a.global_sum(&mut comm), want);
-        });
     }
 
     #[test]

@@ -20,15 +20,6 @@ pub fn test_world(p: usize) -> mcsim::World {
     mcsim::World::with_model(p, mcsim::MachineModel::zero())
 }
 
-/// Split a `p`-rank world into the canonical two coupled programs
-/// (`p/2` and `p - p/2` ranks) plus their union, on the tests' base
-/// context.  Parameterized over `p` so harnesses scale past the
-/// historical hard-coded `split_two(2, 2, 32)`.
-pub fn coupled_groups(p: usize) -> (mcsim::Group, mcsim::Group, mcsim::Group) {
-    assert!(p >= 2, "need at least one rank per program");
-    mcsim::Group::split_two(p / 2, p - p / 2, 32)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -350,10 +350,7 @@ fn window_full_stall_blocks_then_drains_in_order() {
     use mcsim::reliable::{flush_send, reliable_recv, reliable_send, StreamTag};
     use mcsim::{MachineModel, ReliableConfig, World};
 
-    let tiny = ReliableConfig {
-        window_frames: 2,
-        ..ReliableConfig::default()
-    };
+    let tiny = ReliableConfig { window_frames: 2 };
     for (label, cfg, must_stall) in [
         ("2-frame window", tiny, true),
         ("stop-and-wait", ReliableConfig::stop_and_wait(), true),
