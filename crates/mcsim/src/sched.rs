@@ -117,31 +117,40 @@ pub(crate) enum ParkKind {
     Service,
 }
 
-/// Lifetime-erased task body.  Safety: [`run`] drives every task to
-/// completion (and joins every baton thread) before `World::execute`
-/// returns, so the borrows captured inside never outlive their owners.
-pub(crate) type TaskBody = Box<dyn FnOnce() + Send>;
+/// One rank's program.  Like a `std::thread::scope` closure it may borrow
+/// from the caller of [`run`] for `'scope`: `run` returns only once every
+/// body has finished.
+pub(crate) type TaskBody<'scope> = Box<dyn FnOnce() + Send + 'scope>;
 
 /// Per-task control block: the switch back end's state and the body's
-/// completion record.  Allocated by [`run`], reached through the raw
+/// completion record.  Made and freed by [`run`], reached through the raw
 /// pointer in the task's hub slot, and only ever touched by whichever of
 /// {dispatch loop, task} currently runs (the hub's invariant).
-struct TaskCell {
+struct TaskCell<'scope> {
     switch: Switch,
     /// Set once the task body has returned.
     finished: bool,
     /// A panic that escaped the task body's own catch (a harness bug);
     /// re-raised on the host thread so it is not silently lost.
     escaped: Option<Box<dyn Any + Send>>,
-    body: Option<TaskBody>,
+    body: Option<TaskBody<'scope>>,
 }
 
-impl TaskCell {
+/// How the hub and the switch back ends hold a cell: with its scope
+/// erased, which only [`TaskCell::new`] does.
+type CellPtr = *mut TaskCell<'static>;
+
+impl<'scope> TaskCell<'scope> {
     /// A heap cell owned through the returned pointer; [`run`] frees it.
-    fn new(body: TaskBody) -> *mut TaskCell {
+    fn new(body: TaskBody<'scope>) -> CellPtr {
         // Allocate first: the switch back end captures the cell's address.
-        let cell: *mut TaskCell = Box::into_raw(Box::<TaskCell>::new_uninit()).cast();
-        let switch = Switch::new(cell);
+        let cell: *mut Self = Box::into_raw(Box::<Self>::new_uninit()).cast();
+        // Erase the scope for the hub and the back ends.  Sound because
+        // `run` resumes tasks only before it returns, and frees every cell
+        // (after joining every baton thread) before it does; if it unwinds
+        // instead, the cells leak and no task is ever resumed again.
+        let erased: CellPtr = cell.cast();
+        let switch = Switch::new(erased);
         // SAFETY: `cell` is a fresh allocation of `TaskCell`'s layout that
         // nothing reads before this write (a baton thread spawned by
         // `Switch::new` first waits for its turn).
@@ -153,7 +162,7 @@ impl TaskCell {
                 body: Some(body),
             });
         }
-        cell
+        erased
     }
 }
 
@@ -164,7 +173,7 @@ impl TaskCell {
 ///
 /// # Safety
 /// `cell` must point to a live `TaskCell` whose turn it is to run.
-unsafe fn run_body(cell: *mut TaskCell) {
+unsafe fn run_body(cell: CellPtr) {
     let body = (*cell).body.take().expect("task body runs once");
     if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
         (*cell).escaped = Some(e);
@@ -187,7 +196,7 @@ enum Switch {
 impl Switch {
     /// The target's back end, set up to start `run_body(cell)` on the first
     /// switch-in.  `cell` need not be initialized yet.
-    fn new(cell: *mut TaskCell) -> Switch {
+    fn new(cell: CellPtr) -> Switch {
         #[cfg(all(test, target_arch = "x86_64"))]
         if FORCE_BATON.get() {
             return Switch::Baton(baton::BatonTask::spawn(cell));
@@ -205,7 +214,7 @@ impl Switch {
 /// # Safety
 /// `cell` must point to a live, unfinished `TaskCell`, and the caller must
 /// be the dispatch loop.
-unsafe fn switch_to_task(cell: *mut TaskCell) {
+unsafe fn switch_to_task(cell: CellPtr) {
     match &(*cell).switch {
         #[cfg(target_arch = "x86_64")]
         Switch::Coro(c) => c.to_task(),
@@ -219,7 +228,7 @@ unsafe fn switch_to_task(cell: *mut TaskCell) {
 ///
 /// # Safety
 /// Must only be called from inside the task `cell` belongs to.
-unsafe fn switch_to_host(cell: *mut TaskCell) {
+unsafe fn switch_to_host(cell: CellPtr) {
     match &(*cell).switch {
         #[cfg(target_arch = "x86_64")]
         Switch::Coro(c) => c.to_host(),
@@ -231,7 +240,7 @@ unsafe fn switch_to_host(cell: *mut TaskCell) {
 /// x86_64 back end: a stackful coroutine switched by SysV assembly.
 #[cfg(target_arch = "x86_64")]
 mod coro {
-    use super::{run_body, TaskCell, COOP_STACK_BYTES};
+    use super::{run_body, CellPtr, COOP_STACK_BYTES};
     use std::cell::UnsafeCell;
 
     core::arch::global_asm!(
@@ -272,6 +281,11 @@ mcsim_coro_thunk:
         /// restore `target` as the stack pointer and return into it.  The
         /// saved continuation resumes right after this call when someone
         /// switches back.
+        ///
+        /// # Safety
+        /// `save` must be writable, and `target` a stack pointer this
+        /// function saved (or [`Coro::new`] laid out) whose stack is live
+        /// and not running.
         fn mcsim_ctx_switch(save: *mut usize, target: usize);
     }
 
@@ -279,6 +293,7 @@ mcsim_coro_thunk:
         /// Initial `ret` target of a fresh task stack (defined in the
         /// `global_asm!` block above): moves the cell pointer from `r12`
         /// into the first argument register and calls [`mcsim_coro_entry`].
+        /// Never called from Rust: only its address is taken.
         fn mcsim_coro_thunk();
     }
 
@@ -331,7 +346,7 @@ mcsim_coro_thunk:
         /// switch-in pops zeroed callee-saved registers (with `r12` =
         /// cell pointer) and `ret`s into `mcsim_coro_thunk`, which calls
         /// [`mcsim_coro_entry`] with SysV stack alignment.
-        pub(super) fn new(cell: *mut TaskCell) -> Coro {
+        pub(super) fn new(cell: CellPtr) -> Coro {
             let stack = StackMem::new();
             let top = stack.top();
             debug_assert_eq!(top % 16, 0);
@@ -381,8 +396,13 @@ mcsim_coro_thunk:
     /// Entry point every fresh task stack starts in (called from the asm
     /// thunk).  Never returns: on completion it switches back to the
     /// dispatch loop forever.
+    ///
+    /// # Safety
+    /// Only `mcsim_coro_thunk` calls it, on the first switch into the
+    /// stack [`Coro::new`] laid out for `cell`: the dispatch loop has just
+    /// handed that live cell its turn.
     #[no_mangle]
-    unsafe extern "sysv64" fn mcsim_coro_entry(cell: *mut TaskCell) -> ! {
+    unsafe extern "sysv64" fn mcsim_coro_entry(cell: CellPtr) -> ! {
         run_body(cell);
         loop {
             super::switch_to_host(cell);
@@ -394,7 +414,7 @@ mcsim_coro_thunk:
 /// baton lets exactly one of {dispatch loop, task} run.
 #[cfg(any(test, not(target_arch = "x86_64")))]
 mod baton {
-    use super::{run_body, TaskCell, COOP_STACK_BYTES};
+    use super::{run_body, CellPtr, COOP_STACK_BYTES};
     use std::sync::{Arc, Condvar, Mutex};
 
     /// Whose turn it is.  The mutex is also what makes every write to the
@@ -423,20 +443,20 @@ mod baton {
         thread: Option<std::thread::JoinHandle<()>>,
     }
 
-    struct CellPtr(*mut TaskCell);
+    struct SendCell(CellPtr);
     // SAFETY: the pointer is only dereferenced while its thread holds the
     // baton, and `run` joins the thread before the cell is freed.
-    unsafe impl Send for CellPtr {}
+    unsafe impl Send for SendCell {}
 
     impl BatonTask {
         /// Start the task's thread; it waits for its first turn.
-        pub(super) fn spawn(cell: *mut TaskCell) -> BatonTask {
+        pub(super) fn spawn(cell: CellPtr) -> BatonTask {
             let baton = Arc::new(Baton {
                 task_turn: Mutex::new(false),
                 cv: Condvar::new(),
             });
             let theirs = baton.clone();
-            let cell = CellPtr(cell);
+            let cell = SendCell(cell);
             let thread = std::thread::Builder::new()
                 .stack_size(COOP_STACK_BYTES)
                 .spawn(move || {
@@ -560,7 +580,7 @@ struct Slot {
     /// high-water mark would pin 1023 envelopes per rank.
     mailbox: VecDeque<Message>,
     /// The rank's control block; null outside [`run`].
-    cell: *mut TaskCell,
+    cell: CellPtr,
     /// Times the task was dispatched: the perturbed tie-break's slice.
     slices: u32,
 }
@@ -601,7 +621,7 @@ pub(crate) struct Hub {
 // holder of the turn wrote happens-before whatever the next one reads.
 unsafe impl Sync for Hub {}
 // SAFETY: the only fields that are not `Send` by themselves are the
-// slots' `*mut TaskCell` (and the coroutine stacks behind them); the cells
+// slots' cell pointers (and the coroutine stacks behind them); the cells
 // are owned by `run`, which frees them on the thread that made them, and
 // are dereferenced only under the invariant above.
 unsafe impl Send for Hub {}
@@ -776,7 +796,7 @@ impl Inner {
 
     /// Mark the lowest-keyed runnable task running and return its rank
     /// and cell, or `None` once every task is done.
-    fn next_dispatch(&mut self) -> Option<(usize, *mut TaskCell)> {
+    fn next_dispatch(&mut self) -> Option<(usize, CellPtr)> {
         while self.live > 0 {
             while let Some(e) = self.heap.pop() {
                 let rank = e.rank as usize;
@@ -825,17 +845,8 @@ impl Inner {
             if let Some(rank) = pick {
                 return self.wake_waiter(rank, WakeCause::Silence);
             }
-            // True deadlock: no message in flight, nobody silence-capable.
-            // Deterministic teardown (SimError::Shutdown at every waiter)
-            // instead of a hang.
-            if std::env::var_os("MCSIM_SCHED_DEBUG").is_some() {
-                for (r, s) in self.slots.iter().enumerate() {
-                    eprintln!(
-                        "mcsim-sched deadlock: rank={r} mode={:?} state={:?} clock={} mail={} expiry={}",
-                        s.mode, s.state, s.clock, s.mail, s.expiry
-                    );
-                }
-            }
+            // Otherwise a true deadlock: no message in flight, nobody
+            // silence-capable.
         }
         // Every program returned (release the service loops) or the
         // world is deadlocked: either way every waiter gets `Shutdown`.
@@ -891,7 +902,7 @@ impl Inner {
 /// per body (rank = index), then resume the lowest-keyed runnable task
 /// until every task is done (and, on the baton back end, its thread
 /// joined).  Returns a panic that escaped a task harness, if any.
-pub(crate) fn run(hub: &Hub, bodies: Vec<TaskBody>) -> Option<Box<dyn Any + Send>> {
+pub(crate) fn run<'scope>(hub: &Hub, bodies: Vec<TaskBody<'scope>>) -> Option<Box<dyn Any + Send>> {
     hub.with(|h| {
         assert_eq!(bodies.len(), h.slots.len(), "one body per rank");
         for (slot, body) in h.slots.iter_mut().zip(bodies) {
@@ -910,15 +921,16 @@ pub(crate) fn run(hub: &Hub, bodies: Vec<TaskBody>) -> Option<Box<dyn Any + Send
             hub.with(|h| h.finished(rank));
         }
     }
-    let cells: Vec<*mut TaskCell> = hub.with(|h| {
+    let cells: Vec<CellPtr> = hub.with(|h| {
         let take = |s: &mut Slot| std::mem::replace(&mut s.cell, std::ptr::null_mut());
         h.slots.iter_mut().map(take).collect()
     });
     let mut escaped = None;
     for cell in cells {
-        // SAFETY: the cell came from `Box::into_raw` in `TaskCell::new`,
-        // its task has finished, and no slot points at it any more.
-        let mut cell = unsafe { Box::from_raw(cell) };
+        // SAFETY: the cell came from `Box::into_raw` in `TaskCell::new`
+        // with this scope, its task has finished, and no slot points at it
+        // any more.
+        let mut cell = unsafe { Box::from_raw(cell.cast::<TaskCell<'scope>>()) };
         match &mut cell.switch {
             #[cfg(target_arch = "x86_64")]
             Switch::Coro(_) => {}
@@ -932,7 +944,7 @@ pub(crate) fn run(hub: &Hub, bodies: Vec<TaskBody>) -> Option<Box<dyn Any + Send
 
 #[cfg(test)]
 thread_local! {
-    /// Test-only override read by `Switch::arm` on x86_64: tasks created
+    /// Test-only override read by `Switch::new` on x86_64: tasks created
     /// on this thread use the baton back end instead of the coroutine.
     static FORCE_BATON: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
@@ -952,7 +964,7 @@ mod tests {
     use super::*;
     use crate::message::Body;
     use crate::tag::Tag;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
 
     /// Run `test` once per switch back end this target compiles (off
     /// x86_64 both passes use the baton).
@@ -961,8 +973,8 @@ mod tests {
         with_baton(test);
     }
 
-    fn hub(size: usize) -> Arc<Hub> {
-        Arc::new(Hub::new(size, Topology::Crossbar, None))
+    fn hub(size: usize) -> Hub {
+        Hub::new(size, Topology::Crossbar, None)
     }
 
     fn run_bodies(hub: &Hub, bodies: Vec<TaskBody>) {
@@ -990,14 +1002,10 @@ mod tests {
     #[test]
     fn with_baton_hosts_tasks_on_their_own_threads() {
         let task_thread = || {
-            let seen = Arc::new(Mutex::new(None));
-            let seen2 = seen.clone();
-            let body: TaskBody = Box::new(move || {
-                *seen2.lock().unwrap() = Some(std::thread::current().id());
-            });
+            let mut seen = None;
+            let body: TaskBody = Box::new(|| seen = Some(std::thread::current().id()));
             run_bodies(&hub(1), vec![body]);
-            let id = seen.lock().unwrap().expect("body ran");
-            id
+            seen.expect("body ran")
         };
         let host = std::thread::current().id();
         assert_ne!(with_baton(task_thread), host);
@@ -1009,17 +1017,42 @@ mod tests {
     #[test]
     fn coroutine_switches_and_finishes() {
         on_each_back_end(|| {
-            let hub = hub(1);
-            let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-            let (log2, hub2) = (log.clone(), hub.clone());
-            let body: TaskBody = Box::new(move || {
-                log2.lock().unwrap().push("first");
-                let w = hub2.park(0, ParkKind::Wait { expiry: 1.0 }, 1.0);
+            let (hub, mut log) = (hub(1), Vec::new());
+            let body: TaskBody = Box::new(|| {
+                log.push("first");
+                let w = hub.park(0, ParkKind::Wait { expiry: 1.0 }, 1.0);
                 assert_eq!(w, WakeCause::Silence);
-                log2.lock().unwrap().push("second");
+                log.push("second");
             });
             run_bodies(&hub, vec![body]);
-            assert_eq!(*log.lock().unwrap(), vec!["first", "second"]);
+            assert_eq!(log, vec!["first", "second"]);
+        });
+    }
+
+    /// Bodies borrow the caller's stack, as `std::thread::scope` closures
+    /// do: each task writes its own element of a local array, before and
+    /// after a switch, and reads a shared local.  Every write is visible
+    /// on this thread once `run` returns, a baton thread's included.
+    #[test]
+    fn bodies_borrow_non_static_locals() {
+        on_each_back_end(|| {
+            let hub = hub(3);
+            let base = 40u64;
+            let mut got = [0u64; 3];
+            let bodies = (got.iter_mut().enumerate())
+                .map(|(rank, slot)| -> TaskBody<'_> {
+                    let (hub, base) = (&hub, &base);
+                    Box::new(move || {
+                        *slot = *base + rank as u64;
+                        let clock = rank as f64;
+                        let w = hub.park(rank, ParkKind::Wait { expiry: clock }, clock);
+                        assert_eq!(w, WakeCause::Silence);
+                        *slot += 100 * *base;
+                    })
+                })
+                .collect();
+            run_bodies(&hub, bodies);
+            assert_eq!(got, [4040, 4041, 4042]);
         });
     }
 
@@ -1028,11 +1061,10 @@ mod tests {
     #[test]
     fn lowest_key_runs_first() {
         on_each_back_end(|| {
-            let hub = hub(2);
-            let order: Arc<Mutex<Vec<(usize, u32)>>> = Arc::new(Mutex::new(Vec::new()));
+            let (hub, order) = (hub(2), Mutex::new(Vec::new()));
             let mut bodies: Vec<TaskBody> = Vec::new();
             for rank in 0..2usize {
-                let (order, hub) = (order.clone(), hub.clone());
+                let (order, hub) = (&order, &hub);
                 bodies.push(Box::new(move || {
                     for round in 0..3u32 {
                         order.lock().unwrap().push((rank, round));
@@ -1046,11 +1078,11 @@ mod tests {
                             assert_eq!(hub.park(rank, forever, now), WakeCause::Message);
                         }
                     }
-                    serve(&hub, rank, 3.0);
+                    serve(hub, rank, 3.0);
                 }));
             }
             run_bodies(&hub, bodies);
-            let got = order.lock().unwrap().clone();
+            let got = order.into_inner().unwrap();
             // Rank 0 starts (tie on key 0 broken by rank), and rounds
             // alternate deterministically.
             assert_eq!(got, vec![(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]);
@@ -1062,18 +1094,15 @@ mod tests {
     #[test]
     fn deadlock_becomes_shutdown() {
         on_each_back_end(|| {
-            let hub = hub(1);
-            let hub2 = hub.clone();
-            let saw: Arc<Mutex<Option<WakeCause>>> = Arc::new(Mutex::new(None));
-            let saw2 = saw.clone();
-            let body: TaskBody = Box::new(move || {
+            let (hub, mut saw) = (hub(1), None);
+            let body: TaskBody = Box::new(|| {
                 let forever = ParkKind::Wait {
                     expiry: f64::INFINITY,
                 };
-                *saw2.lock().unwrap() = Some(hub2.park(0, forever, 0.0));
+                saw = Some(hub.park(0, forever, 0.0));
             });
             run_bodies(&hub, vec![body]);
-            assert_eq!(*saw.lock().unwrap(), Some(WakeCause::Shutdown));
+            assert_eq!(saw, Some(WakeCause::Shutdown));
         });
     }
 
@@ -1082,11 +1111,10 @@ mod tests {
     #[test]
     fn silence_wakes_lowest_clock_first() {
         on_each_back_end(|| {
-            let hub = hub(2);
-            let order: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+            let (hub, order) = (hub(2), Mutex::new(Vec::new()));
             let mut bodies: Vec<TaskBody> = Vec::new();
             for rank in 0..2usize {
-                let (order, hub) = (order.clone(), hub.clone());
+                let (order, hub) = (&order, &hub);
                 bodies.push(Box::new(move || {
                     // Rank 1 parks at a lower clock than rank 0.
                     let clock = if rank == 0 { 5.0 } else { 2.0 };
@@ -1096,7 +1124,7 @@ mod tests {
                 }));
             }
             run_bodies(&hub, bodies);
-            assert_eq!(*order.lock().unwrap(), vec![1, 0]);
+            assert_eq!(order.into_inner().unwrap(), vec![1, 0]);
         });
     }
 
@@ -1113,13 +1141,10 @@ mod tests {
             }
         }
         on_each_back_end(|| {
-            let out: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-            let out2 = out.clone();
-            let body: TaskBody = Box::new(move || {
-                *out2.lock().unwrap() = burn(2000, 0);
-            });
+            let mut out = 0;
+            let body: TaskBody = Box::new(|| out = burn(2000, 0));
             run_bodies(&hub(1), vec![body]);
-            assert!(*out.lock().unwrap() > 0);
+            assert!(out > 0);
         });
     }
 
@@ -1129,11 +1154,10 @@ mod tests {
     #[test]
     fn mailbox_is_fifo_and_poison_follows_the_dead_senders_data() {
         on_each_back_end(|| {
-            let hub = hub(3);
-            let got = Arc::new(Mutex::new(Vec::<(Rank, Option<u8>)>::new()));
+            let (hub, got) = (hub(3), Mutex::new(Vec::<(Rank, Option<u8>)>::new()));
             let mut bodies: Vec<TaskBody> = Vec::new();
             for rank in 0..3usize {
-                let (got, hub) = (got.clone(), hub.clone());
+                let (got, hub) = (&got, &hub);
                 bodies.push(Box::new(move || {
                     if rank == 0 {
                         // Parks at clock 0; senders run (key 0) before the
@@ -1164,11 +1188,11 @@ mod tests {
                             );
                         }
                     }
-                    serve(&hub, rank, 9.0);
+                    serve(hub, rank, 9.0);
                 }));
             }
             run_bodies(&hub, bodies);
-            let got = got.lock().unwrap().clone();
+            let got = got.into_inner().unwrap();
             let from = |src| -> Vec<Option<u8>> {
                 let of_src = got.iter().filter(|(s, _)| *s == src);
                 of_src.map(|(_, b)| *b).collect()
@@ -1187,28 +1211,26 @@ mod tests {
             let hub = hub(2);
             let capacity = |hub: &Hub| hub.with(|h| h.slots[0].mailbox.capacity());
             assert_eq!(capacity(&hub), 0, "mailboxes start unallocated");
-            let hub2 = hub.clone();
-            let sender: TaskBody = Box::new(move || {
+            let sender: TaskBody = Box::new(|| {
                 for i in 0..1000u32 {
-                    hub2.post(0, data(1, i as u8, 1.0));
+                    hub.post(0, data(1, i as u8, 1.0));
                 }
-                assert!(capacity(&hub2) >= 1000);
-                serve(&hub2, 1, 1.0);
+                assert!(capacity(&hub) >= 1000);
+                serve(&hub, 1, 1.0);
             });
-            let hub2 = hub.clone();
-            let receiver: TaskBody = Box::new(move || {
+            let receiver: TaskBody = Box::new(|| {
                 let forever = ParkKind::Wait {
                     expiry: f64::INFINITY,
                 };
-                assert_eq!(hub2.park(0, forever, 0.0), WakeCause::Message);
+                assert_eq!(hub.park(0, forever, 0.0), WakeCause::Message);
                 let mut n = 0;
-                while let Some(m) = hub2.pop(0) {
+                while let Some(m) = hub.pop(0) {
                     assert_eq!(m.body.len(), 1);
                     n += 1;
                 }
                 assert_eq!(n, 1000);
-                assert_eq!(capacity(&hub2), 0, "the emptying pop releases the buffer");
-                serve(&hub2, 0, 1.0);
+                assert_eq!(capacity(&hub), 0, "the emptying pop releases the buffer");
+                serve(&hub, 0, 1.0);
             });
             run_bodies(&hub, vec![receiver, sender]);
             assert_eq!(capacity(&hub), 0);
@@ -1225,9 +1247,8 @@ mod tests {
     fn reentrant_hub_access_is_caught() {
         let reenter = || {
             let hub = hub(1);
-            let hub2 = hub.clone();
-            let body: TaskBody = Box::new(move || {
-                hub2.with(|_| hub2.contended_secs());
+            let body: TaskBody = Box::new(|| {
+                hub.with(|_| hub.contended_secs());
             });
             run_bodies(&hub, vec![body]);
         };

@@ -499,8 +499,10 @@ mod tests {
     }
 
     /// Bulk slice paths against the per-element codec, for one record type.
-    fn bulk_matches_elementwise<T: Wire + Clone + PartialEq + std::fmt::Debug>(vals: &[T]) {
-        let size = T::FIXED.expect("inspector records are fixed-size");
+    fn bulk_matches_elementwise<T: Wire + Clone + Default + PartialEq + std::fmt::Debug>(
+        vals: &[T],
+    ) {
+        let size = T::FIXED.expect("bulk paths take fixed-size records");
         let mut per_elem = Vec::new();
         for v in vals {
             v.write(&mut per_elem);
@@ -510,21 +512,28 @@ mod tests {
         let mut bulk = vec![0xaa];
         T::write_slice(vals, &mut bulk);
         assert_eq!(&bulk[1..], &per_elem[..]);
-        // Decoding: same values through every entry point.
-        let mut r = WireReader::new(&per_elem);
-        let one_by_one: Vec<T> = (0..vals.len()).map(|_| T::read(&mut r).unwrap()).collect();
-        r.finish().unwrap();
-        assert_eq!(one_by_one, vals);
-        let mut r = WireReader::new(&per_elem);
-        let mut extended = Vec::new();
-        T::read_extend(&mut r, vals.len(), &mut extended).unwrap();
-        r.finish().unwrap();
-        assert_eq!(extended, vals);
-        let mut r = WireReader::new(&per_elem);
-        let mut slots = vec![vals[0].clone(); vals.len()];
-        T::read_slice(&mut r, &mut slots).unwrap();
-        r.finish().unwrap();
-        assert_eq!(slots, vals);
+        // Decoding: same values through every entry point, from an aligned
+        // source and from one at an odd address (the one-copy paths must
+        // not assume the payload is aligned for `T`).
+        let mut shifted = vec![0xaa];
+        shifted.extend_from_slice(&per_elem);
+        assert_eq!(shifted[1..].as_ptr() as usize % 2, 1);
+        for src in [&per_elem[..], &shifted[1..]] {
+            let mut r = WireReader::new(src);
+            let one_by_one: Vec<T> = (0..vals.len()).map(|_| T::read(&mut r).unwrap()).collect();
+            r.finish().unwrap();
+            assert_eq!(one_by_one, vals);
+            let mut r = WireReader::new(src);
+            let mut extended = Vec::new();
+            T::read_extend(&mut r, vals.len(), &mut extended).unwrap();
+            r.finish().unwrap();
+            assert_eq!(extended, vals);
+            let mut r = WireReader::new(src);
+            let mut slots = vec![T::default(); vals.len()];
+            T::read_slice(&mut r, &mut slots).unwrap();
+            r.finish().unwrap();
+            assert_eq!(slots, vals);
+        }
         assert_eq!(
             Vec::<T>::from_bytes(&vals.to_vec().to_bytes()).unwrap(),
             vals
@@ -586,6 +595,11 @@ mod tests {
         bulk_matches_elementwise(&(0..n as usize).map(|i| i << 40).collect::<Vec<usize>>());
         bulk_matches_elementwise(&[true, false, true]);
         bulk_matches_elementwise(&[((1u8, 2u32), 3u64), ((4, 5), 6)]);
+        // Plain `f64`, the data payload, and empty slices on the one-copy
+        // and the per-record paths.
+        bulk_matches_elementwise(&[1.5f64, -0.0, f64::MAX, f64::MIN_POSITIVE, 3e-310]);
+        bulk_matches_elementwise::<f64>(&[]);
+        bulk_matches_elementwise::<(usize, u32)>(&[]);
         assert_eq!(<(u32, u32)>::FIXED, Some(8));
         assert_eq!(<(usize, u32)>::FIXED, Some(12));
         assert_eq!(<(u32, u32, u32)>::FIXED, Some(12));

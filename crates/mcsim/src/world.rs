@@ -12,12 +12,14 @@
 //! `crate::sched::run`, which makes the tasks and dispatches them to
 //! completion; the contended link seconds are read back from the hub.
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::endpoint::Endpoint;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
+use crate::message::Rank;
 use crate::model::{MachineModel, Topology};
 use crate::recovery::RecoveryConfig;
 use crate::reliable::ReliableConfig;
@@ -87,7 +89,7 @@ pub struct RunReport<R> {
 enum RankOutcome<R> {
     Done(R, f64, StatsSnapshot, Vec<TraceEvent>),
     Panicked(
-        Box<dyn std::any::Any + Send>,
+        Box<dyn Any + Send>,
         String,
         f64,
         StatsSnapshot,
@@ -249,8 +251,14 @@ impl World {
     /// this thread — and keep every rank answering reliable-protocol
     /// traffic until the last rank is done: a rank still flushing a
     /// reliable stream must never be orphaned by a peer that already
-    /// returned.  Returns the outcomes and the contended link seconds.
-    fn execute<F, R>(&self, f: F) -> (Vec<RankOutcome<R>>, f64)
+    /// returned.  Gathers what both public runs report, each rank's
+    /// result (or panic payload and message) mapped by `keep`; `None`
+    /// leaves the rank out of [`RunOutput::results`].
+    fn collect<F, R, T>(
+        &self,
+        f: F,
+        mut keep: impl FnMut(Rank, Result<R, (Box<dyn Any + Send>, String)>) -> Option<T>,
+    ) -> RunOutput<T>
     where
         F: Fn(&mut Endpoint) -> R + Send + Sync,
         R: Send,
@@ -259,84 +267,48 @@ impl World {
         let mut endpoints = self.build_endpoints(&hub);
         let mut outcomes: Vec<Option<RankOutcome<R>>> = (0..self.size).map(|_| None).collect();
 
-        // Raw pointers into `endpoints` / `outcomes`: each task body is
-        // the exclusive user of its own rank's slots.  The Vec buffers
-        // never move (no pushes after this point).
-        struct SendPtr<T>(*mut T);
-        // SAFETY: only the one task that owns the slot dereferences it, and
-        // on the baton back end (task bodies on their own threads) the
-        // baton mutex orders that against this thread's reads after `run`.
-        unsafe impl<T> Send for SendPtr<T> {}
-
         let f = &f;
-        let mut bodies: Vec<TaskBody> = Vec::with_capacity(self.size);
-        for rank in 0..self.size {
-            let ep_ptr = SendPtr(&mut endpoints[rank] as *mut Endpoint);
-            let out_ptr = SendPtr(&mut outcomes[rank] as *mut Option<RankOutcome<R>>);
-            let body = Box::new(move || {
-                let ep_ptr = ep_ptr;
-                let out_ptr = out_ptr;
-                // SAFETY: this body is the only user of `endpoints[rank]`
-                // until `sched::run` returns, and the Vec is not touched
-                // (let alone resized) before then.
-                let ep: &mut Endpoint = unsafe { &mut *ep_ptr.0 };
-                // Supervisor loop: a scripted crash under a restart
-                // budget respawns the closure on this same task — the
-                // endpoint (reset for recovery) keeps serving peers and
-                // the restarted life rejoins seamlessly.
-                let mut result = catch_unwind(AssertUnwindSafe(|| f(ep)));
-                while let Err(e) = &result {
-                    if !ep.try_restart(&panic_message(e.as_ref())) {
-                        break;
+        let bodies: Vec<TaskBody<'_>> = endpoints
+            .iter_mut()
+            .zip(outcomes.iter_mut())
+            .map(|(ep, out)| -> TaskBody<'_> {
+                Box::new(move || {
+                    // Supervisor loop: a scripted crash under a restart
+                    // budget respawns the closure on this same task — the
+                    // endpoint (reset for recovery) keeps serving peers and
+                    // the restarted life rejoins seamlessly.
+                    let mut result = catch_unwind(AssertUnwindSafe(|| f(ep)));
+                    while let Err(e) = &result {
+                        if !ep.try_restart(&panic_message(e.as_ref())) {
+                            break;
+                        }
+                        result = catch_unwind(AssertUnwindSafe(|| f(ep)));
                     }
-                    result = catch_unwind(AssertUnwindSafe(|| f(ep)));
-                }
-                let reason = match &result {
-                    Ok(_) => None,
-                    Err(e) => {
-                        let reason = panic_message(e.as_ref());
-                        ep.poison_all(&reason);
-                        Some(reason)
-                    }
-                };
-                // Snapshot before the service phase, so late protocol
-                // traffic never perturbs the reported tail counters.
-                let clock = ep.clock();
-                let stats = ep.stats_snapshot();
-                let trace = ep.take_trace();
-                // SAFETY: as for `ep_ptr` — `outcomes[rank]` is this
-                // body's alone until `sched::run` returns.
-                unsafe {
-                    *out_ptr.0 = Some(match result {
-                        Ok(r) => RankOutcome::Done(r, clock, stats, trace),
-                        Err(e) => RankOutcome::Panicked(
-                            e,
-                            reason.unwrap_or_default(),
-                            clock,
-                            stats,
-                            trace,
-                        ),
+                    // Snapshot before the service phase, so late protocol
+                    // traffic never perturbs the reported tail counters.
+                    *out = Some(match result {
+                        Ok(r) => {
+                            RankOutcome::Done(r, ep.clock(), ep.stats_snapshot(), ep.take_trace())
+                        }
+                        Err(e) => {
+                            let reason = panic_message(e.as_ref());
+                            ep.poison_all(&reason);
+                            let (clock, stats) = (ep.clock(), ep.stats_snapshot());
+                            RankOutcome::Panicked(e, reason, clock, stats, ep.take_trace())
+                        }
                     });
-                }
-                // Service phase: keep answering protocol traffic until
-                // the whole world completes (the scheduler delivers
-                // Shutdown exactly then).
-                loop {
-                    match ep.coop_service_park() {
-                        WakeCause::Shutdown => break,
-                        _ => ep.coop_service_drain(),
+                    // Service phase: keep answering protocol traffic until
+                    // the whole world completes (the scheduler delivers
+                    // Shutdown exactly then).
+                    loop {
+                        match ep.coop_service_park() {
+                            WakeCause::Shutdown => break,
+                            _ => ep.coop_service_drain(),
+                        }
                     }
-                }
-            });
-            let body: Box<dyn FnOnce() + Send> = body;
-            // SAFETY: only the scope lifetime is erased (same layout), and
-            // `sched::run` below returns only once every task ran to
-            // completion, so the borrows inside cannot outlive their
-            // owners.
-            bodies.push(unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, TaskBody>(body)
-            });
-        }
+                })
+            })
+            .collect();
 
         if let Some(e) = crate::sched::run(&hub, bodies) {
             // A panic escaped a task harness (bug in the runner itself):
@@ -344,11 +316,30 @@ impl World {
             resume_unwind(e);
         }
 
-        let outcomes = outcomes
-            .into_iter()
-            .map(|o| o.expect("every task wrote its outcome"))
-            .collect();
-        (outcomes, hub.contended_secs())
+        let mut results = Vec::with_capacity(self.size);
+        let mut clocks = Vec::with_capacity(self.size);
+        let mut locals = Vec::with_capacity(self.size);
+        let mut traces = Vec::with_capacity(self.size);
+        for (rank, o) in outcomes.into_iter().enumerate() {
+            let (kept, clock, stats, trace) = match o.expect("every task wrote its outcome") {
+                RankOutcome::Done(r, c, st, tr) => (keep(rank, Ok(r)), c, st, tr),
+                RankOutcome::Panicked(e, reason, c, st, tr) => {
+                    (keep(rank, Err((e, reason))), c, st, tr)
+                }
+            };
+            results.extend(kept);
+            clocks.push(clock);
+            locals.push(stats);
+            traces.push(trace);
+        }
+        RunOutput {
+            results,
+            elapsed: clocks.iter().copied().fold(0.0f64, f64::max),
+            clocks,
+            stats: NetStats::from_locals(locals),
+            traces,
+            contended_secs: hub.contended_secs(),
+        }
     }
 
     /// Run `f` on every rank and collect the results.
@@ -362,51 +353,23 @@ impl World {
         F: Fn(&mut Endpoint) -> R + Send + Sync,
         R: Send,
     {
-        let (outcomes, contended_secs) = self.execute(f);
-
-        let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut results = Vec::with_capacity(self.size);
-        let mut clocks = Vec::with_capacity(self.size);
-        let mut locals = Vec::with_capacity(self.size);
-        let mut traces = Vec::with_capacity(self.size);
-        for o in outcomes {
-            match o {
-                RankOutcome::Done(r, c, st, tr) => {
-                    results.push(r);
-                    clocks.push(c);
-                    locals.push(st);
-                    traces.push(tr);
-                }
-                RankOutcome::Panicked(e, reason, _, _, _) => {
-                    // Prefer the original failure over cascade panics that
-                    // ranks raise when they see a peer's poison.
-                    let is_cascade = reason.contains(CASCADE_MARKER);
-                    match (&panic_payload, is_cascade) {
-                        (None, _) => panic_payload = Some(e),
-                        (Some(prev), false)
-                            if panic_message(prev.as_ref()).contains(CASCADE_MARKER) =>
-                        {
-                            panic_payload = Some(e)
-                        }
-                        _ => {}
+        // Re-raise the first original failure, ahead of the cascade panics
+        // ranks raise when they see a peer's poison; else the first panic.
+        let mut panic: Option<(Box<dyn Any + Send>, bool)> = None;
+        let out = self.collect(f, |_, outcome| {
+            outcome
+                .map_err(|(e, reason)| {
+                    let cascade = reason.contains(CASCADE_MARKER);
+                    if panic.as_ref().is_none_or(|&(_, prev)| prev && !cascade) {
+                        panic = Some((e, cascade));
                     }
-                }
-            }
-        }
-
-        if let Some(p) = panic_payload {
+                })
+                .ok()
+        });
+        if let Some((p, _)) = panic {
             resume_unwind(p);
         }
-
-        let elapsed = clocks.iter().copied().fold(0.0f64, f64::max);
-        RunOutput {
-            results,
-            clocks,
-            elapsed,
-            stats: NetStats::from_locals(locals),
-            traces,
-            contended_secs,
-        }
+        out
     }
 
     /// Run `f` on every rank, turning rank panics into per-rank `Err`
@@ -417,36 +380,16 @@ impl World {
         F: Fn(&mut Endpoint) -> R + Send + Sync,
         R: Send,
     {
-        let (outcomes, contended_secs) = self.execute(f);
-
-        let mut report = Vec::with_capacity(self.size);
-        let mut clocks = Vec::with_capacity(self.size);
-        let mut locals = Vec::with_capacity(self.size);
-        let mut traces = Vec::with_capacity(self.size);
-        for (rank, o) in outcomes.into_iter().enumerate() {
-            match o {
-                RankOutcome::Done(r, c, st, tr) => {
-                    report.push(Ok(r));
-                    clocks.push(c);
-                    locals.push(st);
-                    traces.push(tr);
-                }
-                RankOutcome::Panicked(_, reason, c, st, tr) => {
-                    report.push(Err(SimError::PeerFailed { rank, reason }));
-                    clocks.push(c);
-                    locals.push(st);
-                    traces.push(tr);
-                }
-            }
-        }
-        let elapsed = clocks.iter().copied().fold(0.0f64, f64::max);
+        let out = self.collect(f, |rank, outcome| {
+            Some(outcome.map_err(|(_, reason)| SimError::PeerFailed { rank, reason }))
+        });
         RunReport {
-            outcomes: report,
-            clocks,
-            elapsed,
-            stats: NetStats::from_locals(locals),
-            traces,
-            contended_secs,
+            outcomes: out.results,
+            clocks: out.clocks,
+            elapsed: out.elapsed,
+            stats: out.stats,
+            traces: out.traces,
+            contended_secs: out.contended_secs,
         }
     }
 }
@@ -456,7 +399,7 @@ impl World {
 /// [`crate::endpoint::Endpoint::recv`].
 pub(crate) const CASCADE_MARKER: &str = "peer rank";
 
-fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(e: &(dyn Any + Send)) -> String {
     if let Some(s) = e.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = e.downcast_ref::<String>() {

@@ -12,6 +12,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 # API cannot leave a dangling reference behind in the docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# AddressSanitizer leg: every unit and integration test again, built with
+# ASan on the nightly toolchain into its own target dir, so the `unsafe`
+# in `mcsim::sched` and `mcsim::wire` runs under a memory checker.  No
+# nightly means this step fails; it never skips.  The task switch carries
+# no fiber annotations, so ASan's "False positive error reports may
+# follow" warning about the task stacks is expected.
+RUSTFLAGS="-Zsanitizer=address" CARGO_TARGET_DIR=target/asan \
+  cargo +nightly test --workspace --lib --tests --target x86_64-unknown-linux-gnu -q
+
 # Benchmark lint: the benchmark is a workspace of its own that builds
 # against the libraries' public API, so an item it uses that is deleted or
 # renamed fails here, not only in the benchmark pipeline.  Its run.sh is
