@@ -16,15 +16,21 @@
 //!   supervisor's heartbeats.  A deliberate change regenerates
 //!   `tests/golden/faulted_ring_p4.jsonl` by writing
 //!   [`faulted_ring_jsonl`]'s output to it.
+//! * Two 2-rank worlds lock the window's edges: a two-frame window under
+//!   delays and drops (stalls, retransmit bursts) and a link that drops
+//!   everything (the give-up on both sides).  A deliberate change
+//!   regenerates `tests/golden/window_edges_p2.jsonl` by writing
+//!   [`window_edges_jsonl`]'s output to it.
 
 use bench::traced::traced_coupled_run;
 use chaos::{IrregArray, Partition};
 use mcsim::fault::{FaultPlan, FaultRates};
 use mcsim::group::{Comm, Group};
 use mcsim::model::MachineModel;
-use mcsim::reliable::{flush_send, reliable_recv, reliable_send, StreamTag};
+use mcsim::reliable::{flush_send, reliable_recv, reliable_send, ReliableConfig, StreamTag};
 use mcsim::rng::Rng;
 use mcsim::world::World;
+use mcsim::SimError;
 use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::datamove::data_move;
 use meta_chaos::region::{IndexSet, RegularSection};
@@ -143,4 +149,75 @@ fn faulted_ring_exports_the_golden_jsonl() {
         assert!(got.contains(&needle), "faulted ring has no {ty} line");
     }
     assert_golden(&got, golden, "tests/golden/faulted_ring_p4.jsonl");
+}
+
+/// Two 2-rank worlds on the SP2 model, their exports joined.  In the
+/// first, rank 0 sends sixteen messages of 3 000–18 000 bytes through a
+/// two-frame window on a link that delays every copy by 50 ms and drops
+/// one in ten, so the window stalls and late acks find expired frames.  In
+/// the second the link drops everything: the sender gives up after its
+/// retry budget and both sides end in `PeerTimeout`.
+fn window_edges_jsonl() -> String {
+    let st = StreamTag::new(62, 1);
+    let delayed = FaultPlan::new(5).rates(FaultRates {
+        drop: 0.1,
+        delay: 1.0,
+        delay_secs: 0.05,
+        ..FaultRates::default()
+    });
+    let a = World::with_model(2, MachineModel::sp2())
+        .with_faults(delayed)
+        .with_reliable_config(ReliableConfig { window_frames: 2 })
+        .with_trace()
+        .run(|ep| {
+            for m in 0..16usize {
+                let len = 3_000 * (1 + m % 6);
+                if ep.rank() == 0 {
+                    let payload = (0..len).map(|i| (m * 13 + i) as u8).collect();
+                    reliable_send(ep, 1, st, payload).expect("windowed send");
+                } else {
+                    let got = reliable_recv(ep, 0, st).expect("windowed recv");
+                    assert!(got
+                        .iter()
+                        .enumerate()
+                        .all(|(i, &b)| b == (m * 13 + i) as u8));
+                    assert_eq!(got.len(), len);
+                }
+            }
+            if ep.rank() == 0 {
+                flush_send(ep, 1, st).expect("windowed flush");
+            }
+        });
+    let lost = FaultPlan::new(5).rates(FaultRates {
+        drop: 1.0,
+        ..FaultRates::default()
+    });
+    let b = World::with_model(2, MachineModel::sp2())
+        .with_faults(lost)
+        .with_trace()
+        .run(|ep| {
+            let err = if ep.rank() == 0 {
+                reliable_send(ep, 1, st, vec![7; 4_000]).expect("admitted");
+                flush_send(ep, 1, st).expect_err("every frame is lost")
+            } else {
+                reliable_recv(ep, 0, st).expect_err("nothing arrives")
+            };
+            assert!(matches!(err, SimError::PeerTimeout { .. }), "{err:?}");
+        });
+    mcsim::jsonl_events(&a.traces) + &mcsim::jsonl_events(&b.traces)
+}
+
+#[test]
+fn window_edges_export_the_golden_jsonl() {
+    let golden = include_str!("golden/window_edges_p2.jsonl");
+    let got = window_edges_jsonl();
+    for needle in [
+        "\"type\":\"window_stall\"",
+        "\"type\":\"retransmit_burst\"",
+        "\"kind\":\"delay\"",
+        "reliable give-up",
+    ] {
+        assert!(got.contains(needle), "window edges have no {needle}");
+    }
+    assert_golden(&got, golden, "tests/golden/window_edges_p2.jsonl");
 }
