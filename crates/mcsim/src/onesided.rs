@@ -164,10 +164,8 @@ pub fn expose(ep: &mut Endpoint, win: u32, data: Vec<u8>) -> Option<Vec<u8>> {
     ep.os.pending_puts.retain_mut(|(w, op)| {
         if *w == win {
             early.push(PutOp {
-                offset: op.offset,
                 data: std::mem::take(&mut op.data),
-                notify: op.notify,
-                arrival: op.arrival,
+                ..*op
             });
             false
         } else {
@@ -175,7 +173,7 @@ pub fn expose(ep: &mut Endpoint, win: u32, data: Vec<u8>) -> Option<Vec<u8>> {
         }
     });
     for op in early {
-        apply_op(ep, win, op);
+        apply_op(ep, win, op.offset, &op.data, op.notify, op.arrival);
     }
     prev.map(|w| w.data)
 }
@@ -331,23 +329,31 @@ pub fn get(
     Err(SimError::PeerTimeout { rank: target })
 }
 
-fn apply_op(ep: &mut Endpoint, win: u32, op: PutOp) {
+/// Apply a put of `data` at `offset` to window `win`, or hold a copy of it
+/// until `win` is exposed.
+fn apply_op(ep: &mut Endpoint, win: u32, offset: usize, data: &[u8], notify: bool, arrival: f64) {
     let Some(w) = ep.os.windows.get_mut(&win) else {
+        let data = data.to_vec();
+        let op = PutOp {
+            offset,
+            data,
+            notify,
+            arrival,
+        };
         ep.os.pending_puts.push((win, op));
         return;
     };
-    let end = op.offset.checked_add(op.data.len());
-    match end {
+    match offset.checked_add(data.len()) {
         Some(end) if end <= w.data.len() => {
-            w.data[op.offset..end].copy_from_slice(&op.data);
-            if op.notify {
-                w.notify_times.push(op.arrival);
+            w.data[offset..end].copy_from_slice(data);
+            if notify {
+                w.notify_times.push(arrival);
             }
         }
         _ => {
-            let (off, len, wlen) = (op.offset, op.data.len(), w.data.len());
+            let (len, wlen) = (data.len(), w.data.len());
             ep.mark(
-                format!("onesided put out of range win={win} off={off} len={len} window={wlen}")
+                format!("onesided put out of range win={win} off={offset} len={len} window={wlen}")
                     .into(),
             );
         }
@@ -357,7 +363,7 @@ fn apply_op(ep: &mut Endpoint, win: u32, op: PutOp) {
 /// Apply one completed put message to its sink window.  Called by the
 /// reliable intake (NIC plane) once all frames of the put assembled; the
 /// target's program clock is never charged.
-pub(crate) fn apply_put(ep: &mut Endpoint, src: Rank, tag: Tag, payload: Vec<u8>, arrival: f64) {
+pub(crate) fn apply_put(ep: &mut Endpoint, src: Rank, tag: Tag, payload: &[u8], arrival: f64) {
     let win = win_of_tag(tag);
     if payload.len() < PUT_HDR {
         ep.mark(format!("onesided put truncated from rank {src} win={win}").into());
@@ -369,16 +375,8 @@ pub(crate) fn apply_put(ep: &mut Endpoint, src: Rank, tag: Tag, payload: Vec<u8>
         return;
     }
     let offset = u64::from_le_bytes(payload[1..9].try_into().unwrap()) as usize;
-    apply_op(
-        ep,
-        win,
-        PutOp {
-            offset,
-            data: payload[PUT_HDR..].to_vec(),
-            notify: op == OP_PUT_NOTIFY,
-            arrival,
-        },
-    );
+    let notify = op == OP_PUT_NOTIFY;
+    apply_op(ep, win, offset, &payload[PUT_HDR..], notify, arrival);
 }
 
 /// Intake for [`Tag::CLASS_ONESIDED_CTRL`] traffic: GET requests are

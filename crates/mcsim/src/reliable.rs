@@ -1,67 +1,43 @@
 //! A reliable delivery layer over the (possibly faulted) simulated network.
 //!
-//! The raw [`Endpoint`] channel is physically
-//! FIFO and lossless, but a [`crate::fault::FaultPlan`] makes it lossy:
-//! frames are dropped (delivered as tombstones), duplicated, bit-flipped,
-//! or delayed.  This module implements a **sliding-window** protocol per
-//! `(peer, stream)` that survives all of that while keeping many frames in
-//! flight:
+//! The raw [`Endpoint`] channel is FIFO and lossless, but a
+//! [`crate::fault::FaultPlan`] drops (as tombstones), duplicates,
+//! bit-flips and delays frames.  A **sliding window** per `(peer, stream)`
+//! survives all of that with many frames in flight:
 //!
 //! * **DATA frames** are the payload plus a 24-byte trailer
-//!   `[seq u64][attempt u16][flags u16][magic u32][checksum u64]` —
-//!   trailer at the end so the payload is recovered by a zero-copy
-//!   truncate.  The `FLAG_LAST` bit marks the final frame of a logical
-//!   message; [`reliable_send`] chunks large payloads into
-//!   [`CHUNK_BYTES`]-sized frames so a multi-megabyte move streams as
-//!   many moderate frames instead of one giant frame.
-//! * **Control frames** are 9 bytes, `[kind u8][seq u64]`, with kinds
-//!   ACK / NACK / GIVEUP, and are never bit-flipped by the injector (a
-//!   few bytes against multi-megabyte payloads).
-//! * The sender admits up to [`ReliableConfig::window_frames`] frames
-//!   before stalling; a stall pumps the protocol until acks open the
-//!   window again.
-//! * **ACKs are cumulative**: `ACK(n)` retires every pending frame with
-//!   `seq <= n`.  The receiver acks on every in-order delivery, so one ack
-//!   can advance the window over several frames at once.
-//! * **NACKs are selective**: a tombstone or checksum failure NACKs the
-//!   first sequence number the receiver has not yet seen (FIFO channels
-//!   make that inference exact for single losses); the sender retransmits
-//!   the named frame, or its oldest pending frame when the name has
-//!   already been retired (which heals lost retransmissions and tail
-//!   loss).
-//! * Frames arriving **out of order inside the window** (a retransmission
-//!   overtaken by later frames) are buffered and delivered in sequence;
-//!   duplicates (`seq` below the expected counter, or already buffered)
-//!   are dropped.
-//! * Every frame carries an exponential-backoff virtual-clock deadline.
-//!   When an ack arrives after a pending frame's deadline has passed, the
-//!   sweep retransmits every such frame in one **retransmit burst** (the
-//!   windowed analogue of a timeout firing).  After 24 retransmissions
-//!   of any frame the sender sends GIVEUP and the stream turns into
-//!   [`SimError::PeerTimeout`] on both sides — a permanent partition
-//!   degrades into an error, not a hang.
+//!   `[seq u64][attempt u16][flags u16][magic u32][checksum u64]`, cut off
+//!   by a zero-copy truncate.  [`reliable_send`] splits large payloads into
+//!   [`CHUNK_BYTES`] frames; `FLAG_LAST` marks a message's final frame.
+//! * **Control frames** are 9 bytes, `[kind u8][seq u64]`: ACK, NACK or
+//!   GIVEUP.  The injector never bit-flips them.
+//! * The sender stalls at [`ReliableConfig::window_frames`] unacknowledged
+//!   frames.  **ACKs are cumulative**; a duplicate ACK fast-retransmits the
+//!   oldest pending frame, once per blocker.  **NACKs are selective**: the
+//!   named frame is resent, or the oldest pending one once the name is
+//!   retired.  A tombstone or bad checksum NACKs the first sequence number
+//!   not yet seen; frames ahead of a gap wait in a reorder buffer, with one
+//!   NACK per gap; duplicates are dropped and re-acked.
+//! * Deadlines back off exponentially on the virtual clock.  An ack that
+//!   arrives after pending deadlines resends those frames in one
+//!   **retransmit burst**; the 25th retransmission of a frame sends GIVEUP
+//!   and both sides get [`SimError::PeerTimeout`].
 //!
-//! Streams whose id carries the one-sided sink bits (see
-//! [`crate::onesided`]) deliver into exposed windows at intake instead of
-//! queueing for a matching `reliable_recv` — that is the put/get data
-//! plane.
+//! **Decision and glue.**  Every protocol decision lives in `SendWindow`
+//! and `RecvWindow`.  Their methods take events as plain values (a frame
+//! admitted, an ACK or NACK, a valid or lost frame, GIVEUP, "deadline
+//! passed at `now`") and return what to do as a value: a control answer,
+//! the frame to retransmit, give up, or messages queued for delivery.  The
+//! glue below them never decides: it passes in the clock and the timeout,
+//! then carries out the answer (NIC send, fault counters, trace events).
 //!
-//! Two modeling choices keep virtual time independent of when a rank
-//! happens to pump its mailbox:
-//!
-//! * All protocol sends happen on the **NIC plane**: their timestamps
-//!   derive from the *arrival* of the frame that triggered them, not from
-//!   whenever the receiving rank got around to draining its channel,
-//!   and they charge nothing to the app-level clock.
-//! * Loss is **observable**: a dropped frame still delivers a tombstone
-//!   carrying a prefix of the original bytes, so a lost ACK is decoded
-//!   from its tombstone and still confirms delivery (the simulator grants
-//!   the timer knowledge a real NIC gets from its retransmission clock),
-//!   while a lost DATA frame triggers an immediate NACK.
-//!
-//! Checksums are computed and verified only when a fault plan is active;
-//! the fault-free fast path pays just the trailer bytes and the ack
-//! round-trip in virtual time.
+//! Sink streams (see [`crate::onesided`]) deliver into exposed windows at
+//! intake: that is the put data plane.  Protocol sends happen on the **NIC
+//! plane**, timed from the arrival of the frame that triggered them and
+//! charging nothing to the program clock, and loss is **observable** (a
+//! lost ACK still decodes from its tombstone), so virtual time does not
+//! depend on when a rank pumps its mailbox.  Checksums are computed and
+//! verified only under a fault plan.
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -110,6 +86,11 @@ impl StreamTag {
         }
     }
 
+    /// The stream a DATA or control frame's tag belongs to.
+    fn of(tag: Tag) -> Self {
+        StreamTag::new(tag.ctx(), tag.value())
+    }
+
     /// The DATA-frame tag.
     pub fn data(&self) -> Tag {
         self.data
@@ -119,20 +100,6 @@ impl StreamTag {
     pub fn ctrl(&self) -> Tag {
         self.ctrl
     }
-}
-
-fn data_tag_of_ctrl(ctrl: Tag) -> Tag {
-    Tag::new(
-        ctrl.ctx(),
-        (Tag::CLASS_RELIABLE_DATA << 28) | (ctrl.value() & 0x0FFF_FFFF),
-    )
-}
-
-fn ctrl_tag_of_data(data: Tag) -> Tag {
-    Tag::new(
-        data.ctx(),
-        (Tag::CLASS_RELIABLE_CTRL << 28) | (data.value() & 0x0FFF_FFFF),
-    )
 }
 
 /// Payloads longer than this are split into frames of at most this many
@@ -190,6 +157,40 @@ fn timeout_for(model: &MachineModel, bytes: usize, attempt: u32) -> f64 {
     (rtt * BACKOFF.powi(exp)).min(MAX_TIMEOUT)
 }
 
+/// A control frame, as one side of a stream tells the other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ctrl {
+    /// Every frame up to and including this sequence number arrived.
+    Ack(u64),
+    /// This frame was lost, or a gap starts at it.
+    Nack(u64),
+    /// The sender abandoned the stream at this frame.
+    GiveUp(u64),
+}
+
+impl Ctrl {
+    fn frame(self) -> Body {
+        let (kind, seq) = match self {
+            Ctrl::Ack(seq) => (K_ACK, seq),
+            Ctrl::Nack(seq) => (K_NACK, seq),
+            Ctrl::GiveUp(seq) => (K_GIVEUP, seq),
+        };
+        let mut frame = [kind; CTRL_LEN];
+        frame[1..].copy_from_slice(&seq.to_le_bytes());
+        Body::copy_of(&frame)
+    }
+
+    fn decode(bytes: &[u8]) -> Option<Ctrl> {
+        let seq = u64::from_le_bytes(bytes.get(1..CTRL_LEN)?.try_into().unwrap());
+        match bytes[0] {
+            K_ACK => Some(Ctrl::Ack(seq)),
+            K_NACK => Some(Ctrl::Nack(seq)),
+            K_GIVEUP => Some(Ctrl::GiveUp(seq)),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct PendingSend {
     seq: u64,
@@ -201,24 +202,162 @@ struct PendingSend {
     deadline: f64,
 }
 
+/// The sending half of a stream: its unacknowledged frames and their
+/// deadlines, the retry budget, and whether it gave up.
 #[derive(Debug, Default)]
-struct SendStream {
+struct SendWindow {
     next_seq: u64,
     /// Unacknowledged frames, oldest first (seq-ordered).
     pending: VecDeque<PendingSend>,
     /// Total bytes of `pending` frames.
     in_flight_bytes: usize,
-    /// Sequence number already fast-retransmitted in response to a
-    /// duplicate cumulative ack — at most one fast retransmit per
-    /// distinct blocking frame, so dup-ack bursts cannot burn the retry
-    /// budget.
+    /// The blocker a duplicate ack already fast-retransmitted: once per
+    /// blocker, so dup-ack bursts cannot burn the retry budget.
     fast_retx: Option<u64>,
-    dead: bool,
-    dead_at: f64,
+    /// When the stream gave up; `pending` is empty from then on.
+    dead: Option<f64>,
+    /// Arrival of the last ack that retired frames.
     complete_at: f64,
 }
 
-/// One logical message ready for `reliable_recv`.
+/// Whether a send window has room (see [`SendWindow::gate`]).
+#[derive(Debug, PartialEq)]
+enum Gate {
+    /// Room; the last ack that retired frames arrived at this time.
+    Open(f64),
+    /// The stream gave up at this time.
+    Dead(f64),
+    /// No room: this many frames and bytes are unacknowledged.
+    Full(usize, usize),
+}
+
+/// What a send window makes of an ACK or a NACK.
+#[derive(Debug, PartialEq)]
+enum Heard {
+    /// `(acked, late, inflight)`: the ack retired every frame up to
+    /// `acked`, `late` of them after their deadline; `inflight` remain.
+    Advanced(u64, u64, usize),
+    /// Retransmit the pending frame at this index.
+    Retransmit(usize),
+    /// Stale: it retired and named nothing.  A duplicate ack still
+    /// fast-retransmits the pending frame at this index.
+    Stale(Option<usize>),
+    /// Nothing to do: the stream is dead.
+    Ignored,
+}
+
+impl SendWindow {
+    /// Whether another frame fits while `room` frames may stay
+    /// unacknowledged.
+    fn gate(&self, room: usize) -> Gate {
+        if let Some(t) = self.dead {
+            Gate::Dead(t)
+        } else if self.pending.len() > room {
+            Gate::Full(self.pending.len(), self.in_flight_bytes)
+        } else {
+            Gate::Open(self.complete_at)
+        }
+    }
+
+    /// Admit frame `next_seq`, `bytes` long and sent at `now`; `frame` is
+    /// the copy kept for retransmission under faults.  Its deadline is
+    /// sized on the whole backlog: the link drains in FIFO order, so its
+    /// ack cannot arrive before every byte ahead of it has cleared the
+    /// wire, and a full window must not read as loss.
+    fn admit(
+        &mut self,
+        frame: Option<Arc<Vec<u8>>>,
+        bytes: usize,
+        now: f64,
+        timeout: impl Fn(usize, u32) -> f64,
+    ) {
+        self.in_flight_bytes += bytes;
+        self.pending.push_back(PendingSend {
+            seq: self.next_seq,
+            attempt: 0,
+            frame,
+            bytes,
+            deadline: now + timeout(self.in_flight_bytes, 0),
+        });
+        self.next_seq += 1;
+    }
+
+    /// A cumulative `ACK(acked)` that arrived at `arrival`.
+    fn ack(&mut self, acked: u64, arrival: f64) -> Heard {
+        let (mut late, inflight) = (0, self.pending.len());
+        while self.pending.front().is_some_and(|p| p.seq <= acked) {
+            let p = self.pending.pop_front().expect("front checked");
+            self.in_flight_bytes -= p.bytes;
+            // A late ack beat no deadline, but it did arrive: it counts
+            // as a timeout and is accepted.
+            late += u64::from(arrival > p.deadline);
+        }
+        if self.pending.len() == inflight {
+            // A duplicate ack: the receiver saw a frame it could not
+            // deliver, so the oldest pending frame is the blocker.  Resend
+            // it once per blocker, because no timer fires on a quiet wire.
+            let front = self.pending.front().map(|p| p.seq);
+            if front.is_none() || front == self.fast_retx {
+                return Heard::Stale(None);
+            }
+            self.fast_retx = front;
+            return Heard::Stale(Some(0));
+        }
+        self.fast_retx = None;
+        self.complete_at = self.complete_at.max(arrival);
+        Heard::Advanced(acked, late, self.pending.len())
+    }
+
+    /// A `NACK(seq)`: resend the named frame or, when it was already
+    /// retired (a duplicated NACK, or a loss the receiver misattributed),
+    /// the oldest pending frame, which is the one blocking the receiver.
+    fn nack(&self, seq: u64) -> Heard {
+        if self.dead.is_some() {
+            return Heard::Ignored;
+        }
+        match self.pending.iter().position(|p| p.seq == seq) {
+            Some(idx) => Heard::Retransmit(idx),
+            None if self.pending.is_empty() => Heard::Stale(None),
+            None => Heard::Retransmit(0),
+        }
+    }
+
+    /// The first pending frame whose deadline passed before `now`.
+    fn expired(&self, now: f64) -> Option<usize> {
+        self.pending.iter().position(|p| p.deadline < now)
+    }
+
+    /// Retransmit the pending frame at `idx`, its loss reported at
+    /// `trigger_at`: the timer fires at the later of that and the last
+    /// attempt's deadline, one send overhead before the frame leaves, and
+    /// the new deadline again counts the whole backlog.  Returns what to
+    /// send, `(seq, attempt, at, frame)`, or `Err(seq)` when this is the
+    /// 25th retransmission and the stream gives up instead.
+    fn retransmit(
+        &mut self,
+        idx: usize,
+        trigger_at: f64,
+        send_overhead: f64,
+        timeout: impl Fn(usize, u32) -> f64,
+    ) -> Result<(u64, u32, f64, &[u8]), u64> {
+        let p = &mut self.pending[idx];
+        p.attempt += 1;
+        let (seq, attempt) = (p.seq, p.attempt);
+        if attempt > MAX_RETRIES {
+            self.pending.clear();
+            self.in_flight_bytes = 0;
+            self.dead = Some(trigger_at);
+            return Err(seq);
+        }
+        let p = &mut self.pending[idx];
+        let at = trigger_at.max(p.deadline) + send_overhead;
+        p.deadline = at + timeout(self.in_flight_bytes, attempt);
+        let frame = p.frame.as_deref().expect("kept under faults");
+        Ok((seq, attempt, at, frame))
+    }
+}
+
+/// One logical message ready for delivery.
 #[derive(Debug)]
 enum ReadyFrame {
     /// A single-frame message: delivered zero-copy (accept + truncate),
@@ -233,31 +372,122 @@ enum ReadyFrame {
     },
 }
 
+/// The receiving half of a stream: the next frame to deliver, the reorder
+/// buffer, what the sender was told, and the messages ready to deliver.
 #[derive(Debug, Default)]
-struct RecvStream {
+struct RecvWindow {
     /// Next sequence number to deliver.
     expected: u64,
     /// One past the highest sequence number seen or inferred from a
     /// tombstone — what a NACK asks for after a loss.
     next_unseen: u64,
-    /// Valid frames ahead of `expected` (retransmission overtaken by later
-    /// frames), waiting for the gap to fill.
+    /// Valid frames ahead of `expected`, waiting for the gap to fill.
     reorder: BTreeMap<u64, Message>,
-    /// The gap sequence a NACK was already sent for — one gap NACK per
-    /// distinct blocking frame, so a long out-of-order run does not flood
-    /// the sender with loss reports for the same frame.
+    /// The gap a NACK was already sent for: one per gap, so a long
+    /// out-of-order run does not flood the sender with the same report.
     gap_nacked: Option<u64>,
     /// Payload bytes of a partially assembled chunked message.
     assembly: Vec<u8>,
     /// `(arrival, frame bytes)` of each chunk in `assembly`.
     assembly_chunks: Vec<(f64, usize)>,
-    /// Complete messages awaiting `reliable_recv`.
+    /// Complete messages awaiting delivery.
     ready: VecDeque<ReadyFrame>,
-    dead: bool,
-    dead_at: f64,
+    /// When the sender's GIVEUP arrived.
+    dead: Option<f64>,
 }
 
-/// What an idle [`SendStream`] — nothing unacknowledged, not dead — still
+/// A receive window's answer to a valid frame (see [`RecvWindow::frame`]).
+#[derive(Debug, PartialEq)]
+struct Answer {
+    /// The control frame to send back.
+    reply: Option<Ctrl>,
+    /// The frame was a duplicate and was dropped.
+    dup: bool,
+}
+
+impl RecvWindow {
+    /// A frame destroyed or corrupted in flight: NACK the first sequence
+    /// number not yet seen.  FIFO channels make the inference exact for a
+    /// single loss; a wrong guess (the tombstone was a duplicate) at worst
+    /// triggers one spurious retransmission, which dedup absorbs.
+    fn lost(&mut self) -> Ctrl {
+        let miss = self.next_unseen.max(self.expected);
+        self.next_unseen = miss + 1;
+        Ctrl::Nack(miss)
+    }
+
+    /// A valid frame `seq`.  In order, it is delivered with every buffered
+    /// frame it unblocks and acked cumulatively.  A late duplicate re-acks
+    /// the cumulative state, so the sender is never left without a control
+    /// signal.  A frame ahead of a gap (a retransmission it overtook) is
+    /// buffered, and the gap NACKed once, because the tombstone inference
+    /// can misattribute repeated losses of one frame.
+    fn frame(&mut self, seq: u64, msg: Message) -> Answer {
+        self.next_unseen = self.next_unseen.max(seq + 1);
+        if seq < self.expected {
+            let reply = Some(Ctrl::Ack(self.expected - 1));
+            return Answer { reply, dup: true };
+        }
+        if seq > self.expected {
+            let dup = self.reorder.contains_key(&seq);
+            if !dup {
+                self.reorder.insert(seq, msg);
+            }
+            let gap = Some(self.expected);
+            let reply = (self.gap_nacked != gap).then_some(Ctrl::Nack(self.expected));
+            self.gap_nacked = gap;
+            return Answer { reply, dup };
+        }
+        self.deliver(msg);
+        while let Some(m) = self.reorder.remove(&self.expected) {
+            self.deliver(m);
+        }
+        self.gap_nacked = None;
+        let reply = Some(Ctrl::Ack(self.expected - 1));
+        Answer { reply, dup: false }
+    }
+
+    /// Deliver the in-order frame `expected`: a single-frame message
+    /// becomes a zero-copy [`ReadyFrame::Whole`], a chunked one
+    /// accumulates until its `FLAG_LAST` frame.
+    fn deliver(&mut self, msg: Message) {
+        self.expected += 1;
+        let frame = msg
+            .body
+            .bytes()
+            .expect("only validated data frames are delivered");
+        let last = frame_flags(frame) & FLAG_LAST != 0;
+        if last && self.assembly_chunks.is_empty() {
+            return self.ready.push_back(ReadyFrame::Whole(msg));
+        }
+        self.assembly_chunks.push((msg.arrival, frame.len()));
+        self.assembly
+            .extend_from_slice(&frame[..frame.len() - TRAILER_LEN]);
+        if last {
+            let payload = std::mem::take(&mut self.assembly);
+            let chunks = std::mem::take(&mut self.assembly_chunks);
+            self.ready
+                .push_back(ReadyFrame::Assembled { payload, chunks });
+        }
+    }
+
+    /// The sender's GIVEUP, arrived at `at`: the stream is dead.
+    fn gave_up(&mut self, at: f64) {
+        self.dead.get_or_insert(at);
+    }
+
+    /// The next ready message, or `Err(t)` when none is left and the
+    /// stream died at `t`.  Messages already assembled are served even on
+    /// a dead stream: death only cuts off what never fully arrived.
+    fn take(&mut self) -> Result<Option<ReadyFrame>, f64> {
+        match (self.ready.pop_front(), self.dead) {
+            (None, Some(t)) => Err(t),
+            (ready, _) => Ok(ready),
+        }
+    }
+}
+
+/// What an idle [`SendWindow`] — nothing unacknowledged, not dead — still
 /// has to remember.
 #[derive(Debug, Clone, Copy)]
 struct IdleSend {
@@ -265,7 +495,7 @@ struct IdleSend {
     complete_at: f64,
 }
 
-/// What an idle [`RecvStream`] — nothing buffered, no gap reported, not
+/// What an idle [`RecvWindow`] — nothing buffered, no gap reported, not
 /// dead — still has to remember.
 #[derive(Debug, Clone, Copy)]
 struct IdleRecv {
@@ -298,8 +528,8 @@ type Streams<V> = HashMap<StreamKey, V, BuildHasherDefault<DefaultHasher>>;
 #[derive(Debug, Default)]
 pub(crate) struct ReliableState {
     cfg: ReliableConfig,
-    send: Streams<SendStream>,
-    recv: Streams<RecvStream>,
+    send: Streams<SendWindow>,
+    recv: Streams<RecvWindow>,
     send_idle: Streams<IdleSend>,
     recv_idle: Streams<IdleRecv>,
     /// A never-seen stream was created since the idle ones were last
@@ -316,39 +546,39 @@ impl ReliableState {
         }
     }
 
-    /// The send stream for `key`, unparked or created as needed.
-    fn send_mut(&mut self, key: StreamKey) -> &mut SendStream {
+    /// The send window for `key`, unparked or created as needed.
+    fn send_mut(&mut self, key: StreamKey) -> &mut SendWindow {
         self.park_idle_if_due();
         match self.send.entry(key) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => e.insert(match self.send_idle.remove(&key) {
-                Some(idle) => SendStream {
+                Some(idle) => SendWindow {
                     next_seq: idle.next_seq,
                     complete_at: idle.complete_at,
-                    ..SendStream::default()
+                    ..SendWindow::default()
                 },
                 None => {
                     self.park_due = true;
-                    SendStream::default()
+                    SendWindow::default()
                 }
             }),
         }
     }
 
-    /// The receive stream for `key`, unparked or created as needed.
-    fn recv_mut(&mut self, key: StreamKey) -> &mut RecvStream {
+    /// The receive window for `key`, unparked or created as needed.
+    fn recv_mut(&mut self, key: StreamKey) -> &mut RecvWindow {
         self.park_idle_if_due();
         match self.recv.entry(key) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => e.insert(match self.recv_idle.remove(&key) {
-                Some(idle) => RecvStream {
+                Some(idle) => RecvWindow {
                     expected: idle.expected,
                     next_unseen: idle.next_unseen,
-                    ..RecvStream::default()
+                    ..RecvWindow::default()
                 },
                 None => {
                     self.park_due = true;
-                    RecvStream::default()
+                    RecvWindow::default()
                 }
             }),
         }
@@ -364,7 +594,7 @@ impl ReliableState {
         self.park_due = false;
         let idle = &mut self.send_idle;
         self.send.retain(|&key, s| {
-            let busy = s.dead || !s.pending.is_empty();
+            let busy = s.dead.is_some() || !s.pending.is_empty();
             if !busy {
                 // Acks that retire frames also reset `fast_retx`.
                 debug_assert!(s.in_flight_bytes == 0 && s.fast_retx.is_none());
@@ -380,7 +610,7 @@ impl ReliableState {
         });
         let idle = &mut self.recv_idle;
         self.recv.retain(|&key, s| {
-            let busy = s.dead
+            let busy = s.dead.is_some()
                 || s.gap_nacked.is_some()
                 || !(s.ready.is_empty() && s.reorder.is_empty() && s.assembly_chunks.is_empty());
             if !busy {
@@ -423,8 +653,8 @@ impl ReliableState {
     /// one life their sequence space is still coherent, and clearing them
     /// would alias sequence numbers against frames still in flight.
     pub(crate) fn clear_dead(&mut self, peer: Rank) {
-        self.send.retain(|k, s| k.0 != peer || !s.dead);
-        self.recv.retain(|k, s| k.0 != peer || !s.dead);
+        self.send.retain(|k, s| k.0 != peer || s.dead.is_none());
+        self.recv.retain(|k, s| k.0 != peer || s.dead.is_none());
     }
 }
 
@@ -491,23 +721,6 @@ fn patch_attempt(frame: &mut [u8], attempt: u16) {
     frame[n - 8..].copy_from_slice(&ck.to_le_bytes());
 }
 
-fn ctrl_frame(kind: u8, seq: u64) -> Body {
-    let mut frame = [kind; CTRL_LEN];
-    frame[1..].copy_from_slice(&seq.to_le_bytes());
-    Body::copy_of(&frame)
-}
-
-fn decode_ctrl(bytes: &[u8]) -> Option<(u8, u64)> {
-    if bytes.len() < CTRL_LEN {
-        return None;
-    }
-    let kind = bytes[0];
-    if !(K_ACK..=K_GIVEUP).contains(&kind) {
-        return None;
-    }
-    Some((kind, u64::from_le_bytes(bytes[1..9].try_into().unwrap())))
-}
-
 /// Post one logical message on the stream toward `to`.  Payloads larger
 /// than [`CHUNK_BYTES`] are split into frames; each frame is admitted as
 /// soon as the sliding window has room, so the wire carries chunk `k`
@@ -565,22 +778,18 @@ fn post_frame(
         .as_ref()
         .map_or(Body::Data(frame), |f| Body::Shared(Arc::clone(f)));
     ep.send_body(to, st.data, body);
-    let stream = ep.rel.send.get_mut(&key).expect("just created");
-    stream.next_seq += 1;
-    stream.in_flight_bytes += bytes;
-    // Queue-aware deadline: the link drains frames in FIFO order, so this
-    // frame's ack cannot arrive before every in-flight byte ahead of it
-    // has cleared the wire.  Sizing the timeout on the whole backlog keeps
-    // a full window from reading as loss.
-    let deadline = ep.clock + timeout_for(&ep.model, stream.in_flight_bytes, 0);
-    stream.pending.push_back(PendingSend {
-        seq,
-        attempt: 0,
-        frame: retx,
-        bytes,
-        deadline,
-    });
+    let (now, model) = (ep.clock, &ep.model);
+    let window = ep.rel.send.get_mut(&key).expect("just created");
+    window.admit(retx, bytes, now, |b, a| timeout_for(model, b, a));
     Ok(())
+}
+
+/// Carry out a dead stream's give-up: the clock moves to the moment the
+/// stream died, and the mark names the side that noticed.
+fn give_up(ep: &mut Endpoint, peer: Rank, st: StreamTag, side: &str, at: f64) -> SimError {
+    ep.advance_to(at);
+    ep.mark(format!("reliable give-up peer={peer} tag={:?} side={side}", st.data).into());
+    SimError::PeerTimeout { rank: peer }
 }
 
 /// Pump the protocol until the stream toward `to` has window room (or is
@@ -593,29 +802,13 @@ fn wait_for_window(ep: &mut Endpoint, to: Rank, st: StreamTag) -> Result<(), Sim
     // entry check keeps an evicted peer from looking like fresh room.
     ep.check_evicted(to)?;
     let key = (to, st.data.0);
-    let max_frames = ep.rel.cfg.window_frames.max(1);
+    let room = ep.rel.cfg.window_frames.max(1) - 1;
     let mut stalled = false;
     let mut misses = 0u32;
     loop {
-        enum Gate {
-            Open(f64),
-            Dead(f64),
-            Full(usize, usize),
-        }
-        let gate = match ep.rel.send.get(&key) {
-            None => Gate::Open(0.0),
-            Some(s) if s.dead => Gate::Dead(s.dead_at),
-            Some(s) if s.pending.len() >= max_frames => {
-                Gate::Full(s.pending.len(), s.in_flight_bytes)
-            }
-            Some(s) => Gate::Open(s.complete_at),
-        };
-        match gate {
-            Gate::Dead(t) => {
-                ep.advance_to(t);
-                ep.mark(format!("reliable give-up peer={to} tag={:?} side=send", st.data).into());
-                return Err(SimError::PeerTimeout { rank: to });
-            }
+        let window = ep.rel.send.get(&key);
+        match window.map_or(Gate::Open(0.0), |s| s.gate(room)) {
+            Gate::Dead(t) => return Err(give_up(ep, to, st, "send", t)),
             Gate::Open(complete_at) => {
                 if stalled {
                     // The window was full and has just opened: this
@@ -648,31 +841,20 @@ fn wait_for_window(ep: &mut Endpoint, to: Rank, st: StreamTag) -> Result<(), Sim
 /// retry budget has been exhausted and the stream declared dead.
 pub fn flush_send(ep: &mut Endpoint, to: Rank, st: StreamTag) -> Result<(), SimError> {
     // An eviction purge removes the stream entirely — without this check
-    // the `None` arm below would report a clean flush for a dead peer.
+    // the parked arm below would report a clean flush for a dead peer.
     ep.check_evicted(to)?;
     let key = (to, st.data.0);
     let mut misses = 0u32;
     loop {
-        match ep.rel.send.get(&key) {
-            None => {
-                // Parked: everything was acked before this flush.
-                if let Some(t) = ep.rel.send_idle.get(&key).map(|s| s.complete_at) {
-                    ep.advance_to(t);
-                }
-                return Ok(());
-            }
-            Some(s) if s.dead => {
-                let t = s.dead_at;
-                ep.advance_to(t);
-                ep.mark(format!("reliable give-up peer={to} tag={:?} side=send", st.data).into());
-                return Err(SimError::PeerTimeout { rank: to });
-            }
-            Some(s) if s.pending.is_empty() => {
-                let t = s.complete_at;
+        // A parked stream had everything acked before this flush.
+        let parked = || Gate::Open(ep.rel.send_idle.get(&key).map_or(0.0, |s| s.complete_at));
+        match ep.rel.send.get(&key).map_or_else(parked, |s| s.gate(0)) {
+            Gate::Dead(t) => return Err(give_up(ep, to, st, "send", t)),
+            Gate::Open(t) => {
                 ep.advance_to(t);
                 return Ok(());
             }
-            Some(_) => ep.pump_guarded(to, &mut misses)?,
+            Gate::Full(..) => ep.pump_guarded(to, &mut misses)?,
         }
     }
 }
@@ -687,6 +869,20 @@ pub enum Payload {
     Owned(Vec<u8>),
     /// A frame with other holders, and the payload's length in it.
     Shared(Arc<Vec<u8>>, usize),
+}
+
+impl Payload {
+    /// The payload of a delivered DATA frame: the frame's own buffer cut
+    /// at its trailer, or the shared frame and the payload's length.
+    fn of_frame(body: Body) -> Payload {
+        let len = body.len() - TRAILER_LEN;
+        if let Body::Shared(frame) = body {
+            return Payload::Shared(frame, len);
+        }
+        let mut frame = body.into_vec();
+        frame.truncate(len);
+        Payload::Owned(frame)
+    }
 }
 
 impl Deref for Payload {
@@ -717,40 +913,17 @@ pub fn reliable_recv(ep: &mut Endpoint, from: Rank, st: StreamTag) -> Result<Pay
     let key = (from, st.data.0);
     let mut misses = 0u32;
     loop {
-        let popped = ep.rel.recv.get_mut(&key).and_then(|s| s.ready.pop_front());
-        if let Some(ready) = popped {
-            match ready {
-                ReadyFrame::Whole(msg) => {
-                    let body = ep.accept(msg);
-                    let len = body.len() - TRAILER_LEN;
-                    if let Body::Shared(frame) = body {
-                        return Ok(Payload::Shared(frame, len));
-                    }
-                    let mut frame = body.into_vec();
-                    frame.truncate(len);
-                    return Ok(Payload::Owned(frame));
+        match ep.rel.recv.get_mut(&key).map_or(Ok(None), RecvWindow::take) {
+            Ok(Some(ReadyFrame::Whole(msg))) => return Ok(Payload::of_frame(ep.accept(msg))),
+            Ok(Some(ReadyFrame::Assembled { payload, chunks })) => {
+                for (arrival, bytes) in chunks {
+                    ep.accept_chunk(from, st.data, arrival, bytes);
                 }
-                ReadyFrame::Assembled { payload, chunks } => {
-                    for (arrival, bytes) in chunks {
-                        ep.accept_chunk(from, st.data, arrival, bytes);
-                    }
-                    return Ok(Payload::Owned(payload));
-                }
+                return Ok(Payload::Owned(payload));
             }
+            Err(t) => return Err(give_up(ep, from, st, "recv", t)),
+            Ok(None) => ep.pump_guarded(from, &mut misses)?,
         }
-        // Messages already assembled are served even on a dead stream:
-        // death only cuts off what never fully arrived.
-        let dead_at = ep
-            .rel
-            .recv
-            .get(&key)
-            .and_then(|s| s.dead.then_some(s.dead_at));
-        if let Some(t) = dead_at {
-            ep.advance_to(t);
-            ep.mark(format!("reliable give-up peer={from} tag={:?} side=recv", st.data).into());
-            return Err(SimError::PeerTimeout { rank: from });
-        }
-        ep.pump_guarded(from, &mut misses)?;
     }
 }
 
@@ -785,70 +958,28 @@ pub(crate) fn turnaround(ep: &Endpoint, arrival: f64) -> f64 {
     arrival + ep.model.send_overhead
 }
 
-/// Append one validated in-order frame to its stream: single-frame
-/// messages become zero-copy [`ReadyFrame::Whole`] entries, chunked
-/// messages accumulate until their `FLAG_LAST` frame.  Frames on one-sided
-/// sink streams complete into `completions` (applied by the caller once
-/// the stream borrow ends) instead of the ready queue.
-fn deliver_frame(
-    st: &mut RecvStream,
-    msg: Message,
-    sink: bool,
-    completions: &mut Vec<(Tag, Vec<u8>, f64)>,
-) {
-    let frame = msg
-        .body
-        .bytes()
-        .expect("only validated data frames are delivered");
-    let last = frame_flags(frame) & FLAG_LAST != 0;
-    if last && st.assembly_chunks.is_empty() {
-        if !sink {
-            return st.ready.push_back(ReadyFrame::Whole(msg));
-        }
-        let mut frame = msg.body.into_vec();
-        frame.truncate(frame.len() - TRAILER_LEN);
-        return completions.push((msg.tag, frame, msg.arrival));
+/// Send `ctrl` toward `to` from the NIC at `at`, counting ACKs and NACKs.
+fn send_ctrl(ep: &mut Endpoint, to: Rank, st: StreamTag, ctrl: Ctrl, at: f64) {
+    match ctrl {
+        Ctrl::Ack(_) => ep.stats.faults.acks_sent += 1,
+        Ctrl::Nack(_) => ep.stats.faults.nacks_sent += 1,
+        Ctrl::GiveUp(_) => {}
     }
-    st.assembly_chunks.push((msg.arrival, frame.len()));
-    st.assembly
-        .extend_from_slice(&frame[..frame.len() - TRAILER_LEN]);
-    if last {
-        let payload = std::mem::take(&mut st.assembly);
-        if sink {
-            st.assembly_chunks.clear();
-            completions.push((msg.tag, payload, msg.arrival));
-        } else {
-            let chunks = std::mem::take(&mut st.assembly_chunks);
-            st.ready
-                .push_back(ReadyFrame::Assembled { payload, chunks });
-        }
-    }
+    ep.nic_send(to, st.ctrl, ctrl.frame(), at);
 }
 
+/// Feed a DATA frame to its receive window and carry out the answer.
+/// Frames on one-sided sink streams complete into exposed windows here,
+/// on the NIC plane, instead of waiting for a `reliable_recv`.
 fn intake_data(ep: &mut Endpoint, msg: Message) {
-    let ctrl = ctrl_tag_of_data(msg.tag);
-    let at = turnaround(ep, msg.arrival);
-    let src = msg.src;
-    let key = (src, msg.tag.0);
+    let st = StreamTag::of(msg.tag);
+    let (src, at) = (msg.src, turnaround(ep, msg.arrival));
+    let key = (src, st.data.0);
     let verify = ep.faults_enabled();
-    let valid = msg
-        .body
-        .bytes()
-        .is_some_and(|frame| frame_ok(frame, verify));
-    if !valid {
-        // The frame was destroyed or corrupted in flight: ask for the
-        // first sequence number we have not seen.  FIFO channels make the
-        // inference exact for a single loss; a wrong guess (the tombstone
-        // was a duplicate) at worst triggers one spurious retransmission,
-        // which the dedup below absorbs.
-        let stream = ep.rel.recv_mut(key);
-        let miss = stream.next_unseen.max(stream.expected);
-        stream.next_unseen = miss + 1;
-        ep.stats.faults.nacks_sent += 1;
-        ep.nic_send(src, ctrl, ctrl_frame(K_NACK, miss), at);
-        return;
-    }
-    let frame = msg.body.bytes().expect("validated above");
+    let Some(frame) = msg.body.bytes().filter(|f| frame_ok(f, verify)) else {
+        let nack = ep.rel.recv_mut(key).lost();
+        return send_ctrl(ep, src, st, nack, at);
+    };
     // A frame stamped with an incarnation other than ours was sent toward
     // a previous (or not-yet-seen) life of this rank: drop it silently.
     // No NACK — the sender's stream for the old life is void, and its new
@@ -858,155 +989,78 @@ fn intake_data(ep: &mut Endpoint, msg: Message) {
         return;
     }
     let seq = frame_seq(frame);
-    let sink = crate::onesided::is_sink_tag(msg.tag);
-    let mut completions: Vec<(Tag, Vec<u8>, f64)> = Vec::new();
-    /// What the intake decided to answer with, sent once the stream
-    /// borrow has ended.
-    enum Answer {
-        Ack(u64),
-        DupAck(u64),
-        GapNack(u64),
-        Silent,
+    let answer = ep.rel.recv_mut(key).frame(seq, msg);
+    if answer.dup {
+        ep.stats.faults.dup_frames_dropped += 1;
     }
-    let answer;
-    {
-        let stream = ep.rel.recv_mut(key);
-        stream.next_unseen = stream.next_unseen.max(seq + 1);
-        if seq < stream.expected {
-            // Late duplicate: re-ack the cumulative state so the sender is
-            // never left without a control signal (a silent drop here
-            // could strand its last pending frame forever).
-            answer = Answer::DupAck(stream.expected - 1);
-        } else if seq > stream.expected {
-            // A retransmission of an earlier loss overtook this frame (or
-            // will): buffer it inside the window until the gap fills, and
-            // name the exact gap in a NACK (once per distinct gap) — the
-            // tombstone-based inference below can misattribute repeated
-            // losses of the same frame.
-            match stream.reorder.entry(seq) {
-                std::collections::btree_map::Entry::Occupied(_) => {
-                    ep.stats.faults.dup_frames_dropped += 1;
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(msg);
-                }
-            }
-            let gap = stream.expected;
-            if stream.gap_nacked != Some(gap) {
-                stream.gap_nacked = Some(gap);
-                answer = Answer::GapNack(gap);
-            } else {
-                answer = Answer::Silent;
-            }
-        } else {
-            deliver_frame(stream, msg, sink, &mut completions);
-            stream.expected += 1;
-            while let Some(m) = stream.reorder.remove(&stream.expected) {
-                deliver_frame(stream, m, sink, &mut completions);
-                stream.expected += 1;
-            }
-            stream.gap_nacked = None;
-            answer = Answer::Ack(stream.expected - 1);
-        }
+    if let Some(reply) = answer.reply {
+        send_ctrl(ep, src, st, reply, at);
     }
-    match answer {
-        Answer::Ack(acked) => {
-            ep.stats.faults.acks_sent += 1;
-            ep.nic_send(src, ctrl, ctrl_frame(K_ACK, acked), at);
-        }
-        Answer::DupAck(acked) => {
-            ep.stats.faults.dup_frames_dropped += 1;
-            ep.stats.faults.acks_sent += 1;
-            ep.nic_send(src, ctrl, ctrl_frame(K_ACK, acked), at);
-        }
-        Answer::GapNack(gap) => {
-            ep.stats.faults.nacks_sent += 1;
-            ep.nic_send(src, ctrl, ctrl_frame(K_NACK, gap), at);
-        }
-        Answer::Silent => {}
+    if !crate::onesided::is_sink_tag(st.data) {
+        return;
     }
-    for (tag, payload, arrival) in completions {
-        crate::onesided::apply_put(ep, src, tag, payload, arrival);
+    while let Some(ready) = ep.rel.recv.get_mut(&key).and_then(|w| w.ready.pop_front()) {
+        let (payload, arrival) = match ready {
+            ReadyFrame::Whole(m) => (Payload::of_frame(m.body), m.arrival),
+            ReadyFrame::Assembled { payload, chunks } => {
+                (Payload::Owned(payload), chunks.last().map_or(0.0, |c| c.0))
+            }
+        };
+        crate::onesided::apply_put(ep, src, st.data, &payload, arrival);
+        ep.recycle_buf(payload);
     }
 }
 
-/// Retransmit the pending frame at `idx` on the stream toward `to`,
-/// triggered at virtual time `trigger_at`.  Returns `false` when the retry
-/// budget is exhausted and the stream has been declared dead.
+/// Retransmit the pending frame at `idx` on the stream toward `to`, its
+/// loss reported at `trigger_at`.  Returns `false` when the retry budget
+/// ran out: the stream is dead, and the peer is told so (best effort).
 fn retransmit_pending(
     ep: &mut Endpoint,
     to: Rank,
-    data_tag: Tag,
+    st: StreamTag,
     idx: usize,
     trigger_at: f64,
 ) -> bool {
-    let send_ov = ep.model.send_overhead;
-    let key = (to, data_tag.0);
-    let stream = ep.rel.send.get_mut(&key).expect("caller checked");
-    let p = &mut stream.pending[idx];
-    p.attempt += 1;
-    if p.attempt > MAX_RETRIES {
-        // Budget exhausted: declare the peer unreachable, tell it so
-        // (best effort), and surface PeerTimeout at the flush.
-        let seq = p.seq;
-        stream.pending.clear();
-        stream.in_flight_bytes = 0;
-        stream.dead = true;
-        stream.dead_at = trigger_at;
-        ep.nic_send(
-            to,
-            ctrl_tag_of_data(data_tag),
-            ctrl_frame(K_GIVEUP, seq),
-            trigger_at + send_ov,
-        );
-        return false;
-    }
-    let attempt = p.attempt;
-    let seq = p.seq;
-    let mut frame = p.frame.as_deref().expect("kept under faults").to_vec();
+    let (send_ov, model, key) = (ep.model.send_overhead, &ep.model, (to, st.data.0));
+    let window = ep.rel.send.get_mut(&key).expect("caller checked");
+    let timeout = |bytes, attempt| timeout_for(model, bytes, attempt);
+    let (seq, attempt, at, mut frame) = match window.retransmit(idx, trigger_at, send_ov, timeout) {
+        Ok((seq, attempt, at, frame)) => (seq, attempt, at, frame.to_vec()),
+        Err(seq) => {
+            send_ctrl(ep, to, st, Ctrl::GiveUp(seq), trigger_at + send_ov);
+            return false;
+        }
+    };
     patch_attempt(&mut frame, attempt as u16);
-    // The retransmit timer fires at the later of the loss report and the
-    // previous attempt's deadline.
-    let t_retx = trigger_at.max(p.deadline) + send_ov;
-    // Same queue-aware sizing as the original post: the retry drains
-    // behind everything still in flight.
-    let backlog = stream.in_flight_bytes;
-    let deadline = t_retx + timeout_for(&ep.model, backlog, attempt);
-    stream.pending[idx].deadline = deadline;
     ep.stats.faults.timeouts += 1;
     ep.stats.faults.retransmits += 1;
+    let tag = st.data;
     ep.trace_push(TraceEvent::Retransmit {
-        at: t_retx,
+        at,
         to,
-        tag: data_tag,
+        tag,
         seq,
         attempt,
     });
-    ep.nic_send(to, data_tag, Body::Data(frame), t_retx);
+    ep.nic_send(to, tag, Body::Data(frame), at);
     true
 }
 
 /// After an ack retired frames at `now`, retransmit every remaining
 /// pending frame whose deadline has already passed — the windowed
 /// analogue of a timeout firing, traced as one retransmit burst.
-fn sweep_expired(ep: &mut Endpoint, to: Rank, data_tag: Tag, now: f64) {
+fn sweep_expired(ep: &mut Endpoint, to: Rank, st: StreamTag, now: f64) {
     // Without fault injection nothing is ever lost, so a blown deadline
     // can only mean ack queueing — retransmitting would be pure waste
     // (and no retransmission copy is kept on the fault-free path).
     if !ep.faults_enabled() {
         return;
     }
-    let key = (to, data_tag.0);
+    let key = (to, st.data.0);
     let mut burst = 0usize;
-    loop {
-        let idx = match ep.rel.send.get(&key) {
-            Some(s) if !s.dead => s.pending.iter().position(|p| p.deadline < now),
-            _ => None,
-        };
-        let Some(idx) = idx else { break };
-        let alive = retransmit_pending(ep, to, data_tag, idx, now);
+    while let Some(idx) = ep.rel.send.get(&key).and_then(|s| s.expired(now)) {
         burst += 1;
-        if !alive {
+        if !retransmit_pending(ep, to, st, idx, now) {
             break;
         }
     }
@@ -1015,111 +1069,57 @@ fn sweep_expired(ep: &mut Endpoint, to: Rank, data_tag: Tag, now: f64) {
         ep.trace_push(TraceEvent::RetransmitBurst {
             at: now,
             to,
-            tag: data_tag,
+            tag: st.data,
             frames: burst,
         });
     }
 }
 
+/// Feed a control frame to its window and carry out the answer.  A
+/// dropped control frame still tells us what it was: the tombstone prefix
+/// covers the whole 9-byte frame, so a lost ACK still confirms delivery
+/// and a lost NACK or GIVEUP still drives the protocol.
 fn intake_ctrl(ep: &mut Endpoint, msg: Message) {
-    // A dropped control frame still tells us what it was: the tombstone
-    // prefix covers the whole 9-byte frame.  A lost ACK therefore still
-    // confirms delivery, and a lost NACK/GIVEUP still drives the protocol.
     let decoded = match &msg.body {
-        Body::Dropped { prefix, .. } => decode_ctrl(prefix),
+        Body::Dropped { prefix, .. } => Ctrl::decode(prefix),
         Body::Poison(_) => unreachable!("poison filtered before intake"),
-        data => decode_ctrl(data.bytes().expect("a data body")),
+        data => Ctrl::decode(data.bytes().expect("a data body")),
     };
-    let Some((kind, seq)) = decoded else { return };
-    let data_tag = data_tag_of_ctrl(msg.tag);
-    let src = msg.src;
-    let key = (src, data_tag.0);
-    match kind {
-        K_GIVEUP => {
-            // The data sender abandoned the stream we receive on.
-            let stream = ep.rel.recv_mut(key);
-            if !stream.dead {
-                stream.dead = true;
-                stream.dead_at = msg.arrival;
-            }
-        }
-        K_ACK => {
-            let Some(stream) = ep.rel.send.get_mut(&key) else {
-                ep.stats.faults.stale_acks_dropped += 1;
-                return;
-            };
-            // Cumulative: retire every pending frame with seq <= acked.
-            let mut retired = 0u64;
-            let mut late = 0u64;
-            let mut inflight = stream.pending.len();
-            while stream.pending.front().is_some_and(|p| p.seq <= seq) {
-                let p = stream.pending.pop_front().expect("front checked");
-                stream.in_flight_bytes -= p.bytes;
-                if msg.arrival > p.deadline {
-                    // The ack beat no deadline, but it did arrive: count
-                    // the timeout, accept the ack.
-                    late += 1;
-                }
-                retired += 1;
-            }
-            if retired == 0 {
-                // Duplicate cumulative ack: the receiver saw a frame it
-                // could not deliver, so the oldest pending frame is the
-                // blocker.  Fast-retransmit it — once per distinct
-                // blocking frame — because no timer will ever fire if the
-                // wire goes quiet here.
-                ep.stats.faults.stale_acks_dropped += 1;
-                let front = match stream.pending.front() {
-                    Some(p) if !stream.dead && stream.fast_retx != Some(p.seq) => Some(p.seq),
-                    _ => None,
-                };
-                if let Some(s) = front {
-                    stream.fast_retx = Some(s);
-                    retransmit_pending(ep, src, data_tag, 0, msg.arrival);
-                }
-                return;
-            }
-            stream.fast_retx = None;
-            inflight -= retired as usize;
-            stream.complete_at = stream.complete_at.max(msg.arrival);
+    let Some(ctrl) = decoded else { return };
+    let st = StreamTag::of(msg.tag);
+    let (src, arrival) = (msg.src, msg.arrival);
+    let key = (src, st.data.0);
+    let send = ep.rel.send.get_mut(&key);
+    let heard = match ctrl {
+        Ctrl::GiveUp(_) => return ep.rel.recv_mut(key).gave_up(arrival),
+        Ctrl::Ack(seq) => send.map_or(Heard::Stale(None), |s| s.ack(seq, arrival)),
+        Ctrl::Nack(seq) => send.map_or(Heard::Stale(None), |s| s.nack(seq)),
+    };
+    match heard {
+        Heard::Advanced(acked, late, inflight) => {
             ep.stats.faults.timeouts += late;
             ep.stats.faults.window_advances += 1;
             ep.trace_push(TraceEvent::WindowAdvance {
-                at: msg.arrival,
+                at: arrival,
                 to: src,
-                tag: data_tag,
-                acked: seq,
+                tag: st.data,
+                acked,
                 inflight,
             });
             // Frames still pending whose deadlines this (late) ack blew
             // past will not be acked spontaneously — resend them now.
-            sweep_expired(ep, src, data_tag, msg.arrival);
+            sweep_expired(ep, src, st, arrival);
         }
-        K_NACK => {
-            let Some(stream) = ep.rel.send.get_mut(&key) else {
-                ep.stats.faults.stale_acks_dropped += 1;
-                return;
-            };
-            if stream.dead {
-                return;
+        Heard::Retransmit(idx) => {
+            retransmit_pending(ep, src, st, idx, arrival);
+        }
+        Heard::Stale(retx) => {
+            ep.stats.faults.stale_acks_dropped += 1;
+            if let Some(idx) = retx {
+                retransmit_pending(ep, src, st, idx, arrival);
             }
-            // Retransmit the named frame; when it was already retired (a
-            // duplicated NACK, or a loss the receiver misattributed),
-            // retransmit the oldest pending frame instead — that is the
-            // one blocking the receiver, and resending it heals dropped
-            // retransmissions and tail loss.
-            let idx = match stream.pending.iter().position(|p| p.seq == seq) {
-                Some(i) => Some(i),
-                None if !stream.pending.is_empty() => Some(0),
-                None => None,
-            };
-            let Some(idx) = idx else {
-                ep.stats.faults.stale_acks_dropped += 1;
-                return;
-            };
-            retransmit_pending(ep, src, data_tag, idx, msg.arrival);
         }
-        _ => {}
+        Heard::Ignored => {}
     }
 }
 
@@ -1137,8 +1137,8 @@ mod tests {
         assert_eq!(st.data().class(), Tag::CLASS_RELIABLE_DATA);
         assert_eq!(st.ctrl().class(), Tag::CLASS_RELIABLE_CTRL);
         assert_eq!(st.data().ctx(), 20);
-        assert_eq!(data_tag_of_ctrl(st.ctrl()), st.data());
-        assert_eq!(ctrl_tag_of_data(st.data()), st.ctrl());
+        assert_eq!(StreamTag::of(st.ctrl()), st);
+        assert_eq!(StreamTag::of(st.data()), st);
     }
 
     #[test]
@@ -1173,7 +1173,7 @@ mod tests {
 
     #[test]
     fn ctrl_frames_roundtrip_and_fit_tombstone_prefix() {
-        let body = ctrl_frame(K_NACK, 7);
+        let body = Ctrl::Nack(7).frame();
         assert!(
             matches!(body, Body::Inline { .. }),
             "control frames travel inline"
@@ -1181,9 +1181,9 @@ mod tests {
         let f = body.bytes().unwrap();
         assert_eq!(f.len(), CTRL_LEN);
         const { assert!(CTRL_LEN <= crate::message::DROP_PREFIX) };
-        assert_eq!(decode_ctrl(f), Some((K_NACK, 7)));
-        assert_eq!(decode_ctrl(&f[..5]), None);
-        assert_eq!(decode_ctrl(&[9u8; 9]), None);
+        assert_eq!(Ctrl::decode(f), Some(Ctrl::Nack(7)));
+        assert_eq!(Ctrl::decode(&f[..5]), None);
+        assert_eq!(Ctrl::decode(&[9u8; 9]), None);
     }
 
     #[test]
@@ -1207,6 +1207,87 @@ mod tests {
         // Clamped region is flat: more attempts never shrink or blow it.
         assert_eq!(t_huge, timeout_for(&m, 1 << 20, 1_000_000));
         assert_eq!(t_huge, timeout_for(&m, 1 << 20, MAX_BACKOFF_EXP + 1));
+    }
+
+    /// A valid single-frame DATA message with sequence number `seq`.
+    fn data_frame(seq: u64) -> Message {
+        let mut frame = vec![seq as u8; 4];
+        append_trailer(&mut frame, seq, 0, FLAG_LAST, false);
+        let (tag, body) = (StreamTag::new(20, 1).data(), Body::Data(frame));
+        let arrival = seq as f64;
+        Message {
+            src: 1,
+            tag,
+            body,
+            arrival,
+        }
+    }
+
+    /// The two windows driven directly, with no endpoint: every decision is
+    /// a value in, a value out.
+    #[test]
+    fn windows_decide_without_a_world() {
+        let timeout = |_bytes: usize, attempt: u32| f64::from(1 + attempt);
+        let mut tx = SendWindow::default();
+        for seq in 0..4u8 {
+            tx.admit(Some(Arc::new(vec![seq; 8])), 8, 0.0, timeout);
+        }
+        assert_eq!(tx.gate(3), Gate::Full(4, 32));
+        // One cumulative ack retires three frames, all past their deadline.
+        assert_eq!(tx.ack(2, 1.5), Heard::Advanced(2, 3, 1));
+        assert_eq!(
+            (tx.gate(0), tx.gate(1)),
+            (Gate::Full(1, 8), Gate::Open(1.5))
+        );
+        assert_eq!(tx.expired(1.5), Some(0));
+        // A duplicate ack fast-retransmits the blocker once, not twice.
+        assert_eq!(tx.ack(2, 1.6), Heard::Stale(Some(0)));
+        assert_eq!(tx.ack(2, 1.7), Heard::Stale(None));
+        // A NACK for a retired frame picks the oldest pending one.
+        tx.admit(Some(Arc::new(vec![4; 8])), 8, 2.0, timeout);
+        assert_eq!(tx.nack(1), Heard::Retransmit(0));
+        assert_eq!(tx.nack(4), Heard::Retransmit(1));
+        let resend = tx.retransmit(0, 2.0, 0.5, timeout);
+        assert_eq!(resend, Ok((3, 1, 2.5, &[3u8; 8][..])));
+        assert_eq!(tx.expired(4.0), Some(1), "seq 3 now expires at 4.5");
+        // The 25th retransmission gives up; the dead stream ignores NACKs.
+        for attempt in 2..=MAX_RETRIES {
+            assert!(matches!(tx.retransmit(0, 3.0, 0.5, timeout), Ok((3, a, ..)) if a == attempt));
+        }
+        assert_eq!(tx.retransmit(0, 9.0, 0.5, timeout), Err(3));
+        assert_eq!((tx.gate(64), tx.nack(3)), (Gate::Dead(9.0), Heard::Ignored));
+
+        let mut rx = RecvWindow::default();
+        let answer = |reply, dup| Answer { reply, dup };
+        assert_eq!(
+            rx.frame(0, data_frame(0)),
+            answer(Some(Ctrl::Ack(0)), false)
+        );
+        // Frames beyond a gap wait in the reorder buffer: one NACK per gap.
+        assert_eq!(
+            rx.frame(2, data_frame(2)),
+            answer(Some(Ctrl::Nack(1)), false)
+        );
+        assert_eq!(rx.frame(3, data_frame(3)), answer(None, false));
+        assert_eq!(rx.frame(3, data_frame(3)), answer(None, true));
+        // A tombstone NACKs the first sequence number not yet seen.
+        assert_eq!(rx.lost(), Ctrl::Nack(4));
+        // The gap fills: everything buffered is delivered in order.
+        assert_eq!(
+            rx.frame(1, data_frame(1)),
+            answer(Some(Ctrl::Ack(3)), false)
+        );
+        assert_eq!(rx.frame(1, data_frame(1)), answer(Some(Ctrl::Ack(3)), true));
+        for seq in 0..4 {
+            match rx.take() {
+                Ok(Some(ReadyFrame::Whole(m))) => assert_eq!(m.arrival, seq as f64),
+                other => panic!("frame {seq}: {other:?}"),
+            }
+        }
+        assert!(matches!(rx.take(), Ok(None)));
+        rx.gave_up(7.0);
+        rx.gave_up(8.0);
+        assert!(matches!(rx.take(), Err(7.0)));
     }
 
     #[test]

@@ -79,12 +79,26 @@ fn fnv_group(h: &mut u64, g: &Group) {
     fnv1a(h, &g.context().to_le_bytes());
 }
 
-/// Combine every rank's local fingerprint into one key (collective over
-/// `union`) and probe the cache.  Folding *all* ranks' fingerprints in
-/// makes the hit/miss decision identical everywhere even if one rank's
-/// inputs diverge, so a hit (which skips the build's communication) can
-/// never deadlock against a miss.
-fn sched_cache_probe(ep: &mut Endpoint, union: &Group, local_fp: u64) -> (u64, Option<Schedule>) {
+/// The memoized build behind every `mc_compute_sched*` front door.  Every
+/// rank's `local_fp` is folded into one key (collective over `union`), so
+/// the hit/miss decision is identical everywhere even if one rank's
+/// inputs diverge, and a hit (which skips the build's communication) can
+/// never deadlock against a miss.  A miss builds over `src` and `dst` with
+/// [`BuildMethod::Cooperation`] and remembers the schedule.
+fn memoized_schedule<T, S, D>(
+    ep: &mut Endpoint,
+    union: &Group,
+    local_fp: u64,
+    src_prog: &Group,
+    src: Option<Side<'_, T, S>>,
+    dst_prog: &Group,
+    dst: Option<Side<'_, T, D>>,
+) -> Result<Schedule, McError>
+where
+    T: Copy,
+    S: McObject<T>,
+    D: McObject<T>,
+{
     let all: Vec<u64> = Comm::borrowed(ep, union).allgather_t(local_fp);
     let mut key = FNV_OFFSET;
     for v in all {
@@ -97,12 +111,14 @@ fn sched_cache_probe(ep: &mut Endpoint, union: &Group, local_fp: u64) -> (u64, O
         None => format!("sched_cache miss key={key:#018x}"),
     };
     ep.mark(label.into());
-    (key, hit)
-}
-
-fn sched_cache_insert(ep: &mut Endpoint, key: u64, sched: &Schedule) {
+    if let Some(sched) = hit {
+        return Ok(sched);
+    }
+    let method = BuildMethod::Cooperation;
+    let sched = compute_schedule(ep, union, src_prog, src, dst_prog, dst, method)?;
     ep.scratch::<SchedCache>(SCHED_CACHE_KEY)
         .insert(key, sched.clone());
+    Ok(sched)
 }
 
 /// Number of schedules this rank has memoized (diagnostics/tests).
@@ -147,7 +163,6 @@ pub fn mc_add_region_2_set<R: Region>(region: R, set: &mut SetOfRegions<R>) {
 /// identical inputs returns the cached schedule without running the
 /// inspector (hits/misses are counted in
 /// [`StatsSnapshot`](mcsim::stats::StatsSnapshot)).
-#[allow(clippy::too_many_arguments)]
 pub fn mc_compute_sched<T, S, D>(
     ep: &mut Endpoint,
     prog: &Group,
@@ -176,21 +191,8 @@ where
     fnv1a(&mut fp, &src_obj.epoch().to_le_bytes());
     fnv1a(&mut fp, &dst_obj.epoch().to_le_bytes());
     fnv_group(&mut fp, prog);
-    let (key, hit) = sched_cache_probe(ep, prog, fp);
-    if let Some(sched) = hit {
-        return Ok(sched);
-    }
-    let sched = compute_schedule(
-        ep,
-        prog,
-        prog,
-        Some(Side::new(src_obj, src_set)),
-        prog,
-        Some(Side::new(dst_obj, dst_set)),
-        BuildMethod::Cooperation,
-    )?;
-    sched_cache_insert(ep, key, &sched);
-    Ok(sched)
+    let (src, dst) = (Side::new(src_obj, src_set), Side::new(dst_obj, dst_set));
+    memoized_schedule(ep, prog, fp, prog, Some(src), prog, Some(dst))
 }
 
 /// Fold the parts of a two-program fingerprint every rank knows.
@@ -229,21 +231,8 @@ where
     }
     fnv_wire(&mut fp, &mut scratch, src_set);
     fnv1a(&mut fp, &src_obj.epoch().to_le_bytes());
-    let (key, hit) = sched_cache_probe(ep, union, fp);
-    if let Some(sched) = hit {
-        return Ok(sched);
-    }
-    let sched = compute_schedule::<T, S, D>(
-        ep,
-        union,
-        src_prog,
-        Some(Side::new(src_obj, src_set)),
-        dst_prog,
-        None,
-        BuildMethod::Cooperation,
-    )?;
-    sched_cache_insert(ep, key, &sched);
-    Ok(sched)
+    let src = Some(Side::new(src_obj, src_set));
+    memoized_schedule::<T, S, D>(ep, union, fp, src_prog, src, dst_prog, None)
 }
 
 /// `MC_ComputeSched` called from the *destination* program of a
@@ -269,21 +258,8 @@ where
     }
     fnv_wire(&mut fp, &mut scratch, dst_set);
     fnv1a(&mut fp, &dst_obj.epoch().to_le_bytes());
-    let (key, hit) = sched_cache_probe(ep, union, fp);
-    if let Some(sched) = hit {
-        return Ok(sched);
-    }
-    let sched = compute_schedule::<T, S, D>(
-        ep,
-        union,
-        src_prog,
-        None,
-        dst_prog,
-        Some(Side::new(dst_obj, dst_set)),
-        BuildMethod::Cooperation,
-    )?;
-    sched_cache_insert(ep, key, &sched);
-    Ok(sched)
+    let dst = Some(Side::new(dst_obj, dst_set));
+    memoized_schedule::<T, S, D>(ep, union, fp, src_prog, None, dst_prog, dst)
 }
 
 /// `MC_Copy(B1, A1)`: same-program data copy with a prebuilt schedule.

@@ -62,6 +62,8 @@ cargo run --release -p fuzz -- --matrix --iters 304 --seed 1 --perturb 1
 # time).
 echo "== fuzz soak (wide: 8/16-rank worlds) =="
 cargo run --release -p fuzz -- --matrix --wide --iters 64 --seed 3
+echo "== fuzz soak (wide, perturbed schedule) =="
+cargo run --release -p fuzz -- --matrix --wide --iters 64 --seed 3 --perturb 1
 
 # Crash-recovery gate: a bounded supervised soak — 1–2 scripted crashes per
 # scenario resolved against a fault-free baseline's transfer windows, the
@@ -71,6 +73,10 @@ cargo run --release -p fuzz -- --matrix --wide --iters 64 --seed 3
 # leave a repro in target/fuzz/ like the differential soak above.
 echo "== recovery soak =="
 cargo run --release -p fuzz -- --recover --iters 48 --seed 7
+# The same 48 scenarios under the perturbed tie-break: restarts drive the
+# window's clear_dead, purge_peer and give-up paths in a second order.
+echo "== recovery soak (perturbed schedule) =="
+cargo run --release -p fuzz -- --recover --iters 48 --seed 7 --perturb 1
 
 # Every step below leaves its outputs in one scratch dir; the gates run `repro`.
 tmp="$(mktemp -d -t mc_verify.XXXXXX)"
