@@ -239,8 +239,8 @@ enum Heard {
     Advanced(u64, u64, usize),
     /// Retransmit the pending frame at this index.
     Retransmit(usize),
-    /// Stale: it retired and named nothing.  A duplicate ack still
-    /// fast-retransmits the pending frame at this index.
+    /// Stale: it retired nothing and named no pending frame.  A duplicate
+    /// ack still fast-retransmits the pending frame at this index.
     Stale(Option<usize>),
     /// Nothing to do: the stream is dead.
     Ignored,
@@ -329,7 +329,7 @@ impl SendWindow {
 
     /// Retransmit the pending frame at `idx`, its loss reported at
     /// `trigger_at`: the timer fires at the later of that and the last
-    /// attempt's deadline, one send overhead before the frame leaves, and
+    /// attempt's deadline, the frame leaves one send overhead later, and
     /// the new deadline again counts the whole backlog.  Returns what to
     /// send, `(seq, attempt, at, frame)`, or `Err(seq)` when this is the
     /// 25th retransmission and the stream gives up instead.
