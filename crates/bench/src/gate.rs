@@ -3,7 +3,8 @@
 //! report and a fresh one, both read through the workspace JSON codec.
 //! A key missing from either report fails its gate — a renamed metric
 //! must not silently stop being held.  [`Rule::Exact`] holds a number or
-//! a whole subtree, leaf by leaf, and names every leaf that moved.
+//! a whole subtree (the empty path: the whole report), leaf by leaf, and
+//! names every leaf that moved.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,10 +24,12 @@ pub enum Rule {
 /// path into the report object, and the rule.  Every deterministic number
 /// is held exactly, so any move fails and is named: the P=256 virtual
 /// times and the sliding window's speed-up on the simulated wire, the
-/// paper's cells, and the paper sweep's host work (allocations and bytes
-/// requested per section).  The one host wall left, the P=256 inspector
-/// (±30 % run to run), gets 2×: it catches the per-message host path
-/// growing back a lock or a channel, not a percentage.
+/// paper's cells, the paper sweep's host work (allocations and bytes
+/// requested per section), and every number of the critical-path
+/// attribution (`repro analyze --n 4096 --reps 2`).  The one host wall
+/// left, the P=256 inspector (±30 % run to run), gets 2×: it catches the
+/// per-message host path growing back a lock or a channel, not a
+/// percentage.
 pub const GATES: &[(&str, &[&str], Rule)] = &[
     ("scaling", &["p256_inspector_virtual_ms"], Rule::Exact),
     ("scaling", &["p256_transfer_virtual_ms"], Rule::Exact),
@@ -35,6 +38,7 @@ pub const GATES: &[(&str, &[&str], Rule)] = &[
     ("scaling", &["p256_inspector_wall_ms"], Rule::AtMost(2.0)),
     ("paper", &["cells"], Rule::Exact),
     ("paper", &["work"], Rule::Exact),
+    ("critical_path", &[], Rule::Exact),
 ];
 
 /// What [`check`] found.
@@ -55,7 +59,12 @@ fn subtree<'a>(report: &'a Value, path: &[&str]) -> Option<&'a Value> {
 fn leaves(path: String, v: &Value, out: &mut BTreeMap<String, String>) {
     if let Value::Obj(m) = v {
         for (k, v) in m {
-            leaves(format!("{path}.{k}"), v, out);
+            let key = if path.is_empty() {
+                k.clone()
+            } else {
+                format!("{path}.{k}")
+            };
+            leaves(key, v, out);
         }
     } else {
         out.insert(path, v.to_json());
@@ -96,6 +105,7 @@ pub fn check(suite: &str, baseline: &Value, fresh: &Value) -> Outcome {
     }
     for (_, path, rule) in gates {
         let name = path.join(".");
+        let label = if path.is_empty() { suite } else { &name };
         let (base, cur) = (subtree(baseline, path), subtree(fresh, path));
         let number = |v: Option<&Value>| v?.as_f64().filter(|x| x.is_finite());
         let (held, line, diffs) = match (rule, number(base), number(cur)) {
@@ -113,7 +123,7 @@ pub fn check(suite: &str, baseline: &Value, fresh: &Value) -> Outcome {
         };
         out.passed &= held;
         out.lines.push(format!(
-            "{name}: {line}{}",
+            "{label}: {line}{}",
             if held { "" } else { "  FAILED" }
         ));
         out.lines.extend(diffs);
@@ -234,6 +244,19 @@ mod tests {
                 "{failed:?}"
             );
         }
+        // The critical-path suite holds the whole flat attribution line.
+        let line = |wire: &str| {
+            let text = format!("{{\"transfers\": 2, \"phase_wire_s\": {wire}}}\n");
+            parse(&text).unwrap()
+        };
+        let base = line("0.001433222");
+        let o = check("critical_path", &base, &base);
+        assert!(o.passed, "{o:?}");
+        assert_eq!(o.lines[0], "critical_path: 0 of 2 values differ (exact)");
+        let o = check("critical_path", &base, &line("0.001433223"));
+        let failed = failed(&o);
+        assert!(!o.passed && failed.len() == 2, "{:?}", o.lines);
+        assert!(failed[1].starts_with("phase_wire_s: 0.001433222 -> 0.001433223"));
     }
 
     #[test]

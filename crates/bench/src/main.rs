@@ -4,11 +4,14 @@
 //! repro list
 //! repro paper [--out BENCH_paper.json]
 //! repro gate paper BENCH_paper.json FRESH
+//! repro analyze --n 4096 --reps 2 --out FRESH
+//! repro gate critical_path BENCH_critical_path.json FRESH
 //! ```
 //!
 //! `repro paper` computes every table and figure of the paper at full
 //! size and prints the markdown tables EXPERIMENTS.md carries; the other
-//! experiments measure the reproduction itself (scaling, traces).
+//! experiments measure the reproduction itself (scaling, traces, the
+//! critical-path attribution).
 //!
 //! This binary's allocator counts every allocation it makes, so that
 //! `repro paper` can report the host work of each part of the sweep.
@@ -18,11 +21,10 @@ use std::env;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
-use bench::attr::{diff, Attribution};
 use bench::paper::Work;
 use bench::report::{fmt_ms, num, write_report};
 use bench::scaling::{scaling_point, sublinear, wire_throughput_micro};
-use bench::traced::{traced_coupled_run, traced_coupled_run_scaled};
+use bench::traced::traced_coupled_run;
 use mcsim::json::{self, Value};
 
 /// [`System`], counting the allocation calls and the bytes they request.
@@ -101,19 +103,18 @@ fn usage() -> ! {
                     FILE ending .jsonl gets JSONL, anything else Chrome JSON\n\
                     (load in chrome://tracing or https://ui.perfetto.dev)\n\
            trace-check FILE                            validate a JSONL trace\n\
-           analyze  [--n N] [--reps R] [--wire-scale X] [--out FILE]\n\
+           analyze  [--n N] [--reps R] [--out FILE]\n\
                     critical-path analysis of a traced coupled run: where\n\
                     did my nanoseconds go?  writes a flat attribution JSON\n\
-           trace-diff BASELINE CURRENT [--threshold T]  compare two\n\
-                    attribution files; exit 1 when any phase's critical-\n\
-                    path seconds grew past T (default 0.25 = +25%)\n\
+                    (BENCH_critical_path.json is --n 4096 --reps 2)\n\
            scaling  [--n N] [--procs 64,256,1024] [--out FILE]\n\
                     scaling curve: inspector build, coupled transfer\n\
                     settle, and HPF redistribution per P, plus windowed vs\n\
                     stop-and-wait wire; writes BENCH_scaling.json (or FILE)\n\
-           gate     <scaling|paper> BASELINE FRESH  hold a fresh\n\
-                    report to the committed one (bench::gate's table); exit 1\n\
-                    when a gate trips or a key is missing\n\
+           gate     <scaling|paper|critical_path> BASELINE FRESH  hold a\n\
+                    fresh report to the committed one (bench::gate's table);\n\
+                    exit 1 when a gate trips or a key is missing, naming\n\
+                    every moved leaf old -> new\n\
            list                                        this message"
     );
     std::process::exit(2)
@@ -155,9 +156,8 @@ fn main() {
         "analyze" => {
             let n = arg(&args, "--n", 4096);
             let reps = arg(&args, "--reps", 2);
-            let wire_scale = arg(&args, "--wire-scale", 1.0);
             let out = arg(&args, "--out", "attribution.json".to_string());
-            let run = traced_coupled_run_scaled(n, reps, wire_scale);
+            let run = traced_coupled_run(n, reps);
             let report = mcsim::analyze(&run.traces);
             if let Err(e) = report.self_check() {
                 eprintln!("analyze: attribution self-check FAILED: {e}");
@@ -174,31 +174,9 @@ fn main() {
             for (src, dst, msgs, bytes) in run.stats.active_links() {
                 println!("  link {src}->{dst} traffic {msgs} msgs {bytes} bytes");
             }
-            let attr = Attribution::from_report(&report);
-            std::fs::write(&out, attr.to_json()).unwrap_or_else(|e| panic!("write {out}: {e}"));
+            let line = bench::attr::to_json(&report);
+            std::fs::write(&out, line).unwrap_or_else(|e| panic!("write {out}: {e}"));
             println!("wrote {out}");
-        }
-        "trace-diff" => {
-            let (Some(base_path), Some(cur_path)) = (args.get(1), args.get(2)) else {
-                usage()
-            };
-            let threshold = arg(&args, "--threshold", 0.25);
-            let read = |p: &str| {
-                Attribution::parse(&read_file(p)).unwrap_or_else(|e| panic!("parse {p}: {e}"))
-            };
-            let d = diff(&read(base_path), &read(cur_path), threshold);
-            for line in &d.lines {
-                println!("{line}");
-            }
-            let pct = threshold * 100.0;
-            if d.clean() {
-                println!("trace-diff: zero regression (threshold +{pct:.0}%)");
-            } else {
-                let n = d.regressions.len();
-                let what = if n == 1 { "quantity" } else { "quantities" };
-                eprintln!("trace-diff: {n} {what} regressed past +{pct:.0}%");
-                std::process::exit(1);
-            }
         }
         "scaling" => {
             let n = arg(&args, "--n", 1 << 15);

@@ -34,19 +34,8 @@ pub struct TracedRun {
 /// Run `reps` coupled transfers of an `n`-element vector between two
 /// 2-rank programs with tracing on, and return the timelines.
 pub fn traced_coupled_run(n: usize, reps: usize) -> TracedRun {
-    traced_coupled_run_scaled(n, reps, 1.0)
-}
-
-/// [`traced_coupled_run`] with the per-byte wire cost scaled by
-/// `wire_scale` — `2.0` simulates a machine whose network moves bytes at
-/// half speed while everything else is unchanged.  The trace-diff gate
-/// uses it as a known-bad run that must trip the regression threshold.
-pub fn traced_coupled_run_scaled(n: usize, reps: usize, wire_scale: f64) -> TracedRun {
     assert!(n >= 4 && reps >= 1);
-    assert!(wire_scale > 0.0 && wire_scale.is_finite());
-    let mut model = MachineModel::sp2();
-    model.byte_wire_cost *= wire_scale;
-    let world = World::with_model(4, model).with_trace();
+    let world = World::with_model(4, MachineModel::sp2()).with_trace();
     let out = world.run(move |ep| {
         let (pa, pb, un) = mcsim::group::Group::split_two(2, 2, 32);
         let set: SetOfRegions<RegularSection> = SetOfRegions::single(RegularSection::whole(&[n]));

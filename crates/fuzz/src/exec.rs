@@ -14,7 +14,7 @@ use mcsim::prelude::Endpoint;
 use mcsim::rng::Rng;
 use mcsim::span::Phase;
 use mcsim::wire::Wire;
-use mcsim::{pair_spans, FaultPlan, FaultRates, MachineModel, RecoveryConfig, World};
+use mcsim::{pair_spans, FaultPlan, FaultRates, MachineModel, World};
 use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::datamove::{data_move_recv, data_move_send, try_data_move};
 use meta_chaos::region::{DimSlice, IndexSet, RegularSection};
@@ -705,7 +705,6 @@ fn run_recovery_pair<S: FuzzLib, D: FuzzLib>(
     let mut world = World::with_model(sc.total_procs(), MachineModel::sp2())
         .with_perturb_seed(sc.perturb_seed)
         .with_supervisor(2)
-        .with_recovery_config(RecoveryConfig { lease_misses: 3 })
         .with_deadline(sc.deadline)
         .with_trace();
     if !crash_times.is_empty() {

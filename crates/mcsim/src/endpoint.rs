@@ -32,7 +32,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::message::{Body, Message, Rank, DROP_PREFIX, INLINE_MAX};
 use crate::model::MachineModel;
 use crate::onesided::OnesidedState;
-use crate::recovery::{RecoveryConfig, BEAT_INTERVAL};
+use crate::recovery::{BEAT_INTERVAL, LEASE_MISSES};
 use crate::reliable::{self, Payload, ReliableConfig, ReliableState};
 use crate::sched::{Hub, ParkKind, WakeCause};
 use crate::span::{Note, ObsState, Phase, SpanId};
@@ -172,8 +172,6 @@ pub struct Endpoint {
     /// it and fail with [`SimError::DeadlineExceeded`] instead of waiting
     /// forever.
     deadline: Option<f64>,
-    /// Recovery knobs (the lease budget).
-    pub(crate) recovery: RecoveryConfig,
     /// True when the world was built with a supervisor; also the one
     /// switch that arms heartbeats and the lease detector.
     supervised: bool,
@@ -222,7 +220,6 @@ impl Endpoint {
         faults: Option<&FaultPlan>,
         rel_cfg: ReliableConfig,
         deadline: Option<f64>,
-        recovery: RecoveryConfig,
         supervisor: Option<u32>,
     ) -> Self {
         Endpoint {
@@ -249,7 +246,6 @@ impl Endpoint {
             rel: ReliableState::new(rel_cfg),
             os: OnesidedState::default(),
             deadline,
-            recovery,
             supervised: supervisor.is_some(),
             restarts_left: supervisor.unwrap_or(0),
             incarnation: 0,
@@ -730,7 +726,7 @@ impl Endpoint {
             // keyed to the old one.
             self.broadcast_beat();
             *misses += 1;
-            if *misses >= self.recovery.lease_misses {
+            if *misses >= LEASE_MISSES {
                 self.stats.recovery.leases_expired += 1;
                 let at = self.clock;
                 let incarnation = self.peer_inc[from];

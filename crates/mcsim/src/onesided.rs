@@ -62,7 +62,7 @@ const PUT_HDR: usize = 9;
 const K_GET: u8 = 1;
 const K_GET_REPLY: u8 = 2;
 /// Heartbeat frame: `[K_BEAT][incarnation u64][clock f64]`, broadcast by
-/// the failure detector (see [`crate::recovery::RecoveryConfig`]).
+/// the failure detector (see [`crate::recovery::LEASE_MISSES`]).
 pub(crate) const K_BEAT: u8 = 3;
 
 /// Stream id heartbeats ride on: class `0x7`, discriminator bits clear

@@ -1,4 +1,4 @@
-//! Crash-recovery knobs.
+//! Crash-recovery constants.
 //!
 //! Recovery has three moving parts:
 //!
@@ -6,7 +6,7 @@
 //!   periodic beat (virtual-clock cadence, NIC plane) carrying its
 //!   *incarnation*.  A rank waiting on a peer counts silence windows —
 //!   one per quiescence of the world, observed by the scheduler, never a
-//!   timer — against the peer's lease; when the configured number of
+//!   timer — against the peer's lease; when [`LEASE_MISSES`]
 //!   windows lapse with nothing heard, the wait fails with
 //!   [`SimError::PeerEvicted`](crate::SimError::PeerEvicted) — a
 //!   membership decision, distinct from the transport retry-budget
@@ -29,29 +29,19 @@ pub const GET_ATTEMPTS: u32 = 4;
 /// Virtual seconds between heartbeat broadcasts from one rank.
 pub(crate) const BEAT_INTERVAL: f64 = 1e-3;
 
-/// Tunables for failure detection.  Whether the detector runs at all is
-/// not one of them: heartbeats arm exactly when the world has a
-/// supervisor ([`crate::World::with_supervisor`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Missed lease windows (quiescences of the world with the watched
-    /// peer silent) before it is evicted.
-    pub lease_misses: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig { lease_misses: 4 }
-    }
-}
+/// Missed lease windows (quiescences of the world with the watched peer
+/// silent) before a supervised world evicts that peer.  The detector
+/// runs only when the world has a supervisor
+/// ([`crate::World::with_supervisor`]).
+pub const LEASE_MISSES: u32 = 4;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_config_matches_historical_get_policy() {
+    fn budgets_match_historical_policy() {
         assert_eq!(GET_ATTEMPTS, 4);
-        assert_eq!(RecoveryConfig::default().lease_misses, 4);
+        assert_eq!(LEASE_MISSES, 4);
     }
 }

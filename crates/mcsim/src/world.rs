@@ -21,7 +21,6 @@ use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::message::Rank;
 use crate::model::{MachineModel, Topology};
-use crate::recovery::RecoveryConfig;
 use crate::reliable::ReliableConfig;
 use crate::sched::{Hub, TaskBody, WakeCause};
 use crate::stats::{NetStats, StatsSnapshot};
@@ -36,7 +35,6 @@ pub struct World {
     trace: bool,
     rel_cfg: ReliableConfig,
     deadline: Option<f64>,
-    recovery: RecoveryConfig,
     /// Restart budget per rank when a supervisor is attached.
     supervisor: Option<u32>,
     topology: Topology,
@@ -113,7 +111,6 @@ impl World {
             trace: false,
             rel_cfg: ReliableConfig::default(),
             deadline: None,
-            recovery: RecoveryConfig::default(),
             supervisor: None,
             topology: Topology::Crossbar,
             perturb_seed: None,
@@ -136,16 +133,6 @@ impl World {
         self
     }
 
-    /// Override the recovery configuration: the lease budget of the
-    /// failure detector every endpoint of a supervised world runs.  It
-    /// does not arm anything; [`World::with_supervisor`] does, in either
-    /// builder order.
-    pub fn with_recovery_config(mut self, cfg: RecoveryConfig) -> Self {
-        assert!(cfg.lease_misses > 0, "lease budget must be positive");
-        self.recovery = cfg;
-        self
-    }
-
     /// Attach a supervisor: a rank that dies to a *scripted* crash (fault
     /// plan or [`crate::endpoint::Endpoint::arm_crash`]) is respawned in
     /// place up to `max_restarts` times per rank, under a bumped
@@ -156,7 +143,7 @@ impl World {
     /// Arms heartbeats and the lease detector — the only switch that
     /// does: a supervisor restart sends no poison, so lease eviction is
     /// the only thing that wakes survivors blocked on the crashed rank.
-    /// [`World::with_recovery_config`] tunes the detector's budget.
+    /// Its budget is [`crate::recovery::LEASE_MISSES`].
     pub fn with_supervisor(mut self, max_restarts: u32) -> Self {
         self.supervisor = Some(max_restarts);
         self
@@ -235,7 +222,6 @@ impl World {
                     self.faults.as_ref(),
                     self.rel_cfg,
                     self.deadline,
-                    self.recovery,
                     self.supervisor,
                 );
                 if self.trace {
@@ -591,11 +577,9 @@ mod tests {
         assert_eq!(rep.stats.recovery.ranks_recovered, 1);
     }
 
-    /// Heartbeats arm exactly when a supervisor is attached, whichever
-    /// order the builders run in.
+    /// Heartbeats arm exactly when a supervisor is attached.
     #[test]
-    fn supervisor_arms_heartbeats_in_either_builder_order() {
-        let cfg = RecoveryConfig { lease_misses: 3 };
+    fn heartbeats_arm_exactly_with_a_supervisor() {
         let sp2 = || World::with_model(2, MachineModel::sp2());
         let beats = |world: World| {
             let rep = world.run_result(|ep| {
@@ -607,9 +591,8 @@ mod tests {
             });
             rep.stats.recovery.heartbeats_sent
         };
-        assert!(beats(sp2().with_supervisor(1).with_recovery_config(cfg)) > 0);
-        assert!(beats(sp2().with_recovery_config(cfg).with_supervisor(1)) > 0);
-        assert_eq!(beats(sp2().with_recovery_config(cfg)), 0);
+        assert!(beats(sp2().with_supervisor(1)) > 0);
+        assert_eq!(beats(sp2()), 0);
     }
 
     /// Two ranks each waiting for the other to speak first: quiescence

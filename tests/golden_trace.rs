@@ -1,5 +1,6 @@
 //! Golden traces: JSONL exports that must stay byte-identical to the
-//! committed files.
+//! committed files, each of which must pass the trace schema
+//! (`mcsim::validate_jsonl`, which `repro trace-check` applies).
 //!
 //! * `repro trace --n 256 --reps 1` locks the coupled executor.  Span
 //!   details and mark labels are typed notes rendered at export time, so
@@ -38,7 +39,8 @@ use meta_chaos::setof::SetOfRegions;
 use meta_chaos::Side;
 use multiblock::MultiblockArray;
 
-/// Fail with the first differing line when `got` is not `golden`.
+/// Fail with the first differing line when `got` is not `golden`, and
+/// when `golden` breaks the trace schema.
 fn assert_golden(got: &str, golden: &str, file: &str) {
     let first = got.lines().zip(golden.lines()).position(|(g, w)| g != w);
     assert!(
@@ -49,6 +51,9 @@ fn assert_golden(got: &str, golden: &str, file: &str) {
         golden.len(),
         first.map(|i| (i + 1, got.lines().nth(i), golden.lines().nth(i)))
     );
+    if let Err(e) = mcsim::validate_jsonl(golden) {
+        panic!("{file} breaks the trace schema: {e}");
+    }
 }
 
 #[test]

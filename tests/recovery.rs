@@ -10,7 +10,7 @@
 
 use mcsim::group::{Comm, Group};
 use mcsim::prelude::Endpoint;
-use mcsim::{pair_spans, MachineModel, Phase, RecoveryConfig, RunOutput, World};
+use mcsim::{pair_spans, MachineModel, Phase, RunOutput, World};
 use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::region::{IndexSet, RegularSection};
 use meta_chaos::setof::SetOfRegions;
@@ -36,12 +36,6 @@ fn value(k: u64, x: usize) -> f64 {
     ((k + 1) * 1000 + 3 * x as u64 + 1) as f64
 }
 
-/// A fast failure detector so evictions (and thus the whole suite) fit
-/// in test time: 3 missed leases evict.
-fn detector() -> RecoveryConfig {
-    RecoveryConfig { lease_misses: 3 }
-}
-
 /// Arm a scripted crash once per rank: the flag rides the checkpoint
 /// store, so a restarted life does not crash again.
 fn arm_once(ep: &mut Endpoint, crashes: &[(usize, f64)]) {
@@ -62,7 +56,6 @@ fn arm_once(ep: &mut Endpoint, crashes: &[(usize, f64)]) {
 fn phase_world(crashes: Vec<(usize, f64)>, quitter: Option<usize>) -> RunOutput<Vec<(usize, f64)>> {
     World::with_model(4, MachineModel::sp2())
         .with_supervisor(2)
-        .with_recovery_config(detector())
         .with_trace()
         .run(move |ep| {
             arm_once(ep, &crashes);
@@ -389,7 +382,6 @@ where
 {
     World::with_model(4, MachineModel::sp2())
         .with_supervisor(2)
-        .with_recovery_config(detector())
         .with_trace()
         .run(move |ep| {
             arm_once(ep, &crashes);
