@@ -92,31 +92,31 @@ fn read_file(path: &str) -> String {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: repro <experiment> [options]\n\
-         experiments:\n\
-           paper    [--out FILE]                       every table, figure and\n\
-                    ablation of the paper at full size, three sweeps (exit 1\n\
-                    unless their cells or allocation counts differ); prints\n\
-                    EXPERIMENTS.md's tables and writes BENCH_paper.json (or FILE)\n\
-           trace    [--n N] [--reps R] [--trace-out FILE] traced coupled run;\n\
-                    FILE ending .jsonl gets JSONL, anything else Chrome JSON\n\
-                    (load in chrome://tracing or https://ui.perfetto.dev)\n\
-           trace-check FILE                            validate a JSONL trace\n\
-           analyze  [--n N] [--reps R] [--out FILE]\n\
-                    critical-path analysis of a traced coupled run: where\n\
-                    did my nanoseconds go?  writes a flat attribution JSON\n\
-                    (BENCH_critical_path.json is --n 4096 --reps 2)\n\
-           scaling  [--n N] [--procs 64,256,1024] [--out FILE]\n\
-                    scaling curve: inspector build, coupled transfer\n\
-                    settle, and HPF redistribution per P, plus windowed vs\n\
-                    stop-and-wait wire; writes BENCH_scaling.json (or FILE)\n\
-           gate     <scaling|paper|critical_path> BASELINE FRESH  hold a\n\
-                    fresh report to the committed one (bench::gate's table);\n\
-                    exit 1 when a gate trips or a key is missing, naming\n\
-                    every moved leaf old -> new\n\
-           list                                        this message"
-    );
+    eprintln!(concat!(
+        "usage: repro <experiment> [options]\n",
+        "experiments:\n",
+        "  paper    [--out FILE]                       every table, figure and\n",
+        "           ablation of the paper at full size, three sweeps (exit 1\n",
+        "           unless their cells or allocation counts differ); prints\n",
+        "           EXPERIMENTS.md's tables and writes BENCH_paper.json (or FILE)\n",
+        "  trace    [--n N] [--reps R] [--trace-out FILE] traced coupled run;\n",
+        "           FILE ending .jsonl gets JSONL, anything else Chrome JSON\n",
+        "           (load in chrome://tracing or https://ui.perfetto.dev)\n",
+        "  trace-check FILE                            validate a JSONL trace\n",
+        "  analyze  [--n N] [--reps R] [--out FILE]\n",
+        "           critical-path analysis of a traced coupled run: where\n",
+        "           did my nanoseconds go?  writes a flat attribution JSON\n",
+        "           (BENCH_critical_path.json is --n 4096 --reps 2)\n",
+        "  scaling  [--n N] [--procs 64,256,1024] [--out FILE]\n",
+        "           scaling curve: inspector build, coupled transfer\n",
+        "           settle, and HPF redistribution per P, plus windowed vs\n",
+        "           stop-and-wait wire; writes BENCH_scaling.json (or FILE)\n",
+        "  gate     <scaling|paper|critical_path> BASELINE FRESH  hold a\n",
+        "           fresh report to the committed one (bench::gate's table);\n",
+        "           exit 1 when a gate trips or a key is missing, naming\n",
+        "           every moved leaf old -> new\n",
+        "  list                                        this message"
+    ));
     std::process::exit(2)
 }
 

@@ -17,7 +17,7 @@ use mcsim::wire::Wire;
 use mcsim::{pair_spans, FaultPlan, FaultRates, MachineModel, World};
 use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::datamove::{data_move_recv, data_move_send, try_data_move};
-use meta_chaos::region::{DimSlice, IndexSet, RegularSection};
+use meta_chaos::region::{for_each_in_box, DimSlice, IndexSet, RegularSection};
 use meta_chaos::schedule::Schedule;
 use meta_chaos::setof::SetOfRegions;
 use meta_chaos::{McError, McObject, RecoverySession, Side};
@@ -56,29 +56,6 @@ fn unflatten(mut flat: usize, shape: &[usize]) -> Vec<usize> {
         flat /= shape[d];
     }
     out
-}
-
-/// Visit every coordinate of the box `bounds` (per-dim `[lo, hi)`).
-fn for_box(bounds: &[(usize, usize)], f: &mut impl FnMut(&[usize])) {
-    if bounds.iter().any(|&(lo, hi)| lo >= hi) {
-        return;
-    }
-    let mut coords: Vec<usize> = bounds.iter().map(|b| b.0).collect();
-    loop {
-        f(&coords);
-        let mut d = bounds.len();
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            coords[d] += 1;
-            if coords[d] < bounds[d].1 {
-                break;
-            }
-            coords[d] = bounds[d].0;
-        }
-    }
 }
 
 fn sections_set(spec: &RegionsSpec) -> SetOfRegions<RegularSection> {
@@ -187,7 +164,7 @@ impl FuzzLib for MultiblockArray<f64> {
 
     fn owned_mem(cur: &Self, shape: &[usize]) -> Vec<(usize, u64)> {
         let mut out = Vec::new();
-        for_box(&cur.my_box(), &mut |coords| {
+        for_each_in_box(&cur.my_box(), |coords| {
             out.push((flatten(coords, shape), cur.get(coords).to_bits()));
         });
         out

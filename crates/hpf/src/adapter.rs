@@ -2,25 +2,23 @@
 //! runtime-library interface, used in its Figure 9 example).
 //!
 //! The Region type is an HPF array section ([`RegularSection`]).  The
-//! run-based dereference ([`McObject::deref_owned_runs`]) resolves
-//! ownership in closed form for every directive: box intersection for
-//! all-contiguous distributions (`BLOCK`/`*`), and the per-dimension
-//! owned chunk ranges of [`HpfDist::owned_section_ranges`] once a
-//! `CYCLIC(k)` dimension is involved — host work proportional to what
-//! the rank owns.  The owner test per section element it replaced is kept
-//! as the test oracle (`deref_owned_scan`).
+//! dereference is the owned-segment walk [`owned_section_runs`] over the
+//! per-dimension owned chunk ranges of [`HpfDist::owned_section_ranges`],
+//! for every directive: host work proportional to what the rank owns.  The
+//! owner test per section element it replaced is kept as the test oracle
+//! (`deref_owned_scan`).
 
 use mcsim::error::SimError;
 use mcsim::group::Comm;
 use mcsim::wire::{Wire, WireReader};
 
 use meta_chaos::adapter::{Location, McDescriptor, McObject};
-use meta_chaos::region::{Region, RegularSection};
-use meta_chaos::runs::{LocatedRun, OwnedRun, RunBuilder};
+use meta_chaos::region::{locate_section_run, owned_section_runs, RegularSection};
+use meta_chaos::runs::{runs_total, LocatedRun, OwnedRun};
 use meta_chaos::setof::SetOfRegions;
 
 use crate::array::HpfArray;
-use crate::dist::{DistKind, HpfDist, RangeOdometer};
+use crate::dist::HpfDist;
 
 /// Compact descriptor of an HPF distribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,132 +53,23 @@ impl McDescriptor for HpfDesc {
         pos: usize,
         max_len: usize,
     ) -> LocatedRun {
-        debug_assert!(max_len >= 1);
-        let (ri, off) = set.locate_position(pos);
-        let region = &set.regions()[ri];
-        let d = region.ndim() - 1;
-        region.with_coords(off, |coords| {
-            let Location { rank, addr } = self.location_of(coords);
-            // Consecutive positions step the last (fastest) dimension; the
-            // run ends at the section row, the owner boundary (block edge
-            // or cyclic chunk edge), or max_len — whichever comes first.
-            // Within that span the HPF local-addressing formula advances
-            // by the section stride for every directive kind.
-            let ls = &region.dims()[d];
-            let c = coords[d];
-            let k = ls.position_of(c).expect("coords came from the section");
-            let row_left = ls.count() - k;
-            let steps = match self.dist.kinds()[d] {
-                DistKind::Collapsed => row_left,
-                DistKind::Block => {
-                    let n = self.dist.shape()[d];
-                    let g = self.dist.proc_dims()[d];
-                    let o = DistKind::Block.owner(n, g, c);
-                    let (_, bhi) = self.dist.block_bounds(d, o);
-                    (bhi - c).div_ceil(ls.stride)
-                }
-                DistKind::Cyclic(kk) => {
-                    let chunk_end = (c / kk + 1) * kk;
-                    (chunk_end - c).div_ceil(ls.stride)
-                }
+        locate_section_run(set, pos, max_len, |coords| {
+            let local = self.dist.owner(coords);
+            let d = coords.len() - 1;
+            let location = Location {
+                rank: self.members[local],
+                addr: self.dist.local_addr(local, coords),
             };
-            LocatedRun {
-                pos,
-                len: row_left.min(steps).min(max_len),
-                rank,
-                addr,
-                stride: ls.stride as isize,
-            }
+            (location, self.dist.segment_end(d, coords[d]))
         })
     }
 }
 
-impl HpfDesc {
-    /// Owner (global rank) and local address of global coordinates.
-    fn location_of(&self, coords: &[usize]) -> Location {
-        let local = self.dist.owner(coords);
-        Location {
-            rank: self.members[local],
-            addr: self.dist.local_addr(local, coords),
-        }
-    }
-}
-
+#[cfg(test)]
 impl<T: Copy + Default> HpfArray<T> {
-    /// [`McObject::deref_owned_runs`] for distributions with a `CYCLIC(k)`
-    /// dimension: the owned section indices of the outer dimensions form a
-    /// row-major odometer, and each owned chunk range of the innermost
-    /// dimension is one arithmetic progression of addresses — O(owned
-    /// rows × inner chunks) host work, no per-element owner test.
-    ///
-    /// The decomposition is part of the contract, not just the expansion:
-    /// the Cooperation build announces one record per run, so the run list
-    /// must equal, run for run, what [`RunBuilder::push`] makes of
-    /// `self.deref_owned_scan(..)`'s elements.
-    /// `RunBuilder::push_run` is not the same as pushing its elements (a
-    /// length-1 last run adopts any stride from `push`, only the run's own
-    /// from `push_run`), hence each range's first element goes through
-    /// `push` and the rest follow as one run.  The virtual-clock charge is
-    /// per section element: the simulated library still inspects the
-    /// section.
-    fn deref_owned_runs_chunked(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<RegularSection>,
-    ) -> Vec<OwnedRun> {
-        let dist = self.dist();
-        let me = self.my_local();
-        let pc = dist.proc_coords(me);
-        let mut builder = RunBuilder::new();
-        let mut region_offset = 0usize;
-        for region in set.regions() {
-            let base = region_offset;
-            region_offset += region.len();
-            let slices = region.dims();
-            let owned: Vec<Vec<(usize, usize)>> = slices
-                .iter()
-                .enumerate()
-                .map(|(d, s)| dist.owned_section_ranges(d, pc[d], s).collect())
-                .collect();
-            let (inner, outer) = owned.split_last().expect("sections have a dimension");
-            if inner.is_empty() {
-                continue;
-            }
-            let (inner_slice, outer_slices) =
-                slices.split_last().expect("sections have a dimension");
-            let row_len = inner_slice.count();
-            let stride = inner_slice.stride;
-            let mut coords = vec![0usize; slices.len()];
-            let mut rows = RangeOdometer::new(outer);
-            while let Some(ks) = rows.advance() {
-                let mut row = 0usize;
-                for (d, (&k, s)) in ks.iter().zip(outer_slices).enumerate() {
-                    row = row * s.count() + k;
-                    coords[d] = s.index(k);
-                }
-                let row_pos = base + row * row_len;
-                for &(k_lo, k_hi) in inner {
-                    coords[slices.len() - 1] = inner_slice.index(k_lo);
-                    let addr = dist.local_addr(me, &coords);
-                    builder.push(row_pos + k_lo, addr);
-                    builder.push_run(
-                        row_pos + k_lo + 1,
-                        k_hi - k_lo - 1,
-                        addr + stride,
-                        stride as isize,
-                    );
-                }
-            }
-        }
-        comm.ep()
-            .charge_owner_calc(set.total_len() + set.num_regions());
-        builder.finish()
-    }
-
     /// The pre-run-based dereference: `(position, address)` per owned
-    /// element, an owner test on every section element once a `CYCLIC(k)`
-    /// dimension is involved.  Kept as the test oracle.
-    #[cfg(test)]
+    /// element by an owner test on every section element, charged like
+    /// [`McObject::deref_owned_runs`].  Kept as the test oracle.
     fn deref_owned_scan(
         &self,
         comm: &mut Comm<'_>,
@@ -189,43 +78,21 @@ impl<T: Copy + Default> HpfArray<T> {
         let me = self.my_local();
         let dist = self.dist();
         let mut out = Vec::new();
-        let mut region_offset = 0usize;
-        let mut inspected = 0usize;
-
-        if dist.is_all_contiguous() {
-            // Fast path: ownership is a box; intersect like Parti does.
-            let pc = dist.proc_coords(me);
-            let my_box: Vec<(usize, usize)> = (0..dist.shape().len())
-                .map(|d| dist.block_bounds(d, pc[d]))
-                .collect();
-            for region in set.regions() {
-                if let Some(sub) = region.intersect_box(&my_box) {
-                    let mut it = sub.iter_coords();
-                    while let Some(coords) = it.advance() {
-                        let pos =
-                            region_offset + region.position_of(coords).expect("subset of region");
-                        out.push((pos, dist.local_addr(me, coords)));
-                    }
-                    inspected += sub.len();
+        let mut pos = 0usize;
+        for region in set.regions() {
+            let mut it = region.iter_coords();
+            while let Some(coords) = it.advance() {
+                if dist.owner(coords) == me {
+                    out.push((pos, dist.local_addr(me, coords)));
                 }
-                region_offset += region.len();
+                pos += 1;
             }
-        } else {
-            // General path: closed-form owner test per section element.
-            for region in set.regions() {
-                let mut it = region.iter_coords();
-                let mut k = 0usize;
-                while let Some(coords) = it.advance() {
-                    if dist.owner(coords) == me {
-                        out.push((region_offset + k, dist.local_addr(me, coords)));
-                    }
-                    k += 1;
-                }
-                inspected += region.len();
-                region_offset += region.len();
-            }
-            out.sort_unstable_by_key(|&(pos, _)| pos);
         }
+        let inspected = if dist.is_all_contiguous() {
+            out.len()
+        } else {
+            pos
+        };
         comm.ep().charge_owner_calc(inspected + set.num_regions());
         out
     }
@@ -241,43 +108,23 @@ impl<T: Copy + Default> McObject<T> for HpfArray<T> {
         set: &SetOfRegions<RegularSection>,
     ) -> Vec<OwnedRun> {
         let dist = self.dist();
-        if !dist.is_all_contiguous() {
-            return self.deref_owned_runs_chunked(comm, set);
-        }
-        // Contiguous fast path: ownership is a box, and each row of an
-        // intersected sub-section is one run — O(rows) work, charged per
-        // owned element.
         let me = self.my_local();
         let pc = dist.proc_coords(me);
-        let my_box: Vec<(usize, usize)> = (0..dist.shape().len())
-            .map(|d| dist.block_bounds(d, pc[d]))
-            .collect();
-        let mut builder = RunBuilder::new();
-        let mut region_offset = 0usize;
-        let mut inspected = 0usize;
-        for region in set.regions() {
-            if let Some(sub) = region.intersect_box(&my_box) {
-                let nd = sub.ndim();
-                let (row_len, stride) = if nd == 0 {
-                    (sub.len(), 1isize)
-                } else {
-                    let ls = &sub.dims()[nd - 1];
-                    (ls.count(), ls.stride as isize)
-                };
-                let rows = sub.len().checked_div(row_len).unwrap_or(0);
-                let mut coords = vec![0usize; nd];
-                for r in 0..rows {
-                    sub.coords_into(r * row_len, &mut coords);
-                    let pos =
-                        region_offset + region.position_of(&coords).expect("subset of region");
-                    builder.push_run(pos, row_len, dist.local_addr(me, &coords), stride);
-                }
-                inspected += sub.len();
-            }
-            region_offset += region.len();
-        }
+        let runs = owned_section_runs(
+            set,
+            |d, slice, out| out.extend(dist.owned_section_ranges(d, pc[d], slice)),
+            |coords| dist.local_addr(me, coords),
+        );
+        // Per element inspected: the simulated runtime intersects boxes
+        // for BLOCK/`*`, and inspects the whole section once a CYCLIC
+        // dimension is involved; plus a constant per region.
+        let inspected = if dist.is_all_contiguous() {
+            runs_total(&runs)
+        } else {
+            set.total_len()
+        };
         comm.ep().charge_owner_calc(inspected + set.num_regions());
-        builder.finish()
+        runs
     }
 
     fn descriptor(&self, _comm: &mut Comm<'_>) -> HpfDesc {
@@ -310,12 +157,13 @@ mod tests {
     use mcsim::world::World;
     use meta_chaos::build::{compute_schedule, BuildMethod};
     use meta_chaos::datamove::data_move;
-    use meta_chaos::testlib::check_deref_runs;
+    use meta_chaos::runs::RunBuilder;
+    use meta_chaos::testlib::{check_deref_runs, check_locate_runs};
     use meta_chaos::Side;
 
     #[test]
     fn deref_owned_runs_agree_with_descriptor() {
-        // The contiguous box path and the cyclic chunk path, 1-D and 2-D.
+        // BLOCK and CYCLIC distributions, 1-D and 2-D.
         let cyclic_1d = HpfDist::new(vec![15], vec![DistKind::Cyclic(2)], vec![3]);
         let strided_1d =
             SetOfRegions::single(RegularSection::new(vec![meta_chaos::DimSlice::strided(
@@ -415,19 +263,12 @@ mod tests {
         out.results
     }
 
-    fn expand(runs: &[OwnedRun]) -> Vec<(usize, meta_chaos::LocalAddr)> {
-        runs.iter()
-            .flat_map(|r| (0..r.len).map(move |k| (r.pos + k, r.addr_at(k))))
-            .collect()
-    }
-
     #[test]
     fn deref_owned_runs_matches_elementwise_reference() {
         // Differential property: on every rank of random distributions ×
-        // strided multi-region sets, the closed-form run path expands to
-        // the element-wise reference and charges the same virtual time;
-        // where a CYCLIC dimension is involved the decomposition itself is
-        // the reference's, run for run (it sizes the announce records).
+        // strided multi-region sets, the owned-segment walk returns the
+        // element-wise reference's decomposition, run for run (it sizes
+        // the announce records), and charges the same virtual time.
         let seed = mcsim::test_seed();
         let mut chunked = 0usize;
         for procs in [1usize, 2, 3, 4, 6, 8] {
@@ -439,12 +280,9 @@ mod tests {
                     let (runs, clock) = &fast[rank][i];
                     let (ref_runs, ref_clock) = &reference[rank][i];
                     let ctx = format!("seed {seed} procs {procs} rank {rank} {dist:?} {set:?}");
-                    assert_eq!(expand(runs), expand(ref_runs), "{ctx}");
+                    assert_eq!(runs, ref_runs, "{ctx}");
                     assert_eq!(clock, ref_clock, "virtual clock, {ctx}");
-                    if !dist.is_all_contiguous() {
-                        assert_eq!(runs, ref_runs, "{ctx}");
-                        chunked += 1;
-                    }
+                    chunked += usize::from(!dist.is_all_contiguous());
                 }
             }
         }
@@ -482,18 +320,7 @@ mod tests {
                     meta_chaos::DimSlice::strided(1, 9, 2),
                 ]),
             ]);
-            let n = set.total_len();
-            let mut pos = 0;
-            while pos < n {
-                let run = desc.locate_run(&set, pos, n - pos);
-                assert!(run.pos == pos && run.len >= 1 && run.end() <= n);
-                for k in 0..run.len {
-                    let loc = desc.locate(&set, pos + k);
-                    assert_eq!(loc.rank, run.rank, "pos {}", pos + k);
-                    assert_eq!(loc.addr, run.addr_at(k), "pos {}", pos + k);
-                }
-                pos = run.end();
-            }
+            check_locate_runs(&desc, &set);
         }
     }
 

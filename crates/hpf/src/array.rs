@@ -1,8 +1,9 @@
 //! HPF distributed arrays.
 
 use mcsim::group::Group;
+use meta_chaos::region::for_each_in_ranges;
 
-use crate::dist::{HpfDist, RangeOdometer};
+use crate::dist::HpfDist;
 
 /// One program rank's piece of an HPF-distributed array.
 #[derive(Debug, Clone)]
@@ -98,19 +99,19 @@ impl<T: Copy + Default> HpfArray<T> {
     /// in exactly that order, so the walk costs O(owned elements) and the
     /// `i`-th element visited lives at local address `i`.
     pub fn for_each_owned(&mut self, mut f: impl FnMut(&[usize], &mut T)) {
-        let pc = self.dist.proc_coords(self.my_local);
-        let owned: Vec<Vec<(usize, usize)>> = pc
-            .iter()
-            .enumerate()
-            .map(|(d, &c)| self.dist.owned_ranges(d, c).collect())
-            .collect();
-        let mut odo = RangeOdometer::new(&owned);
+        let dist = &self.dist;
+        let me = self.my_local;
+        let pc = dist.proc_coords(me);
         let mut addr = 0;
-        while let Some(coords) = odo.advance() {
-            debug_assert_eq!(addr, self.dist.local_addr(self.my_local, coords));
-            f(coords, &mut self.data[addr]);
-            addr += 1;
-        }
+        for_each_in_ranges(
+            pc.len(),
+            |d, out| out.extend(dist.owned_ranges(d, pc[d])),
+            |coords| {
+                debug_assert_eq!(addr, dist.local_addr(me, coords));
+                f(coords, &mut self.data[addr]);
+                addr += 1;
+            },
+        );
         debug_assert_eq!(addr, self.data.len());
     }
 
@@ -118,27 +119,13 @@ impl<T: Copy + Default> HpfArray<T> {
     /// global coordinate.  Kept as the test oracle.
     #[cfg(test)]
     pub(crate) fn for_each_owned_scan(&mut self, mut f: impl FnMut(&[usize], &mut T)) {
-        let shape = self.dist.shape().to_vec();
-        let ndim = shape.len();
-        let mut coords = vec![0usize; ndim];
-        loop {
-            if self.dist.owner(&coords) == self.my_local {
-                let a = self.dist.local_addr(self.my_local, &coords);
-                f(&coords, &mut self.data[a]);
+        let whole: Vec<_> = self.dist.shape().iter().map(|&n| (0, n)).collect();
+        meta_chaos::region::for_each_in_box(&whole, |coords| {
+            if self.dist.owner(coords) == self.my_local {
+                let a = self.dist.local_addr(self.my_local, coords);
+                f(coords, &mut self.data[a]);
             }
-            let mut d = ndim;
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                coords[d] += 1;
-                if coords[d] < shape[d] {
-                    break;
-                }
-                coords[d] = 0;
-            }
-        }
+        });
     }
 }
 

@@ -85,11 +85,6 @@ impl DistKind {
             DistKind::Collapsed => n,
         }
     }
-
-    /// True when ownership along the dimension forms one contiguous range.
-    pub fn is_contiguous(&self) -> bool {
-        matches!(self, DistKind::Block | DistKind::Collapsed)
-    }
 }
 
 impl Wire for DistKind {
@@ -155,68 +150,6 @@ impl Iterator for OwnedRanges {
             }
         }
         None
-    }
-}
-
-/// Row-major odometer over the product of per-dimension ascending range
-/// lists: visits every index tuple whose `d`-th entry lies in one of
-/// `dims[d]`'s ranges, last dimension fastest.  Lending-iterator style,
-/// like [`meta_chaos::region::CoordIter`].
-pub(crate) struct RangeOdometer<'a> {
-    dims: &'a [Vec<(usize, usize)>],
-    /// Per dimension, which range the current index sits in.
-    which: Vec<usize>,
-    at: Vec<usize>,
-    started: bool,
-    done: bool,
-}
-
-impl<'a> RangeOdometer<'a> {
-    /// Ranges must be non-empty; a dimension with no range makes the
-    /// product empty.  Zero dimensions give the one empty tuple.
-    pub(crate) fn new(dims: &'a [Vec<(usize, usize)>]) -> Self {
-        RangeOdometer {
-            dims,
-            which: vec![0; dims.len()],
-            at: dims
-                .iter()
-                .map(|r| r.first().map_or(0, |&(lo, _)| lo))
-                .collect(),
-            started: false,
-            done: dims.iter().any(|r| r.is_empty()),
-        }
-    }
-
-    /// Advance and expose the next tuple (valid until the next call).
-    pub(crate) fn advance(&mut self) -> Option<&[usize]> {
-        if self.done {
-            return None;
-        }
-        if !self.started {
-            self.started = true;
-            return Some(&self.at);
-        }
-        let mut d = self.dims.len();
-        loop {
-            if d == 0 {
-                self.done = true;
-                return None;
-            }
-            d -= 1;
-            let ranges = &self.dims[d];
-            self.at[d] += 1;
-            if self.at[d] < ranges[self.which[d]].1 {
-                break;
-            }
-            self.which[d] += 1;
-            if let Some(&(lo, _)) = ranges.get(self.which[d]) {
-                self.at[d] = lo;
-                break;
-            }
-            self.which[d] = 0;
-            self.at[d] = ranges[0].0;
-        }
-        Some(&self.at)
     }
 }
 
@@ -481,25 +414,31 @@ impl HpfDist {
         c: usize,
         slice: &DimSlice,
     ) -> impl Iterator<Item = (usize, usize)> {
-        let DimSlice {
-            lo: s_lo,
-            hi,
-            stride,
-        } = *slice;
-        self.owned_ranges_within(dim, c, s_lo, hi)
-            .filter_map(move |(lo, hi)| {
-                // lo >= s_lo and hi > lo: first index at or after lo, one
-                // past the last index below hi.
-                let k_lo = (lo - s_lo).div_ceil(stride);
-                let k_hi = (hi - 1 - s_lo) / stride + 1;
-                (k_lo < k_hi).then_some((k_lo, k_hi))
-            })
+        let slice = *slice;
+        self.owned_ranges_within(dim, c, slice.lo, slice.hi)
+            .filter_map(move |(lo, hi)| slice.positions_within(lo, hi))
     }
 
-    /// True when every dimension's ownership is contiguous (enables the
-    /// box-intersection fast path in the Meta-Chaos adapter).
+    /// One past the last coordinate of the owned segment (the block, or
+    /// the `CYCLIC(k)` chunk) that contains `x` along `dim`.
+    pub fn segment_end(&self, dim: usize, x: usize) -> usize {
+        match self.kinds[dim] {
+            DistKind::Cyclic(k) => (x / k + 1) * k,
+            kind => {
+                let owner = kind.owner(self.shape[dim], self.proc_dims[dim], x);
+                self.block_bounds(dim, owner).1
+            }
+        }
+    }
+
+    /// True when every dimension's ownership is contiguous.  It selects
+    /// the Meta-Chaos adapter's charge: the simulated runtime intersects
+    /// boxes then (owned elements), and inspects the whole section once a
+    /// `CYCLIC(k)` dimension is involved.
     pub fn is_all_contiguous(&self) -> bool {
-        self.kinds.iter().all(|k| k.is_contiguous())
+        self.kinds
+            .iter()
+            .all(|k| matches!(k, DistKind::Block | DistKind::Collapsed))
     }
 }
 

@@ -18,7 +18,9 @@
 //!   of Meta-Chaos itself;
 //! * [`adapter`] — the Meta-Chaos interface functions, Region type
 //!   [`RegularSection`](meta_chaos::RegularSection) (an "HPF array
-//!   section", as in the paper's Figure 9 example).
+//!   section", as in the paper's Figure 9 example), dereferenced by
+//!   [`meta_chaos::region::owned_section_runs`] from
+//!   [`HpfDist::owned_section_ranges`].
 
 // Indexed loops over multiple parallel arrays are the clearest idiom in
 // this numerical code.

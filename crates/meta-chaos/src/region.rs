@@ -5,15 +5,24 @@
 //! paper's libraries use two families, both provided here:
 //!
 //! * [`RegularSection`] — a strided section of a multidimensional array
-//!   (HPF, Multiblock Parti, and the `tulip` collection use these); its
-//!   linearization is row-major order over the section;
-//! * [`IndexSet`] — an explicit ordered list of global indices (Chaos);
-//!   its linearization is the list order.
+//!   (HPF and Multiblock Parti); its linearization is row-major order over
+//!   the section.  Its libraries dereference through one owned-segment
+//!   walk, [`owned_section_runs`], and locate through
+//!   [`locate_section_run`];
+//! * [`IndexSet`] — an explicit ordered list of global indices (Chaos and
+//!   the `tulip` collection); its linearization is the list order.
 //!
 //! Libraries may define further Region types by implementing [`Region`].
 
+use std::ops::{Deref, DerefMut};
+
 use mcsim::error::SimError;
 use mcsim::wire::{Wire, WireReader};
+
+use crate::adapter::Location;
+use crate::runs::{LocatedRun, OwnedRun, RunBuilder};
+use crate::setof::SetOfRegions;
+use crate::LocalAddr;
 
 /// Behaviour every region type must provide: a size, so the meta-library
 /// can stitch linearizations together.
@@ -67,6 +76,19 @@ impl DimSlice {
     pub fn index(&self, k: usize) -> usize {
         debug_assert!(k < self.count());
         self.lo + k * self.stride
+    }
+
+    /// The positions `[k_lo, k_hi)` within the slice whose indices lie in
+    /// `[lo, hi)`, if there are any.
+    #[inline]
+    pub fn positions_within(&self, lo: usize, hi: usize) -> Option<(usize, usize)> {
+        let (lo, hi) = (lo.max(self.lo), hi.min(self.hi));
+        if lo >= hi {
+            return None;
+        }
+        let k_lo = (lo - self.lo).div_ceil(self.stride);
+        let k_hi = (hi - 1 - self.lo) / self.stride + 1;
+        (k_lo < k_hi).then_some((k_lo, k_hi))
     }
 
     /// If `i` is in the slice, its position within the slice.
@@ -160,21 +182,6 @@ impl RegularSection {
         debug_assert_eq!(k, 0, "coordinate index out of range");
     }
 
-    /// Hand `f` the coordinates of the `k`-th element, resolved on the
-    /// stack (the heap only above eight dimensions) — for callers that
-    /// locate one element per call and cannot keep a buffer.
-    pub fn with_coords<R>(&self, k: usize, f: impl FnOnce(&[usize]) -> R) -> R {
-        const INLINE: usize = 8;
-        let nd = self.ndim();
-        if nd <= INLINE {
-            let mut buf = [0usize; INLINE];
-            self.coords_into(k, &mut buf[..nd]);
-            f(&buf[..nd])
-        } else {
-            f(&self.coords_of(k))
-        }
-    }
-
     /// Position of global coordinates within the section's linearization,
     /// if the coordinates belong to the section.
     pub fn position_of(&self, coords: &[usize]) -> Option<usize> {
@@ -196,20 +203,9 @@ impl RegularSection {
     pub fn intersect_box(&self, bounds: &[(usize, usize)]) -> Option<RegularSection> {
         assert_eq!(bounds.len(), self.ndim());
         let mut dims = Vec::with_capacity(self.ndim());
-        for (d, &(blo, bhi)) in bounds.iter().enumerate() {
-            let s = &self.dims[d];
-            // First section index >= blo:
-            let lo = if s.lo >= blo {
-                s.lo
-            } else {
-                let k = (blo - s.lo).div_ceil(s.stride);
-                s.lo + k * s.stride
-            };
-            let hi = s.hi.min(bhi);
-            if lo >= hi {
-                return None;
-            }
-            dims.push(DimSlice::strided(lo, hi, s.stride));
+        for (s, &(blo, bhi)) in self.dims.iter().zip(bounds) {
+            let (k_lo, _) = s.positions_within(blo, bhi)?;
+            dims.push(DimSlice::strided(s.index(k_lo), s.hi.min(bhi), s.stride));
         }
         Some(RegularSection::new(dims))
     }
@@ -264,6 +260,243 @@ impl CoordIter<'_> {
         self.sec.coords_into(self.next, &mut self.buf);
         self.next += 1;
         Some(&self.buf)
+    }
+}
+
+/// One integer per dimension, on the stack up to eight dimensions (the
+/// heap only above), so the walks below allocate no per-call state.
+#[derive(Debug)]
+enum PerDim {
+    Inline(usize, [usize; 8]),
+    Heap(Vec<usize>),
+}
+
+impl PerDim {
+    #[inline]
+    fn zeroed(n: usize) -> Self {
+        if n <= 8 {
+            PerDim::Inline(n, [0; 8])
+        } else {
+            PerDim::Heap(vec![0; n])
+        }
+    }
+}
+
+impl Deref for PerDim {
+    type Target = [usize];
+    #[inline]
+    fn deref(&self) -> &[usize] {
+        match self {
+            PerDim::Inline(n, a) => &a[..*n],
+            PerDim::Heap(v) => v,
+        }
+    }
+}
+
+impl DerefMut for PerDim {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [usize] {
+        match self {
+            PerDim::Inline(n, a) => &mut a[..*n],
+            PerDim::Heap(v) => v,
+        }
+    }
+}
+
+/// Row-major odometer over the product of per-dimension ascending lists
+/// of non-empty ranges `[lo, hi)`, last dimension fastest: the one walk
+/// behind [`for_each_in_ranges`], [`for_each_in_box`] and
+/// [`owned_section_runs`].  All dimensions' ranges sit back to back in one
+/// slice, and the walk's state is a [`PerDim`].
+struct RangeOdometer<'a> {
+    ranges: &'a [(usize, usize)],
+    /// Per dimension, one past its last range in `ranges`.
+    ends: PerDim,
+}
+
+impl<'a> RangeOdometer<'a> {
+    /// Over `ndim` dimensions whose ranges `fill(d, buf)` appends to `buf`
+    /// (cleared first).
+    fn new(
+        buf: &'a mut Vec<(usize, usize)>,
+        ndim: usize,
+        mut fill: impl FnMut(usize, &mut Vec<(usize, usize)>),
+    ) -> Self {
+        buf.clear();
+        let mut ends = PerDim::zeroed(ndim);
+        for d in 0..ndim {
+            fill(d, buf);
+            ends[d] = buf.len();
+        }
+        RangeOdometer { ranges: buf, ends }
+    }
+
+    /// Over a box: one range per dimension.
+    fn of_box(bounds: &'a [(usize, usize)]) -> Self {
+        let mut ends = PerDim::zeroed(bounds.len());
+        for (d, end) in ends.iter_mut().enumerate() {
+            *end = d + 1;
+        }
+        RangeOdometer {
+            ranges: bounds,
+            ends,
+        }
+    }
+
+    /// Dimension `d`'s ranges.
+    #[inline]
+    fn ranges(&self, d: usize) -> &'a [(usize, usize)] {
+        let first = d.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.ranges[first..self.ends[d]]
+    }
+
+    /// Call `f` on every tuple of the leading `dims` dimensions' product.
+    /// A dimension without ranges, or whose first range is empty, makes it
+    /// empty; zero dimensions give the one empty tuple.
+    fn for_each(&self, dims: usize, mut f: impl FnMut(&[usize])) {
+        // Per dimension, the index of the current range and the coordinate.
+        let (mut which, mut at) = (PerDim::zeroed(dims), PerDim::zeroed(dims));
+        let (which, at) = (&mut *which, &mut *at);
+        for d in 0..dims {
+            match self.ranges(d).first() {
+                Some(&(lo, hi)) if lo < hi => at[d] = lo,
+                _ => return,
+            }
+        }
+        let Some(last) = dims.checked_sub(1) else {
+            return f(at);
+        };
+        loop {
+            // The last dimension runs whole; the leading ones step.
+            for &(lo, hi) in self.ranges(last) {
+                for x in lo..hi {
+                    at[last] = x;
+                    f(at);
+                }
+            }
+            let mut d = last;
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                let ranges = self.ranges(d);
+                at[d] += 1;
+                if at[d] < ranges[which[d]].1 {
+                    break;
+                }
+                which[d] = (which[d] + 1) % ranges.len();
+                at[d] = ranges[which[d]].0;
+                if which[d] != 0 {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// Call `f` on every tuple of the row-major product of per-dimension
+/// ascending lists of non-empty ranges, `fill(d, buf)` appending dimension
+/// `d`'s to `buf`; one range buffer per call.
+pub fn for_each_in_ranges(
+    ndim: usize,
+    fill: impl FnMut(usize, &mut Vec<(usize, usize)>),
+    f: impl FnMut(&[usize]),
+) {
+    let mut ranges = Vec::new();
+    RangeOdometer::new(&mut ranges, ndim, fill).for_each(ndim, f);
+}
+
+/// Call `f` on every coordinate of the box `bounds` (per-dimension
+/// `[lo, hi)`, empty if any is), row-major, without allocating.
+pub fn for_each_in_box(bounds: &[(usize, usize)], f: impl FnMut(&[usize])) {
+    RangeOdometer::of_box(bounds).for_each(bounds.len(), f);
+}
+
+/// The owned-segment walk, the one
+/// [`deref_owned_runs`](crate::McObject::deref_owned_runs) of a
+/// regular-section library, from two inquiry functions:
+/// `owned(d, slice, out)` appends the ascending ranges `[k_lo, k_hi)` of
+/// `slice` positions the calling rank owns along dimension `d`, each
+/// inside one owned segment (so local addresses advance by the slice
+/// stride across it), and `addr(coords)` is the local address of owned
+/// global coordinates.  The outer dimensions' owned positions form a
+/// `RangeOdometer`, and each inner range of each owned row is one
+/// progression of addresses: O(owned rows × inner ranges) host work, one
+/// range buffer per call.
+///
+/// The runs are the canonical decomposition, what [`RunBuilder::push`]
+/// makes of the owned elements — the Cooperation build announces one
+/// record per run.  `push_run` alone is not that (a length-1 last run
+/// adopts any stride from `push`, only the run's own from `push_run`), so
+/// each range's first element goes through `push` and the rest follow as
+/// one run.
+pub fn owned_section_runs(
+    set: &SetOfRegions<RegularSection>,
+    mut owned: impl FnMut(usize, &DimSlice, &mut Vec<(usize, usize)>),
+    addr: impl Fn(&[usize]) -> LocalAddr,
+) -> Vec<OwnedRun> {
+    let mut builder = RunBuilder::new();
+    let mut ranges = Vec::with_capacity(set.regions().first().map_or(0, RegularSection::ndim));
+    let mut base = 0;
+    for region in set.regions() {
+        let slices = region.dims();
+        let (inner, outer) = slices.split_last().expect("sections have a dimension");
+        let odo = RangeOdometer::new(&mut ranges, slices.len(), |d, out| {
+            owned(d, &slices[d], out)
+        });
+        let inner_ranges = odo.ranges(outer.len());
+        let mut coords = PerDim::zeroed(slices.len());
+        let coords = &mut *coords;
+        if !inner_ranges.is_empty() {
+            odo.for_each(outer.len(), |ks| {
+                let mut row = 0;
+                for (d, (&k, s)) in ks.iter().zip(outer).enumerate() {
+                    row = row * s.count() + k;
+                    coords[d] = s.index(k);
+                }
+                let row_pos = base + row * inner.count();
+                for &(k_lo, k_hi) in inner_ranges {
+                    coords[outer.len()] = inner.index(k_lo);
+                    let first = addr(coords);
+                    let (pos, stride) = (row_pos + k_lo, inner.stride);
+                    builder.push(pos, first);
+                    builder.push_run(pos + 1, k_hi - k_lo - 1, first + stride, stride as isize);
+                }
+            });
+        }
+        base += region.len();
+    }
+    builder.finish()
+}
+
+/// [`locate_run`](crate::McDescriptor::locate_run) for a regular-section
+/// descriptor.  `owner(coords)` gives the [`Location`] of global
+/// coordinates and where the owner's segment along the last dimension
+/// ends; the run stops at the section row's end, the segment's end or
+/// `max_len`, and its address advances by the row's stride.
+pub fn locate_section_run(
+    set: &SetOfRegions<RegularSection>,
+    pos: usize,
+    max_len: usize,
+    owner: impl FnOnce(&[usize]) -> (Location, usize),
+) -> LocatedRun {
+    debug_assert!(max_len >= 1);
+    let (ri, off) = set.locate_position(pos);
+    let region = &set.regions()[ri];
+    let row = region.dims()[region.ndim() - 1];
+    let mut coords = PerDim::zeroed(region.ndim());
+    region.coords_into(off, &mut coords);
+    let (Location { rank, addr }, segment_end) = owner(&coords);
+    let c = coords[region.ndim() - 1];
+    let left = row.count() - row.position_of(c).expect("coords came from the section");
+    let steps = (segment_end - c).div_ceil(row.stride);
+    LocatedRun {
+        pos,
+        len: left.min(steps).min(max_len),
+        rank,
+        addr,
+        stride: row.stride as isize,
     }
 }
 
@@ -392,15 +625,36 @@ mod tests {
     }
 
     #[test]
-    fn with_coords_matches_coords_of_on_stack_and_heap() {
-        let small = RegularSection::new(vec![DimSlice::strided(1, 9, 3), DimSlice::new(4, 7)]);
-        let big = RegularSection::whole(&[2; 10]);
-        for sec in [&small, &big] {
-            for k in 0..sec.len() {
-                let want = sec.coords_of(k);
-                assert_eq!(sec.with_coords(k, |c| c.to_vec()), want);
-            }
-        }
+    fn positions_within_clips_to_the_slice() {
+        let s = DimSlice::strided(2, 11, 3); // 2, 5, 8
+        assert_eq!(s.positions_within(4, 9), Some((1, 3)));
+        assert_eq!(s.positions_within(0, 3), Some((0, 1)));
+        assert_eq!(s.positions_within(6, 8), None);
+        assert_eq!(s.positions_within(9, 20), None);
+    }
+
+    fn tuples(ndim: usize, fill: impl FnMut(usize, &mut Vec<(usize, usize)>)) -> Vec<Vec<usize>> {
+        let mut seen = Vec::new();
+        for_each_in_ranges(ndim, fill, |t| seen.push(t.to_vec()));
+        seen
+    }
+
+    #[test]
+    fn range_walks_visit_the_product() {
+        let dims = [vec![(0, 2), (5, 6)], vec![(1, 3)]];
+        let fill = |d: usize, out: &mut Vec<(usize, usize)>| out.extend(&dims[d]);
+        let want = [[0, 1], [0, 2], [1, 1], [1, 2], [5, 1], [5, 2]];
+        assert_eq!(tuples(2, fill), want);
+        // An empty dimension empties the product; no dimension is one
+        // empty tuple.
+        assert!(tuples(2, |d, out| out.extend(&dims[0][..usize::from(d == 0)])).is_empty());
+        assert_eq!(tuples(0, fill), [[0usize; 0]]);
+        // Past eight dimensions the state is on the heap; an empty range
+        // empties a box.
+        let (mut n, mut last) = (0, Vec::new());
+        for_each_in_box(&[(3, 5); 10], |c| (n, last) = (n + 1, c.to_vec()));
+        assert_eq!((n, last), (1024, vec![4; 10]));
+        for_each_in_box(&[(0, 2), (3, 3)], |_| panic!("empty box visited"));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The Region type is a [`RegularSection`] in the array's *global* index
 //! space — exactly the paper's choice for Multiblock Parti and HPF.  All
-//! owner queries are closed-form block arithmetic, so the dereference
-//! enumerates only the rows this rank owns (no communication) and the
+//! owner queries are closed-form block arithmetic: the dereference is the
+//! owned-segment walk [`owned_section_runs`] over the section's
+//! intersection with the rank's block (no communication), and the
 //! descriptor is a handful of integers.
 
 use mcsim::error::SimError;
@@ -11,8 +12,8 @@ use mcsim::group::Comm;
 use mcsim::wire::{Wire, WireReader};
 
 use meta_chaos::adapter::{Location, McDescriptor, McObject};
-use meta_chaos::region::{Region, RegularSection};
-use meta_chaos::runs::{LocatedRun, OwnedRun, RunBuilder};
+use meta_chaos::region::{locate_section_run, owned_section_runs, RegularSection};
+use meta_chaos::runs::{runs_total, LocatedRun, OwnedRun};
 use meta_chaos::setof::SetOfRegions;
 
 use crate::array::MultiblockArray;
@@ -62,40 +63,16 @@ impl McDescriptor for BlockDesc {
         pos: usize,
         max_len: usize,
     ) -> LocatedRun {
-        debug_assert!(max_len >= 1);
-        let (ri, off) = set.locate_position(pos);
-        let region = &set.regions()[ri];
-        let d = region.ndim() - 1;
-        region.with_coords(off, |coords| {
-            let Location { rank, addr } = self.location_of(coords);
-            // Consecutive positions step the last (fastest) dimension: stay
-            // in this section row, on this owner's block, within max_len.
-            let ls = &region.dims()[d];
-            let c = coords[d];
-            let k = ls.position_of(c).expect("coords came from the section");
-            let row_left = ls.count() - k;
-            let bc = self.dist.owner_in_dim(d, c);
-            let (_, bhi) = self.dist.bounds_in_dim(d, bc);
-            let steps = (bhi - c).div_ceil(ls.stride);
-            LocatedRun {
-                pos,
-                len: row_left.min(steps).min(max_len),
-                rank,
-                addr,
-                stride: ls.stride as isize,
-            }
+        locate_section_run(set, pos, max_len, |coords| {
+            let local = self.dist.owner(coords);
+            let d = coords.len() - 1;
+            let location = Location {
+                rank: self.members[local],
+                addr: self.dist.local_addr(local, coords),
+            };
+            let block = self.dist.owner_in_dim(d, coords[d]);
+            (location, self.dist.bounds_in_dim(d, block).1)
         })
-    }
-}
-
-impl BlockDesc {
-    /// Owner (global rank) and local address of global coordinates.
-    fn location_of(&self, coords: &[usize]) -> Location {
-        let local = self.dist.owner(coords);
-        Location {
-            rank: self.members[local],
-            addr: self.dist.local_addr(local, coords),
-        }
     }
 }
 
@@ -108,43 +85,19 @@ impl<T: Copy + Default> McObject<T> for MultiblockArray<T> {
         comm: &mut Comm<'_>,
         set: &SetOfRegions<RegularSection>,
     ) -> Vec<OwnedRun> {
-        // Each row of an intersected sub-section is one run of consecutive
-        // positions whose local addresses advance by the section's last-dim
-        // stride.  Work is O(rows), not O(elements).
-        let my_box = self.my_box();
         let dist = self.dist();
         let me = self.my_local();
-        let mut builder = RunBuilder::new();
-        let mut region_offset = 0;
-        let mut inspected = 0usize;
-        for region in set.regions() {
-            if let Some(sub) = region.intersect_box(&my_box) {
-                let nd = sub.ndim();
-                let (row_len, stride) = if nd == 0 {
-                    (sub.len(), 1isize)
-                } else {
-                    let ls = &sub.dims()[nd - 1];
-                    (ls.count(), ls.stride as isize)
-                };
-                let rows = sub.len().checked_div(row_len).unwrap_or(0);
-                let mut coords = vec![0usize; nd];
-                for r in 0..rows {
-                    sub.coords_into(r * row_len, &mut coords);
-                    let pos = region_offset
-                        + region
-                            .position_of(&coords)
-                            .expect("intersection is a subset");
-                    let addr = dist.local_addr(me, &coords);
-                    builder.push_run(pos, row_len, addr, stride);
-                }
-                inspected += sub.len();
-            }
-            region_offset += region.len();
-        }
+        let my_box = self.my_box();
+        let runs = owned_section_runs(
+            set,
+            |d, slice, out| out.extend(slice.positions_within(my_box[d].0, my_box[d].1)),
+            |coords| dist.local_addr(me, coords),
+        );
         // Closed-form arithmetic per owned element, plus a constant per
         // region for the intersection itself.
-        comm.ep().charge_owner_calc(inspected + set.num_regions());
-        builder.finish()
+        comm.ep()
+            .charge_owner_calc(runs_total(&runs) + set.num_regions());
+        runs
     }
 
     fn descriptor(&self, _comm: &mut Comm<'_>) -> BlockDesc {
@@ -176,7 +129,7 @@ mod tests {
     use mcsim::world::World;
     use meta_chaos::build::{compute_schedule, BuildMethod};
     use meta_chaos::datamove::data_move;
-    use meta_chaos::testlib::check_deref_runs;
+    use meta_chaos::testlib::{check_deref_runs, check_locate_runs};
     use meta_chaos::Side;
 
     #[test]
@@ -211,6 +164,15 @@ mod tests {
             for set in &sets {
                 check_deref_runs(&mut Comm::world(ep), &a, set);
             }
+            // A stride-1 region, then a stride-2 one on rank 0's block: the
+            // first strided element continues the stride-1 run, as
+            // `RunBuilder::push` has it: [(0, 5, 0, 1), (5, 3, 6, 2)].
+            let v = MultiblockArray::<f64>::new(&g, ep.rank(), &[48]);
+            let set = SetOfRegions::from_regions(vec![
+                RegularSection::of_bounds(&[(0, 4)]),
+                RegularSection::new(vec![meta_chaos::DimSlice::strided(4, 12, 2)]),
+            ]);
+            check_deref_runs(&mut Comm::world(ep), &v, &set);
         });
     }
 
@@ -227,24 +189,7 @@ mod tests {
                 meta_chaos::DimSlice::strided(0, 10, 2),
             ]),
         ]);
-        let n = set.total_len();
-        let mut pos = 0;
-        while pos < n {
-            let run = d.locate_run(&set, pos, n - pos);
-            assert!(run.pos == pos && run.len >= 1 && run.end() <= n);
-            for k in 0..run.len {
-                let loc = d.locate(&set, pos + k);
-                assert_eq!(loc.rank, run.rank, "pos {}", pos + k);
-                assert_eq!(loc.addr, run.addr_at(k), "pos {}", pos + k);
-            }
-            pos = run.end();
-        }
-        // And the batched form tiles the whole span after merging.
-        let runs = d.locate_runs(&set, 0, n);
-        assert_eq!(runs.iter().map(|r| r.len).sum::<usize>(), n);
-        for w in runs.windows(2) {
-            assert_eq!(w[0].end(), w[1].pos);
-        }
+        check_locate_runs(&d, &set);
     }
 
     #[test]

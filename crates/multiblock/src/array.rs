@@ -1,6 +1,7 @@
 //! The block-distributed multidimensional array.
 
 use mcsim::group::Group;
+use meta_chaos::region::for_each_in_box;
 
 use crate::dist::BlockDist;
 use crate::grid::ProcGrid;
@@ -111,25 +112,10 @@ impl<T: Copy + Default> MultiblockArray<T> {
 
     /// Fill every owned element from `f(global coords)` (halo untouched).
     pub fn fill_with(&mut self, f: impl Fn(&[usize]) -> T) {
-        let boxx = self.my_box();
-        let mut coords: Vec<usize> = boxx.iter().map(|&(lo, _)| lo).collect();
-        loop {
-            let a = self.dist.local_addr(self.my_local, &coords);
-            self.data[a] = f(&coords);
-            // Odometer increment over the owned box.
-            let mut d = coords.len();
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                coords[d] += 1;
-                if coords[d] < boxx[d].1 {
-                    break;
-                }
-                coords[d] = boxx[d].0;
-            }
-        }
+        for_each_in_box(&self.my_box(), |coords| {
+            let a = self.dist.local_addr(self.my_local, coords);
+            self.data[a] = f(coords);
+        });
     }
 
     /// Sum of all owned elements on this rank (halo excluded).
@@ -137,24 +123,9 @@ impl<T: Copy + Default> MultiblockArray<T> {
     where
         T: std::ops::Add<Output = T>,
     {
-        let boxx = self.my_box();
         let mut acc = T::default();
-        let mut coords: Vec<usize> = boxx.iter().map(|&(lo, _)| lo).collect();
-        loop {
-            acc = acc + self.get(&coords);
-            let mut d = coords.len();
-            loop {
-                if d == 0 {
-                    return acc;
-                }
-                d -= 1;
-                coords[d] += 1;
-                if coords[d] < boxx[d].1 {
-                    break;
-                }
-                coords[d] = boxx[d].0;
-            }
-        }
+        for_each_in_box(&self.my_box(), |coords| acc = acc + self.get(coords));
+        acc
     }
 }
 

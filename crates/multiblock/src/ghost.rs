@@ -11,6 +11,7 @@
 //! 5-point stencil of the paper's Figure 1.
 
 use mcsim::prelude::{Endpoint, Tag};
+use meta_chaos::region::for_each_in_box;
 
 use crate::array::MultiblockArray;
 
@@ -64,28 +65,11 @@ fn slab_addrs<T: Copy + Default>(
 ) -> Vec<usize> {
     let mut boxx = arr.my_box();
     boxx[dim] = (lo, hi);
-    let ndim = boxx.len();
-    let mut coords: Vec<usize> = boxx.iter().map(|&(l, _)| l).collect();
-    let count: usize = boxx.iter().map(|&(l, h)| h - l).product();
-    let mut out = Vec::with_capacity(count);
-    if count == 0 {
-        return out;
-    }
-    loop {
-        out.push(arr.dist().local_addr(arr.my_local(), &coords));
-        let mut d = ndim;
-        loop {
-            if d == 0 {
-                return out;
-            }
-            d -= 1;
-            coords[d] += 1;
-            if coords[d] < boxx[d].1 {
-                break;
-            }
-            coords[d] = boxx[d].0;
-        }
-    }
+    let mut out = Vec::with_capacity(boxx.iter().map(|&(l, h)| h - l).product());
+    for_each_in_box(&boxx, |coords| {
+        out.push(arr.dist().local_addr(arr.my_local(), coords))
+    });
+    out
 }
 
 /// Inspector: build the halo-exchange schedule for `arr`.

@@ -25,7 +25,9 @@
 //!   local copies, which Meta-Chaos avoids);
 //! * [`adapter`] — the Meta-Chaos interface functions
 //!   ([`meta_chaos::McObject`]) for `MultiblockArray`, with
-//!   [`RegularSection`](meta_chaos::RegularSection) as the Region type.
+//!   [`RegularSection`](meta_chaos::RegularSection) as the Region type,
+//!   dereferenced by [`meta_chaos::region::owned_section_runs`] from the
+//!   section clipped to the rank's block.
 
 // Indexed loops over multiple parallel arrays are the clearest idiom in
 // this numerical code.

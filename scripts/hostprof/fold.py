@@ -37,8 +37,9 @@ PATTERNS = {
     "core::fmt": r"^<?core::fmt::|@ core/src/fmt/",
     "malloc/free/realloc": r"^(malloc|free|realloc|calloc|cfree|_int_malloc|_int_free|_int_realloc"
     r"|malloc_consolidate|__libc_malloc|__libc_free|__libc_realloc)( @|$)",
-    "inspector": r"@ meta-chaos/src/(build|runs|linear|schedule)\.rs$"
-    r"|\b(deref_owned_runs|descriptor) @ chaos/src/adapter\.rs$",
+    "inspector": r"@ meta-chaos/src/(build|runs|linear|schedule|region)\.rs$"
+    r"|\b(deref_owned_runs|descriptor) @ chaos/src/adapter\.rs$"
+    r"|\bderef_owned_runs @ (hpf|multiblock|tulip)/src/adapter\.rs$",
     "wire codec": r"@ mcsim/src/wire\.rs$",
 }
 ADDR2LINE = shutil.which("llvm-addr2line") or "addr2line"
